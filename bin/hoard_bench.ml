@@ -14,18 +14,6 @@ let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-let parse_procs = function
-  | None -> None
-  | Some s ->
-    let parts = String.split_on_char ',' s in
-    Some
-      (List.map
-         (fun p ->
-           match int_of_string_opt (String.trim p) with
-           | Some n when n >= 1 -> n
-           | _ -> failwith (Printf.sprintf "bad processor count %S" p))
-         parts)
-
 let print_output ~csv (out : Experiments.output) =
   List.iter
     (fun tbl ->
@@ -64,7 +52,7 @@ let csv_flag = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of ASCI
 let procs_opt =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Config_cli.procs) None
     & info [ "procs" ] ~docv:"P1,P2,.." ~doc:"Processor counts to sweep (default depends on scale).")
 
 let front_end_opt =
@@ -162,7 +150,7 @@ let run_cmd =
       Printf.eprintf "unknown experiment %S; try: %s\n" id (String.concat " " (Experiments.ids ()));
       exit 1
     | Some e ->
-      let out = e.Experiments.run scale ~procs:(parse_procs procs) in
+      let out = e.Experiments.run scale ~procs in
       print_output ~csv out;
       (match json with
        | Some f ->
@@ -174,7 +162,7 @@ let run_cmd =
        | None -> ());
       if metrics <> None || trace <> None then begin
         let nprocs =
-          match parse_procs procs with
+          match procs with
           | Some (p :: _) -> p
           | _ -> 8
         in
@@ -207,7 +195,7 @@ let all_cmd =
     List.iter
       (fun e ->
         Printf.printf "### %s (%s)\n\n" e.Experiments.title e.Experiments.id;
-        print_output ~csv (e.Experiments.run (scale_of_flag full) ~procs:(parse_procs procs)))
+        print_output ~csv (e.Experiments.run (scale_of_flag full) ~procs))
       (Experiments.all ())
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ full_flag $ csv_flag $ procs_opt)
@@ -219,7 +207,7 @@ let workload_arg =
     & info [ "workload"; "w" ] ~docv:"NAME"
         ~doc:(Printf.sprintf "Benchmark to drive (%s)." (String.concat ", " Experiments.workload_names)))
 
-let nprocs_arg = Arg.(value & opt int 8 & info [ "procs"; "p" ] ~doc:"Simulated processors.")
+let nprocs_arg = Arg.(value & opt Config_cli.nprocs 8 & info [ "procs"; "p" ] ~doc:"Simulated processors.")
 
 let get_workload name full =
   match Experiments.workload name (scale_of_flag full) with

@@ -123,7 +123,9 @@ let oracle_cmd =
   let subject_opt =
     Arg.(value & opt string "hoard" & info [ "subject" ] ~docv:"A" ~doc:"Allocator subject (see list).")
   in
-  let procs_opt = Arg.(value & opt int 4 & info [ "procs" ] ~docv:"P" ~doc:"Simulated processors.") in
+  let procs_opt =
+    Arg.(value & opt Config_cli.nprocs 4 & info [ "procs" ] ~docv:"P" ~doc:"Simulated processors.")
+  in
   let fuzz_opt =
     Arg.(
       value

@@ -87,7 +87,7 @@ let validate_cmd =
   in
   Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ file_arg)
 
-let procs_arg = Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Simulated processors.")
+let procs_arg = Arg.(value & opt Config_cli.nprocs 4 & info [ "procs" ] ~doc:"Simulated processors.")
 
 let replay_cmd =
   let doc = "Replay a trace against one allocator on the simulator." in

@@ -8,10 +8,12 @@
    path, lock-free under contention, never falling back to locking the
    owner. The owner reclaims the entire list with one exchange
    (head := 0) during its next fill/flush/trim and walks it privately,
-   so consumption costs one atomic regardless of length.
+   so consumption costs one atomic regardless of length. Several
+   consumers (threads sharing the owner heap) may reclaim concurrently:
+   each exchange hands its caller a disjoint chain.
 
-   Because producers only push and the single consumer takes the whole
-   list atomically, the classic Treiber ABA hazard does not arise: a
+   Because producers only push and consumers only take the whole list
+   atomically, the classic Treiber ABA hazard does not arise: a
    push whose observed head was reclaimed-and-readvanced back to the
    same address still links a consistent list (its next-link equals the
    current head by value, and value equality is all the structure

@@ -433,11 +433,16 @@ let shelf_transfer =
    and hands one to each of threads 1 and 2 (heaps 2 and 3); their
    remote frees land in their front-end caches, and the flushes
    surrender each block with a push onto heap 1's deferred list — the
-   two pushes race on the list head. The real push retries a failed
-   CAS; the deferred-lost-node mutant treats the failure as success, so
-   in the schedule where one push lands inside the other's load-to-CAS
-   window a block leaves every list and the post-run count comes up
-   short. *)
+   two pushes race on the list head. Meanwhile the owner, its cache for
+   the class now empty, mallocs once more: the real fill path detaches
+   the list (exchange + chain walk) BEFORE taking heap 1's lock, so a
+   push may land before the detach, between the detach and the lock, or
+   after. Every block must end either reclaimed into the heap core or
+   still listed. The real push retries a failed CAS; the
+   deferred-lost-node mutant treats the failure as success, so in the
+   schedule where a push's load-to-CAS window is cut by another push or
+   by the owner's exchange a block leaves every list unreclaimed and the
+   post-run count comes up short. *)
 let deferred_remote_free ~mutant =
   {
     Explorer.sc_name = (if mutant = "" then "deferred-remote-free" else "deferred-remote-free-mutant");
@@ -459,9 +464,11 @@ let deferred_remote_free ~mutant =
         let t1 = ref 0 and t2 = ref 0 in
         ignore
           (Sim.spawn sim ~proc:0 (fun () ->
+               (* One fill of fe/2 + 1 = 2 blocks serves both mallocs. *)
                t1 := a.Alloc_intf.malloc bsize;
                t2 := a.Alloc_intf.malloc bsize;
-               Sim.barrier_wait barrier));
+               Sim.barrier_wait barrier;
+               ignore (a.Alloc_intf.malloc bsize)));
         List.iter
           (fun (p, target) ->
             ignore
@@ -473,9 +480,13 @@ let deferred_remote_free ~mutant =
         fun () ->
           Hoard.check h;
           let listed = Array.fold_left ( + ) 0 (Hoard.deferred_lengths h) in
-          if listed <> 2 then
+          (* Nothing else drains in this scenario: every drained block is
+             one the owner's fill reclaimed. *)
+          let reclaimed = (a.Alloc_intf.stats ()).Alloc_stats.remote_drains in
+          if listed + reclaimed <> 2 then
             failwith
-              (sprintf "deferred-remote-free: %d block(s) on the deferred lists, expected 2" listed));
+              (sprintf "deferred-remote-free: %d block(s) listed + %d reclaimed, expected 2" listed
+                 reclaimed));
   }
 
 (* The large-object cache's park/take protocol, raw (the lockfree-stack

@@ -237,6 +237,32 @@ let too_empty ?slack t core =
 
 let touch_header t sb = t.pf.Platform.write ~addr:(Superblock.base sb) ~len:16
 
+(* Write the header of each distinct superblock in a batch once, in
+   first-seen order. A batch updates a header's free-list head and counts
+   for every block it moves, but they all sit on one line: dirtying it once
+   per superblock per batch is the cost, not once per block — and every
+   simulated write inside a critical section is a point where co-located
+   lock waiters run. *)
+let touch_headers t sbs =
+  let rec go seen = function
+    | [] -> ()
+    | sb :: rest when List.memq sb seen -> go seen rest
+    | sb :: rest ->
+      touch_header t sb;
+      go (sb :: seen) rest
+  in
+  go [] sbs
+
+(* Return one block the program already freed (it sat in a cache, a
+   queue or a deferred list) to [h]'s core: the 8 B free-list link write,
+   then the bookkeeping. Caller holds [h]'s lock and writes the header
+   once for the whole batch ([touch_headers]). *)
+let free_owned t h sb addr =
+  t.pf.Platform.write ~addr ~len:8;
+  Superblock.clear_cached sb addr;
+  Heap_core.free h.core sb addr;
+  Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb)
+
 (* Record into [h]'s ring; the caller must hold [h]'s lock (the ring
    shares the stats shard's domain). Free when tracing is off. *)
 let event t h kind ~sclass ~arg =
@@ -370,17 +396,13 @@ let drain_rq t h ~spill =
     h.rq_blocks <- [];
     h.rq_len <- 0;
     h.rq_lock.release ();
-    let mine = ref 0 and forwarded = ref 0 in
+    let forwarded = ref 0 and freed_into = ref [] in
     List.iter
       (fun (sb, addr) ->
         let owner_id = Superblock.owner sb in
         if owner_id = Heap_core.id h.core then begin
-          t.pf.Platform.write ~addr ~len:8;
-          Superblock.clear_cached sb addr;
-          Heap_core.free h.core sb addr;
-          touch_header t sb;
-          Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb);
-          incr mine
+          free_owned t h sb addr;
+          freed_into := sb :: !freed_into
         end
         else if owner_id = 0 && t.gindex <> None then begin
           (* Migrated to the lock-free global heap: its deferred list is
@@ -408,53 +430,62 @@ let drain_rq t h ~spill =
           else spill := (sb, addr) :: !spill
         end)
       items;
+    touch_headers t (List.rev !freed_into);
+    let mine = List.length !freed_into in
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
-    if !mine > 0 then event t h Event_ring.Remote_drain ~sclass:0 ~arg:!mine;
-    !mine
+    if mine > 0 then event t h Event_ring.Remote_drain ~sclass:0 ~arg:mine;
+    mine
   end
 
-(* Owner side of the deferred protocol: one exchange detaches the whole
-   list, then every block is freed into [h]'s core. A block whose
-   superblock migrated since its push is re-pushed onto the CURRENT
-   owner's list — one CAS; the list is unbounded, so unlike the bounded
-   queues, forwarding can neither cascade nor spill into the locked
-   path. Caller holds [h]'s lock. *)
-let reclaim_deferred t h =
+(* Owner side of the deferred protocol, first half: one exchange takes
+   [h]'s whole list and the chain walk runs over the now-private chain —
+   both WITHOUT [h]'s lock, so co-located lock waiters never spin through
+   them. Threads sharing [h] detach disjoint chains (the exchange hands
+   each its own); detached blocks keep their custody marks and stay
+   charged to live bytes until [free_reclaimed] frees them. *)
+let detach h =
   match h.dfl with
-  | None -> 0
-  | Some dfl ->
-    (match Deferred_list.reclaim dfl with
-     | [] -> 0
-     | items ->
-       let mine = ref 0 and forwarded = ref 0 in
-       List.iter
-         (fun (sb, addr) ->
-           let owner_id = Superblock.owner sb in
-           if owner_id = Heap_core.id h.core then begin
-             t.pf.Platform.write ~addr ~len:8;
-             Superblock.clear_cached sb addr;
-             Heap_core.free h.core sb addr;
-             touch_header t sb;
-             Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb);
-             incr mine
-           end
-           else begin
-             (match (heap_by_id t owner_id).dfl with
-              | Some dfl' -> Deferred_list.push dfl' sb addr
-              | None -> assert false (* deferred mode builds a list per heap *));
-             incr forwarded;
-             event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-           end)
-         items;
-       if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
-       Alloc_stats.on_deferred_reclaim h.sh;
-       event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine;
-       !mine)
+  | None -> []
+  | Some dfl -> Deferred_list.reclaim dfl
 
-(* Return every pending remote free to [h]'s core: the deferred list when
-   configured, the bounded queue otherwise (both, during a transition,
-   costs one extra branch). Caller holds [h]'s lock. *)
-let drain_pending t h ~spill = reclaim_deferred t h + drain_rq t h ~spill
+(* Owner side, second half: free a detached chain into [h]'s core, one
+   header write per superblock. Ownership is re-checked here, under the
+   lock: a block whose superblock migrated since its push is re-pushed
+   onto the CURRENT owner's list — one CAS; the list is unbounded, so
+   unlike the bounded queues, forwarding can neither cascade nor spill
+   into the locked path. Caller holds [h]'s lock. *)
+let free_reclaimed t h items =
+  match items with
+  | [] -> 0
+  | _ ->
+    let forwarded = ref 0 and freed_into = ref [] in
+    List.iter
+      (fun (sb, addr) ->
+        let owner_id = Superblock.owner sb in
+        if owner_id = Heap_core.id h.core then begin
+          free_owned t h sb addr;
+          freed_into := sb :: !freed_into
+        end
+        else begin
+          (match (heap_by_id t owner_id).dfl with
+           | Some dfl' -> Deferred_list.push dfl' sb addr
+           | None -> assert false (* deferred mode builds a list per heap *));
+          incr forwarded;
+          event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+        end)
+      items;
+    touch_headers t (List.rev !freed_into);
+    let mine = List.length !freed_into in
+    if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
+    Alloc_stats.on_deferred_reclaim h.sh;
+    event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
+    mine
+
+(* Return every pending remote free to [h]'s core: the chain [detach]ed
+   before the lock when the deferred list is configured, the bounded
+   queue otherwise (both, during a transition, costs one extra branch).
+   Caller holds [h]'s lock. *)
+let drain_pending t h ~detached ~spill = free_reclaimed t h detached + drain_rq t h ~spill
 
 (* Reclaim heap 0's deferred list through the lock-free index: one
    exchange detaches it, then each block runs the Busy handshake — no
@@ -474,11 +505,15 @@ let reclaim_global_lockfree t h gi ~spill =
        List.iter
          (fun (sb, addr) ->
            Superblock.clear_cached sb addr;
+           (* Read the size before the free: once [free_block] empties the
+              superblock, another heap may claim it and reformat it for
+              another class before the charge below. *)
+           let usable = Superblock.block_size sb in
            match Global_index.free_block gi sb ~addr with
            | Global_index.Freed { now_empty = _ } ->
              t.pf.Platform.write ~addr ~len:8;
              touch_header t sb;
-             Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb);
+             Alloc_stats.on_drain h.sh ~usable;
              incr mine
            | Global_index.Requeue ->
              (* Another reclaimer holds the superblock Busy; hand the
@@ -539,10 +574,11 @@ let refill t h ~sclass ~block_size ~spill =
          Alloc_stats.on_global_pop t.stats;
          Some sb)
     | None ->
-      t.global.lock.acquire ();
       (* Pending frees may hand the global heap exactly the superblock we
          are about to ask for. *)
-      ignore (drain_pending t t.global ~spill);
+      let detached = detach t.global in
+      t.global.lock.acquire ();
+      ignore (drain_pending t t.global ~detached ~spill);
       let sb = Heap_core.take_for_class t.global.core ~sclass in
       (* Flip ownership before releasing the global lock: a concurrent free
          must either see the old owner (and retry against our heap lock,
@@ -703,20 +739,17 @@ let rec dispose_batch t pairs =
      | None -> dispose_batch t pairs (* migrated to owner 0 since the partition: redo it *)
      | Some h ->
        let id = Heap_core.id h.core in
-       let later = ref [] and n = ref 0 in
+       let later = ref [] and freed_into = ref [] in
        List.iter
          (fun (sb, addr) ->
            if Superblock.owner sb = id then begin
-             t.pf.Platform.write ~addr ~len:8;
-             Superblock.clear_cached sb addr;
-             Heap_core.free h.core sb addr;
-             touch_header t sb;
-             Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb);
-             incr n
+             free_owned t h sb addr;
+             freed_into := sb :: !freed_into
            end
            else later := (sb, addr) :: !later)
          pairs;
-       if !n > 0 then trim_heap ~deep:true t h ~sclass:(Superblock.sclass sb0);
+       touch_headers t (List.rev !freed_into);
+       if !freed_into <> [] then trim_heap ~deep:true t h ~sclass:(Superblock.sclass sb0);
        h.lock.release ();
        dispose_batch t !later)
 
@@ -727,13 +760,19 @@ let rec dispose_batch t pairs =
    read and the push just lands on the stale owner's list, whose reclaim
    forwards it. Queue mode: partition by owner, push each group onto its
    owner's remote-free queue in one innermost-lock critical section, and
-   hand whatever the caps reject to the classic locked path in one batch. *)
+   hand whatever the caps reject to the classic locked path in one batch.
+   Each block's owner must be read ONCE: on real domains a concurrent
+   transfer can change it between two reads, and consing onto one owner's
+   group while storing under the other's index copies a whole group —
+   every block in it queued twice, a double free at the second drain. *)
 let surrender_many t tc pairs =
+  let groups = Array.make (Array.length t.heaps + 1) [] in
+  List.iter
+    (fun (addr, sb) ->
+      let id = Superblock.owner sb in
+      groups.(id) <- (sb, addr) :: groups.(id))
+    pairs;
   if t.cfg.deferred then begin
-    let groups = Array.make (Array.length t.heaps + 1) [] in
-    List.iter
-      (fun (addr, sb) -> groups.(Superblock.owner sb) <- (sb, addr) :: groups.(Superblock.owner sb))
-      pairs;
     Array.iteri
       (fun id group ->
         match group with
@@ -750,10 +789,6 @@ let surrender_many t tc pairs =
       groups
   end
   else begin
-  let groups = Array.make (Array.length t.heaps + 1) [] in
-  List.iter
-    (fun (addr, sb) -> groups.(Superblock.owner sb) <- (sb, addr) :: groups.(Superblock.owner sb))
-    pairs;
   let overflow = ref [] in
   Array.iteri
     (fun id group ->
@@ -889,24 +924,25 @@ let tcache t =
     tc
   | None -> new_tcache t tid
 
-(* The slow half of a front-end malloc: one lock acquisition drains the
-   pending remote frees and pulls [fe/2 + 1] blocks — one to return, the
-   rest into the cache. *)
+(* The slow half of a front-end malloc: the deferred list is detached
+   first, then one lock acquisition frees it, drains the bounded queue and
+   pulls [fe/2 + 1] blocks — one to return, the rest into the cache. *)
 let malloc_fill t tc ~size ~sclass ~block_size =
   let h = my_heap t in
   let spill = ref [] in
+  let detached = detach h in
   h.lock.acquire ();
-  let drained = drain_pending t h ~spill in
+  let drained = drain_pending t h ~detached ~spill in
   let want = (t.fe / 2) + 1 in
   let blocks = ref [] and got = ref 0 in
   while !got < want do
     match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(want - !got) with
     | [] -> refill t h ~sclass ~block_size ~spill
     | batch ->
-      List.iter (fun (_, sb) -> touch_header t sb) batch;
       blocks := List.rev_append batch !blocks;
       got := !got + List.length batch
   done;
+  touch_headers t (List.rev_map snd !blocks);
   let addr =
     match !blocks with
     | [] -> assert false (* want >= 1 *)
@@ -995,22 +1031,24 @@ let malloc_many t n size =
       let block_size = Size_class.size_of_class t.classes sclass in
       let h = my_heap t in
       let spill = ref [] in
+      let detached = detach h in
       h.lock.acquire ();
-      ignore (drain_pending t h ~spill);
-      let out = Array.make n 0 and got = ref 0 in
+      ignore (drain_pending t h ~detached ~spill);
+      let out = Array.make n 0 and got = ref 0 and from = ref [] in
       while !got < n do
         match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
         | [] -> refill t h ~sclass ~block_size ~spill
         | batch ->
           List.iter
             (fun (addr, sb) ->
-              touch_header t sb;
               out.(!got) <- addr;
               Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
               t.pf.Platform.write ~addr ~len:8;
+              from := sb :: !from;
               incr got)
             batch
       done;
+      touch_headers t (List.rev !from);
       h.lock.release ();
       if !spill <> [] then dispose_batch t !spill;
       out
@@ -1231,8 +1269,9 @@ let flush t =
   if t.fe > 0 || t.gindex <> None then begin
     let h = my_heap t in
     let spill = ref [] in
+    let detached = detach h in
     h.lock.acquire ();
-    if drain_pending t h ~spill > 0 then trim_heap ~deep:true t h ~sclass:0;
+    if drain_pending t h ~detached ~spill > 0 then trim_heap ~deep:true t h ~sclass:0;
     (match t.gindex with
      | Some gi ->
        ignore (reclaim_global_lockfree t h gi ~spill);
@@ -1269,8 +1308,9 @@ let on_thread_exit t =
   end;
   let h = my_heap t in
   let spill = ref [] in
+  let detached = detach h in
   h.lock.acquire ();
-  ignore (drain_pending t h ~spill);
+  ignore (drain_pending t h ~detached ~spill);
   let orphans = ref [] in
   Heap_core.iter h.core (fun sb -> orphans := sb :: !orphans);
   List.iter

@@ -368,9 +368,39 @@ let test_csv_export () =
         Alcotest.(check bool) "csv has header and rows" true (List.length (String.split_on_char '\n' csv) > 2))
       out.Experiments.tables
 
+(* The shared processor-count converters: well-formed input parses,
+   anything else is a parse error (a Cmdliner usage error), never an
+   exception. *)
+let test_procs_converter () =
+  let one = Cmdliner.Arg.conv_parser Config_cli.nprocs in
+  Alcotest.(check bool) "-p 8" true (one "8" = Ok 8);
+  List.iter
+    (fun s -> Alcotest.(check bool) ("-p " ^ s ^ " rejected") true (Result.is_error (one s)))
+    [ "0"; "-1"; "abc"; "2,4" ];
+  let parse = Cmdliner.Arg.conv_parser Config_cli.procs in
+  let ok s expected =
+    match parse s with
+    | Ok ns -> Alcotest.(check (list int)) s expected ns
+    | Error (`Msg m) -> Alcotest.fail (Printf.sprintf "%S rejected: %s" s m)
+  in
+  ok "8" [ 8 ];
+  ok "1,2,4" [ 1; 2; 4 ];
+  ok " 1, 16 " [ 1; 16 ];
+  List.iter
+    (fun s ->
+      match parse s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S must be rejected" s)
+      | Error (`Msg m) ->
+        Alcotest.(check bool) (s ^ ": message names the count") true
+          (Astring.String.is_infix ~affix:"bad processor count" m))
+    [ "abc"; "0"; "-1"; ""; "1,,2"; "4,x" ];
+  Alcotest.(check string) "prints back" "1,2,4"
+    (Format.asprintf "%a" (Cmdliner.Arg.conv_printer Config_cli.procs) [ 1; 2; 4 ])
+
 let () =
   Alcotest.run "harness"
     [
+      ("cli", [ Alcotest.test_case "procs converter" `Quick test_procs_converter ]);
       ( "runner",
         [
           Alcotest.test_case "basic" `Quick test_runner_basic;

@@ -1097,6 +1097,81 @@ let test_deferred_lists_reclaim () =
     (s.Alloc_stats.deferred_reclaims <= s.Alloc_stats.deferred_enqueues);
   Alcotest.(check int) "nothing live" 0 s.Alloc_stats.live_bytes
 
+(* Batched header writes: a fill that reclaims N deferred blocks of one
+   superblock writes that superblock's 16 B header exactly once (the 8 B
+   link writes stay per block). A wrapped platform counts header-sized
+   writes at superblock bases during the owner's fill, which allocates
+   another size class so its own batch touches other headers. *)
+let test_reclaim_writes_header_once () =
+  List.iter
+    (fun label ->
+      let config = Option.get (Allocators.base_config label) in
+      let sim = Sim.create ~nprocs:2 () in
+      let pf0 = Sim.platform sim in
+      let sb_size = config.Hoard_config.sb_size in
+      let counting = ref false and header_writes = Hashtbl.create 8 in
+      let pf =
+        {
+          pf0 with
+          Platform.write =
+            (fun ~addr ~len ->
+              if !counting && len = 16 && addr mod sb_size = 0 then
+                Hashtbl.replace header_writes addr
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt header_writes addr));
+              pf0.Platform.write ~addr ~len);
+        }
+      in
+      let h = Hoard.create ~config pf in
+      let a = Hoard.allocator h in
+      let n = 12 in
+      let barrier = Sim.new_barrier sim ~parties:2 in
+      let box = ref [||] in
+      ignore
+        (Sim.spawn sim ~proc:0 (fun () ->
+             box := Array.init n (fun _ -> a.Alloc_intf.malloc 64);
+             Sim.barrier_wait barrier;
+             (* The consumer freed and flushed: all n blocks sit on this
+                heap's deferred list. *)
+             Sim.barrier_wait barrier;
+             counting := true;
+             ignore (a.Alloc_intf.malloc 512);
+             counting := false));
+      ignore
+        (Sim.spawn sim ~proc:1 (fun () ->
+             Sim.barrier_wait barrier;
+             Array.iter a.Alloc_intf.free !box;
+             a.Alloc_intf.flush ();
+             Sim.barrier_wait barrier));
+      Sim.run sim;
+      let base = !box.(0) - (!box.(0) mod sb_size) in
+      Array.iter
+        (fun addr -> Alcotest.(check int) (label ^ ": one superblock") base (addr - (addr mod sb_size)))
+        !box;
+      Alcotest.(check int) (label ^ ": the fill reclaimed the list") 0
+        (Array.fold_left ( + ) 0 (Hoard.deferred_lengths h));
+      Alcotest.(check int) (label ^ ": header written once") 1
+        (Option.value ~default:0 (Hashtbl.find_opt header_writes base));
+      Hoard.flush_caches h;
+      Hoard.check h)
+    [ "hoard-df"; "hoard-gl" ]
+
+(* Regression: the lock-free global reclaim charged a block's size to the
+   stats AFTER freeing it into the index, by when a peer could have
+   claimed the emptied superblock and reformatted it for another class.
+   The default bursty server mix on hoard-gl without a front end failed
+   [Hoard.check]'s live-bytes reconciliation on every run. *)
+let test_gl_reclaim_reads_size_before_free () =
+  let factory =
+    match Allocators.with_overrides (fun cfg -> { cfg with Hoard_config.front_end = 0 }) "hoard-gl" with
+    | Some f -> f
+    | None -> Alcotest.fail "hoard-gl takes overrides"
+  in
+  let params = { Server_mix.default_params with Server_mix.profile = Server_mix.Bursty; requests = 5120 } in
+  (* [run_server] runs [Hoard.check] at the end. *)
+  let r = Slo.run_server ~params factory ~nprocs:8 in
+  Alcotest.(check int) "every request served" 5120
+    (Histogram.count (Server_mix.request_latencies r.Slo.sv_recorder))
+
 (* The knob registry: make, textual set/set_all, name normalization,
    registry-driven help and printing. *)
 let test_knob_registry () =
@@ -1229,6 +1304,7 @@ let () =
           QCheck_alcotest.to_alcotest test_set_all_matches_labelled_make;
           Alcotest.test_case "large cache roundtrip" `Quick test_large_cache_roundtrip;
           Alcotest.test_case "deferred lists reclaim" `Quick test_deferred_lists_reclaim;
+          Alcotest.test_case "reclaim writes each header once" `Quick test_reclaim_writes_header_once;
         ] );
       ( "algorithm",
         [
@@ -1284,5 +1360,7 @@ let () =
           Alcotest.test_case "lockfree roundtrip" `Quick test_global_lockfree_roundtrip;
           Alcotest.test_case "zero heap-0 lock acquisitions" `Quick test_global_lockfree_zero_heap0_lock;
           Alcotest.test_case "orphan adoptions match events" `Quick test_orphan_adoptions_match_events;
+          Alcotest.test_case "lockfree reclaim reads size before free" `Quick
+            test_gl_reclaim_reads_size_before_free;
         ] );
     ]
