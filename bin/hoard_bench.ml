@@ -58,7 +58,7 @@ let procs_opt =
 let front_end_opt =
   Arg.(
     value
-    & opt int 0
+    & opt Config_cli.non_negative 0
     & info [ "front-end" ] ~docv:"K"
         ~doc:
           "Per-thread block-cache capacity per size class for the hoard instance (0 = the paper's exact \
@@ -85,7 +85,7 @@ let vmem_opt =
 let reservoir_opt =
   Arg.(
     value
-    & opt int 0
+    & opt Config_cli.non_negative 0
     & info [ "reservoir" ] ~docv:"R"
         ~doc:
           "Capacity (superblocks) of the size-class-agnostic reservoir: empty superblocks park there \
@@ -95,7 +95,7 @@ let reservoir_opt =
 let shelf_opt =
   Arg.(
     value
-    & opt int 0
+    & opt Config_cli.non_negative 0
     & info [ "shelf" ] ~docv:"N"
         ~doc:
           "Capacity (superblocks) of the lock-free empty-superblock shelf in front of the global \
@@ -105,7 +105,7 @@ let shelf_opt =
 let slack_opt =
   Arg.(
     value
-    & opt int Hoard_config.default.Hoard_config.slack
+    & opt Config_cli.non_negative Hoard_config.default.Hoard_config.slack
     & info [ "slack" ] ~docv:"K"
         ~doc:
           "Slack K (superblocks a per-processor heap may hold beyond use) for the instrumented \
@@ -266,7 +266,7 @@ let inspect_cmd =
 let sweep_cmd =
   let doc = "Run one benchmark under Hoard with explicit algorithm parameters." in
   let f_arg = Arg.(value & opt float 0.25 & info [ "f" ] ~doc:"Emptiness fraction f.") in
-  let k_arg = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Slack K (superblocks).") in
+  let k_arg = Arg.(value & opt Config_cli.non_negative 4 & info [ "k" ] ~doc:"Slack K (superblocks).") in
   let s_arg = Arg.(value & opt int 8192 & info [ "sbsize" ] ~doc:"Superblock size S.") in
   let run name full nprocs f k sbsize vmem reservoir shelf sets =
     let config =
@@ -319,7 +319,7 @@ let serve_cmd =
   let requests_opt =
     Arg.(
       value
-      & opt int 0
+      & opt Config_cli.non_negative 0
       & info [ "requests" ] ~docv:"N" ~doc:"Total requests across all workers (0 = the scale default).")
   in
   let slo_opt =

@@ -38,7 +38,10 @@ let scenario_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name (see list).")
 
 let bound_opt =
-  Arg.(value & opt int 2 & info [ "bound" ] ~docv:"N" ~doc:"Preemption bound (Chess-style, default 2).")
+  Arg.(
+    value
+    & opt Config_cli.non_negative 2
+    & info [ "bound" ] ~docv:"N" ~doc:"Preemption bound (Chess-style, default 2).")
 
 let strategy_opt =
   Arg.(
@@ -48,7 +51,10 @@ let strategy_opt =
         ~doc:"$(b,chess) (exhaustive bounded-preemption) or $(b,sleep) (sleep-set-pruned DFS).")
 
 let max_runs_opt =
-  Arg.(value & opt int 10_000 & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget (default 10000).")
+  Arg.(
+    value
+    & opt Config_cli.positive 10_000
+    & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget (default 10000).")
 
 let expect_fail_flag =
   Arg.(

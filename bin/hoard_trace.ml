@@ -55,20 +55,29 @@ let replay_trace trace factory ~procs =
 
 let generate_cmd =
   let doc = "Generate a synthetic allocation trace." in
-  let ops = Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"Operation count.") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"Logical threads.") in
-  let live = Arg.(value & opt int 50 & info [ "live" ] ~doc:"Live objects per thread (target).") in
+  let ops = Arg.(value & opt Config_cli.positive 10_000 & info [ "ops" ] ~doc:"Operation count.") in
+  let threads = Arg.(value & opt Config_cli.positive 4 & info [ "threads" ] ~doc:"Logical threads.") in
+  let live =
+    Arg.(value & opt Config_cli.non_negative 50 & info [ "live" ] ~doc:"Live objects per thread (target).")
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let min_size = Arg.(value & opt int 8 & info [ "min-size" ] ~doc:"Minimum object size.") in
-  let max_size = Arg.(value & opt int 1024 & info [ "max-size" ] ~doc:"Maximum object size.") in
+  let min_size = Arg.(value & opt Config_cli.positive 8 & info [ "min-size" ] ~doc:"Minimum object size.") in
+  let max_size =
+    Arg.(value & opt Config_cli.positive 1024 & info [ "max-size" ] ~doc:"Maximum object size.")
+  in
   let out = Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output file.") in
   let run ops threads live seed min_size max_size out =
-    let t = Trace.generate ~seed ~ops ~threads ~live_target:live ~size_dist:(Trace.Uniform (min_size, max_size)) () in
-    write_file out (Trace.to_string t);
-    Printf.printf "wrote %d ops (peak live %d bytes) to %s\n" (Trace.length t) (Trace.max_live_bytes t) out
+    if min_size > max_size then
+      `Error (true, Printf.sprintf "--min-size %d exceeds --max-size %d" min_size max_size)
+    else begin
+      let t = Trace.generate ~seed ~ops ~threads ~live_target:live ~size_dist:(Trace.Uniform (min_size, max_size)) () in
+      write_file out (Trace.to_string t);
+      Printf.printf "wrote %d ops (peak live %d bytes) to %s\n" (Trace.length t) (Trace.max_live_bytes t) out;
+      `Ok ()
+    end
   in
   Cmd.v (Cmd.info "generate" ~doc)
-    Term.(const run $ ops $ threads $ live $ seed $ min_size $ max_size $ out)
+    Term.(ret (const run $ ops $ threads $ live $ seed $ min_size $ max_size $ out))
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Trace file.")
 

@@ -428,24 +428,63 @@ let shelf_transfer =
             failwith (sprintf "shelf-transfer: %d shelved superblocks above cap %d" len config.Hoard_config.shelf));
   }
 
-(* Producers racing CAS pushes onto one owner's deferred free list, end
-   to end through the allocator: thread 0 (heap 1) allocates two blocks
-   and hands one to each of threads 1 and 2 (heaps 2 and 3); their
-   remote frees land in their front-end caches, and the flushes
-   surrender each block with a push onto heap 1's deferred list — the
-   two pushes race on the list head. Meanwhile the owner, its cache for
+(* Remote frees racing the owner's drain, end to end through the
+   allocator, on either remote-free channel: thread 0 (heap 1) allocates
+   one fill's worth of blocks (fe/2 + 1, all from one superblock) and
+   hands them to threads 1 and 2 (heaps 2 and 3) — [frees.(i)] blocks to
+   thread i + 1. Their remote frees land in their front-end caches, and
+   each flush surrenders its blocks as one batch onto heap 1's channel,
+   the two flushes racing each other. Meanwhile the owner, its cache for
    the class now empty, mallocs once more: the real fill path detaches
-   the list (exchange + chain walk) BEFORE taking heap 1's lock, so a
-   push may land before the detach, between the detach and the lock, or
-   after. Every block must end either reclaimed into the heap core or
-   still listed. The real push retries a failed CAS; the
-   deferred-lost-node mutant treats the failure as success, so in the
-   schedule where a push's load-to-CAS window is cut by another push or
-   by the owner's exchange a block leaves every list unreclaimed and the
-   post-run count comes up short. *)
+   the channel and pre-links the batch BEFORE taking heap 1's lock, then
+   splices it under the lock, so a flush may land before the detach,
+   between the detach and the lock, or after. Every block must end
+   either drained into the heap core or still pending on the channel. *)
+let remote_drain_race sim pf ~config ~name ~frees =
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let bsize, _ = pick_class (Hoard.size_classes h) ~sb_size:config.Hoard_config.sb_size ~min_cap:7 in
+  let total = Array.fold_left ( + ) 0 frees in
+  assert (total = (config.Hoard_config.front_end / 2) + 1);
+  let barrier = Sim.new_barrier sim ~parties:3 in
+  let blocks = Array.make total 0 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         (* One fill serves every malloc and leaves the cache empty. *)
+         Array.iteri (fun i _ -> blocks.(i) <- a.Alloc_intf.malloc bsize) blocks;
+         Sim.barrier_wait barrier;
+         ignore (a.Alloc_intf.malloc bsize)));
+  Array.iteri
+    (fun i k ->
+      let first = Array.fold_left ( + ) 0 (Array.sub frees 0 i) in
+      ignore
+        (Sim.spawn sim ~proc:(i + 1) (fun () ->
+             Sim.barrier_wait barrier;
+             for j = first to first + k - 1 do
+               a.Alloc_intf.free blocks.(j)
+             done;
+             a.Alloc_intf.flush ())))
+    frees;
+  fun () ->
+    Hoard.check h;
+    let pending = Array.fold_left ( + ) 0 (Hoard.remote_queue_lengths h) in
+    (* Nothing else drains in this scenario: every drained block is one
+       the owner's fill took off the channel. *)
+    let drained = (a.Alloc_intf.stats ()).Alloc_stats.remote_drains in
+    if pending + drained <> total then
+      failwith (sprintf "%s: %d block(s) pending + %d drained, expected %d" name pending drained total)
+
+(* The deferred list: CAS pushes racing the owner's exchange. Thread 2
+   surrenders two blocks of one superblock in one chain, so the owner's
+   pre-link writes a link between its detach and its lock. The real push
+   retries a failed CAS; the deferred-lost-node mutant treats the
+   failure as success, so in the schedule where a push's load-to-CAS
+   window is cut by another push or by the owner's exchange its chain
+   leaves every list undrained and the post-run count comes up short. *)
 let deferred_remote_free ~mutant =
+  let name = if mutant = "" then "deferred-remote-free" else "deferred-remote-free-mutant" in
   {
-    Explorer.sc_name = (if mutant = "" then "deferred-remote-free" else "deferred-remote-free-mutant");
+    Explorer.sc_name = name;
     sc_describe =
       (if mutant = "" then "remote flushes racing CAS pushes onto one heap's deferred free list"
        else "the same push race with the lost-node mutant; a dropped push leaks a block at bound <= 2");
@@ -453,40 +492,24 @@ let deferred_remote_free ~mutant =
     sc_build =
       (fun sim pf ->
         let config =
-          { (race_config ~mutant) with Hoard_config.nheaps = Some 3; front_end = 2; deferred = true }
+          { (race_config ~mutant) with Hoard_config.nheaps = Some 3; front_end = 4; deferred = true }
         in
-        let h = Hoard.create ~config pf in
-        let a = Hoard.allocator h in
-        let bsize, _ =
-          pick_class (Hoard.size_classes h) ~sb_size:config.Hoard_config.sb_size ~min_cap:7
-        in
-        let barrier = Sim.new_barrier sim ~parties:3 in
-        let t1 = ref 0 and t2 = ref 0 in
-        ignore
-          (Sim.spawn sim ~proc:0 (fun () ->
-               (* One fill of fe/2 + 1 = 2 blocks serves both mallocs. *)
-               t1 := a.Alloc_intf.malloc bsize;
-               t2 := a.Alloc_intf.malloc bsize;
-               Sim.barrier_wait barrier;
-               ignore (a.Alloc_intf.malloc bsize)));
-        List.iter
-          (fun (p, target) ->
-            ignore
-              (Sim.spawn sim ~proc:p (fun () ->
-                   Sim.barrier_wait barrier;
-                   a.Alloc_intf.free !target;
-                   a.Alloc_intf.flush ())))
-          [ (1, t1); (2, t2) ];
-        fun () ->
-          Hoard.check h;
-          let listed = Array.fold_left ( + ) 0 (Hoard.deferred_lengths h) in
-          (* Nothing else drains in this scenario: every drained block is
-             one the owner's fill reclaimed. *)
-          let reclaimed = (a.Alloc_intf.stats ()).Alloc_stats.remote_drains in
-          if listed + reclaimed <> 2 then
-            failwith
-              (sprintf "deferred-remote-free: %d block(s) listed + %d reclaimed, expected 2" listed
-                 reclaimed));
+        remote_drain_race sim pf ~config ~name ~frees:[| 1; 2 |]);
+  }
+
+(* The bounded queue: two remote flushes pushing under the innermost
+   queue lock, racing the owner's swap of the queue before its heap
+   lock. *)
+let remote_queue_drain =
+  let name = "remote-queue-drain" in
+  {
+    Explorer.sc_name = name;
+    sc_describe = "remote flushes onto one heap's bounded queue racing the owner's swap before its heap lock";
+    sc_nprocs = 3;
+    sc_build =
+      (fun sim pf ->
+        let config = { (race_config ~mutant:"") with Hoard_config.nheaps = Some 3; front_end = 2 } in
+        remote_drain_race sim pf ~config ~name ~frees:[| 1; 1 |]);
   }
 
 (* The large-object cache's park/take protocol, raw (the lockfree-stack
@@ -855,6 +878,7 @@ let all () =
     shelf_transfer;
     deferred_remote_free ~mutant:"";
     deferred_remote_free ~mutant:"deferred-lost-node";
+    remote_queue_drain;
     large_cache_churn ~mutant:"";
     large_cache_churn ~mutant:"large-cache-no-aba";
     exit_adoption ~mutant:"";

@@ -55,10 +55,18 @@ val shelf_transfer : Explorer.scenario
 
 val deferred_remote_free : mutant:string -> Explorer.scenario
 (** Two remote flushes racing CAS pushes onto one heap's deferred free
-    list, end to end through the allocator. The post-run oracle counts
-    the listed blocks. [mutant = "deferred-lost-node"] treats a failed
-    push CAS as success and leaks a block at preemption bound <= 2;
+    list while the owner detaches, pre-links and splices it, end to end
+    through the allocator; one flush surrenders two blocks of one
+    superblock in one chain. The post-run oracle counts pending plus
+    drained blocks. [mutant = "deferred-lost-node"] treats a failed push
+    CAS as success and leaks a block at preemption bound <= 2;
     [mutant = ""] passes exhaustively. *)
+
+val remote_queue_drain : Explorer.scenario
+(** The queue-mode twin of {!deferred_remote_free}: two remote flushes
+    pushing onto one heap's bounded remote-free queue race the owner's
+    swap of the queue before its heap lock. Same oracle (pending plus
+    drained blocks); passes exhaustively. *)
 
 val large_cache_churn : mutant:string -> Explorer.scenario
 (** The large-object cache's park/take protocol driven raw on one

@@ -18,15 +18,23 @@ let set_opt =
               to right). Knobs: %s. Values: ints, floats, true/false, and $(b,auto) for nheaps."
              (String.concat ", " (Hoard_config.knob_names ()))))
 
-(* Processor counts are integers >= 1. A malformed one is a Cmdliner
-   parse error, so the command prints its usage and exits non-zero
-   instead of raising. *)
-let parse_nprocs s =
+(* Integer flags with a lower bound. An out-of-range or malformed value
+   is a Cmdliner parse error, so the command prints its usage and exits
+   124 instead of raising (or silently running with a nonsense value). *)
+let int_at_least ~what lo s =
   match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Ok n
-  | _ -> Error (`Msg (Printf.sprintf "bad processor count %S (expected an integer >= 1)" s))
+  | Some n when n >= lo -> Ok n
+  | _ -> Error (`Msg (Printf.sprintf "bad %s %S (expected an integer >= %d)" what s lo))
 
-let nprocs = Arg.conv (parse_nprocs, Format.pp_print_int)
+let int_conv ~what lo = Arg.conv (int_at_least ~what lo, Format.pp_print_int)
+
+let positive = int_conv ~what:"value" 1
+
+let non_negative = int_conv ~what:"value" 0
+
+let parse_nprocs = int_at_least ~what:"processor count" 1
+
+let nprocs = int_conv ~what:"processor count" 1
 
 let procs =
   let parse s =

@@ -4,6 +4,12 @@
 val set_opt : string list Cmdliner.Term.t
 (** Repeatable [--set KNOB=VALUE]; empty when not given. *)
 
+val positive : int Cmdliner.Arg.conv
+(** An integer [>= 1]; anything else is a usage error. *)
+
+val non_negative : int Cmdliner.Arg.conv
+(** An integer [>= 0]; anything else is a usage error. *)
+
 val nprocs : int Cmdliner.Arg.conv
 (** One processor count, an integer [>= 1]; anything else is a usage
     error. *)

@@ -254,14 +254,78 @@ let touch_headers t sbs =
   go [] sbs
 
 (* Return one block the program already freed (it sat in a cache, a
-   queue or a deferred list) to [h]'s core: the 8 B free-list link write,
-   then the bookkeeping. Caller holds [h]'s lock and writes the header
-   once for the whole batch ([touch_headers]). *)
-let free_owned t h sb addr =
-  t.pf.Platform.write ~addr ~len:8;
+   queue or a deferred list) to [h]'s core: host-side bookkeeping only.
+   The caller holds [h]'s lock and issues the simulated writes — the 8 B
+   free-list links and one header write per superblock — for the whole
+   batch. *)
+let free_owned h sb addr =
   Superblock.clear_cached sb addr;
   Heap_core.free h.core sb addr;
   Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb)
+
+(* A drain's private batch: the deferred chain and the bounded queue's
+   contents, both taken BEFORE the heap lock by [detach]. *)
+type detached = {
+  chain : (Superblock.t * int) list; (* from the deferred list, most recent first *)
+  queued : (Superblock.t * int) list; (* from the bounded queue, newest first *)
+}
+
+(* Pre-link a private batch, outside the heap lock: per superblock, the
+   blocks after the first seen are linked to each other, one 8 B write
+   each. Only the first block's link depends on the superblock's current
+   free-list head, so [splice] writes it under the lock. The blocks are
+   custody-marked and still charged to live bytes, so their superblock
+   cannot empty, park or unmap underneath these writes; a superblock that
+   migrates meanwhile is forwarded with its links, the writes wasted. *)
+let prelink t items =
+  let rec go seen = function
+    | [] -> ()
+    | (sb, addr) :: rest ->
+      if List.memq sb seen then begin
+        t.pf.Platform.write ~addr ~len:8;
+        go seen rest
+      end
+      else go (sb :: seen) rest
+  in
+  go [] items
+
+(* The in-lock half of a pre-linked batch. Ownership is re-checked per
+   block: [h]'s own blocks go back to its core, the others to
+   [forward]. Then, per distinct superblock freed, in first-seen order,
+   the tail-link write (the block [prelink] skipped now points at the
+   free-list head) and one header write. Every block of a superblock
+   gets the same verdict under [h]'s lock (migration away from [h] needs
+   that lock), so the freed blocks form whole superblock groups and their
+   first blocks are the ones left unlinked. Every simulated write inside
+   a critical section is a point where co-located lock waiters run: the
+   lock is held for O(superblocks) effects, not O(blocks). Caller holds
+   [h]'s lock. Returns the number of blocks freed into [h]. *)
+let splice t h items ~forward =
+  let id = Heap_core.id h.core in
+  let freed =
+    List.filter
+      (fun (sb, addr) ->
+        let owner_id = Superblock.owner sb in
+        if owner_id = id then begin
+          free_owned h sb addr;
+          true
+        end
+        else begin
+          forward owner_id sb addr;
+          false
+        end)
+      items
+  in
+  let rec tails seen = function
+    | [] -> ()
+    | (sb, _) :: rest when List.memq sb seen -> tails seen rest
+    | (sb, addr) :: rest ->
+      t.pf.Platform.write ~addr ~len:8;
+      touch_header t sb;
+      tails (sb :: seen) rest
+  in
+  tails [] freed;
+  List.length freed
 
 (* Record into [h]'s ring; the caller must hold [h]'s lock (the ring
    shares the stats shard's domain). Free when tracing is off. *)
@@ -378,114 +442,110 @@ let publish_global t h gi sb =
   Alloc_stats.on_transfer_to_global h.sh;
   event t h Event_ring.Sb_to_global ~sclass ~arg:(Superblock.base sb)
 
-(* Return queued remote frees to [h]'s core. Caller holds [h]'s lock; the
-   queue lock is innermost, so the swap can never deadlock. A block whose
-   superblock migrated since it was enqueued is forwarded to the current
-   owner's queue — but boundedly: forwarding past the cap used to grow
-   queues without limit (a drain could keep re-inflating its peers), so a
-   forward is accepted only up to 2x the cap and counted; rejects land on
-   [spill] for the caller to route through the classic locked path
-   ([dispose_batch]) AFTER releasing [h]'s lock — taking another heap's
-   lock here would invert the lock order. Returns the number of blocks
-   freed into [h]. *)
-let drain_rq t h ~spill =
-  if h.rq_len = 0 then 0
-  else begin
-    h.rq_lock.acquire ();
-    let items = h.rq_blocks in
-    h.rq_blocks <- [];
-    h.rq_len <- 0;
-    h.rq_lock.release ();
-    let forwarded = ref 0 and freed_into = ref [] in
-    List.iter
-      (fun (sb, addr) ->
-        let owner_id = Superblock.owner sb in
-        if owner_id = Heap_core.id h.core then begin
-          free_owned t h sb addr;
-          freed_into := sb :: !freed_into
-        end
-        else if owner_id = 0 && t.gindex <> None then begin
-          (* Migrated to the lock-free global heap: its deferred list is
-             the universal owner-0 channel — one CAS, never heap 0's
-             lock or queue. *)
-          (match t.global.dfl with
-           | Some dfl -> Deferred_list.push dfl sb addr
-           | None -> assert false (* the lock-free index forces heap 0's list *));
+(* Return a batch swapped off [h]'s bounded queue (by [detach], before
+   the lock) to [h]'s core. A block whose superblock migrated since it
+   was enqueued is forwarded to the current owner's queue — but
+   boundedly: forwarding past the cap used to grow queues without limit
+   (a drain could keep re-inflating its peers), so a forward is accepted
+   only up to 2x the cap and counted; rejects land on [spill] for the
+   caller to route through the classic locked path ([dispose_batch])
+   AFTER releasing [h]'s lock — taking another heap's lock here would
+   invert the lock order (the queue lock is innermost, so taking a
+   peer's cannot deadlock). Caller holds [h]'s lock. Returns the number
+   of blocks freed into [h]. *)
+let drain_rq t h items ~spill =
+  match items with
+  | [] -> 0
+  | _ ->
+    let forwarded = ref 0 in
+    let forward owner_id sb addr =
+      if owner_id = 0 && t.gindex <> None then begin
+        (* Migrated to the lock-free global heap: its deferred list is
+           the universal owner-0 channel — one CAS, never heap 0's lock
+           or queue. *)
+        (match t.global.dfl with
+         | Some dfl -> Deferred_list.push dfl sb addr
+         | None -> assert false (* the lock-free index forces heap 0's list *));
+        incr forwarded;
+        event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+      end
+      else begin
+        let h' = heap_by_id t owner_id in
+        h'.rq_lock.acquire ();
+        let accepted = h'.rq_len < 2 * t.rq_cap in
+        if accepted then begin
+          h'.rq_blocks <- (sb, addr) :: h'.rq_blocks;
+          h'.rq_len <- h'.rq_len + 1
+        end;
+        h'.rq_lock.release ();
+        if accepted then begin
           incr forwarded;
           event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
         end
-        else begin
-          let h' = heap_by_id t owner_id in
-          h'.rq_lock.acquire ();
-          let accepted = h'.rq_len < 2 * t.rq_cap in
-          if accepted then begin
-            h'.rq_blocks <- (sb, addr) :: h'.rq_blocks;
-            h'.rq_len <- h'.rq_len + 1
-          end;
-          h'.rq_lock.release ();
-          if accepted then begin
-            incr forwarded;
-            event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-          end
-          else spill := (sb, addr) :: !spill
-        end)
-      items;
-    touch_headers t (List.rev !freed_into);
-    let mine = List.length !freed_into in
+        else spill := (sb, addr) :: !spill
+      end
+    in
+    let mine = splice t h items ~forward in
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     if mine > 0 then event t h Event_ring.Remote_drain ~sclass:0 ~arg:mine;
     mine
-  end
 
-(* Owner side of the deferred protocol, first half: one exchange takes
-   [h]'s whole list and the chain walk runs over the now-private chain —
-   both WITHOUT [h]'s lock, so co-located lock waiters never spin through
-   them. Threads sharing [h] detach disjoint chains (the exchange hands
-   each its own); detached blocks keep their custody marks and stay
-   charged to live bytes until [free_reclaimed] frees them. *)
-let detach h =
-  match h.dfl with
-  | None -> []
-  | Some dfl -> Deferred_list.reclaim dfl
+(* Owner side of both remote-free channels, first half, run WITHOUT [h]'s
+   lock so co-located lock waiters never spin through it: one exchange
+   takes [h]'s whole deferred list (plus the chain walk), one swap under
+   the innermost queue lock takes its bounded queue, and [prelink] writes
+   every link that does not depend on the free-list head. Threads sharing
+   [h] detach disjoint batches; detached blocks keep their custody marks
+   and stay charged to live bytes until the splice frees them. *)
+let detach t h =
+  let chain =
+    match h.dfl with
+    | None -> []
+    | Some dfl -> Deferred_list.reclaim dfl
+  in
+  let queued =
+    if h.rq_len = 0 then []
+    else begin
+      h.rq_lock.acquire ();
+      let items = h.rq_blocks in
+      h.rq_blocks <- [];
+      h.rq_len <- 0;
+      h.rq_lock.release ();
+      items
+    end
+  in
+  prelink t chain;
+  prelink t queued;
+  { chain; queued }
 
-(* Owner side, second half: free a detached chain into [h]'s core, one
-   header write per superblock. Ownership is re-checked here, under the
-   lock: a block whose superblock migrated since its push is re-pushed
-   onto the CURRENT owner's list — one CAS; the list is unbounded, so
-   unlike the bounded queues, forwarding can neither cascade nor spill
-   into the locked path. Caller holds [h]'s lock. *)
+(* Owner side, second half: splice a detached chain into [h]'s core. A
+   block whose superblock migrated since its push is re-pushed onto the
+   CURRENT owner's list — one CAS; the list is unbounded, so unlike the
+   bounded queues, forwarding can neither cascade nor spill into the
+   locked path. Caller holds [h]'s lock. *)
 let free_reclaimed t h items =
   match items with
   | [] -> 0
   | _ ->
-    let forwarded = ref 0 and freed_into = ref [] in
-    List.iter
-      (fun (sb, addr) ->
-        let owner_id = Superblock.owner sb in
-        if owner_id = Heap_core.id h.core then begin
-          free_owned t h sb addr;
-          freed_into := sb :: !freed_into
-        end
-        else begin
-          (match (heap_by_id t owner_id).dfl with
-           | Some dfl' -> Deferred_list.push dfl' sb addr
-           | None -> assert false (* deferred mode builds a list per heap *));
-          incr forwarded;
-          event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-        end)
-      items;
-    touch_headers t (List.rev !freed_into);
-    let mine = List.length !freed_into in
+    let forwarded = ref 0 in
+    let forward owner_id sb addr =
+      (match (heap_by_id t owner_id).dfl with
+       | Some dfl' -> Deferred_list.push dfl' sb addr
+       | None -> assert false (* deferred mode builds a list per heap *));
+      incr forwarded;
+      event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+    in
+    let mine = splice t h items ~forward in
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     Alloc_stats.on_deferred_reclaim h.sh;
     event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
     mine
 
-(* Return every pending remote free to [h]'s core: the chain [detach]ed
-   before the lock when the deferred list is configured, the bounded
-   queue otherwise (both, during a transition, costs one extra branch).
-   Caller holds [h]'s lock. *)
-let drain_pending t h ~detached ~spill = free_reclaimed t h detached + drain_rq t h ~spill
+(* Return every pending remote free [detach]ed before the lock to [h]'s
+   core: the deferred chain and the bounded queue's batch (one of them is
+   empty outside a transition). Caller holds [h]'s lock. *)
+let drain_pending t h ~detached ~spill =
+  free_reclaimed t h detached.chain + drain_rq t h detached.queued ~spill
 
 (* Reclaim heap 0's deferred list through the lock-free index: one
    exchange detaches it, then each block runs the Busy handshake — no
@@ -576,7 +636,7 @@ let refill t h ~sclass ~block_size ~spill =
     | None ->
       (* Pending frees may hand the global heap exactly the superblock we
          are about to ask for. *)
-      let detached = detach t.global in
+      let detached = detach t t.global in
       t.global.lock.acquire ();
       ignore (drain_pending t t.global ~detached ~spill);
       let sb = Heap_core.take_for_class t.global.core ~sclass in
@@ -743,7 +803,8 @@ let rec dispose_batch t pairs =
        List.iter
          (fun (sb, addr) ->
            if Superblock.owner sb = id then begin
-             free_owned t h sb addr;
+             t.pf.Platform.write ~addr ~len:8;
+             free_owned h sb addr;
              freed_into := sb :: !freed_into
            end
            else later := (sb, addr) :: !later)
@@ -930,7 +991,7 @@ let tcache t =
 let malloc_fill t tc ~size ~sclass ~block_size =
   let h = my_heap t in
   let spill = ref [] in
-  let detached = detach h in
+  let detached = detach t h in
   h.lock.acquire ();
   let drained = drain_pending t h ~detached ~spill in
   let want = (t.fe / 2) + 1 in
@@ -1031,7 +1092,7 @@ let malloc_many t n size =
       let block_size = Size_class.size_of_class t.classes sclass in
       let h = my_heap t in
       let spill = ref [] in
-      let detached = detach h in
+      let detached = detach t h in
       h.lock.acquire ();
       ignore (drain_pending t h ~detached ~spill);
       let out = Array.make n 0 and got = ref 0 and from = ref [] in
@@ -1269,7 +1330,7 @@ let flush t =
   if t.fe > 0 || t.gindex <> None then begin
     let h = my_heap t in
     let spill = ref [] in
-    let detached = detach h in
+    let detached = detach t h in
     h.lock.acquire ();
     if drain_pending t h ~detached ~spill > 0 then trim_heap ~deep:true t h ~sclass:0;
     (match t.gindex with
@@ -1308,7 +1369,7 @@ let on_thread_exit t =
   end;
   let h = my_heap t in
   let spill = ref [] in
-  let detached = detach h in
+  let detached = detach t h in
   h.lock.acquire ();
   ignore (drain_pending t h ~detached ~spill);
   let orphans = ref [] in

@@ -211,6 +211,19 @@ let test_deferred_list_protocol_clean () =
           f.Explorer.f_message));
   Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
 
+(* The bounded queue's twin: remote flushes racing the owner's swap of
+   the queue before its heap lock. *)
+let test_remote_queue_drain_clean () =
+  let o = Explorer.explore ~bound:2 ~max_runs:200_000 Scenarios.remote_queue_drain in
+  (match o.Explorer.o_failure with
+   | None -> ()
+   | Some f ->
+     Alcotest.fail
+       (sprintf "remote queue drain failed under [%s]: %s"
+          (Explorer.schedule_to_string f.Explorer.f_schedule)
+          f.Explorer.f_message));
+  Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
+
 let test_deferred_lost_node_mutant_caught () =
   let sc = Scenarios.deferred_remote_free ~mutant:"deferred-lost-node" in
   let o = Explorer.explore ~bound:2 sc in
@@ -218,7 +231,7 @@ let test_deferred_lost_node_mutant_caught () =
   | None -> Alcotest.fail "explorer must catch the lost push at bound <= 2"
   | Some f ->
     Alcotest.(check bool) "failure counts the missing block" true
-      (Astring.String.is_infix ~affix:"expected 2" f.Explorer.f_message);
+      (Astring.String.is_infix ~affix:"expected 3" f.Explorer.f_message);
     (match Explorer.replay sc ~schedule:f.Explorer.f_schedule with
      | Error _ -> ()
      | Ok () ->
@@ -749,6 +762,7 @@ let () =
         [
           Alcotest.test_case "deferred list survives bound 2" `Quick test_deferred_list_protocol_clean;
           Alcotest.test_case "lost push caught" `Quick test_deferred_lost_node_mutant_caught;
+          Alcotest.test_case "remote queue survives bound 2" `Quick test_remote_queue_drain_clean;
           Alcotest.test_case "large cache survives bound 2" `Quick test_large_cache_protocol_clean;
           Alcotest.test_case "frozen bucket tag caught" `Quick test_large_cache_aba_mutant_caught;
           Alcotest.test_case "deferred vs direct differential" `Quick test_deferred_differential_fuzz;

@@ -397,10 +397,40 @@ let test_procs_converter () =
   Alcotest.(check string) "prints back" "1,2,4"
     (Format.asprintf "%a" (Cmdliner.Arg.conv_printer Config_cli.procs) [ 1; 2; 4 ])
 
+(* The bounded integer converters behind the CLIs' count and capacity
+   flags: in-range input parses, anything else is a parse error, and a
+   command using them exits 124 (Cmdliner's usage error) on it. *)
+let test_bounded_int_converters () =
+  let positive = Cmdliner.Arg.conv_parser Config_cli.positive in
+  let non_negative = Cmdliner.Arg.conv_parser Config_cli.non_negative in
+  Alcotest.(check bool) "positive 1" true (positive "1" = Ok 1);
+  Alcotest.(check bool) "positive 10000" true (positive " 10000 " = Ok 10000);
+  Alcotest.(check bool) "non_negative 0" true (non_negative "0" = Ok 0);
+  Alcotest.(check bool) "non_negative 16" true (non_negative "16" = Ok 16);
+  List.iter
+    (fun s -> Alcotest.(check bool) ("positive " ^ s ^ " rejected") true (Result.is_error (positive s)))
+    [ "0"; "-3"; "abc"; "" ];
+  List.iter
+    (fun s -> Alcotest.(check bool) ("non_negative " ^ s ^ " rejected") true (Result.is_error (non_negative s)))
+    [ "-4"; "-1"; "x"; "1.5" ];
+  let exit_code converter argv =
+    let open Cmdliner in
+    let n = Arg.(value & opt converter 1 & info [ "count" ]) in
+    let cmd = Cmd.v (Cmd.info "t") Term.(const (fun (_ : int) -> ()) $ n) in
+    Cmd.eval ~argv:(Array.append [| "t" |] argv) ~err:(Format.make_formatter (fun _ _ _ -> ()) ignore) cmd
+  in
+  Alcotest.(check int) "--count=0 accepted" 0 (exit_code Config_cli.non_negative [| "--count=0" |]);
+  Alcotest.(check int) "--count=-4 is a usage error" 124 (exit_code Config_cli.non_negative [| "--count=-4" |]);
+  Alcotest.(check int) "--count=0 is a usage error" 124 (exit_code Config_cli.positive [| "--count=0" |])
+
 let () =
   Alcotest.run "harness"
     [
-      ("cli", [ Alcotest.test_case "procs converter" `Quick test_procs_converter ]);
+      ( "cli",
+        [
+          Alcotest.test_case "procs converter" `Quick test_procs_converter;
+          Alcotest.test_case "bounded int converters" `Quick test_bounded_int_converters;
+        ] );
       ( "runner",
         [
           Alcotest.test_case "basic" `Quick test_runner_basic;

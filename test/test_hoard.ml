@@ -1155,6 +1155,94 @@ let test_reclaim_writes_header_once () =
       Hoard.check h)
     [ "hoard-df"; "hoard-gl" ]
 
+(* The owner-side drain pre-links a reclaimed batch before taking the
+   heap lock and splices it under the lock: of N blocks from S
+   superblocks, only S free-list links (the ones that point at each
+   superblock's current head) and S headers are written while the heap
+   lock is held; the other N - S links are written before it. Checked on
+   both remote-free channels: the deferred list (hoard-df, hoard-gl) and
+   the bounded queue (hoard-fe). *)
+let test_drain_splices_under_lock () =
+  List.iter
+    (fun label ->
+      let config = Option.get (Allocators.base_config label) in
+      let sim = Sim.create ~nprocs:2 () in
+      let pf0 = Sim.platform sim in
+      let sb_size = config.Hoard_config.sb_size in
+      let box = ref [||] in
+      let counting = ref false and held = ref false in
+      let links_held = ref 0 and links_total = ref 0 and headers_held = ref 0 in
+      let pf =
+        {
+          pf0 with
+          Platform.write =
+            (fun ~addr ~len ->
+              if !counting then begin
+                if len = 8 && Array.mem addr !box then begin
+                  incr links_total;
+                  if !held then incr links_held
+                end;
+                if !held && len = 16 && Array.exists (fun a -> a - (a mod sb_size) = addr) !box then
+                  incr headers_held
+              end;
+              pf0.Platform.write ~addr ~len);
+          new_lock =
+            (fun name ->
+              let l = pf0.Platform.new_lock name in
+              if name <> "hoard.heap1" then l
+              else
+                {
+                  l with
+                  Platform.acquire =
+                    (fun () ->
+                      l.Platform.acquire ();
+                      held := true);
+                  release =
+                    (fun () ->
+                      held := false;
+                      l.Platform.release ());
+                });
+        }
+      in
+      let h = Hoard.create ~config pf in
+      let a = Hoard.allocator h in
+      let n = 12 in
+      let barrier = Sim.new_barrier sim ~parties:2 in
+      ignore
+        (Sim.spawn sim ~proc:0 (fun () ->
+             (* 1 KiB blocks: a handful per superblock, so the batch spans
+                several. Every other block stays live, so no superblock
+                empties and the fill below cannot recycle one. *)
+             let all = Array.init (2 * n) (fun _ -> a.Alloc_intf.malloc 1024) in
+             box := Array.init n (fun i -> all.(2 * i));
+             Sim.barrier_wait barrier;
+             (* The consumer freed and flushed: all n blocks wait on heap
+                1's remote-free channel. A fill of another class drains
+                them. *)
+             Sim.barrier_wait barrier;
+             counting := true;
+             ignore (a.Alloc_intf.malloc 64);
+             counting := false));
+      ignore
+        (Sim.spawn sim ~proc:1 (fun () ->
+             Sim.barrier_wait barrier;
+             Array.iter a.Alloc_intf.free !box;
+             a.Alloc_intf.flush ();
+             Sim.barrier_wait barrier));
+      Sim.run sim;
+      let s =
+        List.length (List.sort_uniq compare (Array.to_list (Array.map (fun x -> x - (x mod sb_size)) !box)))
+      in
+      Alcotest.(check bool) (label ^ ": the batch spans several superblocks") true (s >= 2);
+      Alcotest.(check int) (label ^ ": the fill drained the channel") 0
+        (Array.fold_left ( + ) 0 (Hoard.remote_queue_lengths h));
+      Alcotest.(check int) (label ^ ": every link written once") n !links_total;
+      Alcotest.(check int) (label ^ ": one link per superblock under the lock") s !links_held;
+      Alcotest.(check int) (label ^ ": one header per superblock under the lock") s !headers_held;
+      Hoard.flush_caches h;
+      Hoard.check h)
+    [ "hoard-df"; "hoard-gl"; "hoard-fe" ]
+
 (* Regression: the lock-free global reclaim charged a block's size to the
    stats AFTER freeing it into the index, by when a peer could have
    claimed the emptied superblock and reformatted it for another class.
@@ -1305,6 +1393,7 @@ let () =
           Alcotest.test_case "large cache roundtrip" `Quick test_large_cache_roundtrip;
           Alcotest.test_case "deferred lists reclaim" `Quick test_deferred_lists_reclaim;
           Alcotest.test_case "reclaim writes each header once" `Quick test_reclaim_writes_header_once;
+          Alcotest.test_case "drain splices under the lock" `Quick test_drain_splices_under_lock;
         ] );
       ( "algorithm",
         [

@@ -148,19 +148,41 @@ let test_producer_consumer () =
 
 (* --- the same storm through the lock-free front end --- *)
 
-let test_front_end_storm () =
+(* The front-end configurations the real-domain storms run on: the
+   bounded remote-free queue (hoard-fe), the deferred lists (hoard-df),
+   and the deferred lists over the lock-free global heap (hoard-gl), each
+   with [front_end] cached blocks per class. *)
+let front_end_config label ~front_end =
+  match Allocators.base_config label with
+  | Some cfg -> { cfg with Hoard_config.front_end }
+  | None -> invalid_arg ("front_end_config: " ^ label)
+
+(* Channel traffic the storm must have produced: queue enqueues on
+   hoard-fe, deferred-list pushes on the others. *)
+let remote_traffic (cfg : Hoard_config.t) (s : Alloc_stats.snapshot) =
+  if cfg.Hoard_config.deferred then s.Alloc_stats.deferred_enqueues else s.Alloc_stats.remote_enqueues
+
+let test_front_end_storm label () =
   (* Every free is a neighbour's block, so eviction constantly batches
-     onto other heaps' remote-free queues while those heaps' owners are
-     allocating. Worker caches are flushed by Domain.at_exit on join;
-     flush_caches then empties the remote-free queues so the final stats
-     must be exact. *)
+     onto other heaps' remote-free channels while those heaps' owners are
+     allocating, detaching and splicing. Both barriers of a round are
+     quiescent points: [Hoard.check] runs there with caches and channels
+     populated. Worker caches are flushed by Domain.at_exit on join;
+     flush_caches then empties the channels so the final stats must be
+     exact. *)
   let rounds = 20 and batch = 64 in
   let pf = Platform.host ~nprocs:ndomains () in
-  let h = Hoard.create ~config:(Hoard_config.make ~front_end:16 ()) pf in
+  let config = front_end_config label ~front_end:16 in
+  let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
   let slots = Array.init ndomains (fun _ -> Array.make batch 0) in
   let barrier = make_barrier ndomains in
   let failures = Atomic.make 0 in
+  let quiescent_check d =
+    barrier ();
+    if d = 0 then (try Hoard.check h with _ -> Atomic.incr failures);
+    barrier ()
+  in
   spawn_domains ndomains (fun d ->
       let rng = Random.State.make [| 0xfe17; d |] in
       for _ = 1 to rounds do
@@ -170,23 +192,23 @@ let test_front_end_storm () =
           if a.Alloc_intf.usable_size addr < size then Atomic.incr failures;
           slots.(d).(i) <- addr
         done;
-        barrier ();
+        quiescent_check d;
         let victim = slots.((d + 1) mod ndomains) in
         for i = 0 to batch - 1 do
           a.Alloc_intf.free victim.(i)
         done;
-        barrier ()
+        quiescent_check d
       done);
   Hoard.flush_caches h;
   Hoard.check h;
   let s = a.Alloc_intf.stats () in
   let expected = ndomains * rounds * batch in
-  Alcotest.(check int) "no usable_size failures" 0 (Atomic.get failures);
+  Alcotest.(check int) "no usable_size or mid-run check failures" 0 (Atomic.get failures);
   Alcotest.(check int) "exact mallocs" expected s.Alloc_stats.mallocs;
   Alcotest.(check int) "exact frees" expected s.Alloc_stats.frees;
   Alcotest.(check int) "no live bytes" 0 s.Alloc_stats.live_bytes;
   Alcotest.(check bool) "front end exercised" true (s.Alloc_stats.cache_hits > 0);
-  Alcotest.(check bool) "remote queues exercised" true (s.Alloc_stats.remote_enqueues > 0);
+  Alcotest.(check bool) "remote channel exercised" true (remote_traffic config s > 0);
   Platform.host_release pf
 
 (* --- stats exactness across domains, small and large paths --- *)
@@ -226,10 +248,11 @@ let test_stats_exact () =
 
 (* --- domain churn: create / serve / exit waves --- *)
 
-let test_churn_waves () =
+let test_churn_waves label () =
   (* Successive waves of domains are born, serve one batch (with every
      free crossing to a neighbour's heap through the front-end cache),
-     retire through [thread_exit] and die. The runtime recycles domain
+     retire through [thread_exit] and die. [Hoard.check] runs at every
+     quiescent point: both barriers inside a wave and after it. The runtime recycles domain
      ids across waves, so a tcache that exit failed to retire would be
      inherited — stale — by a later wave's domain. thread_exit is called
      twice per domain: the second call must find no cache and an empty
@@ -242,12 +265,17 @@ let test_churn_waves () =
      tcache probe; conservation after the settle is exact. *)
   let waves = 5 and batch = 48 in
   let pf = Platform.host ~nprocs:ndomains () in
-  let h = Hoard.create ~config:(Hoard_config.make ~front_end:8 ()) pf in
+  let h = Hoard.create ~config:(front_end_config label ~front_end:8) pf in
   let a = Hoard.allocator h in
   let failures = Atomic.make 0 in
   for wave = 1 to waves do
     let stash = Array.init ndomains (fun _ -> Array.make batch 0) in
     let barrier = make_barrier ndomains in
+    let quiescent_check d =
+      barrier ();
+      if d = 0 then (try Hoard.check h with _ -> Atomic.incr failures);
+      barrier ()
+    in
     spawn_domains ndomains (fun d ->
         let rng = Random.State.make [| 0xc4a0; wave; d |] in
         for i = 0 to batch - 1 do
@@ -256,14 +284,14 @@ let test_churn_waves () =
           if a.Alloc_intf.usable_size addr < size then Atomic.incr failures;
           stash.(d).(i) <- addr
         done;
-        barrier ();
+        quiescent_check d;
         (* Serve: free the neighbour's batch — remote frees batching
            through this domain's cache onto other heaps' queues. *)
         let victim = stash.((d + 1) mod ndomains) in
         for i = 0 to batch - 1 do
           a.Alloc_intf.free victim.(i)
         done;
-        barrier ();
+        quiescent_check d;
         (* Retire; exits of different domains race each other's heap
            adoptions on the global heap. *)
         a.Alloc_intf.thread_exit ();
@@ -291,7 +319,7 @@ let test_churn_waves () =
         (Hoard.invariant_holds h ~heap_id:id)
     done
   done;
-  Alcotest.(check int) "no usable_size failures" 0 (Atomic.get failures);
+  Alcotest.(check int) "no usable_size or mid-run check failures" 0 (Atomic.get failures);
   let s = a.Alloc_intf.stats () in
   Alcotest.(check bool)
     (Printf.sprintf "orphan adoptions recorded (%d)" s.Alloc_stats.orphan_adoptions)
@@ -379,10 +407,14 @@ let () =
       ( "domains",
         [
           Alcotest.test_case "cross-heap free storm" `Quick test_free_storm;
-          Alcotest.test_case "front-end free storm" `Quick test_front_end_storm;
+          Alcotest.test_case "front-end free storm" `Quick (test_front_end_storm "hoard-fe");
+          Alcotest.test_case "front-end free storm (hoard-df)" `Quick (test_front_end_storm "hoard-df");
+          Alcotest.test_case "front-end free storm (hoard-gl)" `Quick (test_front_end_storm "hoard-gl");
           Alcotest.test_case "producer-consumer ring" `Quick test_producer_consumer;
           Alcotest.test_case "stats exact across domains" `Quick test_stats_exact;
-          Alcotest.test_case "churn waves create/serve/exit" `Quick test_churn_waves;
+          Alcotest.test_case "churn waves create/serve/exit" `Quick (test_churn_waves "hoard-fe");
+          Alcotest.test_case "churn waves create/serve/exit (hoard-df)" `Quick (test_churn_waves "hoard-df");
+          Alcotest.test_case "churn waves create/serve/exit (hoard-gl)" `Quick (test_churn_waves "hoard-gl");
           Alcotest.test_case "registry concurrent ops" `Quick test_registry_concurrent;
         ] );
       ("simsched", [ Alcotest.test_case "fuzzed-schedule storm" `Quick test_sim_fuzzed_storm ]);
