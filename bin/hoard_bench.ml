@@ -55,62 +55,9 @@ let procs_opt =
     & opt (some Config_cli.procs) None
     & info [ "procs" ] ~docv:"P1,P2,.." ~doc:"Processor counts to sweep (default depends on scale).")
 
-let front_end_opt =
-  Arg.(
-    value
-    & opt Config_cli.non_negative 0
-    & info [ "front-end" ] ~docv:"K"
-        ~doc:
-          "Per-thread block-cache capacity per size class for the hoard instance (0 = the paper's exact \
-           algorithm, the default).")
-
-let vmem_conv =
-  let parse s =
-    match Vmem_backend.kind_of_string s with
-    | Some k -> Ok k
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown vmem backend %S (exact, first-fit, buddy)" s))
-  in
-  Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Vmem_backend.kind_name k))
-
-let vmem_opt =
-  Arg.(
-    value
-    & opt vmem_conv Vmem_backend.Exact
-    & info [ "vmem" ] ~docv:"KIND"
-        ~doc:
-          "Reuse policy of the simulated address space: $(b,exact) (the seed policy, the default), \
-           $(b,first-fit) (coalescing free list) or $(b,buddy) (binary buddy system).")
-
-let reservoir_opt =
-  Arg.(
-    value
-    & opt Config_cli.non_negative 0
-    & info [ "reservoir" ] ~docv:"R"
-        ~doc:
-          "Capacity (superblocks) of the size-class-agnostic reservoir: empty superblocks park there \
-           decommitted instead of unmapping, bounding residency by heap-held + R*S. 0 (the default) \
-           disables it, restoring the seed lifecycle.")
-
-let shelf_opt =
-  Arg.(
-    value
-    & opt Config_cli.non_negative 0
-    & info [ "shelf" ] ~docv:"N"
-        ~doc:
-          "Capacity (superblocks) of the lock-free empty-superblock shelf in front of the global \
-           heap: refills pop and trims push with a single CAS, bypassing the global lock. 0 (the \
-           default) disables it.")
-
-let slack_opt =
-  Arg.(
-    value
-    & opt Config_cli.non_negative Hoard_config.default.Hoard_config.slack
-    & info [ "slack" ] ~docv:"K"
-        ~doc:
-          "Slack K (superblocks a per-processor heap may hold beyond use) for the instrumented \
-           pass. 0 sends every empty superblock across the emptiness threshold — the \
-           transfer-heavy configuration the contention smoke measures the shelf on.")
+(* The hoard configuration run and inspect instrument: the default
+   with [--set] overrides on top. *)
+let config_term = Config_cli.config Hoard_config.default Config_cli.set_opt
 
 let run_cmd =
   let doc = "Run one experiment by id." in
@@ -138,12 +85,7 @@ let run_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the experiment's tables as a JSON report (the CI artifact format).")
   in
-  let run id full quick csv procs metrics trace front_end vmem reservoir shelf slack json sets =
-    let config =
-      Config_cli.apply
-        (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ~shelf ~slack ())
-        sets
-    in
+  let run id full quick csv procs metrics trace json config =
     let scale = scale_of_flag (full && not quick) in
     match Experiments.find id with
     | None ->
@@ -186,8 +128,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ id_arg $ full_flag $ quick_flag $ csv_flag $ procs_opt $ metrics_opt $ trace_opt
-      $ front_end_opt $ vmem_opt $ reservoir_opt $ shelf_opt $ slack_opt $ json_opt
-      $ Config_cli.set_opt)
+      $ json_opt $ config_term)
 
 let all_cmd =
   let doc = "Run every experiment in order." in
@@ -218,10 +159,7 @@ let get_workload name full =
 
 let inspect_cmd =
   let doc = "Run a benchmark under Hoard, then dump the allocator's heap state." in
-  let run name full nprocs front_end vmem reservoir shelf sets =
-    let config =
-      Config_cli.apply (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ~shelf ()) sets
-    in
+  let run name full nprocs config =
     let w = get_workload name full in
     let sim = Sim.create ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs () in
     let pf = Sim.platform sim in
@@ -249,9 +187,6 @@ let inspect_cmd =
     if config.Hoard_config.reservoir > 0 then
       Printf.printf "reservoir: %d/%d superblocks parked\n" (Hoard.reservoir_length h)
         config.Hoard_config.reservoir;
-    if config.Hoard_config.shelf > 0 then
-      Printf.printf "shelf: %d/%d empty superblocks shelved\n" (Hoard.shelf_length h)
-        config.Hoard_config.shelf;
     let s = a.Alloc_intf.stats () in
     Printf.printf "%s on %d processors: %d cycles\n%s\n\n" name nprocs (Sim.total_cycles sim)
       (Format.asprintf "%a" Alloc_stats.pp_snapshot s);
@@ -260,21 +195,21 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect" ~doc)
     Term.(
-      const run $ workload_arg $ full_flag $ nprocs_arg $ front_end_opt $ vmem_opt $ reservoir_opt
-      $ shelf_opt $ Config_cli.set_opt)
+      const run $ workload_arg $ full_flag $ nprocs_arg $ config_term)
 
 let sweep_cmd =
   let doc = "Run one benchmark under Hoard with explicit algorithm parameters." in
-  let f_arg = Arg.(value & opt float 0.25 & info [ "f" ] ~doc:"Emptiness fraction f.") in
-  let k_arg = Arg.(value & opt Config_cli.non_negative 4 & info [ "k" ] ~doc:"Slack K (superblocks).") in
-  let s_arg = Arg.(value & opt int 8192 & info [ "sbsize" ] ~doc:"Superblock size S.") in
-  let run name full nprocs f k sbsize vmem reservoir shelf sets =
-    let config =
-      Config_cli.apply
-        (Hoard_config.make ~empty_fraction:f ~slack:k ~sb_size:sbsize ~vmem_backend:vmem ~reservoir
-           ~shelf ())
-        sets
-    in
+  (* -f/-k/--sbsize are the paper's parameter names for three knobs,
+     applied before any --set. *)
+  let overrides =
+    Term.(
+      const (fun f k s sets -> f @ k @ s @ sets)
+      $ Config_cli.knob_flag ~knob:"empty-fraction" [ "f" ] ~doc:"Emptiness fraction f (default 0.25)."
+      $ Config_cli.knob_flag ~knob:"slack" [ "k" ] ~doc:"Slack K in superblocks (default 4)."
+      $ Config_cli.knob_flag ~knob:"sb-size" [ "sbsize" ] ~doc:"Superblock size S (default 8192)."
+      $ Config_cli.set_opt)
+  in
+  let run name full nprocs config =
     let w = get_workload name full in
     let r =
       Runner.run
@@ -296,8 +231,8 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ workload_arg $ full_flag $ nprocs_arg $ f_arg $ k_arg $ s_arg $ vmem_opt
-      $ reservoir_opt $ shelf_opt $ Config_cli.set_opt)
+      const run $ workload_arg $ full_flag $ nprocs_arg
+      $ Config_cli.config Hoard_config.default overrides)
 
 let serve_cmd =
   let doc =

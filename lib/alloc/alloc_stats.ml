@@ -24,8 +24,6 @@ type snapshot = {
   remote_enqueues : int;
   remote_drains : int;
   remote_forwards : int;
-  shelf_pushes : int;
-  shelf_pops : int;
   large_maps : int;
   large_cache_hits : int;
   deferred_enqueues : int;
@@ -56,8 +54,6 @@ type shard = {
   mutable remote_enqueues : int;
   mutable remote_drains : int;
   mutable remote_forwards : int;
-  mutable shelf_pushes : int;
-  mutable shelf_pops : int;
   mutable large_maps : int;
   mutable large_cache_hits : int;
   mutable deferred_enqueues : int;
@@ -110,8 +106,6 @@ let new_shard merged_peak =
     remote_enqueues = 0;
     remote_drains = 0;
     remote_forwards = 0;
-    shelf_pushes = 0;
-    shelf_pops = 0;
     large_maps = 0;
     large_cache_hits = 0;
     deferred_enqueues = 0;
@@ -224,14 +218,6 @@ let on_drain sh ~usable =
   sh.live_bytes <- sh.live_bytes - usable
 
 let on_remote_forward sh ~blocks = sh.remote_forwards <- sh.remote_forwards + blocks
-
-(* Shelf transfers move a whole empty superblock, so live bytes are
-   untouched; [held] doesn't move either — a shelved superblock is still
-   heap-held (it belongs to the global heap's envelope, just reachable
-   without its lock). *)
-let on_shelf_push sh = sh.shelf_pushes <- sh.shelf_pushes + 1
-
-let on_shelf_pop sh = sh.shelf_pops <- sh.shelf_pops + 1
 
 (* Large path. [on_large_map] marks a large allocation that paid a real
    OS map; [on_large_cache_hit] one served by the MPSC cache's
@@ -361,8 +347,6 @@ let snapshot t =
   and enqueues = ref 0
   and drains = ref 0
   and forwards = ref 0
-  and shelf_pushes = ref 0
-  and shelf_pops = ref 0
   and large_maps = ref 0
   and large_cache_hits = ref 0
   and deferred_enqueues = ref 0
@@ -383,8 +367,6 @@ let snapshot t =
       enqueues := !enqueues + sh.remote_enqueues;
       drains := !drains + sh.remote_drains;
       forwards := !forwards + sh.remote_forwards;
-      shelf_pushes := !shelf_pushes + sh.shelf_pushes;
-      shelf_pops := !shelf_pops + sh.shelf_pops;
       large_maps := !large_maps + sh.large_maps;
       large_cache_hits := !large_cache_hits + sh.large_cache_hits;
       deferred_enqueues := !deferred_enqueues + sh.deferred_enqueues;
@@ -423,8 +405,6 @@ let snapshot t =
     remote_enqueues = !enqueues;
     remote_drains = !drains;
     remote_forwards = !forwards;
-    shelf_pushes = !shelf_pushes;
-    shelf_pops = !shelf_pops;
     large_maps = !large_maps;
     large_cache_hits = !large_cache_hits;
     deferred_enqueues = !deferred_enqueues;
@@ -466,8 +446,6 @@ let publish t ?(prefix = "alloc") metrics =
   reg "remote_enqueues" (fun s -> s.remote_enqueues);
   reg "remote_drains" (fun s -> s.remote_drains);
   reg "remote_forwards" (fun s -> s.remote_forwards);
-  reg "shelf_pushes" (fun s -> s.shelf_pushes);
-  reg "shelf_pops" (fun s -> s.shelf_pops);
   reg "large_maps" (fun s -> s.large_maps);
   reg "large_cache_hits" (fun s -> s.large_cache_hits);
   reg "deferred_enqueues" (fun s -> s.deferred_enqueues);
@@ -506,8 +484,8 @@ let pp_snapshot fmt (s : snapshot) =
   if s.cache_hits + s.cache_fills + s.remote_enqueues > 0 then
     Format.fprintf fmt " cache_hits=%d fills=%d flushes=%d enq=%d drained=%d fwd=%d" s.cache_hits s.cache_fills
       s.cache_flushes s.remote_enqueues s.remote_drains s.remote_forwards;
-  if s.shelf_pushes + s.shelf_pops + s.cas_retries > 0 then begin
-    Format.fprintf fmt " shelf_pushes=%d shelf_pops=%d cas_retries=%d" s.shelf_pushes s.shelf_pops s.cas_retries;
+  if s.cas_retries > 0 then begin
+    Format.fprintf fmt " cas_retries=%d" s.cas_retries;
     List.iter
       (fun (label, c) -> if c > 0 then Format.fprintf fmt "[%s=%d]" label c)
       s.cas_retries_by

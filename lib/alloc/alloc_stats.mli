@@ -62,8 +62,6 @@ type snapshot = {
   remote_drains : int;  (** blocks returned to a heap core by the front end *)
   remote_forwards : int;
       (** migrated blocks re-forwarded by a drain to the new owner's queue *)
-  shelf_pushes : int;  (** empty superblocks pushed onto the lock-free shelf *)
-  shelf_pops : int;  (** refills served by popping the shelf (no global lock) *)
   large_maps : int;  (** large allocations that paid an OS map *)
   large_cache_hits : int;  (** large allocations served by the MPSC cache (take -> commit) *)
   deferred_enqueues : int;  (** blocks CAS-pushed onto deferred free lists *)
@@ -76,7 +74,7 @@ type snapshot = {
   cas_retries : int;  (** failed CASes in lock-free structures (contention) *)
   cas_retries_by : (string * int) list;
       (** per-structure breakdown of [cas_retries] by hook label (e.g.
-          ["reservoir"], ["shelf"], ["deferred"], ["large-cache"],
+          ["reservoir"], ["deferred"], ["large-cache"],
           ["global"]), in hook-registration order; the labels sum to
           [cas_retries] at quiescent points *)
   global_pushes : int;  (** superblocks published to the lock-free global index *)
@@ -142,14 +140,6 @@ val on_drain : shard -> usable:int -> unit
 val on_remote_forward : shard -> blocks:int -> unit
 (** Migrated blocks a drain re-forwarded to their new owner's queue
     instead of freeing inline, under the draining heap's lock. *)
-
-val on_shelf_push : shard -> unit
-(** An empty superblock moved heap -> shelf, under the source heap's
-    lock. Live and held bytes are untouched: a shelved superblock stays
-    heap-held (global heap's envelope, reachable without its lock). *)
-
-val on_shelf_pop : shard -> unit
-(** A refill served from the shelf, under the destination heap's lock. *)
 
 val on_large_map : shard -> unit
 (** A large allocation that mapped fresh pages, under the large lock. *)

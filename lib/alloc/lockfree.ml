@@ -1,9 +1,8 @@
 (* A bounded lock-free Treiber stack over Platform atomics.
 
-   This is the non-blocking substrate under the superblock reservoir and
-   the empty-superblock shelf: push and pop complete with CAS only, no
-   lock, so a thread preempted (or crashed, on real hardware) mid-way
-   never blocks the others.
+   This is the non-blocking substrate under the superblock reservoir:
+   push and pop complete with CAS only, no lock, so a thread preempted
+   (or crashed, on real hardware) mid-way never blocks the others.
 
    Structure: a pool of [cap] slots. Each slot holds one payload (host
    state, owned exclusively by whichever thread currently owns the slot)

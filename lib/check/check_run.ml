@@ -59,10 +59,9 @@ let hoard_subjects =
         Some (Hoard_config.make ~reservoir:4 ~vmem_backend:Vmem_backend.First_fit ~sanitize:true ());
     };
     {
-      s_label = "hoard-shelf";
-      s_describe = "lock-free shelf and reservoir in front of the global heap, with the front end";
-      s_config =
-        Some (Hoard_config.make ~shelf:4 ~reservoir:4 ~front_end:Allocators.front_end_default ());
+      s_label = "hoard-res-fe";
+      s_describe = "superblock reservoir together with the front end";
+      s_config = Some (Hoard_config.make ~reservoir:4 ~front_end:Allocators.front_end_default ());
     };
   ]
 
@@ -104,8 +103,6 @@ let blowup_slop cfg ~nprocs ~peak_live_threads =
   let in_flight = p * s in
   let fe = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
   let quarantine = if cfg.Hoard_config.sanitize then cfg.Hoard_config.quarantine * Hoard_config.max_small cfg else 0 in
-  (* The shelf parks up to [shelf] empty superblocks outside any heap. *)
-  let shelf = cfg.Hoard_config.shelf * s in
   (* Deferred lists are unbounded, but a block only floats between a
      producer's eviction (at most a cache's worth per flush) and the
      owner's next fill — the same per-thread granularity as the caches,
@@ -114,7 +111,7 @@ let blowup_slop cfg ~nprocs ~peak_live_threads =
   (* The large cache keeps up to cap regions per bucket mapped (1..16
      pages each, 4 KiB pages on every platform we build). *)
   let large_cache = cfg.Hoard_config.large_cache * (16 * 17 / 2) * 4096 in
-  per_heap + retained + in_flight + fe + quarantine + shelf + deferred + large_cache
+  per_heap + retained + in_flight + fe + quarantine + deferred + large_cache
 
 type report = {
   c_workload : string;

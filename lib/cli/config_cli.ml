@@ -1,9 +1,9 @@
 (* The one [--set knob=value] option shared by hoard_bench, hoard_trace
    and hoard_check: textual overrides over the Hoard_config knob
-   registry, applied after (and on top of) each command's individual
-   flags — which stay as aliases for the knobs they predate. A new knob
-   becomes settable everywhere by adding its registry entry, with no
-   edits to any CLI. *)
+   registry. Every configuration a command runs is resolved here, so a
+   bad knob or value is the same usage error (exit 124, the registry's
+   message) everywhere. A new knob becomes settable everywhere by adding
+   its registry entry, with no edits to any CLI. *)
 
 open Cmdliner
 
@@ -14,9 +14,17 @@ let set_opt =
     & info [ "set" ] ~docv:"KNOB=VALUE"
         ~doc:
           (Printf.sprintf
-             "Override one allocator knob (repeatable; applied on top of the individual flags, left \
-              to right). Knobs: %s. Values: ints, floats, true/false, and $(b,auto) for nheaps."
+             "Override one allocator knob (repeatable; applied left to right). Knobs: %s. Values: \
+              ints, floats, true/false, and $(b,auto) for nheaps."
              (String.concat ", " (Hoard_config.knob_names ()))))
+
+(* A command-specific short flag for one knob (sweep's [-f], [-k],
+   [--sbsize]): the raw text becomes a [knob=value] override, so parsing
+   and range checks stay the registry's. *)
+let knob_flag ~knob names ~doc =
+  Term.(
+    const (function None -> [] | Some v -> [ knob ^ "=" ^ v ])
+    $ Arg.(value & opt (some string) None & info names ~docv:"VALUE" ~doc))
 
 (* Integer flags with a lower bound. An out-of-range or malformed value
    is a Cmdliner parse error, so the command prints its usage and exits
@@ -47,11 +55,19 @@ let procs =
   let print fmt ns = Format.pp_print_string fmt (String.concat "," (List.map string_of_int ns)) in
   Arg.conv (parse, print)
 
-(* Fold the overrides over [base], turning a bad knob or value into a
-   usage error that lists the registry instead of a raw exception. *)
-let apply base overrides =
+(* Fold the overrides over [base]; a bad knob or value comes back as
+   the registry's message plus the knob list. *)
+let resolve base overrides =
   match Hoard_config.set_all base overrides with
-  | cfg -> cfg
+  | cfg -> Ok cfg
   | exception Invalid_argument msg ->
-    Printf.eprintf "--set: %s\n\nknown knobs:\n%s\n" msg (Hoard_config.knob_doc ());
-    exit 1
+    Error (Printf.sprintf "%s\n\nknown knobs:\n%s" msg (Hoard_config.knob_doc ()))
+
+let config base overrides = Term.term_result' ~usage:true Term.(const (resolve base) $ overrides)
+
+let apply base overrides =
+  match resolve base overrides with
+  | Ok cfg -> cfg
+  | Error msg ->
+    Printf.eprintf "%s: %s\n" Filename.(remove_extension (basename Sys.executable_name)) msg;
+    exit Cmd.Exit.cli_error

@@ -56,11 +56,6 @@ type t = {
      path, held here (as well as inside [large]) for check/introspection. *)
   lcache : Large_cache.t option;
   reservoir : Sb_reservoir.t option; (* cfg.reservoir > 0: the empty-superblock parking lot *)
-  (* cfg.shelf > 0: lock-free stack of empty superblocks in front of the
-     global heap. Trim pushes an empty victim, refill pops — one CAS each,
-     no global lock. Shelved superblocks stay registered, resident and
-     owned by heap 0, so they remain inside the held/resident envelopes. *)
-  shelf : Superblock.t Lockfree.t option;
   (* cfg.global = Lockfree: heap 0's Dlist fullness groups are replaced by
      the CAS-published fullness index — its core stays empty, its lock is
      never taken on the transfer path, and frees into global superblocks
@@ -112,10 +107,9 @@ let create ?(config = Hoard_config.default) ?obs pf =
     | Some o -> Some (Obs.new_ring o name)
   in
   (* The lock-free structures share one contention counter and one mutant
-     switch each: "reservoir-no-aba" freezes the ABA tag of the reservoir
-     and the shelf (they run the same protocol), "large-cache-no-aba"
-     that of the large cache, "deferred-lost-node" drops a deferred
-     push's CAS retry. *)
+     switch each: "reservoir-no-aba" freezes the ABA tag of the reservoir,
+     "large-cache-no-aba" that of the large cache, "deferred-lost-node"
+     drops a deferred push's CAS retry. *)
   let aba_tag = config.mutant <> "reservoir-no-aba" in
   (* Every lock-free structure gets its own labelled retry hook, so the
      unified alloc.cas_retries total breaks down per structure in exports. *)
@@ -172,10 +166,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
       reservoir =
         (if config.reservoir > 0 then
            Some (Sb_reservoir.create ~aba_tag ~on_retry:(retry "reservoir") pf ~cap:config.reservoir)
-         else None);
-      shelf =
-        (if config.shelf > 0 then
-           Some (Lockfree.create pf ~name:"hoard.shelf" ~cap:config.shelf ~aba_tag ~on_retry:(retry "shelf") ())
          else None);
       gindex =
         (if lockfree_global then
@@ -596,28 +586,10 @@ let reclaim_global_lockfree t h gi ~spill =
        end;
        !mine)
 
-(* Fetch a superblock usable for [sclass]: off the lock-free shelf (one
-   CAS, no global lock) when one is stocked, else from the global heap,
-   the reservoir, or the OS, and insert it into [h] (whose lock the
-   caller holds). *)
+(* Fetch a superblock usable for [sclass] from the global heap, the
+   reservoir, or the OS, and insert it into [h] (whose lock the caller
+   holds). *)
 let refill t h ~sclass ~block_size ~spill =
-  let from_shelf () =
-    match t.shelf with
-    | None -> None
-    | Some shelf ->
-      (match Lockfree.pop shelf with
-       | None -> None
-       | Some sb ->
-         (* The pop made the superblock private to us (owner still 0; the
-            [Heap_core.insert] below flips it under our held lock, the
-            same handoff discipline as the global path). It is empty by
-            the shelf's invariant, so a class change is a plain reinit. *)
-         if Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size then
-           Superblock.reinit sb ~sclass ~block_size;
-         Alloc_stats.on_shelf_pop h.sh;
-         event t h Event_ring.Shelf_pop ~sclass ~arg:(Superblock.base sb);
-         Some sb)
-  in
   let from_global () =
     match t.gindex with
     | Some gi ->
@@ -671,26 +643,23 @@ let refill t h ~sclass ~block_size ~spill =
          Some sb)
   in
   let sb =
-    match from_shelf () with
-    | Some sb -> sb
+    match from_global () with
+    | Some sb ->
+      if Superblock.is_empty sb && (Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size)
+      then Superblock.reinit sb ~sclass ~block_size;
+      Alloc_stats.on_transfer_from_global h.sh;
+      event t h Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
+      sb
     | None ->
-      (match from_global () with
-       | Some sb ->
-         if Superblock.is_empty sb && (Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size)
-         then Superblock.reinit sb ~sclass ~block_size;
-         Alloc_stats.on_transfer_from_global h.sh;
-         event t h Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
-         sb
+      (match from_reservoir () with
+       | Some sb -> sb
        | None ->
-         (match from_reservoir () with
-          | Some sb -> sb
-          | None ->
-            let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
-            let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
-            Sb_registry.register t.reg sb;
-            Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
-            event t h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
-            sb))
+         let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
+         let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
+         Sb_registry.register t.reg sb;
+         Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
+         event t h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
+         sb)
   in
   Heap_core.insert h.core sb;
   touch_header t sb
@@ -734,43 +703,21 @@ let trim_heap ?(deep = false) t h ~sclass =
       (match Heap_core.pick_victim ~protect_last:true h.core ~max_fullness:(1.0 -. t.cfg.empty_fraction) with
        | None -> continue_ := false
        | Some victim ->
-         (* An EMPTY victim takes the non-blocking route when a shelf is
-            configured: flip its owner to the global heap while it is
-            still private (the pick removed it from [h]; nothing else can
-            reach it — it has no live blocks), then publish with one CAS.
-            Partial victims, and empties bouncing off a full shelf, go
-            through the classic locked global-heap transfer. *)
-         let shelved =
-           match t.shelf with
-           | Some shelf when Superblock.is_empty victim ->
-             Superblock.set_owner victim 0;
-             touch_header t victim;
-             if Lockfree.push shelf victim then begin
-               Alloc_stats.on_shelf_push h.sh;
-               event t h Event_ring.Shelf_push ~sclass:(Superblock.sclass victim)
-                 ~arg:(Superblock.base victim);
-               true
-             end
-             else false
-           | _ -> false
-         in
-         if not shelved then begin
-           match t.gindex with
-           | Some gi ->
-             (* The non-blocking transfer: one index publish, any
-                fullness, never heap 0's lock. *)
-             publish_global t h gi victim;
-             maybe_release_global t h gi
-           | None ->
-             t.global.lock.acquire ();
-             Heap_core.insert t.global.core victim;
-             touch_header t victim;
-             Alloc_stats.on_transfer_to_global t.global.sh;
-             event t t.global Event_ring.Sb_to_global ~sclass:(Superblock.sclass victim)
-               ~arg:(Superblock.base victim);
-             release_surplus t;
-             t.global.lock.release ()
-         end);
+         (match t.gindex with
+          | Some gi ->
+            (* The non-blocking transfer: one index publish, any
+               fullness, never heap 0's lock. *)
+            publish_global t h gi victim;
+            maybe_release_global t h gi
+          | None ->
+            t.global.lock.acquire ();
+            Heap_core.insert t.global.core victim;
+            touch_header t victim;
+            Alloc_stats.on_transfer_to_global t.global.sh;
+            event t t.global Event_ring.Sb_to_global ~sclass:(Superblock.sclass victim)
+              ~arg:(Superblock.base victim);
+            release_surplus t;
+            t.global.lock.release ()));
       if not deep then continue_ := false
     done
   end
@@ -1622,11 +1569,6 @@ let reservoir_length t =
   | None -> 0
   | Some res -> Sb_reservoir.length res
 
-let shelf_length t =
-  match t.shelf with
-  | None -> 0
-  | Some shelf -> Lockfree.length shelf
-
 let check t =
   Heap_core.check t.global.core;
   Array.iter (fun h -> Heap_core.check h.core) t.heaps;
@@ -1658,25 +1600,6 @@ let check t =
   in
   if total_u + Locked_large.live_bytes t.large <> s.live_bytes then
     failwith "Hoard.check: live-bytes accounting mismatch";
-  (* Shelf invariants (quiescent walk via charge-free peeks; [Lockfree.iter]
-     itself rejects in-flight operations, cycles and duplicate slots — the
-     structural signature of a lost ABA tag): every shelved superblock is
-     empty, still registered and resident (shelving is a transfer, not a
-     release), owned by the global heap, within the cap. *)
-  (match t.shelf with
-   | None -> ()
-   | Some shelf ->
-     let n = ref 0 in
-     Lockfree.iter shelf (fun sb ->
-         incr n;
-         if not (Superblock.is_empty sb) then failwith "Hoard.check: shelved superblock has live blocks";
-         if Superblock.owner sb <> 0 then failwith "Hoard.check: shelved superblock not owned by heap 0";
-         let base = Superblock.base sb in
-         if Sb_registry.lookup t.reg ~addr:(base + Superblock.header_bytes) = None then
-           failwith "Hoard.check: shelved superblock not registered";
-         if t.pf.Platform.page_residency ~addr:base <> Vmem.Resident then
-           failwith "Hoard.check: shelved superblock not resident");
-     if !n > Lockfree.cap shelf then failwith "Hoard.check: shelf over capacity");
   (* Deferred free lists (quiescent structural walk; [Deferred_list.iter]
      itself rejects cycles, payload-less nodes and length drift): every
      listed block is bitmap-live and custody-marked in its superblock —

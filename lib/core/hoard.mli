@@ -142,11 +142,6 @@ val reservoir_length : t -> int
 (** Superblocks currently parked in the reservoir (0 when
     [config.reservoir = 0]). Lock-free read; exact at quiescence. *)
 
-val shelf_length : t -> int
-(** Empty superblocks currently on the lock-free shelf in front of the
-    global heap (0 when [config.shelf = 0]). Lock-free read; exact at
-    quiescence. *)
-
 val pp_heaps : Format.formatter -> t -> unit
 (** Human-readable dump of every heap: per size class, the superblock
     count and aggregate fullness — the view used by

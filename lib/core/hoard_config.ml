@@ -27,7 +27,6 @@ type t = {
   release_to_os : bool;
   release_threshold : int;
   reservoir : int;
-  shelf : int;
   vmem_backend : Vmem_backend.kind;
   path_work : int;
   front_end : int;
@@ -65,7 +64,6 @@ let default =
     release_to_os = true;
     release_threshold = 4;
     reservoir = 0;
-    shelf = 0;
     vmem_backend = Vmem_backend.Exact;
     path_work = 30;
     front_end = 0;
@@ -202,10 +200,6 @@ let knobs =
       ~get:(fun t -> t.reservoir)
       ~store:(fun t v -> { t with reservoir = v })
       ~check:(non_negative "reservoir");
-    int_knob "shelf" "Capacity of the lock-free empty-superblock shelf; 0 disables."
-      ~get:(fun t -> t.shelf)
-      ~store:(fun t v -> { t with shelf = v })
-      ~check:(non_negative "shelf");
     {
       k_name = "vmem";
       k_doc = "Address-space reuse policy: exact, first-fit or buddy.";
@@ -310,7 +304,7 @@ let set t spec =
 let set_all t specs = List.fold_left set t specs
 
 let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nheaps ?assign_by_tid
-    ?release_to_os ?release_threshold ?reservoir ?shelf ?vmem_backend ?path_work ?front_end
+    ?release_to_os ?release_threshold ?reservoir ?vmem_backend ?path_work ?front_end
     ?remote_queue_cap ?deferred ?large_cache ?global ?sanitize ?quarantine ?mutant () =
   let v field = function Some x -> x | None -> field in
   let t =
@@ -325,7 +319,6 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nhe
       release_to_os = v base.release_to_os release_to_os;
       release_threshold = v base.release_threshold release_threshold;
       reservoir = v base.reservoir reservoir;
-      shelf = v base.shelf shelf;
       vmem_backend = v base.vmem_backend vmem_backend;
       path_work = v base.path_work path_work;
       front_end = v base.front_end front_end;

@@ -55,15 +55,6 @@ type t = {
           commit. Overflow beyond R is unmapped as before, bounding
           residency by heap-held + R·S. 0 (the default) disables the
           reservoir, restoring the seed lifecycle. *)
-  shelf : int;
-      (** capacity (superblocks) of the lock-free empty-superblock shelf
-          sitting in front of the global heap. Emptiness-invariant trims
-          push an empty victim onto the shelf with one CAS instead of
-          taking the global lock, and a refill pops it the same way, so
-          the common empty-superblock round trip is non-blocking; partial
-          superblocks (and shelf overflow/underflow) still go through the
-          classic locked global-heap path. 0 (the default) disables the
-          shelf. *)
   vmem_backend : Vmem_backend.kind;
       (** reuse policy of the simulated address space underneath this
           allocator's platform. The config record is the single source of
@@ -129,9 +120,9 @@ val known_mutants : string list
     heap lock in [free], racing against superblock transfer to the global
     heap; ["emptiness-off-by-one"] makes the emptiness-invariant trim use
     K+1 while the invariant checker still demands K;
-    ["reservoir-no-aba"] freezes the ABA tag of the lock-free reservoir
-    and shelf stacks, planting the classic Treiber pop-over-recycled-head
-    bug; ["park-before-decommit"] publishes a superblock to the reservoir
+    ["reservoir-no-aba"] freezes the ABA tag of the lock-free
+    reservoir's slot-pool stack, planting the classic Treiber
+    pop-over-recycled-head bug; ["park-before-decommit"] publishes a superblock to the reservoir
     BEFORE decommitting its pages, so a concurrent taker can recommit and
     reuse pages the parker then decommits out from under it;
     ["deferred-lost-node"] makes the deferred-list push treat a failed
@@ -160,7 +151,6 @@ val make :
   ?release_to_os:bool ->
   ?release_threshold:int ->
   ?reservoir:int ->
-  ?shelf:int ->
   ?vmem_backend:Vmem_backend.kind ->
   ?path_work:int ->
   ?front_end:int ->

@@ -12,9 +12,6 @@ let san_config ?(quarantine = 32) () = Hoard_config.make ~sanitize:true ~quarant
 let res_config ?(reservoir = 8) ?(vmem_backend = Vmem_backend.First_fit) () =
   Hoard_config.make ~reservoir ~vmem_backend ()
 
-let shelf_config ?(shelf = 8) ?(reservoir = 8) () =
-  Hoard_config.make ~shelf ~reservoir ~front_end:front_end_default ()
-
 let gl_config ?(front_end = front_end_default) () =
   Hoard_config.make ~front_end ~deferred:true ~global:Hoard_config.Lockfree ()
 
@@ -64,19 +61,6 @@ let hoard_res ?reservoir ?vmem_backend () =
         (Vmem_backend.kind_name vmem_backend);
   }
 
-let hoard_shelf ?shelf ?reservoir () =
-  let config = shelf_config ?shelf ?reservoir () in
-  let shelf = config.Hoard_config.shelf in
-  let reservoir = config.Hoard_config.reservoir in
-  {
-    (Hoard.factory ~config ()) with
-    Alloc_intf.label = "hoard-shelf";
-    description =
-      Printf.sprintf
-        "hoard with the lock-free shelf (cap %d) and reservoir (cap %d) in front of the global heap"
-        shelf reservoir;
-  }
-
 let hoard_gl ?front_end () =
   let config = gl_config ?front_end () in
   {
@@ -100,7 +84,7 @@ let all () =
 
 (* Checking configurations: resolvable by [find] but excluded from [all]
    (sweeps and comparison tables run the eight measurement allocators). *)
-let extras () = [ hoard_san (); hoard_res (); hoard_shelf (); hoard_gl () ]
+let extras () = [ hoard_san (); hoard_res (); hoard_gl () ]
 
 let labels () = List.map (fun f -> f.Alloc_intf.label) (all ())
 
@@ -115,7 +99,6 @@ let base_config = function
   | "hoard-df" -> Some (df_config ())
   | "hoard-san" -> Some (san_config ())
   | "hoard-res" -> Some (res_config ())
-  | "hoard-shelf" -> Some (shelf_config ())
   | "hoard-gl" -> Some (gl_config ())
   | _ -> None
 

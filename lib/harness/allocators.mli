@@ -61,13 +61,6 @@ val hoard_res : ?reservoir:int -> ?vmem_backend:Vmem_backend.kind -> unit -> All
     own platform must honour [config.vmem_backend] when doing so
     (e.g. {!Runner.spec}'s [vmem_backend]). *)
 
-val hoard_shelf : ?shelf:int -> ?reservoir:int -> unit -> Alloc_intf.factory
-(** A hoard factory with the lock-free transfer path fully on: the
-    empty-superblock shelf (see {!Hoard_config.t.shelf}, default cap 8)
-    and the reservoir behind it, plus the front end — the configuration
-    where refills and trims of empty superblocks bypass the global lock
-    entirely. *)
-
 val hoard_gl : ?front_end:int -> unit -> Alloc_intf.factory
 (** [hoard-df] with the lock-free global heap (see
     {!Hoard_config.t.global} = [Lockfree]): heap 0's Dlist fullness

@@ -1327,9 +1327,9 @@ let server_params profile scale =
   { Server_mix.default_params with Server_mix.profile; requests }
 
 (* The latency-tail comparison set: the paper's serial and
-   private-ownership baselines against the three Hoard configurations
-   whose whole purpose is the tail (base, lock-free front end, lock-free
-   shelf). *)
+   private-ownership baselines against the Hoard configurations whose
+   whole purpose is the tail (base, lock-free front end, deferred
+   remote-free lists). *)
 let server_allocators () =
   [
     Serial_alloc.factory ();
@@ -1337,7 +1337,6 @@ let server_allocators () =
     Hoard.factory ();
     Allocators.hoard_fe ();
     Allocators.hoard_df ();
-    Allocators.hoard_shelf ();
   ]
 
 let server_exp =

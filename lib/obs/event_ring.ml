@@ -14,8 +14,6 @@ type kind =
   | Remote_drain
   | Decommit
   | Recommit
-  | Shelf_push
-  | Shelf_pop
   | Remote_forward
   | Req_arrival
   | Req_done
@@ -29,8 +27,8 @@ type kind =
 
 let all_kinds =
   [ Sb_map; Sb_unmap; Sb_from_global; Sb_to_global; Emptiness_cross; Remote_free; Large_map; Large_unmap;
-    Lock_acquire; Cache_hit; Cache_flush; Remote_enqueue; Remote_drain; Decommit; Recommit; Shelf_push;
-    Shelf_pop; Remote_forward; Req_arrival; Req_done; Large_cache_hit; Deferred_enqueue; Deferred_reclaim;
+    Lock_acquire; Cache_hit; Cache_flush; Remote_enqueue; Remote_drain; Decommit; Recommit;
+    Remote_forward; Req_arrival; Req_done; Large_cache_hit; Deferred_enqueue; Deferred_reclaim;
     Orphan_adopt; Global_push; Global_pop; Global_revalidate ]
 
 let nkinds = List.length all_kinds
@@ -51,18 +49,16 @@ let kind_index = function
   | Remote_drain -> 12
   | Decommit -> 13
   | Recommit -> 14
-  | Shelf_push -> 15
-  | Shelf_pop -> 16
-  | Remote_forward -> 17
-  | Req_arrival -> 18
-  | Req_done -> 19
-  | Large_cache_hit -> 20
-  | Deferred_enqueue -> 21
-  | Deferred_reclaim -> 22
-  | Orphan_adopt -> 23
-  | Global_push -> 24
-  | Global_pop -> 25
-  | Global_revalidate -> 26
+  | Remote_forward -> 15
+  | Req_arrival -> 16
+  | Req_done -> 17
+  | Large_cache_hit -> 18
+  | Deferred_enqueue -> 19
+  | Deferred_reclaim -> 20
+  | Orphan_adopt -> 21
+  | Global_push -> 22
+  | Global_pop -> 23
+  | Global_revalidate -> 24
 
 let kind_of_index = function
   | 0 -> Sb_map
@@ -80,18 +76,16 @@ let kind_of_index = function
   | 12 -> Remote_drain
   | 13 -> Decommit
   | 14 -> Recommit
-  | 15 -> Shelf_push
-  | 16 -> Shelf_pop
-  | 17 -> Remote_forward
-  | 18 -> Req_arrival
-  | 19 -> Req_done
-  | 20 -> Large_cache_hit
-  | 21 -> Deferred_enqueue
-  | 22 -> Deferred_reclaim
-  | 23 -> Orphan_adopt
-  | 24 -> Global_push
-  | 25 -> Global_pop
-  | 26 -> Global_revalidate
+  | 15 -> Remote_forward
+  | 16 -> Req_arrival
+  | 17 -> Req_done
+  | 18 -> Large_cache_hit
+  | 19 -> Deferred_enqueue
+  | 20 -> Deferred_reclaim
+  | 21 -> Orphan_adopt
+  | 22 -> Global_push
+  | 23 -> Global_pop
+  | 24 -> Global_revalidate
   | i -> invalid_arg (Printf.sprintf "Event_ring.kind_of_index: %d" i)
 
 let kind_name = function
@@ -110,8 +104,6 @@ let kind_name = function
   | Remote_drain -> "remote_drain"
   | Decommit -> "decommit"
   | Recommit -> "recommit"
-  | Shelf_push -> "shelf_push"
-  | Shelf_pop -> "shelf_pop"
   | Remote_forward -> "remote_forward"
   | Req_arrival -> "req_arrival"
   | Req_done -> "req_done"

@@ -27,12 +27,10 @@ type kind =
   | Lock_acquire  (** contended lock acquisition; [arg] = spin count *)
   | Cache_hit  (** malloc served from the thread's front-end cache *)
   | Cache_flush  (** front-end cache flushed blocks; [arg] = block count *)
-  | Remote_enqueue  (** block pushed onto [heap]'s remote-free queue; [arg] = addr *)
+  | Remote_enqueue  (** evicted blocks pushed onto [heap]'s remote-free queue; [arg] = block count *)
   | Remote_drain  (** [heap] drained its remote-free queue; [arg] = block count *)
   | Decommit  (** region's pages returned to the OS, address space kept; [arg] = bytes *)
   | Recommit  (** decommitted region re-populated for reuse; [arg] = bytes *)
-  | Shelf_push  (** empty superblock CAS-pushed onto the lock-free shelf; [arg] = base *)
-  | Shelf_pop  (** refill served by popping the shelf, no global lock; [arg] = base *)
   | Remote_forward  (** drain re-forwarded a migrated block to its new owner; [arg] = addr *)
   | Req_arrival  (** server-mix request arrived (scheduled or issued); [arg] = request id *)
   | Req_done  (** server-mix request completed; [arg] = latency in cycles *)

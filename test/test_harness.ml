@@ -423,6 +423,59 @@ let test_bounded_int_converters () =
   Alcotest.(check int) "--count=-4 is a usage error" 124 (exit_code Config_cli.non_negative [| "--count=-4" |]);
   Alcotest.(check int) "--count=0 is a usage error" 124 (exit_code Config_cli.positive [| "--count=0" |])
 
+(* Configuration errors are usage errors: a bad [--set] value and a
+   sweep-style knob flag out of range both go through [Config_cli.config],
+   exit 124 and carry the registry's message. *)
+let test_config_errors_are_usage_errors () =
+  let open Cmdliner in
+  let overrides =
+    Term.(
+      const (fun f s sets -> f @ s @ sets)
+      $ Config_cli.knob_flag ~knob:"empty-fraction" [ "f" ] ~doc:"f"
+      $ Config_cli.knob_flag ~knob:"sb-size" [ "sbsize" ] ~doc:"S"
+      $ Config_cli.set_opt)
+  in
+  let seen = ref None in
+  let exit_code argv =
+    seen := None;
+    let cmd =
+      Cmd.v (Cmd.info "t")
+        Term.(const (fun c -> seen := Some c) $ Config_cli.config Hoard_config.default overrides)
+    in
+    Cmd.eval ~argv:(Array.append [| "t" |] argv) ~err:(Format.make_formatter (fun _ _ _ -> ()) ignore) cmd
+  in
+  Alcotest.(check int) "-f 0.5 accepted" 0 (exit_code [| "-f"; "0.5" |]);
+  Alcotest.(check bool) "-f lands on empty-fraction" true
+    (Option.map (fun c -> c.Hoard_config.empty_fraction) !seen = Some 0.5);
+  Alcotest.(check int) "--set applies after the flags" 0
+    (exit_code [| "--sbsize"; "4096"; "--set"; "sb-size=16384" |]);
+  Alcotest.(check bool) "--set wins" true (Option.map (fun c -> c.Hoard_config.sb_size) !seen = Some 16384);
+  List.iter
+    (fun argv ->
+      Alcotest.(check int) (String.concat " " (Array.to_list argv) ^ " is a usage error") 124 (exit_code argv);
+      Alcotest.(check bool) "command body not run" true (!seen = None))
+    [
+      [| "-f"; "2.0" |];
+      [| "-f"; "abc" |];
+      [| "--sbsize"; "100" |];
+      [| "--set"; "front-end=1" |];
+      [| "--set"; "bogus=1" |];
+    ];
+  let message overrides =
+    match Config_cli.resolve Hoard_config.default overrides with
+    | Ok _ -> Alcotest.fail (String.concat " " overrides ^ " must be rejected")
+    | Error m -> m
+  in
+  List.iter
+    (fun (overrides, affix) ->
+      Alcotest.(check bool) (affix ^ " reported") true (Astring.String.is_infix ~affix (message overrides)))
+    [
+      ([ "empty-fraction=2.0" ], "empty-fraction must lie in (0, 1)");
+      ([ "sb-size=100" ], "sb-size must be a power of two");
+      ([ "front-end=1" ], "front-end must be 0 or >= 2");
+      ([ "bogus=1" ], "unknown knob");
+    ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -430,6 +483,7 @@ let () =
         [
           Alcotest.test_case "procs converter" `Quick test_procs_converter;
           Alcotest.test_case "bounded int converters" `Quick test_bounded_int_converters;
+          Alcotest.test_case "config errors are usage errors" `Quick test_config_errors_are_usage_errors;
         ] );
       ( "runner",
         [

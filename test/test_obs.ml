@@ -43,6 +43,31 @@ let test_kind_names_distinct () =
   Alcotest.(check int) "all kinds named uniquely" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* The event taxonomy in docs/observability.md is the table of first
+   cells under its "| kind | meaning |" header; it must name exactly the
+   kinds [Event_ring.all_kinds] does, in either direction. *)
+let test_kind_table_documented () =
+  let lines =
+    In_channel.with_open_text "../docs/observability.md" In_channel.input_all |> String.split_on_char '\n'
+  in
+  let rec table = function
+    | [] -> Alcotest.fail "observability.md: event-kind table not found"
+    | l :: rest when Astring.String.is_prefix ~affix:"| kind | meaning |" l -> rows rest
+    | _ :: rest -> table rest
+  and rows = function
+    | l :: rest when Astring.String.is_prefix ~affix:"|" l ->
+      (match String.split_on_char '`' l with
+       | _ :: name :: _ -> name :: rows rest
+       | _ -> rows rest (* the |---| rule *))
+    | _ -> []
+  in
+  let documented = List.sort compare (table lines) in
+  let code = List.sort compare (List.map Event_ring.kind_name Event_ring.all_kinds) in
+  let missing l from = List.filter (fun n -> not (List.mem n from)) l in
+  Alcotest.(check (list string)) "kinds missing from the doc table" [] (missing code documented);
+  Alcotest.(check (list string)) "doc table rows that are not kinds" [] (missing documented code);
+  Alcotest.(check int) "one row per kind" (List.length code) (List.length documented)
+
 (* --- metrics registry --- *)
 
 let test_metrics_registry () =
@@ -358,6 +383,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_ring_basic;
           Alcotest.test_case "wrap keeps exact counts" `Quick test_ring_wrap_exact_counts;
           Alcotest.test_case "kind names distinct" `Quick test_kind_names_distinct;
+          Alcotest.test_case "kind table documented" `Quick test_kind_table_documented;
         ] );
       ( "metrics",
         [
