@@ -30,11 +30,12 @@
    — the linearization point of a global -> heap transfer. After it the
    superblock's content is private to the claimer: a concurrent free
    finding the word Absent bounces back to the caller for re-routing
-   instead of touching the superblock. Freeing a block into a member runs
-   the Busy protocol: CAS Idle(b) -> Busy(b), mutate, store Idle(b'),
-   republish. Every retry loop here is bounded by other threads'
-   progress (a failed CAS means the word or a head moved), which is what
-   keeps the schedule explorer's state space finite.
+   instead of touching the superblock. Freeing a run of blocks into a
+   member runs the Busy protocol once for the whole run: CAS Idle(b) ->
+   Busy(b), mutate, store Idle(b'), republish. Every retry loop here is
+   bounded by other threads' progress (a failed CAS means the word or a
+   head moved), which is what keeps the schedule explorer's state space
+   finite.
 
    Fullness only decreases while a superblock is a member (allocation
    happens only after a claim), so a stale entry always points at an
@@ -401,20 +402,24 @@ let acquire ?(record = fun _ ~arg:_ -> ()) t ~sclass =
 
 let take_empty ?(record = fun _ ~arg:_ -> ()) t = scan t ~record ~want:want_empty t.empties_head
 
-(* ---- freeing a block into a member superblock ---- *)
+(* ---- freeing a run of blocks into a member superblock ---- *)
 
 type free_result =
   | Freed of { now_empty : bool }
   | Requeue
   | Not_member of { owner : int }
 
-(* The Busy protocol: CAS Idle(b) -> Busy(b) wins exclusive mutation
-   rights without any lock; the closing store Idle(b') republishes. A
-   bin change pushes a fresh entry to the new bin (the old bin's entry —
-   still present, or being repushed by an acquirer that saw Busy — goes
-   stale). A concurrent claimer cannot interleave: claims CAS against
-   Idle and the word is Busy throughout. *)
-let free_block t sb ~addr =
+(* The Busy protocol, once per run: CAS Idle(b) -> Busy(b) wins exclusive
+   mutation rights without any lock; every block of the run is freed
+   (custody mark cleared, bitmap bit dropped), [inside] runs the caller's
+   simulated link and header writes, and one closing store Idle(b')
+   republishes. A concurrent claimer cannot interleave: claims CAS against
+   Idle and the word is Busy throughout, so the writes never land on a
+   superblock some heap already owns. A bin change pushes one fresh entry
+   to the new bin (the old bin's entry — still present, or being repushed
+   by an acquirer that saw Busy — goes stale). On [Requeue] and
+   [Not_member] nothing is touched. *)
+let free_run ?(inside = fun () -> ()) t sb ~addrs =
   let g = Superblock.gslot sb in
   if g < 0 then Not_member { owner = Superblock.owner sb }
   else begin
@@ -426,10 +431,15 @@ let free_block t sb ~addr =
       | Busy _ -> Requeue
       | Idle b ->
           if slot.word.Platform.cas ~expected:w ~desired:(word_busy t b) then begin
-            Superblock.free_block sb addr;
+            List.iter
+              (fun addr ->
+                Superblock.clear_cached sb addr;
+                Superblock.free_block sb addr)
+              addrs;
+            inside ();
             let b' = bin_of t sb in
             let now_empty = b' = empties_bin t in
-            ignore (Atomic.fetch_and_add t.u_bytes (-(Superblock.block_size sb)));
+            ignore (Atomic.fetch_and_add t.u_bytes (-(List.length addrs * Superblock.block_size sb)));
             if now_empty then Atomic.incr t.empties;
             slot.word.Platform.store (word_idle t b');
             if b' <> b then push_entry t ~sclass:(Superblock.sclass sb) ~bin:b' g;
@@ -461,7 +471,7 @@ let retries t = Atomic.get t.retries
 
 (* ---- quiescent mutation (peek/poke, charge-free) ----
 
-   Teardown-time counterparts of [publish] and [free_block] for
+   Teardown-time counterparts of [publish] and [free_run] for
    [Hoard.flush_caches], which runs after every worker has joined: the
    same state transitions with no simulated cost and no schedule
    visibility, so draining caches at exit does not perturb replay. *)

@@ -11,12 +11,13 @@
     class-agnostic empties stack, maintained lazily: entries can be
     stale, pops discard or relocate them against the word, and the
     invariant is only that every quiescent Idle(b) member is reachable
-    in stack b. Claims are a single CAS Idle -> Absent; frees run a
-    Busy handshake. Every retry loop is bounded by other threads'
-    progress, keeping the protocol explorable by lib/check.
+    in stack b. Claims are a single CAS Idle -> Absent; frees run one
+    Busy handshake per run of blocks. Every retry loop is bounded by
+    other threads' progress, keeping the protocol explorable by
+    lib/check.
 
     Concurrency contract: {!publish}, {!acquire}, {!take_empty} and
-    {!free_block} are lock-free and callable from any thread;
+    {!free_run} are lock-free and callable from any thread;
     {!publish} additionally requires the superblock to be private to
     the caller (unlinked from any heap core, owner already 0).
     {!iter_members} and {!check} are quiescent-only peek walks. The
@@ -65,10 +66,16 @@ type free_result =
       (** the superblock was claimed away; route the block to [owner]
           ([0] = still in transit to some heap: requeue) *)
 
-val free_block : t -> Superblock.t -> addr:int -> free_result
-(** Free one block into a member superblock via the Busy handshake. The
-    caller must have cleared the block's custody bit; stats and events
-    around the free are the caller's. *)
+val free_run : ?inside:(unit -> unit) -> t -> Superblock.t -> addrs:int list -> free_result
+(** Free a run of distinct blocks of one member superblock with a single
+    Busy handshake: one CAS Idle(b) -> Busy(b), every block freed (its
+    custody mark cleared), [inside] run, one store Idle(b'), and at most
+    one entry pushed when the run moved the superblock to another bin.
+    [inside] is where the caller issues the run's simulated writes (free-
+    list links, the header): they land while the word is Busy, so no
+    claimer can own the superblock underneath them. On {!Requeue} and
+    {!Not_member} no block is touched and [inside] does not run. Stats
+    and events around the free are the caller's. *)
 
 (** {2 Gauges — host atomics, exact at quiescence} *)
 
@@ -89,7 +96,7 @@ val retries : t -> int
 
 (** {2 Quiescent mutation — peek/poke, no simulated cost}
 
-    Teardown-time counterparts of {!publish} and {!free_block} for
+    Teardown-time counterparts of {!publish} and {!free_run} for
     [Hoard.flush_caches]: only call when every worker has joined. *)
 
 val q_publish : t -> Superblock.t -> unit

@@ -621,13 +621,14 @@ let exit_adoption ~mutant =
    setup (two superblocks on the emptiness threshold) and its free
    publishes SB1 — two blocks still live inside — to the index. Thread 1
    frees one of those blocks: its owner snapshot races the publish's
-   owner flip, so the free lands either in heap 1 (locked) or on the
-   global deferred list; its flush then reclaims through the index's
+   owner flip, so the free lands either in heap 1 (locked) or on heap
+   2's global-free shard; its flush then reclaims through the index's
    Busy handshake. Thread 2 mallocs on an empty heap: its refill
-   reclaims the deferred list (racing thread 1's reclaim — the Requeue
-   path) and claims SB1 out of the index with the pop/revalidate/claim
-   CAS, racing the free throughout. [Hoard.check] — index walk,
-   member validation, live-byte conservation — is the post-run oracle. *)
+   reclaims its own (empty) shard and claims SB1 out of the index with
+   the pop/revalidate/claim CAS, racing the free throughout (two
+   reclaimers racing one superblock is [global_free_shards]).
+   [Hoard.check] — index walk, member validation, live-byte
+   conservation — is the post-run oracle. *)
 let global_transfer =
   {
     Explorer.sc_name = "global-transfer";
@@ -679,8 +680,8 @@ let global_transfer =
           (Sim.spawn sim ~proc:1 (fun () ->
                Sim.barrier_wait barrier;
                (* Owner snapshot races the publish: the free lands in
-                  heap 1 or on the global deferred list; the flush then
-                  reclaims it through the index's Busy handshake. *)
+                  heap 1 or on this heap's global-free shard; the flush
+                  then reclaims it through the index's Busy handshake. *)
                a.Alloc_intf.free !b_target;
                a.Alloc_intf.flush ()));
         ignore
@@ -761,8 +762,9 @@ let global_index_churn ~mutant =
   }
 
 (* The claim CAS against the Busy-handshake free, raw: one partial
-   member (2 live blocks), two threads freeing one block each through
-   [free_block] while a third races [acquire]. The real claim is a CAS
+   member (4 live blocks), two threads freeing a two-block run each
+   through [free_run] — their link and header writes issued inside the
+   Busy window — while a third races [acquire]. The real claim is a CAS
    Idle -> Absent that fails if a reclaimer got the word first; the
    skip-revalidate mutant (the same flag [Hoard.create] wires from
    [Hoard_config.mutant]) claims with a blind store, which can stomp a
@@ -773,7 +775,7 @@ let global_index_free ~mutant =
   {
     Explorer.sc_name = (if mutant = "" then "global-index-free" else "global-index-free-mutant");
     sc_describe =
-      (if mutant = "" then "frees through the Busy handshake racing an acquire's claim CAS on one member"
+      (if mutant = "" then "two-block runs freed through the Busy handshake racing an acquire's claim CAS"
        else "the same race claiming with a blind store; it stomps a Busy word at bound <= 2");
     sc_nprocs = 3;
     sc_build =
@@ -783,23 +785,26 @@ let global_index_free ~mutant =
             ~skip_revalidate:(mutant = "global-skip-revalidate") ()
         in
         let sb = Superblock.create ~base:4096 ~sb_size:4096 ~sclass:0 ~block_size:512 in
-        let a1 = Superblock.alloc_block sb in
-        let a2 = Superblock.alloc_block sb in
+        let live = Array.init 4 (fun _ -> Superblock.alloc_block sb) in
         let barrier = Sim.new_barrier sim ~parties:3 in
         let freed = Array.make 3 0 in
         let claimed = ref None in
         (* Requeues and Not_members are legitimate outcomes (a Busy
-           holder or a finished claim); only completed frees count. *)
-        let free_one p addr =
-          match Global_index.free_block gi sb ~addr with
-          | Global_index.Freed _ -> freed.(p) <- 1
+           holder or a finished claim); only completed runs count. *)
+        let free_run p addrs =
+          let inside () =
+            List.iter (fun addr -> pf.Platform.write ~addr ~len:8) addrs;
+            pf.Platform.write ~addr:(Superblock.base sb) ~len:16
+          in
+          match Global_index.free_run gi sb ~addrs ~inside with
+          | Global_index.Freed _ -> freed.(p) <- List.length addrs
           | Global_index.Requeue | Global_index.Not_member _ -> ()
         in
         ignore
           (Sim.spawn sim ~proc:0 (fun () ->
                Global_index.publish gi sb;
                Sim.barrier_wait barrier;
-               free_one 0 a1));
+               free_run 0 [ live.(0); live.(1) ]));
         ignore
           (Sim.spawn sim ~proc:1 (fun () ->
                Sim.barrier_wait barrier;
@@ -807,13 +812,14 @@ let global_index_free ~mutant =
         ignore
           (Sim.spawn sim ~proc:2 (fun () ->
                Sim.barrier_wait barrier;
-               free_one 2 a2));
+               free_run 2 [ live.(2); live.(3) ]));
         fun () ->
           Global_index.check gi;
           let nfreed = freed.(0) + freed.(2) in
-          if Superblock.used sb <> 2 - nfreed then
+          if Superblock.used sb <> 4 - nfreed then
             failwith
-              (sprintf "global-index-free: %d completed frees but %d blocks live" nfreed (Superblock.used sb));
+              (sprintf "global-index-free: %d blocks freed by completed runs but %d of 4 still live" nfreed
+                 (Superblock.used sb));
           match !claimed with
           | Some s ->
             if Superblock.base s <> Superblock.base sb then
@@ -823,6 +829,63 @@ let global_index_free ~mutant =
           | None ->
             if Global_index.members gi <> 1 then
               failwith "global-index-free: unclaimed superblock left the index");
+  }
+
+(* The global-free shards end to end, through the real allocator with
+   [global = Lockfree] and no front end. Thread 0 fills part of one
+   superblock and exits, so adoption publishes it — live blocks inside —
+   to the index. Threads 1 and 2, on heaps 2 and 3, each free one of
+   those blocks: the free parks it on the freeing heap's own shard, and
+   the flush reclaims that shard through a Busy handshake, the two
+   racing on the superblock's word (the Requeue path). Meanwhile thread
+   0 mallocs on its emptied heap: the refill's claim races both
+   handshakes, and a free that finds the superblock claimed is
+   forwarded to its new owner. [Hoard.check] — every shard walked, index
+   validated, live bytes conserved — is the oracle, before and after the
+   quiescent flush that completes any frees still parked. *)
+let global_free_shards =
+  {
+    Explorer.sc_name = "global-free-shards";
+    sc_describe =
+      "two heaps free blocks of one global superblock onto their own shards and flush, racing a refill's claim";
+    sc_nprocs = 3;
+    sc_build =
+      (fun sim pf ->
+        let config =
+          {
+            (race_config ~mutant:"") with
+            Hoard_config.nheaps = Some 3;
+            ngroups = 2;
+            global = Hoard_config.Lockfree;
+          }
+        in
+        let h = Hoard.create ~config pf in
+        let a = Hoard.allocator h in
+        let sb_size = config.Hoard_config.sb_size in
+        let bsize, _ = pick_class (Hoard.size_classes h) ~sb_size ~min_cap:7 in
+        let barrier = Sim.new_barrier sim ~parties:3 in
+        let blocks = ref [||] in
+        ignore
+          (Sim.spawn sim ~proc:0 (fun () ->
+               blocks := Array.init 4 (fun _ -> a.Alloc_intf.malloc bsize);
+               a.Alloc_intf.thread_exit ();
+               Sim.barrier_wait barrier;
+               let mine = a.Alloc_intf.malloc bsize in
+               a.Alloc_intf.free mine));
+        for p = 1 to 2 do
+          ignore
+            (Sim.spawn sim ~proc:p (fun () ->
+                 Sim.barrier_wait barrier;
+                 a.Alloc_intf.free !blocks.(p);
+                 a.Alloc_intf.flush ()))
+        done;
+        fun () ->
+          Hoard.check h;
+          Hoard.flush_caches h;
+          Hoard.check h;
+          let live = (a.Alloc_intf.stats ()).Alloc_stats.live_bytes in
+          if live <> 2 * bsize then
+            failwith (sprintf "global-free-shards: %dB live after the flush, expected %dB" live (2 * bsize)));
   }
 
 let all () =
@@ -851,6 +914,7 @@ let all () =
     global_index_churn ~mutant:"global-no-aba";
     global_index_free ~mutant:"";
     global_index_free ~mutant:"global-skip-revalidate";
+    global_free_shards;
   ]
 
 let find name = List.find_opt (fun s -> s.Explorer.sc_name = name) (all ())

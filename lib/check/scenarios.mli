@@ -88,11 +88,18 @@ val global_index_churn : mutant:string -> Explorer.scenario
     is caught at bound <= 2; [mutant = ""] passes exhaustively. *)
 
 val global_index_free : mutant:string -> Explorer.scenario
-(** {!Global_index.free_block}'s Busy handshake racing an [acquire]'s
-    claim CAS on one partial member, driven raw.
+(** {!Global_index.free_run}'s Busy handshake — two two-block runs, their
+    link and header writes inside the Busy window — racing an
+    [acquire]'s claim CAS on one partial member, driven raw.
     [mutant = "global-skip-revalidate"] claims with a blind store that
     stomps a concurrent Busy word — caught at bound <= 2;
     [mutant = ""] passes exhaustively. *)
+
+val global_free_shards : Explorer.scenario
+(** The lock-free global heap's per-heap global-free shards through the
+    real allocator: two heaps free blocks of one global superblock onto
+    their own shards and flush concurrently while a third thread's
+    refill claims the superblock. [Hoard.check] is the oracle. *)
 
 val all : unit -> Explorer.scenario list
 

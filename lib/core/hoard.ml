@@ -11,6 +11,11 @@ type heap = {
   (* cfg.deferred: the unbounded deferred free list replacing the bounded
      queue above — producers CAS-push, the owner exchange-reclaims. *)
   dfl : Deferred_list.t option;
+  (* cfg.global = Lockfree, per-processor heaps only: this heap's shard of
+     the global-free list. Threads on this heap park the blocks they free
+     into global superblocks here; only this heap's refills and flushes
+     reclaim it, so no single word serialises every global free. *)
+  gfl : Deferred_list.t option;
 }
 
 (* A thread's front-end cache: per size class, up to [front_end] block
@@ -59,7 +64,8 @@ type t = {
   (* cfg.global = Lockfree: heap 0's Dlist fullness groups are replaced by
      the CAS-published fullness index — its core stays empty, its lock is
      never taken on the transfer path, and frees into global superblocks
-     run through heap 0's deferred list + the index's Busy protocol. *)
+     run through the freeing heap's global-free shard + the index's Busy
+     protocol. *)
   gindex : Global_index.t option;
   obs : Obs.t option;
   fe : int; (* cached [cfg.front_end]; 0 = the paper's exact algorithm *)
@@ -115,8 +121,12 @@ let create ?(config = Hoard_config.default) ?obs pf =
      unified alloc.cas_retries total breaks down per structure in exports. *)
   let retry label = Alloc_stats.retry_hook stats ~label in
   let lockfree_global = config.global = Hoard_config.Lockfree in
-  let use_dfl = (config.deferred && config.front_end > 0) || lockfree_global in
+  let use_dfl = config.deferred && config.front_end > 0 in
   let deferred_retry = if use_dfl then retry "deferred" else fun () -> () in
+  let global_free_retry = if lockfree_global then retry "global-free" else fun () -> () in
+  let mk_list name on_retry =
+    Some (Deferred_list.create pf ~name ~lost_node:(config.mutant = "deferred-lost-node") ~on_retry ())
+  in
   let mk_heap id =
     {
       core = Heap_core.create ~id ~classes ~ngroups:config.ngroups ~sb_size:config.sb_size ();
@@ -128,15 +138,16 @@ let create ?(config = Hoard_config.default) ?obs pf =
       rq_len = 0;
       dfl =
         (* The deferred list is the front end's eviction channel; without
-           a front end nothing would ever push, so it is not built — except
-           heap 0's under the lock-free global index, where it is the
-           universal no-lock channel for frees into global superblocks. *)
-        (if (config.deferred && config.front_end > 0) || (id = 0 && lockfree_global) then
-           Some
-             (Deferred_list.create pf
-                ~name:(Printf.sprintf "hoard.dfl%d" id)
-                ~lost_node:(config.mutant = "deferred-lost-node")
-                ~on_retry:deferred_retry ())
+           a front end nothing would ever push, so it is not built. Under
+           the lock-free index heap 0 has no list: its frees go to the
+           freeing heap's shard below. *)
+        (if use_dfl && not (id = 0 && lockfree_global) then
+           mk_list (Printf.sprintf "hoard.dfl%d" id) deferred_retry
+         else None);
+      gfl =
+        (* Named under heap 0's list, so per-layer accounting charges the
+           shards to the global heap. *)
+        (if lockfree_global && id > 0 then mk_list (Printf.sprintf "hoard.dfl0.%d" id) global_free_retry
          else None);
     }
   in
@@ -432,6 +443,15 @@ let publish_global t h gi sb =
   Alloc_stats.on_transfer_to_global h.sh;
   event t h Event_ring.Sb_to_global ~sclass ~arg:(Superblock.base sb)
 
+(* Park blocks of owner-0 superblocks (lock-free global heap) on [h]'s
+   shard of the global-free list: one CAS for the whole batch, no lock.
+   [h] is the calling thread's heap, whose own refills and flushes
+   complete the frees. The blocks keep their custody marks until then. *)
+let park_global h items =
+  match h.gfl with
+  | Some gfl -> Deferred_list.push_many gfl items
+  | None -> assert false (* the lock-free index builds a shard per heap *)
+
 (* Return a batch swapped off [h]'s bounded queue (by [detach], before
    the lock) to [h]'s core. A block whose superblock migrated since it
    was enqueued is forwarded to the current owner's queue — but
@@ -447,15 +467,13 @@ let drain_rq t h items ~spill =
   match items with
   | [] -> 0
   | _ ->
-    let forwarded = ref 0 in
+    let forwarded = ref 0 and to_global = ref [] in
     let forward owner_id sb addr =
       if owner_id = 0 && t.gindex <> None then begin
-        (* Migrated to the lock-free global heap: its deferred list is
-           the universal owner-0 channel — one CAS, never heap 0's lock
-           or queue. *)
-        (match t.global.dfl with
-         | Some dfl -> Deferred_list.push dfl sb addr
-         | None -> assert false (* the lock-free index forces heap 0's list *));
+        (* Migrated to the lock-free global heap: park it on our own
+           global-free shard — one CAS for the batch, never heap 0's
+           lock or queue. *)
+        to_global := (sb, addr) :: !to_global;
         incr forwarded;
         event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
       end
@@ -476,6 +494,7 @@ let drain_rq t h items ~spill =
       end
     in
     let mine = splice t h items ~forward in
+    if !to_global <> [] then park_global h (List.rev !to_global);
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     if mine > 0 then event t h Event_ring.Remote_drain ~sclass:0 ~arg:mine;
     mine
@@ -512,20 +531,24 @@ let detach t h =
    block whose superblock migrated since its push is re-pushed onto the
    CURRENT owner's list — one CAS; the list is unbounded, so unlike the
    bounded queues, forwarding can neither cascade nor spill into the
-   locked path. Caller holds [h]'s lock. *)
+   locked path. Under the lock-free index the owner-0 blocks go to [h]'s
+   own global-free shard, all with one CAS. Caller holds [h]'s lock. *)
 let free_reclaimed t h items =
   match items with
   | [] -> 0
   | _ ->
-    let forwarded = ref 0 in
+    let forwarded = ref 0 and to_global = ref [] in
     let forward owner_id sb addr =
-      (match (heap_by_id t owner_id).dfl with
-       | Some dfl' -> Deferred_list.push dfl' sb addr
-       | None -> assert false (* deferred mode builds a list per heap *));
+      (if owner_id = 0 && t.gindex <> None then to_global := (sb, addr) :: !to_global
+       else
+         match (heap_by_id t owner_id).dfl with
+         | Some dfl' -> Deferred_list.push dfl' sb addr
+         | None -> assert false (* deferred mode builds a list per heap *));
       incr forwarded;
       event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
     let mine = splice t h items ~forward in
+    if !to_global <> [] then park_global h (List.rev !to_global);
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     Alloc_stats.on_deferred_reclaim h.sh;
     event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
@@ -537,48 +560,58 @@ let free_reclaimed t h items =
 let drain_pending t h ~detached ~spill =
   free_reclaimed t h detached.chain + drain_rq t h detached.queued ~spill
 
-(* Reclaim heap 0's deferred list through the lock-free index: one
-   exchange detaches it, then each block runs the Busy handshake — no
-   heap-0 lock anywhere. Blocks whose superblock was claimed away since
-   the push are re-routed: to [spill] (the locked [dispose_batch], run by
-   the caller after releasing [h]'s lock) when a heap owns it now, back
-   onto the list when it is still in transit or another reclaimer holds
-   it Busy. Caller holds [h]'s lock — stats and events land there. *)
+(* Group a detached chain into per-superblock runs, in first-seen order;
+   each run keeps its blocks in chain order. *)
+let rec runs = function
+  | [] -> []
+  | (sb, _) :: _ as items ->
+    let run, rest = List.partition (fun (sb', _) -> sb' == sb) items in
+    (sb, List.map snd run) :: runs rest
+
+(* Reclaim [h]'s global-free shard through the lock-free index: one
+   exchange detaches it, then each superblock's run is freed with one Busy
+   handshake, its link writes and single header write inside the Busy
+   window — no heap-0 lock anywhere. Runs whose superblock was claimed
+   away since the push are re-routed: to [spill] (the locked
+   [dispose_batch], run by the caller after releasing [h]'s lock) when a
+   heap owns it now, back onto the shard — all of them with one CAS — when
+   it is still in transit or another reclaimer holds it Busy. Caller holds
+   [h]'s lock — stats and events land there. *)
 let reclaim_global_lockfree t h gi ~spill =
-  match t.global.dfl with
+  match h.gfl with
   | None -> 0
-  | Some dfl ->
-    (match Deferred_list.reclaim dfl with
+  | Some gfl ->
+    (match Deferred_list.reclaim gfl with
      | [] -> 0
      | items ->
-       let mine = ref 0 and forwarded = ref 0 in
+       let mine = ref 0 and forwarded = ref 0 and back = ref [] in
        List.iter
-         (fun (sb, addr) ->
-           Superblock.clear_cached sb addr;
-           (* Read the size before the free: once [free_block] empties the
+         (fun (sb, addrs) ->
+           (* Read the size before the free: once the run empties the
               superblock, another heap may claim it and reformat it for
               another class before the charge below. *)
            let usable = Superblock.block_size sb in
-           match Global_index.free_block gi sb ~addr with
+           let inside () =
+             List.iter (fun addr -> t.pf.Platform.write ~addr ~len:8) addrs;
+             touch_header t sb
+           in
+           match Global_index.free_run gi sb ~addrs ~inside with
            | Global_index.Freed { now_empty = _ } ->
-             t.pf.Platform.write ~addr ~len:8;
-             touch_header t sb;
-             Alloc_stats.on_drain h.sh ~usable;
-             incr mine
-           | Global_index.Requeue ->
-             (* Another reclaimer holds the superblock Busy; hand the
-                block back rather than spin against it. *)
-             Superblock.mark_cached sb addr;
-             Deferred_list.push dfl sb addr
-           | Global_index.Not_member { owner } ->
-             Superblock.mark_cached sb addr;
-             if owner = 0 then Deferred_list.push dfl sb addr (* claim in transit *)
-             else begin
-               incr forwarded;
-               event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
-               spill := (sb, addr) :: !spill
-             end)
-         items;
+             List.iter (fun _ -> Alloc_stats.on_drain h.sh ~usable) addrs;
+             mine := !mine + List.length addrs
+           | Global_index.Requeue | Global_index.Not_member { owner = 0 } ->
+             (* Another reclaimer holds the superblock Busy, or a claim is
+                in transit: hand the run back rather than spin against it. *)
+             back := List.map (fun addr -> (sb, addr)) addrs @ !back
+           | Global_index.Not_member { owner = _ } ->
+             List.iter
+               (fun addr ->
+                 incr forwarded;
+                 event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
+                 spill := (sb, addr) :: !spill)
+               addrs)
+         (runs items);
+       if !back <> [] then Deferred_list.push_many gfl !back;
        if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
        if !mine > 0 then begin
          Alloc_stats.on_deferred_reclaim h.sh;
@@ -601,7 +634,8 @@ let refill t h ~sclass ~block_size ~spill =
        | Some sb ->
          (* The claim CAS made the superblock private; a free racing the
             owner flip sees owner 0 + word Absent and parks the block on
-            heap 0's deferred list, whose next reclaim forwards it to us. *)
+            its heap's global-free shard, whose next reclaim forwards it
+            to us. *)
          Superblock.set_owner sb (Heap_core.id h.core);
          Alloc_stats.on_global_pop t.stats;
          Some sb)
@@ -668,7 +702,7 @@ let refill t h ~sclass ~block_size ~spill =
    superblock may migrate to the global heap between the read and the lock
    (the paper's free protocol). Under the lock-free index an owner-0
    superblock has no lock to take — it returns [None] and the caller
-   routes the block through heap 0's deferred list instead. *)
+   parks the block on its own heap's global-free shard instead. *)
 let rec lock_owner t sb =
   let id = Superblock.owner sb in
   if id = 0 && t.gindex <> None then None
@@ -729,15 +763,15 @@ let trim_heap ?(deep = false) t h ~sclass =
    [lock_owner], so every round frees at least one block. *)
 let rec dispose_batch t pairs =
   (* Under the lock-free index, owner-0 blocks have no heap to lock:
-     they go to heap 0's deferred list in one pre-linked CAS (custody
-     marks stay on until the reclaim clears them). *)
+     they go to the calling heap's global-free shard in one pre-linked
+     CAS (custody marks stay on until the reclaim clears them). *)
   let pairs =
-    match (t.gindex, t.global.dfl) with
-    | Some _, Some dfl ->
+    match t.gindex with
+    | Some _ ->
       let global, rest = List.partition (fun (sb, _) -> Superblock.owner sb = 0) pairs in
-      if global <> [] then Deferred_list.push_many dfl global;
+      if global <> [] then park_global (my_heap t) global;
       rest
-    | _ -> pairs
+    | None -> pairs
   in
   match pairs with
   | [] -> ()
@@ -761,18 +795,20 @@ let rec dispose_batch t pairs =
        h.lock.release ();
        dispose_batch t !later)
 
-(* Route cache-evicted blocks out. Deferred mode: partition by the owner
-   observed now and publish each group as one pre-linked chain — a single
-   CAS per owner heap instead of one per block, no queue lock, no cap, no
-   locked fallback; a block whose superblock migrates between the owner
-   read and the push just lands on the stale owner's list, whose reclaim
-   forwards it. Queue mode: partition by owner, push each group onto its
-   owner's remote-free queue in one innermost-lock critical section, and
-   hand whatever the caps reject to the classic locked path in one batch.
-   Each block's owner must be read ONCE: on real domains a concurrent
-   transfer can change it between two reads, and consing onto one owner's
-   group while storing under the other's index copies a whole group —
-   every block in it queued twice, a double free at the second drain. *)
+(* Route cache-evicted blocks out. Under the lock-free index, owner-0
+   blocks park on the calling heap's global-free shard in one pre-linked
+   CAS. Deferred mode: partition by the owner observed now and publish
+   each group as one pre-linked chain — a single CAS per owner heap
+   instead of one per block, no queue lock, no cap, no locked fallback; a
+   block whose superblock migrates between the owner read and the push
+   just lands on the stale owner's list, whose reclaim forwards it. Queue
+   mode: partition by owner, push each group onto its owner's remote-free
+   queue in one innermost-lock critical section, and hand whatever the
+   caps reject to the classic locked path in one batch. Each block's
+   owner must be read ONCE: on real domains a concurrent transfer can
+   change it between two reads, and consing onto one owner's group while
+   storing under the other's index copies a whole group — every block in
+   it queued twice, a double free at the second drain. *)
 let surrender_many t tc pairs =
   let groups = Array.make (Array.length t.heaps + 1) [] in
   List.iter
@@ -780,7 +816,19 @@ let surrender_many t tc pairs =
       let id = Superblock.owner sb in
       groups.(id) <- (sb, addr) :: groups.(id))
     pairs;
-  if t.cfg.deferred then begin
+  let enqueued group =
+    List.iter
+      (fun (sb, addr) ->
+        Alloc_stats.on_deferred_enqueue tc.tc_sh;
+        event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
+      group
+  in
+  if t.gindex <> None && groups.(0) <> [] then begin
+    park_global (my_heap t) groups.(0);
+    enqueued groups.(0);
+    groups.(0) <- []
+  end;
+  if t.cfg.deferred then
     Array.iteri
       (fun id group ->
         match group with
@@ -789,53 +837,36 @@ let surrender_many t tc pairs =
           (match (heap_by_id t id).dfl with
            | Some dfl -> Deferred_list.push_many dfl group
            | None -> assert false (* deferred mode builds a list per heap *));
+          enqueued group)
+      groups
+  else begin
+    let overflow = ref [] in
+    Array.iteri
+      (fun id group ->
+        match group with
+        | [] -> ()
+        | (sb0, _) :: _ ->
+          let h = heap_by_id t id in
+          h.rq_lock.acquire ();
+          let accepted = ref 0 in
+          let room = ref (t.rq_cap - h.rq_len) in
           List.iter
             (fun (sb, addr) ->
-              Alloc_stats.on_deferred_enqueue tc.tc_sh;
-              event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
-            group)
-      groups
-  end
-  else begin
-  let overflow = ref [] in
-  Array.iteri
-    (fun id group ->
-      match group with
-      | [] -> ()
-      | _ when id = 0 && t.gindex <> None ->
-        (* Queue mode, lock-free global heap: heap 0 has no drained queue,
-           so owner-0 evictions go to its deferred list — one pre-linked
-           CAS, no cap, no locked fallback. *)
-        (match t.global.dfl with
-         | Some dfl -> Deferred_list.push_many dfl group
-         | None -> assert false (* the lock-free index forces heap 0's list *));
-        List.iter
-          (fun (sb, addr) ->
-            Alloc_stats.on_deferred_enqueue tc.tc_sh;
-            event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
-          group
-      | (sb0, _) :: _ ->
-        let h = heap_by_id t id in
-        h.rq_lock.acquire ();
-        let accepted = ref 0 in
-        let room = ref (t.rq_cap - h.rq_len) in
-        List.iter
-          (fun (sb, addr) ->
-            if !room > 0 then begin
-              decr room;
-              h.rq_blocks <- (sb, addr) :: h.rq_blocks;
-              h.rq_len <- h.rq_len + 1;
-              incr accepted
-            end
-            else overflow := (sb, addr) :: !overflow)
-          group;
-        h.rq_lock.release ();
-        if !accepted > 0 then begin
-          Alloc_stats.on_remote_enqueue tc.tc_sh ~blocks:!accepted;
-          event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass sb0) ~arg:!accepted
-        end)
-    groups;
-  dispose_batch t !overflow
+              if !room > 0 then begin
+                decr room;
+                h.rq_blocks <- (sb, addr) :: h.rq_blocks;
+                h.rq_len <- h.rq_len + 1;
+                incr accepted
+              end
+              else overflow := (sb, addr) :: !overflow)
+            group;
+          h.rq_lock.release ();
+          if !accepted > 0 then begin
+            Alloc_stats.on_remote_enqueue tc.tc_sh ~blocks:!accepted;
+            event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass sb0) ~arg:!accepted
+          end)
+      groups;
+    dispose_batch t !overflow
   end
 
 (* Evict the oldest half of an overflowing class so the next [fe/2] frees
@@ -1101,20 +1132,18 @@ let free_now t addr =
         h.lock.release ()
       | None ->
         (* The superblock lives in the lock-free global heap: park the
-           block on heap 0's deferred list (one CAS; the next reclaim
-           completes the free through the Busy handshake). The block
-           enters front-end-style custody — counted as freed now, still
-           charged to live bytes until reclaimed — and only MY heap's
-           lock is taken, for its stats shard and ring. *)
+           block on MY heap's global-free shard (one CAS; my heap's next
+           reclaim completes the free through the Busy handshake). The
+           block enters front-end-style custody — counted as freed now,
+           still charged to live bytes until reclaimed — and only MY
+           heap's lock is taken, for its stats shard and ring. *)
         if (not (Superblock.is_block_live sb addr)) || Superblock.is_block_cached sb addr then
           failwith "Hoard.free: double free";
         let h = my_heap t in
         h.lock.acquire ();
         t.pf.Platform.write ~addr ~len:8;
         Superblock.mark_cached sb addr;
-        (match t.global.dfl with
-         | Some dfl -> Deferred_list.push dfl sb addr
-         | None -> assert false (* the lock-free index forces heap 0's list *));
+        park_global h [ (sb, addr) ];
         Alloc_stats.on_cached_free h.sh;
         Alloc_stats.on_deferred_enqueue h.sh;
         event t h Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr;
@@ -1261,19 +1290,14 @@ let quarantine_length t =
     n
 
 (* In-thread flush: cache out to the owners' queues, then drain and trim
-   the calling thread's own heap. *)
+   the calling thread's own heap, plus (under the lock-free index) its
+   global-free shard — all without the heap-0 lock. *)
 let flush t =
   drain_quarantine t;
-  if t.fe > 0 then
-    match IntMap.find_opt (t.pf.Platform.self_tid ()) (Atomic.get t.tcaches) with
-    | Some tc -> flush_tcache t tc
-    | None -> ()
-
-(* ... then drain and trim the calling thread's own heap, plus (under the
-   lock-free index) heap 0's deferred list — all without the heap-0
-   lock. *)
-let flush t =
-  flush t;
+  (if t.fe > 0 then
+     match IntMap.find_opt (t.pf.Platform.self_tid ()) (Atomic.get t.tcaches) with
+     | Some tc -> flush_tcache t tc
+     | None -> ());
   if t.fe > 0 || t.gindex <> None then begin
     let h = my_heap t in
     let spill = ref [] in
@@ -1426,12 +1450,13 @@ let flush_caches t =
     let items = h.rq_blocks in
     h.rq_blocks <- [];
     h.rq_len <- 0;
-    match h.dfl with
-    | None -> items
-    | Some dfl ->
-      (* The quiescent drain uses charge-free peek/poke, so it is as
-         cost- and schedule-invisible as the queue grab above. *)
-      List.rev_append (Deferred_list.drain_quiescent dfl) items
+    (* The quiescent drain uses charge-free peek/poke, so it is as cost-
+       and schedule-invisible as the queue grab above. *)
+    List.fold_left
+      (fun acc -> function
+        | None -> acc
+        | Some l -> List.rev_append (Deferred_list.drain_quiescent l) acc)
+      items [ h.dfl; h.gfl ]
   in
   (* At quiescence owners are stable, so one pass routes every queued
      block to its final heap. *)
@@ -1532,24 +1557,30 @@ let heap_info t id =
 let cache_counts t =
   List.rev (IntMap.fold (fun tid tc acc -> (tid, Array.copy tc.tc_count) :: acc) (Atomic.get t.tcaches) [])
 
-let remote_queue_lengths t =
-  Array.init
-    (Array.length t.heaps + 1)
-    (fun id ->
-      let h = heap_by_id t id in
-      h.rq_len
-      +
-      match h.dfl with
-      | None -> 0
-      | Some dfl -> Deferred_list.length dfl)
+let list_length = function
+  | None -> 0
+  | Some l -> Deferred_list.length l
 
+(* Blocks on each heap's deferred list; heap 0's entry also sums the
+   global-free shards (empty outside the lock-free index), whose blocks
+   all wait on global superblocks. *)
 let deferred_lengths t =
   Array.init
     (Array.length t.heaps + 1)
     (fun id ->
-      match (heap_by_id t id).dfl with
-      | None -> 0
-      | Some dfl -> Deferred_list.length dfl)
+      let own = list_length (heap_by_id t id).dfl in
+      if id = 0 then Array.fold_left (fun acc h -> acc + list_length h.gfl) own t.heaps else own)
+
+let iter_global_free t f =
+  Array.iter
+    (fun h ->
+      match h.gfl with
+      | None -> ()
+      | Some l -> Deferred_list.iter l (fun sb addr -> f ~heap:(Heap_core.id h.core) sb addr))
+    t.heaps
+
+let remote_queue_lengths t =
+  Array.mapi (fun id n -> n + (heap_by_id t id).rq_len) (deferred_lengths t)
 
 let large_cache_length t =
   match t.lcache with
@@ -1600,23 +1631,26 @@ let check t =
   in
   if total_u + Locked_large.live_bytes t.large <> s.live_bytes then
     failwith "Hoard.check: live-bytes accounting mismatch";
-  (* Deferred free lists (quiescent structural walk; [Deferred_list.iter]
-     itself rejects cycles, payload-less nodes and length drift): every
-     listed block is bitmap-live and custody-marked in its superblock —
-     it stays charged to the owning heap until the owner's reclaim,
-     exactly like a queued block. *)
-  let check_dfl h =
-    match h.dfl with
+  (* Deferred free lists and global-free shards (quiescent structural
+     walk; [Deferred_list.iter] itself rejects cycles, payload-less nodes
+     and length drift): every listed block is bitmap-live and
+     custody-marked in its superblock — it stays charged to the owning
+     heap until a reclaim, exactly like a queued block. *)
+  let check_list = function
     | None -> ()
-    | Some dfl ->
-      Deferred_list.iter dfl (fun sb addr ->
+    | Some l ->
+      Deferred_list.iter l (fun sb addr ->
           if not (Superblock.is_block_live sb addr) then
             failwith (Printf.sprintf "Hoard.check: deferred block %#x not bitmap-live" addr);
           if not (Superblock.is_block_cached sb addr) then
             failwith (Printf.sprintf "Hoard.check: deferred block %#x without custody mark" addr))
   in
-  check_dfl t.global;
-  Array.iter check_dfl t.heaps;
+  let check_heap_lists h =
+    check_list h.dfl;
+    check_list h.gfl
+  in
+  check_heap_lists t.global;
+  Array.iter check_heap_lists t.heaps;
   (* Large cache: buckets within capacity, stacks structurally sound,
      every parked region mapped and decommitted. *)
   (match t.lcache with

@@ -127,12 +127,21 @@ val cache_counts : t -> (int * int array) list
 
 val remote_queue_lengths : t -> int array
 (** Pending remote-free count per heap (bounded queue plus deferred
-    list), index 0 = global. Lock-free reads; call at quiescence. *)
+    list), index 0 = global, which also sums the global-free shards.
+    Lock-free reads; call at quiescence. *)
 
 val deferred_lengths : t -> int array
 (** Blocks currently parked on each heap's deferred free list, index 0 =
-    global (all zeros without [config.deferred]). Lock-free reads; call
-    at quiescence. *)
+    global. Under [global = Lockfree] heap 0 has no list of its own and
+    index 0 sums the per-heap global-free shards instead; otherwise it is
+    heap 0's list (all zeros without [config.deferred]). Lock-free reads;
+    call at quiescence. *)
+
+val iter_global_free : t -> (heap:int -> Superblock.t -> int -> unit) -> unit
+(** Every block parked on a global-free shard ([global = Lockfree] only),
+    with the id of the heap whose shard holds it: the frees of blocks in
+    global superblocks, waiting for that heap's next refill or flush.
+    Quiescent-only walk. *)
 
 val large_cache_length : t -> int
 (** Regions currently parked in the large-object cache (0 when

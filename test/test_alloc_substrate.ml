@@ -487,6 +487,117 @@ let test_large_roundtrip () =
   let s = Alloc_stats.snapshot stats in
   Alcotest.(check int) "held back to zero" 0 s.Alloc_stats.held_bytes
 
+(* --- Global_index.free_run --- *)
+
+(* A host platform whose index atomics count successful CASes on the
+   entry-stack heads ("gidx.c<class>b<bin>", "gidx.empties"): during a
+   free only pushes touch them, so the count is the entries pushed. *)
+let gidx_counting () =
+  let pf = Platform.host () in
+  let entry_pushes = ref 0 in
+  let is_head name = name = "gidx.empties" || Astring.String.is_prefix ~affix:"gidx.c" name in
+  let new_atomic name init =
+    let a = pf.Platform.new_atomic name init in
+    if not (is_head name) then a
+    else
+      {
+        a with
+        Platform.cas =
+          (fun ~expected ~desired ->
+            let ok = a.Platform.cas ~expected ~desired in
+            if ok then incr entry_pushes;
+            ok);
+      }
+  in
+  let gi = Global_index.create { pf with Platform.new_atomic } ~name:"gidx" ~nclasses:1 ~ngroups:2 () in
+  (gi, entry_pushes)
+
+(* A full member of class 0: 512 B blocks in a 4 KiB superblock. *)
+let full_member gi ~base =
+  let sb = Superblock.create ~base ~sb_size:4096 ~sclass:0 ~block_size:512 in
+  let addrs = List.init (Superblock.n_blocks sb) (fun _ -> Superblock.alloc_block sb) in
+  Global_index.publish gi sb;
+  (sb, addrs)
+
+let freed = function
+  | Global_index.Freed { now_empty } -> Some now_empty
+  | Global_index.Requeue | Global_index.Not_member _ -> None
+
+let test_free_run_one_rebin_entry () =
+  let gi, entry_pushes = gidx_counting () in
+  let sb, addrs = full_member gi ~base:4096 in
+  let n = List.length addrs in
+  Alcotest.(check int) "u_bytes counts the member" (n * 512) (Global_index.u_bytes gi);
+  (* Every block but one: the run crosses from the full bin through each
+     partial bin, yet pushes one entry, for the bin it ends in. *)
+  let run = List.tl addrs in
+  let pushed = !entry_pushes in
+  Alcotest.(check (option bool)) "freed, not empty" (Some false) (freed (Global_index.free_run gi sb ~addrs:run));
+  Alcotest.(check int) "one re-bin entry" 1 (!entry_pushes - pushed);
+  Alcotest.(check int) "u_bytes drops by the run" 512 (Global_index.u_bytes gi);
+  Alcotest.(check int) "one block live" 1 (Superblock.used sb);
+  Global_index.check gi
+
+let test_free_run_empties_once () =
+  let gi, entry_pushes = gidx_counting () in
+  let sb, addrs = full_member gi ~base:4096 in
+  List.iter (Superblock.mark_cached sb) addrs;
+  let pushed = !entry_pushes in
+  let insides = ref 0 in
+  Alcotest.(check (option bool)) "freed, now empty" (Some true)
+    (freed (Global_index.free_run gi sb ~addrs ~inside:(fun () -> incr insides)));
+  Alcotest.(check int) "inside ran once" 1 !insides;
+  Alcotest.(check int) "empties rose once" 1 (Global_index.empties gi);
+  Alcotest.(check int) "one entry, on the empties stack" 1 (!entry_pushes - pushed);
+  Alcotest.(check int) "u_bytes back to zero" 0 (Global_index.u_bytes gi);
+  Alcotest.(check bool) "custody marks cleared" false (List.exists (Superblock.is_block_cached sb) addrs);
+  Global_index.check gi
+
+(* Blocks a refused run must leave exactly as they were. *)
+let check_untouched label sb addrs =
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (label ^ ": still live") true (Superblock.is_block_live sb a);
+      Alcotest.(check bool) (label ^ ": still custody-marked") true (Superblock.is_block_cached sb a))
+    addrs
+
+let test_free_run_busy_requeues () =
+  let gi, _ = gidx_counting () in
+  let sb, addrs = full_member gi ~base:4096 in
+  let first = [ List.nth addrs 0; List.nth addrs 1 ] and second = [ List.nth addrs 2; List.nth addrs 3 ] in
+  List.iter (Superblock.mark_cached sb) second;
+  (* The second run arrives while the first holds the word Busy. *)
+  let inner = ref None in
+  let outer =
+    Global_index.free_run gi sb ~addrs:first ~inside:(fun () ->
+        inner := Some (Global_index.free_run gi sb ~addrs:second ~inside:(fun () -> Alcotest.fail "inside ran")))
+  in
+  Alcotest.(check (option bool)) "outer freed" (Some false) (freed outer);
+  Alcotest.(check bool) "inner requeued" true (!inner = Some Global_index.Requeue);
+  check_untouched "busy" sb second;
+  Alcotest.(check int) "u_bytes: the outer run only" ((Superblock.n_blocks sb - 2) * 512) (Global_index.u_bytes gi);
+  Global_index.check gi
+
+let test_free_run_absent_not_member () =
+  let gi, _ = gidx_counting () in
+  let sb, addrs = full_member gi ~base:4096 in
+  (* Make it allocatable, then claim it away. *)
+  (match Global_index.free_run gi sb ~addrs:[ List.hd addrs ] with
+   | Global_index.Freed _ -> ()
+   | _ -> Alcotest.fail "setup free");
+  (match Global_index.acquire gi ~sclass:0 with
+   | Some s -> Alcotest.(check bool) "claimed the member" true (s == sb)
+   | None -> Alcotest.fail "acquire missed the member");
+  Superblock.set_owner sb 3;
+  let run = [ List.nth addrs 1; List.nth addrs 2 ] in
+  List.iter (Superblock.mark_cached sb) run;
+  (match Global_index.free_run gi sb ~addrs:run ~inside:(fun () -> Alcotest.fail "inside ran") with
+   | Global_index.Not_member { owner } -> Alcotest.(check int) "names the new owner" 3 owner
+   | _ -> Alcotest.fail "an Absent word must answer Not_member");
+  check_untouched "absent" sb run;
+  Alcotest.(check int) "no members" 0 (Global_index.members gi);
+  Global_index.check gi
+
 let () =
   Alcotest.run "alloc-substrate"
     [
@@ -539,6 +650,13 @@ let () =
         [
           Alcotest.test_case "lookup" `Quick test_registry_lookup;
           Alcotest.test_case "duplicate" `Quick test_registry_duplicate_rejected;
+        ] );
+      ( "global-index",
+        [
+          Alcotest.test_case "free_run pushes one re-bin entry" `Quick test_free_run_one_rebin_entry;
+          Alcotest.test_case "free_run empties once" `Quick test_free_run_empties_once;
+          Alcotest.test_case "free_run requeues on Busy" `Quick test_free_run_busy_requeues;
+          Alcotest.test_case "free_run refuses an Absent word" `Quick test_free_run_absent_not_member;
         ] );
       ( "large",
         [

@@ -300,8 +300,8 @@ let test_global_no_aba_mutant_caught () =
             (Explorer.schedule_to_string f.Explorer.f_schedule)))
 
 let test_global_index_free_clean () =
-  (* Frees' Busy handshake racing a claim CAS: the full bound-2 sleep
-     tree is ~3k interleavings. *)
+  (* Two-block runs' Busy handshakes, writes inside Busy, racing a claim
+     CAS: the full bound-2 sleep tree is ~4.7k interleavings. *)
   let o =
     Explorer.explore ~strategy:Explorer.Sleep_dfs ~bound:2 ~max_runs:200_000
       (Scenarios.global_index_free ~mutant:"")
@@ -344,6 +344,23 @@ let test_global_transfer_explored () =
    | Some f ->
      Alcotest.fail
        (sprintf "global transfer failed under [%s]: %s"
+          (Explorer.schedule_to_string f.Explorer.f_schedule)
+          f.Explorer.f_message));
+  Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
+
+let test_global_free_shards_explored () =
+  (* Two heaps' shard reclaims racing each other and a refill's claim
+     through the real allocator. Bound 1 sleep is exhaustive at ~800
+     runs; the bound-2 sleep tree (~28k runs, ~13s) is certified in
+     deep-check. *)
+  let o =
+    Explorer.explore ~strategy:Explorer.Sleep_dfs ~bound:1 ~max_runs:200_000 Scenarios.global_free_shards
+  in
+  (match o.Explorer.o_failure with
+   | None -> ()
+   | Some f ->
+     Alcotest.fail
+       (sprintf "global-free shards failed under [%s]: %s"
           (Explorer.schedule_to_string f.Explorer.f_schedule)
           f.Explorer.f_message));
   Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
@@ -762,6 +779,7 @@ let () =
           Alcotest.test_case "busy handshake survives bound 2" `Quick test_global_index_free_clean;
           Alcotest.test_case "blind claim store caught" `Quick test_global_skip_revalidate_mutant_caught;
           Alcotest.test_case "end-to-end transfer survives" `Quick test_global_transfer_explored;
+          Alcotest.test_case "global-free shards survive" `Quick test_global_free_shards_explored;
         ] );
       ( "oracle",
         [

@@ -1198,6 +1198,98 @@ let test_gl_reclaim_reads_size_before_free () =
   Alcotest.(check int) "every request served" 5120
     (Histogram.count (Server_mix.request_latencies r.Slo.sv_recorder))
 
+(* --- the global-free shards (global = lockfree) --- *)
+
+(* Every block parked on a global-free shard, as (heap, address). *)
+let global_free_blocks h =
+  let l = ref [] in
+  Hoard.iter_global_free h (fun ~heap _ addr -> l := (heap, addr) :: !l);
+  !l
+
+(* Thread 0 (heap 1) allocates four blocks of one superblock and exits,
+   so adoption publishes the superblock — live blocks inside — to the
+   lock-free index. Thread 1 (heap 2) frees one of them: without a front
+   end the free parks on heap 2's global-free shard. Thread 2 (heap 3)
+   then refills for another size class, which reclaims only heap 3's
+   shard; with [~flush] thread 1 flushes last. Returns the instance, its
+   allocator, the four blocks, the shard contents after the free and
+   after the refill, and [deferred_lengths.(0)] /
+   [remote_queue_lengths.(0)] at the first of those points. *)
+let global_free_shard_run ~flush =
+  let sim = Sim.create ~nprocs:3 () in
+  let pf = Sim.platform sim in
+  let config =
+    {
+      cfg with
+      Hoard_config.nheaps = Some 3;
+      front_end = 0;
+      release_to_os = false;
+      global = Hoard_config.Lockfree;
+    }
+  in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let b = Sim.new_barrier sim ~parties:3 in
+  let blocks = ref [||] in
+  let after_free = ref [] and after_refill = ref [] and lengths = ref (0, 0) in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         blocks := Array.init 4 (fun _ -> a.Alloc_intf.malloc 64);
+         a.Alloc_intf.thread_exit ();
+         Sim.barrier_wait b;
+         Sim.barrier_wait b;
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         a.Alloc_intf.free !blocks.(0);
+         Sim.barrier_wait b;
+         Sim.barrier_wait b;
+         if flush then a.Alloc_intf.flush ()));
+  ignore
+    (Sim.spawn sim ~proc:2 (fun () ->
+         Sim.barrier_wait b;
+         Sim.barrier_wait b;
+         after_free := global_free_blocks h;
+         lengths := ((Hoard.deferred_lengths h).(0), (Hoard.remote_queue_lengths h).(0));
+         ignore (a.Alloc_intf.malloc 256);
+         after_refill := global_free_blocks h;
+         Sim.barrier_wait b));
+  Sim.run sim;
+  (h, a, !blocks, !after_free, !after_refill, !lengths)
+
+let test_global_free_parks_on_freeing_heap () =
+  let h, a, blocks, after_free, after_refill, (dfl0, rq0) = global_free_shard_run ~flush:true in
+  Alcotest.(check (list (pair int int))) "parked on heap 2's shard" [ (2, blocks.(0)) ] after_free;
+  Alcotest.(check int) "deferred_lengths.(0) sums the shards" 1 dfl0;
+  Alcotest.(check int) "remote_queue_lengths.(0) sums the shards" 1 rq0;
+  Alcotest.(check (list (pair int int))) "heap 3's refill leaves it on heap 2's shard" [ (2, blocks.(0)) ]
+    after_refill;
+  (* Heap 2's flush reclaimed its shard through the Busy handshake. *)
+  Alcotest.(check (list (pair int int))) "heap 2's flush completed it" [] (global_free_blocks h);
+  Alcotest.(check int) "shards summed empty" 0 (Hoard.deferred_lengths h).(0);
+  Alcotest.(check int) "superblock still in the index" 1 (Hoard.heap_info h 0).Hoard.superblocks;
+  Alcotest.(check int) "its live bytes fell by one block" (3 * 64) (Hoard.heap_info h 0).Hoard.u_bytes;
+  Hoard.check h;
+  let classes = Hoard.size_classes h in
+  let big = Size_class.size_of_class classes (Size_class.class_of_size classes 256) in
+  Alcotest.(check int) "live: three 64 B blocks and the refill's block" ((3 * 64) + big)
+    (a.Alloc_intf.stats ()).Alloc_stats.live_bytes
+
+let test_check_walks_global_free_shards () =
+  let h, _, _, _, _, _ = global_free_shard_run ~flush:false in
+  Hoard.check h;
+  let n = ref 0 in
+  Hoard.iter_global_free h (fun ~heap:_ sb addr ->
+      incr n;
+      Superblock.clear_cached sb addr);
+  Alcotest.(check int) "one block parked" 1 !n;
+  match Hoard.check h with
+  | () -> Alcotest.fail "Hoard.check must reject a parked block without its custody mark"
+  | exception Failure msg ->
+    Alcotest.(check bool) ("names the custody mark: " ^ msg) true
+      (Astring.String.is_infix ~affix:"without custody mark" msg)
+
 (* The knob registry: make, textual set/set_all, name normalization,
    registry-driven help and printing. *)
 let test_knob_registry () =
@@ -1381,5 +1473,8 @@ let () =
           Alcotest.test_case "orphan adoptions match events" `Quick test_orphan_adoptions_match_events;
           Alcotest.test_case "lockfree reclaim reads size before free" `Quick
             test_gl_reclaim_reads_size_before_free;
+          Alcotest.test_case "global free parks on the freeing heap" `Quick
+            test_global_free_parks_on_freeing_heap;
+          Alcotest.test_case "check walks the global-free shards" `Quick test_check_walks_global_free_shards;
         ] );
     ]
