@@ -14,7 +14,8 @@ type heap = {
   (* cfg.global = Lockfree, per-processor heaps only: this heap's shard of
      the global-free list. Threads on this heap park the blocks they free
      into global superblocks here; only this heap's refills and flushes
-     reclaim it, so no single word serialises every global free. *)
+     reclaim it — or the parking thread, once it outgrows
+     [global_free_cap] — so no single word serialises every global free. *)
   gfl : Deferred_list.t option;
 }
 
@@ -238,21 +239,28 @@ let too_empty ?slack t core =
 
 let touch_header t sb = t.pf.Platform.write ~addr:(Superblock.base sb) ~len:16
 
+(* Group a batch of blocks by superblock, in first-seen order; each
+   group keeps its blocks in batch order. Every per-superblock effect of a
+   batch — one header write, one block left for the free-list head, one
+   Busy handshake — walks these groups. *)
+let by_superblock items =
+  List.fold_left
+    (fun groups (sb, x) ->
+      match List.assq_opt sb groups with
+      | Some r ->
+        r := x :: !r;
+        groups
+      | None -> (sb, ref [ x ]) :: groups)
+    [] items
+  |> List.rev_map (fun (sb, r) -> (sb, List.rev !r))
+
 (* Write the header of each distinct superblock in a batch once, in
    first-seen order. A batch updates a header's free-list head and counts
    for every block it moves, but they all sit on one line: dirtying it once
    per superblock per batch is the cost, not once per block — and every
    simulated write inside a critical section is a point where co-located
    lock waiters run. *)
-let touch_headers t sbs =
-  let rec go seen = function
-    | [] -> ()
-    | sb :: rest when List.memq sb seen -> go seen rest
-    | sb :: rest ->
-      touch_header t sb;
-      go (sb :: seen) rest
-  in
-  go [] sbs
+let touch_headers t items = List.iter (fun (sb, _) -> touch_header t sb) (by_superblock items)
 
 (* Return one block the program already freed (it sat in a cache, a
    queue or a deferred list) to [h]'s core: host-side bookkeeping only.
@@ -277,7 +285,10 @@ type detached = {
    free-list head, so [splice] writes it under the lock. The blocks are
    custody-marked and still charged to live bytes, so their superblock
    cannot empty, park or unmap underneath these writes; a superblock that
-   migrates meanwhile is forwarded with its links, the writes wasted. *)
+   migrates meanwhile is forwarded with its links, the writes wasted.
+   The writes go in batch order, not grouped per superblock: their order
+   is schedule-visible, and regrouping them changes the simulated cycles
+   of every configuration that drains a batch. *)
 let prelink t items =
   let rec go seen = function
     | [] -> ()
@@ -317,15 +328,11 @@ let splice t h items ~forward =
         end)
       items
   in
-  let rec tails seen = function
-    | [] -> ()
-    | (sb, _) :: rest when List.memq sb seen -> tails seen rest
-    | (sb, addr) :: rest ->
-      t.pf.Platform.write ~addr ~len:8;
-      touch_header t sb;
-      tails (sb :: seen) rest
-  in
-  tails [] freed;
+  List.iter
+    (fun (sb, addrs) ->
+      t.pf.Platform.write ~addr:(List.hd addrs) ~len:8;
+      touch_header t sb)
+    (by_superblock freed);
   List.length freed
 
 (* Record into [h]'s ring; the caller must hold [h]'s lock (the ring
@@ -446,7 +453,9 @@ let publish_global t h gi sb =
 (* Park blocks of owner-0 superblocks (lock-free global heap) on [h]'s
    shard of the global-free list: one CAS for the whole batch, no lock.
    [h] is the calling thread's heap, whose own refills and flushes
-   complete the frees. The blocks keep their custody marks until then. *)
+   complete the frees; a parker that finds the shard over
+   [global_free_cap] completes it on the spot ([settle_global]). The
+   blocks keep their custody marks until then. *)
 let park_global h items =
   match h.gfl with
   | Some gfl -> Deferred_list.push_many gfl items
@@ -554,20 +563,6 @@ let free_reclaimed t h items =
     event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
     mine
 
-(* Return every pending remote free [detach]ed before the lock to [h]'s
-   core: the deferred chain and the bounded queue's batch (one of them is
-   empty outside a transition). Caller holds [h]'s lock. *)
-let drain_pending t h ~detached ~spill =
-  free_reclaimed t h detached.chain + drain_rq t h detached.queued ~spill
-
-(* Group a detached chain into per-superblock runs, in first-seen order;
-   each run keeps its blocks in chain order. *)
-let rec runs = function
-  | [] -> []
-  | (sb, _) :: _ as items ->
-    let run, rest = List.partition (fun (sb', _) -> sb' == sb) items in
-    (sb, List.map snd run) :: runs rest
-
 (* Reclaim [h]'s global-free shard through the lock-free index: one
    exchange detaches it, then each superblock's run is freed with one Busy
    handshake, its link writes and single header write inside the Busy
@@ -610,7 +605,7 @@ let reclaim_global_lockfree t h gi ~spill =
                  event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
                  spill := (sb, addr) :: !spill)
                addrs)
-         (runs items);
+         (by_superblock items);
        if !back <> [] then Deferred_list.push_many gfl !back;
        if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
        if !mine > 0 then begin
@@ -618,6 +613,45 @@ let reclaim_global_lockfree t h gi ~spill =
          event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine
        end;
        !mine)
+
+(* The most blocks a global-free shard holds before the thread parking
+   onto it completes the shard itself. A heap's refills and flushes are
+   its shard's usual reclaimers, but a thread that only frees (the
+   consumer of a producer/consumer pair) runs neither, and a heap can
+   lose all its threads. Uncapped, their parked blocks stay bitmap-live
+   and charged for good, every superblock a producer claims with them
+   inside is partly unusable, and held memory grows with each trim and
+   claim. Capped, at most this many blocks per heap await completion:
+   O(P) in all. The cap is large enough that a thread retiring a whole
+   wave of objects completes long per-superblock runs, not a handshake
+   per block or two, on its own critical path. The length stands for a
+   count carried in the head node (each push stores the previous count
+   plus its chain's), so reading it costs nothing beyond the push's own
+   CAS. *)
+let global_free_cap = 1024
+
+let shard_full h =
+  match h.gfl with
+  | Some gfl -> Deferred_list.length gfl > global_free_cap
+  | None -> false
+
+(* Complete [h]'s shard once it outgrows the cap. Caller holds [h]'s lock
+   and disposes [spill] after releasing it. *)
+let settle_global t h ~spill =
+  match t.gindex with
+  | Some gi when shard_full h ->
+    ignore (reclaim_global_lockfree t h gi ~spill);
+    maybe_release_global t h gi
+  | _ -> ()
+
+(* Return every pending remote free [detach]ed before the lock to [h]'s
+   core: the deferred chain and the bounded queue's batch (one of them is
+   empty outside a transition). Forwards may have filled [h]'s
+   global-free shard past its cap. Caller holds [h]'s lock. *)
+let drain_pending t h ~detached ~spill =
+  let mine = free_reclaimed t h detached.chain + drain_rq t h detached.queued ~spill in
+  settle_global t h ~spill;
+  mine
 
 (* Fetch a superblock usable for [sclass] from the global heap, the
    reservoir, or the OS, and insert it into [h] (whose lock the caller
@@ -756,6 +790,18 @@ let trim_heap ?(deep = false) t h ~sclass =
     done
   end
 
+(* [settle_global] for a caller holding no lock: returns the spill for
+   the caller to dispose. *)
+let settle_global_unlocked t h =
+  if not (shard_full h) then []
+  else begin
+    let spill = ref [] in
+    h.lock.acquire ();
+    settle_global t h ~spill;
+    h.lock.release ();
+    !spill
+  end
+
 (* Classic locked disposal of blocks already counted as freed (they sat
    in a cache or overflowed a queue), batched: one heap-lock acquisition
    covers every block with the same current owner; blocks that migrate
@@ -769,8 +815,12 @@ let rec dispose_batch t pairs =
     match t.gindex with
     | Some _ ->
       let global, rest = List.partition (fun (sb, _) -> Superblock.owner sb = 0) pairs in
-      if global <> [] then park_global (my_heap t) global;
-      rest
+      if global <> [] then begin
+        let h = my_heap t in
+        park_global h global;
+        List.rev_append (settle_global_unlocked t h) rest
+      end
+      else rest
     | None -> pairs
   in
   match pairs with
@@ -786,7 +836,7 @@ let rec dispose_batch t pairs =
            if Superblock.owner sb = id then begin
              t.pf.Platform.write ~addr ~len:8;
              free_owned h sb addr;
-             freed_into := sb :: !freed_into
+             freed_into := (sb, addr) :: !freed_into
            end
            else later := (sb, addr) :: !later)
          pairs;
@@ -823,12 +873,17 @@ let surrender_many t tc pairs =
         event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
       group
   in
-  if t.gindex <> None && groups.(0) <> [] then begin
-    park_global (my_heap t) groups.(0);
-    enqueued groups.(0);
-    groups.(0) <- []
-  end;
-  if t.cfg.deferred then
+  let settled =
+    if t.gindex <> None && groups.(0) <> [] then begin
+      let h = my_heap t in
+      park_global h groups.(0);
+      enqueued groups.(0);
+      groups.(0) <- [];
+      settle_global_unlocked t h
+    end
+    else []
+  in
+  if t.cfg.deferred then begin
     Array.iteri
       (fun id group ->
         match group with
@@ -838,7 +893,9 @@ let surrender_many t tc pairs =
            | Some dfl -> Deferred_list.push_many dfl group
            | None -> assert false (* deferred mode builds a list per heap *));
           enqueued group)
-      groups
+      groups;
+    if settled <> [] then dispose_batch t settled
+  end
   else begin
     let overflow = ref [] in
     Array.iteri
@@ -866,7 +923,7 @@ let surrender_many t tc pairs =
             event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass sb0) ~arg:!accepted
           end)
       groups;
-    dispose_batch t !overflow
+    dispose_batch t (List.rev_append settled !overflow)
   end
 
 (* Evict the oldest half of an overflowing class so the next [fe/2] frees
@@ -981,7 +1038,7 @@ let malloc_fill t tc ~size ~sclass ~block_size =
       blocks := List.rev_append batch !blocks;
       got := !got + List.length batch
   done;
-  touch_headers t (List.rev_map snd !blocks);
+  touch_headers t (List.rev_map (fun (addr, sb) -> (sb, addr)) !blocks);
   let addr =
     match !blocks with
     | [] -> assert false (* want >= 1 *)
@@ -1083,7 +1140,7 @@ let malloc_many t n size =
               out.(!got) <- addr;
               Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
               t.pf.Platform.write ~addr ~len:8;
-              from := sb :: !from;
+              from := (sb, addr) :: !from;
               incr got)
             batch
       done;
@@ -1140,6 +1197,7 @@ let free_now t addr =
         if (not (Superblock.is_block_live sb addr)) || Superblock.is_block_cached sb addr then
           failwith "Hoard.free: double free";
         let h = my_heap t in
+        let spill = ref [] in
         h.lock.acquire ();
         t.pf.Platform.write ~addr ~len:8;
         Superblock.mark_cached sb addr;
@@ -1147,7 +1205,9 @@ let free_now t addr =
         Alloc_stats.on_cached_free h.sh;
         Alloc_stats.on_deferred_enqueue h.sh;
         event t h Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr;
-        h.lock.release ()
+        settle_global t h ~spill;
+        h.lock.release ();
+        if !spill <> [] then dispose_batch t !spill
     end
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
 

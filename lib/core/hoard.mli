@@ -138,10 +138,11 @@ val deferred_lengths : t -> int array
     call at quiescence. *)
 
 val iter_global_free : t -> (heap:int -> Superblock.t -> int -> unit) -> unit
-(** Every block parked on a global-free shard ([global = Lockfree] only),
-    with the id of the heap whose shard holds it: the frees of blocks in
-    global superblocks, waiting for that heap's next refill or flush.
-    Quiescent-only walk. *)
+(** Test hook: no allocation path uses it. Every block parked on a
+    global-free shard ([global = Lockfree] only), with the id of the heap
+    whose shard holds it: the frees of blocks in global superblocks,
+    waiting for that heap's next refill or flush, or for a parker to find
+    the shard over its cap. Quiescent-only walk. *)
 
 val large_cache_length : t -> int
 (** Regions currently parked in the large-object cache (0 when

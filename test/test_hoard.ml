@@ -1290,6 +1290,72 @@ let test_check_walks_global_free_shards () =
     Alcotest.(check bool) ("names the custody mark: " ^ msg) true
       (Astring.String.is_infix ~affix:"without custody mark" msg)
 
+(* Producer/consumer on the lock-free global heap: thread 0 (heap 1) only
+   allocates, thread 1 (heap 2) only frees, [rounds] times over a batch
+   of [n] 64 B blocks. The consumer frees in a stride, half the batch
+   before a producer flush and half after it, so the flush's trims
+   publish superblocks the second half still lives in and those frees
+   park on heap 2's global-free shard — and heap 2 never refills or
+   flushes. Returns the instance and the held bytes after each round. *)
+let free_only_run ~front_end ~rounds ~n =
+  let sim = Sim.create ~nprocs:2 () in
+  let pf = Sim.platform sim in
+  let config =
+    {
+      (Hoard_config.make ~front_end ~deferred:true ~global:Hoard_config.Lockfree ()) with
+      Hoard_config.nheaps = Some 2;
+    }
+  in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let batch = ref [||] and samples = ref [] in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         for _ = 1 to rounds do
+           batch := Array.init n (fun _ -> a.Alloc_intf.malloc 64);
+           Sim.barrier_wait b;
+           Sim.barrier_wait b;
+           a.Alloc_intf.flush ();
+           Sim.barrier_wait b;
+           Sim.barrier_wait b;
+           samples := (a.Alloc_intf.stats ()).Alloc_stats.held_bytes :: !samples
+         done));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         for _ = 1 to rounds do
+           Sim.barrier_wait b;
+           for i = 0 to (n / 2) - 1 do
+             a.Alloc_intf.free !batch.(i * 37 mod n)
+           done;
+           Sim.barrier_wait b;
+           Sim.barrier_wait b;
+           for i = n / 2 to n - 1 do
+             a.Alloc_intf.free !batch.(i * 37 mod n)
+           done;
+           Sim.barrier_wait b
+         done));
+  Sim.run sim;
+  (h, List.rev !samples)
+
+let test_free_only_thread_bounded front_end () =
+  let rounds = 100 and n = 2048 in
+  let h, samples = free_only_run ~front_end ~rounds ~n in
+  (* The program never holds more than one batch; the blowup bound leaves
+     room for another. *)
+  let peak = List.fold_left max 0 samples in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak held %d B within two batches" peak)
+    true
+    (peak <= 2 * n * 64);
+  (* Freed blocks become reusable: of the [rounds * n] blocks the consumer
+     freed, under half a batch still waits on the shards. *)
+  let parked = (Hoard.deferred_lengths h).(0) in
+  Alcotest.(check bool) (Printf.sprintf "%d blocks parked, under half a batch" parked) true (parked < n / 2);
+  Hoard.flush_caches h;
+  Hoard.check h;
+  Alcotest.(check int) "nothing live" 0 ((Hoard.allocator h).Alloc_intf.stats ()).Alloc_stats.live_bytes
+
 (* The knob registry: make, textual set/set_all, name normalization,
    registry-driven help and printing. *)
 let test_knob_registry () =
@@ -1476,5 +1542,9 @@ let () =
           Alcotest.test_case "global free parks on the freeing heap" `Quick
             test_global_free_parks_on_freeing_heap;
           Alcotest.test_case "check walks the global-free shards" `Quick test_check_walks_global_free_shards;
+          Alcotest.test_case "free-only thread stays bounded (no front end)" `Quick
+            (test_free_only_thread_bounded 0);
+          Alcotest.test_case "free-only thread stays bounded (front end)" `Quick
+            (test_free_only_thread_bounded 16);
         ] );
     ]
