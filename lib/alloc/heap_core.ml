@@ -220,15 +220,19 @@ let iter t f =
   Array.iter (fun bins -> Array.iter (fun l -> Dlist.iter f l) bins) t.groups;
   Dlist.iter f t.empties
 
-let class_profile t =
-  let n = Size_class.count t.classes in
-  let used = Array.make n 0 and blocks = Array.make n 0 in
-  iter t (fun sb ->
+let class_totals ~nclasses iter =
+  let count = Array.make nclasses 0 and used = Array.make nclasses 0 and blocks = Array.make nclasses 0 in
+  iter (fun sb ->
       let c = Superblock.sclass sb in
+      count.(c) <- count.(c) + 1;
       used.(c) <- used.(c) + Superblock.used sb;
       blocks.(c) <- blocks.(c) + Superblock.n_blocks sb);
-  Array.init n (fun c ->
-      (t.class_counts.(c), if blocks.(c) = 0 then 0. else float_of_int used.(c) /. float_of_int blocks.(c)))
+  (count, used, blocks)
+
+let class_profile ~nclasses iter =
+  let count, used, blocks = class_totals ~nclasses iter in
+  Array.init nclasses (fun c ->
+      (count.(c), if blocks.(c) = 0 then 0. else float_of_int used.(c) /. float_of_int blocks.(c)))
 
 let check t =
   let held = ref 0 and in_use = ref 0 and usable = ref 0 in

@@ -103,11 +103,16 @@ val find_allocatable : t -> sclass:int -> bool
 
 val iter : t -> (Superblock.t -> unit) -> unit
 
-val class_profile : t -> (int * float) array
-(** Per size class, [(superblock_count, fullness)] where fullness is
-    used blocks over capacity across that class's superblocks (0. when
-    the class holds none). Plain reads — call under the heap's lock or at
-    quiescence; feeds the observability heatmap. *)
+val class_totals : nclasses:int -> ((Superblock.t -> unit) -> unit) -> int array * int array * int array
+(** Per size class, over the superblocks an iterator visits: superblock
+    count, used blocks and block capacity. *)
+
+val class_profile : nclasses:int -> ((Superblock.t -> unit) -> unit) -> (int * float) array
+(** Per size class, [(superblock_count, fullness)] over the superblocks
+    an iterator visits (a heap's {!iter}, or the global heap's members),
+    where fullness is used blocks over capacity across that class's
+    superblocks (0. when the class holds none). Plain reads — call under
+    the heap's lock or at quiescence; feeds the observability heatmap. *)
 
 val check : t -> unit
 (** Full structural validation (group membership, accounting, per-

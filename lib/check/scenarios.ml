@@ -561,10 +561,14 @@ let large_cache_churn ~mutant =
    adoption happens on every schedule and the count can be asserted.
    The orphan-lost-superblock mutant drops the adopted superblock on
    the floor — heap accounting loses its live blocks and [Hoard.check]'s
-   live-bytes conservation reports it on every schedule. *)
-let exit_adoption ~mutant =
+   live-bytes conservation reports it on every schedule. With
+   [global = Lockfree] the adoption is one index publish, thread 1's free
+   parks on its heap's shard once it sees owner 0, and its refill
+   completes that free before claiming the superblock out of the index. *)
+let exit_adoption ?(global = Hoard_config.Locked) ~mutant () =
+  let name = if global = Hoard_config.Lockfree then "exit-adoption-lockfree" else "exit-adoption" in
   {
-    Explorer.sc_name = (if mutant = "" then "exit-adoption" else "exit-adoption-mutant");
+    Explorer.sc_name = (if mutant = "" then name else name ^ "-mutant");
     sc_describe =
       (if mutant = "" then
          "a remote free racing thread-exit's orphaned-superblock adoption; passes at every bound"
@@ -572,7 +576,7 @@ let exit_adoption ~mutant =
     sc_nprocs = 2;
     sc_build =
       (fun sim pf ->
-        let config = { (race_config ~mutant) with Hoard_config.nheaps = Some 2 } in
+        let config = { (race_config ~mutant) with Hoard_config.nheaps = Some 2; global } in
         let h = Hoard.create ~config pf in
         let a = Hoard.allocator h in
         let sb_size = config.Hoard_config.sb_size in
@@ -907,8 +911,10 @@ let all () =
     remote_queue_drain;
     large_cache_churn ~mutant:"";
     large_cache_churn ~mutant:"large-cache-no-aba";
-    exit_adoption ~mutant:"";
-    exit_adoption ~mutant:"orphan-lost-superblock";
+    exit_adoption ~mutant:"" ();
+    exit_adoption ~mutant:"orphan-lost-superblock" ();
+    exit_adoption ~global:Hoard_config.Lockfree ~mutant:"" ();
+    exit_adoption ~global:Hoard_config.Lockfree ~mutant:"orphan-lost-superblock" ();
     global_transfer;
     global_index_churn ~mutant:"";
     global_index_churn ~mutant:"global-no-aba";

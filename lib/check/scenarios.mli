@@ -72,6 +72,16 @@ val large_cache_churn : mutant:string -> Explorer.scenario
     under {!Explorer.Chess}: the oracle reads vmem page residency, which
     step footprints do not see (same caveat as {!park_take_order}). *)
 
+val exit_adoption : ?global:Hoard_config.global_mode -> mutant:string -> unit -> Explorer.scenario
+(** A remote free and a refill racing a retiring thread's
+    orphaned-superblock adoption, on the locked global heap
+    (["exit-adoption"]) or, with [~global:Lockfree], the lock-free one
+    (["exit-adoption-lockfree"]). The post-run oracle demands exactly
+    one adoption, intact survivor blocks and {!Hoard.check}'s live-byte
+    conservation. [mutant = "orphan-lost-superblock"] never hands the
+    adopted superblock to the global heap and fails at bound 0;
+    [mutant = ""] passes exhaustively. *)
+
 val global_transfer : Explorer.scenario
 (** The lock-free global heap end to end ([Hoard_config.global] =
     [Lockfree]): a trim's index publish racing a refill's claim CAS

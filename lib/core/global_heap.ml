@@ -1,0 +1,368 @@
+module type S = sig
+  type t
+  val heap0 : t -> Heap.t option
+  val take : t -> Heap.t -> sclass:int -> spill:(Superblock.t * int) list ref -> Superblock.t option
+  val put : t -> Heap.t -> Superblock.t list -> unit
+  val park :
+    t -> Heap.t -> (Superblock.t * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
+  val complete : t -> Heap.t -> spill:(Superblock.t * int) list ref -> unit
+  val pending : t -> Heap.t -> Deferred_list.t option
+  val q_free : t -> Superblock.t -> addr:int -> unit
+  val q_put : t -> Superblock.t -> unit
+  val info : t -> Heap.info
+  val iter_members : t -> (Superblock.t -> unit) -> unit
+  val check : t -> unit
+end
+
+type env = {
+  pf : Platform.t;
+  cfg : Hoard_config.t;
+  stats : Alloc_stats.t;
+  reg : Sb_registry.t;
+  reservoir : Sb_reservoir.t option;
+}
+
+(* Dispose of one empty superblock the caller holds privately (already
+   removed from heap 0 / the index, still registered). With a reservoir
+   it is parked — unregistered, decommitted, still mapped — so a later
+   refill pays a commit instead of an OS map; past the cap R (and always
+   without one) it goes back to the OS. [h] is the lock domain whose ring
+   records the disposal (the caller holds its lock); the reservoir lock
+   is innermost. *)
+let drop env h sb =
+  let pf = env.pf in
+  Sb_registry.unregister env.reg sb;
+  let bytes = Superblock.sb_size sb in
+  let event kind = Heap.event h kind ~sclass:(Superblock.sclass sb) ~arg:bytes in
+  let unmap () =
+    pf.page_unmap ~addr:(Superblock.base sb);
+    Alloc_stats.on_unmap env.stats ~bytes;
+    event Event_ring.Sb_unmap
+  in
+  match env.reservoir with
+  | Some res when env.cfg.mutant = "park-before-decommit" ->
+    (* MUTANT: publish first, decommit after. A concurrent refill
+       can take, recommit and start allocating from the superblock
+       before our decommit lands — which then drops pages out from
+       under live blocks: exactly the race the real path's
+       decommit-before-park ordering forbids, for the schedule
+       explorer to find. *)
+    if Sb_reservoir.park res sb then begin
+      pf.page_decommit ~addr:(Superblock.base sb);
+      Alloc_stats.on_decommit env.stats ~bytes;
+      Alloc_stats.on_park env.stats ~bytes;
+      Alloc_stats.on_park_commit env.stats;
+      event Event_ring.Decommit
+    end
+    else unmap ()
+  | Some res ->
+    (* Decommit and record stats while the superblock is still
+       private: the moment [park] publishes it, a concurrent refill
+       may take, recommit and reformat it, so a decommit (or a
+       held/reservoir gauge update) after that point would race the
+       taker — dropping pages under a live superblock. *)
+    pf.page_decommit ~addr:(Superblock.base sb);
+    Alloc_stats.on_decommit env.stats ~bytes;
+    Alloc_stats.on_park env.stats ~bytes;
+    event Event_ring.Decommit;
+    if Sb_reservoir.park res sb then Alloc_stats.on_park_commit env.stats
+    else begin
+      (* Bounced on a full reservoir: the superblock is still ours
+         and already decommitted — return it to the OS, as the
+         no-reservoir path would have. *)
+      pf.page_unmap ~addr:(Superblock.base sb);
+      Alloc_stats.on_park_bounce env.stats ~bytes;
+      event Event_ring.Sb_unmap
+    end
+  | None -> unmap ()
+
+(* The paper's heap 0: a heap record like the per-processor ones, its
+   Dlist fullness groups behind its lock, its remote-free channel drained
+   before every refill from it. Lock order: per-processor heap, then heap
+   0. *)
+module Locked = struct
+  type t = { env : env; h0 : Heap.t; heaps : Heap.t array }
+
+  let heap0 g = Some g.h0
+
+  (* Drop surplus empty superblocks. Caller holds heap 0's lock. *)
+  let release_surplus g =
+    if g.env.cfg.release_to_os then
+      while Heap_core.empty_superblock_count g.h0.core > g.env.cfg.release_threshold do
+        match Heap_core.pick_victim g.h0.core ~max_fullness:0.0 with
+        | None -> assert false (* the count said an empty superblock exists *)
+        | Some sb -> drop g.env g.h0 sb
+      done
+
+  let take g h ~sclass ~spill =
+    let h0 = g.h0 in
+    (* Pending frees may hand the global heap exactly the superblock we
+       are about to ask for. *)
+    let detached = Heap.detach h0 in
+    h0.lock.acquire ();
+    ignore (Heap.drain h0 detached ~peer:(Heap.find g.heaps ~zero:(Some h0)) ~spill);
+    let sb = Heap_core.take_for_class h0.core ~sclass in
+    (* Flip ownership before releasing the global lock: a concurrent free
+       must either see the old owner (and retry against our heap lock,
+       which we hold) or block here until the handoff is complete. *)
+    Option.iter (fun sb -> Superblock.set_owner sb (Heap.id h)) sb;
+    h0.lock.release ();
+    sb
+
+  (* ONE heap-0 critical section covers the whole batch — insert
+     everything, then a single surplus sweep. From heap 0 itself (a free
+     into a global superblock, its lock held) only the sweep runs. *)
+  let put g h sbs =
+    if h == g.h0 then release_surplus g
+    else if sbs <> [] then begin
+      g.h0.lock.acquire ();
+      List.iter
+        (fun sb ->
+          Heap_core.insert g.h0.core sb;
+          Heap.touch_header g.env.pf sb;
+          Alloc_stats.on_transfer_to_global g.h0.sh;
+          Heap.event g.h0 Event_ring.Sb_to_global ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
+        sbs;
+      release_surplus g;
+      g.h0.lock.release ()
+    end
+
+  (* Every owner-0 block has heap 0's record to go to: nothing parks. *)
+  let park _ _ items ~spill:_ ~locked:_ = assert (items = [])
+
+  let complete _ _ ~spill:_ = ()
+
+  let pending _ _ = None
+
+  let q_free g sb ~addr = Heap_core.free g.h0.core sb addr
+
+  let q_put g sb = Heap_core.insert g.h0.core sb
+
+  let info g = Heap.info g.h0
+
+  let iter_members g = Heap_core.iter g.h0.core
+
+  let check g =
+    Heap_core.check g.h0.core;
+    Option.iter Heap.check_list g.h0.dfl
+end
+
+(* The lock-free global heap: heap 0 has no record. Its superblocks live
+   in the CAS-published fullness index, transfers are index publishes and
+   claims, and a free into a global superblock parks on the freeing
+   thread's heap's shard of the global-free list — one CAS, no lock. Only
+   that heap's refills and flushes reclaim the shard, through the index's
+   Busy handshake — or the parking thread, once the shard outgrows
+   [cap] — so no single word serialises every global free. *)
+module Lockfree = struct
+  type t = { env : env; gi : Global_index.t; shards : Deferred_list.t array (* heap id - 1 *) }
+
+  let heap0 _ = None
+
+  let shard g h = g.shards.(Heap.id h - 1)
+
+  (* Surplus release by claiming empties off the index — each take is a
+     CAS, no heap-0 lock. Bounded per call (the gauge may be momentarily
+     stale and another releaser may be racing us; a later trim finishes
+     the job), which also keeps the loop explorable. Caller holds [h]'s
+     lock (for the disposal events). *)
+  let release g h =
+    if g.env.cfg.release_to_os then begin
+      let budget = ref 8 in
+      while !budget > 0 && Global_index.empties g.gi > g.env.cfg.release_threshold do
+        decr budget;
+        match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Heap.event h kind ~sclass:(-1) ~arg) with
+        | None -> budget := 0
+        | Some sb ->
+          Alloc_stats.on_global_pop g.env.stats;
+          drop g.env h sb
+      done
+    end
+
+  (* Reclaim [h]'s shard through the index: one exchange detaches it,
+     then each superblock's run is freed with one Busy handshake, its
+     link writes and single header write inside the Busy window. Runs
+     whose superblock was claimed away since the push are re-routed: to
+     [spill] (the locked path, run by the caller after releasing [h]'s
+     lock) when a heap owns it now, back onto the shard — all of them with
+     one CAS — when it is still in transit or another reclaimer holds it
+     Busy. Caller holds [h]'s lock — stats and events land there. *)
+  let reclaim g h ~spill =
+    let pf = g.env.pf and gfl = shard g h in
+    match Deferred_list.reclaim gfl with
+    | [] -> ()
+    | items ->
+      let mine = ref 0 and forwarded = ref 0 and back = ref [] in
+      List.iter
+        (fun (sb, addrs) ->
+          (* Read the size before the free: once the run empties the
+             superblock, another heap may claim it and reformat it for
+             another class before the charge below. *)
+          let usable = Superblock.block_size sb in
+          let inside () =
+            List.iter (fun addr -> pf.Platform.write ~addr ~len:8) addrs;
+            Heap.touch_header pf sb
+          in
+          match Global_index.free_run g.gi sb ~addrs ~inside with
+          | Global_index.Freed { now_empty = _ } ->
+            List.iter (fun _ -> Alloc_stats.on_drain h.sh ~usable) addrs;
+            mine := !mine + List.length addrs
+          | Global_index.Requeue | Global_index.Not_member { owner = 0 } ->
+            (* Another reclaimer holds the superblock Busy, or a claim is
+               in transit: hand the run back rather than spin against it. *)
+            back := List.map (fun addr -> (sb, addr)) addrs @ !back
+          | Global_index.Not_member { owner = _ } ->
+            List.iter
+              (fun addr ->
+                incr forwarded;
+                Heap.event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
+                spill := (sb, addr) :: !spill)
+              addrs)
+        (Heap.by_superblock items);
+      if !back <> [] then Deferred_list.push_many gfl !back;
+      if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
+      if !mine > 0 then begin
+        Alloc_stats.on_deferred_reclaim h.sh;
+        Heap.event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine
+      end
+
+  let take g h ~sclass ~spill =
+    (* Pending frees may hand the index exactly the superblock we are
+       about to ask for — and the reclaim is lock-free too. *)
+    reclaim g h ~spill;
+    match Global_index.acquire g.gi ~sclass ~record:(fun kind ~arg -> Heap.event h kind ~sclass ~arg) with
+    | None -> None
+    | Some sb ->
+      (* The claim CAS made the superblock private; a free racing the
+         owner flip sees owner 0 + word Absent and parks the block on its
+         heap's shard, whose next reclaim forwards it to us. *)
+      Superblock.set_owner sb (Heap.id h);
+      Alloc_stats.on_global_pop g.env.stats;
+      Some sb
+
+  (* The non-blocking transfer: per privately held superblock, flip the
+     owner while it is still unreachable, then one index publish — any
+     fullness, never a heap-0 lock. Stats and events land on the calling
+     heap's domain (the caller holds [h]'s lock); snapshot sums shards, so
+     totals are unchanged. *)
+  let put g h sbs =
+    List.iter
+      (fun sb ->
+        let sclass = Superblock.sclass sb in
+        Superblock.set_owner sb 0;
+        Heap.touch_header g.env.pf sb;
+        Global_index.publish g.gi sb ~record:(fun kind ~arg -> Heap.event h kind ~sclass ~arg);
+        Alloc_stats.on_global_push g.env.stats;
+        Alloc_stats.on_transfer_to_global h.sh;
+        Heap.event h Event_ring.Sb_to_global ~sclass ~arg:(Superblock.base sb))
+      sbs;
+    if sbs <> [] then release g h
+
+  let complete g h ~spill =
+    reclaim g h ~spill;
+    release g h
+
+  (* The most blocks a shard holds before the thread parking onto it
+     completes the shard itself. A heap's refills and flushes are its
+     shard's usual reclaimers, but a thread that only frees (the consumer
+     of a producer/consumer pair) runs neither, and a heap can lose all
+     its threads. Uncapped, their parked blocks stay bitmap-live and
+     charged for good, every superblock a producer claims with them
+     inside is partly unusable, and held memory grows with each trim and
+     claim. Capped, at most this many blocks per heap await completion:
+     O(P) in all. The cap is large enough that a thread retiring a whole
+     wave of objects completes long per-superblock runs, not a handshake
+     per block or two, on its own critical path. The length stands for a
+     count carried in the head node (each push stores the previous count
+     plus its chain's), so reading it costs nothing beyond the push's own
+     CAS. *)
+  let cap = 1024
+
+  (* One CAS for the whole batch, no lock; the blocks keep their custody
+     marks until a reclaim frees them. Without [locked], the shard's
+     completion takes [h]'s lock and re-checks the cap under it. *)
+  let rec park g h items ~spill ~locked =
+    if items <> [] then Deferred_list.push_many (shard g h) items;
+    if Deferred_list.length (shard g h) > cap then
+      if locked then complete g h ~spill
+      else begin
+        h.lock.acquire ();
+        park g h [] ~spill ~locked:true;
+        h.lock.release ()
+      end
+
+  let pending g h = Some (shard g h)
+
+  let q_free g sb ~addr = Global_index.q_free g.gi sb ~addr
+
+  let q_put g sb =
+    Superblock.set_owner sb 0;
+    Global_index.q_publish g.gi sb
+
+  let info g =
+    let members = Global_index.members g.gi in
+    {
+      Heap.heap_id = 0;
+      u_bytes = Global_index.u_bytes g.gi;
+      a_bytes = members * g.env.cfg.sb_size;
+      superblocks = members;
+      empty_superblocks = Global_index.empties g.gi;
+    }
+
+  let iter_members g = Global_index.iter_members g.gi
+
+  (* The index structurally sound, every member owned by heap 0,
+     registered and resident — membership is a transfer, never a
+     release — and every parked block still custody-marked. *)
+  let check g =
+    Global_index.check g.gi;
+    Global_index.iter_members g.gi (fun sb ->
+        if Superblock.owner sb <> 0 then failwith "Hoard.check: global member not owned by heap 0";
+        let base = Superblock.base sb in
+        if Sb_registry.lookup g.env.reg ~addr:(base + Superblock.header_bytes) = None then
+          failwith "Hoard.check: global member not registered";
+        if g.env.pf.page_residency ~addr:base <> Vmem.Resident then
+          failwith "Hoard.check: global member not resident");
+    Array.iter Heap.check_list g.shards
+end
+
+type t = G : (module S with type t = 'g) * 'g -> t
+
+let create pf (cfg : Hoard_config.t) ~classes ~stats ~reg ~reservoir ?obs ~heaps () =
+  let env = { pf; cfg; stats; reg; reservoir } in
+  match cfg.global with
+  | Hoard_config.Locked ->
+    let h0 = Heap.create pf cfg ~classes ~stats ?obs 0 in
+    G ((module Locked), { Locked.env; h0; heaps })
+  | Hoard_config.Lockfree ->
+    let on_retry = Alloc_stats.retry_hook stats ~label:"global-free" in
+    let shards =
+      (* Named under heap 0's list, so per-layer accounting charges the
+         shards to the global heap. *)
+      Array.map
+        (fun h ->
+          Deferred_list.create pf
+            ~name:(Printf.sprintf "hoard.dfl0.%d" (Heap.id h))
+            ~lost_node:(cfg.mutant = "deferred-lost-node") ~on_retry ())
+        heaps
+    in
+    let gi =
+      Global_index.create pf ~name:"hoard.gindex" ~nclasses:(Size_class.count classes) ~ngroups:cfg.ngroups
+        ~aba_tag:(cfg.mutant <> "global-no-aba")
+        ~skip_revalidate:(cfg.mutant = "global-skip-revalidate")
+        ~on_retry:(Alloc_stats.retry_hook stats ~label:"global")
+        ()
+    in
+    G ((module Lockfree), { Lockfree.env; gi; shards })
+
+let heap0 (G ((module M), g)) = M.heap0 g
+let take (G ((module M), g)) = M.take g
+let put (G ((module M), g)) = M.put g
+let park (G ((module M), g)) = M.park g
+let complete (G ((module M), g)) = M.complete g
+let pending (G ((module M), g)) = M.pending g
+let q_free (G ((module M), g)) = M.q_free g
+let q_put (G ((module M), g)) = M.q_put g
+let info (G ((module M), g)) = M.info g
+let iter_members (G ((module M), g)) = M.iter_members g
+let check (G ((module M), g)) = M.check g

@@ -1,0 +1,274 @@
+type t = {
+  pf : Platform.t;
+  core : Heap_core.t;
+  lock : Platform.lock;
+  sh : Alloc_stats.shard;
+  ring : Event_ring.t option; (* same lock domain as [sh]; None when tracing is off *)
+  rq_lock : Platform.lock; (* innermost lock: never held while acquiring any other *)
+  mutable rq_blocks : (Superblock.t * int) list; (* remote frees pending a drain, newest first *)
+  mutable rq_len : int;
+  rq_cap : int;
+  (* cfg.deferred: the unbounded deferred free list replacing the bounded
+     queue above — producers CAS-push, the owner exchange-reclaims. *)
+  dfl : Deferred_list.t option;
+}
+
+type info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
+
+let ring obs name = Option.map (fun o -> Obs.new_ring o name) obs
+
+let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
+  let dfl =
+    (* The deferred list is the front end's eviction channel; without a
+       front end nothing would ever push, so it is not built. *)
+    if cfg.deferred && cfg.front_end > 0 then
+      Some
+        (Deferred_list.create pf ~name:(Printf.sprintf "hoard.dfl%d" id)
+           ~lost_node:(cfg.mutant = "deferred-lost-node")
+           ~on_retry:(Alloc_stats.retry_hook stats ~label:"deferred")
+           ())
+    else None
+  in
+  let rq_lock = pf.Platform.new_lock (Printf.sprintf "hoard.rfq%d" id) in
+  let ring = ring obs (if id = 0 then "global" else Printf.sprintf "heap%d" id) in
+  let lock = pf.Platform.new_lock (Printf.sprintf "hoard.heap%d" id) in
+  {
+    pf;
+    core = Heap_core.create ~id ~classes ~ngroups:cfg.ngroups ~sb_size:cfg.sb_size ();
+    lock;
+    sh = Alloc_stats.shard stats id;
+    ring;
+    rq_lock;
+    rq_blocks = [];
+    rq_len = 0;
+    rq_cap = cfg.remote_queue_cap;
+    dfl;
+  }
+
+let id h = Heap_core.id h.core
+
+(* Heap [id] among the per-processor [heaps] (ids 1..N), or [zero]: heap
+   0's record, which only the locked global heap has. *)
+let find heaps ~zero id = if id = 0 then zero else Some heaps.(id - 1)
+
+let info h =
+  {
+    heap_id = id h;
+    u_bytes = Heap_core.u h.core;
+    a_bytes = Heap_core.a h.core;
+    superblocks = Heap_core.superblock_count h.core;
+    empty_superblocks = Heap_core.empty_superblock_count h.core;
+  }
+
+(* Record into [h]'s ring; the caller must hold [h]'s lock (the ring
+   shares the stats shard's domain). Free when tracing is off. *)
+let event h kind ~sclass ~arg =
+  match h.ring with
+  | None -> ()
+  | Some r ->
+    Event_ring.record r ~at:(h.pf.Platform.now ()) ~kind ~who:(h.pf.Platform.self_proc ()) ~heap:(id h) ~sclass
+      ~arg
+
+let touch_header (pf : Platform.t) sb = pf.write ~addr:(Superblock.base sb) ~len:16
+
+(* Group a batch of blocks by superblock, in first-seen order; each
+   group keeps its blocks in batch order. Every per-superblock effect of a
+   batch — one header write, one block left for the free-list head, one
+   Busy handshake — walks these groups. *)
+let by_superblock items =
+  List.fold_left
+    (fun groups (sb, x) ->
+      match List.assq_opt sb groups with
+      | Some r ->
+        r := x :: !r;
+        groups
+      | None -> (sb, ref [ x ]) :: groups)
+    [] items
+  |> List.rev_map (fun (sb, r) -> (sb, List.rev !r))
+
+(* Write the header of each distinct superblock in a batch once, in
+   first-seen order. A batch updates a header's free-list head and counts
+   for every block it moves, but they all sit on one line: dirtying it once
+   per superblock per batch is the cost, not once per block — and every
+   simulated write inside a critical section is a point where co-located
+   lock waiters run. *)
+let touch_headers pf items = List.iter (fun (sb, _) -> touch_header pf sb) (by_superblock items)
+
+(* Return one block the program already freed (it sat in a cache, a
+   queue or a deferred list) to [h]'s core: host-side bookkeeping only.
+   The caller holds [h]'s lock and issues the simulated writes — the 8 B
+   free-list links and one header write per superblock — for the whole
+   batch. *)
+let free_owned h sb addr =
+  Superblock.clear_cached sb addr;
+  Heap_core.free h.core sb addr;
+  Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb)
+
+(* Every listed block is bitmap-live and custody-marked in its superblock:
+   it stays charged to the owning heap until a reclaim, exactly like a
+   queued block. Quiescent structural walk; [Deferred_list.iter] itself
+   rejects cycles, payload-less nodes and length drift. *)
+let check_list l =
+  Deferred_list.iter l (fun sb addr ->
+      if not (Superblock.is_block_live sb addr) then
+        failwith (Printf.sprintf "Hoard.check: deferred block %#x not bitmap-live" addr);
+      if not (Superblock.is_block_cached sb addr) then
+        failwith (Printf.sprintf "Hoard.check: deferred block %#x without custody mark" addr))
+
+(* A drain's private batch: the deferred chain and the bounded queue's
+   contents, both taken BEFORE the heap lock by [detach]. *)
+type detached = {
+  chain : (Superblock.t * int) list; (* from the deferred list, most recent first *)
+  queued : (Superblock.t * int) list; (* from the bounded queue, newest first *)
+}
+
+(* Pre-link a private batch, outside the heap lock: per superblock, the
+   blocks after the first seen are linked to each other, one 8 B write
+   each. Only the first block's link depends on the superblock's current
+   free-list head, so [splice] writes it under the lock. The blocks are
+   custody-marked and still charged to live bytes, so their superblock
+   cannot empty, park or unmap underneath these writes; a superblock that
+   migrates meanwhile is forwarded with its links, the writes wasted.
+   The writes go in batch order, not grouped per superblock: their order
+   is schedule-visible, and regrouping them changes the simulated cycles
+   of every configuration that drains a batch. *)
+let prelink (pf : Platform.t) items =
+  let rec go seen = function
+    | [] -> ()
+    | (sb, addr) :: rest ->
+      if List.memq sb seen then begin
+        pf.write ~addr ~len:8;
+        go seen rest
+      end
+      else go (sb :: seen) rest
+  in
+  go [] items
+
+(* The in-lock half of a pre-linked batch. Ownership is re-checked per
+   block: [h]'s own blocks go back to its core, the others to
+   [forward]. Then, per distinct superblock freed, in first-seen order,
+   the tail-link write (the block [prelink] skipped now points at the
+   free-list head) and one header write. Every block of a superblock
+   gets the same verdict under [h]'s lock (migration away from [h] needs
+   that lock), so the freed blocks form whole superblock groups and their
+   first blocks are the ones left unlinked. Every simulated write inside
+   a critical section is a point where co-located lock waiters run: the
+   lock is held for O(superblocks) effects, not O(blocks). Caller holds
+   [h]'s lock. Returns the number of blocks freed into [h]. *)
+let splice h items ~forward =
+  let freed =
+    List.filter
+      (fun (sb, addr) ->
+        let owner_id = Superblock.owner sb in
+        if owner_id = id h then begin
+          free_owned h sb addr;
+          true
+        end
+        else begin
+          forward owner_id sb addr;
+          false
+        end)
+      items
+  in
+  List.iter
+    (fun (sb, addrs) ->
+      h.pf.Platform.write ~addr:(List.hd addrs) ~len:8;
+      touch_header h.pf sb)
+    (by_superblock freed);
+  List.length freed
+
+(* Owner side of both remote-free channels, first half, run WITHOUT [h]'s
+   lock so co-located lock waiters never spin through it: one exchange
+   takes [h]'s whole deferred list (plus the chain walk), one swap under
+   the innermost queue lock takes its bounded queue, and [prelink] writes
+   every link that does not depend on the free-list head. Threads sharing
+   [h] detach disjoint batches; detached blocks keep their custody marks
+   and stay charged to live bytes until the splice frees them. *)
+let detach h =
+  let chain =
+    match h.dfl with
+    | None -> []
+    | Some dfl -> Deferred_list.reclaim dfl
+  in
+  let queued =
+    if h.rq_len = 0 then []
+    else begin
+      h.rq_lock.acquire ();
+      let items = h.rq_blocks in
+      h.rq_blocks <- [];
+      h.rq_len <- 0;
+      h.rq_lock.release ();
+      items
+    end
+  in
+  prelink h.pf chain;
+  prelink h.pf queued;
+  { chain; queued }
+
+(* Return a batch swapped off [h]'s bounded queue (by [detach], before
+   the lock) to [h]'s core. A block whose superblock migrated since it
+   was enqueued is forwarded to the current owner's queue — but
+   boundedly: forwarding past the cap used to grow queues without limit
+   (a drain could keep re-inflating its peers), so a forward is accepted
+   only up to 2x the cap and counted; rejects land on [spill] for the
+   caller to route through the classic locked path AFTER releasing [h]'s
+   lock — taking another heap's lock here would invert the lock order
+   (the queue lock is innermost, so taking a peer's cannot deadlock). *)
+let drain_rq h items ~peer ~spill ~to_global =
+  match items with
+  | [] -> 0
+  | _ ->
+    let forwarded = ref 0 in
+    let forward owner_id sb addr =
+      match peer owner_id with
+      | None ->
+        to_global := (sb, addr) :: !to_global;
+        incr forwarded;
+        event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+      | Some h' ->
+        h'.rq_lock.acquire ();
+        let accepted = h'.rq_len < 2 * h'.rq_cap in
+        if accepted then begin
+          h'.rq_blocks <- (sb, addr) :: h'.rq_blocks;
+          h'.rq_len <- h'.rq_len + 1
+        end;
+        h'.rq_lock.release ();
+        if accepted then begin
+          incr forwarded;
+          event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+        end
+        else spill := (sb, addr) :: !spill
+    in
+    let mine = splice h items ~forward in
+    if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
+    if mine > 0 then event h Event_ring.Remote_drain ~sclass:0 ~arg:mine;
+    mine
+
+(* Owner side, second half: splice a detached chain into [h]'s core. A
+   block whose superblock migrated since its push is re-pushed onto the
+   CURRENT owner's list — one CAS; the list is unbounded, so unlike the
+   bounded queues, forwarding can neither cascade nor spill into the
+   locked path. *)
+let free_reclaimed h items ~peer ~to_global =
+  match items with
+  | [] -> 0
+  | _ ->
+    let forwarded = ref 0 in
+    let forward owner_id sb addr =
+      (match peer owner_id with
+       | None -> to_global := (sb, addr) :: !to_global
+       | Some { dfl = Some dfl'; _ } -> Deferred_list.push dfl' sb addr
+       | Some { dfl = None; _ } -> assert false (* deferred mode builds a list per heap *));
+      incr forwarded;
+      event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+    in
+    let mine = splice h items ~forward in
+    if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
+    Alloc_stats.on_deferred_reclaim h.sh;
+    event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
+    mine
+
+let drain h { chain; queued } ~peer ~spill =
+  let to_global = ref [] in
+  let mine = free_reclaimed h chain ~peer ~to_global + drain_rq h queued ~peer ~spill ~to_global in
+  (mine, List.rev !to_global)

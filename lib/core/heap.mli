@@ -1,0 +1,88 @@
+(** One heap's record and the owner-side code of its remote-free
+    channel, shared by {!Hoard}'s per-processor heaps and the locked
+    {!Global_heap}'s heap 0.
+
+    A heap is its {!Heap_core} (fullness groups and the [u]/[a]
+    accounting) behind its lock, with the stats shard and event ring of
+    the same lock domain, and its remote-free channel: the bounded queue
+    ([rq_*], under the innermost queue lock) or, with [cfg.deferred] and
+    a front end, the unbounded {!Deferred_list}. Producers push blocks
+    of the heap's superblocks onto the channel; the owner {!detach}es
+    the whole channel before taking the lock and {!drain}s it under the
+    lock. *)
+
+type t = {
+  pf : Platform.t;
+  core : Heap_core.t;
+  lock : Platform.lock;
+  sh : Alloc_stats.shard;
+  ring : Event_ring.t option;  (** same lock domain as [sh]; [None] when tracing is off *)
+  rq_lock : Platform.lock;  (** innermost: never held while acquiring any other lock *)
+  mutable rq_blocks : (Superblock.t * int) list;  (** bounded queue, newest first *)
+  mutable rq_len : int;
+  rq_cap : int;
+  dfl : Deferred_list.t option;  (** the deferred list replacing the queue, when built *)
+}
+
+val create : Platform.t -> Hoard_config.t -> classes:Size_class.t -> stats:Alloc_stats.t -> ?obs:Obs.t -> int -> t
+(** [create pf cfg ~classes ~stats ?obs id]: heap [id] (0 = global), with
+    locks ["hoard.heap<id>"] and ["hoard.rfq<id>"], stats shard [id], ring
+    ["global"] or ["heap<id>"], and list ["hoard.dfl<id>"] when
+    [cfg.deferred] and the front end are both on. *)
+
+val ring : Obs.t option -> string -> Event_ring.t option
+(** A new ring named [name] in [obs], if tracing. *)
+
+val id : t -> int
+
+val find : t array -> zero:t option -> int -> t option
+(** [find heaps ~zero id]: heap [id] of the per-processor [heaps] (ids
+    1..N), or [zero] for [id = 0]. *)
+
+type info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
+
+val info : t -> info
+
+val event : t -> Event_ring.kind -> sclass:int -> arg:int -> unit
+(** Record into the heap's ring; the caller holds its lock. Free when
+    tracing is off. *)
+
+val touch_header : Platform.t -> Superblock.t -> unit
+(** The simulated write of a superblock's header line. *)
+
+val by_superblock : (Superblock.t * 'a) list -> (Superblock.t * 'a list) list
+(** Group a batch by superblock, in first-seen order, each group in batch
+    order. *)
+
+val touch_headers : Platform.t -> (Superblock.t * 'a) list -> unit
+(** One header write per distinct superblock of a batch. *)
+
+val free_owned : t -> Superblock.t -> int -> unit
+(** Return one already-freed block (it sat in a cache or a channel) to the
+    heap's core: host-side bookkeeping only, the caller holds the lock and
+    issues the simulated writes. *)
+
+val check_list : Deferred_list.t -> unit
+(** Every listed block is bitmap-live and custody-marked. Quiescent walk;
+    raises [Failure] otherwise. *)
+
+type detached
+
+val detach : t -> detached
+(** Owner side, before the lock: take the whole channel (one exchange of
+    the deferred list, one swap of the queue under the queue lock) and
+    pre-link every link that does not depend on a free-list head. *)
+
+val drain :
+  t ->
+  detached ->
+  peer:(int -> t option) ->
+  spill:(Superblock.t * int) list ref ->
+  int * (Superblock.t * int) list
+(** Owner side, under the lock: splice the detached batch into the core.
+    A block whose superblock migrated is forwarded to [peer owner]'s
+    channel (a bounded queue's rejects go to [spill], for the caller's
+    locked path after releasing the lock). Returns the number of blocks
+    freed into the heap and, in batch order, the blocks whose owner has
+    no record ([peer owner = None]: heap 0 of the lock-free global heap),
+    which the caller parks. *)

@@ -20,6 +20,17 @@
 
     Requests above S/2 go straight to the OS (large-object path).
 
+    {b Global heap}: heap 0 sits behind the one signature of
+    {!Global_heap} — take (refill), put (trim victims, exit orphans and
+    the surplus release), park/complete (frees into global superblocks)
+    and the quiescent reads — with two implementations chosen once here
+    from [config.global]: the paper's locked heap 0 ({!Heap.t} with its
+    own lock, core and remote-free channel), or the lock-free
+    {!Global_index} with per-heap global-free shards, under which heap 0
+    has no record and no lock at all. Each per-processor heap is a
+    {!Heap.t}: its core, lock, stats shard, ring and remote-free
+    channel.
+
     {b Front end} (off by default): with [config.front_end = K > 0], each
     thread keeps a cache of up to [K] block addresses per size class.
     malloc pops and free pushes with no lock at all; misses and overflows
@@ -52,7 +63,8 @@ type t
 
 val create : ?config:Hoard_config.t -> ?obs:Obs.t -> Platform.t -> t
 (** With [obs], the instance traces into one {!Event_ring} per lock
-    domain (["global"], ["heap1"].. plus ["large"]) and publishes its
+    domain (["heap1"].., ["large"], plus ["global"] for the locked global
+    heap, the only one with a lock domain of its own) and publishes its
     {!Alloc_stats} into the registry; without it, tracing costs nothing
     (the fast paths carry no event sites, slow-path sites are a single
     branch on an immutable [option]). *)
@@ -85,9 +97,11 @@ val heap_info : t -> int -> heap_info
 (** [heap_info t i] for [i] in [0 .. nheaps t]. *)
 
 val fullness_profile : t -> (string * (int * float) array) array
-(** One row per heap (["global"], ["heap1"], ..): the heap's
-    {!Heap_core.class_profile}. Reads without locking (like {!pp_heaps});
-    call at quiescence. Feeds the observability heatmap. *)
+(** One row per heap (["global"], ["heap1"], ..): the
+    {!Heap_core.class_profile} of its superblocks — for ["global"], the
+    members of whichever global heap the instance runs. Reads without
+    locking (like {!pp_heaps}); call at quiescence. Feeds the
+    observability heatmap. *)
 
 val invariant_holds : t -> heap_id:int -> bool
 (** The emptiness invariant [u >= a - K*S || u >= (1-f)*a] for a

@@ -67,7 +67,8 @@ let hoard_gl ?front_end () =
     (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-gl";
     description =
-      "hoard-df with the lock-free global heap: CAS-published fullness index, no heap-0 lock on any transfer";
+      "hoard-fe plus deferred remote-free lists and the lock-free global heap: CAS-published fullness index, no \
+       heap-0 lock on any transfer";
   }
 
 let all () =

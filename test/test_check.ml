@@ -348,6 +348,28 @@ let test_global_transfer_explored () =
           f.Explorer.f_message));
   Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
 
+(* Thread exit on the lock-free global heap: one index publish per
+   orphan, racing a free that may park on its heap's shard and a refill
+   that completes it and claims the orphan back. *)
+let test_exit_adoption_lockfree_explored () =
+  let o = Explorer.explore ~bound:2 (Scenarios.exit_adoption ~global:Hoard_config.Lockfree ~mutant:"" ()) in
+  (match o.Explorer.o_failure with
+   | None -> ()
+   | Some f ->
+     Alcotest.fail
+       (sprintf "lock-free exit adoption failed under [%s]: %s"
+          (Explorer.schedule_to_string f.Explorer.f_schedule)
+          f.Explorer.f_message));
+  Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
+
+let test_exit_adoption_lockfree_mutant_caught () =
+  let sc = Scenarios.exit_adoption ~global:Hoard_config.Lockfree ~mutant:"orphan-lost-superblock" () in
+  match (Explorer.explore ~bound:0 sc).Explorer.o_failure with
+  | None -> Alcotest.fail "orphan-lost-superblock must fail live-byte conservation"
+  | Some f ->
+    Alcotest.(check bool) "names live-byte conservation" true
+      (Astring.String.is_infix ~affix:"live-bytes" f.Explorer.f_message)
+
 let test_global_free_shards_explored () =
   (* Two heaps' shard reclaims racing each other and a refill's claim
      through the real allocator. Bound 1 sleep is exhaustive at ~800
@@ -780,6 +802,9 @@ let () =
           Alcotest.test_case "blind claim store caught" `Quick test_global_skip_revalidate_mutant_caught;
           Alcotest.test_case "end-to-end transfer survives" `Quick test_global_transfer_explored;
           Alcotest.test_case "global-free shards survive" `Quick test_global_free_shards_explored;
+          Alcotest.test_case "lock-free exit adoption survives bound 2" `Quick test_exit_adoption_lockfree_explored;
+          Alcotest.test_case "lost orphan caught on the lock-free heap" `Quick
+            test_exit_adoption_lockfree_mutant_caught;
         ] );
       ( "oracle",
         [

@@ -780,6 +780,25 @@ let test_global_lockfree_roundtrip () =
   Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes;
   Platform.host_release pf
 
+let test_global_lockfree_profile_row () =
+  (* The heatmap's global row reads the global heap's members: under the
+     lock-free index they live in the index, not in a heap-0 core. *)
+  let pf = Platform.host () in
+  let config =
+    { cfg with Hoard_config.global = Hoard_config.Lockfree; slack = 0; release_to_os = false }
+  in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let ps = List.init 3000 (fun _ -> a.Alloc_intf.malloc 64) in
+  List.iter a.Alloc_intf.free ps;
+  let label, row = (Hoard.fullness_profile h).(0) in
+  Alcotest.(check string) "row 0 is the global heap" "global" label;
+  let members = (Hoard.heap_info h 0).Hoard.superblocks in
+  Alcotest.(check bool) "the index holds the exiles" true (members > 0);
+  Alcotest.(check int) "row 0 counts every index member" members
+    (Array.fold_left (fun acc (n, _) -> acc + n) 0 row);
+  Platform.host_release pf
+
 let test_global_lockfree_zero_heap0_lock () =
   (* The tentpole's acceptance bar: the lock-free index does not cut
      heap-0 lock traffic, it eliminates it — zero acquisitions on a
@@ -1535,6 +1554,7 @@ let () =
         [
           Alcotest.test_case "locked by default" `Quick test_global_locked_by_default;
           Alcotest.test_case "lockfree roundtrip" `Quick test_global_lockfree_roundtrip;
+          Alcotest.test_case "heatmap global row under lockfree" `Quick test_global_lockfree_profile_row;
           Alcotest.test_case "zero heap-0 lock acquisitions" `Quick test_global_lockfree_zero_heap0_lock;
           Alcotest.test_case "orphan adoptions match events" `Quick test_orphan_adoptions_match_events;
           Alcotest.test_case "lockfree reclaim reads size before free" `Quick
