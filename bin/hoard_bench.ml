@@ -184,9 +184,6 @@ let inspect_cmd =
     end;
     if config.Hoard_config.large_cache > 0 then
       Printf.printf "large cache: %d regions parked\n" (Hoard.large_cache_length h);
-    if config.Hoard_config.reservoir > 0 then
-      Printf.printf "reservoir: %d/%d superblocks parked\n" (Hoard.reservoir_length h)
-        config.Hoard_config.reservoir;
     let s = a.Alloc_intf.stats () in
     Printf.printf "%s on %d processors: %d cycles\n%s\n\n" name nprocs (Sim.total_cycles sim)
       (Format.asprintf "%a" Alloc_stats.pp_snapshot s);
@@ -223,11 +220,10 @@ let sweep_cmd =
       r.Runner.r_stats.Alloc_stats.sb_to_global r.Runner.r_stats.Alloc_stats.sb_from_global
       r.Runner.r_invalidations;
     Printf.printf
-      "  vmem: %d KiB peak mapped, %d KiB address space, %d KiB resident at exit; %d decommits, %d recommits, %d/%d parks/drops\n"
+      "  vmem: %d KiB peak mapped, %d KiB address space, %d KiB resident at exit; %d decommits, %d recommits\n"
       (r.Runner.r_vm_peak_mapped / 1024) (r.Runner.r_vm_address_space / 1024)
       (r.Runner.r_vm_resident / 1024) r.Runner.r_stats.Alloc_stats.decommits
-      r.Runner.r_stats.Alloc_stats.recommits r.Runner.r_stats.Alloc_stats.reservoir_parks
-      r.Runner.r_stats.Alloc_stats.reservoir_drops
+      r.Runner.r_stats.Alloc_stats.recommits
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(

@@ -10,11 +10,8 @@ type snapshot = {
   os_unmaps : int;
   resident_bytes : int;
   peak_resident_bytes : int;
-  reservoir_bytes : int;
   decommits : int;
   recommits : int;
-  reservoir_parks : int;
-  reservoir_drops : int;
   sb_to_global : int;
   sb_from_global : int;
   remote_frees : int;
@@ -76,11 +73,8 @@ type t = {
   os_unmaps : int Atomic.t;
   resident : int Atomic.t; (* mapped-and-committed bytes: the simulated RSS *)
   peak_resident : int Atomic.t;
-  reservoir : int Atomic.t; (* bytes parked in the superblock reservoir *)
   decommits : int Atomic.t;
   recommits : int Atomic.t;
-  parks : int Atomic.t;
-  drops : int Atomic.t;
   cas_retries : int Atomic.t; (* failed CASes in lock-free structures; fired with no lock held *)
   retry_by : (string * int Atomic.t) list Atomic.t;
       (* per-structure breakdown of [cas_retries], in registration order;
@@ -129,11 +123,8 @@ let create ?(shards = 1) () =
     os_unmaps = Atomic.make 0;
     resident = Atomic.make 0;
     peak_resident = Atomic.make 0;
-    reservoir = Atomic.make 0;
     decommits = Atomic.make 0;
     recommits = Atomic.make 0;
-    parks = Atomic.make 0;
-    drops = Atomic.make 0;
     cas_retries = Atomic.make 0;
     retry_by = Atomic.make [];
     global_pushes = Atomic.make 0;
@@ -288,42 +279,12 @@ let on_map t ~bytes =
   refresh_peak_live t
 
 (* [resident]: whether the region still had committed pages when unmapped
-   (false for a reservoir-parked superblock, already decommitted). *)
+   (false for a large-cache region, already decommitted). *)
 let on_unmap ?(resident = true) t ~bytes =
   ignore (Atomic.fetch_and_add t.held (-bytes));
   Atomic.incr t.os_unmaps;
   if resident then ignore (Atomic.fetch_and_add t.resident (-bytes));
   refresh_peak_live t
-
-(* Reservoir lifecycle. A parked superblock is neither heap-held nor (once
-   decommitted) resident: [held] tracks what heaps and the large path hold,
-   which is what the blowup envelope and the residency invariant
-   (resident <= held + R * S) are stated over. OS map/unmap counts are NOT
-   touched — avoiding that traffic is the reservoir's point.
-
-   [on_park] is PROVISIONAL: the parker calls it (held -> reservoir)
-   before the superblock becomes visible in the reservoir, so a taker's
-   [on_unpark] can never run first and drive the gauges negative or
-   double-count the bytes in [held]. A successful offer is then confirmed
-   with [on_park_commit]; a bounced one is reversed with [on_park_bounce],
-   which accounts the ensuing unmap of the already-decommitted region
-   (held was debited by [on_park]; resident by [on_decommit]). *)
-let on_park t ~bytes =
-  ignore (Atomic.fetch_and_add t.held (-bytes));
-  ignore (Atomic.fetch_and_add t.reservoir bytes)
-
-let on_park_commit t = Atomic.incr t.parks
-
-let on_park_bounce t ~bytes =
-  ignore (Atomic.fetch_and_add t.reservoir (-bytes));
-  Atomic.incr t.drops;
-  Atomic.incr t.os_unmaps;
-  refresh_peak_live t
-
-let on_unpark t ~bytes =
-  let held = Atomic.fetch_and_add t.held bytes + bytes in
-  store_max t.peak_held held;
-  ignore (Atomic.fetch_and_add t.reservoir (-bytes))
 
 let on_decommit t ~bytes =
   ignore (Atomic.fetch_and_add t.resident (-bytes));
@@ -391,11 +352,8 @@ let snapshot t =
     os_unmaps = Atomic.get t.os_unmaps;
     resident_bytes = Atomic.get t.resident;
     peak_resident_bytes = Atomic.get t.peak_resident;
-    reservoir_bytes = Atomic.get t.reservoir;
     decommits = Atomic.get t.decommits;
     recommits = Atomic.get t.recommits;
-    reservoir_parks = Atomic.get t.parks;
-    reservoir_drops = Atomic.get t.drops;
     sb_to_global = !to_global;
     sb_from_global = !from_global;
     remote_frees = !remote;
@@ -432,11 +390,8 @@ let publish t ?(prefix = "alloc") metrics =
   reg "os_unmaps" (fun s -> s.os_unmaps);
   reg "resident_bytes" (fun s -> s.resident_bytes);
   reg "peak_resident_bytes" (fun s -> s.peak_resident_bytes);
-  reg "reservoir_bytes" (fun s -> s.reservoir_bytes);
   reg "decommits" (fun s -> s.decommits);
   reg "recommits" (fun s -> s.recommits);
-  reg "reservoir_parks" (fun s -> s.reservoir_parks);
-  reg "reservoir_drops" (fun s -> s.reservoir_drops);
   reg "sb_to_global" (fun s -> s.sb_to_global);
   reg "sb_from_global" (fun s -> s.sb_from_global);
   reg "remote_frees" (fun s -> s.remote_frees);
@@ -477,10 +432,9 @@ let pp_snapshot fmt (s : snapshot) =
      from_glob=%d remote_frees=%d"
     s.mallocs s.frees s.live_bytes s.peak_live_bytes s.held_bytes s.peak_held_bytes (fragmentation s) s.os_maps
     s.os_unmaps s.sb_to_global s.sb_from_global s.remote_frees;
-  if s.decommits + s.recommits + s.reservoir_parks > 0 then
-    Format.fprintf fmt " resident=%dB peak_resident=%dB reservoir=%dB decommits=%d recommits=%d parks=%d drops=%d"
-      s.resident_bytes s.peak_resident_bytes s.reservoir_bytes s.decommits s.recommits s.reservoir_parks
-      s.reservoir_drops;
+  if s.decommits + s.recommits > 0 then
+    Format.fprintf fmt " resident=%dB peak_resident=%dB decommits=%d recommits=%d" s.resident_bytes
+      s.peak_resident_bytes s.decommits s.recommits;
   if s.cache_hits + s.cache_fills + s.remote_enqueues > 0 then
     Format.fprintf fmt " cache_hits=%d fills=%d flushes=%d enq=%d drained=%d fwd=%d" s.cache_hits s.cache_fills
       s.cache_flushes s.remote_enqueues s.remote_drains s.remote_forwards;

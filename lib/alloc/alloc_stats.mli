@@ -44,14 +44,11 @@ type snapshot = {
   os_unmaps : int;
   resident_bytes : int;
       (** held-from-OS bytes whose pages are committed (the simulated
-          RSS): mapped regions minus decommitted ones. The lifecycle
-          invariant is [resident_bytes <= held_bytes + R * sb_size]. *)
+          RSS): mapped regions minus decommitted ones, so
+          [resident_bytes <= held_bytes]. *)
   peak_resident_bytes : int;
-  reservoir_bytes : int;  (** bytes parked in the superblock reservoir *)
   decommits : int;  (** regions decommitted (madvise-style page drops) *)
   recommits : int;  (** decommitted regions re-populated for reuse *)
-  reservoir_parks : int;  (** superblocks accepted into the reservoir *)
-  reservoir_drops : int;  (** park offers bounced (reservoir full -> unmap) *)
   sb_to_global : int;  (** superblock transfers heap -> global *)
   sb_from_global : int;  (** superblock transfers global -> heap *)
   remote_frees : int;  (** frees whose block belongs to another heap *)
@@ -74,9 +71,8 @@ type snapshot = {
   cas_retries : int;  (** failed CASes in lock-free structures (contention) *)
   cas_retries_by : (string * int) list;
       (** per-structure breakdown of [cas_retries] by hook label (e.g.
-          ["reservoir"], ["deferred"], ["large-cache"],
-          ["global"]), in hook-registration order; the labels sum to
-          [cas_retries] at quiescent points *)
+          ["deferred"], ["large-cache"], ["global"]), in hook-registration
+          order; the labels sum to [cas_retries] at quiescent points *)
   global_pushes : int;  (** superblocks published to the lock-free global index *)
   global_pops : int;  (** superblocks acquired from the lock-free global index *)
 }
@@ -193,33 +189,10 @@ val on_unmap : ?resident:bool -> t -> bytes:int -> unit
     already-decommitted region so resident accounting is not
     double-debited. *)
 
-(** {2 Residency / reservoir events — atomic, callable from any domain}
+(** {2 Residency events — atomic, callable from any domain}
 
-    The parker records its whole side — [on_decommit] (bytes leave the
-    resident set) and the provisional [on_park] (held -> reservoir) —
-    BEFORE offering the superblock to the reservoir, so that a concurrent
-    taker's [on_unpark]/[on_recommit] (reservoir -> held, bytes re-enter
-    the resident set) can never be observed first: gauges stay
-    non-negative and nothing is double-counted in [held] at any
-    interleaving. The offer's outcome then resolves the provisional park:
-    [on_park_commit] if the reservoir accepted it, [on_park_bounce] if it
-    was full (which also accounts the ensuing unmap of the
-    already-decommitted region). Only the bounce touches the OS
-    map/unmap counts — avoiding that traffic is the reservoir's point. *)
-
-val on_park : t -> bytes:int -> unit
-(** Provisional held -> reservoir transfer; call before the superblock is
-    published, then resolve with {!on_park_commit} or {!on_park_bounce}. *)
-
-val on_park_commit : t -> unit
-(** The reservoir accepted the offer: count the park. *)
-
-val on_park_bounce : t -> bytes:int -> unit
-(** The reservoir was full: reverse the provisional byte transfer, count
-    the drop, and account the unmap of the (already-decommitted, so no
-    resident debit) superblock. *)
-
-val on_unpark : t -> bytes:int -> unit
+    A decommit takes committed pages out of the resident set while the
+    region stays mapped (and held); a recommit puts them back. *)
 
 val on_decommit : t -> bytes:int -> unit
 

@@ -76,7 +76,7 @@ type t = {
   mu : Mutex.t;
   free_head : Platform.atomic_int; (* recycled entry nodes *)
   heads : Platform.atomic_int array array; (* heads.(class).(bin), bin <= ngroups (full) *)
-  empties_head : Platform.atomic_int; (* class-agnostic: any empty is reformattable *)
+  empties_head : Platform.atomic_int; (* class-agnostic: any empty can take any class *)
   (* Gauges and counters: host atomics, exact at quiescence. *)
   members : int Atomic.t;
   empties : int Atomic.t;
@@ -365,9 +365,9 @@ let rec resolve t ~record ~want slot_id =
       end
 
 (* An acquire for class [c] may claim any member of class [c] with a free
-   block, or any empty (reformatted by the caller). A full member or a
+   block, or any empty (reinitialised by the caller). A full member or a
    live member of another class (possible through a stale entry left in
-   an old class's stack across a reformat cycle) is repushed to where it
+   an old class's stack across a reinit cycle) is repushed to where it
    belongs. *)
 let want_for_class sclass t sb b =
   b <> full_bin t && (b = empties_bin t || Superblock.sclass sb = sclass)

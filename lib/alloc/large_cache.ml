@@ -7,8 +7,7 @@
    by any number of producers; overflow (bucket full) and oversized
    regions fall back to the seed unmap/map path.
 
-   Residency discipline mirrors the superblock reservoir: the region is
-   decommitted *before* the push publishes it (while still private), so
+   Residency discipline: the region is decommitted *before* the push publishes it (while still private), so
    no interleaving can observe a parked-but-resident region; a take
    commits *after* the pop made the region private again. Parked
    regions stay mapped, hence charged to held — the blowup envelope's

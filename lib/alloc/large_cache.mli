@@ -4,7 +4,7 @@
     same page count takes one back with pop → commit instead of a map.
     Decommit happens before the publishing push and commit after the
     privatising pop, so no schedule can observe a parked resident
-    region (same discipline as the superblock reservoir). *)
+    region. *)
 
 type t
 

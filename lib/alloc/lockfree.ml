@@ -1,7 +1,7 @@
 (* A bounded lock-free Treiber stack over Platform atomics.
 
-   This is the non-blocking substrate under the superblock reservoir:
-   push and pop complete with CAS only, no lock, so a thread preempted
+   This is the non-blocking substrate under the large-object cache's
+   buckets: push and pop complete with CAS only, no lock, so a thread preempted
    (or crashed, on real hardware) mid-way never blocks the others.
 
    Structure: a pool of [cap] slots. Each slot holds one payload (host
@@ -72,8 +72,6 @@ let create pf ~name ~cap ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
     }
   in
   t
-
-let cap t = t.cap
 
 let retry t =
   Atomic.incr t.retries;

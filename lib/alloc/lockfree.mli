@@ -1,6 +1,6 @@
 (** Bounded lock-free Treiber stack over {!Platform} atomics.
 
-    The non-blocking substrate of the superblock reservoir: [push]/[pop]
+    The non-blocking substrate of the large-object cache's buckets: [push]/[pop]
     complete with CAS only — no lock, so they are safe at any
     interleaving and explorable by [Check.Explorer] (link words are platform atomics on distinct cache
     lines, every operation a schedule-visible step).
@@ -23,8 +23,6 @@ val create :
     the caller's contention counters; it runs on the operating thread
     and must be cheap and lock-free itself. A [cap] of 0 is legal: the
     stack is permanently empty and full. *)
-
-val cap : 'a t -> int
 
 val push : 'a t -> 'a -> bool
 (** [false]: the pool is exhausted (stack full). The payload write is

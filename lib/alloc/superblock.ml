@@ -23,7 +23,7 @@ type t = {
   mutable node : t Dlist.node option;
   (* Slot id in the lock-free global index, assigned once on the
      superblock's first publication there and stable for its lifetime
-     (reformat keeps it: the slot is identity, not membership). -1 until
+     (reinit keeps it: the slot is identity, not membership). -1 until
      first published. *)
   mutable gslot : int;
 }
@@ -153,28 +153,6 @@ let reinit t ~sclass ~block_size =
   t.cap <- capacity_for t.size block_size;
   t.carved <- 0;
   t.free_head <- -1
-
-(* Reservoir reuse: unlike [reinit] (same-heap recycling, where owner and
-   group are about to be overwritten by the caller anyway), a superblock
-   leaving the reservoir may land in any heap and any size class, and its
-   pages were decommitted in between — so scrub everything: format for the
-   new class, sever ownership/grouping, and clear the free-list links the
-   way a recommit hands back zeroed pages. *)
-let reformat t ~sclass ~block_size =
-  if t.used_blocks > 0 then failwith "Superblock.reformat: superblock not empty";
-  if block_size < 8 || block_size > t.size - header_bytes then
-    invalid_arg "Superblock.reformat: bad block_size";
-  t.bsize <- block_size;
-  t.cls <- sclass;
-  t.cap <- capacity_for t.size block_size;
-  t.carved <- 0;
-  t.free_head <- -1;
-  t.own <- -1;
-  t.grp <- -1;
-  t.node <- None;
-  Array.fill t.next_free 0 (Array.length t.next_free) (-1);
-  Bytes.fill t.live 0 (Bytes.length t.live) '\000';
-  Bytes.fill t.cached 0 (Bytes.length t.cached) '\000'
 
 let gslot t = t.gslot
 

@@ -98,18 +98,11 @@ val reinit : t -> sclass:int -> block_size:int -> unit
 (** Re-dedicates an empty superblock to another size class. Raises
     [Failure] if any block is live. *)
 
-val reformat : t -> sclass:int -> block_size:int -> unit
-(** Full re-format for reservoir reuse: {!reinit} plus severing owner,
-    fullness group and free-list state — the structural equivalent of
-    receiving freshly committed pages, so a superblock parked by one lock
-    domain can be adopted by any other for any size class. Raises
-    [Failure] if any block is live. *)
-
 (** {2 Fullness-group bookkeeping (used by {!Heap_core})} *)
 
 val gslot : t -> int
 (** Slot id in the lock-free global index: assigned once on first
-    publication there, stable across reinit/reformat, -1 before. *)
+    publication there, stable across reinit, -1 before. *)
 
 val set_gslot : t -> int -> unit
 

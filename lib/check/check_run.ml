@@ -51,17 +51,9 @@ let hoard_subjects =
       s_config = Some (Hoard_config.make ~front_end:Allocators.front_end_default ~sanitize:true ());
     };
     {
-      s_label = "hoard-res";
-      s_describe = "superblock reservoir on the first-fit vmem backend, sanitizer on";
-      (* The sanitizer makes decommitted-page touches and
-         recommit-on-reuse part of what this subject checks. *)
-      s_config =
-        Some (Hoard_config.make ~reservoir:4 ~vmem_backend:Vmem_backend.First_fit ~sanitize:true ());
-    };
-    {
-      s_label = "hoard-res-fe";
-      s_describe = "superblock reservoir together with the front end";
-      s_config = Some (Hoard_config.make ~reservoir:4 ~front_end:Allocators.front_end_default ());
+      s_label = "hoard-ff-san";
+      s_describe = "first-fit vmem backend (address reuse across sizes), sanitizer on";
+      s_config = Some (Hoard_config.make ~vmem_backend:Vmem_backend.First_fit ~sanitize:true ());
     };
   ]
 
@@ -185,12 +177,7 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
        (* Quiescent: caches, queues and quarantine drained, so the
           allocator's live bytes must match the oracle's exactly. *)
        Oracle.final_check ~expect_quiescent_equality:true o ~stats:(a.Alloc_intf.stats ());
-       let cfg = Hoard.config h in
-       (* The memory-lifecycle invariant holds whether or not the
-          reservoir is on (with R = 0 it degenerates to
-          resident <= held). *)
-       Oracle.check_residency o ~stats:(a.Alloc_intf.stats ())
-         ~reservoir:cfg.Hoard_config.reservoir ~sb_size:cfg.Hoard_config.sb_size);
+       Oracle.check_residency o ~stats:(a.Alloc_intf.stats ()));
     if expect_no_false_sharing && Oracle.active_shared_lines o > 0 then
       raise
         (Oracle.Oracle_violation

@@ -208,20 +208,11 @@ let check_blowup t ~(stats : Alloc_stats.snapshot) ~empty_fraction ~slop =
       stats.Alloc_stats.peak_held_bytes bound u slop
 
 (* The memory-lifecycle invariant: resident (committed) bytes never
-   exceed what the heaps hold plus the reservoir's worst case of R
-   still-committed parked superblocks — a parked superblock missing its
-   decommit, or a drop that skipped its unmap, breaks this. *)
-let check_residency t ~(stats : Alloc_stats.snapshot) ~reservoir ~sb_size =
-  let cap = reservoir * sb_size in
-  if stats.Alloc_stats.reservoir_bytes > cap then
-    fail t "reservoir holds %d bytes, above its capacity %d (R=%d x S=%d)"
-      stats.Alloc_stats.reservoir_bytes cap reservoir sb_size;
-  if stats.Alloc_stats.resident_bytes > stats.Alloc_stats.held_bytes + cap then
-    fail t "resident %d bytes exceeds held %d + reservoir capacity %d"
-      stats.Alloc_stats.resident_bytes stats.Alloc_stats.held_bytes cap;
-  if reservoir = 0 && (stats.Alloc_stats.reservoir_bytes <> 0 || stats.Alloc_stats.reservoir_parks <> 0) then
-    fail t "reservoir disabled yet %d bytes parked across %d parks"
-      stats.Alloc_stats.reservoir_bytes stats.Alloc_stats.reservoir_parks
+   exceed what is held from the OS — a region unmapped without its
+   resident debit, or recommitted twice, breaks this. *)
+let check_residency t ~(stats : Alloc_stats.snapshot) =
+  if stats.Alloc_stats.resident_bytes > stats.Alloc_stats.held_bytes then
+    fail t "resident %d bytes exceeds held %d" stats.Alloc_stats.resident_bytes stats.Alloc_stats.held_bytes
 
 let final_check ?expect_quiescent_equality t ~(stats : Alloc_stats.snapshot) =
   locked t (fun () ->

@@ -48,12 +48,10 @@ val check_blowup : t -> stats:Alloc_stats.snapshot -> empty_fraction:float -> sl
     caller-computed O(P)-term for the configuration (superblock slack,
     release threshold, cache capacities, quarantine). *)
 
-val check_residency : t -> stats:Alloc_stats.snapshot -> reservoir:int -> sb_size:int -> unit
+val check_residency : t -> stats:Alloc_stats.snapshot -> unit
 (** Asserts the memory-lifecycle invariant
-    [resident_bytes <= held_bytes + reservoir * sb_size] (and that the
-    reservoir itself never exceeds its byte capacity, and stays empty
-    when disabled). A parked superblock that skipped its decommit, or a
-    bounced park that skipped its unmap, violates it. *)
+    [resident_bytes <= held_bytes]. A region unmapped without its
+    resident debit, or recommitted twice, violates it. *)
 
 val final_check : ?expect_quiescent_equality:bool -> t -> stats:Alloc_stats.snapshot -> unit
 (** End-of-run audit: internal accounting consistency, and live-byte

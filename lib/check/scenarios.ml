@@ -219,64 +219,12 @@ let registry_churn =
         fun () -> Hoard.check h);
   }
 
-(* The registry-churn pattern with the reservoir interposed: every free
-   empties a superblock which now parks (decommitted) instead of
-   unmapping, and the next malloc takes it back (commit + reformat +
-   re-register) — so park/take runs concurrently with wait-free lookups
-   and with other threads' park offers racing for the last slot. The
-   post-run check leans on [Hoard.check]'s reservoir validation (parked
-   superblocks empty, unregistered, decommitted) plus the lifecycle
-   invariant on the stats. *)
-let reservoir_churn =
-  {
-    Explorer.sc_name = "reservoir-churn";
-    sc_describe = "whole-superblock churn through the reservoir: park/decommit racing take/recommit";
-    sc_nprocs = 3;
-    sc_build =
-      (fun sim pf ->
-        let config =
-          {
-            (race_config ~mutant:"") with
-            Hoard_config.nheaps = Some 2;
-            release_to_os = true;
-            release_threshold = 0;
-            reservoir = 2;
-          }
-        in
-        let h = Hoard.create ~config pf in
-        let a = Hoard.allocator h in
-        let size = Hoard_config.max_small config in
-        for p = 0 to 2 do
-          ignore
-            (Sim.spawn sim ~proc:p (fun () ->
-                 for _ = 1 to 3 do
-                   let addr = a.Alloc_intf.malloc size in
-                   let u = a.Alloc_intf.usable_size addr in
-                   if u < size then failwith (sprintf "reservoir-churn: usable %d < %d" u size);
-                   a.Alloc_intf.free addr
-                 done))
-        done;
-        fun () ->
-          Hoard.check h;
-          let len = Hoard.reservoir_length h in
-          if len > config.Hoard_config.reservoir then
-            failwith
-              (sprintf "reservoir-churn: %d parked superblocks above cap %d" len
-                 config.Hoard_config.reservoir);
-          let s = (Hoard.allocator h).Alloc_intf.stats () in
-          let cap = config.Hoard_config.reservoir * config.Hoard_config.sb_size in
-          if s.Alloc_stats.resident_bytes > s.Alloc_stats.held_bytes + cap then
-            failwith
-              (sprintf "reservoir-churn: resident %d > held %d + R*S %d" s.Alloc_stats.resident_bytes
-                 s.Alloc_stats.held_bytes cap));
-  }
-
-(* The Treiber protocol itself, raw: the bounded lock-free stack that
-   carries the superblock reservoir, driven directly so every link word
+(* The Treiber protocol itself, raw: the bounded lock-free stack under
+   the large-object cache's buckets, driven directly so every link word
    is a schedule step. Three threads pop (one of them pushes back)
    against a 3-deep stack; the post-run check walks the structure and
    demands every accepted push is accounted for exactly once. With the ABA tag frozen
-   (mutant = "reservoir-no-aba"), a popper preempted between its link
+   (mutant = "large-cache-no-aba"), a popper preempted between its link
    load and its head CAS can resume after the top slot was recycled and
    install a stale link — the walk then finds a payload-less or
    twice-linked slot. Two preemptions suffice: one to park the popper in
@@ -287,13 +235,13 @@ let lockfree_stack ~mutant =
   {
     Explorer.sc_name = (if mutant = "" then "lockfree-stack" else "lockfree-stack-mutant");
     sc_describe =
-      (if mutant = "" then "pops racing pushes on the tagged Treiber stack under the reservoir"
+      (if mutant = "" then "pops racing pushes on the tagged Treiber stack under the large cache"
        else "the same race with the ABA tag frozen; a stale pop corrupts the stack at bound <= 2");
     sc_nprocs = 3;
     sc_build =
       (fun sim pf ->
         let stack =
-          Lockfree.create pf ~name:"stack" ~cap:4 ~aba_tag:(mutant <> "reservoir-no-aba") ()
+          Lockfree.create pf ~name:"stack" ~cap:4 ~aba_tag:(mutant <> "large-cache-no-aba") ()
         in
         let barrier = Sim.new_barrier sim ~parties:3 in
         let popped = Array.make 3 [] in
@@ -334,62 +282,6 @@ let lockfree_stack ~mutant =
           in
           if dup (List.sort compare acc) then
             failwith "lockfree-stack: an element surfaced twice (lost ABA tag?)");
-  }
-
-(* The park/take ordering of the reservoir lifecycle. Thread 0 empties a
-   whole superblock, whose free transfers and parks it; thread 1
-   concurrently mallocs, and its refill — having found the global heap
-   empty and released the global lock — races the lock-free take against
-   the park. The real path decommits strictly BEFORE publishing, so any
-   taker recommits pages nobody will touch again; the
-   park-before-decommit mutant publishes first, and in the schedule
-   where the take lands inside that window the parker's decommit drops
-   pages out from under thread 1's live block — which the sanitizer's
-   residency probe (both threads quiescent, after the barrier) reports. *)
-let park_take_order ~mutant =
-  {
-    Explorer.sc_name = (if mutant = "" then "park-take-order" else "park-take-order-mutant");
-    sc_describe =
-      (if mutant = "" then "reservoir park racing a lock-free take; decommit-before-publish protects the taker"
-       else "park-before-decommit mutant: the parker decommits under the taker's live block at bound <= 2");
-    sc_nprocs = 2;
-    sc_build =
-      (fun sim pf ->
-        let config =
-          {
-            (race_config ~mutant) with
-            Hoard_config.nheaps = Some 2;
-            release_to_os = true;
-            release_threshold = 0;
-            reservoir = 1;
-            (* quarantine 0: frees are checked but recycle immediately, so
-               thread 0's free still empties its superblock on the spot. *)
-            sanitize = true;
-            quarantine = 0;
-          }
-        in
-        let h = Hoard.create ~config pf in
-        let a = Hoard.allocator h in
-        let checker = Option.get (Hoard.sanitizer_access_check h) in
-        let size = Hoard_config.max_small config in
-        let barrier = Sim.new_barrier sim ~parties:2 in
-        ignore
-          (Sim.spawn sim ~proc:0 (fun () ->
-               (* One block fills the whole superblock: the free empties
-                  it, the trim transfers it, release_surplus parks it. *)
-               let addr = a.Alloc_intf.malloc size in
-               a.Alloc_intf.free addr;
-               Sim.barrier_wait barrier));
-        ignore
-          (Sim.spawn sim ~proc:1 (fun () ->
-               let addr = a.Alloc_intf.malloc size in
-               Sim.barrier_wait barrier;
-               (* Both threads quiescent: if the parker's decommit landed
-                  after our recommit, the pages under this live block are
-                  gone now. *)
-               checker ~addr ~len:8 ~write:true;
-               Sim.write ~addr ~len:8));
-        fun () -> Hoard.check h);
   }
 
 (* Remote frees racing the owner's drain, end to end through the
@@ -485,8 +377,7 @@ let remote_queue_drain =
    the remaining parked set. With the tag frozen
    (mutant = "large-cache-no-aba"), a taker preempted between its link
    load and its head CAS can install a stale link after the slot was
-   recycled — caught at preemption bound <= 2 like the reservoir's
-   stack. *)
+   recycled — caught at preemption bound <= 2 like the raw stack. *)
 let large_cache_churn ~mutant =
   {
     Explorer.sc_name = (if mutant = "" then "large-cache-churn" else "large-cache-churn-mutant");
@@ -901,11 +792,8 @@ let all () =
     emptiness_trim ~mutant:"";
     emptiness_trim ~mutant:"emptiness-off-by-one";
     registry_churn;
-    reservoir_churn;
     lockfree_stack ~mutant:"";
-    lockfree_stack ~mutant:"reservoir-no-aba";
-    park_take_order ~mutant:"";
-    park_take_order ~mutant:"park-before-decommit";
+    lockfree_stack ~mutant:"large-cache-no-aba";
     deferred_remote_free ~mutant:"";
     deferred_remote_free ~mutant:"deferred-lost-node";
     remote_queue_drain;

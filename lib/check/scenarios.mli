@@ -26,27 +26,12 @@ val registry_churn : Explorer.scenario
 (** Superblock register/unregister churn (release-to-OS at threshold 0)
     against the registry's wait-free lookup on concurrent free paths. *)
 
-val reservoir_churn : Explorer.scenario
-(** The same churn through a capacity-2 superblock reservoir:
-    park/decommit racing take/recommit across heaps, with the
-    memory-lifecycle invariant ([resident <= held + R*S]) and
-    {!Hoard.check}'s reservoir validation as the post-run oracle. *)
-
 val lockfree_stack : mutant:string -> Explorer.scenario
-(** The bounded Treiber stack under the reservoir, driven raw:
+(** The bounded Treiber stack under the large cache, driven raw:
     concurrent pops (one pushing back) against a small stack, with a
     conservation walk as the post-run oracle.
-    [mutant = "reservoir-no-aba"] freezes the ABA tag and is caught at
+    [mutant = "large-cache-no-aba"] freezes the ABA tag and is caught at
     preemption bound <= 2; [mutant = ""] passes exhaustively. *)
-
-val park_take_order : mutant:string -> Explorer.scenario
-(** A reservoir park racing a lock-free take from a refill.
-    [mutant = "park-before-decommit"] publishes the superblock before
-    dropping its pages, so the taker's recommit can be undone beneath its
-    live block — caught at bound <= 2 by the sanitizer's residency probe;
-    [mutant = ""] passes exhaustively. Explore under {!Explorer.Chess}:
-    the oracle reads vmem page residency, which step footprints do not
-    see, so sleep-set pruning is unsound for this scenario. *)
 
 val deferred_remote_free : mutant:string -> Explorer.scenario
 (** Two remote flushes racing CAS pushes onto one heap's deferred free
@@ -70,7 +55,8 @@ val large_cache_churn : mutant:string -> Explorer.scenario
     [mutant = "large-cache-no-aba"] freezes the bucket's ABA tag and is
     caught at bound <= 2; [mutant = ""] passes exhaustively. Explore
     under {!Explorer.Chess}: the oracle reads vmem page residency, which
-    step footprints do not see (same caveat as {!park_take_order}). *)
+    step footprints do not see, so sleep-set pruning is unsound for
+    this scenario. *)
 
 val exit_adoption : ?global:Hoard_config.global_mode -> mutant:string -> unit -> Explorer.scenario
 (** A remote free and a refill racing a retiring thread's

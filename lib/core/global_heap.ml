@@ -19,62 +19,18 @@ type env = {
   cfg : Hoard_config.t;
   stats : Alloc_stats.t;
   reg : Sb_registry.t;
-  reservoir : Sb_reservoir.t option;
 }
 
-(* Dispose of one empty superblock the caller holds privately (already
-   removed from heap 0 / the index, still registered). With a reservoir
-   it is parked — unregistered, decommitted, still mapped — so a later
-   refill pays a commit instead of an OS map; past the cap R (and always
-   without one) it goes back to the OS. [h] is the lock domain whose ring
-   records the disposal (the caller holds its lock); the reservoir lock
-   is innermost. *)
+(* Return one empty superblock the caller holds privately (already
+   removed from heap 0 / the index, still registered) to the OS. [h] is
+   the lock domain whose ring records the disposal (the caller holds its
+   lock). *)
 let drop env h sb =
-  let pf = env.pf in
   Sb_registry.unregister env.reg sb;
   let bytes = Superblock.sb_size sb in
-  let event kind = Heap.event h kind ~sclass:(Superblock.sclass sb) ~arg:bytes in
-  let unmap () =
-    pf.page_unmap ~addr:(Superblock.base sb);
-    Alloc_stats.on_unmap env.stats ~bytes;
-    event Event_ring.Sb_unmap
-  in
-  match env.reservoir with
-  | Some res when env.cfg.mutant = "park-before-decommit" ->
-    (* MUTANT: publish first, decommit after. A concurrent refill
-       can take, recommit and start allocating from the superblock
-       before our decommit lands — which then drops pages out from
-       under live blocks: exactly the race the real path's
-       decommit-before-park ordering forbids, for the schedule
-       explorer to find. *)
-    if Sb_reservoir.park res sb then begin
-      pf.page_decommit ~addr:(Superblock.base sb);
-      Alloc_stats.on_decommit env.stats ~bytes;
-      Alloc_stats.on_park env.stats ~bytes;
-      Alloc_stats.on_park_commit env.stats;
-      event Event_ring.Decommit
-    end
-    else unmap ()
-  | Some res ->
-    (* Decommit and record stats while the superblock is still
-       private: the moment [park] publishes it, a concurrent refill
-       may take, recommit and reformat it, so a decommit (or a
-       held/reservoir gauge update) after that point would race the
-       taker — dropping pages under a live superblock. *)
-    pf.page_decommit ~addr:(Superblock.base sb);
-    Alloc_stats.on_decommit env.stats ~bytes;
-    Alloc_stats.on_park env.stats ~bytes;
-    event Event_ring.Decommit;
-    if Sb_reservoir.park res sb then Alloc_stats.on_park_commit env.stats
-    else begin
-      (* Bounced on a full reservoir: the superblock is still ours
-         and already decommitted — return it to the OS, as the
-         no-reservoir path would have. *)
-      pf.page_unmap ~addr:(Superblock.base sb);
-      Alloc_stats.on_park_bounce env.stats ~bytes;
-      event Event_ring.Sb_unmap
-    end
-  | None -> unmap ()
+  env.pf.page_unmap ~addr:(Superblock.base sb);
+  Alloc_stats.on_unmap env.stats ~bytes;
+  Heap.event h Event_ring.Sb_unmap ~sclass:(Superblock.sclass sb) ~arg:bytes
 
 (* The paper's heap 0: a heap record like the per-processor ones, its
    Dlist fullness groups behind its lock, its remote-free channel drained
@@ -196,7 +152,7 @@ module Lockfree = struct
       List.iter
         (fun (sb, addrs) ->
           (* Read the size before the free: once the run empties the
-             superblock, another heap may claim it and reformat it for
+             superblock, another heap may claim it and reinit it for
              another class before the charge below. *)
           let usable = Superblock.block_size sb in
           let inside () =
@@ -328,8 +284,8 @@ end
 
 type t = G : (module S with type t = 'g) * 'g -> t
 
-let create pf (cfg : Hoard_config.t) ~classes ~stats ~reg ~reservoir ?obs ~heaps () =
-  let env = { pf; cfg; stats; reg; reservoir } in
+let create pf (cfg : Hoard_config.t) ~classes ~stats ~reg ?obs ~heaps () =
+  let env = { pf; cfg; stats; reg } in
   match cfg.global with
   | Hoard_config.Locked ->
     let h0 = Heap.create pf cfg ~classes ~stats ?obs 0 in

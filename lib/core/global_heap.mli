@@ -1,8 +1,7 @@
 (** The global heap (the paper's heap 0): per-processor heaps give it
     superblocks that crossed the emptiness threshold (and a retiring
     thread's whole heap), take superblocks back from it before mapping
-    fresh memory, and it returns its surplus empty superblocks to the OS
-    or the reservoir.
+    fresh memory, and it returns its surplus empty superblocks to the OS.
 
     One signature, two implementations, chosen by [cfg.global] in
     {!create}:
@@ -83,11 +82,10 @@ val create :
   classes:Size_class.t ->
   stats:Alloc_stats.t ->
   reg:Sb_registry.t ->
-  reservoir:Sb_reservoir.t option ->
   ?obs:Obs.t ->
   heaps:Heap.t array ->
   unit ->
   t
 (** The implementation [cfg.global] names, over the per-processor
-    [heaps]. Released superblocks are unregistered from [reg] and parked
-    in [reservoir] (decommitted) or unmapped. *)
+    [heaps]. Released superblocks are unregistered from [reg] and
+    unmapped. *)

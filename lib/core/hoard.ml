@@ -42,7 +42,6 @@ type t = {
   (* cfg.large_cache > 0: the lock-free MPSC cache in front of the large
      path, held here (as well as inside [large]) for check/introspection. *)
   lcache : Large_cache.t option;
-  reservoir : Sb_reservoir.t option; (* cfg.reservoir > 0: the empty-superblock parking lot *)
   obs : Obs.t option;
   fe : int; (* cached [cfg.front_end]; 0 = the paper's exact algorithm *)
   tcaches : tcache IntMap.t Atomic.t; (* tid -> cache; replaced under [tc_mu] *)
@@ -75,11 +74,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
      tracing is on, mirror the same domains. Thread caches add their own
      shard (and ring) as they appear. *)
   let stats = Alloc_stats.create ~shards:(n + 2) () in
-  (* The lock-free structures share one contention counter and one mutant
-     switch each: "reservoir-no-aba" freezes the ABA tag of the reservoir,
-     "large-cache-no-aba" that of the large cache, "deferred-lost-node"
-     drops a deferred push's CAS retry. *)
-  let aba_tag = config.mutant <> "reservoir-no-aba" in
   (* Every lock-free structure gets its own labelled retry hook, so the
      unified alloc.cas_retries total breaks down per structure in exports. *)
   let retry label = Alloc_stats.retry_hook stats ~label in
@@ -90,10 +84,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
         (Large_cache.create pf ~name:"hoard.lcache" ~cap:config.large_cache
            ~aba_tag:(config.mutant <> "large-cache-no-aba")
            ~on_retry:(retry "large-cache") ())
-    else None
-  in
-  let reservoir =
-    if config.reservoir > 0 then Some (Sb_reservoir.create ~aba_tag ~on_retry:(retry "reservoir") pf ~cap:config.reservoir)
     else None
   in
   (* Rings in the order large, heap1.., global. *)
@@ -112,10 +102,9 @@ let create ?(config = Hoard_config.default) ?obs pf =
       stats;
       owner;
       heaps;
-      global = Global_heap.create pf config ~classes ~stats ~reg ~reservoir ?obs ~heaps ();
+      global = Global_heap.create pf config ~classes ~stats ~reg ?obs ~heaps ();
       large;
       lcache;
-      reservoir;
       obs;
       fe = config.front_end;
       tcaches = Atomic.make IntMap.empty;
@@ -184,31 +173,9 @@ let drain_pending t h ~detached ~spill =
   Global_heap.park t.global h to_global ~spill ~locked:true;
   mine
 
-(* Fetch a superblock usable for [sclass] from the global heap, the
-   reservoir, or the OS, and insert it into [h] (whose lock the caller
-   holds). *)
+(* Fetch a superblock usable for [sclass] from the global heap or the OS,
+   and insert it into [h] (whose lock the caller holds). *)
 let refill t h ~sclass ~block_size ~spill =
-  let from_reservoir () =
-    match t.reservoir with
-    | None -> None
-    | Some res ->
-      (match Sb_reservoir.take res with
-       | None -> None
-       | Some sb ->
-         (* Recommit-before-reuse: the parked superblock's pages were
-            dropped; touching it without the commit is the lifecycle bug
-            the sanitizer's residency check exists to catch. *)
-         let base = Superblock.base sb in
-         t.pf.Platform.page_commit ~addr:base;
-         Superblock.reformat sb ~sclass ~block_size;
-         Sb_registry.register t.reg sb;
-         Alloc_stats.on_unpark t.stats ~bytes:t.cfg.sb_size;
-         Alloc_stats.on_recommit t.stats ~bytes:t.cfg.sb_size;
-         Heap.event h Event_ring.Recommit ~sclass ~arg:t.cfg.sb_size;
-         if t.san <> None && t.pf.Platform.page_residency ~addr:base <> Vmem.Resident then
-           failwith "Hoard.refill: reservoir superblock reused without recommit";
-         Some sb)
-  in
   let sb =
     match Global_heap.take t.global h ~sclass ~spill with
     | Some sb ->
@@ -218,15 +185,12 @@ let refill t h ~sclass ~block_size ~spill =
       Heap.event h Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
       sb
     | None ->
-      (match from_reservoir () with
-       | Some sb -> sb
-       | None ->
-         let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
-         let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
-         Sb_registry.register t.reg sb;
-         Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
-         Heap.event h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
-         sb)
+      let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
+      let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
+      Sb_registry.register t.reg sb;
+      Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
+      Heap.event h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
+      sb
   in
   Heap_core.insert h.core sb;
   Heap.touch_header t.pf sb
@@ -966,16 +930,6 @@ let sanitizer_access_check t =
   | Some _ ->
     Some
       (fun ~addr ~len ~write ->
-        (* A parked superblock is unregistered, so the block-level checks
-           below can't see it — but its pages are decommitted, and any
-           touch means a stale pointer outlived the park (or a reuse path
-           skipped the recommit). The residency probe is charge-free. *)
-        if t.reservoir <> None && t.pf.Platform.page_residency ~addr = Vmem.Decommitted then
-          san_report t
-            ~what:
-              (if write then "write to a decommitted page (parked superblock)"
-               else "read of a decommitted page (parked superblock)")
-            ~addr None;
         match Sb_registry.lookup t.reg ~addr with
         | None -> ()
         | Some sb ->
@@ -1060,11 +1014,6 @@ let invariant_holds t ~heap_id =
     (not (too_empty t h.core))
     || not (Heap_core.has_victim h.core ~max_fullness:(1.0 -. t.cfg.empty_fraction) ~protect_last:true)
 
-let reservoir_length t =
-  match t.reservoir with
-  | None -> 0
-  | Some res -> Sb_reservoir.length res
-
 let check t =
   Array.iter (fun (h : Heap.t) -> Heap_core.check h.core) t.heaps;
   Global_heap.check t.global;
@@ -1077,33 +1026,9 @@ let check t =
   Array.iter (fun (h : Heap.t) -> Option.iter Heap.check_list h.dfl) t.heaps;
   (* Large cache: buckets within capacity, stacks structurally sound,
      every parked region mapped and decommitted. *)
-  (match t.lcache with
-   | None -> ()
-   | Some c -> Large_cache.check c);
-  (* Reservoir lifecycle (quiescent, like the heap walks above): parked
-     superblocks are empty, unregistered, decommitted, within the cap, and
-     the parked-byte accounting matches; the residency bound
-     resident <= held + R * S follows and is asserted directly. *)
-  match t.reservoir with
-  | None ->
-    if s.reservoir_bytes <> 0 then failwith "Hoard.check: reservoir bytes without a reservoir"
-  | Some res ->
-    let n = ref 0 in
-    Sb_reservoir.iter res (fun sb ->
-        incr n;
-        if not (Superblock.is_empty sb) then failwith "Hoard.check: parked superblock has live blocks";
-        let base = Superblock.base sb in
-        if Sb_registry.lookup t.reg ~addr:(base + Superblock.header_bytes) <> None then
-          failwith "Hoard.check: parked superblock still registered";
-        if t.pf.Platform.page_residency ~addr:base <> Vmem.Decommitted then
-          failwith "Hoard.check: parked superblock not decommitted");
-    if !n > Sb_reservoir.cap res then failwith "Hoard.check: reservoir over capacity";
-    if s.reservoir_bytes <> !n * t.cfg.sb_size then failwith "Hoard.check: reservoir byte accounting mismatch";
-    if s.resident_bytes > s.held_bytes + (Sb_reservoir.cap res * t.cfg.sb_size) then
-      failwith
-        (Printf.sprintf "Hoard.check: residency bound violated (resident=%dB > held=%dB + R*S=%dB)"
-           s.resident_bytes s.held_bytes
-           (Sb_reservoir.cap res * t.cfg.sb_size))
+  match t.lcache with
+  | None -> ()
+  | Some c -> Large_cache.check c
 
 let allocator t =
   Alloc_api.make ~pf:t.pf ~name:"hoard" ~owner:t.owner ~large_threshold:(Hoard_config.max_small t.cfg)

@@ -162,10 +162,6 @@ val large_cache_length : t -> int
 (** Regions currently parked in the large-object cache (0 when
     [config.large_cache = 0]). Lock-free read; exact at quiescence. *)
 
-val reservoir_length : t -> int
-(** Superblocks currently parked in the reservoir (0 when
-    [config.reservoir = 0]). Lock-free read; exact at quiescence. *)
-
 val pp_heaps : Format.formatter -> t -> unit
 (** Human-readable dump of every heap: per size class, the superblock
     count and aggregate fullness — the view used by

@@ -26,7 +26,6 @@ type t = {
   assign_by_tid : bool;
   release_to_os : bool;
   release_threshold : int;
-  reservoir : int;
   vmem_backend : Vmem_backend.kind;
   path_work : int;
   front_end : int;
@@ -43,8 +42,6 @@ let known_mutants =
   [
     "skip-owner-recheck";
     "emptiness-off-by-one";
-    "reservoir-no-aba";
-    "park-before-decommit";
     "deferred-lost-node";
     "large-cache-no-aba";
     "orphan-lost-superblock";
@@ -63,7 +60,6 @@ let default =
     assign_by_tid = false;
     release_to_os = true;
     release_threshold = 4;
-    reservoir = 0;
     vmem_backend = Vmem_backend.Exact;
     path_work = 30;
     front_end = 0;
@@ -196,10 +192,6 @@ let knobs =
       ~get:(fun t -> t.release_threshold)
       ~store:(fun t v -> { t with release_threshold = v })
       ~check:(non_negative "release-threshold");
-    int_knob "reservoir" "R: capacity (superblocks) of the decommitted parking reservoir; 0 disables."
-      ~get:(fun t -> t.reservoir)
-      ~store:(fun t v -> { t with reservoir = v })
-      ~check:(non_negative "reservoir");
     {
       k_name = "vmem";
       k_doc = "Address-space reuse policy: exact, first-fit or buddy.";
@@ -304,7 +296,7 @@ let set t spec =
 let set_all t specs = List.fold_left set t specs
 
 let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nheaps ?assign_by_tid
-    ?release_to_os ?release_threshold ?reservoir ?vmem_backend ?path_work ?front_end
+    ?release_to_os ?release_threshold ?vmem_backend ?path_work ?front_end
     ?remote_queue_cap ?deferred ?large_cache ?global ?sanitize ?quarantine ?mutant () =
   let v field = function Some x -> x | None -> field in
   let t =
@@ -318,7 +310,6 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nhe
       assign_by_tid = v base.assign_by_tid assign_by_tid;
       release_to_os = v base.release_to_os release_to_os;
       release_threshold = v base.release_threshold release_threshold;
-      reservoir = v base.reservoir reservoir;
       vmem_backend = v base.vmem_backend vmem_backend;
       path_work = v base.path_work path_work;
       front_end = v base.front_end front_end;

@@ -46,15 +46,6 @@ type t = {
       (** return empty superblocks from the global heap to the OS. *)
   release_threshold : int;
       (** empty superblocks the global heap retains before releasing. *)
-  reservoir : int;
-      (** R: capacity (superblocks) of the size-class-agnostic reservoir
-          empty superblocks are parked in — decommitted but still mapped —
-          when the global heap drains them, instead of being unmapped.
-          Reuse pulls from the reservoir first (recommit + reformat to the
-          needed class), turning an unmap+map round trip into a cheap
-          commit. Overflow beyond R is unmapped as before, bounding
-          residency by heap-held + R·S. 0 (the default) disables the
-          reservoir, restoring the seed lifecycle. *)
   vmem_backend : Vmem_backend.kind;
       (** reuse policy of the simulated address space underneath this
           allocator's platform. The config record is the single source of
@@ -120,15 +111,11 @@ val known_mutants : string list
     heap lock in [free], racing against superblock transfer to the global
     heap; ["emptiness-off-by-one"] makes the emptiness-invariant trim use
     K+1 while the invariant checker still demands K;
-    ["reservoir-no-aba"] freezes the ABA tag of the lock-free
-    reservoir's slot-pool stack, planting the classic Treiber
-    pop-over-recycled-head bug; ["park-before-decommit"] publishes a superblock to the reservoir
-    BEFORE decommitting its pages, so a concurrent taker can recommit and
-    reuse pages the parker then decommits out from under it;
     ["deferred-lost-node"] makes the deferred-list push treat a failed
     CAS as success (dropping the retry), silently losing the block under
     producer contention; ["large-cache-no-aba"] freezes the ABA tag of
-    the large-object cache's bucket stacks; ["global-no-aba"] freezes the
+    the large-object cache's bucket stacks, planting the classic Treiber
+    pop-over-recycled-head bug; ["global-no-aba"] freezes the
     ABA tags of the lock-free global index's per-bin membership stacks
     (a pop over a concurrently recycled head then splices a stale tail,
     stranding superblocks the index check finds unreachable);
@@ -150,7 +137,6 @@ val make :
   ?assign_by_tid:bool ->
   ?release_to_os:bool ->
   ?release_threshold:int ->
-  ?reservoir:int ->
   ?vmem_backend:Vmem_backend.kind ->
   ?path_work:int ->
   ?front_end:int ->

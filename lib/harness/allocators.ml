@@ -9,9 +9,6 @@ let df_config ?(front_end = front_end_default) ?(large_cache = large_cache_defau
 
 let san_config ?(quarantine = 32) () = Hoard_config.make ~sanitize:true ~quarantine ()
 
-let res_config ?(reservoir = 8) ?(vmem_backend = Vmem_backend.First_fit) () =
-  Hoard_config.make ~reservoir ~vmem_backend ()
-
 let gl_config ?(front_end = front_end_default) () =
   Hoard_config.make ~front_end ~deferred:true ~global:Hoard_config.Lockfree ()
 
@@ -47,20 +44,6 @@ let hoard_san ?quarantine () =
       Printf.sprintf "hoard with the heap sanitizer (poison-on-free, %d-block quarantine)" quarantine;
   }
 
-let hoard_res ?reservoir ?vmem_backend () =
-  let config = res_config ?reservoir ?vmem_backend () in
-  let reservoir = config.Hoard_config.reservoir in
-  let vmem_backend = config.Hoard_config.vmem_backend in
-  {
-    (Hoard.factory ~config ()) with
-    Alloc_intf.label = "hoard-res";
-    description =
-      Printf.sprintf
-        "hoard with the superblock reservoir (cap %d, decommit-on-park) on the %s vmem backend"
-        reservoir
-        (Vmem_backend.kind_name vmem_backend);
-  }
-
 let hoard_gl ?front_end () =
   let config = gl_config ?front_end () in
   {
@@ -85,7 +68,7 @@ let all () =
 
 (* Checking configurations: resolvable by [find] but excluded from [all]
    (sweeps and comparison tables run the eight measurement allocators). *)
-let extras () = [ hoard_san (); hoard_res (); hoard_gl () ]
+let extras () = [ hoard_san (); hoard_gl () ]
 
 let labels () = List.map (fun f -> f.Alloc_intf.label) (all ())
 
@@ -99,7 +82,6 @@ let base_config = function
   | "hoard-fe" -> Some (fe_config ())
   | "hoard-df" -> Some (df_config ())
   | "hoard-san" -> Some (san_config ())
-  | "hoard-res" -> Some (res_config ())
   | "hoard-gl" -> Some (gl_config ())
   | _ -> None
 

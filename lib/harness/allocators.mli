@@ -13,7 +13,7 @@ val all : unit -> Alloc_intf.factory list
     stay on the eight comparison allocators. *)
 
 val extras : unit -> Alloc_intf.factory list
-(** Checking configurations ([hoard-san], [hoard-res]); resolvable
+(** Checking configurations ([hoard-san], [hoard-gl]); resolvable
     through {!find}. *)
 
 val labels : unit -> string list
@@ -53,16 +53,9 @@ val hoard_df : ?front_end:int -> ?large_cache:int -> unit -> Alloc_intf.factory
 val hoard_san : ?quarantine:int -> unit -> Alloc_intf.factory
 (** A sanitizer-enabled hoard factory (see {!Hoard_config.t.sanitize}). *)
 
-val hoard_res : ?reservoir:int -> ?vmem_backend:Vmem_backend.kind -> unit -> Alloc_intf.factory
-(** A reservoir-enabled hoard factory (see {!Hoard_config.t.reservoir}):
-    empty superblocks park decommitted instead of unmapping, up to
-    [reservoir] (default 8) of them, on the [vmem_backend] (default
-    {!Vmem_backend.First_fit}) reuse policy. Harnesses that build their
-    own platform must honour [config.vmem_backend] when doing so
-    (e.g. {!Runner.spec}'s [vmem_backend]). *)
-
 val hoard_gl : ?front_end:int -> unit -> Alloc_intf.factory
-(** [hoard-df] with the lock-free global heap (see
+(** [hoard-fe] plus the deferred remote-free lists and the lock-free
+    global heap (see
     {!Hoard_config.t.global} = [Lockfree]): heap 0's Dlist fullness
     groups replaced by the CAS-published {!Global_index}, so superblock
     transfer in either direction — and frees into global superblocks —

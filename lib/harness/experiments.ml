@@ -1137,7 +1137,7 @@ let abl_nheaps =
     run;
   }
 
-(* --- memory-lifecycle fragmentation (vmem backends + reservoir) --- *)
+(* --- memory-lifecycle fragmentation (vmem backends) --- *)
 
 (* Churny variants of larson and shbench whose sizes run well past
    max_small (S/2 = 4 KiB), so a large share of the traffic takes the
@@ -1190,16 +1190,10 @@ let frag_shbench = function
         }
       ()
 
-(* The four lifecycle configurations the experiment compares; the first
-   is the seed (exact reuse, no reservoir), the baseline the address-
-   space "vs seed" column divides by. *)
+(* The vmem backends the experiment compares; the first is the seed
+   (exact reuse), the baseline the "vs seed" columns divide by. *)
 let frag_configs =
-  [
-    ("exact R=0 (seed)", Vmem_backend.Exact, 0);
-    ("first-fit R=0", Vmem_backend.First_fit, 0);
-    ("first-fit R=8", Vmem_backend.First_fit, 8);
-    ("buddy R=8", Vmem_backend.Buddy, 8);
-  ]
+  [ ("exact (seed)", Vmem_backend.Exact); ("first-fit", Vmem_backend.First_fit); ("buddy", Vmem_backend.Buddy) ]
 
 let frag_exp =
   let run scale ~procs =
@@ -1208,25 +1202,19 @@ let frag_exp =
       | Some (p :: _) -> p
       | _ -> 4
     in
-    let run_config w (backend, reservoir) ~nprocs =
-      let cfg = Hoard_config.make ~vmem_backend:backend ~reservoir () in
-      let r = Runner.run (Runner.spec ~vmem_backend:backend w (Hoard.factory ~config:cfg ())  ~nprocs) in
+    let run_config w backend ~nprocs =
+      let cfg = Hoard_config.make ~vmem_backend:backend () in
+      let r = Runner.run (Runner.spec ~vmem_backend:backend w (Hoard.factory ~config:cfg ()) ~nprocs) in
       (* The memory-lifecycle invariant, enforced (not just reported):
          the CI fragmentation smoke runs this experiment and must exit
-         non-zero if a parked superblock skipped its decommit or a
-         bounced park skipped its unmap. *)
+         non-zero if a region left the held set with its pages still
+         counted resident. *)
       let s = r.Runner.r_stats in
-      let cap = reservoir * cfg.Hoard_config.sb_size in
-      if s.Alloc_stats.resident_bytes > s.Alloc_stats.held_bytes + cap then
+      if s.Alloc_stats.resident_bytes > s.Alloc_stats.held_bytes then
         failwith
-          (Printf.sprintf
-             "exp_fragmentation: lifecycle invariant violated on %s (%s, R=%d): resident %d > held %d + R*S %d"
-             w.Workload_intf.w_name (Vmem_backend.kind_name backend) reservoir s.Alloc_stats.resident_bytes
-             s.Alloc_stats.held_bytes cap);
-      if s.Alloc_stats.reservoir_bytes > cap then
-        failwith
-          (Printf.sprintf "exp_fragmentation: reservoir over capacity on %s: %d bytes > %d"
-             w.Workload_intf.w_name s.Alloc_stats.reservoir_bytes cap);
+          (Printf.sprintf "exp_fragmentation: lifecycle invariant violated on %s (%s): resident %d > held %d"
+             w.Workload_intf.w_name (Vmem_backend.kind_name backend) s.Alloc_stats.resident_bytes
+             s.Alloc_stats.held_bytes);
       r
     in
     let workload_table (wname, w) =
@@ -1243,15 +1231,14 @@ let frag_exp =
               ("held@end", Table.Right);
               ("maps/unmaps", Table.Right);
               ("decommit/recommit", Table.Right);
-              ("park/drop", Table.Right);
             ]
       in
       let seed_span = ref 0 in
       List.iter
-        (fun (name, backend, reservoir) ->
-          let r = run_config w (backend, reservoir) ~nprocs:p in
+        (fun (name, backend) ->
+          let r = run_config w backend ~nprocs:p in
           let s = r.Runner.r_stats in
-          if backend = Vmem_backend.Exact && reservoir = 0 then seed_span := r.Runner.r_vm_address_space;
+          if backend = Vmem_backend.Exact then seed_span := r.Runner.r_vm_address_space;
           Table.add_row tbl
             [
               name;
@@ -1262,25 +1249,19 @@ let frag_exp =
               kib s.Alloc_stats.held_bytes;
               Printf.sprintf "%d/%d" s.Alloc_stats.os_maps s.Alloc_stats.os_unmaps;
               Printf.sprintf "%d/%d" s.Alloc_stats.decommits s.Alloc_stats.recommits;
-              Printf.sprintf "%d/%d" s.Alloc_stats.reservoir_parks s.Alloc_stats.reservoir_drops;
             ])
         frag_configs;
       tbl
     in
     let tables =
-      (* threadtest's all-small churn is where the reservoir itself acts
-         (superblocks empty onto the global heap and park instead of
-         unmapping); the two large-object churners are where the backend
-         reuse policy decides address-space growth. *)
+      (* The two large-object churners are where the backend reuse policy
+         decides address-space growth; the all-small larson and
+         threadtest map and unmap only whole superblocks, so every backend
+         reuses their address space alike. *)
       List.map workload_table
         [
           ("larson", frag_larson scale);
           ("shbench", frag_shbench scale);
-          (* The paper-sized larson (all-small objects) is where the
-             reservoir itself acts: ring handoffs empty whole superblocks
-             onto the global heap, which parks them (decommit) and serves
-             later refills from the reservoir (recommit) instead of
-             unmap/map round trips. *)
           ("larson-small", larson scale);
           ("threadtest", threadtest scale);
         ]
@@ -1294,9 +1275,9 @@ let frag_exp =
     in
     let seed_cycles = ref 0 in
     List.iter
-      (fun (name, backend, reservoir) ->
-        let r = run_config (threadtest scale) (backend, reservoir) ~nprocs:1 in
-        if backend = Vmem_backend.Exact && reservoir = 0 then seed_cycles := r.Runner.r_cycles;
+      (fun (name, backend) ->
+        let r = run_config (threadtest scale) backend ~nprocs:1 in
+        if backend = Vmem_backend.Exact then seed_cycles := r.Runner.r_cycles;
         Table.add_row uni
           [
             name;
@@ -1309,10 +1290,10 @@ let frag_exp =
   {
     id = "exp_fragmentation";
     title = "Address-space fragmentation and the memory lifecycle";
-    paper_ref = "evaluation extension (vmem backends, residency, superblock reservoir)";
+    paper_ref = "evaluation extension (vmem backends, residency)";
     describe =
-      "large-object churn on every vmem backend with and without the superblock reservoir: address-space \
-       growth, residency, and the resident <= held + R*S invariant (enforced)";
+      "large-object churn on every vmem backend: address-space growth, residency, and the resident <= held \
+       invariant (enforced)";
     run;
   }
 

@@ -66,9 +66,9 @@ let perfetto_of ~name ~nprocs ~cycles obs spans =
 
 let run_spawned ?(config = Hoard_config.default) ?obs_config ?(cost = Cost_model.default)
     ?(lock_kind = Sim.Spin) ~name ~nprocs spawn =
-  (* The platform must be built with the backend the config names — a
-     reservoir config on the exact-reuse backend would still be correct,
-     just not the run the caller asked to instrument. *)
+  (* The platform must be built with the backend the config names — any
+     config on the exact-reuse backend would still be correct, just not
+     the run the caller asked to instrument. *)
   let sim = Sim.create ~cost ~lock_kind ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs () in
   let pf = Sim.platform sim in
   let obs = Obs.create ?config:obs_config () in

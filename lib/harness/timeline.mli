@@ -5,7 +5,7 @@
     experiments into curves: pure private heaps' held memory climbs
     forever under producer-consumer while Hoard's stays pinned to the
     live line. The [resident] series is the RSS-over-time view: with a
-    decommit policy (reservoir parking), resident drops below held, which
+    decommit policy (large-cache parking), resident drops below held, which
     only a curve — not an end-of-run figure — makes visible. *)
 
 type sample = {

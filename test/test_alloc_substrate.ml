@@ -114,23 +114,6 @@ let test_sb_reinit () =
   let a = Superblock.alloc_block sb in
   Alcotest.(check bool) "allocates again" true (Superblock.contains sb a)
 
-let test_sb_reformat () =
-  let sb = mk_sb ~block_size:64 () in
-  Superblock.set_owner sb 2;
-  let a = Superblock.alloc_block sb in
-  Alcotest.check_raises "reformat busy" (Failure "Superblock.reformat: superblock not empty") (fun () ->
-      Superblock.reformat sb ~sclass:0 ~block_size:8);
-  Superblock.free_block sb a;
-  Superblock.reformat sb ~sclass:0 ~block_size:8;
-  Alcotest.(check int) "new capacity" ((8192 - 64) / 8) (Superblock.n_blocks sb);
-  Alcotest.(check int) "new class" 0 (Superblock.sclass sb);
-  Alcotest.(check int) "ownership severed" (-1) (Superblock.owner sb);
-  Alcotest.(check int) "grouping severed" (-1) (Superblock.group_index sb);
-  Alcotest.(check bool) "stale block not live" false (Superblock.is_block_live sb a);
-  let b = Superblock.alloc_block sb in
-  Alcotest.(check bool) "allocates again" true (Superblock.contains sb b);
-  Superblock.check sb
-
 let test_sb_model =
   QCheck.Test.make ~name:"Superblock matches set model under random ops" ~count:200
     QCheck.(list bool)
@@ -619,7 +602,6 @@ let () =
           Alcotest.test_case "foreign addr" `Quick test_sb_foreign_addr_rejected;
           Alcotest.test_case "LIFO reuse" `Quick test_sb_lifo_reuse;
           Alcotest.test_case "reinit" `Quick test_sb_reinit;
-          Alcotest.test_case "reformat" `Quick test_sb_reformat;
           Alcotest.test_case "fullness math" `Quick test_sb_fullness_math;
           QCheck_alcotest.to_alcotest test_sb_model;
         ] );

@@ -102,21 +102,10 @@ let test_registry_churn_explored () =
          (Explorer.schedule_to_string f.Explorer.f_schedule)
          f.Explorer.f_message)
 
-let test_reservoir_churn_explored () =
-  let o = Explorer.explore ~bound:1 ~max_runs:400 Scenarios.reservoir_churn in
-  match o.Explorer.o_failure with
-  | None -> ()
-  | Some f ->
-    Alcotest.fail
-      (sprintf "reservoir churn failed under [%s]: %s"
-         (Explorer.schedule_to_string f.Explorer.f_schedule)
-         f.Explorer.f_message)
-
 (* ------------------------------------------------------------------ *)
-(* The lock-free transfer protocols (PR 6): the Treiber stack under the
-   reservoir and the park/take publication ordering — real variants
-   explored exhaustively, seeded mutants caught with a minimized
-   replayable schedule.                                                 *)
+(* The lock-free Treiber stack under the large-object cache's buckets:
+   the real variant explored exhaustively, the seeded mutant caught with
+   a minimized replayable schedule.                                     *)
 
 let test_lockfree_stack_protocol_clean () =
   (* Sleep-set DFS makes the full bound-2 tree (tag-retry loops included)
@@ -135,46 +124,13 @@ let test_lockfree_stack_protocol_clean () =
   Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
 
 let test_lockfree_stack_aba_mutant_caught () =
-  let sc = Scenarios.lockfree_stack ~mutant:"reservoir-no-aba" in
+  let sc = Scenarios.lockfree_stack ~mutant:"large-cache-no-aba" in
   let o = Explorer.explore ~bound:2 sc in
   match o.Explorer.o_failure with
   | None -> Alcotest.fail "explorer must catch the frozen ABA tag at bound <= 2"
   | Some f ->
     Alcotest.(check bool) "failure names the stack corruption" true
       (Astring.String.is_infix ~affix:"Lockfree" f.Explorer.f_message);
-    (match Explorer.replay sc ~schedule:f.Explorer.f_schedule with
-     | Error _ -> ()
-     | Ok () ->
-       Alcotest.fail
-         (sprintf "minimized schedule [%s] must replay to failure"
-            (Explorer.schedule_to_string f.Explorer.f_schedule)))
-
-let test_park_take_order_clean () =
-  (* Chess, not Sleep_dfs: the scenario's oracle reads vmem page
-     residency, which step footprints do not see, so sleep-set pruning
-     is unsound here (it prunes the very schedule the mutant fails on).
-     The unreduced bound-2 tree is small anyway (~320 runs). *)
-  let o =
-    Explorer.explore ~strategy:Explorer.Chess ~bound:2 ~max_runs:200_000
-      (Scenarios.park_take_order ~mutant:"")
-  in
-  (match o.Explorer.o_failure with
-   | None -> ()
-   | Some f ->
-     Alcotest.fail
-       (sprintf "park/take ordering failed under [%s]: %s"
-          (Explorer.schedule_to_string f.Explorer.f_schedule)
-          f.Explorer.f_message));
-  Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
-
-let test_park_before_decommit_mutant_caught () =
-  let sc = Scenarios.park_take_order ~mutant:"park-before-decommit" in
-  let o = Explorer.explore ~bound:2 sc in
-  match o.Explorer.o_failure with
-  | None -> Alcotest.fail "explorer must catch park-before-decommit at bound <= 2"
-  | Some f ->
-    Alcotest.(check bool) "failure names the dropped pages" true
-      (Astring.String.is_infix ~affix:"decommitted" f.Explorer.f_message);
     (match Explorer.replay sc ~schedule:f.Explorer.f_schedule with
      | Error _ -> ()
      | Ok () ->
@@ -230,7 +186,7 @@ let test_deferred_lost_node_mutant_caught () =
 
 let test_large_cache_protocol_clean () =
   (* Chess, not Sleep_dfs: Large_cache.check reads vmem page residency,
-     invisible to step footprints (the park_take_order caveat). The
+     invisible to step footprints, so sleep-set pruning is unsound. The
      bound-2 tree is ~12k runs. *)
   let o =
     Explorer.explore ~strategy:Explorer.Chess ~bound:2 ~max_runs:200_000
@@ -470,27 +426,15 @@ let test_oracle_sanitizer_workloads_green () =
         true (r.Check_run.c_mallocs > 0))
     (Check_run.quick_workloads ())
 
-let test_oracle_reservoir_workloads_green () =
-  (* Every quick workload under the reservoir + first-fit lifecycle: the
-     oracle's residency check (resident <= held + R*S) runs in the post
-     phase for every hoard subject, so a green run certifies the bound. *)
+let test_oracle_first_fit_workloads_green () =
+  (* Every quick workload on the first-fit vmem backend, sanitizer on:
+     address reuse across sizes under the oracle, whose residency check
+     (resident <= held) runs in the post phase for every hoard subject. *)
   List.iter
     (fun w ->
-      let r = Check_run.run_oracle ~fuzz:13 ~workload:w ~subject:"hoard-res" () in
+      let r = Check_run.run_oracle ~fuzz:13 ~workload:w ~subject:"hoard-ff-san" () in
       Alcotest.(check bool)
-        (sprintf "hoard-res/%s ran" r.Check_run.c_workload)
-        true (r.Check_run.c_mallocs > 0))
-    (Check_run.quick_workloads ())
-
-let test_oracle_reservoir_front_end_workloads_green () =
-  (* The reservoir behind the front end under the oracle: cached blocks
-     pin superblocks the reservoir would otherwise park, and
-     flush_caches/check at quiescence validate both. *)
-  List.iter
-    (fun w ->
-      let r = Check_run.run_oracle ~fuzz:17 ~workload:w ~subject:"hoard-res-fe" () in
-      Alcotest.(check bool)
-        (sprintf "hoard-res-fe/%s ran" r.Check_run.c_workload)
+        (sprintf "hoard-ff-san/%s ran" r.Check_run.c_workload)
         true (r.Check_run.c_mallocs > 0))
     (Check_run.quick_workloads ())
 
@@ -776,14 +720,11 @@ let () =
           Alcotest.test_case "real allocator survives race" `Quick test_real_transfer_race_survives;
           Alcotest.test_case "emptiness mutant caught" `Quick test_mutant_emptiness_caught_real_passes;
           Alcotest.test_case "registry churn survives" `Quick test_registry_churn_explored;
-          Alcotest.test_case "reservoir churn survives" `Quick test_reservoir_churn_explored;
         ] );
       ( "lockfree",
         [
           Alcotest.test_case "treiber stack survives bound 2" `Quick test_lockfree_stack_protocol_clean;
           Alcotest.test_case "frozen ABA tag caught" `Quick test_lockfree_stack_aba_mutant_caught;
-          Alcotest.test_case "park/take ordering survives bound 2" `Quick test_park_take_order_clean;
-          Alcotest.test_case "park-before-decommit caught" `Quick test_park_before_decommit_mutant_caught;
         ] );
       ( "deferred",
         [
@@ -810,9 +751,7 @@ let () =
         [
           Alcotest.test_case "paper workloads green" `Quick test_oracle_workloads_green;
           Alcotest.test_case "workloads green with sanitizer" `Quick test_oracle_sanitizer_workloads_green;
-          Alcotest.test_case "workloads green with reservoir" `Quick test_oracle_reservoir_workloads_green;
-          Alcotest.test_case "workloads green with hoard-res-fe" `Quick
-            test_oracle_reservoir_front_end_workloads_green;
+          Alcotest.test_case "workloads green with first-fit" `Quick test_oracle_first_fit_workloads_green;
           Alcotest.test_case "workloads green with lock-free global" `Quick test_oracle_global_workloads_green;
           Alcotest.test_case "false sharing verdicts" `Quick test_oracle_false_sharing_verdicts;
           Alcotest.test_case "oracle catches misbehavior" `Quick test_oracle_catches_misbehavior;

@@ -211,6 +211,56 @@ let test_front_end_storm label () =
   Alcotest.(check bool) "remote channel exercised" true (remote_traffic config s > 0);
   Platform.host_release pf
 
+(* --- large objects through the large-object cache --- *)
+
+let test_large_cache_storm () =
+  (* hoard-df's large path on real domains: every object is above the
+     large threshold (S/2 = 4,096 B) and at most 16 pages, so it lands in
+     one of the cache's 2-16-page buckets, and every free is a
+     neighbour's region — parks from one domain race takes from the
+     others on the same buckets. Both barriers of a round are quiescent
+     points: [Hoard.check] (which walks the buckets through
+     [Large_cache.check]) runs there. *)
+  let rounds = 20 and batch = 32 in
+  let pf = Platform.host ~nprocs:ndomains () in
+  let config = front_end_config "hoard-df" ~front_end:16 in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let slots = Array.init ndomains (fun _ -> Array.make batch 0) in
+  let barrier = make_barrier ndomains in
+  let failures = Atomic.make 0 in
+  let quiescent_check d =
+    barrier ();
+    if d = 0 then (try Hoard.check h with _ -> Atomic.incr failures);
+    barrier ()
+  in
+  spawn_domains ndomains (fun d ->
+      let rng = Random.State.make [| 0x1a7e; d |] in
+      for _ = 1 to rounds do
+        for i = 0 to batch - 1 do
+          let size = 4097 + Random.State.int rng (65_536 - 4096) in
+          let addr = a.Alloc_intf.malloc size in
+          if a.Alloc_intf.usable_size addr < size then Atomic.incr failures;
+          slots.(d).(i) <- addr
+        done;
+        quiescent_check d;
+        let victim = slots.((d + 1) mod ndomains) in
+        for i = 0 to batch - 1 do
+          a.Alloc_intf.free victim.(i)
+        done;
+        quiescent_check d
+      done);
+  Hoard.flush_caches h;
+  Hoard.check h;
+  let s = a.Alloc_intf.stats () in
+  let expected = ndomains * rounds * batch in
+  Alcotest.(check int) "no usable_size or mid-run check failures" 0 (Atomic.get failures);
+  Alcotest.(check int) "exact mallocs" expected s.Alloc_stats.mallocs;
+  Alcotest.(check int) "exact frees" expected s.Alloc_stats.frees;
+  Alcotest.(check int) "no live bytes" 0 s.Alloc_stats.live_bytes;
+  Alcotest.(check bool) "large cache exercised" true (s.Alloc_stats.large_cache_hits > 0);
+  Platform.host_release pf
+
 (* --- stats exactness across domains, small and large paths --- *)
 
 let test_stats_exact () =
@@ -410,6 +460,7 @@ let () =
           Alcotest.test_case "front-end free storm" `Quick (test_front_end_storm "hoard-fe");
           Alcotest.test_case "front-end free storm (hoard-df)" `Quick (test_front_end_storm "hoard-df");
           Alcotest.test_case "front-end free storm (hoard-gl)" `Quick (test_front_end_storm "hoard-gl");
+          Alcotest.test_case "large-object storm (hoard-df)" `Quick test_large_cache_storm;
           Alcotest.test_case "producer-consumer ring" `Quick test_producer_consumer;
           Alcotest.test_case "stats exact across domains" `Quick test_stats_exact;
           Alcotest.test_case "churn waves create/serve/exit" `Quick (test_churn_waves "hoard-fe");
