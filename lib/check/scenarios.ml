@@ -292,9 +292,9 @@ let lockfree_stack ~mutant =
    each flush surrenders its blocks as one batch onto heap 1's channel,
    the two flushes racing each other. Meanwhile the owner, its cache for
    the class now empty, mallocs once more: the real fill path detaches
-   the channel and pre-links the batch BEFORE taking heap 1's lock, then
-   splices it under the lock, so a flush may land before the detach,
-   between the detach and the lock, or after. Every block must end
+   the channel and writes the links it can BEFORE taking heap 1's lock,
+   then splices the batch under the lock, so a flush may land before the
+   detach, between the detach and the lock, or after. Every block must end
    either drained into the heap core or still pending on the channel. *)
 let remote_drain_race sim pf ~config ~name ~frees =
   let h = Hoard.create ~config pf in
@@ -331,8 +331,10 @@ let remote_drain_race sim pf ~config ~name ~frees =
       failwith (sprintf "%s: %d block(s) pending + %d drained, expected %d" name pending drained total)
 
 (* The deferred list: CAS pushes racing the owner's exchange. Thread 2
-   surrenders two blocks of one superblock in one chain, so the owner's
-   pre-link writes a link between its detach and its lock. The real push
+   surrenders two blocks of one superblock in one chain; they stay
+   adjacent in the detached chain, one run, so the owner writes no join
+   between its detach and its lock — what falls in that window is the
+   chain walk's link reads. The real push
    retries a failed CAS; the deferred-lost-node mutant treats the
    failure as success, so in the schedule where a push's load-to-CAS
    window is cut by another push or by the owner's exchange its chain

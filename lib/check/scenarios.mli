@@ -35,9 +35,9 @@ val lockfree_stack : mutant:string -> Explorer.scenario
 
 val deferred_remote_free : mutant:string -> Explorer.scenario
 (** Two remote flushes racing CAS pushes onto one heap's deferred free
-    list while the owner detaches, pre-links and splices it, end to end
-    through the allocator; one flush surrenders two blocks of one
-    superblock in one chain. The post-run oracle counts pending plus
+    list while the owner detaches and splices it, end to end through
+    the allocator; one flush surrenders two blocks of one superblock in
+    one chain. The post-run oracle counts pending plus
     drained blocks. [mutant = "deferred-lost-node"] treats a failed push
     CAS as success and leaks a block at preemption bound <= 2;
     [mutant = ""] passes exhaustively. *)

@@ -136,27 +136,30 @@ module Lockfree = struct
     end
 
   (* Reclaim [h]'s shard through the index: one exchange detaches it,
-     then each superblock's run is freed with one Busy handshake, its
-     link writes and single header write inside the Busy window. Runs
-     whose superblock was claimed away since the push are re-routed: to
-     [spill] (the locked path, run by the caller after releasing [h]'s
-     lock) when a heap owns it now, back onto the shard — all of them with
-     one CAS — when it is still in transit or another reclaimer holds it
-     Busy. Caller holds [h]'s lock — stats and events land there. *)
+     then each superblock's blocks are freed with one Busy handshake, one
+     link write per run (the chain's links inside a run already are the
+     free list; see [Heap.run_ends]) and a single header write inside the
+     Busy window. Runs whose superblock was claimed away since the push
+     are re-routed: to [spill] (the locked path, run by the caller after
+     releasing [h]'s lock) when a heap owns it now, back onto the shard —
+     all of them with one CAS — when it is still in transit or another
+     reclaimer holds it Busy. Caller holds [h]'s lock — stats and events
+     land there. *)
   let reclaim g h ~spill =
     let pf = g.env.pf and gfl = shard g h in
     match Deferred_list.reclaim gfl with
     | [] -> ()
     | items ->
       let mine = ref 0 and forwarded = ref 0 and back = ref [] in
-      List.iter
-        (fun (sb, addrs) ->
+      (* Both groupings list the superblocks in first-seen order. *)
+      List.iter2
+        (fun (sb, addrs) (_, ends) ->
           (* Read the size before the free: once the run empties the
              superblock, another heap may claim it and reinit it for
              another class before the charge below. *)
           let usable = Superblock.block_size sb in
           let inside () =
-            List.iter (fun addr -> pf.Platform.write ~addr ~len:8) addrs;
+            List.iter (fun addr -> pf.Platform.write ~addr ~len:8) ends;
             Heap.touch_header pf sb
           in
           match Global_index.free_run g.gi sb ~addrs ~inside with
@@ -174,7 +177,8 @@ module Lockfree = struct
                 Heap.event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
                 spill := (sb, addr) :: !spill)
               addrs)
-        (Heap.by_superblock items);
+        (Heap.by_superblock items)
+        (Heap.by_superblock (Heap.run_ends items));
       if !back <> [] then Deferred_list.push_many gfl !back;
       if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
       if !mine > 0 then begin

@@ -122,16 +122,41 @@ type detached = {
   queued : (Superblock.t * int) list; (* from the bounded queue, newest first *)
 }
 
-(* Pre-link a private batch, outside the heap lock: per superblock, the
-   blocks after the first seen are linked to each other, one 8 B write
-   each. Only the first block's link depends on the superblock's current
-   free-list head, so [splice] writes it under the lock. The blocks are
-   custody-marked and still charged to live bytes, so their superblock
-   cannot empty, park or unmap underneath these writes; a superblock that
-   migrates meanwhile is forwarded with its links, the writes wasted.
-   The writes go in batch order, not grouped per superblock: their order
-   is schedule-visible, and regrouping them changes the simulated cycles
-   of every configuration that drains a batch. *)
+(* The run ends of a detached deferred chain, in chain order: the last
+   block of each maximal stretch of consecutive chain blocks in one
+   superblock. The chain is threaded through the blocks' first words,
+   the same word as their free-list links, and a producer's [push_many]
+   links consecutive blocks to each other — so inside a run every link
+   already points at the next free block of the superblock. Only a run
+   end's link is stale: it must point at the superblock's next run, or,
+   for its final run, at the free-list head. *)
+let run_ends items =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | [ x ] -> List.rev (x :: acc)
+    | ((sb, _) as x) :: ((sb', _) :: _ as rest) -> go (if sb == sb' then acc else x :: acc) rest
+  in
+  go [] items
+
+(* The run ends that join a later run of their own superblock, in chain
+   order: every run end but each superblock's final one. *)
+let joins ends =
+  snd
+    (List.fold_left
+       (fun (seen, acc) ((sb, _) as e) -> if List.memq sb seen then (seen, e :: acc) else (sb :: seen, acc))
+       ([], []) (List.rev ends))
+
+(* Pre-link a bounded-queue batch, outside the heap lock: per
+   superblock, the blocks after the first seen are linked to each other,
+   one 8 B write each. Only the first block's link depends on the
+   superblock's current free-list head, so [splice] writes it under the
+   lock. The blocks are custody-marked and still charged to live bytes,
+   so their superblock cannot empty, park or unmap underneath these
+   writes; a superblock that migrates meanwhile is forwarded with its
+   links, the writes wasted. The writes go in batch order, not grouped
+   per superblock: their order is schedule-visible, and regrouping them
+   changes the simulated cycles of every configuration that drains a
+   batch. *)
 let prelink (pf : Platform.t) items =
   let rec go seen = function
     | [] -> ()
@@ -144,18 +169,25 @@ let prelink (pf : Platform.t) items =
   in
   go [] items
 
+let rec last = function
+  | [ x ] -> x
+  | _ :: tl -> last tl
+  | [] -> invalid_arg "Heap.last"
+
 (* The in-lock half of a pre-linked batch. Ownership is re-checked per
    block: [h]'s own blocks go back to its core, the others to
    [forward]. Then, per distinct superblock freed, in first-seen order,
-   the tail-link write (the block [prelink] skipped now points at the
-   free-list head) and one header write. Every block of a superblock
-   gets the same verdict under [h]'s lock (migration away from [h] needs
-   that lock), so the freed blocks form whole superblock groups and their
-   first blocks are the ones left unlinked. Every simulated write inside
-   a critical section is a point where co-located lock waiters run: the
-   lock is held for O(superblocks) effects, not O(blocks). Caller holds
-   [h]'s lock. Returns the number of blocks freed into [h]. *)
-let splice h items ~forward =
+   the one link write that depends on the free-list head — the block
+   [stale] picks from the superblock's blocks, in batch order, now points
+   at the head — and one header write. Every block of a superblock gets
+   the same verdict under [h]'s lock (migration away from [h] needs that
+   lock), so the freed blocks form whole superblock groups and the
+   picked block is the one the pre-lock writes left unlinked. Every
+   simulated write inside a critical section is a point where co-located
+   lock waiters run: the lock is held for O(superblocks) effects, not
+   O(blocks). Caller holds [h]'s lock. Returns the number of blocks freed
+   into [h]. *)
+let splice h items ~stale ~forward =
   let freed =
     List.filter
       (fun (sb, addr) ->
@@ -172,7 +204,7 @@ let splice h items ~forward =
   in
   List.iter
     (fun (sb, addrs) ->
-      h.pf.Platform.write ~addr:(List.hd addrs) ~len:8;
+      h.pf.Platform.write ~addr:(stale addrs) ~len:8;
       touch_header h.pf sb)
     (by_superblock freed);
   List.length freed
@@ -180,10 +212,12 @@ let splice h items ~forward =
 (* Owner side of both remote-free channels, first half, run WITHOUT [h]'s
    lock so co-located lock waiters never spin through it: one exchange
    takes [h]'s whole deferred list (plus the chain walk), one swap under
-   the innermost queue lock takes its bounded queue, and [prelink] writes
-   every link that does not depend on the free-list head. Threads sharing
-   [h] detach disjoint batches; detached blocks keep their custody marks
-   and stay charged to live bytes until the splice frees them. *)
+   the innermost queue lock takes its bounded queue, and every link that
+   does not depend on a free-list head is written. For the chain that is
+   one join per run end that a later run of its superblock follows; for
+   the queue, [prelink]. Threads sharing [h] detach disjoint batches;
+   detached blocks keep their custody marks and stay charged to live
+   bytes until the splice frees them. *)
 let detach h =
   let chain =
     match h.dfl with
@@ -201,7 +235,7 @@ let detach h =
       items
     end
   in
-  prelink h.pf chain;
+  List.iter (fun (_, addr) -> h.pf.Platform.write ~addr ~len:8) (joins (run_ends chain));
   prelink h.pf queued;
   { chain; queued }
 
@@ -239,30 +273,37 @@ let drain_rq h items ~peer ~spill ~to_global =
         end
         else spill := (sb, addr) :: !spill
     in
-    let mine = splice h items ~forward in
+    let mine = splice h items ~stale:List.hd ~forward in
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     if mine > 0 then event h Event_ring.Remote_drain ~sclass:0 ~arg:mine;
     mine
 
-(* Owner side, second half: splice a detached chain into [h]'s core. A
-   block whose superblock migrated since its push is re-pushed onto the
-   CURRENT owner's list — one CAS; the list is unbounded, so unlike the
-   bounded queues, forwarding can neither cascade nor spill into the
-   locked path. *)
+(* Owner side, second half: splice a detached chain into [h]'s core. The
+   link written under the lock is each superblock's final run end (its
+   last block in chain order), the one [detach] left for the free-list
+   head. Blocks whose superblock migrated since their push are re-pushed
+   onto the CURRENT owner's list, all of one owner's with one
+   [push_many] in chain order, so their runs stay runs there; the list is
+   unbounded, so unlike the bounded queues, forwarding can neither
+   cascade nor spill into the locked path. *)
 let free_reclaimed h items ~peer ~to_global =
   match items with
   | [] -> 0
   | _ ->
-    let forwarded = ref 0 in
+    let forwarded = ref 0 and batches = ref [] in
     let forward owner_id sb addr =
       (match peer owner_id with
        | None -> to_global := (sb, addr) :: !to_global
-       | Some { dfl = Some dfl'; _ } -> Deferred_list.push dfl' sb addr
+       | Some { dfl = Some dfl'; _ } -> (
+         match List.assq_opt dfl' !batches with
+         | Some batch -> batch := (sb, addr) :: !batch
+         | None -> batches := (dfl', ref [ (sb, addr) ]) :: !batches)
        | Some { dfl = None; _ } -> assert false (* deferred mode builds a list per heap *));
       incr forwarded;
       event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
-    let mine = splice h items ~forward in
+    let mine = splice h items ~stale:last ~forward in
+    List.iter (fun (dfl', batch) -> Deferred_list.push_many dfl' (List.rev !batch)) (List.rev !batches);
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     Alloc_stats.on_deferred_reclaim h.sh;
     event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;

@@ -66,12 +66,21 @@ val check_list : Deferred_list.t -> unit
 (** Every listed block is bitmap-live and custody-marked. Quiescent walk;
     raises [Failure] otherwise. *)
 
+val run_ends : (Superblock.t * 'a) list -> (Superblock.t * 'a) list
+(** The run ends of a detached deferred chain, in chain order: the last
+    block of each maximal stretch of consecutive blocks in one
+    superblock. Inside a run the chain's links already are the free
+    list; of a chain of R runs over S superblocks, R - S run ends join a
+    later run of their superblock and S end its free list. *)
+
 type detached
 
 val detach : t -> detached
 (** Owner side, before the lock: take the whole channel (one exchange of
     the deferred list, one swap of the queue under the queue lock) and
-    pre-link every link that does not depend on a free-list head. *)
+    write every link that does not depend on a free-list head — one join
+    per deferred run that a later run of its superblock follows, and
+    every queued block but the first of its superblock. *)
 
 val drain :
   t ->
@@ -79,10 +88,11 @@ val drain :
   peer:(int -> t option) ->
   spill:(Superblock.t * int) list ref ->
   int * (Superblock.t * int) list
-(** Owner side, under the lock: splice the detached batch into the core.
-    A block whose superblock migrated is forwarded to [peer owner]'s
-    channel (a bounded queue's rejects go to [spill], for the caller's
-    locked path after releasing the lock). Returns the number of blocks
-    freed into the heap and, in batch order, the blocks whose owner has
-    no record ([peer owner = None]: heap 0 of the lock-free global heap),
-    which the caller parks. *)
+(** Owner side, under the lock: splice the detached batch into the core,
+    one link and one header write per superblock. A block whose
+    superblock migrated is forwarded to [peer owner]'s channel (one
+    [push_many] per destination list; a bounded queue's rejects go to
+    [spill], for the caller's locked path after releasing the lock).
+    Returns the number of blocks freed into the heap and, in batch order,
+    the blocks whose owner has no record ([peer owner = None]: heap 0 of
+    the lock-free global heap), which the caller parks. *)

@@ -738,6 +738,129 @@ let test_remote_forward_bounded () =
   a.Alloc_intf.check ();
   Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes
 
+let test_remote_forward_deferred () =
+  (* The deferred-list twin: blocks waiting on heap 1's deferred list
+     whose superblock then migrates are re-pushed onto the new owner's
+     list by heap 1's next drain — all of them with one CAS.
+     Choreography: t0 frees everything but two SB1 blocks (t1's) and
+     three keepers, then flushes; a gate on heap 1's lock holds that
+     flush between its detach and its lock while t1 pushes the two SB1
+     blocks onto heap 1's list. The flush's trims exile SB1 (2
+     pending < the keepers' 3 live) with the two still waiting, and t0's
+     next flush forwards them to heap 0's list. *)
+  let sim = Sim.create ~nprocs:2 () in
+  let pf0 = Sim.platform sim in
+  let obs = Obs.create () in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let gate = ref false and counting = ref false and head_cas = ref 0 in
+  let pf =
+    {
+      pf0 with
+      Platform.new_lock =
+        (fun name ->
+          let l = pf0.Platform.new_lock name in
+          if name <> "hoard.heap1" then l
+          else
+            {
+              l with
+              Platform.acquire =
+                (fun () ->
+                  if !gate then begin
+                    (* Detached: let t1 push, then wait for it. *)
+                    gate := false;
+                    Sim.barrier_wait b;
+                    Sim.barrier_wait b
+                  end;
+                  l.Platform.acquire ());
+            });
+      new_atomic =
+        (fun name init ->
+          let w = pf0.Platform.new_atomic name init in
+          if name <> "hoard.dfl0.head" then w
+          else
+            {
+              w with
+              Platform.cas =
+                (fun ~expected ~desired ->
+                  let ok = w.Platform.cas ~expected ~desired in
+                  if ok && !counting then incr head_cas;
+                  ok);
+            });
+    }
+  in
+  let config =
+    {
+      (Option.get (Allocators.base_config "hoard-df")) with
+      Hoard_config.sb_size = 4096;
+      nheaps = Some 2;
+      slack = 0;
+      release_to_os = false;
+      front_end = 8;
+    }
+  in
+  let h = Hoard.create ~config ~obs pf in
+  let a = Hoard.allocator h in
+  let sb_size = config.Hoard_config.sb_size in
+  let groups = ref [] in
+  let before = ref 0 and forwarded = ref 0 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         let ps = Array.init 200 (fun _ -> a.Alloc_intf.malloc 64) in
+         let by_base = Hashtbl.create 8 in
+         Array.iter
+           (fun p ->
+             let base = p - (p mod sb_size) in
+             Hashtbl.replace by_base base (p :: (Option.value (Hashtbl.find_opt by_base base) ~default:[])))
+           ps;
+         groups := Hashtbl.fold (fun _ g acc -> g :: acc) by_base [] |> List.sort (fun x y -> compare (List.length y) (List.length x));
+         Sim.barrier_wait b;
+         match !groups with
+         | sb1 :: rest ->
+           let keep, free_now_ =
+             match List.concat rest with
+             | k1 :: k2 :: k3 :: tl -> ([ k1; k2; k3 ], tl)
+             | _ -> Alcotest.fail "remote-forward: not enough blocks"
+           in
+           List.iter a.Alloc_intf.free (List.filteri (fun i _ -> i >= 2) sb1);
+           List.iter a.Alloc_intf.free free_now_;
+           gate := true;
+           a.Alloc_intf.flush ();
+           (* SB1 left heap 1 with two blocks on heap 1's list: this
+              drain forwards them. *)
+           before := (a.Alloc_intf.stats ()).Alloc_stats.remote_forwards;
+           counting := true;
+           a.Alloc_intf.flush ();
+           counting := false;
+           forwarded := (a.Alloc_intf.stats ()).Alloc_stats.remote_forwards - !before;
+           List.iter a.Alloc_intf.free keep;
+           a.Alloc_intf.flush ()
+         | [] -> Alcotest.fail "remote-forward: no superblocks"));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         (* t0's flush detached heap 1's list and waits at the gate. *)
+         Sim.barrier_wait b;
+         (match !groups with
+          | sb1 :: _ -> List.iter a.Alloc_intf.free (List.filteri (fun i _ -> i < 2) sb1)
+          | [] -> Alcotest.fail "remote-forward: no superblocks");
+         a.Alloc_intf.flush ();
+         Sim.barrier_wait b));
+  Sim.run sim;
+  let s = a.Alloc_intf.stats () in
+  Alcotest.(check int) "the bounded queues stay unused" 0 s.Alloc_stats.remote_enqueues;
+  Alcotest.(check int) "the second flush forwards both blocks" 2 !forwarded;
+  Alcotest.(check bool)
+    (Printf.sprintf "forwards recorded (%d)" s.Alloc_stats.remote_forwards)
+    true (s.Alloc_stats.remote_forwards > 0);
+  let fwd_events =
+    List.fold_left (fun acc (_, r) -> acc + Event_ring.recorded_kind r Event_ring.Remote_forward) 0 (Obs.rings obs)
+  in
+  Alcotest.(check int) "one event per forwarded block" s.Alloc_stats.remote_forwards fwd_events;
+  Alcotest.(check int) "one CAS on heap 0's list for the whole forward" 1 !head_cas;
+  Hoard.flush_caches h;
+  a.Alloc_intf.check ();
+  Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes
+
 (* --- the lock-free global heap (Global_index) --- *)
 
 let test_global_locked_by_default () =
@@ -1014,13 +1137,37 @@ let test_reclaim_writes_header_once () =
       Hoard.check h)
     [ "hoard-df"; "hoard-gl" ]
 
-(* The owner-side drain pre-links a reclaimed batch before taking the
-   heap lock and splices it under the lock: of N blocks from S
+(* [Heap.run_ends]: the last block of each maximal stretch of one
+   superblock's blocks, in chain order. A run end whose superblock runs
+   again later is a join. *)
+let test_run_ends () =
+  let sb i = Superblock.create ~base:(i * 8192) ~sb_size:8192 ~sclass:0 ~block_size:64 in
+  let a = sb 1 and b = sb 2 and c = sb 3 in
+  let ends chain = List.map snd (Heap.run_ends chain) in
+  let check name expected chain = Alcotest.(check (list int)) name expected (ends chain) in
+  check "empty chain" [] [];
+  check "single block" [ 1 ] [ (a, 1) ];
+  check "one superblock, one run" [ 3 ] [ (a, 1); (a, 2); (a, 3) ];
+  check "A A B B" [ 2; 4 ] [ (a, 1); (a, 2); (b, 3); (b, 4) ];
+  check "A B A" [ 1; 2; 3 ] [ (a, 1); (b, 2); (a, 3) ];
+  check "every block its own superblock" [ 1; 2; 3 ] [ (a, 1); (b, 2); (c, 3) ];
+  (* A B A: three runs over two superblocks, so one join. *)
+  let runs = Heap.run_ends [ (a, 1); (b, 2); (a, 3) ] in
+  Alcotest.(check int) "A B A: one join" 1
+    (List.length runs - List.length (List.sort_uniq compare (List.map (fun (sb, _) -> Superblock.base sb) runs)))
+
+(* The owner-side drain writes every link it can before taking the heap
+   lock and splices the batch under the lock: of a batch from S
    superblocks, only S free-list links (the ones that point at each
    superblock's current head) and S headers are written while the heap
-   lock is held; the other N - S links are written before it. Checked on
-   both remote-free channels: the deferred list (hoard-df, hoard-gl) and
-   the bounded queue (hoard-fe). *)
+   lock is held. The channels differ before the lock. A bounded-queue
+   batch carries no links: the drain writes the other N - S. A deferred
+   chain (hoard-df, hoard-gl) is linked by its push, one write per block,
+   and its consecutive blocks of one superblock already form that
+   superblock's free list: of R runs, the drain writes only the R - S
+   that join a later run of their superblock. The consumer frees the
+   blocks in superblock order but for the first block, freed last, so
+   its superblock falls into two runs and the drain makes one join. *)
 let test_drain_splices_under_lock () =
   List.iter
     (fun label ->
@@ -1029,21 +1176,19 @@ let test_drain_splices_under_lock () =
       let pf0 = Sim.platform sim in
       let sb_size = config.Hoard_config.sb_size in
       let box = ref [||] in
-      let counting = ref false and held = ref false in
-      let links_held = ref 0 and links_total = ref 0 and headers_held = ref 0 in
+      let pushing = ref false and draining = ref false and held = ref false in
+      let links_pushed = ref 0 and links_before = ref 0 and links_held = ref [] and headers_held = ref 0 in
       let pf =
         {
           pf0 with
           Platform.write =
             (fun ~addr ~len ->
-              if !counting then begin
-                if len = 8 && Array.mem addr !box then begin
-                  incr links_total;
-                  if !held then incr links_held
-                end;
-                if !held && len = 16 && Array.exists (fun a -> a - (a mod sb_size) = addr) !box then
-                  incr headers_held
+              if len = 8 && Array.mem addr !box then begin
+                if !pushing then incr links_pushed;
+                if !draining then if !held then links_held := addr :: !links_held else incr links_before
               end;
+              if !draining && !held && len = 16 && Array.exists (fun a -> a - (a mod sb_size) = addr) !box then
+                incr headers_held;
               pf0.Platform.write ~addr ~len);
           new_lock =
             (fun name ->
@@ -1073,30 +1218,54 @@ let test_drain_splices_under_lock () =
                 several. Every other block stays live, so no superblock
                 empties and the fill below cannot recycle one. *)
              let all = Array.init (2 * n) (fun _ -> a.Alloc_intf.malloc 1024) in
-             box := Array.init n (fun i -> all.(2 * i));
+             let sorted = List.sort compare (List.init n (fun i -> all.(2 * i))) in
+             box := Array.of_list (List.tl sorted @ [ List.hd sorted ]);
              Sim.barrier_wait barrier;
              (* The consumer freed and flushed: all n blocks wait on heap
                 1's remote-free channel. A fill of another class drains
                 them. *)
              Sim.barrier_wait barrier;
-             counting := true;
+             draining := true;
              ignore (a.Alloc_intf.malloc 64);
-             counting := false));
+             draining := false));
       ignore
         (Sim.spawn sim ~proc:1 (fun () ->
              Sim.barrier_wait barrier;
+             (* Each free caches its block, one write of its first word;
+                the flush evicts them all onto the owner's channel. *)
              Array.iter a.Alloc_intf.free !box;
+             pushing := true;
              a.Alloc_intf.flush ();
+             pushing := false;
              Sim.barrier_wait barrier));
       Sim.run sim;
-      let s =
-        List.length (List.sort_uniq compare (Array.to_list (Array.map (fun x -> x - (x mod sb_size)) !box)))
-      in
+      let base x = x - (x mod sb_size) in
+      let s = List.length (List.sort_uniq compare (Array.to_list (Array.map base !box))) in
+      (* The runs of the free order; the chain is its reverse. *)
+      let r = 1 + List.length (List.filter (fun i -> base !box.(i) <> base !box.(i - 1)) (List.init (n - 1) succ)) in
       Alcotest.(check bool) (label ^ ": the batch spans several superblocks") true (s >= 2);
+      Alcotest.(check bool) (label ^ ": a superblock falls into two runs") true (r > s);
       Alcotest.(check int) (label ^ ": the fill drained the channel") 0
         (Array.fold_left ( + ) 0 (Hoard.remote_queue_lengths h));
-      Alcotest.(check int) (label ^ ": every link written once") n !links_total;
-      Alcotest.(check int) (label ^ ": one link per superblock under the lock") s !links_held;
+      if config.Hoard_config.deferred then begin
+        Alcotest.(check int) (label ^ ": every link written once by the push") n !links_pushed;
+        Alcotest.(check int) (label ^ ": one join per run end before the lock") (r - s) !links_before
+      end
+      else begin
+        Alcotest.(check int) (label ^ ": no link written by the push") 0 !links_pushed;
+        Alcotest.(check int) (label ^ ": the other links before the lock") (n - s) !links_before
+      end;
+      (* Both channels leave each superblock's first-freed block stale:
+         the queue keeps the free order and the chain reverses it. *)
+      let first_freed =
+        List.rev
+          (Array.fold_left
+             (fun acc x -> if List.exists (fun y -> base y = base x) acc then acc else x :: acc)
+             [] !box)
+      in
+      Alcotest.(check (list int))
+        (label ^ ": under the lock, the link of each superblock's first-freed block")
+        (List.sort compare first_freed) (List.sort compare !links_held);
       Alcotest.(check int) (label ^ ": one header per superblock under the lock") s !headers_held;
       Hoard.flush_caches h;
       Hoard.check h)
@@ -1210,6 +1379,63 @@ let test_check_walks_global_free_shards () =
   | exception Failure msg ->
     Alcotest.(check bool) ("names the custody mark: " ^ msg) true
       (Astring.String.is_infix ~affix:"without custody mark" msg)
+
+(* The lock-free global reclaim writes one link per chain run inside the
+   Busy window, not one per block. Thread 0 (heap 1) allocates two
+   superblocks' worth of 1 KiB blocks and exits, so adoption publishes
+   both to the index. Thread 1 (heap 2) frees a1 a2 b1 a3 — each free
+   parks on heap 2's shard — and flushes: the shard's chain is a3 b1 a2
+   a1, three runs over two superblocks, so the reclaim writes three
+   links for four blocks and one header per superblock. *)
+let test_gl_reclaim_links_per_run () =
+  let sim = Sim.create ~nprocs:2 () in
+  let pf0 = Sim.platform sim in
+  let config =
+    { cfg with Hoard_config.nheaps = Some 2; front_end = 0; release_to_os = false; global = Hoard_config.Lockfree }
+  in
+  let sb_size = config.Hoard_config.sb_size in
+  let counting = ref false and freed = ref [] and links = ref 0 and headers = ref 0 in
+  let pf =
+    {
+      pf0 with
+      Platform.write =
+        (fun ~addr ~len ->
+          if !counting then begin
+            if len = 8 && List.mem addr !freed then incr links;
+            if len = 16 && List.exists (fun x -> x - (x mod sb_size) = addr) !freed then incr headers
+          end;
+          pf0.Platform.write ~addr ~len);
+    }
+  in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let blocks = ref [||] in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         let per_sb = (sb_size - Superblock.header_bytes) / 1024 in
+         blocks := Array.init (2 * per_sb) (fun _ -> a.Alloc_intf.malloc 1024);
+         a.Alloc_intf.thread_exit ();
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         let base x = x - (x mod sb_size) in
+         let sorted = List.sort compare (Array.to_list !blocks) in
+         let sb_a = base (List.hd sorted) in
+         let in_a, in_b = List.partition (fun x -> base x = sb_a) sorted in
+         (match (in_a, in_b) with
+          | a1 :: a2 :: a3 :: _, b1 :: _ -> freed := [ a1; a2; b1; a3 ]
+          | _ -> Alcotest.fail "gl reclaim: two superblocks of blocks expected");
+         List.iter a.Alloc_intf.free !freed;
+         counting := true;
+         a.Alloc_intf.flush ();
+         counting := false));
+  Sim.run sim;
+  Alcotest.(check (list (pair int int))) "the flush reclaimed the shard" [] (global_free_blocks h);
+  Alcotest.(check int) "one link per run" 3 !links;
+  Alcotest.(check int) "one header per superblock" 2 !headers;
+  Hoard.check h
 
 (* Producer/consumer on the lock-free global heap: thread 0 (heap 1) only
    allocates, thread 1 (heap 2) only frees, [rounds] times over a batch
@@ -1407,6 +1633,8 @@ let () =
           Alcotest.test_case "deferred lists reclaim" `Quick test_deferred_lists_reclaim;
           Alcotest.test_case "reclaim writes each header once" `Quick test_reclaim_writes_header_once;
           Alcotest.test_case "drain splices under the lock" `Quick test_drain_splices_under_lock;
+          Alcotest.test_case "gl reclaim writes one link per run" `Quick test_gl_reclaim_links_per_run;
+          Alcotest.test_case "run ends of a deferred chain" `Quick test_run_ends;
         ] );
       ( "algorithm",
         [
@@ -1441,6 +1669,7 @@ let () =
           Alcotest.test_case "cross-thread double free cached" `Quick test_cross_thread_double_free_cached;
           Alcotest.test_case "recycled tid exit flush" `Quick test_recycled_tid_reflushes_on_exit;
           Alcotest.test_case "remote forwards bounded" `Quick test_remote_forward_bounded;
+          Alcotest.test_case "remote forwards batched (deferred)" `Quick test_remote_forward_deferred;
         ] );
       ( "global heap",
         [
