@@ -173,7 +173,7 @@ let inspect_cmd =
         (fun (tid, counts) ->
           Printf.printf "tcache tid=%d: %d blocks cached\n" tid (Array.fold_left ( + ) 0 counts))
         (Hoard.cache_counts h);
-      if config.Hoard_config.deferred then
+      if config.Hoard_config.global = Hoard_config.Lockfree then
         Printf.printf "deferred lists: [%s]\n"
           (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.deferred_lengths h))))
       else

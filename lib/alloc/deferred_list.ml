@@ -40,10 +40,6 @@ type t = {
   lost_node : bool; (* mutant: a failed push CAS is treated as success *)
   on_retry : unit -> unit;
   mutable n_len : int;
-  mutable n_pushes : int;
-  mutable n_reclaims : int;
-  mutable n_reclaimed : int;
-  mutable n_retries : int;
 }
 
 let create (pf : Platform.t) ~name ?(lost_node = false) ?(on_retry = fun () -> ()) () =
@@ -55,10 +51,6 @@ let create (pf : Platform.t) ~name ?(lost_node = false) ?(on_retry = fun () -> (
     lost_node;
     on_retry;
     n_len = 0;
-    n_pushes = 0;
-    n_reclaims = 0;
-    n_reclaimed = 0;
-    n_retries = 0;
   }
 
 let locked t f =
@@ -91,12 +83,8 @@ let push_many t items =
       (* Store the tail link into the (still private) block body. *)
       t.pf.Platform.write ~addr:last_addr ~len:8;
       locked t (fun () -> Hashtbl.replace t.links last_addr { dn_next = next; dn_sb = last_sb });
-      if t.head.Platform.cas ~expected:next ~desired:first_addr then
-        locked t (fun () ->
-            t.n_len <- t.n_len + n;
-            t.n_pushes <- t.n_pushes + n)
+      if t.head.Platform.cas ~expected:next ~desired:first_addr then locked t (fun () -> t.n_len <- t.n_len + n)
       else begin
-        locked t (fun () -> t.n_retries <- t.n_retries + 1);
         t.on_retry ();
         if t.lost_node then
           (* Mutant: pretend the failed CAS succeeded. The chain is now
@@ -107,8 +95,6 @@ let push_many t items =
       end
     in
     attempt ()
-
-let push t sb addr = push_many t [ (sb, addr) ]
 
 (* Walk a privately-owned chain starting at [h], removing link entries.
    Each hop is a real load of the block's link word. *)
@@ -135,7 +121,6 @@ let reclaim t =
     if h = 0 then 0
     else if t.head.Platform.cas ~expected:h ~desired:0 then h
     else begin
-      locked t (fun () -> t.n_retries <- t.n_retries + 1);
       t.on_retry ();
       grab ()
     end
@@ -144,10 +129,7 @@ let reclaim t =
   if h = 0 then []
   else begin
     let items = walk t ~charged:true h in
-    locked t (fun () ->
-        t.n_len <- t.n_len - List.length items;
-        t.n_reclaims <- t.n_reclaims + 1;
-        t.n_reclaimed <- t.n_reclaimed + List.length items);
+    locked t (fun () -> t.n_len <- t.n_len - List.length items);
     items
   end
 
@@ -159,22 +141,12 @@ let drain_quiescent t =
   else begin
     t.head.Platform.poke 0;
     let items = walk t ~charged:false h in
-    locked t (fun () ->
-        t.n_len <- t.n_len - List.length items;
-        t.n_reclaims <- t.n_reclaims + 1;
-        t.n_reclaimed <- t.n_reclaimed + List.length items);
+    locked t (fun () -> t.n_len <- t.n_len - List.length items);
     items
   end
 
 let length t = locked t (fun () -> t.n_len)
 
-let pushes t = locked t (fun () -> t.n_pushes)
-
-let reclaims t = locked t (fun () -> t.n_reclaims)
-
-let reclaimed t = locked t (fun () -> t.n_reclaimed)
-
-let retries t = locked t (fun () -> t.n_retries)
 
 (* Quiescent structural check: walks the chain without consuming it,
    detecting cycles, payload-less nodes and a length drifting from the

@@ -17,17 +17,13 @@ val create : Platform.t -> name:string -> ?lost_node:bool -> ?on_retry:(unit -> 
     observable under producer contention. [on_retry] runs after every
     failed CAS (explorer instrumentation). *)
 
-val push : t -> Superblock.t -> int -> unit
-(** [push t sb addr] publishes block [addr] of [sb] onto the list. The
-    block must be private to the caller (freed, custody-marked) and its
-    address nonzero. *)
-
 val push_many : t -> (Superblock.t * int) list -> unit
-(** Publish a whole batch with a single CAS: the blocks are linked into
-    a private chain (one link store per block, on the block's own line)
-    and the head is swung once, so an eviction batch costs one head-line
-    transfer regardless of size. Same preconditions per block as
-    {!push}; [push_many t [(sb, a)]] is exactly [push t sb a]. *)
+(** Publish a whole batch of blocks, each [(sb, addr)] a block [addr] of
+    [sb] private to the caller (freed, custody-marked) at a nonzero
+    address, with a single CAS: the blocks are linked into a private
+    chain (one link store per block, on the block's own line) and the
+    head is swung once, so an eviction batch costs one head-line
+    transfer regardless of size. *)
 
 val reclaim : t -> (Superblock.t * int) list
 (** Detach the entire list with one exchange and return its blocks,
@@ -39,17 +35,6 @@ val drain_quiescent : t -> (Superblock.t * int) list
 
 val length : t -> int
 (** Blocks currently on the list (host accounting, quiescent-exact). *)
-
-val pushes : t -> int
-
-val reclaims : t -> int
-(** Number of non-empty {!reclaim}/{!drain_quiescent} exchanges. *)
-
-val reclaimed : t -> int
-(** Total blocks returned across all reclaims. *)
-
-val retries : t -> int
-(** Failed CAS attempts (push and reclaim combined). *)
 
 val iter : t -> (Superblock.t -> int -> unit) -> unit
 (** Quiescent structural walk without consuming the list; fails on

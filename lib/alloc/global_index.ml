@@ -77,14 +77,10 @@ type t = {
   free_head : Platform.atomic_int; (* recycled entry nodes *)
   heads : Platform.atomic_int array array; (* heads.(class).(bin), bin <= ngroups (full) *)
   empties_head : Platform.atomic_int; (* class-agnostic: any empty can take any class *)
-  (* Gauges and counters: host atomics, exact at quiescence. *)
+  (* Gauges: host atomics, exact at quiescence. *)
   members : int Atomic.t;
   empties : int Atomic.t;
   u_bytes : int Atomic.t; (* usable live bytes inside member superblocks *)
-  pushes : int Atomic.t;
-  pops : int Atomic.t;
-  revalidates : int Atomic.t;
-  retries : int Atomic.t;
 }
 
 (* ---- word encoding: state * nbins + bin ---- *)
@@ -154,15 +150,9 @@ let create pf ~name ~nclasses ~ngroups ?(aba_tag = true) ?(skip_revalidate = fal
     members = Atomic.make 0;
     empties = Atomic.make 0;
     u_bytes = Atomic.make 0;
-    pushes = Atomic.make 0;
-    pops = Atomic.make 0;
-    revalidates = Atomic.make 0;
-    retries = Atomic.make 0;
   }
 
-let retry t =
-  Atomic.incr t.retries;
-  t.on_retry ()
+let retry t = t.on_retry ()
 
 let slot_at t i = (Atomic.get t.slots).(i)
 
@@ -294,7 +284,6 @@ let publish ?(record = fun _ ~arg:_ -> ()) t sb =
   ignore (Atomic.fetch_and_add t.u_bytes used_bytes);
   slot.word.Platform.store (word_idle t bin);
   push_entry t ~sclass:(Superblock.sclass sb) ~bin id;
-  Atomic.incr t.pushes;
   record Event_ring.Global_push ~arg:(Superblock.base sb)
 
 (* ---- claiming ---- *)
@@ -314,7 +303,6 @@ let claimed t ~record sb ~was_empty =
   Atomic.decr t.members;
   if was_empty then Atomic.decr t.empties;
   ignore (Atomic.fetch_and_add t.u_bytes (-(Superblock.used sb * Superblock.block_size sb)));
-  Atomic.incr t.pops;
   record Event_ring.Global_pop ~arg:(Superblock.base sb)
 
 (* Put a popped-but-unclaimable entry back where its word says it lives,
@@ -322,7 +310,6 @@ let claimed t ~record sb ~was_empty =
 let repush t ~record slot_id bin =
   let sb = (slot_at t slot_id).sb in
   push_entry t ~sclass:(Superblock.sclass sb) ~bin slot_id;
-  Atomic.incr t.revalidates;
   record Event_ring.Global_revalidate ~arg:(Superblock.base sb)
 
 (* Resolve one popped entry against its slot's word. [`Claimed sb] when
@@ -461,14 +448,6 @@ let empties t = Atomic.get t.empties
 
 let u_bytes t = Atomic.get t.u_bytes
 
-let pushes t = Atomic.get t.pushes
-
-let pops t = Atomic.get t.pops
-
-let revalidates t = Atomic.get t.revalidates
-
-let retries t = Atomic.get t.retries
-
 (* ---- quiescent mutation (peek/poke, charge-free) ----
 
    Teardown-time counterparts of [publish] and [free_run] for
@@ -513,8 +492,7 @@ let q_publish t sb =
   if bin = empties_bin t then Atomic.incr t.empties;
   ignore (Atomic.fetch_and_add t.u_bytes (Superblock.used sb * Superblock.block_size sb));
   slot.word.Platform.poke (word_idle t bin);
-  q_push_entry t ~sclass:(Superblock.sclass sb) ~bin id;
-  Atomic.incr t.pushes
+  q_push_entry t ~sclass:(Superblock.sclass sb) ~bin id
 
 let q_free t sb ~addr =
   let g = Superblock.gslot sb in

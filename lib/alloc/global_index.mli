@@ -86,14 +86,6 @@ val empties : t -> int
 val u_bytes : t -> int
 (** Usable live bytes inside member superblocks. *)
 
-val pushes : t -> int
-
-val pops : t -> int
-
-val revalidates : t -> int
-
-val retries : t -> int
-
 (** {2 Quiescent mutation — peek/poke, no simulated cost}
 
     Teardown-time counterparts of {!publish} and {!free_run} for

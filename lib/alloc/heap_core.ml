@@ -114,11 +114,6 @@ let find_partial t sclass =
   in
   scan (t.ngroups - 1)
 
-let find_allocatable t ~sclass =
-  match find_partial t sclass with
-  | Some _ -> true
-  | None -> not (Dlist.is_empty t.empties)
-
 let malloc t ~sclass ~block_size =
   let sb =
     match find_partial t sclass with
@@ -164,8 +159,6 @@ let malloc_batch t ~sclass ~block_size ~n =
     | None -> short := true
   done;
   List.rev !out
-
-let free_batch t pairs = List.iter (fun (sb, addr) -> free t sb addr) pairs
 
 let take_for_class t ~sclass =
   let sb =

@@ -76,10 +76,6 @@ val malloc_batch : t -> sclass:int -> block_size:int -> n:int -> (int * Superblo
     the global heap or the OS and retries. This is the fill half of the
     front-end cache: [n] blocks cross the heap for one lock acquisition. *)
 
-val free_batch : t -> (Superblock.t * int) list -> unit
-(** Frees each [(superblock, addr)] pair; the flush/drain half of the
-    front-end cache. Accounting is identical to repeated {!free}. *)
-
 val take_for_class : t -> sclass:int -> Superblock.t option
 (** Removes and returns the fullest non-full superblock of the given class,
     or failing that an empty superblock (left un-reinitialised). This is
@@ -97,9 +93,6 @@ val pick_victim : ?protect_last:bool -> t -> max_fullness:float -> Superblock.t 
 
 val has_victim : t -> max_fullness:float -> protect_last:bool -> bool
 (** Whether {!pick_victim} would succeed, without removing anything. *)
-
-val find_allocatable : t -> sclass:int -> bool
-(** Whether {!malloc} would succeed for this class without new memory. *)
 
 val iter : t -> (Superblock.t -> unit) -> unit
 

@@ -11,7 +11,7 @@
    no interleaving can observe a parked-but-resident region; a take
    commits *after* the pop made the region private again. Parked
    regions stay mapped, hence charged to held — the blowup envelope's
-   slop grows by [capacity_bytes] — while residency drops, keeping
+   slop grows by the cache's capacity — while residency drops, keeping
    resident <= held intact. *)
 
 type t = {
@@ -41,8 +41,6 @@ let bucket_of t ~mapped =
     let pages = mapped / t.page_size in
     if pages <= t.nbuckets then Some (pages - 1) else None
 
-let cacheable t ~mapped = t.bucket_cap > 0 && bucket_of t ~mapped <> None
-
 (* Park a privately-owned mapped region: decommit first, publish second.
    [`Bounced] means the bucket was full — the region is still the
    caller's, already decommitted, and must be unmapped. *)
@@ -67,24 +65,14 @@ let take t ~mapped =
 
 let length t = Array.fold_left (fun acc b -> acc + Lockfree.length b) 0 t.buckets
 
-let parked_bytes t =
-  let acc = ref 0 in
-  Array.iteri (fun i b -> acc := !acc + (Lockfree.length b * (i + 1) * t.page_size)) t.buckets;
-  !acc
-
-let capacity_bytes t = t.bucket_cap * t.nbuckets * (t.nbuckets + 1) / 2 * t.page_size
-
-let takes t = Array.fold_left (fun acc b -> acc + Lockfree.pops b) 0 t.buckets
-
 let parks t = Array.fold_left (fun acc b -> acc + Lockfree.pushes b) 0 t.buckets
-
-let retries t = Array.fold_left (fun acc b -> acc + Lockfree.retries b) 0 t.buckets
 
 let iter t f =
   Array.iteri (fun i b -> Lockfree.iter b (fun addr -> f ~addr ~mapped:((i + 1) * t.page_size))) t.buckets
 
 (* Quiescent structural + residency check: every parked region must be
-   mapped and decommitted (a resident parked region is the
+   a mapped region of exactly its bucket's size (a take hands it out for
+   that size) and decommitted (a resident parked region is the
    park-ordering bug), buckets within capacity, stacks uncorrupted
    (Lockfree.iter fails on the ABA-loss signatures). *)
 let check t =
@@ -93,8 +81,11 @@ let check t =
       if Lockfree.length b > t.bucket_cap then
         failwith (Printf.sprintf "Large_cache: bucket %d over capacity (%d > %d)" (i + 1) (Lockfree.length b) t.bucket_cap);
       Lockfree.iter b (fun addr ->
-          match t.pf.Platform.page_residency ~addr with
-          | Vmem.Decommitted -> ()
-          | Vmem.Resident -> failwith (Printf.sprintf "Large_cache: parked region %#x still resident" addr)
-          | Vmem.Unmapped -> failwith (Printf.sprintf "Large_cache: parked region %#x not mapped" addr)))
+          match t.pf.Platform.region_bytes ~addr with
+          | None -> failwith (Printf.sprintf "Large_cache: parked region %#x not mapped" addr)
+          | Some bytes when bytes <> (i + 1) * t.page_size ->
+            failwith (Printf.sprintf "Large_cache: parked region %#x maps %d B in the %d-page bucket" addr bytes (i + 1))
+          | Some _ ->
+            if t.pf.Platform.page_residency ~addr <> Vmem.Decommitted then
+              failwith (Printf.sprintf "Large_cache: parked region %#x still resident" addr)))
     t.buckets

@@ -23,8 +23,6 @@ val create :
     plants the ["large-cache-no-aba"] mutant (frozen Treiber tags on
     every bucket); [on_retry] fires on each failed CAS. *)
 
-val cacheable : t -> mapped:int -> bool
-
 val park : t -> addr:int -> mapped:int -> [ `Parked | `Bounced | `Uncacheable ]
 (** Park a privately-owned region of exactly [mapped] bytes.
     [`Parked]: the cache owns it (decommitted). [`Bounced]: bucket
@@ -39,21 +37,12 @@ val take : t -> mapped:int -> int option
 val length : t -> int
 (** Regions parked across all buckets (exact at quiescence). *)
 
-val parked_bytes : t -> int
-
-val capacity_bytes : t -> int
-(** Worst-case mapped bytes the cache can hold: the blowup envelope's
-    slop term for a cache-enabled configuration. *)
-
-val takes : t -> int
-
 val parks : t -> int
-
-val retries : t -> int
 
 val iter : t -> (addr:int -> mapped:int -> unit) -> unit
 (** Quiescent-only walk of every parked region. *)
 
 val check : t -> unit
 (** Quiescent structural + residency check: buckets within capacity,
-    stacks uncorrupted, every parked region mapped and decommitted. *)
+    stacks uncorrupted, every parked region a mapped region of exactly
+    its bucket's page count, and decommitted. *)

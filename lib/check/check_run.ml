@@ -17,38 +17,20 @@ type subject = {
 }
 
 let hoard_subjects =
+  let base label = Option.get (Allocators.base_config label) in
   [
-    { s_label = "hoard"; s_describe = "paper-exact configuration"; s_config = Some Hoard_config.default };
+    { s_label = "hoard"; s_describe = "paper-exact configuration"; s_config = Some (base "hoard") };
+    { s_label = "hoard-fe"; s_describe = "lock-free front end"; s_config = Some (base "hoard-fe") };
     {
-      s_label = "hoard-fe";
-      s_describe = "lock-free front end";
-      s_config = Some (Hoard_config.make ~front_end:Allocators.front_end_default ());
+      s_label = "hoard-gl-san";
+      s_describe = "lock-free global heap, deferred frees and large cache with the sanitizer on";
+      s_config = Some { (base "hoard-gl") with Hoard_config.sanitize = true };
     };
-    {
-      s_label = "hoard-df";
-      s_describe = "front end with deferred remote-free lists and the large-object cache";
-      s_config =
-        Some
-          (Hoard_config.make ~front_end:Allocators.front_end_default ~deferred:true
-             ~large_cache:Allocators.large_cache_default ());
-    };
-    {
-      s_label = "hoard-df-san";
-      s_describe = "deferred frees and large cache with the sanitizer on";
-      s_config =
-        Some
-          (Hoard_config.make ~front_end:Allocators.front_end_default ~deferred:true
-             ~large_cache:Allocators.large_cache_default ~sanitize:true ());
-    };
-    {
-      s_label = "hoard-san";
-      s_describe = "sanitizer on (poison, canaries, quarantine)";
-      s_config = Some (Hoard_config.make ~sanitize:true ());
-    };
+    { s_label = "hoard-san"; s_describe = "sanitizer on (poison, canaries, quarantine)"; s_config = Some (base "hoard-san") };
     {
       s_label = "hoard-fe-san";
       s_describe = "front end and sanitizer together";
-      s_config = Some (Hoard_config.make ~front_end:Allocators.front_end_default ~sanitize:true ());
+      s_config = Some { (base "hoard-fe") with Hoard_config.sanitize = true };
     };
     {
       s_label = "hoard-ff-san";
@@ -99,7 +81,9 @@ let blowup_slop cfg ~nprocs ~peak_live_threads =
      producer's eviction (at most a cache's worth per flush) and the
      owner's next fill — the same per-thread granularity as the caches,
      counted once more per heap since reclaims happen heap by heap. *)
-  let deferred = if cfg.Hoard_config.deferred && cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
+  let deferred =
+    if cfg.Hoard_config.global = Hoard_config.Lockfree && cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0
+  in
   (* The large cache keeps up to cap regions per bucket mapped (1..16
      pages each, 4 KiB pages on every platform we build). *)
   let large_cache = cfg.Hoard_config.large_cache * (16 * 17 / 2) * 4096 in

@@ -330,7 +330,8 @@ let remote_drain_race sim pf ~config ~name ~frees =
     if pending + drained <> total then
       failwith (sprintf "%s: %d block(s) pending + %d drained, expected %d" name pending drained total)
 
-(* The deferred list: CAS pushes racing the owner's exchange. Thread 2
+(* The deferred list (the lock-free global heap's channel): CAS pushes
+   racing the owner's exchange. Thread 2
    surrenders two blocks of one superblock in one chain; they stay
    adjacent in the detached chain, one run, so the owner writes no join
    between its detach and its lock — what falls in that window is the
@@ -350,7 +351,7 @@ let deferred_remote_free ~mutant =
     sc_build =
       (fun sim pf ->
         let config =
-          { (race_config ~mutant) with Hoard_config.nheaps = Some 3; front_end = 4; deferred = true }
+          { (race_config ~mutant) with Hoard_config.nheaps = Some 3; front_end = 4; global = Hoard_config.Lockfree }
         in
         remote_drain_race sim pf ~config ~name ~frees:[| 1; 2 |]);
   }

@@ -1,16 +1,29 @@
+(* A bounded remote-free queue. *)
+type queue = {
+  q_lock : Platform.lock; (* innermost lock: never held while acquiring any other *)
+  mutable q_blocks : (Superblock.t * int) list; (* remote frees pending a drain, newest first *)
+  mutable q_len : int;
+  q_cap : int;
+}
+
+(* Where remote frees wait for their owner. The front end's evictions are
+   the only producers, so without it there is no channel; with it, the
+   channel follows the global heap: the locked one pairs with bounded
+   queues (overflow takes the locked path, like heap 0's own lock), the
+   lock-free one with deferred lists (producers CAS-push, the owner
+   exchange-reclaims). *)
+type channel =
+  | No_channel
+  | Queue of queue
+  | List of Deferred_list.t
+
 type t = {
   pf : Platform.t;
   core : Heap_core.t;
   lock : Platform.lock;
   sh : Alloc_stats.shard;
   ring : Event_ring.t option; (* same lock domain as [sh]; None when tracing is off *)
-  rq_lock : Platform.lock; (* innermost lock: never held while acquiring any other *)
-  mutable rq_blocks : (Superblock.t * int) list; (* remote frees pending a drain, newest first *)
-  mutable rq_len : int;
-  rq_cap : int;
-  (* cfg.deferred: the unbounded deferred free list replacing the bounded
-     queue above — producers CAS-push, the owner exchange-reclaims. *)
-  dfl : Deferred_list.t option;
+  channel : channel;
 }
 
 type info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
@@ -18,18 +31,25 @@ type info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; em
 let ring obs name = Option.map (fun o -> Obs.new_ring o name) obs
 
 let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
-  let dfl =
-    (* The deferred list is the front end's eviction channel; without a
-       front end nothing would ever push, so it is not built. *)
-    if cfg.deferred && cfg.front_end > 0 then
-      Some
-        (Deferred_list.create pf ~name:(Printf.sprintf "hoard.dfl%d" id)
-           ~lost_node:(cfg.mutant = "deferred-lost-node")
-           ~on_retry:(Alloc_stats.retry_hook stats ~label:"deferred")
-           ())
-    else None
+  let channel =
+    if cfg.front_end = 0 then No_channel
+    else
+      match cfg.global with
+      | Hoard_config.Locked ->
+        Queue
+          {
+            q_lock = pf.Platform.new_lock (Printf.sprintf "hoard.rfq%d" id);
+            q_blocks = [];
+            q_len = 0;
+            q_cap = cfg.remote_queue_cap;
+          }
+      | Hoard_config.Lockfree ->
+        List
+          (Deferred_list.create pf ~name:(Printf.sprintf "hoard.dfl%d" id)
+             ~lost_node:(cfg.mutant = "deferred-lost-node")
+             ~on_retry:(Alloc_stats.retry_hook stats ~label:"deferred")
+             ())
   in
-  let rq_lock = pf.Platform.new_lock (Printf.sprintf "hoard.rfq%d" id) in
   let ring = ring obs (if id = 0 then "global" else Printf.sprintf "heap%d" id) in
   let lock = pf.Platform.new_lock (Printf.sprintf "hoard.heap%d" id) in
   {
@@ -38,11 +58,7 @@ let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
     lock;
     sh = Alloc_stats.shard stats id;
     ring;
-    rq_lock;
-    rq_blocks = [];
-    rq_len = 0;
-    rq_cap = cfg.remote_queue_cap;
-    dfl;
+    channel;
   }
 
 let id h = Heap_core.id h.core
@@ -115,12 +131,10 @@ let check_list l =
       if not (Superblock.is_block_cached sb addr) then
         failwith (Printf.sprintf "Hoard.check: deferred block %#x without custody mark" addr))
 
-(* A drain's private batch: the deferred chain and the bounded queue's
-   contents, both taken BEFORE the heap lock by [detach]. *)
-type detached = {
-  chain : (Superblock.t * int) list; (* from the deferred list, most recent first *)
-  queued : (Superblock.t * int) list; (* from the bounded queue, newest first *)
-}
+(* A drain's private batch, taken BEFORE the heap lock by [detach]. *)
+type detached =
+  | Queued of (Superblock.t * int) list (* from the bounded queue, newest first *)
+  | Chain of (Superblock.t * int) list (* from the deferred list, most recent first *)
 
 (* The run ends of a detached deferred chain, in chain order: the last
    block of each maximal stretch of consecutive chain blocks in one
@@ -209,35 +223,33 @@ let splice h items ~stale ~forward =
     (by_superblock freed);
   List.length freed
 
-(* Owner side of both remote-free channels, first half, run WITHOUT [h]'s
-   lock so co-located lock waiters never spin through it: one exchange
-   takes [h]'s whole deferred list (plus the chain walk), one swap under
-   the innermost queue lock takes its bounded queue, and every link that
-   does not depend on a free-list head is written. For the chain that is
-   one join per run end that a later run of its superblock follows; for
-   the queue, [prelink]. Threads sharing [h] detach disjoint batches;
-   detached blocks keep their custody marks and stay charged to live
-   bytes until the splice frees them. *)
+(* Owner side of the remote-free channel, first half, run WITHOUT [h]'s
+   lock so co-located lock waiters never spin through it: one swap under
+   the innermost queue lock takes [h]'s bounded queue, or one exchange
+   takes its whole deferred list (plus the chain walk), and every link
+   that does not depend on a free-list head is written. For the queue
+   that is [prelink]; for the chain, one join per run end that a later
+   run of its superblock follows. Threads sharing [h] detach disjoint
+   batches; detached blocks keep their custody marks and stay charged to
+   live bytes until the splice frees them. *)
 let detach h =
-  let chain =
-    match h.dfl with
-    | None -> []
-    | Some dfl -> Deferred_list.reclaim dfl
-  in
-  let queued =
-    if h.rq_len = 0 then []
+  match h.channel with
+  | No_channel -> Queued []
+  | Queue q ->
+    if q.q_len = 0 then Queued []
     else begin
-      h.rq_lock.acquire ();
-      let items = h.rq_blocks in
-      h.rq_blocks <- [];
-      h.rq_len <- 0;
-      h.rq_lock.release ();
-      items
+      q.q_lock.acquire ();
+      let items = q.q_blocks in
+      q.q_blocks <- [];
+      q.q_len <- 0;
+      q.q_lock.release ();
+      prelink h.pf items;
+      Queued items
     end
-  in
-  List.iter (fun (_, addr) -> h.pf.Platform.write ~addr ~len:8) (joins (run_ends chain));
-  prelink h.pf queued;
-  { chain; queued }
+  | List l ->
+    let chain = Deferred_list.reclaim l in
+    List.iter (fun (_, addr) -> h.pf.Platform.write ~addr ~len:8) (joins (run_ends chain));
+    Chain chain
 
 (* Return a batch swapped off [h]'s bounded queue (by [detach], before
    the lock) to [h]'s core. A block whose superblock migrated since it
@@ -247,31 +259,33 @@ let detach h =
    only up to 2x the cap and counted; rejects land on [spill] for the
    caller to route through the classic locked path AFTER releasing [h]'s
    lock — taking another heap's lock here would invert the lock order
-   (the queue lock is innermost, so taking a peer's cannot deadlock). *)
-let drain_rq h items ~peer ~spill ~to_global =
+   (the queue lock is innermost, so taking a peer's cannot deadlock).
+   Queues come with the locked global heap, whose heap 0 has a record
+   and a queue like every other heap. *)
+let drain_queued h items ~peer ~spill =
   match items with
   | [] -> 0
   | _ ->
     let forwarded = ref 0 in
     let forward owner_id sb addr =
-      match peer owner_id with
-      | None ->
-        to_global := (sb, addr) :: !to_global;
+      let accepted =
+        match peer owner_id with
+        | Some { channel = Queue q; _ } ->
+          q.q_lock.acquire ();
+          let accepted = q.q_len < 2 * q.q_cap in
+          if accepted then begin
+            q.q_blocks <- (sb, addr) :: q.q_blocks;
+            q.q_len <- q.q_len + 1
+          end;
+          q.q_lock.release ();
+          accepted
+        | _ -> false
+      in
+      if accepted then begin
         incr forwarded;
         event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-      | Some h' ->
-        h'.rq_lock.acquire ();
-        let accepted = h'.rq_len < 2 * h'.rq_cap in
-        if accepted then begin
-          h'.rq_blocks <- (sb, addr) :: h'.rq_blocks;
-          h'.rq_len <- h'.rq_len + 1
-        end;
-        h'.rq_lock.release ();
-        if accepted then begin
-          incr forwarded;
-          event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-        end
-        else spill := (sb, addr) :: !spill
+      end
+      else spill := (sb, addr) :: !spill
     in
     let mine = splice h items ~stale:List.hd ~forward in
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
@@ -285,31 +299,45 @@ let drain_rq h items ~peer ~spill ~to_global =
    onto the CURRENT owner's list, all of one owner's with one
    [push_many] in chain order, so their runs stay runs there; the list is
    unbounded, so unlike the bounded queues, forwarding can neither
-   cascade nor spill into the locked path. *)
-let free_reclaimed h items ~peer ~to_global =
+   cascade nor spill into the locked path. Lists come with the lock-free
+   global heap, whose heap 0 has no record: its blocks are returned, in
+   chain order, for the caller to park. *)
+let free_reclaimed h items ~peer =
   match items with
-  | [] -> 0
+  | [] -> (0, [])
   | _ ->
-    let forwarded = ref 0 and batches = ref [] in
+    let forwarded = ref 0 and batches = ref [] and to_global = ref [] in
     let forward owner_id sb addr =
       (match peer owner_id with
-       | None -> to_global := (sb, addr) :: !to_global
-       | Some { dfl = Some dfl'; _ } -> (
-         match List.assq_opt dfl' !batches with
+       | Some { channel = List l; _ } -> (
+         match List.assq_opt l !batches with
          | Some batch -> batch := (sb, addr) :: !batch
-         | None -> batches := (dfl', ref [ (sb, addr) ]) :: !batches)
-       | Some { dfl = None; _ } -> assert false (* deferred mode builds a list per heap *));
+         | None -> batches := (l, ref [ (sb, addr) ]) :: !batches)
+       | _ -> to_global := (sb, addr) :: !to_global);
       incr forwarded;
       event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
     let mine = splice h items ~stale:last ~forward in
-    List.iter (fun (dfl', batch) -> Deferred_list.push_many dfl' (List.rev !batch)) (List.rev !batches);
+    List.iter (fun (l, batch) -> Deferred_list.push_many l (List.rev !batch)) (List.rev !batches);
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     Alloc_stats.on_deferred_reclaim h.sh;
     event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
-    mine
+    (mine, List.rev !to_global)
 
-let drain h { chain; queued } ~peer ~spill =
-  let to_global = ref [] in
-  let mine = free_reclaimed h chain ~peer ~to_global + drain_rq h queued ~peer ~spill ~to_global in
-  (mine, List.rev !to_global)
+let drain h detached ~peer ~spill =
+  match detached with
+  | Queued items -> (drain_queued h items ~peer ~spill, [])
+  | Chain items -> free_reclaimed h items ~peer
+
+(* The blocks waiting on [h]'s channel, taken without platform effects
+   (the list's drain uses charge-free peek/poke): for quiescent teardown
+   only. A queue gives its blocks newest first, a list oldest first. *)
+let take_quiescent h =
+  match h.channel with
+  | No_channel -> []
+  | Queue q ->
+    let items = q.q_blocks in
+    q.q_blocks <- [];
+    q.q_len <- 0;
+    items
+  | List l -> List.rev (Deferred_list.drain_quiescent l)

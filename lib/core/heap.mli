@@ -4,12 +4,27 @@
 
     A heap is its {!Heap_core} (fullness groups and the [u]/[a]
     accounting) behind its lock, with the stats shard and event ring of
-    the same lock domain, and its remote-free channel: the bounded queue
-    ([rq_*], under the innermost queue lock) or, with [cfg.deferred] and
-    a front end, the unbounded {!Deferred_list}. Producers push blocks
-    of the heap's superblocks onto the channel; the owner {!detach}es
-    the whole channel before taking the lock and {!drain}s it under the
-    lock. *)
+    the same lock domain, and its remote-free channel. Producers push
+    blocks of the heap's superblocks onto the channel; the owner
+    {!detach}es the whole channel before taking the lock and {!drain}s
+    it under the lock. *)
+
+type queue = {
+  q_lock : Platform.lock;  (** innermost: never held while acquiring any other lock *)
+  mutable q_blocks : (Superblock.t * int) list;  (** newest first *)
+  mutable q_len : int;
+  q_cap : int;
+}
+(** A bounded remote-free queue. *)
+
+(** The channel follows the configuration: none without a front end
+    (whose evictions are its only producers), else the bounded {!queue}
+    under the [Locked] global heap and the unbounded {!Deferred_list}
+    under [Lockfree]. *)
+type channel =
+  | No_channel
+  | Queue of queue
+  | List of Deferred_list.t
 
 type t = {
   pf : Platform.t;
@@ -17,18 +32,14 @@ type t = {
   lock : Platform.lock;
   sh : Alloc_stats.shard;
   ring : Event_ring.t option;  (** same lock domain as [sh]; [None] when tracing is off *)
-  rq_lock : Platform.lock;  (** innermost: never held while acquiring any other lock *)
-  mutable rq_blocks : (Superblock.t * int) list;  (** bounded queue, newest first *)
-  mutable rq_len : int;
-  rq_cap : int;
-  dfl : Deferred_list.t option;  (** the deferred list replacing the queue, when built *)
+  channel : channel;
 }
 
 val create : Platform.t -> Hoard_config.t -> classes:Size_class.t -> stats:Alloc_stats.t -> ?obs:Obs.t -> int -> t
 (** [create pf cfg ~classes ~stats ?obs id]: heap [id] (0 = global), with
-    locks ["hoard.heap<id>"] and ["hoard.rfq<id>"], stats shard [id], ring
-    ["global"] or ["heap<id>"], and list ["hoard.dfl<id>"] when
-    [cfg.deferred] and the front end are both on. *)
+    lock ["hoard.heap<id>"], stats shard [id], ring ["global"] or
+    ["heap<id>"], and with a front end the queue lock ["hoard.rfq<id>"]
+    (locked global heap) or the list ["hoard.dfl<id>"] (lock-free). *)
 
 val ring : Obs.t option -> string -> Event_ring.t option
 (** A new ring named [name] in [obs], if tracing. *)
@@ -76,11 +87,11 @@ val run_ends : (Superblock.t * 'a) list -> (Superblock.t * 'a) list
 type detached
 
 val detach : t -> detached
-(** Owner side, before the lock: take the whole channel (one exchange of
-    the deferred list, one swap of the queue under the queue lock) and
-    write every link that does not depend on a free-list head — one join
-    per deferred run that a later run of its superblock follows, and
-    every queued block but the first of its superblock. *)
+(** Owner side, before the lock: take the whole channel (one swap of the
+    queue under the queue lock, or one exchange of the deferred list)
+    and write every link that does not depend on a free-list head —
+    every queued block but the first of its superblock, or one join per
+    deferred run that a later run of its superblock follows. *)
 
 val drain :
   t ->
@@ -90,9 +101,13 @@ val drain :
   int * (Superblock.t * int) list
 (** Owner side, under the lock: splice the detached batch into the core,
     one link and one header write per superblock. A block whose
-    superblock migrated is forwarded to [peer owner]'s channel (one
-    [push_many] per destination list; a bounded queue's rejects go to
-    [spill], for the caller's locked path after releasing the lock).
-    Returns the number of blocks freed into the heap and, in batch order,
-    the blocks whose owner has no record ([peer owner = None]: heap 0 of
-    the lock-free global heap), which the caller parks. *)
+    superblock migrated is forwarded to [peer owner]'s channel: a queued
+    block to its queue, up to twice the cap, the rejects to [spill] for
+    the caller's locked path after releasing the lock; a chain's blocks
+    with one [push_many] per destination list. Returns the number of
+    blocks freed into the heap and, in batch order, the chain's blocks
+    whose owner has no record ([peer owner = None]: heap 0 of the
+    lock-free global heap), which the caller parks. *)
+
+val take_quiescent : t -> (Superblock.t * int) list
+(** Empty the channel without platform effects: quiescent teardown only. *)

@@ -68,7 +68,8 @@ let create ?(config = Hoard_config.default) ?obs pf =
     | Some n -> n
     | None -> pf.Platform.nprocs
   in
-  let classes = Size_class.create ~growth:config.growth ~max_small:(Hoard_config.max_small config) () in
+  (* b = 1.2: the paper's size-class growth factor. *)
+  let classes = Size_class.create ~growth:1.2 ~max_small:(Hoard_config.max_small config) () in
   (* Stats shards mirror the lock domains: shard [id] for heap [id]
      (0 = global), one extra shard for the large path. Event rings, when
      tracing is on, mirror the same domains. Thread caches add their own
@@ -164,10 +165,9 @@ let event_tc t tc kind ~sclass ~arg =
       ~heap:(Heap_core.id (my_heap t).core) ~sclass ~arg
 
 (* Return every pending remote free [detach]ed before the lock to [h]'s
-   core: the deferred chain and the bounded queue's batch (one of them is
-   empty outside a transition). A forward into a global superblock with
-   no heap-0 record to go to parks on [h]'s shard of the global heap,
-   which may then have passed its cap. Caller holds [h]'s lock. *)
+   core. A forward into a global superblock with no heap-0 record to go
+   to parks on [h]'s shard of the global heap, which may then have passed
+   its cap. Caller holds [h]'s lock. *)
 let drain_pending t h ~detached ~spill =
   let mine, to_global = Heap.drain h detached ~peer:(heap_by_id t) ~spill in
   Global_heap.park t.global h to_global ~spill ~locked:true;
@@ -275,20 +275,20 @@ let rec dispose_batch t pairs =
        h.lock.release ();
        dispose_batch t !later)
 
-(* Route cache-evicted blocks out. Owner-0 blocks without a heap-0
-   record park on the calling heap's shard of the global heap in one
-   pre-linked CAS. Deferred mode: partition by the owner observed now and
-   publish each group as one pre-linked chain — a single CAS per owner
-   heap instead of one per block, no queue lock, no cap, no locked
-   fallback; a block whose superblock migrates between the owner read and
-   the push just lands on the stale owner's list, whose reclaim forwards
-   it. Queue mode: partition by owner, push each group onto its owner's
-   remote-free queue in one innermost-lock critical section, and hand
-   whatever the caps reject to the classic locked path in one batch. Each
-   block's owner must be read ONCE: on real domains a concurrent transfer
-   can change it between two reads, and consing onto one owner's group
-   while storing under the other's index copies a whole group — every
-   block in it queued twice, a double free at the second drain. *)
+(* Route cache-evicted blocks out, partitioned by the owner observed now.
+   Owner-0 blocks without a heap-0 record park on the calling heap's
+   shard of the global heap in one pre-linked CAS. Each other group goes
+   to its owner's channel. A deferred list takes the group as one
+   pre-linked chain — a single CAS per owner heap, no queue lock, no cap,
+   no locked fallback; a block whose superblock migrates between the
+   owner read and the push just lands on the stale owner's list, whose
+   reclaim forwards it. A bounded queue takes the group in one
+   innermost-lock critical section, and whatever the caps reject goes to
+   the classic locked path in one batch. Each block's owner must be read
+   ONCE: on real domains a concurrent transfer can change it between two
+   reads, and consing onto one owner's group while storing under the
+   other's index copies a whole group — every block in it queued twice, a
+   double free at the second drain. *)
 let surrender_many t tc pairs =
   let groups = Array.make (Array.length t.heaps + 1) [] in
   List.iter
@@ -303,56 +303,38 @@ let surrender_many t tc pairs =
         event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
       group
   in
-  let settled =
-    if groups.(0) <> [] && Option.is_none (heap_by_id t 0) then begin
-      let spill = park_global t groups.(0) in
-      enqueued groups.(0);
-      groups.(0) <- [];
-      spill
-    end
-    else []
-  in
-  if t.cfg.deferred then begin
-    Array.iteri
-      (fun id group ->
-        match (group, heap_by_id t id) with
-        | [], _ -> ()
-        | _, Some { dfl = Some dfl; _ } ->
-          Deferred_list.push_many dfl group;
+  let overflow = ref [] in
+  Array.iteri
+    (fun id group ->
+      if group <> [] then
+        match heap_by_id t id with
+        | None ->
+          overflow := park_global t group @ !overflow;
           enqueued group
-        | _ -> assert false (* deferred mode builds a list per heap *))
-      groups;
-    if settled <> [] then dispose_batch t settled
-  end
-  else begin
-    let overflow = ref [] in
-    Array.iteri
-      (fun id group ->
-        match (group, heap_by_id t id) with
-        | [], _ -> ()
-        | (sb0, _) :: _, Some h ->
-          h.rq_lock.acquire ();
+        | Some { channel = List l; _ } ->
+          Deferred_list.push_many l group;
+          enqueued group
+        | Some { channel = Queue q; _ } ->
+          q.q_lock.acquire ();
           let accepted = ref 0 in
-          let room = ref (h.rq_cap - h.rq_len) in
           List.iter
             (fun (sb, addr) ->
-              if !room > 0 then begin
-                decr room;
-                h.rq_blocks <- (sb, addr) :: h.rq_blocks;
-                h.rq_len <- h.rq_len + 1;
+              if q.q_len < q.q_cap then begin
+                q.q_blocks <- (sb, addr) :: q.q_blocks;
+                q.q_len <- q.q_len + 1;
                 incr accepted
               end
               else overflow := (sb, addr) :: !overflow)
             group;
-          h.rq_lock.release ();
+          q.q_lock.release ();
           if !accepted > 0 then begin
             Alloc_stats.on_remote_enqueue tc.tc_sh ~blocks:!accepted;
-            event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass sb0) ~arg:!accepted
+            event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass (fst (List.hd group)))
+              ~arg:!accepted
           end
-        | _ :: _, None -> assert false (* parked above *))
-      groups;
-    dispose_batch t (List.rev_append settled !overflow)
-  end
+        | Some { channel = No_channel; _ } -> overflow := List.rev_append group !overflow)
+    groups;
+  if !overflow <> [] then dispose_batch t !overflow
 
 (* Evict the oldest half of an overflowing class so the next [fe/2] frees
    stay lock-free. *)
@@ -448,9 +430,9 @@ let tcache t =
     tc
   | None -> new_tcache t tid
 
-(* The slow half of a front-end malloc: the deferred list is detached
-   first, then one lock acquisition frees it, drains the bounded queue and
-   pulls [fe/2 + 1] blocks — one to return, the rest into the cache. *)
+(* The slow half of a front-end malloc: the remote-free channel is
+   detached first, then one lock acquisition frees it and pulls
+   [fe/2 + 1] blocks — one to return, the rest into the cache. *)
 let malloc_fill t tc ~size ~sclass ~block_size =
   let h = my_heap t in
   let spill = ref [] in
@@ -890,19 +872,15 @@ let flush_caches t =
             List.iter (fun (addr, sb) -> dispose (sb, addr)) stack)
         tc.tc_slots)
     (Atomic.get t.tcaches);
-  (* [h]'s queue and deferred list, and its shard of the global heap. *)
+  (* [h]'s channel and its shard of the global heap. The quiescent drains
+     use charge-free peek/poke, so they are cost- and schedule-invisible. *)
   let take (h : Heap.t) =
-    let items = h.rq_blocks in
-    h.rq_blocks <- [];
-    h.rq_len <- 0;
-    (* The quiescent drain uses charge-free peek/poke, so it is as cost-
-       and schedule-invisible as the queue grab above. *)
-    List.fold_left
-      (fun acc -> function
-        | None -> acc
-        | Some l -> List.rev_append (Deferred_list.drain_quiescent l) acc)
-      items
-      [ h.dfl; Global_heap.pending t.global h ]
+    let shard =
+      match Global_heap.pending t.global h with
+      | None -> []
+      | Some l -> Deferred_list.drain_quiescent l
+    in
+    List.rev_append shard (Heap.take_quiescent h)
   in
   (* At quiescence owners are stable, so one pass routes every queued
      block to its final heap. *)
@@ -972,16 +950,18 @@ let list_length = function
   | None -> 0
   | Some l -> Deferred_list.length l
 
-(* Blocks on each heap's deferred list; heap 0's entry also sums the
-   blocks parked on the per-heap shards of the global heap (empty with a
-   heap-0 record), which all wait on global superblocks. *)
+(* Blocks on each heap's deferred list; heap 0's entry sums the blocks
+   parked on the per-heap shards of the global heap, which all wait on
+   global superblocks. *)
 let deferred_lengths t =
   Array.init
     (Array.length t.heaps + 1)
     (fun id ->
-      let own = list_length (Option.bind (heap_by_id t id) (fun h -> h.dfl)) in
-      if id = 0 then Array.fold_left (fun acc h -> acc + list_length (Global_heap.pending t.global h)) own t.heaps
-      else own)
+      if id = 0 then Array.fold_left (fun acc h -> acc + list_length (Global_heap.pending t.global h)) 0 t.heaps
+      else
+        match t.heaps.(id - 1).channel with
+        | List l -> Deferred_list.length l
+        | No_channel | Queue _ -> 0)
 
 let iter_global_free t f =
   Array.iter
@@ -995,7 +975,10 @@ let remote_queue_lengths t =
   Array.mapi
     (fun id n ->
       match heap_by_id t id with
-      | Some h -> n + h.rq_len
+      | Some h -> (
+        match h.channel with
+        | Queue q -> n + q.q_len
+        | No_channel | List _ -> n)
       | None -> n)
     (deferred_lengths t)
 
@@ -1023,7 +1006,12 @@ let check t =
   in
   if total_u + Locked_large.live_bytes t.large <> s.live_bytes then
     failwith "Hoard.check: live-bytes accounting mismatch";
-  Array.iter (fun (h : Heap.t) -> Option.iter Heap.check_list h.dfl) t.heaps;
+  Array.iter
+    (fun (h : Heap.t) ->
+      match h.channel with
+      | List l -> Heap.check_list l
+      | No_channel | Queue _ -> ())
+    t.heaps;
   (* Large cache: buckets within capacity, stacks structurally sound,
      every parked region mapped and decommitted. *)
   match t.lcache with

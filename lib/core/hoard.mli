@@ -35,29 +35,26 @@
     thread keeps a cache of up to [K] block addresses per size class.
     malloc pops and free pushes with no lock at all; misses and overflows
     move [K/2] blocks per heap-lock acquisition, and blocks evicted from a
-    cache are batched onto the owning heap's remote-free queue (one
-    innermost queue lock) for the owner to drain on its next locked slow
-    path. Cached and queued blocks stay charged to the heap that owns
-    their superblock, so the emptiness invariant, the blowup bound and
-    {!check} are unchanged — the cost is up to
-    [K * P * classes + remote_queue_cap * (P+1)] blocks of memory parked
-    in flight. [front_end = 0] is bit-for-bit the paper's algorithm.
-
-    {b Deferred frees} ([config.deferred], needs the front end): each
-    heap's bounded remote-free queue is replaced by an unbounded
-    intrusive {!Deferred_list} — eviction pushes the block itself with
-    one CAS on the owner's list head (no queue lock, no cap, no locked
-    fallback), and the owner detaches the whole list with a single
-    exchange on its next fill/flush, batching the blocks back through
-    the heap core. The charging discipline is the queue's, so every
-    invariant above still holds exactly.
+    cache are batched onto the owning heap's remote-free channel for the
+    owner to drain on its next slow path. The channel follows
+    [config.global]. Under the locked global heap it is a bounded queue
+    (one innermost queue lock; overflow takes the locked free path), at
+    a cost of up to [K * P * classes + remote_queue_cap * (P+1)] blocks
+    parked in flight. Under the lock-free one it is an unbounded
+    intrusive {!Deferred_list}: eviction pushes the blocks themselves
+    with one CAS on the owner's list head (no queue lock, no cap, no
+    locked fallback), and the owner detaches the whole list with a
+    single exchange. Cached and pending blocks stay charged to the heap
+    that owns their superblock, so the emptiness invariant, the blowup
+    bound and {!check} are unchanged. [front_end = 0] is bit-for-bit the
+    paper's algorithm.
 
     {b Large cache} ([config.large_cache = C > 0]): a lock-free MPSC
     {!Large_cache} fronts the large-object path — freed regions of up
     to 16 pages park decommitted-but-mapped in bounded buckets (cap [C]
     each), and an allocation of the same page count takes one back with
     pop → commit instead of an OS map. Parked regions stay held, so the
-    blowup envelope widens by at most [Large_cache.capacity_bytes]. *)
+    blowup envelope widens by at most [C] regions per bucket. *)
 
 type t
 
@@ -140,16 +137,14 @@ val cache_counts : t -> (int * int array) list
     Lock-free reads; call at quiescence. *)
 
 val remote_queue_lengths : t -> int array
-(** Pending remote-free count per heap (bounded queue plus deferred
+(** Pending remote-free count per heap (its bounded queue or deferred
     list), index 0 = global, which also sums the global-free shards.
     Lock-free reads; call at quiescence. *)
 
 val deferred_lengths : t -> int array
 (** Blocks currently parked on each heap's deferred free list, index 0 =
-    global. Under [global = Lockfree] heap 0 has no list of its own and
-    index 0 sums the per-heap global-free shards instead; otherwise it is
-    heap 0's list (all zeros without [config.deferred]). Lock-free reads;
-    call at quiescence. *)
+    global: the sum of the per-heap global-free shards. All zeros unless
+    [global = Lockfree]. Lock-free reads; call at quiescence. *)
 
 val iter_global_free : t -> (heap:int -> Superblock.t -> int -> unit) -> unit
 (** Test hook: no allocation path uses it. Every block parked on a

@@ -20,7 +20,6 @@ type t = {
   sb_size : int;
   empty_fraction : float;
   slack : int;
-  growth : float;
   ngroups : int;
   nheaps : int option;
   assign_by_tid : bool;
@@ -30,7 +29,6 @@ type t = {
   path_work : int;
   front_end : int;
   remote_queue_cap : int;
-  deferred : bool;
   large_cache : int;
   global : global_mode;
   sanitize : bool;
@@ -54,7 +52,6 @@ let default =
     sb_size = 8192;
     empty_fraction = 0.25;
     slack = 4;
-    growth = 1.2;
     ngroups = 8;
     nheaps = None;
     assign_by_tid = false;
@@ -64,7 +61,6 @@ let default =
     path_work = 30;
     front_end = 0;
     remote_queue_cap = 256;
-    deferred = false;
     large_cache = 0;
     global = Locked;
     sanitize = false;
@@ -152,13 +148,6 @@ let knobs =
       ~get:(fun t -> t.slack)
       ~store:(fun t v -> { t with slack = v })
       ~check:(non_negative "slack");
-    {
-      k_name = "growth";
-      k_doc = "b: size-class growth factor, > 1.0 (paper: 1.2).";
-      k_get = (fun t -> Printf.sprintf "%g" t.growth);
-      k_parse = (fun t s -> { t with growth = parse_float "growth" s });
-      k_check = (fun t -> if t.growth <= 1.0 then Some "growth must exceed 1.0" else None);
-    };
     int_knob "ngroups" "Fullness groups per size class, >= 1."
       ~get:(fun t -> t.ngroups)
       ~store:(fun t v -> { t with ngroups = v })
@@ -214,14 +203,10 @@ let knobs =
         if v < 0 then Some "front-end must be non-negative"
         else if v > 0 && v < 2 then Some "front-end must be 0 or >= 2"
         else None);
-    int_knob "remote-queue-cap" "Capacity of each heap's bounded remote-free queue (ignored with deferred)."
+    int_knob "remote-queue-cap" "Capacity of each heap's bounded remote-free queue (locked global heap only)."
       ~get:(fun t -> t.remote_queue_cap)
       ~store:(fun t v -> { t with remote_queue_cap = v })
       ~check:(fun v -> if v < 1 then Some "remote-queue-cap must be >= 1" else None);
-    bool_knob "deferred"
-      "Replace the bounded remote-free queues with unbounded deferred lists (CAS push, exchange reclaim)."
-      ~get:(fun t -> t.deferred)
-      ~store:(fun t v -> { t with deferred = v });
     int_knob "large-cache" "Per-bucket capacity of the MPSC large-object cache; 0 disables."
       ~get:(fun t -> t.large_cache)
       ~store:(fun t v -> { t with large_cache = v })
@@ -295,16 +280,15 @@ let set t spec =
 
 let set_all t specs = List.fold_left set t specs
 
-let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nheaps ?assign_by_tid
+let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?assign_by_tid
     ?release_to_os ?release_threshold ?vmem_backend ?path_work ?front_end
-    ?remote_queue_cap ?deferred ?large_cache ?global ?sanitize ?quarantine ?mutant () =
+    ?remote_queue_cap ?large_cache ?global ?sanitize ?quarantine ?mutant () =
   let v field = function Some x -> x | None -> field in
   let t =
     {
       sb_size = v base.sb_size sb_size;
       empty_fraction = v base.empty_fraction empty_fraction;
       slack = v base.slack slack;
-      growth = v base.growth growth;
       ngroups = v base.ngroups ngroups;
       nheaps = v base.nheaps nheaps;
       assign_by_tid = v base.assign_by_tid assign_by_tid;
@@ -314,7 +298,6 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nhe
       path_work = v base.path_work path_work;
       front_end = v base.front_end front_end;
       remote_queue_cap = v base.remote_queue_cap remote_queue_cap;
-      deferred = v base.deferred deferred;
       large_cache = v base.large_cache large_cache;
       global = v base.global global;
       sanitize = v base.sanitize sanitize;
@@ -331,7 +314,7 @@ let max_small t = t.sb_size / 2
    registry order), every other knob only when it differs from the
    default — so new knobs show up in [inspect] output automatically. *)
 let always_shown =
-  [ "sb-size"; "empty-fraction"; "slack"; "growth"; "ngroups"; "nheaps"; "front-end" ]
+  [ "sb-size"; "empty-fraction"; "slack"; "ngroups"; "nheaps"; "front-end" ]
 
 let pp fmt t =
   let first = ref true in

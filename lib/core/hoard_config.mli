@@ -12,7 +12,9 @@
     [Lockfree]: the CAS-published fullness index ([Global_index]) — every
     superblock transfer to/from the global heap, every free into a
     global superblock and every surplus release runs without ever
-    acquiring the heap-0 lock. *)
+    acquiring the heap-0 lock. With a front end, the mode also picks the
+    remote-free channel: bounded queues under [Locked], deferred lists
+    under [Lockfree]. *)
 type global_mode =
   | Locked
   | Lockfree
@@ -33,7 +35,6 @@ type t = {
           implementation keeps a small positive K (default 4) so that
           batch-free workloads such as threadtest do not thrash
           superblocks through the global heap (see the abl_k ablation). *)
-  growth : float;  (** size-class growth factor b (paper: 1.2). *)
   ngroups : int;  (** fullness groups per size class (paper: groups of f). *)
   nheaps : int option;
       (** number of per-processor heaps; [None] means one per processor. *)
@@ -65,16 +66,11 @@ type t = {
       (** capacity (blocks) of each heap's bounded remote-free queue. A
           remote free finding the owner's queue full falls back to the
           classic lock-the-owner free path. Only meaningful with
-          [front_end > 0]; ignored entirely under [deferred]. *)
-  deferred : bool;
-      (** replace each heap's bounded remote-free queue with an unbounded
-          intrusive deferred list: a remote free pushes the block onto the
-          owner's list with a single CAS (wait-free fast path, no
-          fallback to locking the owner), and the owner reclaims the
-          whole list with one exchange during its next fill/flush/trim,
-          batching the blocks back through the heap core so the emptiness
-          invariant and blowup envelope stay exact. Only meaningful with
-          [front_end > 0]. Default false. *)
+          [front_end > 0] and the [Locked] global heap: under [Lockfree]
+          the remote-free channel is the unbounded deferred list (a
+          remote free pushes the block onto the owner's list with a
+          single CAS, and the owner reclaims the whole list with one
+          exchange during its next fill/flush/trim). *)
   large_cache : int;
       (** per-bucket capacity of the lock-free MPSC large-object cache in
           front of the large allocator: freed large regions are parked
@@ -131,7 +127,6 @@ val make :
   ?sb_size:int ->
   ?empty_fraction:float ->
   ?slack:int ->
-  ?growth:float ->
   ?ngroups:int ->
   ?nheaps:int option ->
   ?assign_by_tid:bool ->
@@ -141,7 +136,6 @@ val make :
   ?path_work:int ->
   ?front_end:int ->
   ?remote_queue_cap:int ->
-  ?deferred:bool ->
   ?large_cache:int ->
   ?global:global_mode ->
   ?sanitize:bool ->

@@ -4,13 +4,10 @@ let large_cache_default = 4
 
 let fe_config ?(front_end = front_end_default) () = Hoard_config.make ~front_end ()
 
-let df_config ?(front_end = front_end_default) ?(large_cache = large_cache_default) () =
-  Hoard_config.make ~front_end ~deferred:true ~large_cache ()
-
 let san_config ?(quarantine = 32) () = Hoard_config.make ~sanitize:true ~quarantine ()
 
-let gl_config ?(front_end = front_end_default) () =
-  Hoard_config.make ~front_end ~deferred:true ~global:Hoard_config.Lockfree ()
+let gl_config ?(front_end = front_end_default) ?(large_cache = large_cache_default) () =
+  Hoard_config.make ~front_end ~large_cache ~global:Hoard_config.Lockfree ()
 
 let hoard_fe ?front_end () =
   let config = fe_config ?front_end () in
@@ -20,18 +17,6 @@ let hoard_fe ?front_end () =
     Alloc_intf.label = "hoard-fe";
     description =
       Printf.sprintf "hoard with the lock-free front end (%d cached blocks per class per thread)" front_end;
-  }
-
-let hoard_df ?front_end ?large_cache () =
-  let config = df_config ?front_end ?large_cache () in
-  let large_cache = config.Hoard_config.large_cache in
-  {
-    (Hoard.factory ~config ()) with
-    Alloc_intf.label = "hoard-df";
-    description =
-      Printf.sprintf
-        "hoard-fe plus deferred remote-free lists (CAS push, exchange reclaim) and the large-object cache (cap %d per bucket)"
-        large_cache;
   }
 
 let hoard_san ?quarantine () =
@@ -44,14 +29,16 @@ let hoard_san ?quarantine () =
       Printf.sprintf "hoard with the heap sanitizer (poison-on-free, %d-block quarantine)" quarantine;
   }
 
-let hoard_gl ?front_end () =
-  let config = gl_config ?front_end () in
+let hoard_gl ?front_end ?large_cache () =
+  let config = gl_config ?front_end ?large_cache () in
   {
     (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-gl";
     description =
-      "hoard-fe plus deferred remote-free lists and the lock-free global heap: CAS-published fullness index, no \
-       heap-0 lock on any transfer";
+      Printf.sprintf
+        "hoard-fe on the lock-free global heap (CAS-published fullness index, no heap-0 lock on any transfer) with \
+         deferred remote-free lists and the large-object cache (cap %d per bucket)"
+        config.Hoard_config.large_cache;
   }
 
 let all () =
@@ -63,12 +50,12 @@ let all () =
     Private_threshold.factory ();
     Hoard.factory ();
     hoard_fe ();
-    hoard_df ();
+    hoard_gl ();
   ]
 
 (* Checking configurations: resolvable by [find] but excluded from [all]
    (sweeps and comparison tables run the eight measurement allocators). *)
-let extras () = [ hoard_san (); hoard_gl () ]
+let extras () = [ hoard_san () ]
 
 let labels () = List.map (fun f -> f.Alloc_intf.label) (all ())
 
@@ -80,7 +67,6 @@ let find label = List.find_opt (fun f -> f.Alloc_intf.label = label) (all () @ e
 let base_config = function
   | "hoard" -> Some Hoard_config.default
   | "hoard-fe" -> Some (fe_config ())
-  | "hoard-df" -> Some (df_config ())
   | "hoard-san" -> Some (san_config ())
   | "hoard-gl" -> Some (gl_config ())
   | _ -> None

@@ -13,8 +13,7 @@ val all : unit -> Alloc_intf.factory list
     stay on the eight comparison allocators. *)
 
 val extras : unit -> Alloc_intf.factory list
-(** Checking configurations ([hoard-san], [hoard-gl]); resolvable
-    through {!find}. *)
+(** Checking configurations ([hoard-san]); resolvable through {!find}. *)
 
 val labels : unit -> string list
 
@@ -39,24 +38,20 @@ val front_end_default : int
 (** Cache capacity [hoard-fe] registers with. *)
 
 val large_cache_default : int
-(** Per-bucket large-cache capacity [hoard-df] registers with. *)
+(** Per-bucket large-cache capacity [hoard-gl] registers with. *)
 
 val hoard_fe : ?front_end:int -> unit -> Alloc_intf.factory
 (** A front-end-enabled hoard factory with an explicit capacity. *)
 
-val hoard_df : ?front_end:int -> ?large_cache:int -> unit -> Alloc_intf.factory
-(** [hoard-fe] plus the deferred remote-free lists
-    (see {!Hoard_config.t.deferred}: CAS push, exchange reclaim, no
-    owner-lock fallback) and the lock-free MPSC large-object cache
-    (see {!Hoard_config.t.large_cache}). *)
-
 val hoard_san : ?quarantine:int -> unit -> Alloc_intf.factory
 (** A sanitizer-enabled hoard factory (see {!Hoard_config.t.sanitize}). *)
 
-val hoard_gl : ?front_end:int -> unit -> Alloc_intf.factory
-(** [hoard-fe] plus the deferred remote-free lists and the lock-free
-    global heap (see
+val hoard_gl : ?front_end:int -> ?large_cache:int -> unit -> Alloc_intf.factory
+(** [hoard-fe] on the lock-free global heap (see
     {!Hoard_config.t.global} = [Lockfree]): heap 0's Dlist fullness
     groups replaced by the CAS-published {!Global_index}, so superblock
     transfer in either direction — and frees into global superblocks —
-    never acquire the heap-0 lock. *)
+    never acquire the heap-0 lock; its remote frees ride the deferred
+    lists (CAS push, exchange reclaim, no owner-lock fallback), and
+    large objects the lock-free MPSC large-object cache
+    (see {!Hoard_config.t.large_cache}). *)

@@ -1309,15 +1309,15 @@ let server_params profile scale =
 
 (* The latency-tail comparison set: the paper's serial and
    private-ownership baselines against the Hoard configurations whose
-   whole purpose is the tail (base, lock-free front end, deferred
-   remote-free lists). *)
+   whole purpose is the tail (base, lock-free front end, lock-free
+   global heap with deferred remote-free lists). *)
 let server_allocators () =
   [
     Serial_alloc.factory ();
     Private_ownership.factory ();
     Hoard.factory ();
     Allocators.hoard_fe ();
-    Allocators.hoard_df ();
+    Allocators.hoard_gl ();
   ]
 
 let server_exp =
@@ -1402,7 +1402,7 @@ let server_exp =
 (* The pipelined producer-consumer makes every free remote and concurrent
    with the owner's allocation burst, so this is where the remote-free
    discipline shows: hoard-fe's bounded queues drain under the owner's
-   heap lock (and block the producer mid-burst), hoard-df's deferred
+   heap lock (and block the producer mid-burst), hoard-gl's deferred
    lists take one CAS per free and one exchange per reclaim. The
    companion instrumented pass ([--metrics], obs_workload below) exports
    the per-lock acquisition counts CI gates on. *)
@@ -1413,9 +1413,9 @@ let remote_exp =
       | Some ps -> ps
       | None -> ( match scale with Quick -> [ 2; 8 ] | Full -> [ 2; 8; 14 ])
     in
-    let allocs = [ Allocators.hoard_fe (); Allocators.hoard_df () ] in
+    let allocs = [ Allocators.hoard_fe (); Allocators.hoard_gl () ] in
     let tbl =
-      Table.create ~title:"Remote frees: bounded queues (hoard-fe) vs deferred lists (hoard-df)"
+      Table.create ~title:"Remote frees: bounded queues (hoard-fe) vs deferred lists (hoard-gl)"
         ~columns:
           [
             ("allocator", Table.Left);

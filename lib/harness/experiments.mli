@@ -51,7 +51,7 @@ val server_params : Server_mix.profile -> scale -> Server_mix.params
 
 val server_allocators : unit -> Alloc_intf.factory list
 (** The latency-tail comparison set: serial and private-ownership
-    baselines plus hoard, hoard-fe and hoard-df. *)
+    baselines plus hoard, hoard-fe and hoard-gl. *)
 
 val workload : string -> scale -> Workload_intf.t option
 (** The benchmark suite by name ("threadtest", "shbench", "larson",

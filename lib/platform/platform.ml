@@ -30,6 +30,7 @@ type t = {
   page_decommit : addr:int -> unit;
   page_commit : addr:int -> unit;
   page_residency : addr:int -> Vmem.residency;
+  region_bytes : addr:int -> int option;
   mapped_bytes : owner:int -> int;
   peak_mapped_bytes : owner:int -> int;
 }
@@ -86,6 +87,7 @@ let host ?(page_size = 4096) ?(nprocs = 1) ?(vmem_backend = Vmem_backend.Exact) 
       page_decommit = (fun ~addr -> locked (fun () -> Vmem.decommit vmem ~addr));
       page_commit = (fun ~addr -> locked (fun () -> Vmem.commit vmem ~addr));
       page_residency = (fun ~addr -> locked (fun () -> Vmem.residency vmem ~addr));
+      region_bytes = (fun ~addr -> locked (fun () -> Vmem.region_size vmem ~addr));
       mapped_bytes = (fun ~owner -> locked (fun () -> Vmem.mapped_bytes_of_owner vmem owner));
       peak_mapped_bytes = (fun ~owner -> locked (fun () -> Vmem.peak_bytes_of_owner vmem owner));
     }

@@ -76,6 +76,9 @@ type t = {
   page_residency : addr:int -> Vmem.residency;
       (** residency of the page containing [addr]; side-effect-free and
           charge-free (an inspection hook, not a machine operation) *)
+  region_bytes : addr:int -> int option;
+      (** size of the live region based at [addr]; an inspection hook
+          like [page_residency] *)
   mapped_bytes : owner:int -> int;  (** bytes currently held by [owner] *)
   peak_mapped_bytes : owner:int -> int;
 }

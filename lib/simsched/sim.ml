@@ -725,9 +725,10 @@ let platform t =
     page_unmap = (fun ~addr -> perform (E_page_unmap addr));
     page_decommit = (fun ~addr -> perform (E_page_decommit addr));
     page_commit = (fun ~addr -> perform (E_page_commit addr));
-    (* An inspection hook, not a machine op: reads the vmem directly,
-       charges nothing, perturbs no schedule. *)
+    (* Inspection hooks, not machine ops: they read the vmem directly,
+       charge nothing, perturb no schedule. *)
     page_residency = (fun ~addr -> Vmem.residency t.vm ~addr);
+    region_bytes = (fun ~addr -> Vmem.region_size t.vm ~addr);
     mapped_bytes = (fun ~owner -> Vmem.mapped_bytes_of_owner t.vm owner);
     peak_mapped_bytes = (fun ~owner -> Vmem.peak_bytes_of_owner t.vm owner);
   }

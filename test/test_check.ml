@@ -345,11 +345,13 @@ let test_global_free_shards_explored () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: deferred vs direct frees. The same generated
-   trace replays against every hoard-family factory's base config and
-   against the same config with the deferred lists and the large cache
-   switched on; the allocation-visible outcome (op counts, live bytes
-   after a full flush) must be identical — the deferred path only
-   changes WHEN blocks return to their owner, never whether they do.    *)
+   trace replays against every hoard-family factory's base config on the
+   locked global heap (bounded queues with a front end, direct frees
+   without) and on the lock-free one with a front end (so the deferred
+   lists) and the large cache switched on; the allocation-visible
+   outcome (op counts, live bytes after a full flush) must be identical
+   — the deferred path only changes WHEN blocks return to their owner,
+   never whether they do.                                               *)
 
 let test_deferred_differential_fuzz () =
   let replay_with config t =
@@ -379,12 +381,12 @@ let test_deferred_differential_fuzz () =
           match Allocators.base_config label with
           | None -> () (* non-hoard comparison allocators: no deferred variant *)
           | Some cfg ->
-            let direct = replay_with { cfg with Hoard_config.deferred = false } t in
+            let direct = replay_with { cfg with Hoard_config.global = Hoard_config.Locked } t in
             let deferred =
               replay_with
                 {
                   cfg with
-                  Hoard_config.deferred = true;
+                  Hoard_config.global = Hoard_config.Lockfree;
                   front_end = max cfg.Hoard_config.front_end 4;
                   large_cache = 4;
                 }
@@ -574,13 +576,7 @@ let test_fuzz_determinism () =
       Alcotest.(check (list (pair string int))) (label ^ ": same ring counts") sig1 sig2;
       Alcotest.(check bool) (label ^ ": same stats") true (stats1 = stats2);
       Alcotest.(check int) (label ^ ": same cycles") cyc1 cyc2)
-    [
-      ("hoard", Hoard_config.default);
-      ("hoard-fe", Hoard_config.make ~front_end:Allocators.front_end_default ());
-      ( "hoard-df",
-        Hoard_config.make ~front_end:Allocators.front_end_default ~deferred:true
-          ~large_cache:Allocators.large_cache_default () );
-    ]
+    (List.map (fun label -> (label, Option.get (Allocators.base_config label))) [ "hoard"; "hoard-fe"; "hoard-gl" ])
 
 (* ------------------------------------------------------------------ *)
 (* S3: API edge cases, oracle-checked, across every registry factory.  *)

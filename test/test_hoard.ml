@@ -740,14 +740,15 @@ let test_remote_forward_bounded () =
 
 let test_remote_forward_deferred () =
   (* The deferred-list twin: blocks waiting on heap 1's deferred list
-     whose superblock then migrates are re-pushed onto the new owner's
-     list by heap 1's next drain — all of them with one CAS.
+     whose superblock then migrates to the lock-free global heap are
+     parked by heap 1's next drain on heap 1's shard of the global heap —
+     all of them with one CAS.
      Choreography: t0 frees everything but two SB1 blocks (t1's) and
      three keepers, then flushes; a gate on heap 1's lock holds that
      flush between its detach and its lock while t1 pushes the two SB1
      blocks onto heap 1's list. The flush's trims exile SB1 (2
      pending < the keepers' 3 live) with the two still waiting, and t0's
-     next flush forwards them to heap 0's list. *)
+     next flush forwards them to the shard. *)
   let sim = Sim.create ~nprocs:2 () in
   let pf0 = Sim.platform sim in
   let obs = Obs.create () in
@@ -776,21 +777,23 @@ let test_remote_forward_deferred () =
       new_atomic =
         (fun name init ->
           let w = pf0.Platform.new_atomic name init in
-          if name <> "hoard.dfl0.head" then w
+          if name <> "hoard.dfl0.1.head" then w
           else
             {
               w with
               Platform.cas =
                 (fun ~expected ~desired ->
                   let ok = w.Platform.cas ~expected ~desired in
-                  if ok && !counting then incr head_cas;
+                  (* A push swings the head to a block; the reclaim
+                     that completes the shard swings it to 0. *)
+                  if ok && !counting && desired <> 0 then incr head_cas;
                   ok);
             });
     }
   in
   let config =
     {
-      (Option.get (Allocators.base_config "hoard-df")) with
+      (Option.get (Allocators.base_config "hoard-gl")) with
       Hoard_config.sb_size = 4096;
       nheaps = Some 2;
       slack = 0;
@@ -856,7 +859,7 @@ let test_remote_forward_deferred () =
     List.fold_left (fun acc (_, r) -> acc + Event_ring.recorded_kind r Event_ring.Remote_forward) 0 (Obs.rings obs)
   in
   Alcotest.(check int) "one event per forwarded block" s.Alloc_stats.remote_forwards fwd_events;
-  Alcotest.(check int) "one CAS on heap 0's list for the whole forward" 1 !head_cas;
+  Alcotest.(check int) "one push onto the shard for the whole forward" 1 !head_cas;
   Hoard.flush_caches h;
   a.Alloc_intf.check ();
   Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes
@@ -939,7 +942,7 @@ let test_global_lockfree_zero_heap0_lock () =
       (fun acc (lname, n, _) -> if lname = "hoard.heap0" then acc + n else acc)
       0 r.Runner.r_lock_stats
   in
-  let locked = { cfg with Hoard_config.front_end = 16; deferred = true; slack = 0 } in
+  let locked = { cfg with Hoard_config.front_end = 16; slack = 0 } in
   let base = heap0_acqs locked in
   let gl = heap0_acqs { locked with Hoard_config.global = Hoard_config.Lockfree } in
   Alcotest.(check bool)
@@ -965,7 +968,6 @@ let test_orphan_adoptions_match_events () =
           Hoard_config.nheaps = Some 2;
           release_to_os = false;
           front_end = 4;
-          deferred = (gmode = Hoard_config.Lockfree);
           global = gmode;
         }
       in
@@ -1039,6 +1041,52 @@ let test_large_cache_roundtrip () =
   a.Alloc_intf.free q;
   Hoard.check h
 
+(* Every page count the cache buckets (2 to 16 pages above the S/2
+   threshold): each freed region parks in the bucket of its own size,
+   which [Hoard.check] verifies against the region's mapped size, and a
+   take hands back a region that size. *)
+let test_large_cache_buckets_by_size () =
+  let pf = Platform.host () in
+  let h = Hoard.create ~config:(Hoard_config.make ~large_cache:4 ()) pf in
+  let a = Hoard.allocator h in
+  let page = pf.Platform.page_size in
+  let sizes = List.init 15 (fun i -> ((i + 1) * page) + 1) in
+  let ps = List.map a.Alloc_intf.malloc sizes in
+  List.iter a.Alloc_intf.free ps;
+  Alcotest.(check int) "every region parked" (List.length sizes) (Hoard.large_cache_length h);
+  Hoard.check h;
+  let qs = List.map a.Alloc_intf.malloc (List.rev sizes) in
+  Alcotest.(check int) "every region taken back" 0 (Hoard.large_cache_length h);
+  List.iter2
+    (fun size q ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%d B served by a region of its own page count" size)
+        (Some (((size + page - 1) / page) * page))
+        (pf.Platform.region_bytes ~addr:q))
+    (List.rev sizes) qs;
+  List.iter a.Alloc_intf.free qs;
+  Hoard.check h;
+  Platform.host_release pf
+
+(* The remote-free channel follows the configuration: none without a
+   front end, else the bounded queue under the locked global heap and the
+   deferred list under the lock-free one. *)
+let test_channel_follows_global () =
+  let pf = Platform.host () in
+  let classes = Size_class.create ~max_small:(Hoard_config.max_small cfg) () in
+  let stats = Alloc_stats.create ~shards:2 () in
+  let channel ~front_end global =
+    match (Heap.create pf { cfg with Hoard_config.front_end; global } ~classes ~stats 1).Heap.channel with
+    | Heap.No_channel -> "none"
+    | Heap.Queue _ -> "queue"
+    | Heap.List _ -> "list"
+  in
+  Alcotest.(check string) "no front end, locked" "none" (channel ~front_end:0 Hoard_config.Locked);
+  Alcotest.(check string) "no front end, lock-free" "none" (channel ~front_end:0 Hoard_config.Lockfree);
+  Alcotest.(check string) "front end, locked" "queue" (channel ~front_end:4 Hoard_config.Locked);
+  Alcotest.(check string) "front end, lock-free" "list" (channel ~front_end:4 Hoard_config.Lockfree);
+  Platform.host_release pf
+
 (* The deferred remote-free lists: a consumer's flushed remote frees are
    CAS pushes (no remote-queue enqueues), and the owner's next fill
    reclaims them in one exchange. *)
@@ -1046,7 +1094,7 @@ let test_deferred_lists_reclaim () =
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
   let h =
-    Hoard.create ~config:(Hoard_config.make ~front_end:4 ~deferred:true ()) pf
+    Hoard.create ~config:(Hoard_config.make ~front_end:4 ~global:Hoard_config.Lockfree ()) pf
   in
   let a = Hoard.allocator h in
   let barrier = Sim.new_barrier sim ~parties:2 in
@@ -1135,7 +1183,7 @@ let test_reclaim_writes_header_once () =
         (Option.value ~default:0 (Hashtbl.find_opt header_writes base));
       Hoard.flush_caches h;
       Hoard.check h)
-    [ "hoard-df"; "hoard-gl" ]
+    [ "hoard-gl" ]
 
 (* [Heap.run_ends]: the last block of each maximal stretch of one
    superblock's blocks, in chain order. A run end whose superblock runs
@@ -1162,7 +1210,7 @@ let test_run_ends () =
    superblock's current head) and S headers are written while the heap
    lock is held. The channels differ before the lock. A bounded-queue
    batch carries no links: the drain writes the other N - S. A deferred
-   chain (hoard-df, hoard-gl) is linked by its push, one write per block,
+   chain (hoard-gl) is linked by its push, one write per block,
    and its consecutive blocks of one superblock already form that
    superblock's free list: of R runs, the drain writes only the R - S
    that join a later run of their superblock. The consumer frees the
@@ -1247,7 +1295,7 @@ let test_drain_splices_under_lock () =
       Alcotest.(check bool) (label ^ ": a superblock falls into two runs") true (r > s);
       Alcotest.(check int) (label ^ ": the fill drained the channel") 0
         (Array.fold_left ( + ) 0 (Hoard.remote_queue_lengths h));
-      if config.Hoard_config.deferred then begin
+      if config.Hoard_config.global = Hoard_config.Lockfree then begin
         Alcotest.(check int) (label ^ ": every link written once by the push") n !links_pushed;
         Alcotest.(check int) (label ^ ": one join per run end before the lock") (r - s) !links_before
       end
@@ -1269,7 +1317,7 @@ let test_drain_splices_under_lock () =
       Alcotest.(check int) (label ^ ": one header per superblock under the lock") s !headers_held;
       Hoard.flush_caches h;
       Hoard.check h)
-    [ "hoard-df"; "hoard-gl"; "hoard-fe" ]
+    [ "hoard-gl"; "hoard-fe" ]
 
 (* Regression: the lock-free global reclaim charged a block's size to the
    stats AFTER freeing it into the index, by when a peer could have
@@ -1449,7 +1497,7 @@ let free_only_run ~front_end ~rounds ~n =
   let pf = Sim.platform sim in
   let config =
     {
-      (Hoard_config.make ~front_end ~deferred:true ~global:Hoard_config.Lockfree ()) with
+      (Hoard_config.make ~front_end ~global:Hoard_config.Lockfree ()) with
       Hoard_config.nheaps = Some 2;
     }
   in
@@ -1509,9 +1557,9 @@ let test_knob_registry () =
   (* make with no overrides is the default config. *)
   Alcotest.(check bool) "make () = default" true (Hoard_config.make () = Hoard_config.default);
   (* A labelled make equals the textual set of the same knob. *)
-  Alcotest.(check bool) "make ~deferred = set deferred=true" true
-    (Hoard_config.make ~deferred:true ~front_end:4 ()
-    = Hoard_config.set_all Hoard_config.default [ "deferred=true"; "front-end=4" ]);
+  Alcotest.(check bool) "make ~global = set global=lockfree" true
+    (Hoard_config.make ~global:Hoard_config.Lockfree ~front_end:4 ()
+    = Hoard_config.set_all Hoard_config.default [ "global=lockfree"; "front-end=4" ]);
   (* One representative knob per value shape. *)
   let c = Hoard_config.set Hoard_config.default "sb-size=4096" in
   Alcotest.(check int) "int knob" 4096 c.Hoard_config.sb_size;
@@ -1537,8 +1585,12 @@ let test_knob_registry () =
     | exception Invalid_argument _ -> ()
   in
   rejects "bogus=1";
-  rejects "deferred";
-  rejects "deferred=maybe";
+  rejects "front-end";
+  rejects "sanitize=maybe";
+  (* Deleted knobs are unknown: the channel follows the global heap, and
+     b is the paper's constant. *)
+  rejects "deferred=true";
+  rejects "growth=1.5";
   rejects "sb-size=5000";
   rejects "empty-fraction=2.0";
   (* The registry drives the CLI help and the printer. *)
@@ -1548,15 +1600,15 @@ let test_knob_registry () =
       Alcotest.(check bool) (n ^ " registered") true (List.mem n names);
       Alcotest.(check bool) (n ^ " documented") true
         (Astring.String.is_infix ~affix:n (Hoard_config.knob_doc ())))
-    [ "sb-size"; "empty-fraction"; "deferred"; "large-cache"; "front-end"; "mutant" ];
+    [ "sb-size"; "empty-fraction"; "global"; "large-cache"; "front-end"; "mutant" ];
   let printed =
     Format.asprintf "%a" Hoard_config.pp
-      (Hoard_config.make ~deferred:true ~front_end:4 ~large_cache:2 ())
+      (Hoard_config.make ~global:Hoard_config.Lockfree ~front_end:4 ~large_cache:2 ())
   in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " printed") true (Astring.String.is_infix ~affix:n printed))
-    [ "deferred"; "large-cache"; "front-end" ]
+    [ "global"; "large-cache"; "front-end" ]
 
 (* Fuzz: a textual [set_all] over a random subset of knobs must land on
    exactly the config the labelled builder produces for the same subset —
@@ -1575,7 +1627,7 @@ let test_set_all_matches_labelled_make =
       let nheaps = opt 3 [ Some 1; Some 3; Some 9; None ] in
       let release_threshold = opt 4 [ 0; 2; 8 ] in
       let front_end = opt 5 [ 0; 4; 16 ] in
-      let deferred = opt 6 [ true; false ] in
+      let release_to_os = opt 6 [ true; false ] in
       let large_cache = opt 7 [ 0; 2; 8 ] in
       let sanitize = opt 8 [ true; false ] in
       let quarantine = opt 9 [ 0; 8; 64 ] in
@@ -1584,7 +1636,7 @@ let test_set_all_matches_labelled_make =
       let global = opt 12 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
       let labelled =
         Hoard_config.make ?sb_size ?empty_fraction ?slack ?nheaps ?release_threshold ?front_end
-          ?deferred ?large_cache ?sanitize ?quarantine ?mutant ?assign_by_tid
+          ?release_to_os ?large_cache ?sanitize ?quarantine ?mutant ?assign_by_tid
           ?global ()
       in
       let textual =
@@ -1599,7 +1651,7 @@ let test_set_all_matches_labelled_make =
               nheaps;
             Option.map (Printf.sprintf "release-threshold=%d") release_threshold;
             Option.map (Printf.sprintf "front-end=%d") front_end;
-            Option.map (Printf.sprintf "deferred=%b") deferred;
+            Option.map (Printf.sprintf "release-to-os=%b") release_to_os;
             Option.map (Printf.sprintf "large-cache=%d") large_cache;
             Option.map (Printf.sprintf "sanitize=%b") sanitize;
             Option.map (Printf.sprintf "quarantine=%d") quarantine;
@@ -1630,6 +1682,8 @@ let () =
           Alcotest.test_case "knob registry" `Quick test_knob_registry;
           QCheck_alcotest.to_alcotest test_set_all_matches_labelled_make;
           Alcotest.test_case "large cache roundtrip" `Quick test_large_cache_roundtrip;
+          Alcotest.test_case "large cache buckets by size" `Quick test_large_cache_buckets_by_size;
+          Alcotest.test_case "remote-free channel follows the global heap" `Quick test_channel_follows_global;
           Alcotest.test_case "deferred lists reclaim" `Quick test_deferred_lists_reclaim;
           Alcotest.test_case "reclaim writes each header once" `Quick test_reclaim_writes_header_once;
           Alcotest.test_case "drain splices under the lock" `Quick test_drain_splices_under_lock;

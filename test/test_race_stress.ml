@@ -149,18 +149,20 @@ let test_producer_consumer () =
 (* --- the same storm through the lock-free front end --- *)
 
 (* The front-end configurations the real-domain storms run on: the
-   bounded remote-free queue (hoard-fe), the deferred lists (hoard-df),
-   and the deferred lists over the lock-free global heap (hoard-gl), each
-   with [front_end] cached blocks per class. *)
+   bounded remote-free queue (hoard-fe) and the deferred lists over the
+   lock-free global heap (hoard-gl), each with [front_end] cached blocks
+   per class. *)
 let front_end_config label ~front_end =
   match Allocators.base_config label with
   | Some cfg -> { cfg with Hoard_config.front_end }
   | None -> invalid_arg ("front_end_config: " ^ label)
 
 (* Channel traffic the storm must have produced: queue enqueues on
-   hoard-fe, deferred-list pushes on the others. *)
+   hoard-fe, deferred-list pushes on hoard-gl. *)
 let remote_traffic (cfg : Hoard_config.t) (s : Alloc_stats.snapshot) =
-  if cfg.Hoard_config.deferred then s.Alloc_stats.deferred_enqueues else s.Alloc_stats.remote_enqueues
+  match cfg.Hoard_config.global with
+  | Hoard_config.Lockfree -> s.Alloc_stats.deferred_enqueues
+  | Hoard_config.Locked -> s.Alloc_stats.remote_enqueues
 
 let test_front_end_storm label () =
   (* Every free is a neighbour's block, so eviction constantly batches
@@ -214,7 +216,7 @@ let test_front_end_storm label () =
 (* --- large objects through the large-object cache --- *)
 
 let test_large_cache_storm () =
-  (* hoard-df's large path on real domains: every object is above the
+  (* hoard-gl's large path on real domains: every object is above the
      large threshold (S/2 = 4,096 B) and at most 16 pages, so it lands in
      one of the cache's 2-16-page buckets, and every free is a
      neighbour's region — parks from one domain race takes from the
@@ -223,7 +225,7 @@ let test_large_cache_storm () =
      [Large_cache.check]) runs there. *)
   let rounds = 20 and batch = 32 in
   let pf = Platform.host ~nprocs:ndomains () in
-  let config = front_end_config "hoard-df" ~front_end:16 in
+  let config = front_end_config "hoard-gl" ~front_end:16 in
   let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
   let slots = Array.init ndomains (fun _ -> Array.make batch 0) in
@@ -458,13 +460,11 @@ let () =
         [
           Alcotest.test_case "cross-heap free storm" `Quick test_free_storm;
           Alcotest.test_case "front-end free storm" `Quick (test_front_end_storm "hoard-fe");
-          Alcotest.test_case "front-end free storm (hoard-df)" `Quick (test_front_end_storm "hoard-df");
           Alcotest.test_case "front-end free storm (hoard-gl)" `Quick (test_front_end_storm "hoard-gl");
-          Alcotest.test_case "large-object storm (hoard-df)" `Quick test_large_cache_storm;
+          Alcotest.test_case "large-object storm (hoard-gl)" `Quick test_large_cache_storm;
           Alcotest.test_case "producer-consumer ring" `Quick test_producer_consumer;
           Alcotest.test_case "stats exact across domains" `Quick test_stats_exact;
           Alcotest.test_case "churn waves create/serve/exit" `Quick (test_churn_waves "hoard-fe");
-          Alcotest.test_case "churn waves create/serve/exit (hoard-df)" `Quick (test_churn_waves "hoard-df");
           Alcotest.test_case "churn waves create/serve/exit (hoard-gl)" `Quick (test_churn_waves "hoard-gl");
           Alcotest.test_case "registry concurrent ops" `Quick test_registry_concurrent;
         ] );
