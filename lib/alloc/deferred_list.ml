@@ -1,16 +1,19 @@
-(* Unbounded intrusive deferred free list: the rpmalloc/jdz-style
-   replacement for a heap's bounded remote-free queue.
+(* Intrusive deferred free list: the rpmalloc/jdz-style replacement for
+   a heap's bounded remote-free queue.
 
    A producer (a thread freeing a block whose superblock belongs to
    another heap) pushes the block itself onto the owner's list: the
    block's first word becomes the intrusive next-link, and publication
    is a single CAS on the list head — wait-free on the uncontended fast
-   path, lock-free under contention, never falling back to locking the
-   owner. The owner reclaims the entire list with one exchange
-   (head := 0) during its next fill/flush/trim and walks it privately,
-   so consumption costs one atomic regardless of length. Several
-   consumers (threads sharing the owner heap) may reclaim concurrently:
-   each exchange hands its caller a disjoint chain.
+   path, lock-free under contention, never locking the owner. The list
+   itself is unbounded; a push may carry a cap instead, and then bails
+   without publishing when the list would grow past it (the caller
+   frees the blocks some other way). The owner reclaims the entire list
+   with one exchange (head := 0) during its next fill/flush/trim and
+   walks it privately, so consumption costs one atomic regardless of
+   length. Several consumers (threads sharing the owner heap) may
+   reclaim concurrently: each exchange hands its caller a disjoint
+   chain.
 
    Because producers only push and consumers only take the whole list
    atomically, the classic Treiber ABA hazard does not arise: a
@@ -63,10 +66,21 @@ let locked t f =
    the block's own line — and published with a single CAS on the head,
    so an eviction batch costs one head-line transfer regardless of its
    size. Only the tail link depends on the observed head, so a retry
-   re-patches one word, not the chain. *)
-let push_many t items =
+   re-patches one word, not the chain.
+
+   With [cap], the push bails (returns [false], nothing published) when
+   the batch would take the list past [cap] blocks. It tests the host
+   count right after its head load, in the same simulated step, so the
+   count stands for one packed beside the head word and costs no access
+   of its own. A push raises the count in its CAS's step; a reclaim
+   lowers it only after its walk, so a push landing mid-walk still
+   counts the detached chain and can only bail early. The interior
+   links are written before the load either way, so an uncapped push's
+   schedule does not depend on [cap]; a bail wastes them and drops
+   their host entries. *)
+let push_many ?cap t items =
   match items with
-  | [] -> ()
+  | [] -> true
   | (_, first_addr) :: _ ->
     let rec interior = function
       | (sb, addr) :: ((_, next_addr) :: _ as rest) ->
@@ -78,21 +92,32 @@ let push_many t items =
     in
     let last_sb, last_addr = interior items in
     let n = List.length items in
+    let unlink () = locked t (fun () -> List.iter (fun (_, addr) -> Hashtbl.remove t.links addr) items) in
     let rec attempt () =
       let next = t.head.Platform.load () in
-      (* Store the tail link into the (still private) block body. *)
-      t.pf.Platform.write ~addr:last_addr ~len:8;
-      locked t (fun () -> Hashtbl.replace t.links last_addr { dn_next = next; dn_sb = last_sb });
-      if t.head.Platform.cas ~expected:next ~desired:first_addr then locked t (fun () -> t.n_len <- t.n_len + n)
-      else begin
-        t.on_retry ();
-        if t.lost_node then
-          (* Mutant: pretend the failed CAS succeeded. The chain is now
-             on no list and will never be reclaimed — a silent leak that
-             only materialises under producer contention. *)
-          locked t (fun () -> List.iter (fun (_, addr) -> Hashtbl.remove t.links addr) items)
-        else attempt ()
-      end
+      match cap with
+      | Some cap when locked t (fun () -> t.n_len) + n > cap ->
+        unlink ();
+        false
+      | _ ->
+        (* Store the tail link into the (still private) block body. *)
+        t.pf.Platform.write ~addr:last_addr ~len:8;
+        locked t (fun () -> Hashtbl.replace t.links last_addr { dn_next = next; dn_sb = last_sb });
+        if t.head.Platform.cas ~expected:next ~desired:first_addr then begin
+          locked t (fun () -> t.n_len <- t.n_len + n);
+          true
+        end
+        else begin
+          t.on_retry ();
+          if t.lost_node then begin
+            (* Mutant: pretend the failed CAS succeeded. The chain is now
+               on no list and will never be reclaimed — a silent leak that
+               only materialises under producer contention. *)
+            unlink ();
+            true
+          end
+          else attempt ()
+        end
     in
     attempt ()
 

@@ -1,9 +1,10 @@
-(** Unbounded intrusive deferred free list (MPSC): producers push
+(** Intrusive deferred free list (MPSC): producers push
     remotely-freed blocks with one CAS on the list head (wait-free when
-    uncontended, never locking the owner); the owning heap detaches the
-    whole list with a single exchange and walks it privately. The
-    push-only/take-all discipline makes the structure ABA-immune without
-    generation tags — see the implementation header for the argument.
+    uncontended, never locking the owner), unbounded unless a push
+    passes a cap; the owning heap detaches the whole list with a single
+    exchange and walks it privately. The push-only/take-all discipline
+    makes the structure ABA-immune without generation tags — see the
+    implementation header for the argument.
 
     The head word and per-block link loads/stores run on the simulated
     machine (costed, schedule-visible); link values live in host state
@@ -17,13 +18,18 @@ val create : Platform.t -> name:string -> ?lost_node:bool -> ?on_retry:(unit -> 
     observable under producer contention. [on_retry] runs after every
     failed CAS (explorer instrumentation). *)
 
-val push_many : t -> (Superblock.t * int) list -> unit
+val push_many : ?cap:int -> t -> (Superblock.t * int) list -> bool
 (** Publish a whole batch of blocks, each [(sb, addr)] a block [addr] of
     [sb] private to the caller (freed, custody-marked) at a nonzero
     address, with a single CAS: the blocks are linked into a private
     chain (one link store per block, on the block's own line) and the
     head is swung once, so an eviction batch costs one head-line
-    transfer regardless of size. *)
+    transfer regardless of size. Returns [true] once published.
+
+    With [cap], returns [false] and publishes nothing when the batch
+    would take the list past [cap] blocks, judged by the length that
+    goes with the head the push loaded (no extra access); the blocks
+    stay the caller's. Without [cap] the list is unbounded. *)
 
 val reclaim : t -> (Superblock.t * int) list
 (** Detach the entire list with one exchange and return its blocks,

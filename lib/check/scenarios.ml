@@ -356,6 +356,58 @@ let deferred_remote_free ~mutant =
         remote_drain_race sim pf ~config ~name ~frees:[| 1; 2 |]);
   }
 
+(* The own-heap cap on a deferred list (remote_queue_cap = 1), two
+   threads sharing one heap. Thread 0 frees four of its blocks through a
+   2-block cache: the third free evicts one block onto the heap's own
+   list, the fourth evicts another, which finds the list full and bails
+   to the locked [dispose_batch] — unless thread 1's fill, racing both,
+   detached the list in between. That fill detaches the list and walks
+   it before the heap lock and splices under it, so the bailed block's
+   locked free can land before the detach, between the detach and the
+   lock, or after the splice. Oracle: the own list within its cap,
+   [Hoard.check] before and after the quiescent flush, and only thread
+   1's block live after it. *)
+let deferred_own_overflow =
+  let name = "deferred-own-overflow" in
+  {
+    Explorer.sc_name = name;
+    sc_describe = "an own-heap eviction bailing from a capped deferred list to the locked path, racing a fill";
+    sc_nprocs = 2;
+    sc_build =
+      (fun sim pf ->
+        let config =
+          {
+            (race_config ~mutant:"") with
+            Hoard_config.front_end = 2;
+            remote_queue_cap = 1;
+            global = Hoard_config.Lockfree;
+          }
+        in
+        let h = Hoard.create ~config pf in
+        let a = Hoard.allocator h in
+        let bsize, _ = pick_class (Hoard.size_classes h) ~sb_size:config.Hoard_config.sb_size ~min_cap:7 in
+        let barrier = Sim.new_barrier sim ~parties:2 in
+        ignore
+          (Sim.spawn sim ~proc:0 (fun () ->
+               (* Two fills serve the four mallocs and leave the cache empty. *)
+               let blocks = Array.init 4 (fun _ -> a.Alloc_intf.malloc bsize) in
+               Sim.barrier_wait barrier;
+               Array.iter a.Alloc_intf.free blocks));
+        ignore
+          (Sim.spawn sim ~proc:1 (fun () ->
+               Sim.barrier_wait barrier;
+               ignore (a.Alloc_intf.malloc bsize)));
+        fun () ->
+          let own = (Hoard.deferred_lengths h).(1) in
+          if own > config.Hoard_config.remote_queue_cap then
+            failwith (sprintf "%s: %d block(s) on the own list, cap %d" name own config.Hoard_config.remote_queue_cap);
+          Hoard.check h;
+          Hoard.flush_caches h;
+          Hoard.check h;
+          let live = (a.Alloc_intf.stats ()).Alloc_stats.live_bytes in
+          if live <> bsize then failwith (sprintf "%s: %dB live after the flush, expected %dB" name live bsize));
+  }
+
 (* The bounded queue: two remote flushes pushing under the innermost
    queue lock, racing the owner's swap of the queue before its heap
    lock. *)
@@ -799,6 +851,7 @@ let all () =
     lockfree_stack ~mutant:"large-cache-no-aba";
     deferred_remote_free ~mutant:"";
     deferred_remote_free ~mutant:"deferred-lost-node";
+    deferred_own_overflow;
     remote_queue_drain;
     large_cache_churn ~mutant:"";
     large_cache_churn ~mutant:"large-cache-no-aba";

@@ -42,6 +42,15 @@ val deferred_remote_free : mutant:string -> Explorer.scenario
     CAS as success and leaks a block at preemption bound <= 2;
     [mutant = ""] passes exhaustively. *)
 
+val deferred_own_overflow : Explorer.scenario
+(** The own-heap cap on a deferred list ([remote_queue_cap = 1]): a
+    thread's second eviction onto its own heap's list finds it full,
+    bails from the push and takes the locked [dispose_batch], racing
+    another thread on the same heap whose fill detaches the list before
+    its heap lock and splices it under the lock. Oracle: the own list
+    within its cap, {!Hoard.check} around a quiescent flush, live-byte
+    conservation. Passes exhaustively. *)
+
 val remote_queue_drain : Explorer.scenario
 (** The queue-mode twin of {!deferred_remote_free}: two remote flushes
     pushing onto one heap's bounded remote-free queue race the owner's

@@ -123,6 +123,7 @@ module Lockfree = struct
   let release g h =
     if g.env.cfg.release_to_os then begin
       let budget = ref 8 in
+      (* Uncharged read of a gauge every heap updates: to be charged as a plain load once atomic loads are. *)
       while !budget > 0 && Global_index.empties g.gi > g.env.cfg.release_threshold do
         decr budget;
         match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Heap.event h kind ~sclass:(-1) ~arg) with
@@ -177,7 +178,7 @@ module Lockfree = struct
               addrs)
         (Heap.by_superblock items)
         (Heap.by_superblock (Heap.run_ends items));
-      if !back <> [] then Deferred_list.push_many gfl !back;
+      if !back <> [] then ignore (Deferred_list.push_many gfl !back);
       if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
       if !mine > 0 then begin
         Alloc_stats.on_deferred_reclaim h.sh;
@@ -240,7 +241,8 @@ module Lockfree = struct
      marks until a reclaim frees them. Without [locked], the shard's
      completion takes [h]'s lock and re-checks the cap under it. *)
   let rec park g h items ~spill ~locked =
-    if items <> [] then Deferred_list.push_many (shard g h) items;
+    if items <> [] then ignore (Deferred_list.push_many (shard g h) items);
+    (* Free after a push (the count its CAS step set); with no push, uncharged until atomic loads are charged. *)
     if Deferred_list.length (shard g h) > cap then
       if locked then complete g h ~spill
       else begin

@@ -236,6 +236,7 @@ let detach h =
   match h.channel with
   | No_channel -> Queued []
   | Queue q ->
+    (* Uncharged host read of a count producers write: to be charged as a plain load once atomic loads are. *)
     if q.q_len = 0 then Queued []
     else begin
       q.q_lock.acquire ();
@@ -297,8 +298,8 @@ let drain_queued h items ~peer ~spill =
    last block in chain order), the one [detach] left for the free-list
    head. Blocks whose superblock migrated since their push are re-pushed
    onto the CURRENT owner's list, all of one owner's with one
-   [push_many] in chain order, so their runs stay runs there; the list is
-   unbounded, so unlike the bounded queues, forwarding can neither
+   [push_many] in chain order, so their runs stay runs there; the push
+   is uncapped, so unlike the bounded queues, forwarding can neither
    cascade nor spill into the locked path. Lists come with the lock-free
    global heap, whose heap 0 has no record: its blocks are returned, in
    chain order, for the caller to park. *)
@@ -318,7 +319,7 @@ let free_reclaimed h items ~peer =
       event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
     let mine = splice h items ~stale:last ~forward in
-    List.iter (fun (l, batch) -> Deferred_list.push_many l (List.rev !batch)) (List.rev !batches);
+    List.iter (fun (l, batch) -> ignore (Deferred_list.push_many l (List.rev !batch))) (List.rev !batches);
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     Alloc_stats.on_deferred_reclaim h.sh;
     event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;

@@ -279,16 +279,19 @@ let rec dispose_batch t pairs =
    Owner-0 blocks without a heap-0 record park on the calling heap's
    shard of the global heap in one pre-linked CAS. Each other group goes
    to its owner's channel. A deferred list takes the group as one
-   pre-linked chain — a single CAS per owner heap, no queue lock, no cap,
-   no locked fallback; a block whose superblock migrates between the
-   owner read and the push just lands on the stale owner's list, whose
-   reclaim forwards it. A bounded queue takes the group in one
-   innermost-lock critical section, and whatever the caps reject goes to
-   the classic locked path in one batch. Each block's owner must be read
-   ONCE: on real domains a concurrent transfer can change it between two
-   reads, and consing onto one owner's group while storing under the
-   other's index copies a whole group — every block in it queued twice, a
-   double free at the second drain. *)
+   pre-linked chain — a single CAS per owner heap, no queue lock; a
+   block whose superblock migrates between the owner read and the push
+   just lands on the stale owner's list, whose reclaim forwards it.
+   Other owners' lists are uncapped, but the calling heap's own list is
+   capped at [remote_queue_cap] like a queue: these blocks would
+   otherwise wait, charged, for this heap's next fill, and the cap keeps
+   that backlog as short as the queue's. A bounded queue takes the group
+   in one innermost-lock critical section, and whatever the caps reject
+   goes to the classic locked path in one batch. Each block's owner must
+   be read ONCE: on real domains a concurrent transfer can change it
+   between two reads, and consing onto one owner's group while storing
+   under the other's index copies a whole group — every block in it
+   queued twice, a double free at the second drain. *)
 let surrender_many t tc pairs =
   let groups = Array.make (Array.length t.heaps + 1) [] in
   List.iter
@@ -303,7 +306,7 @@ let surrender_many t tc pairs =
         event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
       group
   in
-  let overflow = ref [] in
+  let overflow = ref [] and own_id = Heap.id (my_heap t) in
   Array.iteri
     (fun id group ->
       if group <> [] then
@@ -312,8 +315,9 @@ let surrender_many t tc pairs =
           overflow := park_global t group @ !overflow;
           enqueued group
         | Some { channel = List l; _ } ->
-          Deferred_list.push_many l group;
-          enqueued group
+          let cap = if id = own_id then Some t.cfg.remote_queue_cap else None in
+          if Deferred_list.push_many ?cap l group then enqueued group
+          else overflow := List.rev_append group !overflow
         | Some { channel = Queue q; _ } ->
           q.q_lock.acquire ();
           let accepted = ref 0 in

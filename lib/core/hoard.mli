@@ -40,11 +40,14 @@
     [config.global]. Under the locked global heap it is a bounded queue
     (one innermost queue lock; overflow takes the locked free path), at
     a cost of up to [K * P * classes + remote_queue_cap * (P+1)] blocks
-    parked in flight. Under the lock-free one it is an unbounded
-    intrusive {!Deferred_list}: eviction pushes the blocks themselves
-    with one CAS on the owner's list head (no queue lock, no cap, no
-    locked fallback), and the owner detaches the whole list with a
-    single exchange. Cached and pending blocks stay charged to the heap
+    parked in flight. Under the lock-free one it is an intrusive
+    {!Deferred_list}: eviction pushes the blocks themselves
+    with one CAS on the owner's list head (no queue lock), and the owner
+    detaches the whole list with a single exchange. Remote pushes are
+    uncapped; an eviction onto the evicting thread's own heap's list
+    that would take it past [remote_queue_cap] takes the locked free path
+    instead, so at most [remote_queue_cap] own blocks per heap wait
+    there. Cached and pending blocks stay charged to the heap
     that owns their superblock, so the emptiness invariant, the blowup
     bound and {!check} are unchanged. [front_end = 0] is bit-for-bit the
     paper's algorithm.

@@ -203,7 +203,8 @@ let knobs =
         if v < 0 then Some "front-end must be non-negative"
         else if v > 0 && v < 2 then Some "front-end must be 0 or >= 2"
         else None);
-    int_knob "remote-queue-cap" "Capacity of each heap's bounded remote-free queue (locked global heap only)."
+    int_knob "remote-queue-cap"
+      "Capacity of each heap's bounded remote-free queue, and the most own-heap evictions its deferred list holds."
       ~get:(fun t -> t.remote_queue_cap)
       ~store:(fun t v -> { t with remote_queue_cap = v })
       ~check:(fun v -> if v < 1 then Some "remote-queue-cap must be >= 1" else None);

@@ -66,11 +66,13 @@ type t = {
       (** capacity (blocks) of each heap's bounded remote-free queue. A
           remote free finding the owner's queue full falls back to the
           classic lock-the-owner free path. Only meaningful with
-          [front_end > 0] and the [Locked] global heap: under [Lockfree]
-          the remote-free channel is the unbounded deferred list (a
-          remote free pushes the block onto the owner's list with a
-          single CAS, and the owner reclaims the whole list with one
-          exchange during its next fill/flush/trim). *)
+          [front_end > 0]. Under [Lockfree] the remote-free channel is
+          the deferred list (a remote free pushes the block onto the
+          owner's list with a single CAS, and the owner reclaims the
+          whole list with one exchange during its next fill/flush/trim);
+          remote pushes are uncapped, but a thread's evictions of its
+          own heap's blocks that would take that heap's list past this
+          cap take the locked free path instead. *)
   large_cache : int;
       (** per-bucket capacity of the lock-free MPSC large-object cache in
           front of the large allocator: freed large regions are parked

@@ -156,6 +156,19 @@ let test_deferred_list_protocol_clean () =
           f.Explorer.f_message));
   Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
 
+(* The own-heap cap: an eviction bailing from its own heap's full list
+   to the locked path, racing a fill on the same heap. *)
+let test_deferred_own_overflow_clean () =
+  let o = Explorer.explore ~bound:2 ~max_runs:200_000 Scenarios.deferred_own_overflow in
+  (match o.Explorer.o_failure with
+   | None -> ()
+   | Some f ->
+     Alcotest.fail
+       (sprintf "deferred own overflow failed under [%s]: %s"
+          (Explorer.schedule_to_string f.Explorer.f_schedule)
+          f.Explorer.f_message));
+  Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
+
 (* The bounded queue's twin: remote flushes racing the owner's swap of
    the queue before its heap lock. *)
 let test_remote_queue_drain_clean () =
@@ -726,6 +739,7 @@ let () =
         [
           Alcotest.test_case "deferred list survives bound 2" `Quick test_deferred_list_protocol_clean;
           Alcotest.test_case "lost push caught" `Quick test_deferred_lost_node_mutant_caught;
+          Alcotest.test_case "own-heap overflow survives bound 2" `Quick test_deferred_own_overflow_clean;
           Alcotest.test_case "remote queue survives bound 2" `Quick test_remote_queue_drain_clean;
           Alcotest.test_case "large cache survives bound 2" `Quick test_large_cache_protocol_clean;
           Alcotest.test_case "frozen bucket tag caught" `Quick test_large_cache_aba_mutant_caught;

@@ -1127,6 +1127,60 @@ let test_deferred_lists_reclaim () =
     (s.Alloc_stats.deferred_reclaims <= s.Alloc_stats.deferred_enqueues);
   Alcotest.(check int) "nothing live" 0 s.Alloc_stats.live_bytes
 
+(* The own-heap cap on deferred lists: a thread that frees 256 of its
+   own blocks with no fill in between evicts them onto its own heap's
+   list, which must stay within [remote_queue_cap] (the overflow takes
+   the locked path). The remote twin: another heap's thread freeing the
+   same blocks pushes uncapped, and the owner's list does grow past the
+   cap. Returns the longest the owner's list got. *)
+let deferred_backlog ~remote =
+  let config =
+    { (Option.get (Allocators.base_config "hoard-gl")) with Hoard_config.front_end = 4; remote_queue_cap = 16 }
+  in
+  let sim = Sim.create ~nprocs:2 () in
+  let pf = Sim.platform sim in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let barrier = Sim.new_barrier sim ~parties:2 in
+  (* Processor p allocates from heap p + 1: the owner is heap 1. *)
+  let owner = 1 in
+  let box = ref [||] and longest = ref 0 in
+  let free_all () =
+    Array.iter
+      (fun p ->
+        a.Alloc_intf.free p;
+        let len = (Hoard.deferred_lengths h).(owner) in
+        longest := max !longest len;
+        if not remote then
+          Alcotest.(check bool) "own list within the cap" true (len <= config.Hoard_config.remote_queue_cap))
+      !box
+  in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         box := Array.init 256 (fun _ -> a.Alloc_intf.malloc 64);
+         if not remote then free_all ();
+         Sim.barrier_wait barrier;
+         Sim.barrier_wait barrier));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait barrier;
+         if remote then free_all ();
+         Sim.barrier_wait barrier));
+  Sim.run sim;
+  Hoard.check h;
+  Hoard.flush_caches h;
+  Hoard.check h;
+  Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes;
+  !longest
+
+let test_own_deferred_backlog_bounded () =
+  let longest = deferred_backlog ~remote:false in
+  Alcotest.(check bool) (Printf.sprintf "own evictions used the list (%d)" longest) true (longest > 0)
+
+let test_remote_deferred_backlog_uncapped () =
+  let longest = deferred_backlog ~remote:true in
+  Alcotest.(check bool) (Printf.sprintf "remote pushes passed the cap (%d)" longest) true (longest > 16)
+
 (* Batched header writes: a fill that reclaims N deferred blocks of one
    superblock writes that superblock's 16 B header exactly once (the 8 B
    link writes stay per block). A wrapped platform counts header-sized
@@ -1689,6 +1743,8 @@ let () =
           Alcotest.test_case "drain splices under the lock" `Quick test_drain_splices_under_lock;
           Alcotest.test_case "gl reclaim writes one link per run" `Quick test_gl_reclaim_links_per_run;
           Alcotest.test_case "run ends of a deferred chain" `Quick test_run_ends;
+          Alcotest.test_case "own-heap deferred backlog bounded" `Quick test_own_deferred_backlog_bounded;
+          Alcotest.test_case "remote deferred backlog uncapped" `Quick test_remote_deferred_backlog_uncapped;
         ] );
       ( "algorithm",
         [
