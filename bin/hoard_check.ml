@@ -157,10 +157,11 @@ let oracle_cmd =
     | r ->
       Printf.printf
         "%s/%s: OK — %d mallocs checked, peak U %d bytes, peak held %d bytes, %d actively shared \
-         line(s), quarantine peak %d\n"
+         line(s), quarantine peak %d, cycles %d, lock acquisitions %d\n"
         r.Check_run.c_subject r.Check_run.c_workload r.Check_run.c_mallocs r.Check_run.c_peak_usable
         r.Check_run.c_result.Runner.r_stats.Alloc_stats.peak_held_bytes r.Check_run.c_shared_lines
-        r.Check_run.c_quarantine_peak
+        r.Check_run.c_quarantine_peak r.Check_run.c_result.Runner.r_cycles
+        r.Check_run.c_result.Runner.r_lock_acquisitions
     | exception e ->
       Printf.printf "%s/%s: VIOLATION: %s\n" subject workload (Printexc.to_string e);
       exit 1

@@ -35,6 +35,10 @@ val make :
     allocate-copy-free, and [calloc]/[aligned_alloc] are always the
     generic forms built over [malloc]. *)
 
+val generic_realloc :
+  Platform.t -> malloc:(int -> int) -> free:(int -> unit) -> usable_size:(int -> int) -> addr:int -> size:int -> int
+(** The default [realloc] {!make} installs (see {!realloc}). *)
+
 (** {2 Free-function forms}
 
     Thin wrappers delegating to the record members; the [Platform.t]

@@ -80,8 +80,8 @@ val clear_cached : t -> int -> unit
 val is_block_cached : t -> int -> bool
 
 (** Classification of an arbitrary address within a superblock, for the
-    heap sanitizer: [Header] is the metadata line (a workload touching it
-    clobbers a canary), [Block] carries the containing block's start
+    heap sanitizer: [Header] is the metadata line (a workload must not
+    touch it), [Block] carries the containing block's start
     address, index and liveness (so overflow past [b_start + block_size]
     and access to a dead block are distinguishable), [Tail_waste] is the
     slack past the last whole block. *)

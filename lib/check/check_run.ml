@@ -14,29 +14,24 @@ type subject = {
          wirable, blowup-checkable). None: a registry factory (baselines
          have no quiescent-flush or blowup story, so those checks are
          skipped for them). *)
+  s_quarantine : int option; (* Some q: the sanitizer wraps the instance, q-block ring *)
 }
 
 let hoard_subjects =
+  let subject ?(san = false) s_label s_describe config =
+    let s_quarantine = if san then Some Sanitizer.default_quarantine else None in
+    { s_label; s_describe; s_config = Some config; s_quarantine }
+  in
   let base label = Option.get (Allocators.base_config label) in
   [
-    { s_label = "hoard"; s_describe = "paper-exact configuration"; s_config = Some (base "hoard") };
-    { s_label = "hoard-fe"; s_describe = "lock-free front end"; s_config = Some (base "hoard-fe") };
-    {
-      s_label = "hoard-gl-san";
-      s_describe = "lock-free global heap, deferred frees and large cache with the sanitizer on";
-      s_config = Some { (base "hoard-gl") with Hoard_config.sanitize = true };
-    };
-    { s_label = "hoard-san"; s_describe = "sanitizer on (poison, canaries, quarantine)"; s_config = Some (base "hoard-san") };
-    {
-      s_label = "hoard-fe-san";
-      s_describe = "front end and sanitizer together";
-      s_config = Some { (base "hoard-fe") with Hoard_config.sanitize = true };
-    };
-    {
-      s_label = "hoard-ff-san";
-      s_describe = "first-fit vmem backend (address reuse across sizes), sanitizer on";
-      s_config = Some (Hoard_config.make ~vmem_backend:Vmem_backend.First_fit ~sanitize:true ());
-    };
+    subject "hoard" "paper-exact configuration" (base "hoard");
+    subject "hoard-fe" "lock-free front end" (base "hoard-fe");
+    subject ~san:true "hoard-gl-san" "lock-free global heap, deferred frees and large cache with the sanitizer on"
+      (base "hoard-gl");
+    subject ~san:true "hoard-san" "sanitizer on (poison, quarantine, access checks)" (base "hoard-san");
+    subject ~san:true "hoard-fe-san" "front end and sanitizer together" (base "hoard-fe");
+    subject ~san:true "hoard-ff-san" "first-fit vmem backend (address reuse across sizes), sanitizer on"
+      (Hoard_config.make ~vmem_backend:Vmem_backend.First_fit ());
   ]
 
 let find_subject label =
@@ -44,7 +39,7 @@ let find_subject label =
   | Some s -> Some s
   | None ->
     (match Allocators.find label with
-     | Some f -> Some { s_label = label; s_describe = f.Alloc_intf.description; s_config = None }
+     | Some f -> Some { s_label = label; s_describe = f.Alloc_intf.description; s_config = None; s_quarantine = None }
      | None -> None)
 
 let subject_help () =
@@ -68,7 +63,7 @@ let subject_help () =
    churn the threads that have come and gone must not widen the
    envelope. Holding the bound to peak-live P is precisely what tests
    that orphaned-superblock adoption works. *)
-let blowup_slop cfg ~nprocs ~peak_live_threads =
+let blowup_slop ?(quarantine = 0) cfg ~nprocs ~peak_live_threads =
   let s = cfg.Hoard_config.sb_size in
   let p = peak_live_threads in
   let heaps = (match cfg.Hoard_config.nheaps with Some n -> n | None -> nprocs) + 1 in
@@ -76,7 +71,7 @@ let blowup_slop cfg ~nprocs ~peak_live_threads =
   let retained = (cfg.Hoard_config.release_threshold + 1) * s in
   let in_flight = p * s in
   let fe = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
-  let quarantine = if cfg.Hoard_config.sanitize then cfg.Hoard_config.quarantine * Hoard_config.max_small cfg else 0 in
+  let quarantine = quarantine * Hoard_config.max_small cfg in
   (* Deferred lists are unbounded, but a block only floats between a
      producer's eviction (at most a cache's worth per flush) and the
      owner's next fill — the same per-thread granularity as the caches,
@@ -100,7 +95,7 @@ type report = {
 }
 
 (* Run [workload] on [subject] with every operation oracle-checked.
-   Raises Oracle.Oracle_violation / Hoard.Sanitizer_violation (or the
+   Raises Oracle.Oracle_violation / Sanitizer.Violation (or the
    allocator's own check failure) on any discrepancy. *)
 let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_false_sharing = false)
     ?(overrides = fun cfg -> cfg) ~workload ~subject () =
@@ -120,8 +115,11 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
         instantiate =
           (fun pf ->
             let h = Hoard.create ~config pf in
-            handle := Some h;
-            Hoard.allocator h);
+            let san = Option.map (fun quarantine -> Sanitizer.create ~quarantine pf h) s.s_quarantine in
+            handle := Some (h, san);
+            match san with
+            | Some sn -> Sanitizer.allocator sn
+            | None -> Hoard.allocator h);
       }
   in
   let oracle = ref None in
@@ -132,31 +130,31 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
   in
   let wrap_platform pf =
     match !handle with
-    | None -> pf
-    | Some h ->
-      (match Hoard.sanitizer_access_check h with
-       | None -> pf
-       | Some checker ->
-         {
-           pf with
-           Platform.read =
-             (fun ~addr ~len ->
-               checker ~addr ~len ~write:false;
-               pf.Platform.read ~addr ~len);
-           write =
-             (fun ~addr ~len ->
-               checker ~addr ~len ~write:true;
-               pf.Platform.write ~addr ~len);
-         })
+    | Some (_, Some sn) ->
+      {
+        pf with
+        Platform.read =
+          (fun ~addr ~len ->
+            Sanitizer.access_check sn ~addr ~len ~write:false;
+            pf.Platform.read ~addr ~len);
+        write =
+          (fun ~addr ~len ->
+            Sanitizer.access_check sn ~addr ~len ~write:true;
+            pf.Platform.write ~addr ~len);
+      }
+    | _ -> pf
   in
   let quarantine_peak = ref 0 in
   let post (a : Alloc_intf.t) =
     let o = Option.get !oracle in
     (match !handle with
      | None -> Oracle.final_check o ~stats:(a.Alloc_intf.stats ())
-     | Some h ->
-       quarantine_peak := Hoard.quarantine_length h;
-       Hoard.flush_caches h;
+     | Some (h, san) ->
+       (match san with
+        | Some sn ->
+          quarantine_peak := Sanitizer.quarantine_length sn;
+          Sanitizer.flush_caches sn
+        | None -> Hoard.flush_caches h);
        Hoard.check h;
        (* Quiescent: caches, queues and quarantine drained, so the
           allocator's live bytes must match the oracle's exactly. *)
@@ -183,11 +181,11 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
      path's contract). The stats snapshot is quiescent: [post] flushed
      every cache before it was taken. *)
   (match !handle with
-   | Some h when check_blowup ->
+   | Some (h, _) when check_blowup ->
      let cfg = Hoard.config h in
      Oracle.check_blowup o ~stats:r.Runner.r_stats
        ~empty_fraction:cfg.Hoard_config.empty_fraction
-       ~slop:(blowup_slop cfg ~nprocs ~peak_live_threads:r.Runner.r_peak_live_threads)
+       ~slop:(blowup_slop ?quarantine:s.s_quarantine cfg ~nprocs ~peak_live_threads:r.Runner.r_peak_live_threads)
    | _ -> ());
   {
     c_workload = r.Runner.r_workload;

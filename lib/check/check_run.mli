@@ -1,7 +1,7 @@
 (** Oracle-checked workload runs.
 
-    Wires {!Oracle.wrap} (and, for sanitizer subjects, the
-    {!Hoard.sanitizer_access_check} platform hook) into the harness
+    Wires {!Oracle.wrap} (and, for sanitizer subjects, {!Sanitizer} over
+    the instance with its access checker on the platform) into the harness
     runner, then audits the run: quiescent live-byte equality after
     {!Hoard.flush_caches}, the paper's blowup envelope against the
     oracle's ideal-allocator peak U, and optionally zero actively-induced
@@ -13,18 +13,23 @@ type subject = {
   s_config : Hoard_config.t option;
       (** [Some]: a hoard configuration run with a retained handle.
           [None]: a registry allocator (flush/blowup checks skipped). *)
+  s_quarantine : int option;
+      (** [Some q]: the {!Sanitizer} wraps the instance with a [q]-block
+          quarantine. *)
 }
 
 val hoard_subjects : subject list
-(** [hoard], [hoard-fe], [hoard-san], [hoard-fe-san]. *)
+(** [hoard], [hoard-fe], [hoard-gl-san], [hoard-san], [hoard-fe-san],
+    [hoard-ff-san]. *)
 
 val find_subject : string -> subject option
 (** The hoard subjects, then any {!Allocators} registry label. *)
 
 val subject_help : unit -> string
 
-val blowup_slop : Hoard_config.t -> nprocs:int -> peak_live_threads:int -> int
-(** The configuration's O(P) term for {!Oracle.check_blowup}, with
+val blowup_slop : ?quarantine:int -> Hoard_config.t -> nprocs:int -> peak_live_threads:int -> int
+(** The configuration's O(P) term for {!Oracle.check_blowup} — plus
+    [quarantine] (default 0) blocks held back by a sanitizer — with
     P = the peak concurrently-live thread population
     ({!Runner.result.r_peak_live_threads}) — never the total number of
     threads ever spawned. Exited threads must not widen the envelope:
@@ -53,7 +58,7 @@ val run_oracle :
   unit ->
   report
 (** One oracle-checked run ([nprocs] defaults to 4). Raises
-    {!Oracle.Oracle_violation}, {!Hoard.Sanitizer_violation} or the
+    {!Oracle.Oracle_violation}, {!Sanitizer.Violation} or the
     allocator's own check failures on any discrepancy. [fuzz] seeds the
     schedule fuzzer for interleaving variety; [overrides] is applied to
     the subject's config when it has one (how the CLI threads

@@ -17,18 +17,6 @@ type tcache = {
   mutable tc_domain : int;
 }
 
-(* Sanitizer state: the most recent [q_cap] freed blocks are held back
-   from reuse (FIFO), still bitmap-live in their superblocks, so a second
-   free or a late touch through the checked platform is diagnosable
-   instead of silently recycling. Host mutex: step-atomic on the
-   simulator, real exclusion across domains, zero simulated cost. *)
-type san = {
-  q : int Queue.t; (* quarantined block addresses, oldest first *)
-  q_set : (int, unit) Hashtbl.t;
-  q_cap : int;
-  q_mu : Mutex.t;
-}
-
 type t = {
   pf : Platform.t;
   cfg : Hoard_config.t;
@@ -47,15 +35,12 @@ type t = {
   tcaches : tcache IntMap.t Atomic.t; (* tid -> cache; replaced under [tc_mu] *)
   tc_mu : Mutex.t; (* host mutex: serialises tcache creation, zero simulated cost *)
   creator_did : int; (* domain that built [t]; its threads skip at-exit hooks *)
-  san : san option;
   (* Test-mutant plumbing (cfg.mutant): the real allocator always runs
      with trim_slack = cfg.slack and the ownership re-check on. *)
   trim_slack : int;
   skip_owner_recheck : bool;
   orphan_lost : bool;
 }
-
-exception Sanitizer_violation of string
 
 type heap_info = Heap.info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
 
@@ -111,10 +96,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
       tcaches = Atomic.make IntMap.empty;
       tc_mu = Mutex.create ();
       creator_did = (Domain.self () :> int);
-      san =
-        (if config.sanitize then
-           Some { q = Queue.create (); q_set = Hashtbl.create 64; q_cap = config.quarantine; q_mu = Mutex.create () }
-         else None);
       trim_slack = (config.slack + if config.mutant = "emptiness-off-by-one" then 1 else 0);
       skip_owner_recheck = config.mutant = "skip-owner-recheck";
       orphan_lost = config.mutant = "orphan-lost-superblock";
@@ -565,7 +546,7 @@ let malloc_many t n size =
     end
   end
 
-let free_now t addr =
+let free t addr =
   t.pf.Platform.work t.cfg.path_work;
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
@@ -624,152 +605,35 @@ let free_now t addr =
     end
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
 
-(* Whether the sanitizer currently quarantines this block address. *)
-let quarantined t addr =
-  match t.san with
-  | None -> false
-  | Some s ->
-    Mutex.lock s.q_mu;
-    let r = Hashtbl.mem s.q_set addr in
-    Mutex.unlock s.q_mu;
-    r
-
-(* Build and raise the sanitizer diagnostic: what happened, where, the
-   owning superblock/heap, and that heap's most recent event-ring entries
-   (when tracing is on) as the last-op trace. Terminal, so the unlocked
-   ring read is fine. *)
-let san_report t ~what ~addr sb =
-  let b = Buffer.create 128 in
-  Printf.bprintf b "heap sanitizer: %s at 0x%x" what addr;
-  (match sb with
-   | None -> ()
-   | Some sb ->
-     Printf.bprintf b " (superblock 0x%x class=%d block=%dB owner=heap%d)" (Superblock.base sb)
-       (Superblock.sclass sb) (Superblock.block_size sb) (Superblock.owner sb);
-     let owner_id = Superblock.owner sb in
-     if owner_id >= 0 && owner_id <= Array.length t.heaps then begin
-       match Option.bind (heap_by_id t owner_id) (fun h -> h.ring) with
-       | None -> ()
-       | Some r ->
-         let evs = Event_ring.to_list r in
-         let n = List.length evs in
-         let evs = if n > 6 then List.filteri (fun i _ -> i >= n - 6) evs else evs in
-         if evs <> [] then begin
-           Printf.bprintf b "; last heap events:";
-           List.iter
-             (fun (e : Event_ring.event) ->
-               Printf.bprintf b " [%s at=%d proc=%d class=%d arg=%d]" (Event_ring.kind_name e.kind) e.at
-                 e.who e.sclass e.arg)
-             evs
-         end
-     end);
-  raise (Sanitizer_violation (Buffer.contents b))
-
-(* Sanitizing free: validate the pointer (double free, interior, header,
-   foreign), poison the block, and push it through the quarantine ring.
-   The evicted oldest block takes the real free path; until then the
-   block stays bitmap-live, so stats' free counters lag the program's
-   frees by at most [quarantine] until a flush. *)
-let free t addr =
-  match t.san with
-  | None -> free_now t addr
-  | Some s ->
-    t.pf.Platform.work t.cfg.path_work;
-    (match Sb_registry.lookup t.reg ~addr with
-     | None ->
-       if not (Locked_large.try_free t.large ~addr) then san_report t ~what:"free of foreign pointer" ~addr None
-     | Some sb ->
-       if quarantined t addr then san_report t ~what:"double free (block still in quarantine)" ~addr (Some sb);
-       (match Superblock.locate sb addr with
-        | Superblock.Header -> san_report t ~what:"free of a superblock header address" ~addr (Some sb)
-        | Superblock.Tail_waste -> san_report t ~what:"free of a tail-waste address" ~addr (Some sb)
-        | Superblock.Block { b_start; b_live; _ } ->
-          if b_start <> addr then san_report t ~what:"free of an interior pointer" ~addr (Some sb);
-          if not b_live then san_report t ~what:"double free" ~addr (Some sb));
-       (* Poison-on-free: scribble the whole block, so the cost (and the
-          coherence traffic) of poisoning is modelled. *)
-       t.pf.Platform.write ~addr ~len:(Superblock.block_size sb);
-       Mutex.lock s.q_mu;
-       Queue.push addr s.q;
-       Hashtbl.replace s.q_set addr ();
-       let evicted =
-         if Queue.length s.q > s.q_cap then begin
-           let a = Queue.pop s.q in
-           Hashtbl.remove s.q_set a;
-           Some a
-         end
-         else None
-       in
-       Mutex.unlock s.q_mu;
-       (match evicted with
-        | Some a -> free_now t a
-        | None -> ()))
-
 let usable_size t addr =
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
-    if quarantined t addr then san_report t ~what:"usable_size of a freed (quarantined) block" ~addr (Some sb);
     if Superblock.is_block_live sb addr then Superblock.block_size sb
-    else if t.san <> None then san_report t ~what:"usable_size of a dead block" ~addr (Some sb)
     else invalid_arg "Hoard.usable_size: dead block"
   | None ->
     (match Locked_large.usable_size t.large ~addr with
      | Some n -> n
      | None -> invalid_arg "Hoard.usable_size: foreign pointer")
 
-(* In-place whenever the block's superblock already carves pieces big
-   enough; a single registry lookup replaces the generic path's
-   usable_size round trip. Growth falls back to allocate-copy-free
-   through the front end. *)
+(* In place whenever the block's superblock already carves pieces big
+   enough: one registry lookup instead of the generic usable_size round
+   trip. Growth is the generic allocate-copy-free. *)
 let realloc t ~addr ~size =
-  if size <= 0 then invalid_arg "Alloc_api.realloc: size must be positive";
-  (match Sb_registry.lookup t.reg ~addr with
-   | Some sb when quarantined t addr -> san_report t ~what:"realloc of a freed (quarantined) block" ~addr (Some sb)
-   | _ -> ());
   match Sb_registry.lookup t.reg ~addr with
-  | Some sb when Superblock.is_block_live sb addr && size <= Superblock.block_size sb -> addr
+  | Some sb when size > 0 && Superblock.is_block_live sb addr && size <= Superblock.block_size sb -> addr
   | _ ->
-    let old_usable = usable_size t addr in
-    if size <= old_usable then addr
-    else begin
-      let fresh = malloc t size in
-      let copied = min old_usable size in
-      t.pf.Platform.read ~addr ~len:copied;
-      t.pf.Platform.write ~addr:fresh ~len:copied;
-      free t addr;
-      fresh
-    end
+    Alloc_api.generic_realloc t.pf ~malloc:(malloc t) ~free:(free t) ~usable_size:(usable_size t) ~addr ~size
 
-(* Empty the quarantine from inside a simulated thread: every deferred
-   free takes the real free path now, with its usual costs. *)
-let take_quarantine t =
-  match t.san with
-  | None -> []
-  | Some s ->
-    Mutex.lock s.q_mu;
-    let items = List.rev (Queue.fold (fun acc a -> a :: acc) [] s.q) in
-    Queue.clear s.q;
-    Hashtbl.reset s.q_set;
-    Mutex.unlock s.q_mu;
-    items
+let lookup t addr = Sb_registry.lookup t.reg ~addr
 
-let drain_quarantine t = List.iter (fun a -> free_now t a) (take_quarantine t)
-
-let quarantine_length t =
-  match t.san with
-  | None -> 0
-  | Some s ->
-    Mutex.lock s.q_mu;
-    let n = Queue.length s.q in
-    Mutex.unlock s.q_mu;
-    n
+let heap_ring t id =
+  if id < 0 || id > Array.length t.heaps then None else Option.bind (heap_by_id t id) (fun h -> h.ring)
 
 (* In-thread flush: cache out to the owners' queues, then drain and trim
    the calling thread's own heap, plus its shard of the global heap
    (where frees into global superblocks park when heap 0 has no record) —
    all without the heap-0 lock. *)
 let flush t =
-  drain_quarantine t;
   (if t.fe > 0 then
      match IntMap.find_opt (t.pf.Platform.self_tid ()) (Atomic.get t.tcaches) with
      | Some tc -> flush_tcache t tc
@@ -799,7 +663,6 @@ let flush t =
 
    Idempotent: a second call finds no cache and an empty heap. *)
 let on_thread_exit t =
-  drain_quarantine t;
   let tid = t.pf.Platform.self_tid () in
   if t.fe > 0 then begin
     match IntMap.find_opt tid (Atomic.get t.tcaches) with
@@ -838,6 +701,18 @@ let on_thread_exit t =
   h.lock.release ();
   if !spill <> [] then dispose_batch t !spill
 
+(* Quiescent: free one block into its owner; returns the owner's stats
+   shard. *)
+let q_free t sb addr =
+  let id = Superblock.owner sb in
+  if id = 0 then Global_heap.q_free t.global sb ~addr else Heap_core.free t.heaps.(id - 1).core sb addr;
+  Alloc_stats.shard t.stats id
+
+let free_quiescent t addr =
+  match Sb_registry.lookup t.reg ~addr with
+  | None -> invalid_arg "Hoard.free_quiescent: not a superblock block"
+  | Some sb -> Alloc_stats.on_free (q_free t sb addr) ~usable:(Superblock.block_size sb)
+
 (* Quiescent-only: returns every cached and queued block straight to the
    heap cores WITHOUT platform locks, costs or events (on the simulated
    platform those are effects, usable only inside simulated threads).
@@ -845,24 +720,10 @@ let on_thread_exit t =
    emptiness invariant is re-established; surplus empty superblocks stay
    mapped (releasing them would charge platform unmaps). *)
 let flush_caches t =
-  (* Free one block into its owner; returns the owner's stats shard. *)
-  let q_free sb addr =
-    let id = Superblock.owner sb in
-    if id = 0 then Global_heap.q_free t.global sb ~addr else Heap_core.free t.heaps.(id - 1).core sb addr;
-    Alloc_stats.shard t.stats id
-  in
   let dispose (sb, addr) =
     Superblock.clear_cached sb addr;
-    Alloc_stats.on_drain (q_free sb addr) ~usable:(Superblock.block_size sb)
+    Alloc_stats.on_drain (q_free t sb addr) ~usable:(Superblock.block_size sb)
   in
-  (* Quarantined blocks first: the program already freed them, so complete
-     those frees (counting them as frees, not drains) before rebalancing. *)
-  List.iter
-    (fun addr ->
-      match Sb_registry.lookup t.reg ~addr with
-      | None -> assert false
-      | Some sb -> Alloc_stats.on_free (q_free sb addr) ~usable:(Superblock.block_size sb))
-    (take_quarantine t);
   IntMap.iter
     (fun _ tc ->
       Array.iteri
@@ -901,35 +762,6 @@ let flush_caches t =
           Alloc_stats.on_transfer_to_global (Alloc_stats.shard t.stats 0)
       done)
     t.heaps
-
-(* The checker a test harness installs on the *workload's* view of the
-   platform (the allocator itself keeps the raw platform: it legitimately
-   writes headers and free-list links). Unknown addresses are ignored —
-   large objects and workload scratch space live outside superblocks. *)
-let sanitizer_access_check t =
-  match t.san with
-  | None -> None
-  | Some _ ->
-    Some
-      (fun ~addr ~len ~write ->
-        match Sb_registry.lookup t.reg ~addr with
-        | None -> ()
-        | Some sb ->
-          (match Superblock.locate sb addr with
-           | Superblock.Header ->
-             san_report t
-               ~what:
-                 (if write then "header canary clobbered (write into a superblock header)"
-                  else "read of a superblock header")
-               ~addr (Some sb)
-           | Superblock.Tail_waste -> san_report t ~what:"access to superblock tail waste" ~addr (Some sb)
-           | Superblock.Block { b_start; b_live; _ } ->
-             if (not b_live) || quarantined t b_start then
-               san_report t
-                 ~what:(if write then "use-after-free write to a poisoned block" else "use-after-free read of a poisoned block")
-                 ~addr (Some sb)
-             else if addr + len > b_start + Superblock.block_size sb then
-               san_report t ~what:"buffer overflow past the end of a block" ~addr (Some sb)))
 
 let obs t = t.obs
 

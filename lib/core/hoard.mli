@@ -165,28 +165,18 @@ val pp_heaps : Format.formatter -> t -> unit
     count and aggregate fullness — the view used by
     [hoard_bench inspect]. *)
 
-(** {2 Heap sanitizer (config.sanitize)} *)
+(** {2 Inspection hooks (checking layers such as {!Sanitizer})} *)
 
-exception Sanitizer_violation of string
-(** An invalid heap operation caught by the sanitizer: double free, free
-    of an interior/header/foreign pointer, use-after-free or overflow
-    seen through the checked platform, or realloc/usable_size of a
-    quarantined block. The message names the operation, the address, the
-    owning superblock (base, class, block size, owner heap) and — when
-    tracing is on — the owning heap's most recent event-ring entries. *)
+val lookup : t -> int -> Superblock.t option
+(** The registered superblock spanning an address, if any. Host-side
+    registry read: no simulated cost, no scheduling point. *)
 
-val sanitizer_access_check : t -> (addr:int -> len:int -> write:bool -> unit) option
-(** [Some checker] when the instance was created with [config.sanitize].
-    Install it on the *workload's* view of the platform (wrap
-    [Platform.read]/[write]) to turn stray touches of superblock memory —
-    headers (canaries), dead or quarantined blocks (poison), spans past a
-    block's end (overflow) — into {!Sanitizer_violation}. The allocator
-    itself must keep the unchecked platform: it writes headers and
-    free-list links legitimately. Addresses outside any superblock are
-    ignored. *)
+val heap_ring : t -> int -> Event_ring.t option
+(** Heap [id]'s event ring ([0] = global), when tracing is on and the
+    heap has a record; [None] for any other id. *)
 
-val quarantine_length : t -> int
-(** Blocks currently held in the sanitizer quarantine (0 without
-    [sanitize]). Frees deferred there are completed by {!flush_caches}
-    (host-side) or a thread's [flush] (in-sim), so stats' free counters
-    catch up at the latest then. *)
+val free_quiescent : t -> int -> unit
+(** Quiescent-only, like {!flush_caches}: completes the free of a
+    superblock block the program freed but a checking layer held back,
+    counting it as a free, with no platform cost. Call it before
+    {!flush_caches}. *)

@@ -31,8 +31,6 @@ type t = {
   remote_queue_cap : int;
   large_cache : int;
   global : global_mode;
-  sanitize : bool;
-  quarantine : int;
   mutant : string;
 }
 
@@ -63,8 +61,6 @@ let default =
     remote_queue_cap = 256;
     large_cache = 0;
     global = Locked;
-    sanitize = false;
-    quarantine = 32;
     mutant = "";
   }
 
@@ -223,13 +219,6 @@ let knobs =
           | None -> bad "global" "unknown mode %S (locked, lockfree)" s);
       k_check = (fun _ -> None);
     };
-    bool_knob "sanitize" "Heap sanitizer: poison-on-free, quarantine, double-free diagnosis."
-      ~get:(fun t -> t.sanitize)
-      ~store:(fun t v -> { t with sanitize = v });
-    int_knob "quarantine" "Sanitizer quarantine ring capacity (blocks)."
-      ~get:(fun t -> t.quarantine)
-      ~store:(fun t v -> { t with quarantine = v })
-      ~check:(non_negative "quarantine");
     {
       k_name = "mutant";
       k_doc = "Hidden test hook: plant a known concurrency bug (never set outside tests).";
@@ -283,7 +272,7 @@ let set_all t specs = List.fold_left set t specs
 
 let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?assign_by_tid
     ?release_to_os ?release_threshold ?vmem_backend ?path_work ?front_end
-    ?remote_queue_cap ?large_cache ?global ?sanitize ?quarantine ?mutant () =
+    ?remote_queue_cap ?large_cache ?global ?mutant () =
   let v field = function Some x -> x | None -> field in
   let t =
     {
@@ -301,8 +290,6 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?ass
       remote_queue_cap = v base.remote_queue_cap remote_queue_cap;
       large_cache = v base.large_cache large_cache;
       global = v base.global global;
-      sanitize = v base.sanitize sanitize;
-      quarantine = v base.quarantine quarantine;
       mutant = v base.mutant mutant;
     }
   in

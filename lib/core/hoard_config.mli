@@ -5,7 +5,8 @@
     the engine behind the shared [--set] CLI option). Both are backed by
     the same knob registry, which also drives {!validate}, {!pp} and the
     CLI help — adding a knob is one registry entry, not an edit to every
-    record literal and flag parser. *)
+    record literal and flag parser. Checking tools are not knobs: the
+    heap sanitizer wraps an instance from outside ({!Sanitizer}). *)
 
 (** Structure of the global heap (heap 0). [Locked]: the classic Dlist
     fullness groups behind the heap-0 lock (the paper's presentation).
@@ -83,20 +84,6 @@ type t = {
   global : global_mode;
       (** how the global heap is structured; see {!global_mode}. Default
           [Locked] (the seed structure). *)
-  sanitize : bool;
-      (** heap sanitizer: freed blocks are quarantined (and, through the
-          checked platform from [Hoard.sanitizer_access_check], poisoned
-          against use-after-free), double frees and foreign pointers are
-          diagnosed with {!Hoard.Sanitizer_violation} naming the owning
-          superblock, heap and recent event trace. Default false: the
-          sanitizer costs host time and delays block reuse, so it is a
-          testing configuration, not a benchmarking one. *)
-  quarantine : int;
-      (** ring capacity (blocks) of the sanitizer's free quarantine: the
-          most recent [quarantine] frees are held back from reuse so late
-          use-after-free and double free remain detectable. 0 checks
-          frees but recycles immediately. Only meaningful with
-          [sanitize]. *)
   mutant : string;
       (** hidden test hook: "" (default) is the real allocator; a known
           mutant name plants a specific concurrency bug for the schedule
@@ -140,8 +127,6 @@ val make :
   ?remote_queue_cap:int ->
   ?large_cache:int ->
   ?global:global_mode ->
-  ?sanitize:bool ->
-  ?quarantine:int ->
   ?mutant:string ->
   unit ->
   t

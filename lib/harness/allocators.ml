@@ -4,33 +4,30 @@ let large_cache_default = 4
 
 let fe_config ?(front_end = front_end_default) () = Hoard_config.make ~front_end ()
 
-let san_config ?(quarantine = 32) () = Hoard_config.make ~sanitize:true ~quarantine ()
-
 let gl_config ?(front_end = front_end_default) ?(large_cache = large_cache_default) () =
   Hoard_config.make ~front_end ~large_cache ~global:Hoard_config.Lockfree ()
 
-let hoard_fe ?front_end () =
-  let config = fe_config ?front_end () in
-  let front_end = config.Hoard_config.front_end in
+let hoard_fe_of config =
   {
     (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-fe";
     description =
-      Printf.sprintf "hoard with the lock-free front end (%d cached blocks per class per thread)" front_end;
+      Printf.sprintf "hoard with the lock-free front end (%d cached blocks per class per thread)"
+        config.Hoard_config.front_end;
   }
 
-let hoard_san ?quarantine () =
-  let config = san_config ?quarantine () in
-  let quarantine = config.Hoard_config.quarantine in
+let hoard_fe ?front_end () = hoard_fe_of (fe_config ?front_end ())
+
+let hoard_san_of ?(quarantine = Sanitizer.default_quarantine) config =
   {
-    (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-san";
-    description =
-      Printf.sprintf "hoard with the heap sanitizer (poison-on-free, %d-block quarantine)" quarantine;
+    description = Printf.sprintf "hoard with the heap sanitizer (poison-on-free, %d-block quarantine)" quarantine;
+    instantiate = (fun pf -> Sanitizer.allocator (Sanitizer.create ~quarantine pf (Hoard.create ~config pf)));
   }
 
-let hoard_gl ?front_end ?large_cache () =
-  let config = gl_config ?front_end ?large_cache () in
+let hoard_san ?quarantine () = hoard_san_of ?quarantine Hoard_config.default
+
+let hoard_gl_of config =
   {
     (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-gl";
@@ -40,6 +37,8 @@ let hoard_gl ?front_end ?large_cache () =
          deferred remote-free lists and the large-object cache (cap %d per bucket)"
         config.Hoard_config.large_cache;
   }
+
+let hoard_gl ?front_end ?large_cache () = hoard_gl_of (gl_config ?front_end ?large_cache ())
 
 let all () =
   [
@@ -61,21 +60,22 @@ let labels () = List.map (fun f -> f.Alloc_intf.label) (all ())
 
 let find label = List.find_opt (fun f -> f.Alloc_intf.label = label) (all () @ extras ())
 
-(* The hoard-family labels and the configs their factories register
-   with — [None] for the non-hoard comparison allocators, which have no
-   knobs to override. *)
-let base_config = function
-  | "hoard" -> Some Hoard_config.default
-  | "hoard-fe" -> Some (fe_config ())
-  | "hoard-san" -> Some (san_config ())
-  | "hoard-gl" -> Some (gl_config ())
-  | _ -> None
+(* The hoard family: each label's registered config and its builder, so
+   an override rebuilds the whole composition (the sanitizer included),
+   not just the core. *)
+let hoard_family =
+  [
+    ("hoard", Hoard_config.default, fun config -> Hoard.factory ~config ());
+    ("hoard-fe", fe_config (), hoard_fe_of);
+    ("hoard-san", Hoard_config.default, fun config -> hoard_san_of config);
+    ("hoard-gl", gl_config (), hoard_gl_of);
+  ]
+
+let base_config label = List.find_map (fun (l, cfg, _) -> if l = label then Some cfg else None) hoard_family
 
 let with_overrides f label =
-  match (find label, base_config label) with
-  | Some fac, Some cfg ->
-    let config = f cfg in
-    Some { fac with Alloc_intf.instantiate = (Hoard.factory ~config ()).Alloc_intf.instantiate }
+  match (find label, List.find_opt (fun (l, _, _) -> l = label) hoard_family) with
+  | Some fac, Some (_, cfg, build) -> Some { fac with Alloc_intf.instantiate = (build (f cfg)).Alloc_intf.instantiate }
   | _, _ -> None
 
 let help () =

@@ -27,8 +27,10 @@ val base_config : string -> Hoard_config.t option
 val with_overrides :
   (Hoard_config.t -> Hoard_config.t) -> string -> Alloc_intf.factory option
 (** [with_overrides f label] rebuilds the labelled hoard-family factory
-    over [f base_config] — how the CLIs apply [--set knob=value]
-    overrides on top of an [--allocator] choice. [None] when the label
+    over [f base_config] with the label's own builder, so a wrapper
+    such as [hoard-san]'s sanitizer survives the override — how the
+    CLIs apply [--set knob=value] overrides on top of an
+    [--allocator] choice. [None] when the label
     is unknown or has no config ({!base_config}). *)
 
 val help : unit -> string
@@ -44,7 +46,8 @@ val hoard_fe : ?front_end:int -> unit -> Alloc_intf.factory
 (** A front-end-enabled hoard factory with an explicit capacity. *)
 
 val hoard_san : ?quarantine:int -> unit -> Alloc_intf.factory
-(** A sanitizer-enabled hoard factory (see {!Hoard_config.t.sanitize}). *)
+(** [hoard] wrapped in the heap {!Sanitizer} with a [quarantine]-block
+    ring (default {!Sanitizer.default_quarantine}). *)
 
 val hoard_gl : ?front_end:int -> ?large_cache:int -> unit -> Alloc_intf.factory
 (** [hoard-fe] on the lock-free global heap (see

@@ -367,15 +367,18 @@ let test_global_free_shards_explored () =
    never whether they do.                                               *)
 
 let test_deferred_differential_fuzz () =
-  let replay_with config t =
+  let replay_with ?quarantine config t =
     let sim = Sim.create ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs:4 () in
     let pf = Sim.platform sim in
     let h = Hoard.create ~config pf in
-    let a = Hoard.allocator h in
+    let san = Option.map (fun quarantine -> Sanitizer.create ~quarantine pf h) quarantine in
+    let a = match san with Some sn -> Sanitizer.allocator sn | None -> Hoard.allocator h in
     Trace.replay_sim t sim a ~nthreads:4;
     Sim.run sim;
     a.Alloc_intf.check ();
-    Hoard.flush_caches h;
+    (match san with
+     | Some sn -> Sanitizer.flush_caches sn
+     | None -> Hoard.flush_caches h);
     Hoard.check h;
     let s = a.Alloc_intf.stats () in
     (s.Alloc_stats.mallocs, s.Alloc_stats.frees, s.Alloc_stats.live_bytes)
@@ -394,9 +397,11 @@ let test_deferred_differential_fuzz () =
           match Allocators.base_config label with
           | None -> () (* non-hoard comparison allocators: no deferred variant *)
           | Some cfg ->
-            let direct = replay_with { cfg with Hoard_config.global = Hoard_config.Locked } t in
+            (* hoard-san's sanitizer wraps the instance, as its check subject does. *)
+            let quarantine = Option.bind (Check_run.find_subject label) (fun s -> s.Check_run.s_quarantine) in
+            let direct = replay_with ?quarantine { cfg with Hoard_config.global = Hoard_config.Locked } t in
             let deferred =
-              replay_with
+              replay_with ?quarantine
                 {
                   cfg with
                   Hoard_config.global = Hoard_config.Lockfree;
@@ -495,78 +500,163 @@ let test_oracle_catches_misbehavior () =
 (* ------------------------------------------------------------------ *)
 (* Heap sanitizer diagnostics (S/tentpole layer 3).                    *)
 
-let san_config = Hoard_config.make ~sanitize:true ~quarantine:8 ()
-
 let with_san_hoard f =
   let pf = Platform.host () in
-  let h = Hoard.create ~config:san_config pf in
-  let a = Hoard.allocator h in
-  Fun.protect ~finally:(fun () -> Platform.host_release pf) (fun () -> f h a)
+  let s = Sanitizer.create ~quarantine:8 pf (Hoard.create pf) in
+  let a = Sanitizer.allocator s in
+  Fun.protect ~finally:(fun () -> Platform.host_release pf) (fun () -> f s a)
 
 let test_sanitizer_double_free () =
-  with_san_hoard (fun _h a ->
+  with_san_hoard (fun _s a ->
       let addr = a.Alloc_intf.malloc 64 in
       a.Alloc_intf.free addr;
       match a.Alloc_intf.free addr with
       | () -> Alcotest.fail "double free must raise"
-      | exception Hoard.Sanitizer_violation msg ->
+      | exception Sanitizer.Violation msg ->
         Alcotest.(check bool) "names double free" true (Astring.String.is_infix ~affix:"double free" msg);
         Alcotest.(check bool) "names the superblock" true (Astring.String.is_infix ~affix:"superblock" msg))
 
 let test_sanitizer_use_after_free () =
-  with_san_hoard (fun h a ->
+  with_san_hoard (fun s a ->
       let addr = a.Alloc_intf.malloc 64 in
       a.Alloc_intf.free addr;
-      Alcotest.(check bool) "block quarantined" true (Hoard.quarantine_length h > 0);
+      Alcotest.(check bool) "block quarantined" true (Sanitizer.quarantine_length s > 0);
       (match a.Alloc_intf.usable_size addr with
        | _ -> Alcotest.fail "usable_size of a quarantined block must raise"
-       | exception Hoard.Sanitizer_violation msg ->
+       | exception Sanitizer.Violation msg ->
          Alcotest.(check bool) "names the quarantined block" true
            (Astring.String.is_infix ~affix:"quarantined" msg));
-      let checker = Option.get (Hoard.sanitizer_access_check h) in
+      let checker = Sanitizer.access_check s in
       match checker ~addr ~len:8 ~write:false with
       | () -> Alcotest.fail "read of a quarantined block must raise"
-      | exception Hoard.Sanitizer_violation msg ->
+      | exception Sanitizer.Violation msg ->
         Alcotest.(check bool) "names use-after-free" true
           (Astring.String.is_infix ~affix:"use-after-free" msg))
 
 let test_sanitizer_overflow_and_canary () =
-  with_san_hoard (fun h a ->
+  with_san_hoard (fun s a ->
       let addr = a.Alloc_intf.malloc 64 in
       let usable = a.Alloc_intf.usable_size addr in
-      let checker = Option.get (Hoard.sanitizer_access_check h) in
+      let checker = Sanitizer.access_check s in
       checker ~addr ~len:usable ~write:true;
       (match checker ~addr ~len:(usable + 8) ~write:true with
        | () -> Alcotest.fail "write past the block end must raise"
-       | exception Hoard.Sanitizer_violation msg ->
+       | exception Sanitizer.Violation msg ->
          Alcotest.(check bool) "names overflow" true (Astring.String.is_infix ~affix:"overflow" msg));
-      let sb_base = addr - (addr mod san_config.Hoard_config.sb_size) in
+      let sb_base = addr - (addr mod Hoard_config.default.Hoard_config.sb_size) in
       match checker ~addr:sb_base ~len:8 ~write:true with
       | () -> Alcotest.fail "write into the superblock header must raise"
-      | exception Hoard.Sanitizer_violation msg ->
+      | exception Sanitizer.Violation msg ->
         Alcotest.(check bool) "names the header canary" true (Astring.String.is_infix ~affix:"header" msg))
 
 let test_sanitizer_foreign_and_interior () =
-  with_san_hoard (fun _h a ->
+  with_san_hoard (fun _s a ->
       let addr = a.Alloc_intf.malloc 64 in
       (match a.Alloc_intf.free (addr + 4) with
        | () -> Alcotest.fail "interior free must raise"
-       | exception Hoard.Sanitizer_violation msg ->
+       | exception Sanitizer.Violation msg ->
          Alcotest.(check bool) "names interior pointer" true (Astring.String.is_infix ~affix:"interior" msg));
       a.Alloc_intf.free addr)
 
 let test_sanitizer_quarantine_drains () =
-  with_san_hoard (fun h a ->
+  with_san_hoard (fun s a ->
       let addrs = Array.init 24 (fun _ -> a.Alloc_intf.malloc 32) in
       Array.iter a.Alloc_intf.free addrs;
       (* Ring capacity 8: the older 16 frees were evicted and completed. *)
-      Alcotest.(check int) "quarantine at capacity" 8 (Hoard.quarantine_length h);
-      Hoard.flush_caches h;
-      Alcotest.(check int) "flush drains the quarantine" 0 (Hoard.quarantine_length h);
-      let s = a.Alloc_intf.stats () in
-      Alcotest.(check int) "all frees completed" 24 s.Alloc_stats.frees;
-      Alcotest.(check int) "nothing live" 0 s.Alloc_stats.live_bytes;
-      Hoard.check h)
+      Alcotest.(check int) "quarantine at capacity" 8 (Sanitizer.quarantine_length s);
+      Sanitizer.flush_caches s;
+      Alcotest.(check int) "flush drains the quarantine" 0 (Sanitizer.quarantine_length s);
+      let st = a.Alloc_intf.stats () in
+      Alcotest.(check int) "all frees completed" 24 st.Alloc_stats.frees;
+      Alcotest.(check int) "nothing live" 0 st.Alloc_stats.live_bytes;
+      a.Alloc_intf.check ())
+
+(* A [--set] override rebuilds the whole hoard-san composition: the
+   sanitizer must survive a knob change underneath it. *)
+let test_sanitizer_survives_overrides () =
+  let f =
+    Option.get (Allocators.with_overrides (fun c -> { c with Hoard_config.front_end = 4 }) "hoard-san")
+  in
+  let pf = Platform.host () in
+  Fun.protect
+    ~finally:(fun () -> Platform.host_release pf)
+    (fun () ->
+      let a = f.Alloc_intf.instantiate pf in
+      let addr = a.Alloc_intf.malloc 64 in
+      a.Alloc_intf.free addr;
+      match a.Alloc_intf.free addr with
+      | () -> Alcotest.fail "double free under an override must raise"
+      | exception Sanitizer.Violation _ -> ())
+
+(* Every remaining report site, pinned to its exact message prefix. The
+   fixture hands each case the sanitized allocator and its access
+   checker only, so the table is independent of how the sanitizer is
+   assembled. Superblock-relative addresses come from a fresh block. *)
+
+let san_fixture ~quarantine pf =
+  let s = Sanitizer.create ~quarantine pf (Hoard.create pf) in
+  (Sanitizer.allocator s, Sanitizer.access_check s, fun () -> Sanitizer.quarantine_length s)
+
+let sanitizer_report_cases =
+  let sb_size = Hoard_config.default.Hoard_config.sb_size in
+  let base addr = addr - (addr mod sb_size) in
+  (* 100 B rounds to a class whose blocks leave slack past the last one. *)
+  let tail addr = base addr + sb_size - 8 in
+  [
+    ("free of foreign pointer", 8, fun (a : Alloc_intf.t) _ -> a.free 0x10);
+    ("free of a superblock header address", 8, fun a _ -> a.free (base (a.malloc 64)));
+    ("free of a tail-waste address", 8, fun a _ -> a.free (tail (a.malloc 100)));
+    ( "realloc of a freed (quarantined) block",
+      8,
+      fun a _ ->
+        let addr = a.malloc 64 in
+        a.free addr;
+        ignore (a.realloc ~addr ~size:128) );
+    ( "usable_size of a dead block",
+      0,
+      fun a _ ->
+        let addr = a.malloc 64 in
+        a.free addr;
+        ignore (a.usable_size addr) );
+    ("read of a superblock header", 8, fun a check -> check ~addr:(base (a.malloc 64)) ~len:8 ~write:false);
+    ("access to superblock tail waste", 8, fun a check -> check ~addr:(tail (a.malloc 100)) ~len:8 ~write:true);
+  ]
+
+let test_sanitizer_report_sites () =
+  List.iter
+    (fun (what, quarantine, provoke) ->
+      let pf = Platform.host () in
+      Fun.protect
+        ~finally:(fun () -> Platform.host_release pf)
+        (fun () ->
+          let a, check, _ = san_fixture ~quarantine pf in
+          match provoke a check with
+          | () -> Alcotest.fail (what ^ " must raise")
+          | exception Sanitizer.Violation msg ->
+            let prefix = sprintf "heap sanitizer: %s at 0x" what in
+            Alcotest.(check string) what prefix (String.sub msg 0 (min (String.length msg) (String.length prefix)))))
+    sanitizer_report_cases
+
+(* The in-simulation entry points complete quarantined frees: the ring's
+   8 most recent frees wait until the thread flushes or retires. *)
+let test_sanitizer_drains_in_sim () =
+  List.iter
+    (fun (label, retire) ->
+      let sim = Sim.create ~nprocs:2 () in
+      let a, _, qlen = san_fixture ~quarantine:8 (Sim.platform sim) in
+      let before = ref (0, 0) in
+      ignore
+        (Sim.spawn sim (fun () ->
+             let addrs = Array.init 24 (fun _ -> a.Alloc_intf.malloc 32) in
+             Array.iter a.Alloc_intf.free addrs;
+             before := (qlen (), (a.Alloc_intf.stats ()).Alloc_stats.frees);
+             retire a));
+      Sim.run sim;
+      Alcotest.(check (pair int int)) (label ^ ": ring full, older frees done") (8, 16) !before;
+      Alcotest.(check int) (label ^ " drains the quarantine") 0 (qlen ());
+      Alcotest.(check int) (label ^ " completes every free") 24 (a.Alloc_intf.stats ()).Alloc_stats.frees;
+      a.Alloc_intf.check ())
+    [ ("flush", fun a -> a.Alloc_intf.flush ()); ("thread_exit", fun a -> a.Alloc_intf.thread_exit ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* S2: schedule-fuzz determinism — same seed, same run.                *)
@@ -773,6 +863,9 @@ let () =
           Alcotest.test_case "overflow and canary" `Quick test_sanitizer_overflow_and_canary;
           Alcotest.test_case "foreign and interior" `Quick test_sanitizer_foreign_and_interior;
           Alcotest.test_case "quarantine drains" `Quick test_sanitizer_quarantine_drains;
+          Alcotest.test_case "every report site" `Quick test_sanitizer_report_sites;
+          Alcotest.test_case "flush and thread exit drain" `Quick test_sanitizer_drains_in_sim;
+          Alcotest.test_case "overrides keep the wrapper" `Quick test_sanitizer_survives_overrides;
         ] );
       ( "regressions",
         [

@@ -1640,9 +1640,11 @@ let test_knob_registry () =
   in
   rejects "bogus=1";
   rejects "front-end";
-  rejects "sanitize=maybe";
-  (* Deleted knobs are unknown: the channel follows the global heap, and
-     b is the paper's constant. *)
+  (* Deleted knobs are unknown: the channel follows the global heap, b
+     is the paper's constant, and the sanitizer wraps an instance
+     instead of configuring one. *)
+  rejects "sanitize=true";
+  rejects "quarantine=8";
   rejects "deferred=true";
   rejects "growth=1.5";
   rejects "sb-size=5000";
@@ -1670,7 +1672,7 @@ let test_knob_registry () =
    draws from [known_mutants], covering the newly seeded ones. *)
 let test_set_all_matches_labelled_make =
   QCheck.Test.make ~name:"set_all = labelled make on random knob subsets" ~count:300
-    QCheck.(pair (int_bound 0x1FFF) (int_bound 1000))
+    QCheck.(pair (int_bound 0x7FF) (int_bound 1000))
     (fun (mask, vseed) ->
       let bit i = mask land (1 lsl i) <> 0 in
       let pick i l = List.nth l ((vseed + i) mod List.length l) in
@@ -1683,14 +1685,12 @@ let test_set_all_matches_labelled_make =
       let front_end = opt 5 [ 0; 4; 16 ] in
       let release_to_os = opt 6 [ true; false ] in
       let large_cache = opt 7 [ 0; 2; 8 ] in
-      let sanitize = opt 8 [ true; false ] in
-      let quarantine = opt 9 [ 0; 8; 64 ] in
-      let mutant = opt 10 Hoard_config.known_mutants in
-      let assign_by_tid = opt 11 [ true; false ] in
-      let global = opt 12 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
+      let mutant = opt 8 Hoard_config.known_mutants in
+      let assign_by_tid = opt 9 [ true; false ] in
+      let global = opt 10 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
       let labelled =
         Hoard_config.make ?sb_size ?empty_fraction ?slack ?nheaps ?release_threshold ?front_end
-          ?release_to_os ?large_cache ?sanitize ?quarantine ?mutant ?assign_by_tid
+          ?release_to_os ?large_cache ?mutant ?assign_by_tid
           ?global ()
       in
       let textual =
@@ -1707,8 +1707,6 @@ let test_set_all_matches_labelled_make =
             Option.map (Printf.sprintf "front-end=%d") front_end;
             Option.map (Printf.sprintf "release-to-os=%b") release_to_os;
             Option.map (Printf.sprintf "large-cache=%d") large_cache;
-            Option.map (Printf.sprintf "sanitize=%b") sanitize;
-            Option.map (Printf.sprintf "quarantine=%d") quarantine;
             Option.map (Printf.sprintf "mutant=%s") mutant;
             Option.map (Printf.sprintf "assign-by-tid=%b") assign_by_tid;
             Option.map
