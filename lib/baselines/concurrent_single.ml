@@ -86,6 +86,8 @@ let free t addr =
   | Some sb ->
     let sclass = Superblock.sclass sb in
     let lock = t.locks.(sclass) in
+    (* Take the block's line before locking, as Hoard does. *)
+    t.pf.Platform.write ~addr ~len:8;
     lock.acquire ();
     t.pf.Platform.write ~addr ~len:8;
     Heap_core.free t.subheaps.(sclass) sb addr;

@@ -82,6 +82,8 @@ let free t addr =
     (* Ownership never changes in this allocator, so a single lock of the
        owning heap suffices. *)
     let h = t.heaps.(Superblock.owner sb) in
+    (* Take the block's line before locking, as Hoard does. *)
+    t.pf.Platform.write ~addr ~len:8;
     h.lock.acquire ();
     if h != my_heap t then Alloc_stats.on_remote_free h.sh;
     t.pf.Platform.write ~addr ~len:8;

@@ -78,6 +78,8 @@ let free t addr =
   t.pf.Platform.work t.path_work;
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
+    (* Take the block's line before locking, as Hoard does. *)
+    t.pf.Platform.write ~addr ~len:8;
     t.lock.acquire ();
     t.pf.Platform.write ~addr ~len:8;
     Heap_core.free t.heap sb addr;

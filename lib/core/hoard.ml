@@ -569,6 +569,12 @@ let free t addr =
       t.pf.Platform.write ~addr ~len:8
     end
     else begin
+      (* Take the block's line before locking: the block is the
+         allocator's from the call on, so the read-for-ownership (usually
+         a coherence miss, the line last written by the processor that
+         used the block) need not sit inside the owner heap's critical
+         section. The link store under the lock then hits. *)
+      t.pf.Platform.write ~addr ~len:8;
       match lock_owner t sb with
       | Some h ->
         let my = my_heap t in

@@ -208,6 +208,43 @@ let test_remote_free_returns_to_owner () =
   Alcotest.(check int) "nothing live" 0 s.Alloc_stats.live_bytes;
   a.Alloc_intf.check ()
 
+(* The paper-exact free takes the freed block's line before it locks the
+   owner heap, so a remote free's critical section holds no coherence miss
+   on the block. Proc 0 writes two blocks of two of its heap's
+   superblocks; proc 1 writes the first itself, then frees both. Only the
+   second is in another cache at its free, yet both hold heap 1's lock
+   for the same span: the header writes and bookkeeping are alike, and
+   neither in-lock link store misses. *)
+let test_remote_free_miss_outside_owner_lock () =
+  let sim = Sim.create ~nprocs:2 () in
+  let pf = Sim.platform sim in
+  let spans = ref [] in
+  Sim.set_lock_hooks sim
+    ~on_release:(fun ~name ~proc ~acquired_at ~at ->
+      if name = "hoard.heap1" && proc = 1 then spans := (at - acquired_at) :: !spans)
+    ();
+  let a = Hoard.allocator (Hoard.create pf) in
+  let p = ref 0 and q = ref 0 in
+  let b = Sim.new_barrier sim ~parties:2 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         p := a.Alloc_intf.malloc 64;
+         q := a.Alloc_intf.malloc 512;
+         pf.Platform.write ~addr:!p ~len:64;
+         pf.Platform.write ~addr:!q ~len:512;
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         pf.Platform.write ~addr:!p ~len:64;
+         a.Alloc_intf.free !p;
+         a.Alloc_intf.free !q));
+  Sim.run sim;
+  (match List.rev !spans with
+   | [ own_line; remote_line ] -> Alcotest.(check int) "hold span independent of the block's cache" own_line remote_line
+   | l -> Alcotest.failf "expected two heap-1 holds by proc 1, got %d" (List.length l));
+  a.Alloc_intf.check ()
+
 let test_heaps_info () =
   let pf = Platform.host ~nprocs:1 () in
   let h = Hoard.create pf in
@@ -1765,6 +1802,8 @@ let () =
         [
           Alcotest.test_case "blowup bounded" `Quick test_blowup_bounded_producer_consumer;
           Alcotest.test_case "remote free" `Quick test_remote_free_returns_to_owner;
+          Alcotest.test_case "paper-exact remote free keeps the block's miss outside the owner lock" `Quick
+            test_remote_free_miss_outside_owner_lock;
         ] );
       ( "front end",
         [
