@@ -54,6 +54,8 @@ let create ~base ~sb_size ~sclass ~block_size =
 
 let base t = t.sb_base
 
+let touch_header (pf : Platform.t) t = pf.write ~addr:t.sb_base ~len:16
+
 let sb_size t = t.size
 
 let block_size t = t.bsize

@@ -23,6 +23,10 @@ val create : base:int -> sb_size:int -> sclass:int -> block_size:int -> t
 
 val base : t -> int
 
+val touch_header : Platform.t -> t -> unit
+(** The simulated write of the header's first 16 bytes (owner, free-list
+    head, counts). Every simulated header write goes through this call. *)
+
 val sb_size : t -> int
 
 val block_size : t -> int

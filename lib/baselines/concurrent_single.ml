@@ -35,8 +35,6 @@ let create ?(sb_size = 8192) ?(path_work = 32) ?(release_threshold = 1) pf =
     release_threshold;
   }
 
-let touch_header t sb = t.pf.Platform.write ~addr:(Superblock.base sb) ~len:16
-
 let release_surplus t sclass =
   let heap = t.subheaps.(sclass) in
   while Heap_core.empty_superblock_count heap > t.release_threshold do
@@ -61,7 +59,7 @@ let malloc t size =
     let addr =
       match Heap_core.malloc heap ~sclass ~block_size with
       | Some (addr, sb) ->
-        touch_header t sb;
+        Superblock.touch_header t.pf sb;
         addr
       | None ->
         let base = t.pf.Platform.page_map ~bytes:t.sb_size ~align:t.sb_size ~owner:t.owner in
@@ -69,7 +67,7 @@ let malloc t size =
         Sb_registry.register t.reg sb;
         Alloc_stats.on_map t.stats ~bytes:t.sb_size;
         Heap_core.insert heap sb;
-        touch_header t sb;
+        Superblock.touch_header t.pf sb;
         (match Heap_core.malloc heap ~sclass ~block_size with
          | Some (addr, _) -> addr
          | None -> assert false)
@@ -86,12 +84,14 @@ let free t addr =
   | Some sb ->
     let sclass = Superblock.sclass sb in
     let lock = t.locks.(sclass) in
-    (* Take the block's line before locking, as Hoard does. *)
+    (* Take the block's and the header's lines before locking, as Hoard
+       does. *)
     t.pf.Platform.write ~addr ~len:8;
+    Superblock.touch_header t.pf sb;
     lock.acquire ();
     t.pf.Platform.write ~addr ~len:8;
     Heap_core.free t.subheaps.(sclass) sb addr;
-    touch_header t sb;
+    Superblock.touch_header t.pf sb;
     Alloc_stats.on_free (Alloc_stats.shard t.stats sclass) ~usable:(Superblock.block_size sb);
     release_surplus t sclass;
     lock.release ()

@@ -40,8 +40,6 @@ let create ?(sb_size = 8192) ?(path_work = 28) ?nheaps pf =
     path_work;
   }
 
-let touch_header t sb = t.pf.Platform.write ~addr:(Superblock.base sb) ~len:16
-
 let my_heap t = t.heaps.(t.pf.Platform.self_proc () mod Array.length t.heaps)
 
 let malloc t size =
@@ -56,7 +54,7 @@ let malloc t size =
     let addr =
       match Heap_core.malloc h.core ~sclass ~block_size with
       | Some (addr, sb) ->
-        touch_header t sb;
+        Superblock.touch_header t.pf sb;
         addr
       | None ->
         let base = t.pf.Platform.page_map ~bytes:t.sb_size ~align:t.sb_size ~owner:t.owner in
@@ -64,7 +62,7 @@ let malloc t size =
         Sb_registry.register t.reg sb;
         Alloc_stats.on_map t.stats ~bytes:t.sb_size;
         Heap_core.insert h.core sb;
-        touch_header t sb;
+        Superblock.touch_header t.pf sb;
         (match Heap_core.malloc h.core ~sclass ~block_size with
          | Some (addr, _) -> addr
          | None -> assert false)
@@ -82,13 +80,15 @@ let free t addr =
     (* Ownership never changes in this allocator, so a single lock of the
        owning heap suffices. *)
     let h = t.heaps.(Superblock.owner sb) in
-    (* Take the block's line before locking, as Hoard does. *)
+    (* Take the block's and the header's lines before locking, as Hoard
+       does. *)
     t.pf.Platform.write ~addr ~len:8;
+    Superblock.touch_header t.pf sb;
     h.lock.acquire ();
     if h != my_heap t then Alloc_stats.on_remote_free h.sh;
     t.pf.Platform.write ~addr ~len:8;
     Heap_core.free h.core sb addr;
-    touch_header t sb;
+    Superblock.touch_header t.pf sb;
     Alloc_stats.on_free h.sh ~usable:(Superblock.block_size sb);
     h.lock.release ()
   | None ->

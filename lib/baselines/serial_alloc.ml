@@ -32,8 +32,6 @@ let create ?(sb_size = 8192) ?(path_work = 25) ?(release_threshold = 4) pf =
     release_threshold;
   }
 
-let touch_header t sb = t.pf.Platform.write ~addr:(Superblock.base sb) ~len:16
-
 let release_surplus t =
   while Heap_core.empty_superblock_count t.heap > t.release_threshold do
     match Heap_core.pick_victim t.heap ~max_fullness:0.0 with
@@ -55,7 +53,7 @@ let malloc t size =
     let addr =
       match Heap_core.malloc t.heap ~sclass ~block_size with
       | Some (addr, sb) ->
-        touch_header t sb;
+        Superblock.touch_header t.pf sb;
         addr
       | None ->
         let base = t.pf.Platform.page_map ~bytes:t.sb_size ~align:t.sb_size ~owner:t.owner in
@@ -63,7 +61,7 @@ let malloc t size =
         Sb_registry.register t.reg sb;
         Alloc_stats.on_map t.stats ~bytes:t.sb_size;
         Heap_core.insert t.heap sb;
-        touch_header t sb;
+        Superblock.touch_header t.pf sb;
         (match Heap_core.malloc t.heap ~sclass ~block_size with
          | Some (addr, _) -> addr
          | None -> assert false)
@@ -78,12 +76,14 @@ let free t addr =
   t.pf.Platform.work t.path_work;
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
-    (* Take the block's line before locking, as Hoard does. *)
+    (* Take the block's and the header's lines before locking, as Hoard
+       does. *)
     t.pf.Platform.write ~addr ~len:8;
+    Superblock.touch_header t.pf sb;
     t.lock.acquire ();
     t.pf.Platform.write ~addr ~len:8;
     Heap_core.free t.heap sb addr;
-    touch_header t sb;
+    Superblock.touch_header t.pf sb;
     Alloc_stats.on_free t.sh ~usable:(Superblock.block_size sb);
     release_surplus t;
     t.lock.release ()

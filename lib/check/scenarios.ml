@@ -744,7 +744,7 @@ let global_index_free ~mutant =
         let free_run p addrs =
           let inside () =
             List.iter (fun addr -> pf.Platform.write ~addr ~len:8) addrs;
-            pf.Platform.write ~addr:(Superblock.base sb) ~len:16
+            Superblock.touch_header pf sb
           in
           match Global_index.free_run gi sb ~addrs ~inside with
           | Global_index.Freed _ -> freed.(p) <- List.length addrs

@@ -75,7 +75,7 @@ module Locked = struct
       List.iter
         (fun sb ->
           Heap_core.insert g.h0.core sb;
-          Heap.touch_header g.env.pf sb;
+          Superblock.touch_header g.env.pf sb;
           Alloc_stats.on_transfer_to_global g.h0.sh;
           Heap.event g.h0 Event_ring.Sb_to_global ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
         sbs;
@@ -159,7 +159,7 @@ module Lockfree = struct
           let usable = Superblock.block_size sb in
           let inside () =
             List.iter (fun addr -> pf.Platform.write ~addr ~len:8) ends;
-            Heap.touch_header pf sb
+            Superblock.touch_header pf sb
           in
           match Global_index.free_run g.gi sb ~addrs ~inside with
           | Global_index.Freed { now_empty = _ } ->
@@ -209,7 +209,7 @@ module Lockfree = struct
       (fun sb ->
         let sclass = Superblock.sclass sb in
         Superblock.set_owner sb 0;
-        Heap.touch_header g.env.pf sb;
+        Superblock.touch_header g.env.pf sb;
         Global_index.publish g.gi sb ~record:(fun kind ~arg -> Heap.event h kind ~sclass ~arg);
         Alloc_stats.on_global_push g.env.stats;
         Alloc_stats.on_transfer_to_global h.sh;

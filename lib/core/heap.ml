@@ -85,8 +85,6 @@ let event h kind ~sclass ~arg =
     Event_ring.record r ~at:(h.pf.Platform.now ()) ~kind ~who:(h.pf.Platform.self_proc ()) ~heap:(id h) ~sclass
       ~arg
 
-let touch_header (pf : Platform.t) sb = pf.write ~addr:(Superblock.base sb) ~len:16
-
 (* Group a batch of blocks by superblock, in first-seen order; each
    group keeps its blocks in batch order. Every per-superblock effect of a
    batch — one header write, one block left for the free-list head, one
@@ -108,7 +106,7 @@ let by_superblock items =
    per superblock per batch is the cost, not once per block — and every
    simulated write inside a critical section is a point where co-located
    lock waiters run. *)
-let touch_headers pf items = List.iter (fun (sb, _) -> touch_header pf sb) (by_superblock items)
+let touch_headers pf items = List.iter (fun (sb, _) -> Superblock.touch_header pf sb) (by_superblock items)
 
 (* Return one block the program already freed (it sat in a cache, a
    queue or a deferred list) to [h]'s core: host-side bookkeeping only.
@@ -219,7 +217,7 @@ let splice h items ~stale ~forward =
   List.iter
     (fun (sb, addrs) ->
       h.pf.Platform.write ~addr:(stale addrs) ~len:8;
-      touch_header h.pf sb)
+      Superblock.touch_header h.pf sb)
     (by_superblock freed);
   List.length freed
 

@@ -58,9 +58,6 @@ val event : t -> Event_ring.kind -> sclass:int -> arg:int -> unit
 (** Record into the heap's ring; the caller holds its lock. Free when
     tracing is off. *)
 
-val touch_header : Platform.t -> Superblock.t -> unit
-(** The simulated write of a superblock's header line. *)
-
 val by_superblock : (Superblock.t * 'a) list -> (Superblock.t * 'a list) list
 (** Group a batch by superblock, in first-seen order, each group in batch
     order. *)

@@ -174,7 +174,7 @@ let refill t h ~sclass ~block_size ~spill =
       sb
   in
   Heap_core.insert h.core sb;
-  Heap.touch_header t.pf sb
+  Superblock.touch_header t.pf sb
 
 (* Lock the heap owning [sb], re-checking ownership after acquisition: the
    superblock may migrate to the global heap between the read and the lock
@@ -490,13 +490,13 @@ let malloc t size =
       let addr =
         match Heap_core.malloc h.core ~sclass ~block_size with
         | Some (addr, sb) ->
-          Heap.touch_header t.pf sb;
+          Superblock.touch_header t.pf sb;
           addr
         | None ->
           refill t h ~sclass ~block_size ~spill;
           (match Heap_core.malloc h.core ~sclass ~block_size with
            | Some (addr, sb) ->
-             Heap.touch_header t.pf sb;
+             Superblock.touch_header t.pf sb;
              addr
            | None -> assert false (* refill installed an allocatable superblock *))
       in
@@ -569,12 +569,16 @@ let free t addr =
       t.pf.Platform.write ~addr ~len:8
     end
     else begin
-      (* Take the block's line before locking: the block is the
-         allocator's from the call on, so the read-for-ownership (usually
-         a coherence miss, the line last written by the processor that
-         used the block) need not sit inside the owner heap's critical
-         section. The link store under the lock then hits. *)
+      (* Take the block's line and the header's before locking, so
+         neither read-for-ownership sits inside the owner heap's critical
+         section. Each is usually a coherence miss: the block was last
+         written by the processor that used it, the header by the last
+         free or malloc in its superblock. The block is the allocator's
+         from the call on, and the free reads the owner that picks the
+         lock from the header anyway. The link store and header write
+         under the lock then hit. *)
       t.pf.Platform.write ~addr ~len:8;
+      Superblock.touch_header t.pf sb;
       match lock_owner t sb with
       | Some h ->
         let my = my_heap t in
@@ -584,7 +588,7 @@ let free t addr =
         end;
         t.pf.Platform.write ~addr ~len:8;
         Heap_core.free h.core sb addr;
-        Heap.touch_header t.pf sb;
+        Superblock.touch_header t.pf sb;
         Alloc_stats.on_free h.sh ~usable:(Superblock.block_size sb);
         trim_heap t h ~sclass:(Superblock.sclass sb);
         h.lock.release ()
@@ -701,7 +705,7 @@ let on_thread_exit t =
      List.iter
        (fun sb ->
          Superblock.set_owner sb 0;
-         Heap.touch_header t.pf sb)
+         Superblock.touch_header t.pf sb)
        !orphans
    else Global_heap.put t.global h !orphans);
   h.lock.release ();

@@ -208,14 +208,12 @@ let test_remote_free_returns_to_owner () =
   Alcotest.(check int) "nothing live" 0 s.Alloc_stats.live_bytes;
   a.Alloc_intf.check ()
 
-(* The paper-exact free takes the freed block's line before it locks the
-   owner heap, so a remote free's critical section holds no coherence miss
-   on the block. Proc 0 writes two blocks of two of its heap's
-   superblocks; proc 1 writes the first itself, then frees both. Only the
-   second is in another cache at its free, yet both hold heap 1's lock
-   for the same span: the header writes and bookkeeping are alike, and
-   neither in-lock link store misses. *)
-let test_remote_free_miss_outside_owner_lock () =
+(* Remote frees on the paper-exact path, timed by heap 1's hold spans.
+   Proc 0 mallocs a block of each of [sizes] and writes them all; after a
+   barrier proc 1 writes the blocks [rewrite] selects (by index), so their
+   lines are in its own cache, then frees every block in order. Returns
+   proc 1's hold spans of heap 1's lock, one per free. *)
+let remote_free_hold_spans ~sizes ~rewrite =
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
   let spans = ref [] in
@@ -224,26 +222,46 @@ let test_remote_free_miss_outside_owner_lock () =
       if name = "hoard.heap1" && proc = 1 then spans := (at - acquired_at) :: !spans)
     ();
   let a = Hoard.allocator (Hoard.create pf) in
-  let p = ref 0 and q = ref 0 in
+  let blocks = ref [] in
   let b = Sim.new_barrier sim ~parties:2 in
   ignore
     (Sim.spawn sim ~proc:0 (fun () ->
-         p := a.Alloc_intf.malloc 64;
-         q := a.Alloc_intf.malloc 512;
-         pf.Platform.write ~addr:!p ~len:64;
-         pf.Platform.write ~addr:!q ~len:512;
+         blocks := List.map (fun size -> (a.Alloc_intf.malloc size, size)) sizes;
+         List.iter (fun (addr, len) -> pf.Platform.write ~addr ~len) !blocks;
          Sim.barrier_wait b));
   ignore
     (Sim.spawn sim ~proc:1 (fun () ->
          Sim.barrier_wait b;
-         pf.Platform.write ~addr:!p ~len:64;
-         a.Alloc_intf.free !p;
-         a.Alloc_intf.free !q));
+         List.iteri (fun i (addr, len) -> if rewrite i then pf.Platform.write ~addr ~len) !blocks;
+         List.iter (fun (addr, _) -> a.Alloc_intf.free addr) !blocks));
   Sim.run sim;
-  (match List.rev !spans with
-   | [ own_line; remote_line ] -> Alcotest.(check int) "hold span independent of the block's cache" own_line remote_line
-   | l -> Alcotest.failf "expected two heap-1 holds by proc 1, got %d" (List.length l));
-  a.Alloc_intf.check ()
+  a.Alloc_intf.check ();
+  List.rev !spans
+
+(* The paper-exact free takes the freed block's line before it locks the
+   owner heap, so a remote free's critical section holds no coherence miss
+   on the block. Two blocks of two of heap 1's superblocks; proc 1 writes
+   the first itself. Only the second is in another cache at its free, yet
+   both hold heap 1's lock for the same span: the header writes and
+   bookkeeping are alike, and neither in-lock link store misses. *)
+let test_remote_free_miss_outside_owner_lock () =
+  match remote_free_hold_spans ~sizes:[ 64; 512 ] ~rewrite:(fun i -> i = 0) with
+  | [ own_line; remote_line ] -> Alcotest.(check int) "hold span independent of the block's cache" own_line remote_line
+  | l -> Alcotest.failf "expected two heap-1 holds by proc 1, got %d" (List.length l)
+
+(* The free also takes the superblock header's line before it locks the
+   owner heap: it reads the owner from that header to pick the lock. Two
+   blocks of superblock A, then one of B; proc 1 writes all three itself,
+   so no block line misses. The first free into each superblock finds its
+   header in proc 0's cache, the second into A in proc 1's, yet all three
+   hold heap 1's lock for the same span: the header miss is paid before
+   the lock. *)
+let test_remote_free_header_miss_outside_owner_lock () =
+  match remote_free_hold_spans ~sizes:[ 64; 64; 512 ] ~rewrite:(fun _ -> true) with
+  | [ first_a; second_a; first_b ] ->
+    Alcotest.(check int) "first free into A as the second" second_a first_a;
+    Alcotest.(check int) "first free into B as the second into A" second_a first_b
+  | l -> Alcotest.failf "expected three heap-1 holds by proc 1, got %d" (List.length l)
 
 let test_heaps_info () =
   let pf = Platform.host ~nprocs:1 () in
@@ -1804,6 +1822,8 @@ let () =
           Alcotest.test_case "remote free" `Quick test_remote_free_returns_to_owner;
           Alcotest.test_case "paper-exact remote free keeps the block's miss outside the owner lock" `Quick
             test_remote_free_miss_outside_owner_lock;
+          Alcotest.test_case "paper-exact remote free keeps the header's miss outside the owner lock" `Quick
+            test_remote_free_header_miss_outside_owner_lock;
         ] );
       ( "front end",
         [
