@@ -23,11 +23,11 @@ let () =
   print_endline "\nspeedup of the simulated parallel run (tree nodes heap-allocated each step):";
   Printf.printf "%4s %14s %14s\n" "P" "hoard" "serial";
   let base_h = run (Hoard.factory ()) 1 in
-  let base_s = run (Serial_alloc.factory ()) 1 in
+  let base_s = run (Locked_heaps.serial ()) 1 in
   List.iter
     (fun p ->
       let h = run (Hoard.factory ()) p in
-      let se = run (Serial_alloc.factory ()) p in
+      let se = run (Locked_heaps.serial ()) p in
       Printf.printf "%4d %14.2f %14.2f\n" p (float_of_int base_h /. float_of_int h)
         (float_of_int base_s /. float_of_int se))
     [ 1; 2; 4; 8 ];

@@ -39,9 +39,9 @@ let () =
   in
   List.iter replay_on
     [
-      Serial_alloc.factory ();
+      Locked_heaps.serial ();
       Pure_private.factory ();
-      Private_ownership.factory ();
+      Locked_heaps.private_ownership ();
       Hoard.factory ();
     ];
 

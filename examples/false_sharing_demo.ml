@@ -27,7 +27,7 @@ let () =
       let cycles, invals, ops = run factory in
       Printf.printf "%-20s %12d %15d %12.2f\n" factory.Alloc_intf.label cycles invals
         (float_of_int invals /. float_of_int ops))
-    [ Serial_alloc.factory (); Concurrent_single.factory (); Private_ownership.factory (); Hoard.factory () ];
+    [ Locked_heaps.serial (); Locked_heaps.concurrent_single (); Locked_heaps.private_ownership (); Hoard.factory () ];
   print_endline "\nThe serial and concurrent-single allocators actively induce false";
   print_endline "sharing (blocks from one cache line go to different processors);";
   print_endline "Hoard and ownership-based heaps avoid it."

@@ -22,7 +22,7 @@ let () =
       ()
   in
   let allocators =
-    [ Serial_alloc.factory (); Concurrent_single.factory (); Private_ownership.factory (); Hoard.factory () ]
+    [ Locked_heaps.serial (); Locked_heaps.concurrent_single (); Locked_heaps.private_ownership (); Hoard.factory () ]
   in
   Printf.printf "Larson throughput (memory ops per Mcycle), up to %d processors:\n\n" max_procs;
   Printf.printf "%4s" "P";

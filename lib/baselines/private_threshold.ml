@@ -1,3 +1,7 @@
+let sb_size = 8192
+
+let path_work = 22
+
 type pheap = {
   free_lists : int list array; (* per class *)
   counts : int array;
@@ -15,15 +19,13 @@ type t = {
   sh : Alloc_stats.shard; (* shard 0: small-path events; thread-private heaps are sim-only *)
   owner : int;
   large : Locked_large.t;
-  sb_size : int;
-  path_work : int;
   threshold : int;
   heaps : (int, pheap) Hashtbl.t; (* tid -> heap *)
   table_lock : Platform.lock;
   pools : pool array; (* per class *)
 }
 
-let create ?(sb_size = 8192) ?(path_work = 22) ?(threshold = 32) pf =
+let create ?(threshold = 32) pf =
   if threshold < 2 then invalid_arg "Private_threshold.create: threshold must be >= 2";
   let classes = Size_class.create ~max_small:(sb_size / 2) () in
   let stats = Alloc_stats.create ~shards:2 () in
@@ -36,8 +38,6 @@ let create ?(sb_size = 8192) ?(path_work = 22) ?(threshold = 32) pf =
     sh = Alloc_stats.shard stats 0;
     owner;
     large = Locked_large.create pf ~owner ~stats ~shard:1 ~threshold:(sb_size / 2);
-    sb_size;
-    path_work;
     threshold;
     heaps = Hashtbl.create 32;
     table_lock = pf.Platform.new_lock "threshold.table";
@@ -107,7 +107,7 @@ let refill_from_pool t h sclass block_size =
 
 let malloc t size =
   if size <= 0 then invalid_arg "Private_threshold.malloc: size must be positive";
-  t.pf.Platform.work t.path_work;
+  t.pf.Platform.work path_work;
   if Locked_large.is_large t.large size then Locked_large.malloc t.large size
   else begin
     let sclass = Size_class.class_of_size t.classes size in
@@ -126,11 +126,11 @@ let malloc t size =
           match h.current.(sclass) with
           | Some sb when not (Superblock.is_full sb) -> sb
           | _ ->
-            let base = t.pf.Platform.page_map ~bytes:t.sb_size ~align:t.sb_size ~owner:t.owner in
-            let sb = Superblock.create ~base ~sb_size:t.sb_size ~sclass ~block_size in
+            let base = t.pf.Platform.page_map ~bytes:sb_size ~align:sb_size ~owner:t.owner in
+            let sb = Superblock.create ~base ~sb_size ~sclass ~block_size in
             Superblock.set_owner sb (t.pf.Platform.self_tid ());
             Sb_registry.register t.reg sb;
-            Alloc_stats.on_map t.stats ~bytes:t.sb_size;
+            Alloc_stats.on_map t.stats ~bytes:sb_size;
             h.current.(sclass) <- Some sb;
             sb
         in
@@ -142,7 +142,7 @@ let malloc t size =
   end
 
 let free t addr =
-  t.pf.Platform.work t.path_work;
+  t.pf.Platform.work path_work;
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
     let sclass = Superblock.sclass sb in
@@ -203,7 +203,7 @@ let check t =
     failwith "Private_threshold.check: live-bytes accounting mismatch"
 
 let allocator t =
-  Alloc_api.make ~pf:t.pf ~name:"private-threshold" ~owner:t.owner ~large_threshold:(t.sb_size / 2)
+  Alloc_api.make ~pf:t.pf ~name:"private-threshold" ~owner:t.owner ~large_threshold:(sb_size / 2)
     ~malloc:(fun size -> malloc t size)
     ~free:(fun addr -> free t addr)
     ~usable_size:(fun addr -> usable_size t addr)
@@ -211,9 +211,9 @@ let allocator t =
     ~check:(fun () -> check t)
     ()
 
-let factory ?(sb_size = 8192) ?(threshold = 32) () =
+let factory () =
   {
     Alloc_intf.label = "private-threshold";
     description = "per-thread free lists with overflow to a locked global pool (Vee&Hsu/DYNIX style)";
-    instantiate = (fun pf -> allocator (create ~sb_size ~threshold pf));
+    instantiate = (fun pf -> allocator (create pf));
   }

@@ -13,11 +13,11 @@
 
 type t
 
-val create : ?sb_size:int -> ?path_work:int -> ?threshold:int -> Platform.t -> t
+val create : ?threshold:int -> Platform.t -> t
 
 val allocator : t -> Alloc_intf.t
 
-val factory : ?sb_size:int -> ?threshold:int -> unit -> Alloc_intf.factory
+val factory : unit -> Alloc_intf.factory
 
 val global_pool_blocks : t -> sclass:int -> int
 (** Blocks currently parked in the global pool of a class (tests). *)

@@ -1,3 +1,7 @@
+let sb_size = 8192
+
+let path_work = 20
+
 type pheap = {
   free_lists : int list array; (* per class: stack of free block addresses *)
   mutable free_bytes : int;
@@ -12,13 +16,11 @@ type t = {
   sh : Alloc_stats.shard; (* shard 0: small-path events; thread-private heaps are sim-only *)
   owner : int;
   large : Locked_large.t;
-  sb_size : int;
-  path_work : int;
   heaps : (int, pheap) Hashtbl.t; (* tid -> heap *)
   table_lock : Platform.lock;
 }
 
-let create ?(sb_size = 8192) ?(path_work = 20) pf =
+let create pf =
   let classes = Size_class.create ~max_small:(sb_size / 2) () in
   let stats = Alloc_stats.create ~shards:2 () in
   let owner = Alloc_intf.next_owner () in
@@ -30,8 +32,6 @@ let create ?(sb_size = 8192) ?(path_work = 20) pf =
     sh = Alloc_stats.shard stats 0;
     owner;
     large = Locked_large.create pf ~owner ~stats ~shard:1 ~threshold:(sb_size / 2);
-    sb_size;
-    path_work;
     heaps = Hashtbl.create 32;
     table_lock = pf.Platform.new_lock "pureprivate.table";
   }
@@ -56,7 +56,7 @@ let my_heap t =
 
 let malloc t size =
   if size <= 0 then invalid_arg "Pure_private.malloc: size must be positive";
-  t.pf.Platform.work t.path_work;
+  t.pf.Platform.work path_work;
   if Locked_large.is_large t.large size then Locked_large.malloc t.large size
   else begin
     let sclass = Size_class.class_of_size t.classes size in
@@ -73,13 +73,13 @@ let malloc t size =
           match h.current.(sclass) with
           | Some sb when not (Superblock.is_full sb) -> sb
           | _ ->
-            let base = t.pf.Platform.page_map ~bytes:t.sb_size ~align:t.sb_size ~owner:t.owner in
+            let base = t.pf.Platform.page_map ~bytes:sb_size ~align:sb_size ~owner:t.owner in
             let sb =
-              Superblock.create ~base ~sb_size:t.sb_size ~sclass ~block_size
+              Superblock.create ~base ~sb_size ~sclass ~block_size
             in
             Superblock.set_owner sb (t.pf.Platform.self_tid ());
             Sb_registry.register t.reg sb;
-            Alloc_stats.on_map t.stats ~bytes:t.sb_size;
+            Alloc_stats.on_map t.stats ~bytes:sb_size;
             h.current.(sclass) <- Some sb;
             sb
         in
@@ -91,7 +91,7 @@ let malloc t size =
   end
 
 let free t addr =
-  t.pf.Platform.work t.path_work;
+  t.pf.Platform.work path_work;
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
     let sclass = Superblock.sclass sb in
@@ -141,7 +141,7 @@ let check t =
     failwith "Pure_private.check: live-bytes accounting mismatch"
 
 let allocator t =
-  Alloc_api.make ~pf:t.pf ~name:"pure-private" ~owner:t.owner ~large_threshold:(t.sb_size / 2)
+  Alloc_api.make ~pf:t.pf ~name:"pure-private" ~owner:t.owner ~large_threshold:(sb_size / 2)
     ~malloc:(fun size -> malloc t size)
     ~free:(fun addr -> free t addr)
     ~usable_size:(fun addr -> usable_size t addr)
@@ -149,9 +149,9 @@ let allocator t =
     ~check:(fun () -> check t)
     ()
 
-let factory ?(sb_size = 8192) () =
+let factory () =
   {
     Alloc_intf.label = "pure-private";
     description = "lock-free per-thread heaps, free-to-freeer (STL/Cilk style; unbounded blowup)";
-    instantiate = (fun pf -> allocator (create ~sb_size pf));
+    instantiate = (fun pf -> allocator (create pf));
   }

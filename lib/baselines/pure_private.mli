@@ -12,11 +12,11 @@
 
 type t
 
-val create : ?sb_size:int -> ?path_work:int -> Platform.t -> t
+val create : Platform.t -> t
 
 val allocator : t -> Alloc_intf.t
 
-val factory : ?sb_size:int -> unit -> Alloc_intf.factory
+val factory : unit -> Alloc_intf.factory
 
 val thread_free_bytes : t -> tid:int -> int
 (** Bytes sitting on one thread's private free lists (blowup diagnostics). *)

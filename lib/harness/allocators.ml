@@ -42,10 +42,10 @@ let hoard_gl ?front_end ?large_cache () = hoard_gl_of (gl_config ?front_end ?lar
 
 let all () =
   [
-    Serial_alloc.factory ();
-    Concurrent_single.factory ();
+    Locked_heaps.serial ();
+    Locked_heaps.concurrent_single ();
     Pure_private.factory ();
-    Private_ownership.factory ();
+    Locked_heaps.private_ownership ();
     Private_threshold.factory ();
     Hoard.factory ();
     hoard_fe ();

@@ -19,7 +19,7 @@ let default_procs = function
 (* The paper's comparison set: Hoard vs Ptmalloc (private-ownership) vs
    MTmalloc (concurrent-single) vs Solaris malloc (serial). *)
 let figure_allocators () =
-  [ Serial_alloc.factory (); Concurrent_single.factory (); Private_ownership.factory (); Hoard.factory () ]
+  [ Locked_heaps.serial (); Locked_heaps.concurrent_single (); Locked_heaps.private_ownership (); Hoard.factory () ]
 
 let all_allocators () = figure_allocators () @ [ Pure_private.factory (); Private_threshold.factory () ]
 
@@ -170,7 +170,7 @@ let taxonomy =
             ("blowup class", Table.Left);
           ]
     in
-    let serial_base = run_one (threadtest scale) (Serial_alloc.factory ()) ~nprocs:1 in
+    let serial_base = run_one (threadtest scale) (Locked_heaps.serial ()) ~nprocs:1 in
     List.iter
       (fun alloc ->
         (* Fast: uniprocessor threadtest time relative to the serial allocator. *)
@@ -350,7 +350,7 @@ let uniproc_overhead =
     in
     List.iter
       (fun w ->
-        let base = run_one w (Serial_alloc.factory ()) ~nprocs:1 in
+        let base = run_one w (Locked_heaps.serial ()) ~nprocs:1 in
         let row =
           List.map
             (fun alloc ->
@@ -415,7 +415,7 @@ let blowup_exp =
   let run scale ~procs =
     ignore procs;
     let allocs =
-      [ Hoard.factory (); Private_ownership.factory (); Pure_private.factory (); Serial_alloc.factory () ]
+      [ Hoard.factory (); Locked_heaps.private_ownership (); Pure_private.factory (); Locked_heaps.serial () ]
     in
     let columns =
       ("rounds", Table.Right)
@@ -806,7 +806,7 @@ let costmodel_exp =
           let base = Runner.run (Runner.spec ~cost (threadtest scale) alloc ~nprocs:1) in
           Runner.speedup ~base (Runner.run (Runner.spec ~cost (threadtest scale) alloc ~nprocs:p))
         in
-        let s_serial = sp (Serial_alloc.factory ()) and s_hoard = sp (Hoard.factory ()) in
+        let s_serial = sp (Locked_heaps.serial ()) and s_hoard = sp (Hoard.factory ()) in
         Table.add_row tbl
           [ name; Table.cell_float s_serial; Table.cell_float s_hoard; Table.cell_ratio (s_hoard /. s_serial) ])
       models;
@@ -830,7 +830,7 @@ let timeline_exp =
       | Quick -> 20
       | Full -> 60
     in
-    let allocs = [ Hoard.factory (); Private_ownership.factory (); Pure_private.factory () ] in
+    let allocs = [ Hoard.factory (); Locked_heaps.private_ownership (); Pure_private.factory () ] in
     let timelines =
       List.map
         (fun alloc ->
@@ -1031,10 +1031,10 @@ let abl_lock =
     List.iter
       (fun p ->
         let spin =
-          Runner.run (Runner.spec ~lock_kind:Sim.Spin (threadtest scale) (Serial_alloc.factory ()) ~nprocs:p)
+          Runner.run (Runner.spec ~lock_kind:Sim.Spin (threadtest scale) (Locked_heaps.serial ()) ~nprocs:p)
         in
         let ticket =
-          Runner.run (Runner.spec ~lock_kind:Sim.Ticket (threadtest scale) (Serial_alloc.factory ()) ~nprocs:p)
+          Runner.run (Runner.spec ~lock_kind:Sim.Ticket (threadtest scale) (Locked_heaps.serial ()) ~nprocs:p)
         in
         Table.add_row tbl
           [
@@ -1063,7 +1063,7 @@ let oversub =
       | Some (p :: _) -> p
       | _ -> ( match scale with Quick -> 4 | Full -> 8)
     in
-    let allocs = [ Private_ownership.factory (); Hoard.factory () ] in
+    let allocs = [ Locked_heaps.private_ownership (); Hoard.factory () ] in
     let tbl =
       Table.create
         ~title:(Printf.sprintf "Oversubscription: threadtest cycles at %d processors, threads = k*P" p)
@@ -1313,8 +1313,8 @@ let server_params profile scale =
    global heap with deferred remote-free lists). *)
 let server_allocators () =
   [
-    Serial_alloc.factory ();
-    Private_ownership.factory ();
+    Locked_heaps.serial ();
+    Locked_heaps.private_ownership ();
     Hoard.factory ();
     Allocators.hoard_fe ();
     Allocators.hoard_gl ();

@@ -118,8 +118,7 @@ let generic_suite name f =
 
 let test_serial_single_lock_contention () =
   let sim = Sim.create ~nprocs:4 () in
-  let t = Serial_alloc.create (Sim.platform sim) in
-  let a = Serial_alloc.allocator t in
+  let a = (Locked_heaps.serial ()).Alloc_intf.instantiate (Sim.platform sim) in
   for _ = 0 to 3 do
     ignore
       (Sim.spawn sim (fun () ->
@@ -166,8 +165,7 @@ let test_private_ownership_blowup_bounded_by_p () =
   (* Same adversary: ownership-based heaps stay bounded (no growth with
      rounds), unlike pure-private. *)
   let sim = Sim.create ~nprocs:2 () in
-  let t = Private_ownership.create (Sim.platform sim) in
-  let a = Private_ownership.allocator t in
+  let a = (Locked_heaps.private_ownership ()).Alloc_intf.instantiate (Sim.platform sim) in
   let b = Sim.new_barrier sim ~parties:2 in
   let box = ref [] in
   let rounds = 40 and batch = 300 in
@@ -194,8 +192,7 @@ let test_private_ownership_blowup_bounded_by_p () =
 let test_concurrent_single_classes_parallel () =
   (* Two threads on different size classes should not contend. *)
   let sim = Sim.create ~nprocs:2 () in
-  let t = Concurrent_single.create (Sim.platform sim) in
-  let a = Concurrent_single.allocator t in
+  let a = (Locked_heaps.concurrent_single ()).Alloc_intf.instantiate (Sim.platform sim) in
   ignore
     (Sim.spawn sim ~proc:0 (fun () ->
          for _ = 1 to 200 do
@@ -209,6 +206,63 @@ let test_concurrent_single_classes_parallel () =
   Sim.run sim;
   let spins = List.fold_left (fun acc (_, _, s) -> acc + s) 0 (Sim.lock_stats sim) in
   Alcotest.(check int) "no lock contention across classes" 0 spins
+
+(* The three locking rows are one module with three heap policies; pin
+   what each policy decides. *)
+let locked_policies =
+  let classes = Size_class.create ~max_small:4096 () in
+  let class_lock = Printf.sprintf "concsingle.class%d" in
+  (* label, factory, heap locks, the lock of proc 0's 64 B home heap, remote frees *)
+  [
+    ("serial", Locked_heaps.serial, [ "serial.heap" ], "serial.heap", 0);
+    ( "concurrent-single",
+      Locked_heaps.concurrent_single,
+      List.init (Size_class.count classes) class_lock,
+      class_lock (Size_class.class_of_size classes 64),
+      0 );
+    ( "private-ownership",
+      Locked_heaps.private_ownership,
+      [ "ownership.heap0"; "ownership.heap1" ],
+      "ownership.heap0",
+      1 );
+  ]
+
+let test_locked_heaps_policies () =
+  List.iter
+    (fun (label, factory, heap_locks, home_lock, remote) ->
+      let sim = Sim.create ~nprocs:2 () in
+      let a = (factory ()).Alloc_intf.instantiate (Sim.platform sim) in
+      (* Creation order fixes each lock word's simulated address. *)
+      let names = List.map (fun (n, _, _) -> n) (Sim.lock_stats sim) in
+      let expected = ("large" :: List.init 64 (Printf.sprintf "sbreg.s%d")) @ heap_locks in
+      Alcotest.(check (list string)) (label ^ ": locks in creation order") expected names;
+      (* Proc 0 mallocs a block, proc 1 frees it, proc 0 mallocs again. *)
+      let b = Sim.new_barrier sim ~parties:2 in
+      let first = ref 0 and again = ref 0 in
+      ignore
+        (Sim.spawn sim ~proc:0 (fun () ->
+             first := a.Alloc_intf.malloc 64;
+             Sim.barrier_wait b;
+             Sim.barrier_wait b;
+             again := a.Alloc_intf.malloc 64));
+      ignore
+        (Sim.spawn sim ~proc:1 (fun () ->
+             Sim.barrier_wait b;
+             a.Alloc_intf.free !first;
+             Sim.barrier_wait b));
+      Sim.run sim;
+      a.Alloc_intf.check ();
+      Alcotest.(check int) (label ^ ": remote frees") remote (a.Alloc_intf.stats ()).Alloc_stats.remote_frees;
+      (* The free took the owning heap's lock, not the freeing processor's,
+         and the owner reuses the block. *)
+      let used =
+        List.filter_map
+          (fun (n, acqs, _) -> if acqs > 0 && List.mem n heap_locks then Some (n, acqs) else None)
+          (Sim.lock_stats sim)
+      in
+      Alcotest.(check (list (pair string int))) (label ^ ": one heap took all three") [ (home_lock, 3) ] used;
+      Alcotest.(check int) (label ^ ": block back on its heap") !first !again)
+    locked_policies
 
 let test_threshold_flushes_to_global_pool () =
   let pf = Platform.host () in
@@ -282,10 +336,10 @@ let test_pure_private_no_locks_on_fast_path () =
 let () =
   Alcotest.run "baselines"
     [
-      generic_suite "generic:serial" (Serial_alloc.factory ());
-      generic_suite "generic:concurrent-single" (Concurrent_single.factory ());
+      generic_suite "generic:serial" (Locked_heaps.serial ());
+      generic_suite "generic:concurrent-single" (Locked_heaps.concurrent_single ());
       generic_suite "generic:pure-private" (Pure_private.factory ());
-      generic_suite "generic:private-ownership" (Private_ownership.factory ());
+      generic_suite "generic:private-ownership" (Locked_heaps.private_ownership ());
       generic_suite "generic:private-threshold" (Private_threshold.factory ());
       generic_suite "generic:hoard" (Hoard.factory ());
       ( "family",
@@ -294,6 +348,7 @@ let () =
           Alcotest.test_case "pure-private blowup" `Quick test_pure_private_blowup_unbounded;
           Alcotest.test_case "ownership blowup bounded" `Quick test_private_ownership_blowup_bounded_by_p;
           Alcotest.test_case "concurrent-single parallel classes" `Quick test_concurrent_single_classes_parallel;
+          Alcotest.test_case "locked-heaps policies" `Quick test_locked_heaps_policies;
           Alcotest.test_case "pure-private lock-free" `Quick test_pure_private_no_locks_on_fast_path;
           Alcotest.test_case "threshold flushes to pool" `Quick test_threshold_flushes_to_global_pool;
           Alcotest.test_case "threshold blowup bounded" `Quick test_threshold_blowup_bounded;

@@ -487,7 +487,7 @@ let test_oracle_catches_misbehavior () =
   (* The oracle itself must reject bad allocators: a double free through
      the wrapped interface raises. *)
   let pf = Platform.host () in
-  let a = (Serial_alloc.factory ()).Alloc_intf.instantiate pf in
+  let a = (Locked_heaps.serial ()).Alloc_intf.instantiate pf in
   let _o, checked = Oracle.wrap pf a in
   let addr = checked.Alloc_intf.malloc 64 in
   checked.Alloc_intf.free addr;

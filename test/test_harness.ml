@@ -4,7 +4,7 @@
 
 let hoard = Hoard.factory ()
 
-let serial = Serial_alloc.factory ()
+let serial = Locked_heaps.serial ()
 
 let tt = Threadtest.make ~params:{ Threadtest.default_params with Threadtest.iterations = 3; objects = 1600 } ()
 

@@ -99,10 +99,10 @@ let test_replay_differential () =
       Alcotest.(check int) (f.Alloc_intf.label ^ " empty") 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes;
       a.Alloc_intf.check ())
     [
-      Serial_alloc.factory ();
-      Concurrent_single.factory ();
+      Locked_heaps.serial ();
+      Locked_heaps.concurrent_single ();
       Pure_private.factory ();
-      Private_ownership.factory ();
+      Locked_heaps.private_ownership ();
       Hoard.factory ();
     ]
 

@@ -347,17 +347,6 @@ let test_plot_single_point () =
   let s = Ascii_plot.render ~title:"pt" ~series:[ ("p", [ (5.0, 5.0) ]) ] () in
   Alcotest.(check bool) "renders" true (contains s "*")
 
-(* --- Stats_acc --- *)
-
-let test_stats_acc_basics () =
-  let s = Stats_acc.create () in
-  List.iter (Stats_acc.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats_acc.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats_acc.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats_acc.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats_acc.max_value s);
-  Alcotest.(check (float 1e-9)) "variance" 1.25 (Stats_acc.variance s)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -411,5 +400,4 @@ let () =
           Alcotest.test_case "flat series" `Quick test_plot_flat_series;
           Alcotest.test_case "single point" `Quick test_plot_single_point;
         ] );
-      ("stats_acc", [ Alcotest.test_case "basics" `Quick test_stats_acc_basics ]);
     ]

@@ -62,7 +62,12 @@ let test_all_run_on_every_allocator () =
             (w.Workload_intf.w_name ^ " on " ^ f.Alloc_intf.label ^ ": clean")
             0 r.Runner.r_stats.Alloc_stats.live_bytes)
         all_workloads)
-    [ Serial_alloc.factory (); Concurrent_single.factory (); Pure_private.factory (); Private_ownership.factory () ]
+    [
+      Locked_heaps.serial ();
+      Locked_heaps.concurrent_single ();
+      Pure_private.factory ();
+      Locked_heaps.private_ownership ();
+    ]
 
 let test_deterministic () =
   List.iter
@@ -85,7 +90,7 @@ let test_larson_bleeds_across_threads () =
   Alcotest.(check bool) "remote frees happened" true (r.Runner.r_stats.Alloc_stats.remote_frees > 0)
 
 let test_active_false_sharing_detected_on_serial () =
-  let serial = run_workload (False_sharing.active ~params:small_false ()) (Serial_alloc.factory ()) in
+  let serial = run_workload (False_sharing.active ~params:small_false ()) (Locked_heaps.serial ()) in
   let hoard_r = run_workload (False_sharing.active ~params:small_false ()) hoard in
   let per_op r = float_of_int r.Runner.r_invalidations /. float_of_int r.Runner.r_ops in
   Alcotest.(check bool)
@@ -108,7 +113,7 @@ let test_phased_blowup_separates_families () =
     let s = r.Runner.r_stats in
     float_of_int s.Alloc_stats.peak_held_bytes /. float_of_int s.Alloc_stats.peak_live_bytes
   in
-  let own = blowup (Private_ownership.factory ()) and hrd = blowup hoard in
+  let own = blowup (Locked_heaps.private_ownership ()) and hrd = blowup hoard in
   Alcotest.(check bool)
     (Printf.sprintf "ownership blowup %.2f ~ P, hoard %.2f ~ 1" own hrd)
     true
