@@ -27,9 +27,13 @@ type t = {
   malloc_batch : int -> int -> int array;
       (** [malloc_batch n size]: [n] blocks of at least [size] bytes.
           Default: [n] repeated mallocs; batching allocators amortise
-          their lock traffic instead. *)
+          their per-call path and lock traffic instead (Hoard: one path
+          cost per call, its front-end cache first, one heap lock for
+          the rest). *)
   free_batch : int array -> unit;
-      (** frees every address; default is repeated [free]. *)
+      (** frees every address, with [free]'s errors for each; default is
+          repeated [free]. A batching allocator pays its per-call path
+          cost once (Hoard with a front end). *)
   flush : unit -> unit;
       (** returns whatever the calling thread's front end holds (cached
           blocks, queued remote frees) to the shared structure; a no-op

@@ -461,6 +461,21 @@ let malloc_fill t tc ~size ~sclass ~block_size =
   if !spill <> [] then dispose_batch t !spill;
   addr
 
+(* A front-end hit: pop the class's newest cached block, lock-free. *)
+let pop_cached t tc ~size ~sclass =
+  match tc.tc_slots.(sclass) with
+  | [] -> None
+  | (addr, sb) :: rest ->
+    tc.tc_slots.(sclass) <- rest;
+    tc.tc_count.(sclass) <- tc.tc_count.(sclass) - 1;
+    (* Custody ends: the block is the program's again, and a free of it
+       must be accepted. *)
+    Superblock.clear_cached sb addr;
+    Alloc_stats.on_cache_hit tc.tc_sh ~requested:size;
+    event_tc t tc Event_ring.Cache_hit ~sclass ~arg:addr;
+    t.pf.Platform.write ~addr ~len:8;
+    Some addr
+
 let malloc t size =
   if size <= 0 then invalid_arg "Hoard.malloc: size must be positive";
   t.pf.Platform.work t.cfg.path_work;
@@ -470,18 +485,9 @@ let malloc t size =
     let block_size = Size_class.size_of_class t.classes sclass in
     if t.fe > 0 then begin
       let tc = tcache t in
-      match tc.tc_slots.(sclass) with
-      | (addr, sb) :: rest ->
-        tc.tc_slots.(sclass) <- rest;
-        tc.tc_count.(sclass) <- tc.tc_count.(sclass) - 1;
-        (* Custody ends: the block is the program's again, and a free of
-           it must be accepted. *)
-        Superblock.clear_cached sb addr;
-        Alloc_stats.on_cache_hit tc.tc_sh ~requested:size;
-        event_tc t tc Event_ring.Cache_hit ~sclass ~arg:addr;
-        t.pf.Platform.write ~addr ~len:8;
-        addr
-      | [] -> malloc_fill t tc ~size ~sclass ~block_size
+      match pop_cached t tc ~size ~sclass with
+      | Some addr -> addr
+      | None -> malloc_fill t tc ~size ~sclass ~block_size
     end
     else begin
       let h = my_heap t in
@@ -509,8 +515,11 @@ let malloc t size =
     end
   end
 
-(* Batched allocation: one heap-lock acquisition for the whole request,
-   regardless of the front-end setting. *)
+(* Batched allocation: one [path_work] for the whole request. With a
+   front end, the calling thread's cache serves first, block by block as
+   a single cache-hit malloc would; whatever it cannot cover takes one
+   heap-lock acquisition, as the whole request does without a front end.
+   The remainder does not refill the cache. *)
 let malloc_many t n size =
   if n <= 0 then [||]
   else if size <= 0 then invalid_arg "Hoard.malloc: size must be positive"
@@ -520,34 +529,50 @@ let malloc_many t n size =
     else begin
       let sclass = Size_class.class_of_size t.classes size in
       let block_size = Size_class.size_of_class t.classes sclass in
-      let h = my_heap t in
-      let spill = ref [] in
-      let detached = Heap.detach h in
-      h.lock.acquire ();
-      ignore (drain_pending t h ~detached ~spill);
-      let out = Array.make n 0 and got = ref 0 and from = ref [] in
-      while !got < n do
-        match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
-        | [] -> refill t h ~sclass ~block_size ~spill
-        | batch ->
-          List.iter
-            (fun (addr, sb) ->
-              out.(!got) <- addr;
-              Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
-              t.pf.Platform.write ~addr ~len:8;
-              from := (sb, addr) :: !from;
-              incr got)
-            batch
-      done;
-      Heap.touch_headers t.pf (List.rev !from);
-      h.lock.release ();
-      if !spill <> [] then dispose_batch t !spill;
+      let out = Array.make n 0 and got = ref 0 in
+      (if t.fe > 0 then
+         let tc = tcache t in
+         let rec pop () =
+           if !got < n then
+             match pop_cached t tc ~size ~sclass with
+             | Some addr ->
+               out.(!got) <- addr;
+               incr got;
+               pop ()
+             | None -> ()
+         in
+         pop ());
+      if !got < n then begin
+        let h = my_heap t in
+        let spill = ref [] in
+        let detached = Heap.detach h in
+        h.lock.acquire ();
+        ignore (drain_pending t h ~detached ~spill);
+        let from = ref [] in
+        while !got < n do
+          match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
+          | [] -> refill t h ~sclass ~block_size ~spill
+          | batch ->
+            List.iter
+              (fun (addr, sb) ->
+                out.(!got) <- addr;
+                Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
+                t.pf.Platform.write ~addr ~len:8;
+                from := (sb, addr) :: !from;
+                incr got)
+              batch
+        done;
+        Heap.touch_headers t.pf (List.rev !from);
+        h.lock.release ();
+        if !spill <> [] then dispose_batch t !spill
+      end;
       out
     end
   end
 
-let free t addr =
-  t.pf.Platform.work t.cfg.path_work;
+(* The body of a free, after its [path_work]: [free] charges that once per
+   block, [free_many] once per batch. *)
+let free_block t addr =
   match Sb_registry.lookup t.reg ~addr with
   | Some sb ->
     if t.fe > 0 then begin
@@ -614,6 +639,21 @@ let free t addr =
         if !spill <> [] then dispose_batch t !spill
     end
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
+
+let free t addr =
+  t.pf.Platform.work t.cfg.path_work;
+  free_block t addr
+
+(* Batched free: with a front end, one [path_work] for the whole batch,
+   then every block takes the single free's body (its checks, its cache
+   push, its flush on overflow). Without one, the loop of single frees:
+   the paper's algorithm has no batch free. *)
+let free_many t addrs =
+  if t.fe = 0 then Array.iter (free t) addrs
+  else if Array.length addrs > 0 then begin
+    t.pf.Platform.work t.cfg.path_work;
+    Array.iter (free_block t) addrs
+  end
 
 let usable_size t addr =
   match Sb_registry.lookup t.reg ~addr with
@@ -872,6 +912,7 @@ let allocator t =
     ~stats:(fun () -> Alloc_stats.snapshot t.stats)
     ~check:(fun () -> check t)
     ~malloc_batch:(fun n size -> malloc_many t n size)
+    ~free_batch:(fun addrs -> free_many t addrs)
     ~flush:(fun () -> flush t)
     ~thread_exit:(fun () -> on_thread_exit t)
     ~realloc:(fun ~addr ~size -> realloc t ~addr ~size)

@@ -47,7 +47,11 @@
     uncapped; an eviction onto the evicting thread's own heap's list
     that would take it past [remote_queue_cap] takes the locked free path
     instead, so at most [remote_queue_cap] own blocks per heap wait
-    there. Cached and pending blocks stay charged to the heap
+    there. The batch calls go through the cache as well:
+    [malloc_batch] pops the class's cached blocks first and takes one
+    heap-lock acquisition only for the remainder, and [free_batch] pays
+    the per-call path cost once, then frees each block exactly as
+    [free] does. Cached and pending blocks stay charged to the heap
     that owns their superblock, so the emptiness invariant, the blowup
     bound and {!check} are unchanged. [front_end = 0] is bit-for-bit the
     paper's algorithm.

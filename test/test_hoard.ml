@@ -919,6 +919,93 @@ let test_remote_forward_deferred () =
   a.Alloc_intf.check ();
   Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes
 
+(* --- batch calls through the front end --- *)
+
+(* Runs [body] on processor 0 of a one-processor [Sim] over a fresh
+   instance of [config]; [heap_locks ()] inside [body] returns the
+   hoard.heapN acquisitions since the previous call. Ends in [check]. *)
+let batch_run config body =
+  let sim = Sim.create ~nprocs:1 () in
+  let pf = Sim.platform sim in
+  let acqs = ref 0 in
+  Sim.set_lock_hooks sim
+    ~on_acquire:(fun ~name ~proc:_ ~spins:_ ~at:_ ->
+      if String.starts_with ~prefix:"hoard.heap" name then incr acqs)
+    ();
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let heap_locks () =
+    let n = !acqs in
+    acqs := 0;
+    n
+  in
+  ignore (Sim.spawn sim ~proc:0 (fun () -> body pf a heap_locks));
+  Sim.run sim;
+  Hoard.check h
+
+let sorted a = List.sort compare (Array.to_list a)
+
+(* Both register a 16-block front end. *)
+let batch_configs = List.map (fun label -> (label, Option.get (Allocators.base_config label))) [ "hoard-fe"; "hoard-gl" ]
+
+(* Blocks a batch free leaves in the thread cache serve the next batch
+   malloc of their class with no heap lock; only the part of a batch the
+   cache cannot cover takes the heap, in one acquisition. *)
+let test_malloc_batch_serves_from_cache () =
+  let k = 8 in
+  List.iter
+    (fun (label, config) ->
+      batch_run config (fun _ a heap_locks ->
+          let ps = a.Alloc_intf.malloc_batch k 64 in
+          a.Alloc_intf.free_batch ps;
+          ignore (heap_locks ());
+          let qs = a.Alloc_intf.malloc_batch k 64 in
+          Alcotest.(check int) (label ^ ": cached batch takes no heap lock") 0 (heap_locks ());
+          Alcotest.(check (list int)) (label ^ ": the cached blocks come back") (sorted ps) (sorted qs);
+          a.Alloc_intf.free_batch qs;
+          ignore (heap_locks ());
+          let rs = a.Alloc_intf.malloc_batch (k + 5) 64 in
+          Alcotest.(check int) (label ^ ": the remainder takes one heap lock") 1 (heap_locks ());
+          Alcotest.(check int) (label ^ ": distinct blocks") (k + 5) (List.length (List.sort_uniq compare (sorted rs)));
+          a.Alloc_intf.free_batch rs))
+    batch_configs;
+  batch_run cfg (fun _ a heap_locks ->
+      let ps = a.Alloc_intf.malloc_batch k 64 in
+      a.Alloc_intf.free_batch ps;
+      ignore (heap_locks ());
+      ignore (a.Alloc_intf.malloc_batch k 64);
+      Alcotest.(check int) "no front end: one heap lock per batch" 1 (heap_locks ()))
+
+(* A batch free is the single free per block: the same double-free and
+   foreign-pointer errors, and, while the cache absorbs every block, the
+   same cycles but for the per-call [path_work] it pays once. *)
+let test_free_batch_keeps_free_contract () =
+  List.iter
+    (fun (label, config) ->
+      let a = Hoard.allocator (Hoard.create ~config (Platform.host ())) in
+      let p = a.Alloc_intf.malloc 64 in
+      Alcotest.check_raises (label ^ ": double free in one batch") (Failure "Hoard.free: double free (cached)")
+        (fun () -> a.Alloc_intf.free_batch [| p; p |]);
+      Alcotest.check_raises (label ^ ": foreign pointer") (Invalid_argument "Hoard.free: foreign pointer")
+        (fun () -> a.Alloc_intf.free_batch [| 12345 |]);
+      let n = 8 in
+      let free_cycles free =
+        let spent = ref 0 in
+        batch_run config (fun pf a _ ->
+            let ps = a.Alloc_intf.malloc_batch n 64 in
+            let t0 = pf.Platform.now () in
+            free a ps;
+            spent := pf.Platform.now () - t0);
+        !spent
+      in
+      let singles = free_cycles (fun a ps -> Array.iter a.Alloc_intf.free ps) in
+      let batch = free_cycles (fun a ps -> a.Alloc_intf.free_batch ps) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: batch free saves (n-1) path_work (%d vs %d cycles)" label batch singles)
+        ((n - 1) * config.Hoard_config.path_work)
+        (singles - batch))
+    batch_configs
+
 (* --- the lock-free global heap (Global_index) --- *)
 
 let test_global_locked_by_default () =
@@ -1837,6 +1924,8 @@ let () =
           Alcotest.test_case "recycled tid exit flush" `Quick test_recycled_tid_reflushes_on_exit;
           Alcotest.test_case "remote forwards bounded" `Quick test_remote_forward_bounded;
           Alcotest.test_case "remote forwards batched (deferred)" `Quick test_remote_forward_deferred;
+          Alcotest.test_case "batch malloc serves from the thread cache" `Quick test_malloc_batch_serves_from_cache;
+          Alcotest.test_case "batch free keeps the free contract" `Quick test_free_batch_keeps_free_contract;
         ] );
       ( "global heap",
         [
