@@ -40,7 +40,7 @@ let () =
   List.iter replay_on
     [
       Locked_heaps.serial ();
-      Pure_private.factory ();
+      Private_heaps.pure_private ();
       Locked_heaps.private_ownership ();
       Hoard.factory ();
     ];

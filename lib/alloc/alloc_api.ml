@@ -81,14 +81,3 @@ let make ~pf ~name ~owner ~large_threshold ~malloc ~free ~usable_size ~stats ~ch
     calloc = (fun ~count ~size -> generic_calloc pf ~malloc ~count ~size);
     aligned_alloc = (fun ~align ~size -> generic_aligned_alloc pf ~malloc ~large_threshold ~align ~size);
   }
-
-(* The original free-function forms, kept as thin wrappers over the record
-   members so existing call sites (and their error contracts) are
-   untouched. The [Platform.t] argument is retained for signature
-   stability; the record member already closes over its platform. *)
-
-let calloc (_pf : Platform.t) (a : Alloc_intf.t) ~count ~size = a.Alloc_intf.calloc ~count ~size
-
-let realloc (_pf : Platform.t) (a : Alloc_intf.t) ~addr ~size = a.Alloc_intf.realloc ~addr ~size
-
-let aligned_alloc (_pf : Platform.t) (a : Alloc_intf.t) ~align ~size = a.Alloc_intf.aligned_alloc ~align ~size

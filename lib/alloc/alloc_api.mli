@@ -33,32 +33,15 @@ val make :
     back to [flush] (allocators without per-thread heap assignments have
     nothing further to release), [realloc] is the generic
     allocate-copy-free, and [calloc]/[aligned_alloc] are always the
-    generic forms built over [malloc]. *)
+    generic forms built over [malloc]. [calloc] writes the whole block
+    (the zeroing traffic of C's calloc) and raises [Invalid_argument] on
+    non-positive arguments or overflow. [aligned_alloc] serves alignments
+    up to 8 from the normal path and larger ones, up to the platform page
+    size, page-aligned from the large-object path by over-rounding the
+    request. *)
 
 val generic_realloc :
   Platform.t -> malloc:(int -> int) -> free:(int -> unit) -> usable_size:(int -> int) -> addr:int -> size:int -> int
-(** The default [realloc] {!make} installs (see {!realloc}). *)
-
-(** {2 Free-function forms}
-
-    Thin wrappers delegating to the record members; the [Platform.t]
-    argument is kept for signature stability with existing call sites. *)
-
-val calloc : Platform.t -> Alloc_intf.t -> count:int -> size:int -> int
-(** [calloc pf a ~count ~size] allocates [count * size] bytes and writes
-    the whole block (the zeroing traffic of C's calloc). Raises
-    [Invalid_argument] on non-positive arguments or overflow. *)
-
-val realloc : Platform.t -> Alloc_intf.t -> addr:int -> size:int -> int
-(** [realloc pf a ~addr ~size] returns a block of at least [size] bytes
-    holding the old block's prefix. In-place when the current block
-    already has room; otherwise allocates, copies (charged as reads and
-    writes of the copied bytes) and frees the old block. *)
-
-val aligned_alloc : Platform.t -> Alloc_intf.t -> align:int -> size:int -> int
-(** [aligned_alloc pf a ~align ~size] returns a block whose address is a
-    multiple of [align] (a power of two). Alignments up to 8 use the
-    normal path; larger alignments are served page-aligned from the
-    allocator's large-object path by over-rounding the request, trading
-    memory for alignment, and are only supported up to the platform page
-    size. *)
+(** The default [realloc] {!make} installs: in place when the current
+    block already has room; otherwise allocate, copy (charged as reads and
+    writes of the copied bytes) and free the old block. *)

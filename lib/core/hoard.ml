@@ -256,6 +256,21 @@ let rec dispose_batch t pairs =
        h.lock.release ();
        dispose_batch t !later)
 
+(* Every locked operation on a heap that first takes in its pending
+   remote frees: the channel is detached before the lock, drained under
+   it, [f] runs with the count drained and the spill, and spilled
+   forwards (a drain met an over-full peer queue) take the locked path
+   only after the release, with no heap lock held. *)
+let with_drained t h f =
+  let spill = ref [] in
+  let detached = Heap.detach h in
+  h.lock.acquire ();
+  let drained = drain_pending t h ~detached ~spill in
+  let r = f ~drained ~spill in
+  h.lock.release ();
+  if !spill <> [] then dispose_batch t !spill;
+  r
+
 (* Route cache-evicted blocks out, partitioned by the owner observed now.
    Owner-0 blocks without a heap-0 record park on the calling heap's
    shard of the global heap in one pre-linked CAS. Each other group goes
@@ -420,46 +435,39 @@ let tcache t =
    [fe/2 + 1] blocks — one to return, the rest into the cache. *)
 let malloc_fill t tc ~size ~sclass ~block_size =
   let h = my_heap t in
-  let spill = ref [] in
-  let detached = Heap.detach h in
-  h.lock.acquire ();
-  let drained = drain_pending t h ~detached ~spill in
-  let want = (t.fe / 2) + 1 in
-  let blocks = ref [] and got = ref 0 in
-  while !got < want do
-    match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(want - !got) with
-    | [] -> refill t h ~sclass ~block_size ~spill
-    | batch ->
-      blocks := List.rev_append batch !blocks;
-      got := !got + List.length batch
-  done;
-  Heap.touch_headers t.pf (List.rev_map (fun (addr, sb) -> (sb, addr)) !blocks);
-  let addr =
-    match !blocks with
-    | [] -> assert false (* want >= 1 *)
-    | (addr, _) :: cached ->
-      Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
-      let n_cached = List.length cached in
-      if n_cached > 0 then begin
-        (* Fill surplus enters front-end custody: mark it, so a wild free
-           of a cached address is caught as a double free, not recycled. *)
-        List.iter
-          (fun (a, sb) ->
-            Superblock.mark_cached sb a;
-            tc.tc_slots.(sclass) <- (a, sb) :: tc.tc_slots.(sclass))
-          cached;
-        tc.tc_count.(sclass) <- tc.tc_count.(sclass) + n_cached;
-        Alloc_stats.on_cache_fill h.sh ~blocks:n_cached ~bytes:(n_cached * block_size)
-      end;
-      addr
-  in
-  if drained > 0 then trim_heap ~deep:true t h ~sclass;
-  t.pf.Platform.write ~addr ~len:8;
-  h.lock.release ();
-  (* Spilled forwards (a drain met an over-full peer queue) take the
-     locked path only now, with no heap lock held. *)
-  if !spill <> [] then dispose_batch t !spill;
-  addr
+  with_drained t h (fun ~drained ~spill ->
+    let want = (t.fe / 2) + 1 in
+    let blocks = ref [] and got = ref 0 in
+    while !got < want do
+      match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(want - !got) with
+      | [] -> refill t h ~sclass ~block_size ~spill
+      | batch ->
+        blocks := List.rev_append batch !blocks;
+        got := !got + List.length batch
+    done;
+    Heap.touch_headers t.pf (List.rev_map (fun (addr, sb) -> (sb, addr)) !blocks);
+    let addr =
+      match !blocks with
+      | [] -> assert false (* want >= 1 *)
+      | (addr, _) :: cached ->
+        Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
+        let n_cached = List.length cached in
+        if n_cached > 0 then begin
+          (* Fill surplus enters front-end custody: mark it, so a wild free
+             of a cached address is caught as a double free, not recycled. *)
+          List.iter
+            (fun (a, sb) ->
+              Superblock.mark_cached sb a;
+              tc.tc_slots.(sclass) <- (a, sb) :: tc.tc_slots.(sclass))
+            cached;
+          tc.tc_count.(sclass) <- tc.tc_count.(sclass) + n_cached;
+          Alloc_stats.on_cache_fill h.sh ~blocks:n_cached ~bytes:(n_cached * block_size)
+        end;
+        addr
+    in
+    if drained > 0 then trim_heap ~deep:true t h ~sclass;
+    t.pf.Platform.write ~addr ~len:8;
+    addr)
 
 (* A front-end hit: pop the class's newest cached block, lock-free. *)
 let pop_cached t tc ~size ~sclass =
@@ -544,27 +552,22 @@ let malloc_many t n size =
          pop ());
       if !got < n then begin
         let h = my_heap t in
-        let spill = ref [] in
-        let detached = Heap.detach h in
-        h.lock.acquire ();
-        ignore (drain_pending t h ~detached ~spill);
-        let from = ref [] in
-        while !got < n do
-          match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
-          | [] -> refill t h ~sclass ~block_size ~spill
-          | batch ->
-            List.iter
-              (fun (addr, sb) ->
-                out.(!got) <- addr;
-                Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
-                t.pf.Platform.write ~addr ~len:8;
-                from := (sb, addr) :: !from;
-                incr got)
-              batch
-        done;
-        Heap.touch_headers t.pf (List.rev !from);
-        h.lock.release ();
-        if !spill <> [] then dispose_batch t !spill
+        with_drained t h (fun ~drained:_ ~spill ->
+          let from = ref [] in
+          while !got < n do
+            match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
+            | [] -> refill t h ~sclass ~block_size ~spill
+            | batch ->
+              List.iter
+                (fun (addr, sb) ->
+                  out.(!got) <- addr;
+                  Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
+                  t.pf.Platform.write ~addr ~len:8;
+                  from := (sb, addr) :: !from;
+                  incr got)
+                batch
+          done;
+          Heap.touch_headers t.pf (List.rev !from))
       end;
       out
     end
@@ -690,13 +693,9 @@ let flush t =
      | None -> ());
   if t.fe > 0 || Option.is_none (heap_by_id t 0) then begin
     let h = my_heap t in
-    let spill = ref [] in
-    let detached = Heap.detach h in
-    h.lock.acquire ();
-    if drain_pending t h ~detached ~spill > 0 then trim_heap ~deep:true t h ~sclass:0;
-    Global_heap.complete t.global h ~spill;
-    h.lock.release ();
-    if !spill <> [] then dispose_batch t !spill
+    with_drained t h (fun ~drained ~spill ->
+      if drained > 0 then trim_heap ~deep:true t h ~sclass:0;
+      Global_heap.complete t.global h ~spill)
   end
 
 (* Thread retirement: the front-end cache is flushed AND retired (a
@@ -724,32 +723,27 @@ let on_thread_exit t =
     | None -> ()
   end;
   let h = my_heap t in
-  let spill = ref [] in
-  let detached = Heap.detach h in
-  h.lock.acquire ();
-  ignore (drain_pending t h ~detached ~spill);
-  let orphans = ref [] in
-  Heap_core.iter h.core (fun sb -> orphans := sb :: !orphans);
-  List.iter
-    (fun sb ->
-      Heap_core.remove h.core sb;
-      Alloc_stats.on_orphan_adopt h.sh;
-      Heap.event h Event_ring.Orphan_adopt ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
-    !orphans;
-  (if t.orphan_lost then
-     (* MUTANT: the superblocks were unhooked from the exiting heap but
-        never handed to the global heap — their blocks (and their held
-        bytes) leak out of every heap's accounting, which [check]'s
-        live-bytes conservation reports and the schedule explorer is
-        expected to find. *)
-     List.iter
-       (fun sb ->
-         Superblock.set_owner sb 0;
-         Superblock.touch_header t.pf sb)
-       !orphans
-   else Global_heap.put t.global h !orphans);
-  h.lock.release ();
-  if !spill <> [] then dispose_batch t !spill
+  with_drained t h (fun ~drained:_ ~spill:_ ->
+    let orphans = ref [] in
+    Heap_core.iter h.core (fun sb -> orphans := sb :: !orphans);
+    List.iter
+      (fun sb ->
+        Heap_core.remove h.core sb;
+        Alloc_stats.on_orphan_adopt h.sh;
+        Heap.event h Event_ring.Orphan_adopt ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
+      !orphans;
+    (if t.orphan_lost then
+       (* MUTANT: the superblocks were unhooked from the exiting heap but
+          never handed to the global heap — their blocks (and their held
+          bytes) leak out of every heap's accounting, which [check]'s
+          live-bytes conservation reports and the schedule explorer is
+          expected to find. *)
+       List.iter
+         (fun sb ->
+           Superblock.set_owner sb 0;
+           Superblock.touch_header t.pf sb)
+         !orphans
+     else Global_heap.put t.global h !orphans))
 
 (* Quiescent: free one block into its owner; returns the owner's stats
    shard. *)

@@ -44,9 +44,9 @@ let all () =
   [
     Locked_heaps.serial ();
     Locked_heaps.concurrent_single ();
-    Pure_private.factory ();
+    Private_heaps.pure_private ();
     Locked_heaps.private_ownership ();
-    Private_threshold.factory ();
+    Private_heaps.private_threshold ();
     Hoard.factory ();
     hoard_fe ();
     hoard_gl ();

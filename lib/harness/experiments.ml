@@ -21,7 +21,7 @@ let default_procs = function
 let figure_allocators () =
   [ Locked_heaps.serial (); Locked_heaps.concurrent_single (); Locked_heaps.private_ownership (); Hoard.factory () ]
 
-let all_allocators () = figure_allocators () @ [ Pure_private.factory (); Private_threshold.factory () ]
+let all_allocators () = figure_allocators () @ [ Private_heaps.pure_private (); Private_heaps.private_threshold () ]
 
 (* --- scaled workload constructors --- *)
 
@@ -415,7 +415,7 @@ let blowup_exp =
   let run scale ~procs =
     ignore procs;
     let allocs =
-      [ Hoard.factory (); Locked_heaps.private_ownership (); Pure_private.factory (); Locked_heaps.serial () ]
+      [ Hoard.factory (); Locked_heaps.private_ownership (); Private_heaps.pure_private (); Locked_heaps.serial () ]
     in
     let columns =
       ("rounds", Table.Right)
@@ -830,7 +830,7 @@ let timeline_exp =
       | Quick -> 20
       | Full -> 60
     in
-    let allocs = [ Hoard.factory (); Locked_heaps.private_ownership (); Pure_private.factory () ] in
+    let allocs = [ Hoard.factory (); Locked_heaps.private_ownership (); Private_heaps.pure_private () ] in
     let timelines =
       List.map
         (fun alloc ->

@@ -3,39 +3,36 @@
 
 let factories = Allocators.all ()
 
-let with_alloc f k =
-  let pf = Platform.host () in
-  let a = f.Alloc_intf.instantiate pf in
-  k pf a
+let with_alloc f k = k (f.Alloc_intf.instantiate (Platform.host ()))
 
 let test_calloc_basic (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
-      let p = Alloc_api.calloc pf a ~count:16 ~size:12 in
+  with_alloc f (fun a ->
+      let p = a.Alloc_intf.calloc ~count:16 ~size:12 in
       Alcotest.(check bool) "usable >= 192" true (a.Alloc_intf.usable_size p >= 192);
       a.Alloc_intf.free p;
       a.Alloc_intf.check ())
 
 let test_calloc_rejects_bad_args (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
+  with_alloc f (fun a ->
       Alcotest.check_raises "zero count" (Invalid_argument "Alloc_api.calloc: count and size must be positive")
-        (fun () -> ignore (Alloc_api.calloc pf a ~count:0 ~size:8));
+        (fun () -> ignore (a.Alloc_intf.calloc ~count:0 ~size:8));
       Alcotest.check_raises "overflow" (Invalid_argument "Alloc_api.calloc: size overflow") (fun () ->
-          ignore (Alloc_api.calloc pf a ~count:max_int ~size:8)))
+          ignore (a.Alloc_intf.calloc ~count:max_int ~size:8)))
 
 let test_realloc_in_place (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
+  with_alloc f (fun a ->
       (* Growing within the block's usable size must not move it. *)
       let p = a.Alloc_intf.malloc 100 in
       let usable = a.Alloc_intf.usable_size p in
-      let q = Alloc_api.realloc pf a ~addr:p ~size:usable in
+      let q = a.Alloc_intf.realloc ~addr:p ~size:usable in
       Alcotest.(check int) "in place" p q;
       a.Alloc_intf.free q;
       a.Alloc_intf.check ())
 
 let test_realloc_grows (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
+  with_alloc f (fun a ->
       let p = a.Alloc_intf.malloc 64 in
-      let q = Alloc_api.realloc pf a ~addr:p ~size:50_000 in
+      let q = a.Alloc_intf.realloc ~addr:p ~size:50_000 in
       Alcotest.(check bool) "moved" true (q <> p);
       Alcotest.(check bool) "big enough" true (a.Alloc_intf.usable_size q >= 50_000);
       (* A front end may still hold the freed old block; flush is a no-op
@@ -47,13 +44,13 @@ let test_realloc_grows (f : Alloc_intf.factory) () =
       a.Alloc_intf.check ())
 
 let test_realloc_chain (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
+  with_alloc f (fun a ->
       (* Repeated doubling, as a growing dynamic array would do. *)
       let p = ref (a.Alloc_intf.malloc 8) in
       let size = ref 8 in
       for _ = 1 to 12 do
         size := !size * 2;
-        p := Alloc_api.realloc pf a ~addr:!p ~size:!size
+        p := a.Alloc_intf.realloc ~addr:!p ~size:!size
       done;
       Alcotest.(check bool) "final size" true (a.Alloc_intf.usable_size !p >= 32768);
       a.Alloc_intf.free !p;
@@ -62,34 +59,33 @@ let test_realloc_chain (f : Alloc_intf.factory) () =
       a.Alloc_intf.check ())
 
 let test_aligned_small (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
-      let p = Alloc_api.aligned_alloc pf a ~align:8 ~size:24 in
+  with_alloc f (fun a ->
+      let p = a.Alloc_intf.aligned_alloc ~align:8 ~size:24 in
       Alcotest.(check int) "8-aligned" 0 (p mod 8);
       a.Alloc_intf.free p)
 
 let test_aligned_large (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
+  with_alloc f (fun a ->
       List.iter
         (fun align ->
-          let p = Alloc_api.aligned_alloc pf a ~align ~size:100 in
+          let p = a.Alloc_intf.aligned_alloc ~align ~size:100 in
           Alcotest.(check int) (Printf.sprintf "%d-aligned" align) 0 (p mod align);
           a.Alloc_intf.free p)
         [ 16; 64; 256; 4096 ];
       a.Alloc_intf.check ())
 
 let test_aligned_rejects (f : Alloc_intf.factory) () =
-  with_alloc f (fun pf a ->
+  with_alloc f (fun a ->
       Alcotest.check_raises "non power of two"
         (Invalid_argument "Alloc_api.aligned_alloc: align must be a positive power of two") (fun () ->
-          ignore (Alloc_api.aligned_alloc pf a ~align:24 ~size:8));
+          ignore (a.Alloc_intf.aligned_alloc ~align:24 ~size:8));
       Alcotest.check_raises "beyond page"
         (Invalid_argument "Alloc_api.aligned_alloc: alignment beyond the page size is not supported") (fun () ->
-          ignore (Alloc_api.aligned_alloc pf a ~align:65536 ~size:8)))
+          ignore (a.Alloc_intf.aligned_alloc ~align:65536 ~size:8)))
 
 let test_members_delegate (f : Alloc_intf.factory) () =
-  (* The record members are the real interface; the free functions are
-     compatibility wrappers. Drive the members directly. *)
-  with_alloc f (fun _pf a ->
+  (* The three extended members together on one allocator. *)
+  with_alloc f (fun a ->
       let p = a.Alloc_intf.calloc ~count:8 ~size:16 in
       Alcotest.(check bool) "calloc member" true (a.Alloc_intf.usable_size p >= 128);
       let q = a.Alloc_intf.realloc ~addr:p ~size:1024 in
@@ -102,7 +98,7 @@ let test_members_delegate (f : Alloc_intf.factory) () =
       a.Alloc_intf.check ())
 
 let test_batch_roundtrip (f : Alloc_intf.factory) () =
-  with_alloc f (fun _pf a ->
+  with_alloc f (fun a ->
       let ps = a.Alloc_intf.malloc_batch 32 64 in
       Alcotest.(check int) "batch length" 32 (Array.length ps);
       Array.iter

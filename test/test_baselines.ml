@@ -134,8 +134,8 @@ let test_pure_private_blowup_unbounded () =
   (* Producer-consumer: pure-private's held memory grows with rounds even
      though live memory is constant — the unbounded blowup of the paper. *)
   let sim = Sim.create ~nprocs:2 () in
-  let t = Pure_private.create (Sim.platform sim) in
-  let a = Pure_private.allocator t in
+  let t = Private_heaps.create `Pure_private (Sim.platform sim) in
+  let a = Private_heaps.allocator t in
   let b = Sim.new_barrier sim ~parties:2 in
   let box = ref [] in
   let rounds = 40 and batch = 300 in
@@ -159,7 +159,7 @@ let test_pure_private_blowup_unbounded () =
   let blowup = float_of_int s.Alloc_stats.peak_held_bytes /. float_of_int s.Alloc_stats.peak_live_bytes in
   Alcotest.(check bool) (Printf.sprintf "blowup %.1fx grows with rounds" blowup) true (blowup > 10.0);
   (* The freed memory is stranded on the consumer's lists. *)
-  Alcotest.(check bool) "stranded on consumer" true (Pure_private.thread_free_bytes t ~tid:1 > 0)
+  Alcotest.(check bool) "stranded on consumer" true (Private_heaps.thread_free_bytes t ~tid:1 > 0)
 
 let test_private_ownership_blowup_bounded_by_p () =
   (* Same adversary: ownership-based heaps stay bounded (no growth with
@@ -264,19 +264,85 @@ let test_locked_heaps_policies () =
       Alcotest.(check int) (label ^ ": block back on its heap") !first !again)
     locked_policies
 
+(* The two private-heap rows are one module with two policies: the
+   threshold row adds per-class pools and their locks. *)
+let test_private_heaps_policies () =
+  let classes = Size_class.create ~max_small:4096 () in
+  let sclass = Size_class.class_of_size classes 64 in
+  let stripes = List.init 64 (Printf.sprintf "sbreg.s%d") in
+  let lock_names sim = List.map (fun (n, _, _) -> n) (Sim.lock_stats sim) in
+  let is_pool n = String.starts_with ~prefix:"threshold.pool" n in
+  (* Pure-private: a block freed on another thread joins that thread's
+     lists, and no pool lock exists. *)
+  let sim = Sim.create ~nprocs:2 () in
+  let t = Private_heaps.create `Pure_private (Sim.platform sim) in
+  let a = Private_heaps.allocator t in
+  (* Creation order fixes each lock word's simulated address. *)
+  Alcotest.(check (list string))
+    "pure-private: locks in creation order"
+    ([ "pureprivate.table"; "large" ] @ stripes)
+    (lock_names sim);
+  let b = Sim.new_barrier sim ~parties:2 in
+  let block = ref 0 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         block := a.Alloc_intf.malloc 64;
+         Sim.barrier_wait b));
+  let freer =
+    Sim.spawn sim ~proc:1 (fun () ->
+        Sim.barrier_wait b;
+        a.Alloc_intf.free !block)
+  in
+  Sim.run sim;
+  a.Alloc_intf.check ();
+  Alcotest.(check int) "pure-private: on the freeing thread's lists"
+    (Size_class.size_of_class classes sclass)
+    (Private_heaps.thread_free_bytes t ~tid:freer);
+  Alcotest.(check bool) "pure-private: no pool lock" false (List.exists is_pool (lock_names sim));
+  (* Private-threshold: 40 frees in one class overflow the threshold (32)
+     into the pool; another thread's malloc on an empty list refills from
+     it with one pool-lock acquisition. *)
+  let sim = Sim.create ~nprocs:2 () in
+  let t = Private_heaps.create `Private_threshold (Sim.platform sim) in
+  let a = Private_heaps.allocator t in
+  Alcotest.(check (list string))
+    "private-threshold: locks in creation order"
+    (List.init (Size_class.count classes) (Printf.sprintf "threshold.pool%d") @ [ "threshold.table"; "large" ] @ stripes)
+    (lock_names sim);
+  let pool_lock = Printf.sprintf "threshold.pool%d" sclass in
+  let pool_acqs () =
+    List.fold_left (fun acc (n, acqs, _) -> if n = pool_lock then acc + acqs else acc) 0 (Sim.lock_stats sim)
+  in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let pooled = ref 0 and refill_acqs = ref 0 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         List.iter a.Alloc_intf.free (List.init 40 (fun _ -> a.Alloc_intf.malloc 64));
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         pooled := Private_heaps.global_pool_blocks t ~sclass;
+         let before = pool_acqs () in
+         a.Alloc_intf.free (a.Alloc_intf.malloc 64);
+         refill_acqs := pool_acqs () - before));
+  Sim.run sim;
+  a.Alloc_intf.check ();
+  Alcotest.(check int) "private-threshold: pool after 40 frees" 17 !pooled;
+  Alcotest.(check int) "private-threshold: one pool acquisition to refill" 1 !refill_acqs;
+  Alcotest.(check int) "private-threshold: refill took half a threshold" (!pooled - 16)
+    (Private_heaps.global_pool_blocks t ~sclass)
+
 let test_threshold_flushes_to_global_pool () =
-  let pf = Platform.host () in
-  let t = Private_threshold.create ~threshold:16 pf in
-  let a = Private_threshold.allocator t in
-  (* Free more than the threshold in one class: the excess must land in
-     the global pool. *)
+  let t = Private_heaps.create `Private_threshold (Platform.host ()) in
+  let a = Private_heaps.allocator t in
+  (* Free more than the threshold (32) in one class: the excess must land
+     in the global pool. *)
   let ps = List.init 40 (fun _ -> a.Alloc_intf.malloc 64) in
   List.iter a.Alloc_intf.free ps;
-  let sclass = 7 in
-  ignore sclass;
   let total_pool = ref 0 in
-  for c = 0 to 40 do
-    (try total_pool := !total_pool + Private_threshold.global_pool_blocks t ~sclass:c with _ -> ())
+  for c = 0 to Size_class.count (Size_class.create ~max_small:4096 ()) - 1 do
+    total_pool := !total_pool + Private_heaps.global_pool_blocks t ~sclass:c
   done;
   Alcotest.(check bool) (Printf.sprintf "pool has blocks (%d)" !total_pool) true (!total_pool > 0);
   a.Alloc_intf.check ()
@@ -285,8 +351,8 @@ let test_threshold_blowup_bounded () =
   (* Producer-consumer: freed blocks flow back through the global pool, so
      consumption stays bounded, unlike pure-private. *)
   let sim = Sim.create ~nprocs:2 () in
-  let t = Private_threshold.create (Sim.platform sim) in
-  let a = Private_threshold.allocator t in
+  let t = Private_heaps.create `Private_threshold (Sim.platform sim) in
+  let a = Private_heaps.allocator t in
   let b = Sim.new_barrier sim ~parties:2 in
   let box = ref [] in
   let rounds = 40 and batch = 300 in
@@ -312,8 +378,8 @@ let test_threshold_blowup_bounded () =
 
 let test_pure_private_no_locks_on_fast_path () =
   let sim = Sim.create ~nprocs:2 () in
-  let t = Pure_private.create (Sim.platform sim) in
-  let a = Pure_private.allocator t in
+  let t = Private_heaps.create `Pure_private (Sim.platform sim) in
+  let a = Private_heaps.allocator t in
   for _ = 0 to 1 do
     ignore
       (Sim.spawn sim (fun () ->
@@ -338,9 +404,9 @@ let () =
     [
       generic_suite "generic:serial" (Locked_heaps.serial ());
       generic_suite "generic:concurrent-single" (Locked_heaps.concurrent_single ());
-      generic_suite "generic:pure-private" (Pure_private.factory ());
+      generic_suite "generic:pure-private" (Private_heaps.pure_private ());
       generic_suite "generic:private-ownership" (Locked_heaps.private_ownership ());
-      generic_suite "generic:private-threshold" (Private_threshold.factory ());
+      generic_suite "generic:private-threshold" (Private_heaps.private_threshold ());
       generic_suite "generic:hoard" (Hoard.factory ());
       ( "family",
         [
@@ -349,6 +415,7 @@ let () =
           Alcotest.test_case "ownership blowup bounded" `Quick test_private_ownership_blowup_bounded_by_p;
           Alcotest.test_case "concurrent-single parallel classes" `Quick test_concurrent_single_classes_parallel;
           Alcotest.test_case "locked-heaps policies" `Quick test_locked_heaps_policies;
+          Alcotest.test_case "private-heaps policies" `Quick test_private_heaps_policies;
           Alcotest.test_case "pure-private lock-free" `Quick test_pure_private_no_locks_on_fast_path;
           Alcotest.test_case "threshold flushes to pool" `Quick test_threshold_flushes_to_global_pool;
           Alcotest.test_case "threshold blowup bounded" `Quick test_threshold_blowup_bounded;

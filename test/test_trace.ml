@@ -101,7 +101,7 @@ let test_replay_differential () =
     [
       Locked_heaps.serial ();
       Locked_heaps.concurrent_single ();
-      Pure_private.factory ();
+      Private_heaps.pure_private ();
       Locked_heaps.private_ownership ();
       Hoard.factory ();
     ]

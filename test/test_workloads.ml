@@ -65,7 +65,7 @@ let test_all_run_on_every_allocator () =
     [
       Locked_heaps.serial ();
       Locked_heaps.concurrent_single ();
-      Pure_private.factory ();
+      Private_heaps.pure_private ();
       Locked_heaps.private_ownership ();
     ]
 
@@ -99,7 +99,7 @@ let test_active_false_sharing_detected_on_serial () =
     (per_op serial > 4.0 *. per_op hoard_r)
 
 let test_passive_false_sharing_worse_for_ownership_than_hoard () =
-  let own = run_workload (False_sharing.passive ~params:small_false ()) (Pure_private.factory ()) in
+  let own = run_workload (False_sharing.passive ~params:small_false ()) (Private_heaps.pure_private ()) in
   let hoard_r = run_workload (False_sharing.passive ~params:small_false ()) hoard in
   let per_op r = float_of_int r.Runner.r_invalidations /. float_of_int r.Runner.r_ops in
   Alcotest.(check bool)
