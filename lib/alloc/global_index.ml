@@ -9,8 +9,8 @@
    [Superblock.gslot]) and live forever in an append-only table, so a
    stale reader can always dereference a slot id it popped. Membership is
    advertised through ABA-tagged Treiber stacks of ENTRY NODES, one stack
-   per (class, bin) plus a class-agnostic stack of empties; nodes come
-   from a lock-free free list and are recycled on pop.
+   per (class, bin) plus a class-agnostic stack of empties, all sharing
+   one growing {!Lockfree} pool whose free list recycles nodes on pop.
 
    The word is the ground truth; the stacks are a lazily-maintained index:
 
@@ -42,9 +42,10 @@
    emptier-or-equal superblock — misplacement makes acquire's
    fullest-first scan slightly pessimistic, never unsound.
 
-   Mutants: [aba_tag:false] freezes every stack tag ("global-no-aba") —
-   a pop over a concurrently recycled head splices a stale tail and
-   strands nodes that [check]'s exhaustive walk then finds unreachable.
+   Mutants: [aba_tag:false] freezes every stack tag ("global-no-aba",
+   the pool's own flag) — a pop over a concurrently recycled head splices
+   a stale tail and strands nodes that the pool walk in [check] then
+   finds reachable twice or unreachable.
    [skip_revalidate:true] ("global-skip-revalidate") turns the claim CAS
    into a plain store, stomping a concurrent reclaimer's Busy. *)
 
@@ -53,30 +54,21 @@ type slot = {
   word : Platform.atomic_int;
 }
 
-type node = {
-  mutable n_slot : int; (* payload; written while the node is privately owned *)
-  n_next : Platform.atomic_int;
-}
-
 type t = {
   pf : Platform.t;
   name : string;
   ngroups : int;
   nclasses : int;
-  aba_tag : bool;
   skip_revalidate : bool;
   on_retry : unit -> unit;
-  (* Append-only tables, published via host atomics, grown under [mu]
+  (* Append-only slot table, published via host atomics, grown under [mu]
      (a host mutex: zero simulated cost, construction-discipline only). *)
   slots : slot array Atomic.t;
   n_slots : int Atomic.t;
-  nodes : node array Atomic.t;
-  n_nodes : int Atomic.t;
-  next_fresh : int Atomic.t; (* node ids below this have been handed out at least once *)
   mu : Mutex.t;
-  free_head : Platform.atomic_int; (* recycled entry nodes *)
-  heads : Platform.atomic_int array array; (* heads.(class).(bin), bin <= ngroups (full) *)
-  empties_head : Platform.atomic_int; (* class-agnostic: any empty can take any class *)
+  entries : int Lockfree.pool; (* payload: slot id *)
+  heads : int Lockfree.t array array; (* heads.(class).(bin), bin <= ngroups (full) *)
+  empties_head : int Lockfree.t; (* class-agnostic: any empty can take any class *)
   (* Gauges: host atomics, exact at quiescence. *)
   members : int Atomic.t;
   empties : int Atomic.t;
@@ -109,44 +101,34 @@ let decode t w =
   | 2 -> Busy (w mod nbins t)
   | _ -> failwith "Global_index: corrupt state word"
 
-(* ---- head encoding: (idx + 1) * tag_space + tag ----
-   Unlike [Lockfree]'s bounded pool, the node table grows, so the tag
-   occupies a fixed low field and the index the (unbounded) high bits.
-   2^20 tag values before wrap-around is far beyond any explorer bound;
-   the mutant freezes the tag at zero. *)
-
-let tag_space = 1 lsl 20
-
-let pack ~tag ~idx = ((idx + 1) * tag_space) + tag
-
-let unpack packed = (packed mod tag_space, (packed / tag_space) - 1)
-
-let next_tag t tag = if t.aba_tag then (tag + 1) land (tag_space - 1) else 0
-
 let create pf ~name ~nclasses ~ngroups ?(aba_tag = true) ?(skip_revalidate = false)
     ?(on_retry = fun () -> ()) () =
   if ngroups < 1 then invalid_arg "Global_index.create: ngroups must be >= 1";
   if nclasses < 1 then invalid_arg "Global_index.create: nclasses must be >= 1";
-  let new_atomic suffix init = pf.Platform.new_atomic (name ^ "." ^ suffix) init in
+  (* Line addresses follow creation order: the empties head, the (class,
+     bin) heads, then the pool's free word. *)
+  let per_class = ngroups + 1 in
+  let entries =
+    Lockfree.pool pf ~name
+      ~stacks:
+        (Array.append [| "empties" |]
+           (Array.init (nclasses * per_class) (fun k -> Printf.sprintf "c%db%d" (k / per_class) (k mod per_class))))
+      ~aba_tag ~on_retry ()
+  in
+  let stacks = Lockfree.stacks entries in
   {
     pf;
     name;
     ngroups;
     nclasses;
-    aba_tag;
     skip_revalidate;
     on_retry;
     slots = Atomic.make [||];
     n_slots = Atomic.make 0;
-    nodes = Atomic.make [||];
-    n_nodes = Atomic.make 0;
-    next_fresh = Atomic.make 0;
     mu = Mutex.create ();
-    free_head = new_atomic "free" (pack ~tag:0 ~idx:(-1));
-    heads =
-      Array.init nclasses (fun c ->
-          Array.init (ngroups + 1) (fun b -> new_atomic (Printf.sprintf "c%db%d" c b) (pack ~tag:0 ~idx:(-1))));
-    empties_head = new_atomic "empties" (pack ~tag:0 ~idx:(-1));
+    entries;
+    heads = Array.init nclasses (fun c -> Array.sub stacks (1 + (c * per_class)) per_class);
+    empties_head = stacks.(0);
     members = Atomic.make 0;
     empties = Atomic.make 0;
     u_bytes = Atomic.make 0;
@@ -156,92 +138,11 @@ let retry t = t.on_retry ()
 
 let slot_at t i = (Atomic.get t.slots).(i)
 
-let node_at t i = (Atomic.get t.nodes).(i)
-
-(* ---- Treiber stack primitives over the node table ---- *)
-
-let rec pop_node t head =
-  let packed = head.Platform.load () in
-  let tag, idx = unpack packed in
-  if idx < 0 then None
-  else begin
-    let below = (node_at t idx).n_next.Platform.load () in
-    if head.Platform.cas ~expected:packed ~desired:(pack ~tag:(next_tag t tag) ~idx:below) then Some idx
-    else begin
-      retry t;
-      pop_node t head
-    end
-  end
-
-let rec push_node t head idx =
-  let packed = head.Platform.load () in
-  let tag, top = unpack packed in
-  (node_at t idx).n_next.Platform.store top;
-  if head.Platform.cas ~expected:packed ~desired:(pack ~tag:(next_tag t tag) ~idx) then ()
-  else begin
-    retry t;
-    push_node t head idx
-  end
-
-(* Allocate a never-used node id, doubling the table when all existing
-   ids have been handed out. Host-side construction discipline (the
-   [mu] mutex plus host atomics, zero simulated cost): node allocation
-   is table management, not part of the simulated protocol — only the
-   free list's Treiber ops are schedule-visible. The array is
-   republished before the new id is returned, so a racing reader's
-   [node_at] never misses. Fresh ids MUST NOT be seeded through the
-   simulated free list: a thundering herd of takers each observing a
-   transiently-empty free list would serialize behind ever-doubling
-   seeding loops whose costed pushes starve the other takers into
-   growing again — table size and simulated time then blow up together
-   (observed: 26,000x cycle inflation on the 32P churn workload).
-   Growing only when [next_fresh] reaches the table edge ties the table
-   to the live-entry count, which the herd cannot inflate: each caller
-   takes exactly one id. *)
-let take_fresh t =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
-      let i = Atomic.get t.next_fresh in
-      if i >= Atomic.get t.n_nodes then begin
-        let old = Atomic.get t.nodes in
-        let n = Array.length old in
-        let k = max 8 n in
-        let mk j =
-          { n_slot = -1; n_next = t.pf.Platform.new_atomic (Printf.sprintf "%s.n%d" t.name (n + j)) (-1) }
-        in
-        Atomic.set t.nodes (Array.append old (Array.init k mk));
-        Atomic.set t.n_nodes (n + k)
-      end;
-      Atomic.set t.next_fresh (i + 1);
-      i)
-
-(* A recycled node off the free list when one is there, a fresh id
-   otherwise. A transiently-empty free list (a racing popper took the
-   last node) costs at most one spare id — bounded by P per exhaustion,
-   not a retry loop. *)
-let take_node t =
-  match pop_node t t.free_head with
-  | Some i -> i
-  | None -> take_fresh t
-
 let head_for t ~sclass ~bin = if bin = empties_bin t then t.empties_head else t.heads.(sclass).(bin)
 
-(* Push one membership entry for [slot] onto stack (sclass, bin). *)
-let push_entry t ~sclass ~bin slot =
-  let i = take_node t in
-  (node_at t i).n_slot <- slot;
-  push_node t (head_for t ~sclass ~bin) i
-
-(* Pop one entry off a stack; recycles the node and returns the slot id. *)
-let pop_entry t head =
-  match pop_node t head with
-  | None -> None
-  | Some i ->
-      let s = (node_at t i).n_slot in
-      push_node t t.free_head i;
-      Some s
+(* Push one membership entry for [slot] onto stack (sclass, bin); the
+   growing pool never refuses. *)
+let push_entry t ~sclass ~bin slot = ignore (Lockfree.push (head_for t ~sclass ~bin) slot)
 
 (* ---- slot allocation ---- *)
 
@@ -366,7 +267,7 @@ let want_empty t _sb b = b = empties_bin t
    stack can never get back without another thread's progress, and
    [`Busy] stops immediately. *)
 let rec scan t ~record ~want head =
-  match pop_entry t head with
+  match Lockfree.pop head with
   | None -> None
   | Some slot_id -> (
       match resolve t ~record ~want slot_id with
@@ -455,31 +356,7 @@ let u_bytes t = Atomic.get t.u_bytes
    same state transitions with no simulated cost and no schedule
    visibility, so draining caches at exit does not perturb replay. *)
 
-let q_pop_node t head =
-  let packed = head.Platform.peek () in
-  let tag, idx = unpack packed in
-  if idx < 0 then None
-  else begin
-    let below = (node_at t idx).n_next.Platform.peek () in
-    head.Platform.poke (pack ~tag:(next_tag t tag) ~idx:below);
-    Some idx
-  end
-
-let q_push_node t head idx =
-  let packed = head.Platform.peek () in
-  let tag, top = unpack packed in
-  (node_at t idx).n_next.Platform.poke top;
-  head.Platform.poke (pack ~tag:(next_tag t tag) ~idx)
-
-let q_take_node t =
-  match q_pop_node t t.free_head with
-  | Some i -> i
-  | None -> take_fresh t
-
-let q_push_entry t ~sclass ~bin slot =
-  let i = q_take_node t in
-  (node_at t i).n_slot <- slot;
-  q_push_node t (head_for t ~sclass ~bin) i
+let q_push_entry t ~sclass ~bin slot = ignore (Lockfree.q_push (head_for t ~sclass ~bin) slot)
 
 let q_publish t sb =
   let id =
@@ -531,47 +408,19 @@ let fail t fmt = Printf.ksprintf (fun m -> failwith (t.name ^ ": " ^ m)) fmt
 
 (* Exhaustive structural check, quiescent-only.
 
-   Walks every stack (all (class, bin) heads, the empties, the free
-   list) with a global node-seen set: a node reached twice, a cycle, or
-   a node reachable from no head at all ("global-no-aba"'s stale-splice
-   strand) fails. Then validates every slot: no Busy words, recorded bin
-   = recomputed bin, and every Idle member reachable in its own bin's
-   stack (the lazy-deletion invariant). Gauges must equal recomputed
-   sums. *)
+   The pool walk covers the free list and every entry stack with one
+   node-seen set: a node reached twice, a cycle, or a node reachable from
+   no head at all ("global-no-aba"'s stale-splice strand) fails there.
+   Then validates every slot: no Busy words, recorded bin = recomputed
+   bin, and every Idle member reachable in its own bin's stack (the
+   lazy-deletion invariant). Gauges must equal recomputed sums. *)
 let check t =
-  let n_nodes = Atomic.get t.next_fresh in (* ids past [next_fresh] exist but were never handed out *)
   let n_slots = Atomic.get t.n_slots in
-  let seen = Array.make (max 1 n_nodes) false in
-  let walked = ref 0 in
-  (* slots reachable per stack: stack key -> slot id list *)
+  (* slot id -> the stacks holding an entry for it *)
   let reach = Hashtbl.create 64 in
-  let walk key head =
-    let rec go idx n =
-      if idx >= 0 then begin
-        if n > n_nodes then fail t "stack %s longer than the node table (cycle?)" key;
-        if idx >= n_nodes then fail t "stack %s references node %d beyond the table" key idx;
-        if seen.(idx) then fail t "node %d reachable twice (lost ABA tag?)" idx;
-        seen.(idx) <- true;
-        incr walked;
-        let s = (node_at t idx).n_slot in
-        if key <> "free" then begin
-          if s < 0 || s >= n_slots then fail t "stack %s entry names bad slot %d" key s;
-          Hashtbl.add reach key s
-        end;
-        go ((node_at t idx).n_next.Platform.peek ()) (n + 1)
-      end
-    in
-    go (snd (unpack (head.Platform.peek ()))) 0
-  in
-  walk "free" t.free_head;
-  for c = 0 to t.nclasses - 1 do
-    for b = 0 to t.ngroups do
-      walk (Printf.sprintf "c%db%d" c b) t.heads.(c).(b)
-    done
-  done;
-  walk "empties" t.empties_head;
-  if !walked <> n_nodes then
-    fail t "%d of %d allocated nodes unreachable from any head (stale splice?)" (n_nodes - !walked) n_nodes;
+  Lockfree.walk t.entries (fun stack s ->
+      if s < 0 || s >= n_slots then fail t "stack %s entry names bad slot %d" (Lockfree.name stack) s;
+      Hashtbl.add reach s stack);
   let members = ref 0 and empties = ref 0 and u = ref 0 in
   let slots = Atomic.get t.slots in
   for i = 0 to n_slots - 1 do
@@ -586,11 +435,9 @@ let check t =
         if b <> want then fail t "slot %d: recorded bin %d but fullness says %d" i b want;
         if b = empties_bin t then incr empties;
         u := !u + (Superblock.used s.sb * Superblock.block_size s.sb);
-        let key =
-          if b = empties_bin t then "empties" else Printf.sprintf "c%db%d" (Superblock.sclass s.sb) b
-        in
-        if not (List.mem i (Hashtbl.find_all reach key)) then
-          fail t "slot %d: Idle(%d) member unreachable in stack %s" i b key;
+        let stack = head_for t ~sclass:(Superblock.sclass s.sb) ~bin:b in
+        if not (List.memq stack (Hashtbl.find_all reach i)) then
+          fail t "slot %d: Idle(%d) member unreachable in stack %s" i b (Lockfree.name stack);
         Superblock.check s.sb
   done;
   if Atomic.get t.members <> !members then

@@ -1,11 +1,12 @@
 (* Lock-free MPSC cache of large (> S/2) regions, sitting in front of
-   {!Large_alloc}: instead of a map/unmap round trip per large object,
-   a freed region is parked — decommitted but still mapped — in a
+   {!Locked_large}'s OS path: instead of a map/unmap round trip per large
+   object, a freed region is parked — decommitted but still mapped — in a
    bucket keyed by its page count, and a later allocation of the same
    page count takes it back with pop → commit. Buckets are bounded
-   {!Lockfree} stacks, so park and take are pure CAS protocols shared
-   by any number of producers; overflow (bucket full) and oversized
-   regions fall back to the seed unmap/map path.
+   {!Lockfree} stacks (each alone in its pool), so park and take are
+   pure CAS protocols shared by any number of producers; overflow
+   (bucket full) and oversized regions fall back to the seed unmap/map
+   path.
 
    Residency discipline: the region is decommitted *before* the push publishes it (while still private), so
    no interleaving can observe a parked-but-resident region; a take
@@ -18,12 +19,12 @@ type t = {
   pf : Platform.t;
   page_size : int;
   nbuckets : int; (* bucket i holds regions of exactly (i+1) pages *)
-  bucket_cap : int;
+  bucket_cap : int; (* >= 1 *)
   buckets : int Lockfree.t array; (* payload: region base address *)
 }
 
 let create (pf : Platform.t) ~name ~cap ?(nbuckets = 16) ?(aba_tag = true) ?on_retry () =
-  if cap < 0 then invalid_arg "Large_cache.create: cap must be non-negative";
+  if cap < 1 then invalid_arg "Large_cache.create: cap must be >= 1";
   if nbuckets < 1 then invalid_arg "Large_cache.create: nbuckets must be >= 1";
   {
     pf;
@@ -45,7 +46,7 @@ let bucket_of t ~mapped =
    [`Bounced] means the bucket was full — the region is still the
    caller's, already decommitted, and must be unmapped. *)
 let park t ~addr ~mapped =
-  match if t.bucket_cap = 0 then None else bucket_of t ~mapped with
+  match bucket_of t ~mapped with
   | None -> `Uncacheable
   | Some i ->
     t.pf.Platform.page_decommit ~addr;
@@ -54,7 +55,7 @@ let park t ~addr ~mapped =
 (* Take a region of exactly [mapped] bytes: the pop privatises it, the
    commit brings its pages back. *)
 let take t ~mapped =
-  match if t.bucket_cap = 0 then None else bucket_of t ~mapped with
+  match bucket_of t ~mapped with
   | None -> None
   | Some i ->
     (match Lockfree.pop t.buckets.(i) with

@@ -1,6 +1,6 @@
 (** Lock-free MPSC cache of large-object regions in front of
-    {!Large_alloc}: freed regions park decommitted-but-mapped in
-    bounded per-page-count {!Lockfree} buckets; an allocation of the
+    {!Locked_large}'s OS path: freed regions park decommitted-but-mapped
+    in bounded per-page-count {!Lockfree} buckets; an allocation of the
     same page count takes one back with pop → commit instead of a map.
     Decommit happens before the publishing push and commit after the
     privatising pop, so no schedule can observe a parked resident
@@ -17,18 +17,18 @@ val create :
   ?on_retry:(unit -> unit) ->
   unit ->
   t
-(** [cap] bounds each bucket (0 disables the cache: every park reports
-    [`Uncacheable]). [nbuckets] (default 16) buckets cache regions of
-    1..nbuckets pages; larger regions are uncacheable. [aba_tag:false]
-    plants the ["large-cache-no-aba"] mutant (frozen Treiber tags on
-    every bucket); [on_retry] fires on each failed CAS. *)
+(** [cap >= 1] bounds each bucket. [nbuckets] (default 16) buckets
+    cache regions of 1..nbuckets pages; larger regions are uncacheable.
+    [aba_tag:false] plants the ["large-cache-no-aba"] mutant (frozen
+    Treiber tags on every bucket); [on_retry] fires on each failed
+    CAS. *)
 
 val park : t -> addr:int -> mapped:int -> [ `Parked | `Bounced | `Uncacheable ]
 (** Park a privately-owned region of exactly [mapped] bytes.
     [`Parked]: the cache owns it (decommitted). [`Bounced]: bucket
     full — the region is still the caller's, now decommitted, and must
-    be unmapped. [`Uncacheable]: wrong size or cache disabled; the
-    caller proceeds as without a cache (no decommit happened). *)
+    be unmapped. [`Uncacheable]: wrong size; the caller proceeds as
+    without a cache (no decommit happened). *)
 
 val take : t -> mapped:int -> int option
 (** Pop a parked region of exactly [mapped] bytes and commit its pages.

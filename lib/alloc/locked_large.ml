@@ -1,10 +1,21 @@
+(* The large-object path shared by every allocator implementation:
+   requests above the size threshold bypass the superblock machinery and
+   are served directly from the OS, page-rounded, as in the paper. One
+   lock guards the object table, its stats shard and its event ring. *)
+
+type entry = { usable : int; mapped : int }
+
 type t = {
   pf : Platform.t;
-  large : Large_alloc.t;
+  owner : int;
+  stats : Alloc_stats.t;
+  sh : Alloc_stats.shard; (* lock domain: [lock] *)
+  ring : Event_ring.t option; (* written under [lock], like [sh] *)
+  table : (int, entry) Hashtbl.t;
+  mutable live_b : int;
   lock : Platform.lock;
   threshold : int;
   cache : Large_cache.t option;
-  stats : Alloc_stats.t;
 }
 
 let create ?shard ?ring ?cache pf ~owner ~stats ~threshold =
@@ -15,101 +26,147 @@ let create ?shard ?ring ?cache pf ~owner ~stats ~threshold =
   in
   {
     pf;
-    large = Large_alloc.create ?ring pf ~owner ~stats ~shard:(Alloc_stats.shard stats shard_idx);
+    owner;
+    stats;
+    sh = Alloc_stats.shard stats shard_idx;
+    ring;
+    table = Hashtbl.create 64;
+    live_b = 0;
     lock = pf.Platform.new_lock "large";
     threshold;
     cache;
-    stats;
   }
 
 let is_large t size = size > t.threshold
+
+let round_up x align = (x + align - 1) / align * align
+
+(* Record an event into the ring (no-op without one); caller holds the lock. *)
+let event t kind arg =
+  match t.ring with
+  | None -> ()
+  | Some r ->
+    Event_ring.record r ~at:(t.pf.Platform.now ()) ~kind ~who:(t.pf.Platform.self_proc ()) ~heap:(-1)
+      ~sclass:(-1) ~arg
 
 (* Ring writes share the table lock's domain, but the cache protocol runs
    outside it — so a park's Decommit / Large_unmap trace entries are
    recorded in a tiny dedicated critical section, and only when a ring
    exists at all. *)
 let with_ring_lock t f =
-  if Large_alloc.has_ring t.large then begin
+  if t.ring <> None then begin
     t.lock.acquire ();
     f ();
     t.lock.release ()
   end
 
-let round_up x align = (x + align - 1) / align * align
+(* Map fresh pages under the lock. *)
+let from_os t size =
+  if size <= 0 then invalid_arg "Locked_large.malloc: size must be positive";
+  t.lock.acquire ();
+  let usable = round_up size 8 in
+  let mapped = round_up size t.pf.Platform.page_size in
+  let addr = t.pf.Platform.page_map ~bytes:mapped ~align:t.pf.Platform.page_size ~owner:t.owner in
+  Hashtbl.replace t.table addr { usable; mapped };
+  Alloc_stats.on_map t.stats ~bytes:mapped;
+  Alloc_stats.on_malloc t.sh ~requested:size ~usable;
+  Alloc_stats.on_large_map t.sh;
+  event t Event_ring.Large_map mapped;
+  t.live_b <- t.live_b + usable;
+  t.lock.release ();
+  addr
 
 (* The cache hit path: pop + commit outside the lock (pure CAS protocol,
-   shared by all threads), then the table insert under it. A miss — or a
-   disabled/unsuitable cache — pays the OS map as before. *)
+   shared by all threads), then the table insert under it — the pages
+   are already mapped (held never changed while the region was parked),
+   so there is no OS-map accounting. A miss — or a disabled/unsuitable
+   cache — pays the OS map. *)
 let malloc t size =
-  let from_os () =
-    t.lock.acquire ();
-    let addr = Large_alloc.malloc t.large size in
-    t.lock.release ();
-    addr
-  in
   match t.cache with
-  | None -> from_os ()
+  | None -> from_os t size
   | Some c ->
-    if size <= 0 then from_os ()
+    if size <= 0 then from_os t size
     else begin
       let mapped = round_up size t.pf.Platform.page_size in
       match Large_cache.take c ~mapped with
-      | None -> from_os ()
+      | None -> from_os t size
       | Some addr ->
         Alloc_stats.on_recommit t.stats ~bytes:mapped;
         t.lock.acquire ();
-        Large_alloc.adopt t.large ~addr ~size ~mapped;
+        let usable = round_up size 8 in
+        Hashtbl.replace t.table addr { usable; mapped };
+        Alloc_stats.on_malloc t.sh ~requested:size ~usable;
+        Alloc_stats.on_large_cache_hit t.sh;
+        event t Event_ring.Recommit mapped;
+        event t Event_ring.Large_cache_hit mapped;
+        t.live_b <- t.live_b + usable;
         t.lock.release ();
         addr
     end
 
-(* Free with a cache: the table removal (and the free counters) happen
-   under the lock while the region is still accounted; the park itself —
-   decommit, then one CAS — runs outside it. A bounce (bucket full) or an
-   uncacheable size falls back to the seed unmap. Parked regions stay
-   mapped, so held is untouched and only residency drops. *)
+(* Remove [addr]'s entry and count the free, without touching the pages.
+   Caller holds the lock. *)
+let remove t ~addr =
+  let found = Hashtbl.find_opt t.table addr in
+  (match found with
+   | None -> ()
+   | Some { usable; _ } ->
+     Hashtbl.remove t.table addr;
+     Alloc_stats.on_free t.sh ~usable;
+     t.live_b <- t.live_b - usable);
+  found
+
+(* Without a cache the unmap happens under the lock. With one, the table
+   removal (and the free counters) happen under the lock while the region
+   is still accounted; the park itself — decommit, then one CAS — runs
+   outside it. A bounce (bucket full) or an uncacheable size falls back to
+   the seed unmap. Parked regions stay mapped, so held is untouched and
+   only residency drops. *)
 let try_free t ~addr =
-  match t.cache with
-  | None ->
-    t.lock.acquire ();
-    let found = Large_alloc.free t.large ~addr in
+  t.lock.acquire ();
+  let found = remove t ~addr in
+  match (t.cache, found) with
+  | _, None ->
     t.lock.release ();
-    found
-  | Some c ->
-    t.lock.acquire ();
-    let released = Large_alloc.release t.large ~addr in
+    false
+  | None, Some { mapped; _ } ->
+    t.pf.Platform.page_unmap ~addr;
+    Alloc_stats.on_unmap t.stats ~bytes:mapped;
+    event t Event_ring.Large_unmap mapped;
     t.lock.release ();
-    (match released with
-     | None -> false
-     | Some mapped ->
-       (match Large_cache.park c ~addr ~mapped with
-        | `Parked ->
-          Alloc_stats.on_decommit t.stats ~bytes:mapped;
-          with_ring_lock t (fun () -> Large_alloc.note t.large Event_ring.Decommit ~arg:mapped)
-        | `Bounced ->
-          (* The push lost to a full bucket: the region is ours again,
-             already decommitted — return it to the OS without debiting
-             residency twice. *)
-          t.pf.Platform.page_unmap ~addr;
-          Alloc_stats.on_decommit t.stats ~bytes:mapped;
-          Alloc_stats.on_unmap ~resident:false t.stats ~bytes:mapped;
-          with_ring_lock t (fun () ->
-              Large_alloc.note t.large Event_ring.Decommit ~arg:mapped;
-              Large_alloc.note t.large Event_ring.Large_unmap ~arg:mapped)
-        | `Uncacheable ->
-          t.pf.Platform.page_unmap ~addr;
-          Alloc_stats.on_unmap t.stats ~bytes:mapped;
-          with_ring_lock t (fun () -> Large_alloc.note t.large Event_ring.Large_unmap ~arg:mapped));
-       true)
+    true
+  | Some c, Some { mapped; _ } ->
+    t.lock.release ();
+    (match Large_cache.park c ~addr ~mapped with
+     | `Parked ->
+       Alloc_stats.on_decommit t.stats ~bytes:mapped;
+       with_ring_lock t (fun () -> event t Event_ring.Decommit mapped)
+     | `Bounced ->
+       (* The push lost to a full bucket: the region is ours again,
+          already decommitted — return it to the OS without debiting
+          residency twice. *)
+       t.pf.Platform.page_unmap ~addr;
+       Alloc_stats.on_decommit t.stats ~bytes:mapped;
+       Alloc_stats.on_unmap ~resident:false t.stats ~bytes:mapped;
+       with_ring_lock t (fun () ->
+           event t Event_ring.Decommit mapped;
+           event t Event_ring.Large_unmap mapped)
+     | `Uncacheable ->
+       t.pf.Platform.page_unmap ~addr;
+       Alloc_stats.on_unmap t.stats ~bytes:mapped;
+       with_ring_lock t (fun () -> event t Event_ring.Large_unmap mapped));
+    true
 
 let usable_size t ~addr =
   (* The table is mutated under [t.lock]; an unlocked read could observe a
      Hashtbl mid-resize. *)
   t.lock.acquire ();
-  let r = Large_alloc.usable_size t.large ~addr in
+  let r = Option.map (fun e -> e.usable) (Hashtbl.find_opt t.table addr) in
   t.lock.release ();
   r
 
-let live_bytes t = Large_alloc.live_bytes t.large
+let live_count t = Hashtbl.length t.table
+
+let live_bytes t = t.live_b
 
 let cache t = t.cache

@@ -1,9 +1,10 @@
-(** {!Large_alloc} behind its own lock, with the size threshold test —
-    the large-object path shared by every allocator implementation.
+(** The large-object path shared by every allocator implementation:
+    requests above the size threshold bypass the superblock machinery
+    and are served directly from the OS, page-rounded, as in the paper.
 
     All operations that touch the object table ({!malloc}, {!try_free},
-    {!usable_size}) acquire the internal lock, so the module is safe to
-    call concurrently on the host platform. *)
+    {!usable_size}) acquire the internal "large" lock, so the module is
+    safe to call concurrently on the host platform. *)
 
 type t
 
@@ -18,8 +19,10 @@ val create :
   t
 (** [shard] is the index of the stats shard charged for large
     malloc/free events (the shard's lock domain is this module's internal
-    lock); defaults to the last shard of [stats]. [ring], when given,
-    records [Large_map]/[Large_unmap] events under the same lock.
+    lock); defaults to the last shard of [stats]. Map/unmap accounting
+    goes through [stats]'s atomic OS-map path. [ring], when given,
+    records a [Large_map]/[Large_unmap] event per OS transaction under
+    the same lock.
 
     [cache], when given, fronts the OS with a lock-free {!Large_cache}:
     a free of a cacheable region parks it (decommit, then one CAS)
@@ -32,11 +35,17 @@ val is_large : t -> int -> bool
 (** Whether a request of this size takes the large path. *)
 
 val malloc : t -> int -> int
+(** A page-rounded region for a request of the given (positive) size:
+    a cached one when the cache holds that page count, else fresh pages. *)
 
 val try_free : t -> addr:int -> bool
-(** [true] if [addr] was a live large object (now freed). *)
+(** [true] if [addr] was a live large object (now freed); [false] leaves
+    everything untouched (the caller then tries its superblock path). *)
 
 val usable_size : t -> addr:int -> int option
+
+val live_count : t -> int
+(** Live large objects; exact at quiescence. *)
 
 val live_bytes : t -> int
 

@@ -1,181 +1,303 @@
-(* A bounded lock-free Treiber stack over Platform atomics.
+(* ABA-tagged Treiber stacks sharing one node pool, over Platform atomics.
 
-   This is the non-blocking substrate under the large-object cache's
-   buckets: push and pop complete with CAS only, no lock, so a thread preempted
-   (or crashed, on real hardware) mid-way never blocks the others.
+   This is the non-blocking substrate under both lock-free extensions:
+   each large-cache bucket is a stack alone in a bounded pool, and the
+   lock-free global heap's entry stacks (one per (class, bin) plus the
+   empties) share one growing pool. Push and pop complete with CAS only,
+   no lock, so a thread preempted (or crashed, on real hardware) mid-way
+   never blocks the others.
 
-   Structure: a pool of [cap] slots. Each slot holds one payload (host
-   state, owned exclusively by whichever thread currently owns the slot)
-   and one atomic link word on its own cache line. Two Treiber stacks
-   thread through the shared link array: [head] (the live stack) and
-   [free_head] (unused slots); push moves a slot from the free stack to
-   the live one, pop the reverse, so the population is bounded by [cap]
-   with no separate count to maintain atomically.
+   Structure: a table of nodes. Each node holds one payload (host state,
+   owned exclusively by whichever thread currently owns the node) and one
+   atomic link word on its own cache line. The pool's free list and every
+   stack are Treiber stacks threaded through the shared link words; push
+   moves a node from the free list to its stack, pop the reverse. A
+   bounded pool's table is fixed, so its population is bounded with no
+   separate count to maintain atomically; a growing pool hands out fresh
+   nodes when its free list is empty (see [take_fresh]).
 
-   ABA: each head word packs [tag * (cap + 1) + (idx + 1)] (idx = -1 is
+   ABA: each head word packs [(idx + 1) * tag_space + tag] (idx = -1 is
    the empty stack) and every successful CAS increments the tag, so a
-   CAS whose top slot was popped and re-pushed in between fails instead
-   of installing a stale link — the classic Treiber pop hazard. The
-   [aba_tag:false] knob freezes the tag at zero, planting exactly that
-   bug for the schedule explorer to find.
+   CAS whose top node was popped and re-pushed in between fails instead
+   of installing a stale link — the classic Treiber pop hazard. The index
+   takes the unbounded high bits because a growing table has no size to
+   pack against; 2^20 tag values before wrap-around is far beyond any
+   explorer bound. The [aba_tag:false] knob freezes the tag at zero,
+   planting exactly that bug for the schedule explorer to find.
 
-   The payload write ([slots.(i)]) is host state: it happens while the
-   slot is private (after winning it from one stack, before the CAS
-   publishing it on the other), and the publishing CAS is the
-   linearization point, so no torn payload is ever observable. Link
-   loads/stores are platform atomics — schedule-visible steps on
-   distinct cache lines — which is what lets lib/check explore the
-   protocol exhaustively and see real conflicts. *)
+   The payload write is host state: it happens while the node is private
+   (after winning it from one stack, before the CAS publishing it on
+   another), and the publishing CAS is the linearization point, so no
+   torn payload is ever observable. Link loads/stores are platform
+   atomics — schedule-visible steps on distinct cache lines — which is
+   what lets lib/check explore the protocol exhaustively and see real
+   conflicts. *)
 
-type 'a t = {
-  cap : int;
+type 'a node = {
+  mutable payload : 'a option; (* written while the node is privately owned *)
+  link : Platform.atomic_int; (* index of the node below, -1 = bottom *)
+}
+
+type 'a pool = {
+  pf : Platform.t;
+  name : string;
   aba_tag : bool;
-  head : Platform.atomic_int;
-  free_head : Platform.atomic_int;
-  next : Platform.atomic_int array; (* slot link: index of the slot below, -1 = bottom *)
-  slots : 'a option array; (* payloads; entry owned by the slot's owner *)
   on_retry : unit -> unit;
-  (* Host counters: no simulated cost, exact at quiescence. *)
-  len : int Atomic.t;
-  pushes : int Atomic.t;
-  pops : int Atomic.t;
-  retries : int Atomic.t;
+  grows : bool;
+  (* Append-only node table, published via host atomics, grown under [mu]
+     (a host mutex: zero simulated cost, construction discipline only). *)
+  nodes : 'a node array Atomic.t;
+  handed : int Atomic.t; (* node ids below this have been handed out at least once *)
+  mu : Mutex.t;
+  free : Platform.atomic_int;
+  mutable stacks : 'a t array; (* in creation order; set once at construction *)
   in_flight : int Atomic.t; (* operations started and not yet finished *)
 }
 
-let pack t ~tag ~idx = (tag * (t.cap + 1)) + idx + 1
+and 'a t = {
+  pool : 'a pool;
+  head : Platform.atomic_int;
+  (* Host counters: no simulated cost, exact at quiescence. *)
+  len : int Atomic.t;
+  pushes : int Atomic.t;
+}
 
-let unpack t packed = (packed / (t.cap + 1), (packed mod (t.cap + 1)) - 1)
+let tag_space = 1 lsl 20
 
-let next_tag t tag = if t.aba_tag then tag + 1 else 0
+let pack ~tag ~idx = ((idx + 1) * tag_space) + tag
+
+let unpack packed = (packed mod tag_space, (packed / tag_space) - 1)
+
+let empty = pack ~tag:0 ~idx:(-1)
+
+let next_tag p tag = if p.aba_tag then (tag + 1) land (tag_space - 1) else 0
+
+(* A bounded pool's table is created whole, every node on the free list
+   (0 on top, linked upward); a growing one starts empty. Line addresses
+   follow creation order: the table, then the free word. *)
+let make_pool pf ~name ~cap ~grows ~aba_tag ~on_retry =
+  let new_atomic suffix init = pf.Platform.new_atomic (name ^ "." ^ suffix) init in
+  let nodes =
+    Array.init cap (fun i ->
+        { payload = None; link = new_atomic (Printf.sprintf "next%d" i) (if i = cap - 1 then -1 else i + 1) })
+  in
+  let free = new_atomic "free" (if cap = 0 then empty else pack ~tag:0 ~idx:0) in
+  {
+    pf;
+    name;
+    aba_tag;
+    on_retry;
+    grows;
+    nodes = Atomic.make nodes;
+    handed = Atomic.make cap;
+    mu = Mutex.create ();
+    free;
+    stacks = [||];
+    in_flight = Atomic.make 0;
+  }
+
+let new_stack pool head = { pool; head; len = Atomic.make 0; pushes = Atomic.make 0 }
+
+(* The heads come before the free word in line order. *)
+let pool pf ~name ~stacks ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
+  let heads = Array.map (fun suffix -> pf.Platform.new_atomic (name ^ "." ^ suffix) empty) stacks in
+  let p = make_pool pf ~name ~cap:0 ~grows:true ~aba_tag ~on_retry in
+  p.stacks <- Array.map (new_stack p) heads;
+  p
+
+let stacks p = p.stacks
 
 let create pf ~name ~cap ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
-  if cap < 0 then invalid_arg "Lockfree.create: cap must be non-negative";
-  let new_atomic suffix init = pf.Platform.new_atomic (name ^ "." ^ suffix) init in
-  let t =
-    {
-      cap;
-      aba_tag;
-      head = new_atomic "head" 0;
-      (* Free stack initially holds every slot: 0 on top, linked upward. *)
-      free_head = new_atomic "free" (if cap = 0 then 0 else 1 (* pack ~tag:0 ~idx:0 *));
-      next =
-        Array.init cap (fun i ->
-            new_atomic (Printf.sprintf "next%d" i) (if i = cap - 1 then -1 else i + 1));
-      slots = Array.make cap None;
-      on_retry;
-      len = Atomic.make 0;
-      pushes = Atomic.make 0;
-      pops = Atomic.make 0;
-      retries = Atomic.make 0;
-      in_flight = Atomic.make 0;
-    }
-  in
-  t
+  if cap < 1 then invalid_arg "Lockfree.create: cap must be >= 1";
+  let p = make_pool pf ~name ~cap ~grows:false ~aba_tag ~on_retry in
+  let s = new_stack p (pf.Platform.new_atomic (name ^ ".head") empty) in
+  p.stacks <- [| s |];
+  s
 
-let retry t =
-  Atomic.incr t.retries;
-  t.on_retry ()
+let node_at p i = (Atomic.get p.nodes).(i)
 
-(* Unlink the top slot of the stack headed by [head]. The window between
+(* The costed protocol goes through the atomics' schedule-visible
+   load/store/cas; the quiescent one through charge-free peek/poke, where
+   the CAS is a poke that cannot fail (nothing runs concurrently). *)
+type access = {
+  load : Platform.atomic_int -> int;
+  store : Platform.atomic_int -> int -> unit;
+  cas : Platform.atomic_int -> expected:int -> desired:int -> bool;
+}
+
+let costed =
+  {
+    load = (fun a -> a.Platform.load ());
+    store = (fun a v -> a.Platform.store v);
+    cas = (fun a ~expected ~desired -> a.Platform.cas ~expected ~desired);
+  }
+
+let quiescent =
+  {
+    load = (fun a -> a.Platform.peek ());
+    store = (fun a v -> a.Platform.poke v);
+    cas =
+      (fun a ~expected:_ ~desired ->
+        a.Platform.poke desired;
+        true);
+  }
+
+(* Unlink the top node of the stack headed by [head]. The window between
    the link load and the CAS is where ABA strikes: the tag makes the CAS
    fail whenever the head moved since [packed] was read, even if the same
-   slot index is back on top with a different link. *)
-let rec pop_slot t head =
-  let packed = head.Platform.load () in
-  let tag, idx = unpack t packed in
+   node index is back on top with a different link. *)
+let rec pop_node ac p head =
+  let packed = ac.load head in
+  let tag, idx = unpack packed in
   if idx < 0 then None
   else begin
-    let below = t.next.(idx).Platform.load () in
-    if head.Platform.cas ~expected:packed ~desired:(pack t ~tag:(next_tag t tag) ~idx:below) then
-      Some idx
+    let below = ac.load (node_at p idx).link in
+    if ac.cas head ~expected:packed ~desired:(pack ~tag:(next_tag p tag) ~idx:below) then Some idx
     else begin
-      retry t;
-      pop_slot t head
+      p.on_retry ();
+      pop_node ac p head
     end
   end
 
-(* Link the privately-owned slot [idx] on top of the stack headed by
-   [head]. Storing the link before the CAS is safe — the slot is
+(* Link the privately-owned node [idx] on top of the stack headed by
+   [head]. Storing the link before the CAS is safe — the node is
    invisible until the CAS publishes it — and plain Treiber push never
    dereferences stale state, so it needs no window re-validation beyond
    the CAS itself. *)
-let rec push_slot t head idx =
-  let packed = head.Platform.load () in
-  let tag, top = unpack t packed in
-  t.next.(idx).Platform.store top;
-  if head.Platform.cas ~expected:packed ~desired:(pack t ~tag:(next_tag t tag) ~idx) then ()
+let rec push_node ac p head idx =
+  let packed = ac.load head in
+  let tag, top = unpack packed in
+  ac.store (node_at p idx).link top;
+  if ac.cas head ~expected:packed ~desired:(pack ~tag:(next_tag p tag) ~idx) then ()
   else begin
-    retry t;
-    push_slot t head idx
+    p.on_retry ();
+    push_node ac p head idx
   end
 
-let push t v =
-  if t.cap = 0 then false
-  else begin
-    Atomic.incr t.in_flight;
-    let accepted =
-      match pop_slot t t.free_head with
-      | None -> false (* every slot is on the live stack: full *)
-      | Some idx ->
-        t.slots.(idx) <- Some v;
-        push_slot t t.head idx;
-        Atomic.incr t.len;
-        Atomic.incr t.pushes;
-        true
-    in
-    Atomic.decr t.in_flight;
-    accepted
-  end
-
-let pop t =
-  if t.cap = 0 then None
-  else begin
-    Atomic.incr t.in_flight;
-    let taken =
-      match pop_slot t t.head with
-      | None -> None
-      | Some idx ->
-        let v =
-          match t.slots.(idx) with
-          | Some v -> v
-          | None -> failwith "Lockfree.pop: live slot without a payload (corrupt stack)"
+(* Hand out a never-used node id, doubling the table when all existing
+   ids have been handed out. Host-side construction discipline (the
+   [mu] mutex plus host atomics, zero simulated cost): node allocation
+   is table management, not part of the simulated protocol — only the
+   free list's Treiber ops are schedule-visible. The array is
+   republished before the new id is returned, so a racing reader's
+   [node_at] never misses. Fresh ids MUST NOT be seeded through the
+   simulated free list: a thundering herd of takers each observing a
+   transiently-empty free list would serialize behind ever-doubling
+   seeding loops whose costed pushes starve the other takers into
+   growing again — table size and simulated time then blow up together
+   (observed: 26,000x cycle inflation on the 32P churn workload).
+   Growing only when [handed] reaches the table edge ties the table
+   to the live-entry count, which the herd cannot inflate: each caller
+   takes exactly one id. *)
+let take_fresh p =
+  Mutex.lock p.mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock p.mu)
+    (fun () ->
+      let i = Atomic.get p.handed in
+      let old = Atomic.get p.nodes in
+      let n = Array.length old in
+      if i >= n then begin
+        let mk j =
+          { payload = None; link = p.pf.Platform.new_atomic (Printf.sprintf "%s.n%d" p.name (n + j)) (-1) }
         in
-        t.slots.(idx) <- None;
-        push_slot t t.free_head idx;
-        Atomic.decr t.len;
-        Atomic.incr t.pops;
-        Some v
+        Atomic.set p.nodes (Array.append old (Array.init (max 8 n) mk))
+      end;
+      Atomic.set p.handed (i + 1);
+      i)
+
+(* A recycled node off the free list when one is there; otherwise a fresh
+   id from a growing pool, or nothing from a bounded one (full). A
+   transiently-empty free list (a racing popper took the last node) costs
+   a growing pool at most one spare id — bounded by P per exhaustion, not
+   a retry loop. *)
+let take ac p =
+  match pop_node ac p p.free with
+  | Some i -> Some i
+  | None -> if p.grows then Some (take_fresh p) else None
+
+let push_with ac s v =
+  let p = s.pool in
+  match take ac p with
+  | None -> false
+  | Some i ->
+    (node_at p i).payload <- Some v;
+    push_node ac p s.head i;
+    Atomic.incr s.len;
+    Atomic.incr s.pushes;
+    true
+
+let pop_with ac s =
+  let p = s.pool in
+  match pop_node ac p s.head with
+  | None -> None
+  | Some i ->
+    let node = node_at p i in
+    let v =
+      match node.payload with
+      | Some v -> v
+      | None -> failwith "Lockfree.pop: live slot without a payload (corrupt stack)"
     in
-    Atomic.decr t.in_flight;
-    taken
-  end
+    node.payload <- None;
+    push_node ac p p.free i;
+    Atomic.decr s.len;
+    Some v
 
-let length t = Atomic.get t.len
+(* Costed operations count as in flight for the walk's quiescence check. *)
+let tracked p f =
+  Atomic.incr p.in_flight;
+  let r = f () in
+  Atomic.decr p.in_flight;
+  r
 
-let pushes t = Atomic.get t.pushes
+let push s v = tracked s.pool (fun () -> push_with costed s v)
 
-let pops t = Atomic.get t.pops
+let pop s = tracked s.pool (fun () -> pop_with costed s)
 
-let retries t = Atomic.get t.retries
+let q_push s v = push_with quiescent s v
 
-(* Quiescent-only walk, top first. Asserts quiescence (no push/pop in
-   flight) and validates the walked structure — a duplicated slot (the
-   ABA failure mode) or a payload-less live slot raises instead of being
-   silently iterated past. Uses [peek]: charge-free, callable from
-   outside any simulated thread. *)
-let iter t f =
-  if Atomic.get t.in_flight <> 0 then failwith "Lockfree.iter: stack not quiescent";
-  let seen = Array.make (max 1 t.cap) false in
-  let rec walk idx n =
-    if idx >= 0 then begin
-      if n >= t.cap then failwith "Lockfree.iter: stack longer than its capacity (cycle?)";
-      if seen.(idx) then failwith "Lockfree.iter: slot appears twice (lost ABA tag?)";
-      seen.(idx) <- true;
-      (match t.slots.(idx) with
-       | Some v -> f v
-       | None -> failwith "Lockfree.iter: live slot without a payload");
-      walk (t.next.(idx).Platform.peek ()) (n + 1)
-    end
+let q_pop s = pop_with quiescent s
+
+let name s = s.head.Platform.atomic_name
+
+let length s = Atomic.get s.len
+
+let pushes s = Atomic.get s.pushes
+
+(* Quiescent-only walk: the free list, then every stack in creation
+   order, top first, with one seen-set across all of them. A node
+   reached twice (a cycle, or the stale splice of a lost ABA tag), a
+   payload-less live node, or a handed-out node reachable from no head
+   raises instead of being silently iterated past. Uses [peek]:
+   charge-free, callable from outside any simulated thread. *)
+let walk p f =
+  let fail fmt = Printf.ksprintf (fun m -> failwith (Printf.sprintf "Lockfree: %s: %s" p.name m)) fmt in
+  if Atomic.get p.in_flight <> 0 then fail "pool not quiescent";
+  let handed = Atomic.get p.handed in
+  let seen = Array.make (max 1 handed) false in
+  let walked = ref 0 in
+  let go head live =
+    let rec from idx =
+      if idx >= 0 then begin
+        if idx >= handed then fail "%s references node %d beyond the table" head.Platform.atomic_name idx;
+        if seen.(idx) then fail "node %d reachable twice (lost ABA tag?)" idx;
+        seen.(idx) <- true;
+        incr walked;
+        let node = node_at p idx in
+        (match live with
+         | None -> ()
+         | Some s ->
+           (match node.payload with
+            | Some v -> f s v
+            | None -> fail "live node %d without a payload" idx));
+        from (node.link.Platform.peek ())
+      end
+    in
+    from (snd (unpack (head.Platform.peek ())))
   in
-  if t.cap > 0 then walk (snd (unpack t (t.head.Platform.peek ()))) 0
+  go p.free None;
+  Array.iter (fun s -> go s.head (Some s)) p.stacks;
+  if !walked <> handed then
+    fail "%d of %d handed-out nodes unreachable from any head (stale splice?)" (handed - !walked) handed
+
+let iter s f = walk s.pool (fun s' v -> if s' == s then f v)

@@ -1,36 +1,68 @@
-(** Bounded lock-free Treiber stack over {!Platform} atomics.
+(** ABA-tagged Treiber stacks sharing one node pool, over {!Platform}
+    atomics.
 
-    The non-blocking substrate of the large-object cache's buckets: [push]/[pop]
-    complete with CAS only — no lock, so they are safe at any
-    interleaving and explorable by [Check.Explorer] (link words are platform atomics on distinct cache
-    lines, every operation a schedule-visible step).
+    The non-blocking substrate of both lock-free extensions: the large
+    cache's buckets (one bounded pool and one stack per bucket) and the
+    lock-free global heap's entry stacks (one growing pool under every
+    (class, bin) stack of a {!Global_index}). [push]/[pop] complete with
+    CAS only — no lock, so they are safe at any interleaving and
+    explorable by [Check.Explorer] (link words are platform atomics on
+    distinct cache lines, every operation a schedule-visible step).
 
-    A pool of [cap] slots threads through two Treiber stacks (live and
-    free), bounding the population without a shared counter. Head words
-    carry an ABA tag incremented by every successful CAS, so a pop whose
-    top slot was recycled mid-window fails its CAS instead of installing
-    a stale link. *)
+    A push takes a node off the pool's free list and links it on its
+    stack; a pop unlinks the top node and returns it to the free list.
+    Head words carry an ABA tag incremented by every successful CAS, so a
+    pop whose top node was recycled mid-window fails its CAS instead of
+    installing a stale link. *)
+
+type 'a pool
 
 type 'a t
+(** One stack; its nodes come from its pool. *)
+
+val pool :
+  Platform.t -> name:string -> stacks:string array -> ?aba_tag:bool -> ?on_retry:(unit -> unit) -> unit -> 'a pool
+(** A growing pool under one stack per element of [stacks]: its node
+    table starts empty and grows under a host mutex whenever the free
+    list is empty, so a push never refuses. Atomics, in creation order:
+    "<name>.<suffix>" for each of [stacks], "<name>.free", then
+    "<name>.n<i>" as nodes are first handed out. [aba_tag] (default
+    true) must only be disabled by tests: [false] freezes every head's
+    tag at zero, planting the classic Treiber pop bug for the explorer
+    to catch. [on_retry] fires on every failed CAS, for the caller's
+    contention counters; it runs on the operating thread and must be
+    cheap and lock-free itself. *)
+
+val stacks : 'a pool -> 'a t array
+(** The pool's stacks, in the order their names were given. *)
 
 val create :
   Platform.t -> name:string -> cap:int -> ?aba_tag:bool -> ?on_retry:(unit -> unit) -> unit -> 'a t
-(** [name] prefixes the atomics' names ("<name>.head", "<name>.free",
-    "<name>.next<i>") as seen by the schedule explorer. [aba_tag]
-    (default true) must only be disabled by tests: [false] freezes the
-    ABA tag at zero, planting the classic Treiber pop bug for the
-    explorer to catch. [on_retry] fires on every failed CAS (retry), for
-    the caller's contention counters; it runs on the operating thread
-    and must be cheap and lock-free itself. A [cap] of 0 is legal: the
-    stack is permanently empty and full. *)
+(** A stack alone in a bounded pool of [cap >= 1] nodes. Atomics, in
+    creation order: "<name>.next<i>" for each node, "<name>.free",
+    "<name>.head". [aba_tag] and [on_retry] as for {!pool}. *)
 
 val push : 'a t -> 'a -> bool
-(** [false]: the pool is exhausted (stack full). The payload write is
-    host state on a privately-owned slot; the publishing CAS is the
-    linearization point. *)
+(** [false]: a bounded pool is exhausted (stack full); the stack is left
+    untouched. The payload write is host state on a privately-owned
+    node; the publishing CAS is the linearization point. *)
 
 val pop : 'a t -> 'a option
 (** Most recently pushed first. *)
+
+(** {2 Quiescent mutation — peek/poke, no simulated cost}
+
+    The same transitions with no schedule visibility, for teardown after
+    every worker has joined. *)
+
+val q_push : 'a t -> 'a -> bool
+
+val q_pop : 'a t -> 'a option
+
+(** {2 Introspection} *)
+
+val name : 'a t -> string
+(** The head atomic's name. *)
 
 val length : 'a t -> int
 (** Lock-free host read; exact at quiescence. *)
@@ -38,15 +70,16 @@ val length : 'a t -> int
 val pushes : 'a t -> int
 (** Successful pushes ever. *)
 
-val pops : 'a t -> int
-(** Successful pops ever. *)
-
-val retries : 'a t -> int
-(** Failed CAS attempts ever (contention indicator). *)
+val walk : 'a pool -> ('a t -> 'a -> unit) -> unit
+(** Quiescent-only walk of the free list and then every stack in
+    creation order, top first, via charge-free peeks (callable from
+    outside any simulated thread), calling [f] on each live payload.
+    One seen-set spans all of them, so it raises [Failure] on a node
+    reachable twice (within one stack: a cycle), a node beyond the
+    table, a live node without a payload, a node handed out but
+    reachable from no head (the strand a lost ABA tag leaves), or an
+    operation still in flight. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
-(** Quiescent-only walk, top first, via charge-free peeks (callable from
-    outside any simulated thread). Raises [Failure] if any operation is
-    still in flight, or if the walk finds structural corruption — a
-    cycle, a twice-linked slot or a payload-less live slot (the
-    signatures of a lost ABA tag). *)
+(** {!walk} of the stack's pool, calling [f] on this stack's payloads
+    only — the whole pool is validated. *)

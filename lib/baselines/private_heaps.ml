@@ -120,6 +120,28 @@ let refill_from_pool t h ~threshold sclass block_size =
   h.counts.(sclass) <- h.counts.(sclass) + n_got;
   h.free_bytes <- h.free_bytes + (n_got * block_size)
 
+let pop_free h sclass block_size =
+  match h.free_lists.(sclass) with
+  | [] -> None
+  | addr :: rest ->
+    h.free_lists.(sclass) <- rest;
+    h.counts.(sclass) <- h.counts.(sclass) - 1;
+    h.free_bytes <- h.free_bytes - block_size;
+    Some addr
+
+(* A fresh superblock for [sclass], carved from next. *)
+let map_superblock t h sclass block_size =
+  let base = t.pf.Platform.page_map ~bytes:sb_size ~align:sb_size ~owner:t.owner in
+  let sb = Superblock.create ~base ~sb_size ~sclass ~block_size in
+  Superblock.set_owner sb (t.pf.Platform.self_tid ());
+  Sb_registry.register t.reg sb;
+  Alloc_stats.on_map t.stats ~bytes:sb_size;
+  h.current.(sclass) <- Some sb;
+  sb
+
+(* The free list first, then the carving superblock; only when both are
+   out does a thread with a threshold take its class pool's lock, just
+   before mapping a new superblock. *)
 let malloc t size =
   if size <= 0 then invalid_arg "Private_heaps.malloc: size must be positive";
   t.pf.Platform.work t.p.path_work;
@@ -128,30 +150,23 @@ let malloc t size =
     let sclass = Size_class.class_of_size t.classes size in
     let block_size = Size_class.size_of_class t.classes sclass in
     let h = my_heap t in
-    (match t.p.threshold with
-     | Some threshold when h.counts.(sclass) = 0 -> refill_from_pool t h ~threshold sclass block_size
-     | _ -> ());
     let addr =
-      match h.free_lists.(sclass) with
-      | addr :: rest ->
-        h.free_lists.(sclass) <- rest;
-        h.counts.(sclass) <- h.counts.(sclass) - 1;
-        h.free_bytes <- h.free_bytes - block_size;
-        addr
-      | [] ->
-        let sb =
-          match h.current.(sclass) with
-          | Some sb when not (Superblock.is_full sb) -> sb
-          | _ ->
-            let base = t.pf.Platform.page_map ~bytes:sb_size ~align:sb_size ~owner:t.owner in
-            let sb = Superblock.create ~base ~sb_size ~sclass ~block_size in
-            Superblock.set_owner sb (t.pf.Platform.self_tid ());
-            Sb_registry.register t.reg sb;
-            Alloc_stats.on_map t.stats ~bytes:sb_size;
-            h.current.(sclass) <- Some sb;
-            sb
-        in
-        Superblock.alloc_block sb
+      match pop_free h sclass block_size with
+      | Some addr -> addr
+      | None ->
+        (match h.current.(sclass) with
+         | Some sb when not (Superblock.is_full sb) -> Superblock.alloc_block sb
+         | _ ->
+           let refilled =
+             match t.p.threshold with
+             | Some threshold ->
+               refill_from_pool t h ~threshold sclass block_size;
+               pop_free h sclass block_size
+             | None -> None
+           in
+           (match refilled with
+            | Some addr -> addr
+            | None -> Superblock.alloc_block (map_superblock t h sclass block_size)))
     in
     Alloc_stats.on_malloc t.sh ~requested:size ~usable:block_size;
     t.pf.Platform.write ~addr ~len:8;

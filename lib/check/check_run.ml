@@ -68,7 +68,7 @@ let blowup_slop ?(quarantine = 0) cfg ~nprocs ~peak_live_threads =
   let p = peak_live_threads in
   let heaps = (match cfg.Hoard_config.nheaps with Some n -> n | None -> nprocs) + 1 in
   let per_heap = (cfg.Hoard_config.slack + 4) * s * heaps in
-  let retained = (cfg.Hoard_config.release_threshold + 1) * s in
+  let retained = (Hoard_config.retained_superblocks cfg + 1) * s in
   let in_flight = p * s in
   let fe = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
   let quarantine = quarantine * Hoard_config.max_small cfg in

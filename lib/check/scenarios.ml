@@ -69,7 +69,7 @@ let locked_update =
    superblocks of one size class. *)
 let race_config ~mutant =
   Hoard_config.make ~sb_size:4096 ~nheaps:(Some 1) ~slack:0 ~empty_fraction:0.5 ~path_work:0
-    ~release_to_os:false ~front_end:0 ~mutant ()
+    ~release_threshold:max_int ~front_end:0 ~mutant ()
 
 (* Pick the largest size class whose superblock capacity is at least
    [min_cap] blocks — big blocks keep the setup short, enough capacity
@@ -182,7 +182,7 @@ let emptiness_trim ~mutant =
   }
 
 (* Superblock registry churn: three threads on two heaps, each cycling a
-   block that fills a whole superblock, with release_to_os at threshold
+   block that fills a whole superblock, with the release threshold at
    0 — every free empties a superblock, transfers it to the global heap
    and unmaps it, so register/unregister runs concurrently with the
    wait-free lookup on every other thread's free path. The explorer
@@ -199,7 +199,6 @@ let registry_churn =
           {
             (race_config ~mutant:"") with
             Hoard_config.nheaps = Some 2;
-            release_to_os = true;
             release_threshold = 0;
           }
         in
@@ -219,18 +218,19 @@ let registry_churn =
         fun () -> Hoard.check h);
   }
 
-(* The Treiber protocol itself, raw: the bounded lock-free stack under
-   the large-object cache's buckets, driven directly so every link word
-   is a schedule step. Three threads pop (one of them pushes back)
-   against a 3-deep stack; the post-run check walks the structure and
-   demands every accepted push is accounted for exactly once. With the ABA tag frozen
-   (mutant = "large-cache-no-aba"), a popper preempted between its link
-   load and its head CAS can resume after the top slot was recycled and
-   install a stale link — the walk then finds a payload-less or
-   twice-linked slot. Two preemptions suffice: one to park the popper in
-   its window, one to split another pop between its head CAS and its
-   free-stack push (which is what lets the slot pool hand the recycled
-   slot out under a different link). *)
+(* The Treiber protocol itself, raw: a stack alone in a bounded
+   [Lockfree] pool, as under each large-object cache bucket (the global
+   index's entry stacks run the same code on a growing pool), driven
+   directly so every link word is a schedule step. Three threads pop
+   (one of them pushes back) against a 3-deep stack; the post-run check
+   walks the structure and demands every accepted push is accounted for
+   exactly once. With the ABA tag frozen (mutant = "large-cache-no-aba"),
+   a popper preempted between its link load and its head CAS can resume
+   after the top node was recycled and install a stale link — the pool
+   walk then finds a node reachable twice. Two preemptions suffice: one
+   to park the popper in its window, one to split another pop between
+   its head CAS and its free-list push (which is what lets the pool hand
+   the recycled node out under a different link). *)
 let lockfree_stack ~mutant =
   {
     Explorer.sc_name = (if mutant = "" then "lockfree-stack" else "lockfree-stack-mutant");
@@ -263,8 +263,9 @@ let lockfree_stack ~mutant =
                note 2 (Lockfree.pop stack);
                ignore (Lockfree.push stack 105)));
         fun () ->
-          (* [iter] itself rejects cycles, twice-linked slots and
-             payload-less live slots — the structural ABA signatures. *)
+          (* [iter] walks the whole pool: it rejects cycles, twice-linked
+             and stranded nodes and payload-less live nodes — the
+             structural ABA signatures. *)
           let remaining = ref [] in
           Lockfree.iter stack (fun v -> remaining := v :: !remaining);
           if List.length !remaining <> Lockfree.length stack then

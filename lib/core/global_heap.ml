@@ -43,12 +43,11 @@ module Locked = struct
 
   (* Drop surplus empty superblocks. Caller holds heap 0's lock. *)
   let release_surplus g =
-    if g.env.cfg.release_to_os then
-      while Heap_core.empty_superblock_count g.h0.core > g.env.cfg.release_threshold do
-        match Heap_core.pick_victim g.h0.core ~max_fullness:0.0 with
-        | None -> assert false (* the count said an empty superblock exists *)
-        | Some sb -> drop g.env g.h0 sb
-      done
+    while Heap_core.empty_superblock_count g.h0.core > g.env.cfg.release_threshold do
+      match Heap_core.pick_victim g.h0.core ~max_fullness:0.0 with
+      | None -> assert false (* the count said an empty superblock exists *)
+      | Some sb -> drop g.env g.h0 sb
+    done
 
   let take g h ~sclass ~spill =
     let h0 = g.h0 in
@@ -121,18 +120,16 @@ module Lockfree = struct
      the job), which also keeps the loop explorable. Caller holds [h]'s
      lock (for the disposal events). *)
   let release g h =
-    if g.env.cfg.release_to_os then begin
-      let budget = ref 8 in
-      (* Uncharged read of a gauge every heap updates: to be charged as a plain load once atomic loads are. *)
-      while !budget > 0 && Global_index.empties g.gi > g.env.cfg.release_threshold do
-        decr budget;
-        match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Heap.event h kind ~sclass:(-1) ~arg) with
-        | None -> budget := 0
-        | Some sb ->
-          Alloc_stats.on_global_pop g.env.stats;
-          drop g.env h sb
-      done
-    end
+    let budget = ref 8 in
+    (* Uncharged read of a gauge every heap updates: to be charged as a plain load once atomic loads are. *)
+    while !budget > 0 && Global_index.empties g.gi > g.env.cfg.release_threshold do
+      decr budget;
+      match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Heap.event h kind ~sclass:(-1) ~arg) with
+      | None -> budget := 0
+      | Some sb ->
+        Alloc_stats.on_global_pop g.env.stats;
+        drop g.env h sb
+    done
 
   (* Reclaim [h]'s shard through the index: one exchange detaches it,
      then each superblock's blocks are freed with one Busy handshake, one

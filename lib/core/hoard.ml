@@ -26,10 +26,7 @@ type t = {
   owner : int;
   heaps : Heap.t array; (* per-processor heaps, ids 1..N *)
   global : Global_heap.t; (* heap 0, locked or lock-free per cfg.global *)
-  large : Locked_large.t;
-  (* cfg.large_cache > 0: the lock-free MPSC cache in front of the large
-     path, held here (as well as inside [large]) for check/introspection. *)
-  lcache : Large_cache.t option;
+  large : Locked_large.t; (* with the large cache in front when cfg.large_cache > 0 *)
   obs : Obs.t option;
   fe : int; (* cached [cfg.front_end]; 0 = the paper's exact algorithm *)
   tcaches : tcache IntMap.t Atomic.t; (* tid -> cache; replaced under [tc_mu] *)
@@ -90,7 +87,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
       heaps;
       global = Global_heap.create pf config ~classes ~stats ~reg ?obs ~heaps ();
       large;
-      lcache;
       obs;
       fe = config.front_end;
       tcaches = Atomic.make IntMap.empty;
@@ -863,7 +859,7 @@ let remote_queue_lengths t =
     (deferred_lengths t)
 
 let large_cache_length t =
-  match t.lcache with
+  match Locked_large.cache t.large with
   | None -> 0
   | Some c -> Large_cache.length c
 
@@ -894,7 +890,7 @@ let check t =
     t.heaps;
   (* Large cache: buckets within capacity, stacks structurally sound,
      every parked region mapped and decommitted. *)
-  match t.lcache with
+  match Locked_large.cache t.large with
   | None -> ()
   | Some c -> Large_cache.check c
 

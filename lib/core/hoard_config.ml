@@ -23,7 +23,6 @@ type t = {
   ngroups : int;
   nheaps : int option;
   assign_by_tid : bool;
-  release_to_os : bool;
   release_threshold : int;
   vmem_backend : Vmem_backend.kind;
   path_work : int;
@@ -53,7 +52,6 @@ let default =
     ngroups = 8;
     nheaps = None;
     assign_by_tid = false;
-    release_to_os = true;
     release_threshold = 4;
     vmem_backend = Vmem_backend.Exact;
     path_work = 30;
@@ -170,10 +168,8 @@ let knobs =
     bool_knob "assign-by-tid" "Map threads to heaps by thread-id hash instead of by processor."
       ~get:(fun t -> t.assign_by_tid)
       ~store:(fun t v -> { t with assign_by_tid = v });
-    bool_knob "release-to-os" "Return empty superblocks from the global heap to the OS."
-      ~get:(fun t -> t.release_to_os)
-      ~store:(fun t v -> { t with release_to_os = v });
-    int_knob "release-threshold" "Empty superblocks the global heap retains before releasing."
+    int_knob "release-threshold"
+      "Empty superblocks the global heap retains before returning the rest to the OS; max_int never releases."
       ~get:(fun t -> t.release_threshold)
       ~store:(fun t v -> { t with release_threshold = v })
       ~check:(non_negative "release-threshold");
@@ -271,7 +267,7 @@ let set t spec =
 let set_all t specs = List.fold_left set t specs
 
 let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?assign_by_tid
-    ?release_to_os ?release_threshold ?vmem_backend ?path_work ?front_end
+    ?release_threshold ?vmem_backend ?path_work ?front_end
     ?remote_queue_cap ?large_cache ?global ?mutant () =
   let v field = function Some x -> x | None -> field in
   let t =
@@ -282,7 +278,6 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?ass
       ngroups = v base.ngroups ngroups;
       nheaps = v base.nheaps nheaps;
       assign_by_tid = v base.assign_by_tid assign_by_tid;
-      release_to_os = v base.release_to_os release_to_os;
       release_threshold = v base.release_threshold release_threshold;
       vmem_backend = v base.vmem_backend vmem_backend;
       path_work = v base.path_work path_work;
@@ -297,6 +292,8 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?ass
   t
 
 let max_small t = t.sb_size / 2
+
+let retained_superblocks t = min t.release_threshold (max_int / 16 / t.sb_size)
 
 (* Registry-driven printer: the core shape parameters always print (in
    registry order), every other knob only when it differs from the

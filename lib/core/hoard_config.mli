@@ -44,10 +44,9 @@ type t = {
           implementation's policy, useful when threads outnumber
           processors) instead of by executing processor (the paper's
           presentation). Default false. *)
-  release_to_os : bool;
-      (** return empty superblocks from the global heap to the OS. *)
   release_threshold : int;
-      (** empty superblocks the global heap retains before releasing. *)
+      (** empty superblocks the global heap retains before returning the
+          rest to the OS; [max_int] never releases. *)
   vmem_backend : Vmem_backend.kind;
       (** reuse policy of the simulated address space underneath this
           allocator's platform. The config record is the single source of
@@ -119,7 +118,6 @@ val make :
   ?ngroups:int ->
   ?nheaps:int option ->
   ?assign_by_tid:bool ->
-  ?release_to_os:bool ->
   ?release_threshold:int ->
   ?vmem_backend:Vmem_backend.kind ->
   ?path_work:int ->
@@ -155,6 +153,11 @@ val validate : t -> unit
 
 val max_small : t -> int
 (** Largest request served from superblocks: S/2, as in the paper. *)
+
+val retained_superblocks : t -> int
+(** [release_threshold] clamped for byte envelopes: multiplied by
+    [sb_size] and added to an envelope's other terms, even [max_int]
+    (never release) cannot overflow. *)
 
 val pp : Format.formatter -> t -> unit
 (** Registry-driven: the core shape knobs always print; every other knob

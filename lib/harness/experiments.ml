@@ -663,7 +663,7 @@ let scale_envelope (cfg : Hoard_config.t) ~nprocs ~peak_live_threads ~peak_live_
   let fe_blocks = cfg.Hoard_config.front_end * classes * peak_live_threads in
   let slop =
     (heaps * per_heap)
-    + (cfg.Hoard_config.release_threshold * cfg.Hoard_config.sb_size)
+    + (Hoard_config.retained_superblocks cfg * cfg.Hoard_config.sb_size)
     + (fe_blocks * cfg.Hoard_config.sb_size / 8)
     + (4 * cfg.Hoard_config.sb_size)
   in

@@ -459,16 +459,66 @@ let test_registry_duplicate_rejected () =
 let test_large_roundtrip () =
   let pf = Platform.host () in
   let stats = Alloc_stats.create () in
-  let large = Large_alloc.create pf ~owner:9 ~stats ~shard:(Alloc_stats.shard stats 0) in
-  let a = Large_alloc.malloc large 10_000 in
-  Alcotest.(check (option int)) "usable" (Some 10_000) (Large_alloc.usable_size large ~addr:a);
-  Alcotest.(check int) "one live" 1 (Large_alloc.live_count large);
+  let large = Locked_large.create pf ~owner:9 ~stats ~threshold:4096 in
+  let a = Locked_large.malloc large 10_000 in
+  Alcotest.(check (option int)) "usable" (Some 10_000) (Locked_large.usable_size large ~addr:a);
+  Alcotest.(check int) "one live" 1 (Locked_large.live_count large);
   let s = Alloc_stats.snapshot stats in
   Alcotest.(check int) "held page-rounded" 12_288 s.Alloc_stats.held_bytes;
-  Alcotest.(check bool) "free" true (Large_alloc.free large ~addr:a);
-  Alcotest.(check bool) "double free is miss" false (Large_alloc.free large ~addr:a);
+  Alcotest.(check bool) "free" true (Locked_large.try_free large ~addr:a);
+  Alcotest.(check bool) "double free is miss" false (Locked_large.try_free large ~addr:a);
+  Alcotest.(check int) "none live" 0 (Locked_large.live_count large);
   let s = Alloc_stats.snapshot stats in
   Alcotest.(check int) "held back to zero" 0 s.Alloc_stats.held_bytes
+
+(* --- Lockfree: the shared Treiber pool --- *)
+
+let test_bounded_pool_refuses_when_full () =
+  let s = Lockfree.create (Platform.host ()) ~name:"b" ~cap:2 () in
+  Alcotest.(check bool) "push 1" true (Lockfree.push s 1);
+  Alcotest.(check bool) "push 2" true (Lockfree.push s 2);
+  Alcotest.(check bool) "full: refused" false (Lockfree.push s 3);
+  Alcotest.(check int) "length" 2 (Lockfree.length s);
+  Alcotest.(check int) "refusal is not a push" 2 (Lockfree.pushes s);
+  let seen = ref [] in
+  Lockfree.iter s (fun v -> seen := v :: !seen);
+  Alcotest.(check (list int)) "stack intact, top first" [ 2; 1 ] (List.rev !seen);
+  Alcotest.(check (list (option int))) "pops" [ Some 2; Some 1; None ]
+    (List.init 3 (fun _ -> Lockfree.pop s))
+
+let test_growing_pool_lifo_past_first_table () =
+  (* The table starts at 8 nodes; 20 pushes make it grow twice. *)
+  let p = Lockfree.pool (Platform.host ()) ~name:"g" ~stacks:[| "s" |] () in
+  let s = (Lockfree.stacks p).(0) in
+  for v = 1 to 20 do
+    Alcotest.(check bool) "growing pool never refuses" true (Lockfree.push s v)
+  done;
+  Alcotest.(check bool) "q_push" true (Lockfree.q_push s 21);
+  Lockfree.walk p (fun _ _ -> ());
+  Alcotest.(check (option int)) "q_pop: the last push" (Some 21) (Lockfree.q_pop s);
+  Alcotest.(check (list (option int))) "LIFO" (List.init 20 (fun i -> Some (20 - i)))
+    (List.init 20 (fun _ -> Lockfree.pop s));
+  Alcotest.(check (option int)) "empty" None (Lockfree.pop s);
+  Lockfree.walk p (fun _ _ -> Alcotest.fail "no live payload left")
+
+let test_walk_rejects_node_on_two_stacks () =
+  (* Copy stack a's head word into stack b's: the one node is then
+     linked from both stacks of the pool. *)
+  let pf = Platform.host () in
+  let atomics = Hashtbl.create 8 in
+  let new_atomic name init =
+    let a = pf.Platform.new_atomic name init in
+    Hashtbl.replace atomics name a;
+    a
+  in
+  let p = Lockfree.pool { pf with Platform.new_atomic } ~name:"w" ~stacks:[| "a"; "b" |] () in
+  ignore (Lockfree.push (Lockfree.stacks p).(0) 7);
+  Lockfree.walk p (fun _ _ -> ());
+  (Hashtbl.find atomics "w.b").Platform.poke ((Hashtbl.find atomics "w.a").Platform.peek ());
+  match Lockfree.walk p (fun _ _ -> ()) with
+  | () -> Alcotest.fail "walk accepted a node on two stacks"
+  | exception Failure m ->
+    Alcotest.(check bool) ("names the duplicate: " ^ m) true (Astring.String.is_infix ~affix:"reachable twice" m)
 
 (* --- Global_index.free_run --- *)
 
@@ -639,6 +689,12 @@ let () =
           Alcotest.test_case "free_run empties once" `Quick test_free_run_empties_once;
           Alcotest.test_case "free_run requeues on Busy" `Quick test_free_run_busy_requeues;
           Alcotest.test_case "free_run refuses an Absent word" `Quick test_free_run_absent_not_member;
+        ] );
+      ( "lockfree",
+        [
+          Alcotest.test_case "bounded pool refuses when full" `Quick test_bounded_pool_refuses_when_full;
+          Alcotest.test_case "growing pool LIFO past its first table" `Quick test_growing_pool_lifo_past_first_table;
+          Alcotest.test_case "walk rejects a node on two stacks" `Quick test_walk_rejects_node_on_two_stacks;
         ] );
       ( "large",
         [

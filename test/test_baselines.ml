@@ -347,6 +347,45 @@ let test_threshold_flushes_to_global_pool () =
   Alcotest.(check bool) (Printf.sprintf "pool has blocks (%d)" !total_pool) true (!total_pool > 0);
   a.Alloc_intf.check ()
 
+(* A thread with a threshold takes its class pool's lock only when its
+   free list is empty AND its carving superblock is full or absent — just
+   before mapping a new one — not on every carve. Two threads each carve
+   1,000 8 B blocks and then free them: the pool lock is taken once per
+   superblock mapped, plus once per overflow flush. *)
+let test_threshold_carving_skips_pool_lock () =
+  let sim = Sim.create ~nprocs:2 () in
+  let a = (Private_heaps.private_threshold ()).Alloc_intf.instantiate (Sim.platform sim) in
+  let n = 1_000 in
+  for p = 0 to 1 do
+    ignore
+      (Sim.spawn sim ~proc:p (fun () ->
+           let blocks = List.init n (fun _ -> a.Alloc_intf.malloc 8) in
+           List.iter a.Alloc_intf.free blocks))
+  done;
+  Sim.run sim;
+  let pool_acquisitions =
+    List.fold_left
+      (fun acc (name, acq, _) -> if Astring.String.is_prefix ~affix:"threshold.pool" name then acc + acq else acc)
+      0 (Sim.lock_stats sim)
+  in
+  (* A list past 32 blocks flushes down to 16. *)
+  let flushes_per_thread =
+    let flushes = ref 0 and len = ref 0 in
+    for _ = 1 to n do
+      incr len;
+      if !len > 32 then begin
+        incr flushes;
+        len := 16
+      end
+    done;
+    !flushes
+  in
+  let mapped = (a.Alloc_intf.stats ()).Alloc_stats.held_bytes / 8192 (* the baselines' superblock size *) in
+  Alcotest.(check int) "pool locks: one per superblock mapped, one per flush"
+    (mapped + (2 * flushes_per_thread))
+    pool_acquisitions;
+  a.Alloc_intf.check ()
+
 let test_threshold_blowup_bounded () =
   (* Producer-consumer: freed blocks flow back through the global pool, so
      consumption stays bounded, unlike pure-private. *)
@@ -419,5 +458,6 @@ let () =
           Alcotest.test_case "pure-private lock-free" `Quick test_pure_private_no_locks_on_fast_path;
           Alcotest.test_case "threshold flushes to pool" `Quick test_threshold_flushes_to_global_pool;
           Alcotest.test_case "threshold blowup bounded" `Quick test_threshold_blowup_bounded;
+          Alcotest.test_case "threshold carving skips the pool lock" `Quick test_threshold_carving_skips_pool_lock;
         ] );
     ]

@@ -131,7 +131,7 @@ let test_transfer_to_global_happens () =
 
 let test_superblocks_return_from_global () =
   let pf = Platform.host () in
-  let h = Hoard.create ~config:{ cfg with Hoard_config.release_to_os = false } pf in
+  let h = Hoard.create ~config:{ cfg with Hoard_config.release_threshold = max_int } pf in
   let a = Hoard.allocator h in
   let ps = List.init 4000 (fun _ -> a.Alloc_intf.malloc 32) in
   List.iter a.Alloc_intf.free ps;
@@ -468,7 +468,7 @@ let test_assign_by_tid_spreads_heaps () =
 
 let test_heap_info_reconciles_with_stats () =
   let pf = Platform.host () in
-  let h = Hoard.create ~config:{ cfg with Hoard_config.release_to_os = false } pf in
+  let h = Hoard.create ~config:{ cfg with Hoard_config.release_threshold = max_int } pf in
   let a = Hoard.allocator h in
   let rng = Rng.create 2026 in
   let live = ref [] in
@@ -571,7 +571,7 @@ let test_remote_queue_drain_reuses_memory () =
      drains them, so re-allocating must not map new OS memory. *)
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
-  let config = { cfg with Hoard_config.front_end = 8; release_to_os = false } in
+  let config = { cfg with Hoard_config.front_end = 8; release_threshold = max_int } in
   let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
   let ps = ref [] in
@@ -715,7 +715,7 @@ let test_remote_forward_bounded () =
       Hoard_config.sb_size = 4096;
       nheaps = Some 2;
       slack = 0;
-      release_to_os = false;
+      release_threshold = max_int;
       front_end = 8;
       remote_queue_cap = 2;
     }
@@ -852,7 +852,7 @@ let test_remote_forward_deferred () =
       Hoard_config.sb_size = 4096;
       nheaps = Some 2;
       slack = 0;
-      release_to_os = false;
+      release_threshold = max_int;
       front_end = 8;
     }
   in
@@ -1024,7 +1024,7 @@ let test_global_lockfree_roundtrip () =
      ever touching a heap-0 lock. *)
   let pf = Platform.host () in
   let config =
-    { cfg with Hoard_config.global = Hoard_config.Lockfree; slack = 0; release_to_os = false }
+    { cfg with Hoard_config.global = Hoard_config.Lockfree; slack = 0; release_threshold = max_int }
   in
   let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
@@ -1053,7 +1053,7 @@ let test_global_lockfree_profile_row () =
      lock-free index they live in the index, not in a heap-0 core. *)
   let pf = Platform.host () in
   let config =
-    { cfg with Hoard_config.global = Hoard_config.Lockfree; slack = 0; release_to_os = false }
+    { cfg with Hoard_config.global = Hoard_config.Lockfree; slack = 0; release_threshold = max_int }
   in
   let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
@@ -1108,7 +1108,7 @@ let test_orphan_adoptions_match_events () =
         {
           cfg with
           Hoard_config.nheaps = Some 2;
-          release_to_os = false;
+          release_threshold = max_int;
           front_end = 4;
           global = gmode;
         }
@@ -1557,7 +1557,7 @@ let global_free_shard_run ~flush =
       cfg with
       Hoard_config.nheaps = Some 3;
       front_end = 0;
-      release_to_os = false;
+      release_threshold = max_int;
       global = Hoard_config.Lockfree;
     }
   in
@@ -1635,7 +1635,7 @@ let test_gl_reclaim_links_per_run () =
   let sim = Sim.create ~nprocs:2 () in
   let pf0 = Sim.platform sim in
   let config =
-    { cfg with Hoard_config.nheaps = Some 2; front_end = 0; release_to_os = false; global = Hoard_config.Lockfree }
+    { cfg with Hoard_config.nheaps = Some 2; front_end = 0; release_threshold = max_int; global = Hoard_config.Lockfree }
   in
   let sb_size = config.Hoard_config.sb_size in
   let counting = ref false and freed = ref [] and links = ref 0 and headers = ref 0 in
@@ -1814,7 +1814,7 @@ let test_knob_registry () =
    draws from [known_mutants], covering the newly seeded ones. *)
 let test_set_all_matches_labelled_make =
   QCheck.Test.make ~name:"set_all = labelled make on random knob subsets" ~count:300
-    QCheck.(pair (int_bound 0x7FF) (int_bound 1000))
+    QCheck.(pair (int_bound 0x3FF) (int_bound 1000))
     (fun (mask, vseed) ->
       let bit i = mask land (1 lsl i) <> 0 in
       let pick i l = List.nth l ((vseed + i) mod List.length l) in
@@ -1823,16 +1823,15 @@ let test_set_all_matches_labelled_make =
       let empty_fraction = opt 1 [ 0.125; 0.25; 0.5 ] in
       let slack = opt 2 [ 0; 2; 4 ] in
       let nheaps = opt 3 [ Some 1; Some 3; Some 9; None ] in
-      let release_threshold = opt 4 [ 0; 2; 8 ] in
+      let release_threshold = opt 4 [ 0; 2; 8; max_int ] in
       let front_end = opt 5 [ 0; 4; 16 ] in
-      let release_to_os = opt 6 [ true; false ] in
-      let large_cache = opt 7 [ 0; 2; 8 ] in
-      let mutant = opt 8 Hoard_config.known_mutants in
-      let assign_by_tid = opt 9 [ true; false ] in
-      let global = opt 10 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
+      let large_cache = opt 6 [ 0; 2; 8 ] in
+      let mutant = opt 7 Hoard_config.known_mutants in
+      let assign_by_tid = opt 8 [ true; false ] in
+      let global = opt 9 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
       let labelled =
         Hoard_config.make ?sb_size ?empty_fraction ?slack ?nheaps ?release_threshold ?front_end
-          ?release_to_os ?large_cache ?mutant ?assign_by_tid
+          ?large_cache ?mutant ?assign_by_tid
           ?global ()
       in
       let textual =
@@ -1847,7 +1846,6 @@ let test_set_all_matches_labelled_make =
               nheaps;
             Option.map (Printf.sprintf "release-threshold=%d") release_threshold;
             Option.map (Printf.sprintf "front-end=%d") front_end;
-            Option.map (Printf.sprintf "release-to-os=%b") release_to_os;
             Option.map (Printf.sprintf "large-cache=%d") large_cache;
             Option.map (Printf.sprintf "mutant=%s") mutant;
             Option.map (Printf.sprintf "assign-by-tid=%b") assign_by_tid;
