@@ -168,17 +168,13 @@ let inspect_cmd =
     w.Workload_intf.spawn sim pf a ~nthreads:nprocs;
     Sim.run sim;
     a.Alloc_intf.check ();
+    Printf.printf "pending remote frees: [%s]\n"
+      (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.remote_queue_lengths h))));
     if config.Hoard_config.front_end > 0 then begin
       List.iter
         (fun (tid, counts) ->
           Printf.printf "tcache tid=%d: %d blocks cached\n" tid (Array.fold_left ( + ) 0 counts))
         (Hoard.cache_counts h);
-      if config.Hoard_config.global = Hoard_config.Lockfree then
-        Printf.printf "deferred lists: [%s]\n"
-          (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.deferred_lengths h))))
-      else
-        Printf.printf "remote queues: [%s]\n"
-          (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.remote_queue_lengths h))));
       Hoard.flush_caches h;
       a.Alloc_intf.check ()
     end;

@@ -75,7 +75,9 @@ let explore_cmd =
     let sc = get_scenario name in
     let o = Explorer.explore ~strategy:(strategy_of_string strategy) ~bound ~max_runs sc in
     Printf.printf "%s: %d run(s)%s\n" sc.Explorer.sc_name o.Explorer.o_runs
-      (if o.Explorer.o_truncated then " (truncated at --max-runs)" else " (exhaustive at this bound)");
+      (if Option.is_some o.Explorer.o_failure then " (stopped at first violation)"
+       else if o.Explorer.o_truncated then " (truncated at --max-runs)"
+       else " (exhaustive at this bound)");
     match o.Explorer.o_failure with
     | None ->
       Printf.printf "no violation up to preemption bound %d\n" bound;

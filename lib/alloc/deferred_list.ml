@@ -197,3 +197,12 @@ let iter t f =
     failwith
       (Printf.sprintf "Deferred_list(%s): %d nodes on the list but %d accounted" t.head.Platform.atomic_name
          n (length t))
+
+(* Every listed block is bitmap-live and custody-marked in its
+   superblock: it stays charged to the owning heap until a reclaim. *)
+let check t =
+  iter t (fun sb addr ->
+      if not (Superblock.is_block_live sb addr) then
+        failwith (Printf.sprintf "Hoard.check: deferred block %#x not bitmap-live" addr);
+      if not (Superblock.is_block_cached sb addr) then
+        failwith (Printf.sprintf "Hoard.check: deferred block %#x without custody mark" addr))

@@ -46,3 +46,7 @@ val iter : t -> (Superblock.t -> int -> unit) -> unit
 (** Quiescent structural walk without consuming the list; fails on
     cycles, payload-less nodes, or a length drifting from the
     accounting. Call only when no thread is mid-operation. *)
+
+val check : t -> unit
+(** {!iter}'s structural walk, plus every listed block bitmap-live and
+    custody-marked in its superblock. Quiescent; raises [Failure]. *)

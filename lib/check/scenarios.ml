@@ -399,7 +399,7 @@ let deferred_own_overflow =
                Sim.barrier_wait barrier;
                ignore (a.Alloc_intf.malloc bsize)));
         fun () ->
-          let own = (Hoard.deferred_lengths h).(1) in
+          let own = (Hoard.remote_queue_lengths h).(1) in
           if own > config.Hoard_config.remote_queue_cap then
             failwith (sprintf "%s: %d block(s) on the own list, cap %d" name own config.Hoard_config.remote_queue_cap);
           Hoard.check h;

@@ -6,7 +6,9 @@ module type S = sig
   val park :
     t -> Heap.t -> (Superblock.t * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
   val complete : t -> Heap.t -> spill:(Superblock.t * int) list ref -> unit
-  val pending : t -> Heap.t -> Deferred_list.t option
+  val parked : t -> Heap.t -> int
+  val iter_parked : t -> Heap.t -> (Superblock.t -> int -> unit) -> unit
+  val q_take : t -> Heap.t -> (Superblock.t * int) list
   val q_free : t -> Superblock.t -> addr:int -> unit
   val q_put : t -> Superblock.t -> unit
   val info : t -> Heap.info
@@ -87,7 +89,11 @@ module Locked = struct
 
   let complete _ _ ~spill:_ = ()
 
-  let pending _ _ = None
+  let parked _ _ = 0
+
+  let iter_parked _ _ _ = ()
+
+  let q_take _ _ = []
 
   let q_free g sb ~addr = Heap_core.free g.h0.core sb addr
 
@@ -97,7 +103,7 @@ module Locked = struct
 
   let iter_members g = Heap_core.iter g.h0.core
 
-  let check g = Heap_core.check g.h0.core
+  let check g = Heap.check g.h0
 end
 
 (* The lock-free global heap: heap 0 has no record. Its superblocks live
@@ -248,7 +254,11 @@ module Lockfree = struct
         h.lock.release ()
       end
 
-  let pending g h = Some (shard g h)
+  let parked g h = Deferred_list.length (shard g h)
+
+  let iter_parked g h = Deferred_list.iter (shard g h)
+
+  let q_take g h = Deferred_list.drain_quiescent (shard g h)
 
   let q_free g sb ~addr = Global_index.q_free g.gi sb ~addr
 
@@ -280,7 +290,7 @@ module Lockfree = struct
           failwith "Hoard.check: global member not registered";
         if g.env.pf.page_residency ~addr:base <> Vmem.Resident then
           failwith "Hoard.check: global member not resident");
-    Array.iter Heap.check_list g.shards
+    Array.iter Deferred_list.check g.shards
 end
 
 type t = G : (module S with type t = 'g) * 'g -> t
@@ -317,7 +327,9 @@ let take (G ((module M), g)) = M.take g
 let put (G ((module M), g)) = M.put g
 let park (G ((module M), g)) = M.park g
 let complete (G ((module M), g)) = M.complete g
-let pending (G ((module M), g)) = M.pending g
+let parked (G ((module M), g)) = M.parked g
+let iter_parked (G ((module M), g)) = M.iter_parked g
+let q_take (G ((module M), g)) = M.q_take g
 let q_free (G ((module M), g)) = M.q_free g
 let q_put (G ((module M), g)) = M.q_put g
 let info (G ((module M), g)) = M.info g

@@ -53,10 +53,18 @@ module type S = sig
   (** A flush's share: complete [h]'s shard and release surplus empties.
       Caller holds [h]'s lock. *)
 
-  val pending : t -> Heap.t -> Deferred_list.t option
-  (** [h]'s shard of parked frees, if the global heap keeps them. *)
-
   (** {2 Quiescent — no platform locks, costs or events} *)
+
+  val parked : t -> Heap.t -> int
+  (** Blocks parked on [h]'s shard; always 0 when {!heap0} is a record. *)
+
+  val iter_parked : t -> Heap.t -> (Superblock.t -> int -> unit) -> unit
+  (** Every block parked on [h]'s shard, most recently parked first,
+      without taking it. *)
+
+  val q_take : t -> Heap.t -> (Superblock.t * int) list
+  (** Take every block parked on [h]'s shard, most recently parked
+      first. *)
 
   val q_free : t -> Superblock.t -> addr:int -> unit
   (** Free one block of a global superblock. *)

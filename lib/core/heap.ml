@@ -11,11 +11,12 @@ type queue = {
    channel follows the global heap: the locked one pairs with bounded
    queues (overflow takes the locked path, like heap 0's own lock), the
    lock-free one with deferred lists (producers CAS-push, the owner
-   exchange-reclaims). *)
+   exchange-reclaims; a push by the heap's own threads is capped at
+   [own_cap]). Only this module looks inside. *)
 type channel =
   | No_channel
   | Queue of queue
-  | List of Deferred_list.t
+  | List of { l : Deferred_list.t; own_cap : int }
 
 type t = {
   pf : Platform.t;
@@ -45,10 +46,14 @@ let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
           }
       | Hoard_config.Lockfree ->
         List
-          (Deferred_list.create pf ~name:(Printf.sprintf "hoard.dfl%d" id)
-             ~lost_node:(cfg.mutant = "deferred-lost-node")
-             ~on_retry:(Alloc_stats.retry_hook stats ~label:"deferred")
-             ())
+          {
+            l =
+              Deferred_list.create pf ~name:(Printf.sprintf "hoard.dfl%d" id)
+                ~lost_node:(cfg.mutant = "deferred-lost-node")
+                ~on_retry:(Alloc_stats.retry_hook stats ~label:"deferred")
+                ();
+            own_cap = cfg.remote_queue_cap;
+          }
   in
   let ring = ring obs (if id = 0 then "global" else Printf.sprintf "heap%d" id) in
   let lock = pf.Platform.new_lock (Printf.sprintf "hoard.heap%d" id) in
@@ -85,20 +90,23 @@ let event h kind ~sclass ~arg =
     Event_ring.record r ~at:(h.pf.Platform.now ()) ~kind ~who:(h.pf.Platform.self_proc ()) ~heap:(id h) ~sclass
       ~arg
 
-(* Group a batch of blocks by superblock, in first-seen order; each
-   group keeps its blocks in batch order. Every per-superblock effect of a
-   batch — one header write, one block left for the free-list head, one
-   Busy handshake — walks these groups. *)
-let by_superblock items =
+(* Group a batch by its first components (compared physically), in
+   first-seen order; each group keeps its items in batch order. Every
+   per-superblock effect of a batch — one header write, one block left
+   for the free-list head, one Busy handshake — walks these groups by
+   superblock; a drain's forwards group by destination heap. *)
+let group_by_first items =
   List.fold_left
-    (fun groups (sb, x) ->
-      match List.assq_opt sb groups with
+    (fun groups (k, x) ->
+      match List.assq_opt k groups with
       | Some r ->
         r := x :: !r;
         groups
-      | None -> (sb, ref [ x ]) :: groups)
+      | None -> (k, ref [ x ]) :: groups)
     [] items
-  |> List.rev_map (fun (sb, r) -> (sb, List.rev !r))
+  |> List.rev_map (fun (k, r) -> (k, List.rev !r))
+
+let by_superblock = group_by_first
 
 (* Write the header of each distinct superblock in a batch once, in
    first-seen order. A batch updates a header's free-list head and counts
@@ -118,16 +126,66 @@ let free_owned h sb addr =
   Heap_core.free h.core sb addr;
   Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb)
 
-(* Every listed block is bitmap-live and custody-marked in its superblock:
-   it stays charged to the owning heap until a reclaim, exactly like a
-   queued block. Quiescent structural walk; [Deferred_list.iter] itself
-   rejects cycles, payload-less nodes and length drift. *)
-let check_list l =
-  Deferred_list.iter l (fun sb addr ->
-      if not (Superblock.is_block_live sb addr) then
-        failwith (Printf.sprintf "Hoard.check: deferred block %#x not bitmap-live" addr);
-      if not (Superblock.is_block_cached sb addr) then
-        failwith (Printf.sprintf "Hoard.check: deferred block %#x without custody mark" addr))
+(* Append [items] to [q], in order, under its innermost lock while it
+   holds fewer than [cap] blocks; returns the rejects, in order. *)
+let enqueue q ~cap items =
+  q.q_lock.acquire ();
+  let rejects =
+    List.filter
+      (fun x ->
+        let accepted = q.q_len < cap in
+        if accepted then begin
+          q.q_blocks <- x :: q.q_blocks;
+          q.q_len <- q.q_len + 1
+        end;
+        not accepted)
+      items
+  in
+  q.q_lock.release ();
+  rejects
+
+(* Offer blocks of [h]'s superblocks (freed, custody-marked, still
+   charged) to [h]'s channel from a thread holding no heap lock; returns
+   the rejects, in order, for the caller's locked path. A bounded queue
+   takes blocks while it holds fewer than its cap — twice the cap for a
+   drain's [forward]s, so a drain meeting a full peer queue still moves
+   its migrated blocks on, yet cannot keep re-inflating its peers. A
+   deferred list takes the whole batch with one pre-linked CAS, no queue
+   lock, or none of it when [own] (a push by [h]'s own threads) would
+   take it past its own-heap cap: those blocks would otherwise wait,
+   charged, for [h]'s next fill, and the cap keeps that backlog as short
+   as a queue's. Other pushes are uncapped. A block whose superblock
+   migrated since the caller read its owner just lands on the stale
+   owner's channel, whose drain forwards it. No channel rejects
+   everything. *)
+let offer ?(forward = false) h ~own items =
+  match h.channel with
+  | No_channel -> items
+  | Queue q -> enqueue q ~cap:(if forward then 2 * q.q_cap else q.q_cap) items
+  | List { l; own_cap } -> if Deferred_list.push_many ?cap:(if own then Some own_cap else None) l items then [] else items
+
+let note_deferred ~sh ~record items =
+  List.iter
+    (fun (sb, addr) ->
+      Alloc_stats.on_deferred_enqueue sh;
+      record Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
+    items
+
+(* A front-end eviction's [offer], counted on the evicting thread's
+   shard [sh] and recorded through [record]: a queue counts its accepted
+   blocks once, a list each block it took. *)
+let push h ~own ~sh ~record items =
+  let rejects = offer h ~own items in
+  (match (h.channel, rejects) with
+   | Queue _, _ ->
+     let accepted = List.length items - List.length rejects in
+     if accepted > 0 then begin
+       Alloc_stats.on_remote_enqueue sh ~blocks:accepted;
+       record Event_ring.Remote_enqueue ~sclass:(Superblock.sclass (fst (List.hd items))) ~arg:accepted
+     end
+   | List _, [] -> note_deferred ~sh ~record items
+   | (List _ | No_channel), _ -> ());
+  rejects
 
 (* A drain's private batch, taken BEFORE the heap lock by [detach]. *)
 type detached =
@@ -245,7 +303,7 @@ let detach h =
       prelink h.pf items;
       Queued items
     end
-  | List l ->
+  | List { l; _ } ->
     let chain = Deferred_list.reclaim l in
     List.iter (fun (_, addr) -> h.pf.Platform.write ~addr ~len:8) (joins (run_ends chain));
     Chain chain
@@ -269,16 +327,8 @@ let drain_queued h items ~peer ~spill =
     let forward owner_id sb addr =
       let accepted =
         match peer owner_id with
-        | Some { channel = Queue q; _ } ->
-          q.q_lock.acquire ();
-          let accepted = q.q_len < 2 * q.q_cap in
-          if accepted then begin
-            q.q_blocks <- (sb, addr) :: q.q_blocks;
-            q.q_len <- q.q_len + 1
-          end;
-          q.q_lock.release ();
-          accepted
-        | _ -> false
+        | Some p -> offer ~forward:true p ~own:false [ (sb, addr) ] = []
+        | None -> false
       in
       if accepted then begin
         incr forwarded;
@@ -305,19 +355,16 @@ let free_reclaimed h items ~peer =
   match items with
   | [] -> (0, [])
   | _ ->
-    let forwarded = ref 0 and batches = ref [] and to_global = ref [] in
+    let forwarded = ref 0 and moved = ref [] and to_global = ref [] in
     let forward owner_id sb addr =
       (match peer owner_id with
-       | Some { channel = List l; _ } -> (
-         match List.assq_opt l !batches with
-         | Some batch -> batch := (sb, addr) :: !batch
-         | None -> batches := (l, ref [ (sb, addr) ]) :: !batches)
-       | _ -> to_global := (sb, addr) :: !to_global);
+       | Some p -> moved := (p, (sb, addr)) :: !moved
+       | None -> to_global := (sb, addr) :: !to_global);
       incr forwarded;
       event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
     let mine = splice h items ~stale:last ~forward in
-    List.iter (fun (l, batch) -> ignore (Deferred_list.push_many l (List.rev !batch))) (List.rev !batches);
+    List.iter (fun (p, batch) -> ignore (offer p ~own:false batch)) (group_by_first (List.rev !moved));
     if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
     Alloc_stats.on_deferred_reclaim h.sh;
     event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
@@ -339,4 +386,23 @@ let take_quiescent h =
     q.q_blocks <- [];
     q.q_len <- 0;
     items
-  | List l -> List.rev (Deferred_list.drain_quiescent l)
+  | List { l; _ } -> List.rev (Deferred_list.drain_quiescent l)
+
+(* Blocks waiting on [h]'s channel; exact at quiescence. *)
+let pending h =
+  match h.channel with
+  | No_channel -> 0
+  | Queue q -> q.q_len
+  | List { l; _ } -> Deferred_list.length l
+
+let check h =
+  Heap_core.check h.core;
+  match h.channel with
+  | List { l; _ } -> Deferred_list.check l
+  | No_channel | Queue _ -> ()
+
+let channel_name h =
+  match h.channel with
+  | No_channel -> "none"
+  | Queue _ -> "queue"
+  | List _ -> "list"

@@ -1,30 +1,21 @@
-(** One heap's record and the owner-side code of its remote-free
-    channel, shared by {!Hoard}'s per-processor heaps and the locked
-    {!Global_heap}'s heap 0.
+(** One heap's record and its remote-free channel, shared by
+    {!Hoard}'s per-processor heaps and the locked {!Global_heap}'s heap
+    0.
 
     A heap is its {!Heap_core} (fullness groups and the [u]/[a]
     accounting) behind its lock, with the stats shard and event ring of
-    the same lock domain, and its remote-free channel. Producers push
-    blocks of the heap's superblocks onto the channel; the owner
+    the same lock domain, and its remote-free channel. Producers
+    {!push} blocks of the heap's superblocks onto the channel; the owner
     {!detach}es the whole channel before taking the lock and {!drain}s
-    it under the lock. *)
+    it under the lock. How the channel stores a pending free is decided
+    here alone. *)
 
-type queue = {
-  q_lock : Platform.lock;  (** innermost: never held while acquiring any other lock *)
-  mutable q_blocks : (Superblock.t * int) list;  (** newest first *)
-  mutable q_len : int;
-  q_cap : int;
-}
-(** A bounded remote-free queue. *)
-
-(** The channel follows the configuration: none without a front end
-    (whose evictions are its only producers), else the bounded {!queue}
-    under the [Locked] global heap and the unbounded {!Deferred_list}
-    under [Lockfree]. *)
-type channel =
-  | No_channel
-  | Queue of queue
-  | List of Deferred_list.t
+type channel
+(** The remote-free channel follows the configuration: none without a
+    front end (whose evictions are its only producers), else a bounded
+    queue under the [Locked] global heap and a {!Deferred_list} under
+    [Lockfree]. Only this module looks inside: producers {!push}, the
+    owner {!detach}es and {!drain}s. *)
 
 type t = {
   pf : Platform.t;
@@ -70,9 +61,39 @@ val free_owned : t -> Superblock.t -> int -> unit
     heap's core: host-side bookkeeping only, the caller holds the lock and
     issues the simulated writes. *)
 
-val check_list : Deferred_list.t -> unit
-(** Every listed block is bitmap-live and custody-marked. Quiescent walk;
-    raises [Failure] otherwise. *)
+val push :
+  t ->
+  own:bool ->
+  sh:Alloc_stats.shard ->
+  record:(Event_ring.kind -> sclass:int -> arg:int -> unit) ->
+  (Superblock.t * int) list ->
+  (Superblock.t * int) list
+(** Producer side, holding no heap lock: offer a front-end eviction's
+    blocks of [h]'s superblocks (freed, custody-marked, still charged) to
+    [h]'s channel, [own] when the evicting thread's heap is [h]. Returns
+    the rejects in order, for the caller's locked path: everything
+    without a channel; past its cap, under its innermost lock, for a
+    queue; the whole batch when it would take an own-heap push past
+    [remote_queue_cap], for a deferred list (one CAS, other pushes
+    uncapped). Accepted blocks are counted on [sh] and recorded through
+    [record]: [Remote_enqueue] once per queue push, [Deferred_enqueue]
+    per listed block. *)
+
+val note_deferred :
+  sh:Alloc_stats.shard -> record:(Event_ring.kind -> sclass:int -> arg:int -> unit) -> (Superblock.t * int) list -> unit
+(** Count and record each block as a deferred enqueue, the way {!push}
+    does for a deferred list. *)
+
+val pending : t -> int
+(** Blocks waiting on [h]'s channel. Exact at quiescence. *)
+
+val check : t -> unit
+(** Quiescent structural validation of the heap's core and its
+    channel: every listed block of a deferred list bitmap-live and
+    custody-marked. Raises [Failure]. *)
+
+val channel_name : t -> string
+(** ["none"], ["queue"] or ["list"]. *)
 
 val run_ends : (Superblock.t * 'a) list -> (Superblock.t * 'a) list
 (** The run ends of a detached deferred chain, in chain order: the last

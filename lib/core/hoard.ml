@@ -270,15 +270,8 @@ let with_drained t h f =
 (* Route cache-evicted blocks out, partitioned by the owner observed now.
    Owner-0 blocks without a heap-0 record park on the calling heap's
    shard of the global heap in one pre-linked CAS. Each other group goes
-   to its owner's channel. A deferred list takes the group as one
-   pre-linked chain — a single CAS per owner heap, no queue lock; a
-   block whose superblock migrates between the owner read and the push
-   just lands on the stale owner's list, whose reclaim forwards it.
-   Other owners' lists are uncapped, but the calling heap's own list is
-   capped at [remote_queue_cap] like a queue: these blocks would
-   otherwise wait, charged, for this heap's next fill, and the cap keeps
-   that backlog as short as the queue's. A bounded queue takes the group
-   in one innermost-lock critical section, and whatever the caps reject
+   to its owner's remote-free channel ([Heap.push]: the calling heap's
+   own channel is pushed with [~own]), and whatever a channel rejects
    goes to the classic locked path in one batch. Each block's owner must
    be read ONCE: on real domains a concurrent transfer can change it
    between two reads, and consing onto one owner's group while storing
@@ -291,13 +284,7 @@ let surrender_many t tc pairs =
       let id = Superblock.owner sb in
       groups.(id) <- (sb, addr) :: groups.(id))
     pairs;
-  let enqueued group =
-    List.iter
-      (fun (sb, addr) ->
-        Alloc_stats.on_deferred_enqueue tc.tc_sh;
-        event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
-      group
-  in
+  let sh = tc.tc_sh and record = event_tc t tc in
   let overflow = ref [] and own_id = Heap.id (my_heap t) in
   Array.iteri
     (fun id group ->
@@ -305,30 +292,8 @@ let surrender_many t tc pairs =
         match heap_by_id t id with
         | None ->
           overflow := park_global t group @ !overflow;
-          enqueued group
-        | Some { channel = List l; _ } ->
-          let cap = if id = own_id then Some t.cfg.remote_queue_cap else None in
-          if Deferred_list.push_many ?cap l group then enqueued group
-          else overflow := List.rev_append group !overflow
-        | Some { channel = Queue q; _ } ->
-          q.q_lock.acquire ();
-          let accepted = ref 0 in
-          List.iter
-            (fun (sb, addr) ->
-              if q.q_len < q.q_cap then begin
-                q.q_blocks <- (sb, addr) :: q.q_blocks;
-                q.q_len <- q.q_len + 1;
-                incr accepted
-              end
-              else overflow := (sb, addr) :: !overflow)
-            group;
-          q.q_lock.release ();
-          if !accepted > 0 then begin
-            Alloc_stats.on_remote_enqueue tc.tc_sh ~blocks:!accepted;
-            event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass (fst (List.hd group)))
-              ~arg:!accepted
-          end
-        | Some { channel = No_channel; _ } -> overflow := List.rev_append group !overflow)
+          Heap.note_deferred ~sh ~record group
+        | Some h -> overflow := List.rev_append (Heap.push h ~own:(id = own_id) ~sh ~record group) !overflow)
     groups;
   if !overflow <> [] then dispose_batch t !overflow
 
@@ -779,14 +744,7 @@ let flush_caches t =
     (Atomic.get t.tcaches);
   (* [h]'s channel and its shard of the global heap. The quiescent drains
      use charge-free peek/poke, so they are cost- and schedule-invisible. *)
-  let take (h : Heap.t) =
-    let shard =
-      match Global_heap.pending t.global h with
-      | None -> []
-      | Some l -> Deferred_list.drain_quiescent l
-    in
-    List.rev_append shard (Heap.take_quiescent h)
-  in
+  let take h = List.rev_append (Global_heap.q_take t.global h) (Heap.take_quiescent h) in
   (* At quiescence owners are stable, so one pass routes every queued
      block to its final heap. *)
   Option.iter (fun h0 -> List.iter dispose (take h0)) (heap_by_id t 0);
@@ -822,41 +780,15 @@ let heap_info t id = if id = 0 then Global_heap.info t.global else Heap.info t.h
 let cache_counts t =
   List.rev (IntMap.fold (fun tid tc acc -> (tid, Array.copy tc.tc_count) :: acc) (Atomic.get t.tcaches) [])
 
-let list_length = function
-  | None -> 0
-  | Some l -> Deferred_list.length l
+let iter_global_free t f = Array.iter (fun h -> Global_heap.iter_parked t.global h (f ~heap:(Heap.id h))) t.heaps
 
-(* Blocks on each heap's deferred list; heap 0's entry sums the blocks
-   parked on the per-heap shards of the global heap, which all wait on
-   global superblocks. *)
-let deferred_lengths t =
+(* Heap 0's entry adds the blocks parked on the per-heap shards of the
+   global heap, which all wait on global superblocks. *)
+let remote_queue_lengths t =
+  let parked = Array.fold_left (fun n h -> n + Global_heap.parked t.global h) 0 t.heaps in
   Array.init
     (Array.length t.heaps + 1)
-    (fun id ->
-      if id = 0 then Array.fold_left (fun acc h -> acc + list_length (Global_heap.pending t.global h)) 0 t.heaps
-      else
-        match t.heaps.(id - 1).channel with
-        | List l -> Deferred_list.length l
-        | No_channel | Queue _ -> 0)
-
-let iter_global_free t f =
-  Array.iter
-    (fun h ->
-      Option.iter
-        (fun l -> Deferred_list.iter l (fun sb addr -> f ~heap:(Heap.id h) sb addr))
-        (Global_heap.pending t.global h))
-    t.heaps
-
-let remote_queue_lengths t =
-  Array.mapi
-    (fun id n ->
-      match heap_by_id t id with
-      | Some h -> (
-        match h.channel with
-        | Queue q -> n + q.q_len
-        | No_channel | List _ -> n)
-      | None -> n)
-    (deferred_lengths t)
+    (fun id -> (if id = 0 then parked else 0) + Option.fold ~none:0 ~some:Heap.pending (heap_by_id t id))
 
 let large_cache_length t =
   match Locked_large.cache t.large with
@@ -874,7 +806,7 @@ let invariant_holds t ~heap_id =
     || not (Heap_core.has_victim h.core ~max_fullness:(1.0 -. t.cfg.empty_fraction) ~protect_last:true)
 
 let check t =
-  Array.iter (fun (h : Heap.t) -> Heap_core.check h.core) t.heaps;
+  Array.iter Heap.check t.heaps;
   Global_heap.check t.global;
   let s = Alloc_stats.snapshot t.stats in
   let total_u =
@@ -882,12 +814,6 @@ let check t =
   in
   if total_u + Locked_large.live_bytes t.large <> s.live_bytes then
     failwith "Hoard.check: live-bytes accounting mismatch";
-  Array.iter
-    (fun (h : Heap.t) ->
-      match h.channel with
-      | List l -> Heap.check_list l
-      | No_channel | Queue _ -> ())
-    t.heaps;
   (* Large cache: buckets within capacity, stacks structurally sound,
      every parked region mapped and decommitted. *)
   match Locked_large.cache t.large with

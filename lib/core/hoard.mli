@@ -144,14 +144,10 @@ val cache_counts : t -> (int * int array) list
     Lock-free reads; call at quiescence. *)
 
 val remote_queue_lengths : t -> int array
-(** Pending remote-free count per heap (its bounded queue or deferred
-    list), index 0 = global, which also sums the global-free shards.
-    Lock-free reads; call at quiescence. *)
-
-val deferred_lengths : t -> int array
-(** Blocks currently parked on each heap's deferred free list, index 0 =
-    global: the sum of the per-heap global-free shards. All zeros unless
-    [global = Lockfree]. Lock-free reads; call at quiescence. *)
+(** Pending remote frees per heap, whatever holds them: each heap's
+    remote-free channel ({!Heap.pending}), and at index 0 (global) heap
+    0's channel, if it has a record, plus every block parked on the
+    global heap's per-heap shards. Lock-free reads; call at quiescence. *)
 
 val iter_global_free : t -> (heap:int -> Superblock.t -> int -> unit) -> unit
 (** Test hook: no allocation path uses it. Every block parked on a

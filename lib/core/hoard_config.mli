@@ -63,16 +63,18 @@ type t = {
           hot path; positive values must be at least 2 so that fills and
           flushes can move [front_end / 2] blocks per lock acquisition. *)
   remote_queue_cap : int;
-      (** capacity (blocks) of each heap's bounded remote-free queue. A
-          remote free finding the owner's queue full falls back to the
-          classic lock-the-owner free path. Only meaningful with
-          [front_end > 0]. Under [Lockfree] the remote-free channel is
-          the deferred list (a remote free pushes the block onto the
-          owner's list with a single CAS, and the owner reclaims the
-          whole list with one exchange during its next fill/flush/trim);
-          remote pushes are uncapped, but a thread's evictions of its
-          own heap's blocks that would take that heap's list past this
-          cap take the locked free path instead. *)
+      (** the cap (blocks) of each heap's remote-free channel
+          ({!Heap.push}), only meaningful with [front_end > 0]. Under
+          [Locked] the channel is a bounded queue of this capacity: an
+          eviction finding the owner's queue full falls back to the
+          classic lock-the-owner free path (a drain's forwards may fill
+          a queue to twice the cap). Under [Lockfree] it is the deferred
+          list (a remote free pushes the block onto the owner's list
+          with a single CAS, and the owner reclaims the whole list with
+          one exchange during its next fill/flush/trim); remote pushes
+          are uncapped, but a thread's evictions of its own heap's
+          blocks that would take that heap's list past this cap take the
+          locked free path instead. *)
   large_cache : int;
       (** per-bucket capacity of the lock-free MPSC large-object cache in
           front of the large allocator: freed large regions are parked

@@ -25,95 +25,51 @@ type kind =
   | Global_pop
   | Global_revalidate
 
-let all_kinds =
-  [ Sb_map; Sb_unmap; Sb_from_global; Sb_to_global; Emptiness_cross; Remote_free; Large_map; Large_unmap;
-    Lock_acquire; Cache_hit; Cache_flush; Remote_enqueue; Remote_drain; Decommit; Recommit;
-    Remote_forward; Req_arrival; Req_done; Large_cache_hit; Deferred_enqueue; Deferred_reclaim;
-    Orphan_adopt; Global_push; Global_pop; Global_revalidate ]
+(* The one table of kinds: a kind's position is the index a ring stores,
+   its string the export name. Every other view of the kinds derives
+   from it. *)
+let table =
+  [|
+    (Sb_map, "sb_map");
+    (Sb_unmap, "sb_unmap");
+    (Sb_from_global, "sb_from_global");
+    (Sb_to_global, "sb_to_global");
+    (Emptiness_cross, "emptiness_cross");
+    (Remote_free, "remote_free");
+    (Large_map, "large_map");
+    (Large_unmap, "large_unmap");
+    (Lock_acquire, "lock_acquire");
+    (Cache_hit, "cache_hit");
+    (Cache_flush, "cache_flush");
+    (Remote_enqueue, "remote_enqueue");
+    (Remote_drain, "remote_drain");
+    (Decommit, "decommit");
+    (Recommit, "recommit");
+    (Remote_forward, "remote_forward");
+    (Req_arrival, "req_arrival");
+    (Req_done, "req_done");
+    (Large_cache_hit, "large_cache_hit");
+    (Deferred_enqueue, "deferred_enqueue");
+    (Deferred_reclaim, "deferred_reclaim");
+    (Orphan_adopt, "orphan_adopt");
+    (Global_push, "global_push");
+    (Global_pop, "global_pop");
+    (Global_revalidate, "global_revalidate");
+  |]
 
-let nkinds = List.length all_kinds
+let all_kinds = Array.to_list (Array.map fst table)
 
-let kind_index = function
-  | Sb_map -> 0
-  | Sb_unmap -> 1
-  | Sb_from_global -> 2
-  | Sb_to_global -> 3
-  | Emptiness_cross -> 4
-  | Remote_free -> 5
-  | Large_map -> 6
-  | Large_unmap -> 7
-  | Lock_acquire -> 8
-  | Cache_hit -> 9
-  | Cache_flush -> 10
-  | Remote_enqueue -> 11
-  | Remote_drain -> 12
-  | Decommit -> 13
-  | Recommit -> 14
-  | Remote_forward -> 15
-  | Req_arrival -> 16
-  | Req_done -> 17
-  | Large_cache_hit -> 18
-  | Deferred_enqueue -> 19
-  | Deferred_reclaim -> 20
-  | Orphan_adopt -> 21
-  | Global_push -> 22
-  | Global_pop -> 23
-  | Global_revalidate -> 24
+let nkinds = Array.length table
 
-let kind_of_index = function
-  | 0 -> Sb_map
-  | 1 -> Sb_unmap
-  | 2 -> Sb_from_global
-  | 3 -> Sb_to_global
-  | 4 -> Emptiness_cross
-  | 5 -> Remote_free
-  | 6 -> Large_map
-  | 7 -> Large_unmap
-  | 8 -> Lock_acquire
-  | 9 -> Cache_hit
-  | 10 -> Cache_flush
-  | 11 -> Remote_enqueue
-  | 12 -> Remote_drain
-  | 13 -> Decommit
-  | 14 -> Recommit
-  | 15 -> Remote_forward
-  | 16 -> Req_arrival
-  | 17 -> Req_done
-  | 18 -> Large_cache_hit
-  | 19 -> Deferred_enqueue
-  | 20 -> Deferred_reclaim
-  | 21 -> Orphan_adopt
-  | 22 -> Global_push
-  | 23 -> Global_pop
-  | 24 -> Global_revalidate
-  | i -> invalid_arg (Printf.sprintf "Event_ring.kind_of_index: %d" i)
+let kind_index k =
+  let rec find i = if fst table.(i) == k then i else find (i + 1) in
+  find 0
 
-let kind_name = function
-  | Sb_map -> "sb_map"
-  | Sb_unmap -> "sb_unmap"
-  | Sb_from_global -> "sb_from_global"
-  | Sb_to_global -> "sb_to_global"
-  | Emptiness_cross -> "emptiness_cross"
-  | Remote_free -> "remote_free"
-  | Large_map -> "large_map"
-  | Large_unmap -> "large_unmap"
-  | Lock_acquire -> "lock_acquire"
-  | Cache_hit -> "cache_hit"
-  | Cache_flush -> "cache_flush"
-  | Remote_enqueue -> "remote_enqueue"
-  | Remote_drain -> "remote_drain"
-  | Decommit -> "decommit"
-  | Recommit -> "recommit"
-  | Remote_forward -> "remote_forward"
-  | Req_arrival -> "req_arrival"
-  | Req_done -> "req_done"
-  | Large_cache_hit -> "large_cache_hit"
-  | Deferred_enqueue -> "deferred_enqueue"
-  | Deferred_reclaim -> "deferred_reclaim"
-  | Orphan_adopt -> "orphan_adopt"
-  | Global_push -> "global_push"
-  | Global_pop -> "global_pop"
-  | Global_revalidate -> "global_revalidate"
+let kind_of_index i =
+  if i < 0 || i >= nkinds then invalid_arg (Printf.sprintf "Event_ring.kind_of_index: %d" i);
+  fst table.(i)
+
+let kind_name k = snd table.(kind_index k)
 
 type event = { at : int; kind : kind; who : int; heap : int; sclass : int; arg : int }
 
@@ -151,12 +107,13 @@ let capacity t = t.cap
 let record t ~at ~kind ~who ~heap ~sclass ~arg =
   let i = t.n mod t.cap in
   t.e_at.(i) <- at;
-  t.e_kind.(i) <- kind_index kind;
+  let k = kind_index kind in
+  t.e_kind.(i) <- k;
   t.e_who.(i) <- who;
   t.e_heap.(i) <- heap;
   t.e_sclass.(i) <- sclass;
   t.e_arg.(i) <- arg;
-  t.counts.(kind_index kind) <- t.counts.(kind_index kind) + 1;
+  t.counts.(k) <- t.counts.(k) + 1;
   t.n <- t.n + 1
 
 let recorded t = t.n

@@ -471,6 +471,28 @@ let test_oracle_global_workloads_green () =
         true (r.Check_run.c_mallocs > 0))
     (Check_run.quick_workloads ())
 
+(* The batch calls under the oracle: the server mix fills a request's
+   spike with [malloc_batch] and frees it with [free_batch], which no
+   quick workload calls. It stays out of [Check_run.quick_workloads]
+   because hoard-fe, which "paper workloads green" sweeps, fails it. *)
+let test_oracle_server_mix_batches () =
+  let run subject =
+    let params = { Server_mix.default_params with Server_mix.requests = 240; profile = Server_mix.Bursty } in
+    Check_run.run_oracle ~fuzz:7 ~workload:(Server_mix.make ~params ()) ~subject ()
+  in
+  List.iter
+    (fun subject ->
+      let r = run subject in
+      Alcotest.(check bool) (sprintf "%s/server-mix checked ops" subject) true (r.Check_run.c_mallocs > 0))
+    [ "hoard"; "hoard-gl"; "hoard-gl-san" ];
+  (* A known failure, recorded as a FOUND line in CHANGES.md: the locked
+     global heap's front end exceeds the blowup envelope on the server
+     mix, on every profile and seed tried. *)
+  match run "hoard-fe" with
+  | _ -> Alcotest.fail "hoard-fe passed the server mix: the blowup FOUND line no longer holds"
+  | exception Oracle.Oracle_violation msg ->
+    Alcotest.(check bool) ("hoard-fe breaks the envelope: " ^ msg) true (Astring.String.is_infix ~affix:"blowup:" msg)
+
 let test_oracle_false_sharing_verdicts () =
   let fs = Check_run.find_workload "active-false" |> Option.get in
   (* Hoard never hands blocks of one cache line to different threads. *)
@@ -855,6 +877,7 @@ let () =
           Alcotest.test_case "workloads green with lock-free global" `Quick test_oracle_global_workloads_green;
           Alcotest.test_case "false sharing verdicts" `Quick test_oracle_false_sharing_verdicts;
           Alcotest.test_case "oracle catches misbehavior" `Quick test_oracle_catches_misbehavior;
+          Alcotest.test_case "server mix batch calls" `Quick test_oracle_server_mix_batches;
         ] );
       ( "sanitizer",
         [

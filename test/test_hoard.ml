@@ -1217,12 +1217,7 @@ let test_channel_follows_global () =
   let pf = Platform.host () in
   let classes = Size_class.create ~max_small:(Hoard_config.max_small cfg) () in
   let stats = Alloc_stats.create ~shards:2 () in
-  let channel ~front_end global =
-    match (Heap.create pf { cfg with Hoard_config.front_end; global } ~classes ~stats 1).Heap.channel with
-    | Heap.No_channel -> "none"
-    | Heap.Queue _ -> "queue"
-    | Heap.List _ -> "list"
-  in
+  let channel ~front_end global = Heap.channel_name (Heap.create pf { cfg with Hoard_config.front_end; global } ~classes ~stats 1) in
   Alcotest.(check string) "no front end, locked" "none" (channel ~front_end:0 Hoard_config.Locked);
   Alcotest.(check string) "no front end, lock-free" "none" (channel ~front_end:0 Hoard_config.Lockfree);
   Alcotest.(check string) "front end, locked" "queue" (channel ~front_end:4 Hoard_config.Locked);
@@ -1291,7 +1286,7 @@ let deferred_backlog ~remote =
     Array.iter
       (fun p ->
         a.Alloc_intf.free p;
-        let len = (Hoard.deferred_lengths h).(owner) in
+        let len = (Hoard.remote_queue_lengths h).(owner) in
         longest := max !longest len;
         if not remote then
           Alcotest.(check bool) "own list within the cap" true (len <= config.Hoard_config.remote_queue_cap))
@@ -1374,7 +1369,7 @@ let test_reclaim_writes_header_once () =
         (fun addr -> Alcotest.(check int) (label ^ ": one superblock") base (addr - (addr mod sb_size)))
         !box;
       Alcotest.(check int) (label ^ ": the fill reclaimed the list") 0
-        (Array.fold_left ( + ) 0 (Hoard.deferred_lengths h));
+        (Array.fold_left ( + ) 0 (Hoard.remote_queue_lengths h));
       Alcotest.(check int) (label ^ ": header written once") 1
         (Option.value ~default:0 (Hashtbl.find_opt header_writes base));
       Hoard.flush_caches h;
@@ -1547,8 +1542,8 @@ let global_free_blocks h =
    then refills for another size class, which reclaims only heap 3's
    shard; with [~flush] thread 1 flushes last. Returns the instance, its
    allocator, the four blocks, the shard contents after the free and
-   after the refill, and [deferred_lengths.(0)] /
-   [remote_queue_lengths.(0)] at the first of those points. *)
+   after the refill, and [remote_queue_lengths.(0)] at the first of
+   those points. *)
 let global_free_shard_run ~flush =
   let sim = Sim.create ~nprocs:3 () in
   let pf = Sim.platform sim in
@@ -1565,7 +1560,7 @@ let global_free_shard_run ~flush =
   let a = Hoard.allocator h in
   let b = Sim.new_barrier sim ~parties:3 in
   let blocks = ref [||] in
-  let after_free = ref [] and after_refill = ref [] and lengths = ref (0, 0) in
+  let after_free = ref [] and after_refill = ref [] and rq0 = ref 0 in
   ignore
     (Sim.spawn sim ~proc:0 (fun () ->
          blocks := Array.init 4 (fun _ -> a.Alloc_intf.malloc 64);
@@ -1585,23 +1580,22 @@ let global_free_shard_run ~flush =
          Sim.barrier_wait b;
          Sim.barrier_wait b;
          after_free := global_free_blocks h;
-         lengths := ((Hoard.deferred_lengths h).(0), (Hoard.remote_queue_lengths h).(0));
+         rq0 := (Hoard.remote_queue_lengths h).(0);
          ignore (a.Alloc_intf.malloc 256);
          after_refill := global_free_blocks h;
          Sim.barrier_wait b));
   Sim.run sim;
-  (h, a, !blocks, !after_free, !after_refill, !lengths)
+  (h, a, !blocks, !after_free, !after_refill, !rq0)
 
 let test_global_free_parks_on_freeing_heap () =
-  let h, a, blocks, after_free, after_refill, (dfl0, rq0) = global_free_shard_run ~flush:true in
+  let h, a, blocks, after_free, after_refill, rq0 = global_free_shard_run ~flush:true in
   Alcotest.(check (list (pair int int))) "parked on heap 2's shard" [ (2, blocks.(0)) ] after_free;
-  Alcotest.(check int) "deferred_lengths.(0) sums the shards" 1 dfl0;
   Alcotest.(check int) "remote_queue_lengths.(0) sums the shards" 1 rq0;
   Alcotest.(check (list (pair int int))) "heap 3's refill leaves it on heap 2's shard" [ (2, blocks.(0)) ]
     after_refill;
   (* Heap 2's flush reclaimed its shard through the Busy handshake. *)
   Alcotest.(check (list (pair int int))) "heap 2's flush completed it" [] (global_free_blocks h);
-  Alcotest.(check int) "shards summed empty" 0 (Hoard.deferred_lengths h).(0);
+  Alcotest.(check int) "shards summed empty" 0 (Hoard.remote_queue_lengths h).(0);
   Alcotest.(check int) "superblock still in the index" 1 (Hoard.heap_info h 0).Hoard.superblocks;
   Alcotest.(check int) "its live bytes fell by one block" (3 * 64) (Hoard.heap_info h 0).Hoard.u_bytes;
   Hoard.check h;
@@ -1741,7 +1735,7 @@ let test_free_only_thread_bounded front_end () =
     (peak <= 2 * n * 64);
   (* Freed blocks become reusable: of the [rounds * n] blocks the consumer
      freed, under half a batch still waits on the shards. *)
-  let parked = (Hoard.deferred_lengths h).(0) in
+  let parked = (Hoard.remote_queue_lengths h).(0) in
   Alcotest.(check bool) (Printf.sprintf "%d blocks parked, under half a batch" parked) true (parked < n / 2);
   Hoard.flush_caches h;
   Hoard.check h;
