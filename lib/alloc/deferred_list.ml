@@ -43,6 +43,7 @@ type t = {
   lost_node : bool; (* mutant: a failed push CAS is treated as success *)
   on_retry : unit -> unit;
   mutable n_len : int;
+  mutable n_bytes : int; (* block bytes listed; same convention as [n_len] *)
 }
 
 let create (pf : Platform.t) ~name ?(lost_node = false) ?(on_retry = fun () -> ()) () =
@@ -54,11 +55,14 @@ let create (pf : Platform.t) ~name ?(lost_node = false) ?(on_retry = fun () -> (
     lost_node;
     on_retry;
     n_len = 0;
+    n_bytes = 0;
   }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+
+let block_bytes items = List.fold_left (fun acc (sb, _) -> acc + Superblock.block_size sb) 0 items
 
 (* Producer side. Every [addr] must be a live block of its superblock
    (never 0: block addresses sit past a superblock header). The whole
@@ -72,9 +76,10 @@ let locked t f =
    the batch would take the list past [cap] blocks. It tests the host
    count right after its head load, in the same simulated step, so the
    count stands for one packed beside the head word and costs no access
-   of its own. A push raises the count in its CAS's step; a reclaim
-   lowers it only after its walk, so a push landing mid-walk still
-   counts the detached chain and can only bail early. The interior
+   of its own; the byte total beside it (the blocks' sizes, summed) is
+   the same kind of word. A push raises both in its CAS's step; a
+   reclaim lowers them only after its walk, so a push landing mid-walk
+   still counts the detached chain and can only bail early. The interior
    links are written before the load either way, so an uncapped push's
    schedule does not depend on [cap]; a bail wastes them and drops
    their host entries. *)
@@ -92,6 +97,7 @@ let push_many ?cap t items =
     in
     let last_sb, last_addr = interior items in
     let n = List.length items in
+    let bytes = block_bytes items in
     let unlink () = locked t (fun () -> List.iter (fun (_, addr) -> Hashtbl.remove t.links addr) items) in
     let rec attempt () =
       let next = t.head.Platform.load () in
@@ -104,7 +110,9 @@ let push_many ?cap t items =
         t.pf.Platform.write ~addr:last_addr ~len:8;
         locked t (fun () -> Hashtbl.replace t.links last_addr { dn_next = next; dn_sb = last_sb });
         if t.head.Platform.cas ~expected:next ~desired:first_addr then begin
-          locked t (fun () -> t.n_len <- t.n_len + n);
+          locked t (fun () ->
+              t.n_len <- t.n_len + n;
+              t.n_bytes <- t.n_bytes + bytes);
           true
         end
         else begin
@@ -137,6 +145,14 @@ let walk t ~charged h =
   in
   go [] h
 
+(* Lower the count and the byte total by a detached chain. Its blocks
+   are live, so no superblock was re-carved since the push summed them. *)
+let uncount t items =
+  let bytes = block_bytes items in
+  locked t (fun () ->
+      t.n_len <- t.n_len - List.length items;
+      t.n_bytes <- t.n_bytes - bytes)
+
 (* Consumer side: one exchange detaches the whole list. The load+CAS
    loop is an exchange — it only retries when a concurrent push lands
    between the load and the CAS, and then succeeds against the new head. *)
@@ -154,7 +170,7 @@ let reclaim t =
   if h = 0 then []
   else begin
     let items = walk t ~charged:true h in
-    locked t (fun () -> t.n_len <- t.n_len - List.length items);
+    uncount t items;
     items
   end
 
@@ -166,20 +182,22 @@ let drain_quiescent t =
   else begin
     t.head.Platform.poke 0;
     let items = walk t ~charged:false h in
-    locked t (fun () -> t.n_len <- t.n_len - List.length items);
+    uncount t items;
     items
   end
 
 let length t = locked t (fun () -> t.n_len)
 
+let bytes t = locked t (fun () -> t.n_bytes)
+
 
 (* Quiescent structural check: walks the chain without consuming it,
-   detecting cycles, payload-less nodes and a length drifting from the
-   push/reclaim accounting. *)
+   detecting cycles, payload-less nodes and a length or byte total
+   drifting from the push/reclaim accounting. *)
 let iter t f =
   let seen = Hashtbl.create 16 in
-  let rec go n addr =
-    if addr = 0 then n
+  let rec go n b addr =
+    if addr = 0 then (n, b)
     else begin
       if Hashtbl.mem seen addr then
         failwith (Printf.sprintf "Deferred_list(%s): cycle through %#x" t.head.Platform.atomic_name addr);
@@ -189,20 +207,19 @@ let iter t f =
         failwith (Printf.sprintf "Deferred_list(%s): node %#x without payload" t.head.Platform.atomic_name addr)
       | Some node ->
         f node.dn_sb addr;
-        go (n + 1) node.dn_next
+        go (n + 1) (b + Superblock.block_size node.dn_sb) node.dn_next
     end
   in
-  let n = go 0 (t.head.Platform.peek ()) in
+  let n, b = go 0 0 (t.head.Platform.peek ()) in
   if n <> length t then
     failwith
       (Printf.sprintf "Deferred_list(%s): %d nodes on the list but %d accounted" t.head.Platform.atomic_name
-         n (length t))
+         n (length t));
+  if b <> bytes t then
+    failwith
+      (Printf.sprintf "Deferred_list(%s): %d bytes on the list but %d accounted" t.head.Platform.atomic_name
+         b (bytes t))
 
 (* Every listed block is bitmap-live and custody-marked in its
    superblock: it stays charged to the owning heap until a reclaim. *)
-let check t =
-  iter t (fun sb addr ->
-      if not (Superblock.is_block_live sb addr) then
-        failwith (Printf.sprintf "Hoard.check: deferred block %#x not bitmap-live" addr);
-      if not (Superblock.is_block_cached sb addr) then
-        failwith (Printf.sprintf "Hoard.check: deferred block %#x without custody mark" addr))
+let check t = iter t (Superblock.check_in_custody ~what:"deferred")

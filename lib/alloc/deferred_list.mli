@@ -42,10 +42,16 @@ val drain_quiescent : t -> (Superblock.t * int) list
 val length : t -> int
 (** Blocks currently on the list (host accounting, quiescent-exact). *)
 
+val bytes : t -> int
+(** The block sizes of the blocks on the list, summed: a total kept
+    beside {!length} under the same convention, a count held in the head
+    node, so reading it right after a push costs nothing beyond the
+    push's own CAS. *)
+
 val iter : t -> (Superblock.t -> int -> unit) -> unit
 (** Quiescent structural walk without consuming the list; fails on
-    cycles, payload-less nodes, or a length drifting from the
-    accounting. Call only when no thread is mid-operation. *)
+    cycles, payload-less nodes, or a length or byte total drifting
+    from the accounting. Call only when no thread is mid-operation. *)
 
 val check : t -> unit
 (** {!iter}'s structural walk, plus every listed block bitmap-live and

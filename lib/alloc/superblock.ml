@@ -126,6 +126,11 @@ let clear_cached t addr = Bytes.set t.cached (index_of_addr t addr) '\000'
 
 let is_block_cached t addr = Bytes.get t.cached (index_of_addr t addr) = '\001'
 
+let check_in_custody ~what t addr =
+  if not (is_block_live t addr) then failwith (Printf.sprintf "Hoard.check: %s block %#x not bitmap-live" what addr);
+  if not (is_block_cached t addr) then
+    failwith (Printf.sprintf "Hoard.check: %s block %#x without custody mark" what addr)
+
 type region =
   | Header
   | Block of { b_start : int; b_index : int; b_live : bool }

@@ -83,6 +83,11 @@ val clear_cached : t -> int -> unit
 
 val is_block_cached : t -> int -> bool
 
+val check_in_custody : what:string -> t -> int -> unit
+(** Fail (naming the block as a [what] block) unless the block at this
+    address is bitmap-live and custody-marked, as every block waiting in
+    a remote-free channel must be. For quiescent checks. *)
+
 (** Classification of an arbitrary address within a superblock, for the
     heap sanitizer: [Header] is the metadata line (a workload must not
     touch it), [Block] carries the containing block's start

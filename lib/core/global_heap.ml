@@ -111,8 +111,8 @@ end
    claims, and a free into a global superblock parks on the freeing
    thread's heap's shard of the global-free list — one CAS, no lock. Only
    that heap's refills and flushes reclaim the shard, through the index's
-   Busy handshake — or the parking thread, once the shard outgrows
-   [cap] — so no single word serialises every global free. *)
+   Busy handshake — or the parking thread, once the shard's bytes
+   outgrow [cap] — so no single word serialises every global free. *)
 module Lockfree = struct
   type t = { env : env; gi : Global_index.t; shards : Deferred_list.t array (* heap id - 1 *) }
 
@@ -224,29 +224,32 @@ module Lockfree = struct
     reclaim g h ~spill;
     release g h
 
-  (* The most blocks a shard holds before the thread parking onto it
-     completes the shard itself. A heap's refills and flushes are its
-     shard's usual reclaimers, but a thread that only frees (the consumer
-     of a producer/consumer pair) runs neither, and a heap can lose all
-     its threads. Uncapped, their parked blocks stay bitmap-live and
-     charged for good, every superblock a producer claims with them
-     inside is partly unusable, and held memory grows with each trim and
-     claim. Capped, at most this many blocks per heap await completion:
-     O(P) in all. The cap is large enough that a thread retiring a whole
-     wave of objects completes long per-superblock runs, not a handshake
-     per block or two, on its own critical path. The length stands for a
-     count carried in the head node (each push stores the previous count
-     plus its chain's), so reading it costs nothing beyond the push's own
-     CAS. *)
-  let cap = 1024
+  (* The most bytes a shard holds before the thread parking onto it
+     completes the shard itself: eight superblocks' worth (with 8 KiB
+     superblocks, 1,024 blocks of 64 B, 4,096 of 16 B or 32 of 2 KiB).
+     A heap's refills and flushes are its shard's usual reclaimers, but
+     a thread that only frees (the consumer of a producer/consumer pair)
+     runs neither, and a heap can lose all its threads. Uncapped, their
+     parked blocks stay bitmap-live and charged for good, every
+     superblock a producer claims with them inside is partly unusable,
+     and held memory grows with each trim and claim. Capped, at most 8·S
+     bytes per heap await completion: O(P) in all, whatever the block
+     size. The cap is large enough that a thread retiring a whole wave
+     of objects completes long per-superblock runs, not a handshake per
+     block or two, on its own critical path; counted in bytes, tiny
+     blocks get as many superblocks' worth of runs as large ones. The
+     byte total stands for a count carried in the head node (each push
+     stores the previous total plus its chain's), so reading it costs
+     nothing beyond the push's own CAS. *)
+  let cap g = 8 * g.env.cfg.sb_size
 
   (* One CAS for the whole batch, no lock; the blocks keep their custody
      marks until a reclaim frees them. Without [locked], the shard's
      completion takes [h]'s lock and re-checks the cap under it. *)
   let rec park g h items ~spill ~locked =
     if items <> [] then ignore (Deferred_list.push_many (shard g h) items);
-    (* Free after a push (the count its CAS step set); with no push, uncharged until atomic loads are charged. *)
-    if Deferred_list.length (shard g h) > cap then
+    (* Free after a push (the total its CAS step set); with no push, uncharged until atomic loads are charged. *)
+    if Deferred_list.bytes (shard g h) > cap g then
       if locked then complete g h ~spill
       else begin
         h.lock.acquire ();

@@ -15,7 +15,7 @@
       freeing thread's heap's shard of the global-free list (one CAS, no
       lock), and that heap's refills and flushes complete the frees
       through the index's Busy handshake — or the parking thread, once
-      the shard holds more than 1,024 blocks.
+      the blocks on the shard pass [8 × sb_size] bytes.
 
     [h] below is always the calling thread's heap, whose lock domain
     records the stats and events; [spill] collects blocks the caller must
@@ -45,9 +45,10 @@ module type S = sig
   val park :
     t -> Heap.t -> (Superblock.t * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
   (** Park frees of blocks in global superblocks (custody-marked, still
-      charged) on [h]'s shard, then complete the shard if it has passed
-      its cap — taking [h]'s lock for that unless [locked]. Only called
-      when {!heap0} is [None], except with [[]] after a drain. *)
+      charged) on [h]'s shard, then complete the shard if its blocks
+      have passed [8 × sb_size] bytes — taking [h]'s lock for that
+      unless [locked]. Only called when {!heap0} is [None], except with
+      [[]] after a drain. *)
 
   val complete : t -> Heap.t -> spill:(Superblock.t * int) list ref -> unit
   (** A flush's share: complete [h]'s shard and release surplus empties.

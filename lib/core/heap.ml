@@ -395,11 +395,19 @@ let pending h =
   | Queue q -> q.q_len
   | List { l; _ } -> Deferred_list.length l
 
+(* Every block waiting on the channel is bitmap-live and custody-marked
+   in its superblock: it stays charged to its owner until a drain frees
+   it. A queue's length must match its blocks, as a list's must. *)
 let check h =
   Heap_core.check h.core;
   match h.channel with
   | List { l; _ } -> Deferred_list.check l
-  | No_channel | Queue _ -> ()
+  | Queue q ->
+    List.iter (fun (sb, addr) -> Superblock.check_in_custody ~what:"queued" sb addr) q.q_blocks;
+    let n = List.length q.q_blocks in
+    if n <> q.q_len then
+      failwith (Printf.sprintf "Hoard.check: heap %d queues %d blocks but counts %d" (id h) n q.q_len)
+  | No_channel -> ()
 
 let channel_name h =
   match h.channel with

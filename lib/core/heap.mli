@@ -89,8 +89,9 @@ val pending : t -> int
 
 val check : t -> unit
 (** Quiescent structural validation of the heap's core and its
-    channel: every listed block of a deferred list bitmap-live and
-    custody-marked. Raises [Failure]. *)
+    channel: every block on a bounded queue or a deferred list
+    bitmap-live and custody-marked, and the channel's length equal to
+    its blocks. Raises [Failure]. *)
 
 val channel_name : t -> string
 (** ["none"], ["queue"] or ["list"]. *)

@@ -1,6 +1,6 @@
 module IntMap = Map.Make (Int)
 
-(* A thread's front-end cache: per size class, up to [front_end] block
+(* A thread's front-end cache: per size class, up to [fe_cap] block
    addresses served and absorbed without any lock. The blocks stay
    bitmap-allocated in their superblocks and charged to the owning heap's
    [u] (and to live bytes), so the emptiness invariant and [check] reason
@@ -29,6 +29,7 @@ type t = {
   large : Locked_large.t; (* with the large cache in front when cfg.large_cache > 0 *)
   obs : Obs.t option;
   fe : int; (* cached [cfg.front_end]; 0 = the paper's exact algorithm *)
+  fe_cap : int array; (* per class, the blocks a thread cache holds: see [class_cap] *)
   tcaches : tcache IntMap.t Atomic.t; (* tid -> cache; replaced under [tc_mu] *)
   tc_mu : Mutex.t; (* host mutex: serialises tcache creation, zero simulated cost *)
   creator_did : int; (* domain that built [t]; its threads skip at-exit hooks *)
@@ -40,6 +41,13 @@ type t = {
 }
 
 type heap_info = Heap.info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
+
+(* A class's front-end capacity: [fe] blocks, or as many as fill
+   [fe * 16] bytes when that is more. Blocks under 16 B then move as many
+   bytes per heap-lock trip as 16 B blocks do, instead of a cache line's
+   worth, and every class of 16 B or more keeps exactly [fe]. Fills move
+   [cap/2 + 1] blocks, flushes [cap/2]. *)
+let class_cap ~fe ~block_size = if fe = 0 then 0 else max fe (fe * 16 / block_size)
 
 let create ?(config = Hoard_config.default) ?obs pf =
   Hoard_config.validate config;
@@ -89,6 +97,8 @@ let create ?(config = Hoard_config.default) ?obs pf =
       large;
       obs;
       fe = config.front_end;
+      fe_cap =
+        Array.map (fun block_size -> class_cap ~fe:config.front_end ~block_size) (Size_class.sizes classes);
       tcaches = Atomic.make IntMap.empty;
       tc_mu = Mutex.create ();
       creator_did = (Domain.self () :> int);
@@ -297,10 +307,10 @@ let surrender_many t tc pairs =
     groups;
   if !overflow <> [] then dispose_batch t !overflow
 
-(* Evict the oldest half of an overflowing class so the next [fe/2] frees
-   stay lock-free. *)
+(* Evict the oldest half of an overflowing class so the next [cap/2]
+   frees stay lock-free. *)
 let flush_class t tc ~sclass =
-  let keep = t.fe / 2 in
+  let keep = t.fe_cap.(sclass) / 2 in
   let rec split n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
     | [] -> (List.rev acc, [])
@@ -393,11 +403,11 @@ let tcache t =
 
 (* The slow half of a front-end malloc: the remote-free channel is
    detached first, then one lock acquisition frees it and pulls
-   [fe/2 + 1] blocks — one to return, the rest into the cache. *)
+   [cap/2 + 1] blocks — one to return, the rest into the cache. *)
 let malloc_fill t tc ~size ~sclass ~block_size =
   let h = my_heap t in
   with_drained t h (fun ~drained ~spill ->
-    let want = (t.fe / 2) + 1 in
+    let want = (t.fe_cap.(sclass) / 2) + 1 in
     let blocks = ref [] and got = ref 0 in
     while !got < want do
       match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(want - !got) with
@@ -550,7 +560,7 @@ let free_block t addr =
          it. *)
       if (not (Superblock.is_block_live sb addr)) || Superblock.is_block_cached sb addr then
         failwith "Hoard.free: double free (cached)";
-      if tc.tc_count.(sclass) >= t.fe then flush_class t tc ~sclass;
+      if tc.tc_count.(sclass) >= t.fe_cap.(sclass) then flush_class t tc ~sclass;
       Superblock.mark_cached sb addr;
       tc.tc_slots.(sclass) <- (addr, sb) :: tc.tc_slots.(sclass);
       tc.tc_count.(sclass) <- tc.tc_count.(sclass) + 1;

@@ -32,14 +32,16 @@
     channel.
 
     {b Front end} (off by default): with [config.front_end = K > 0], each
-    thread keeps a cache of up to [K] block addresses per size class.
+    thread keeps a cache of up to [cap = max K (K * 16 / block)] block
+    addresses per size class: [K] for every class of 16 B or more, [2K]
+    for 8 B blocks, so no class moves less than [K * 8] bytes per trip.
     malloc pops and free pushes with no lock at all; misses and overflows
-    move [K/2] blocks per heap-lock acquisition, and blocks evicted from a
+    move [cap/2] blocks per heap-lock acquisition, and blocks evicted from a
     cache are batched onto the owning heap's remote-free channel for the
     owner to drain on its next slow path. The channel follows
     [config.global]. Under the locked global heap it is a bounded queue
     (one innermost queue lock; overflow takes the locked free path), at
-    a cost of up to [K * P * classes + remote_queue_cap * (P+1)] blocks
+    a cost of up to [2K * P * classes + remote_queue_cap * (P+1)] blocks
     parked in flight. Under the lock-free one it is an intrusive
     {!Deferred_list}: eviction pushes the blocks themselves
     with one CAS on the owner's list head (no queue lock), and the owner

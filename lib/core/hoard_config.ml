@@ -188,7 +188,7 @@ let knobs =
       ~get:(fun t -> t.path_work)
       ~store:(fun t v -> { t with path_work = v })
       ~check:(non_negative "path-work");
-    int_knob "front-end" "K: per-thread per-class cache capacity; 0 disables, else >= 2."
+    int_knob "front-end" "K: per-thread cache capacity per size class (2K for 8 B blocks); 0 disables, else >= 2."
       ~get:(fun t -> t.front_end)
       ~store:(fun t v -> { t with front_end = v })
       ~check:(fun v ->

@@ -57,11 +57,14 @@ type t = {
   path_work : int;
       (** instruction cycles charged per malloc/free beyond memory ops. *)
   front_end : int;
-      (** capacity (blocks per size class) of the per-thread front-end
-          cache serving malloc/free without lock traffic. 0 (the default)
-          disables the front end entirely, restoring the paper's exact
-          hot path; positive values must be at least 2 so that fills and
-          flushes can move [front_end / 2] blocks per lock acquisition. *)
+      (** K: the per-thread front-end cache serving malloc/free without
+          lock traffic holds [max K (K * 16 / block_size)] blocks of each
+          size class — K for every class of 16 B or more, 2K for 8 B
+          blocks — and its fills and flushes move half that per lock
+          acquisition. 0 (the default) disables the front end entirely,
+          restoring the paper's exact hot path; positive values must be
+          at least 2 so that every fill and flush moves at least one
+          block. *)
   remote_queue_cap : int;
       (** the cap (blocks) of each heap's remote-free channel
           ({!Heap.push}), only meaningful with [front_end > 0]. Under

@@ -1006,6 +1006,84 @@ let test_free_batch_keeps_free_contract () =
         (singles - batch))
     batch_configs
 
+(* A class's front-end capacity is sized in bytes: a thread caches
+   [max fe (fe * 16 / block)] blocks per class, fills [cap/2] of them
+   beyond the one it returns, and flushes down to [cap/2]. So 8 B
+   blocks get 2·fe and every class of 16 B or more exactly fe. After an
+   explicit flush the cache is empty; one malloc fills it, and a run of
+   frees fills it to the cap before its first eviction. *)
+let test_class_capacity_in_bytes () =
+  List.iter
+    (fun (label, config) ->
+      let fe = config.Hoard_config.front_end in
+      let h = Hoard.create ~config (Platform.host ()) in
+      let a = Hoard.allocator h in
+      let classes = Hoard.size_classes h in
+      let cached sclass =
+        match Hoard.cache_counts h with
+        | [ (_, counts) ] -> counts.(sclass)
+        | l -> Alcotest.failf "%s: %d thread caches, one expected" label (List.length l)
+      in
+      List.iter
+        (fun (size, cap) ->
+          let sclass = Size_class.class_of_size classes size in
+          let what fmt = Printf.sprintf ("%s, %d B: " ^^ fmt) label size in
+          let ps = Array.init (2 * cap) (fun _ -> a.Alloc_intf.malloc size) in
+          a.Alloc_intf.flush ();
+          Alcotest.(check int) (what "flush empties the cache") 0 (cached sclass);
+          let p = a.Alloc_intf.malloc size in
+          Alcotest.(check int) (what "a fill caches cap/2") (cap / 2) (cached sclass);
+          a.Alloc_intf.flush ();
+          for i = 0 to cap - 1 do
+            a.Alloc_intf.free ps.(i)
+          done;
+          Alcotest.(check int) (what "the cap's worth of frees, no eviction") cap (cached sclass);
+          a.Alloc_intf.free ps.(cap);
+          Alcotest.(check int) (what "the next free evicts down to cap/2") ((cap / 2) + 1) (cached sclass);
+          for i = cap + 1 to (2 * cap) - 1 do
+            a.Alloc_intf.free ps.(i)
+          done;
+          a.Alloc_intf.free p;
+          a.Alloc_intf.flush ())
+        [ (8, 2 * fe); (16, fe); (64, fe) ];
+      Hoard.flush_caches h;
+      Hoard.check h;
+      Alcotest.(check int) (label ^ ": nothing live") 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes)
+    batch_configs
+
+(* [Hoard.check] validates the bounded queue's blocks as it does a
+   deferred list's. Under [hoard-fe], thread 0 (heap 1) allocates 20
+   blocks and thread 1 (heap 2) frees them and flushes, so all 20 wait
+   on heap 1's queue; the check passes, and fails once one of them loses
+   its custody mark. *)
+let test_check_walks_queue () =
+  let sim = Sim.create ~nprocs:2 () in
+  let pf = Sim.platform sim in
+  let config = { (Option.get (Allocators.base_config "hoard-fe")) with Hoard_config.nheaps = Some 2 } in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let blocks = ref [||] in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         blocks := Array.init 20 (fun _ -> a.Alloc_intf.malloc 64);
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         Array.iter a.Alloc_intf.free !blocks;
+         a.Alloc_intf.flush ()));
+  Sim.run sim;
+  Alcotest.(check int) "20 blocks queued on heap 1" 20 (Hoard.remote_queue_lengths h).(1);
+  Hoard.check h;
+  let addr = !blocks.(7) in
+  Superblock.clear_cached (Option.get (Hoard.lookup h addr)) addr;
+  match Hoard.check h with
+  | () -> Alcotest.fail "Hoard.check must reject a queued block without its custody mark"
+  | exception Failure msg ->
+    Alcotest.(check bool) ("names the custody mark: " ^ msg) true
+      (Astring.String.is_infix ~affix:"without custody mark" msg)
+
 (* --- the lock-free global heap (Global_index) --- *)
 
 let test_global_locked_by_default () =
@@ -1741,6 +1819,50 @@ let test_free_only_thread_bounded front_end () =
   Hoard.check h;
   Alcotest.(check int) "nothing live" 0 ((Hoard.allocator h).Alloc_intf.stats ()).Alloc_stats.live_bytes
 
+(* The global-free shard's cap is in bytes: a thread that only frees
+   completes its shard once the blocks parked there pass 8·S bytes.
+   Thread 0 (heap 1) allocates [n] blocks of [size] and exits, so
+   adoption publishes their superblocks to the index; thread 1 (heap 2)
+   frees them one by one, never refilling or flushing. The shard holds
+   every block up to [8·S / block] of them, and the next park completes
+   it. *)
+let test_shard_cap_in_bytes ~size ~expect () =
+  let sim = Sim.create ~nprocs:2 () in
+  let pf = Sim.platform sim in
+  let config =
+    { cfg with Hoard_config.nheaps = Some 2; front_end = 0; release_threshold = max_int; global = Hoard_config.Lockfree }
+  in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let classes = Hoard.size_classes h in
+  let block = Size_class.size_of_class classes (Size_class.class_of_size classes size) in
+  let most = 8 * config.Hoard_config.sb_size / block in
+  Alcotest.(check int) (Printf.sprintf "%d B blocks: 8·S bytes' worth" block) expect most;
+  let b = Sim.new_barrier sim ~parties:2 in
+  let blocks = ref [||] and parked = ref [] in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         blocks := Array.init (most + 1) (fun _ -> a.Alloc_intf.malloc size);
+         a.Alloc_intf.thread_exit ();
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         Array.iter
+           (fun p ->
+             a.Alloc_intf.free p;
+             parked := (Hoard.remote_queue_lengths h).(0) :: !parked)
+           !blocks));
+  Sim.run sim;
+  match !parked with
+  | last :: before :: _ ->
+    Alcotest.(check int) "parked up to 8·S bytes" most before;
+    Alcotest.(check int) "the next park completes the shard" 0 last;
+    Alcotest.(check int) "the parks before it only grew" (most * (most + 1) / 2) (List.fold_left ( + ) 0 !parked);
+    Hoard.check h;
+    Alcotest.(check int) "heap 0 holds nothing live" 0 (Hoard.heap_info h 0).Hoard.u_bytes
+  | _ -> Alcotest.fail "two frees at least"
+
 (* The knob registry: make, textual set/set_all, name normalization,
    registry-driven help and printing. *)
 let test_knob_registry () =
@@ -1918,6 +2040,8 @@ let () =
           Alcotest.test_case "remote forwards batched (deferred)" `Quick test_remote_forward_deferred;
           Alcotest.test_case "batch malloc serves from the thread cache" `Quick test_malloc_batch_serves_from_cache;
           Alcotest.test_case "batch free keeps the free contract" `Quick test_free_batch_keeps_free_contract;
+          Alcotest.test_case "class capacity in bytes" `Quick test_class_capacity_in_bytes;
+          Alcotest.test_case "check walks the bounded queue" `Quick test_check_walks_queue;
         ] );
       ( "global heap",
         [
@@ -1935,5 +2059,7 @@ let () =
             (test_free_only_thread_bounded 0);
           Alcotest.test_case "free-only thread stays bounded (front end)" `Quick
             (test_free_only_thread_bounded 16);
+          Alcotest.test_case "shard cap in bytes (16 B)" `Quick (test_shard_cap_in_bytes ~size:16 ~expect:4096);
+          Alcotest.test_case "shard cap in bytes (2 KiB)" `Quick (test_shard_cap_in_bytes ~size:2048 ~expect:32);
         ] );
     ]
