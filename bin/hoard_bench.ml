@@ -292,11 +292,11 @@ let serve_cmd =
         Printf.eprintf "unknown allocator %S; known:\n%s\n" alloc_label (Allocators.help ());
         exit 1
     in
-    let factory =
-      if sets = [] then factory
+    let factory, vmem_backend =
+      if sets = [] then (factory, None)
       else
-        match Allocators.with_overrides (fun cfg -> Config_cli.apply cfg sets) alloc_label with
-        | Some f -> f
+        match Allocators.resolve (fun cfg -> Config_cli.apply cfg sets) alloc_label with
+        | Some (f, vmem) -> (f, Some vmem)
         | None ->
           Printf.eprintf "allocator %S has no config knobs (--set applies to the hoard family)\n"
             alloc_label;
@@ -307,7 +307,7 @@ let serve_cmd =
       let p = Experiments.server_params profile scale in
       if requests > 0 then { p with Server_mix.requests } else p
     in
-    let r = Slo.run_server ~params factory ~nprocs in
+    let r = Slo.run_server ~params ?vmem_backend factory ~nprocs in
     let h = Server_mix.request_latencies r.Slo.sv_recorder in
     Printf.printf
       "server mix (%s) under %s on %d procs: %d requests in %d cycles\n\

@@ -27,6 +27,8 @@ let load path =
     Printf.eprintf "%s: %s\n" path m;
     exit 1
 
+(* The factory [name] labels, with [sets] applied, and the vmem backend
+   its simulator must use ([None]: the simulator's default). *)
 let factory_of ?(sets = []) name =
   if name = "help" then begin
     print_endline "allocators:";
@@ -37,16 +39,16 @@ let factory_of ?(sets = []) name =
   | None ->
     Printf.eprintf "unknown allocator %S; known: %s\n" name (String.concat ", " (Allocators.labels ()));
     exit 1
-  | Some f when sets = [] -> f
+  | Some f when sets = [] -> (f, None)
   | Some _ ->
-    (match Allocators.with_overrides (fun cfg -> Config_cli.apply cfg sets) name with
-     | Some f -> f
+    (match Allocators.resolve (fun cfg -> Config_cli.apply cfg sets) name with
+     | Some (f, vmem) -> (f, Some vmem)
      | None ->
        Printf.eprintf "--set: allocator %S has no config knobs\n" name;
        exit 1)
 
-let replay_trace trace factory ~procs =
-  let sim = Sim.create ~nprocs:procs () in
+let replay_trace ?vmem_backend trace factory ~procs =
+  let sim = Sim.create ?vmem_backend ~nprocs:procs () in
   let a = factory.Alloc_intf.instantiate (Sim.platform sim) in
   Trace.replay_sim trace sim a ~nthreads:procs;
   Sim.run sim;
@@ -103,7 +105,8 @@ let replay_cmd =
   let alloc = Arg.(value & opt string "hoard" & info [ "allocator"; "a" ] ~doc:"Allocator to drive.") in
   let run path alloc procs sets =
     let t = load path in
-    let cycles, stats, invals = replay_trace t (factory_of ~sets alloc) ~procs in
+    let factory, vmem_backend = factory_of ~sets alloc in
+    let cycles, stats, invals = replay_trace ?vmem_backend t factory ~procs in
     Printf.printf "%s on %d procs: %d cycles, frag %.2f, %d invalidations\n" alloc procs cycles
       (Alloc_stats.fragmentation stats) invals;
     Format.printf "stats: %a@." Alloc_stats.pp_snapshot stats
@@ -302,16 +305,14 @@ let bench_cmd =
     in
     List.iter
       (fun f ->
-        let f =
-          if sets = [] then f
+        let f, vmem_backend =
+          if sets = [] then (f, None)
           else
-            Option.value
-              (Allocators.with_overrides
-                 (fun cfg -> Config_cli.apply cfg sets)
-                 f.Alloc_intf.label)
-              ~default:f
+            match Allocators.resolve (fun cfg -> Config_cli.apply cfg sets) f.Alloc_intf.label with
+            | Some (f, vmem) -> (f, Some vmem)
+            | None -> (f, None)
         in
-        let cycles, stats, invals = replay_trace t f ~procs in
+        let cycles, stats, invals = replay_trace ?vmem_backend t f ~procs in
         Table.add_row tbl
           [
             f.Alloc_intf.label;

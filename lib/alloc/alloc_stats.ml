@@ -229,8 +229,6 @@ let on_deferred_reclaim sh = sh.deferred_reclaims <- sh.deferred_reclaims + 1
    heap) on a thread's exit path; fired under the adopting heap's lock. *)
 let on_orphan_adopt sh = sh.orphan_adoptions <- sh.orphan_adoptions + 1
 
-let on_cas_retry t = Atomic.incr t.cas_retries
-
 (* Labelled retry accounting: every lock-free structure obtains its hook
    once at construction (under [grow_mu], so concurrent allocators sharing
    a [t] stay safe) and fires it on each failed CAS. The hook bumps both

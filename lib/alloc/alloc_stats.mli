@@ -157,11 +157,6 @@ val on_orphan_adopt : shard -> unit
 (** One orphaned superblock adopted on a thread's exit path, under the
     lock of the heap giving the superblock up. *)
 
-val on_cas_retry : t -> unit
-(** A failed CAS inside a lock-free structure, unlabelled (total only).
-    Atomic — fired with no lock held, from any domain. Prefer
-    {!retry_hook}, which also feeds the per-structure breakdown. *)
-
 val retry_hook : t -> label:string -> unit -> unit
 (** [retry_hook t ~label] returns the retry callback for one lock-free
     structure: each call counts into both the unified [cas_retries] total

@@ -28,8 +28,6 @@ let create ?(stripes = default_stripes) pf ~sb_size =
 
 let sb_size t = t.size
 
-let nstripes t = Array.length t.stripes
-
 let slot t addr = addr / t.size
 
 let stripe_for t key = t.stripes.(key land t.mask)

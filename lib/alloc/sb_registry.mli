@@ -20,8 +20,6 @@ val create : ?stripes:int -> Platform.t -> sb_size:int -> t
 
 val sb_size : t -> int
 
-val nstripes : t -> int
-
 val register : t -> Superblock.t -> unit
 (** Takes the stripe lock; call from allocator code paths (on the
     simulated platform, from inside a simulated thread). *)

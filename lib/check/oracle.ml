@@ -32,7 +32,6 @@ type t = {
   ever : (int, unit) Hashtbl.t; (* every address ever handed out *)
   mutable u_req : int;
   mutable u_usable : int;
-  mutable peak_req : int;
   mutable peak_usable : int;
   mutable n_mallocs : int;
   mutable n_frees : int;
@@ -55,7 +54,6 @@ let create ?(name = "alloc") ?(line_size = 64) () =
     ever = Hashtbl.create 1024;
     u_req = 0;
     u_usable = 0;
-    peak_req = 0;
     peak_usable = 0;
     n_mallocs = 0;
     n_frees = 0;
@@ -87,7 +85,6 @@ let note_insert t ~addr ~req ~usable ~tid =
   t.live <- IntMap.add addr { i_req = req; i_usable = usable; i_tid = tid; i_virgin = virgin } t.live;
   t.u_req <- t.u_req + req;
   t.u_usable <- t.u_usable + usable;
-  if t.u_req > t.peak_req then t.peak_req <- t.u_req;
   if t.u_usable > t.peak_usable then t.peak_usable <- t.u_usable;
   t.n_mallocs <- t.n_mallocs + 1;
   if virgin then
@@ -122,11 +119,7 @@ let note_restore t ~addr inf =
 
 let live_count t = locked t (fun () -> IntMap.cardinal t.live)
 
-let live_usable_bytes t = locked t (fun () -> t.u_usable)
-
 let peak_usable_bytes t = locked t (fun () -> t.peak_usable)
-
-let peak_requested_bytes t = locked t (fun () -> t.peak_req)
 
 let active_shared_lines t = locked t (fun () -> Hashtbl.length t.shared_lines)
 

@@ -33,9 +33,7 @@ val wrap : ?name:string -> ?line_size:int -> Platform.t -> Alloc_intf.t -> t * A
     traffic must go through the wrapped view or the live set drifts. *)
 
 val live_count : t -> int
-val live_usable_bytes : t -> int
 val peak_usable_bytes : t -> int
-val peak_requested_bytes : t -> int
 
 val active_shared_lines : t -> int
 (** Cache lines that handed virgin blocks to two different threads. Zero

@@ -1,22 +1,3 @@
-module IntMap = Map.Make (Int)
-
-(* A thread's front-end cache: per size class, up to [fe_cap] block
-   addresses served and absorbed without any lock. The blocks stay
-   bitmap-allocated in their superblocks and charged to the owning heap's
-   [u] (and to live bytes), so the emptiness invariant and [check] reason
-   about them exactly as if the program still held them. *)
-type tcache = {
-  tc_slots : (int * Superblock.t) list array; (* per class, newest first *)
-  tc_count : int array;
-  tc_sh : Alloc_stats.shard; (* single writer: the owning thread *)
-  tc_ring : Event_ring.t option;
-  (* Domain currently driving this cache. Thread ids recycle across
-     sequential domains, and [Domain.at_exit] hooks die with their
-     domain — so the exit flush must be re-registered whenever a NEW
-     domain adopts the tid, not only at cache creation. *)
-  mutable tc_domain : int;
-}
-
 type t = {
   pf : Platform.t;
   cfg : Hoard_config.t;
@@ -28,11 +9,7 @@ type t = {
   global : Global_heap.t; (* heap 0, locked or lock-free per cfg.global *)
   large : Locked_large.t; (* with the large cache in front when cfg.large_cache > 0 *)
   obs : Obs.t option;
-  fe : int; (* cached [cfg.front_end]; 0 = the paper's exact algorithm *)
-  fe_cap : int array; (* per class, the blocks a thread cache holds: see [class_cap] *)
-  tcaches : tcache IntMap.t Atomic.t; (* tid -> cache; replaced under [tc_mu] *)
-  tc_mu : Mutex.t; (* host mutex: serialises tcache creation, zero simulated cost *)
-  creator_did : int; (* domain that built [t]; its threads skip at-exit hooks *)
+  fe : Thread_cache.t option; (* [None] = the paper's exact algorithm *)
   (* Test-mutant plumbing (cfg.mutant): the real allocator always runs
      with trim_slack = cfg.slack and the ownership re-check on. *)
   trim_slack : int;
@@ -41,76 +18,6 @@ type t = {
 }
 
 type heap_info = Heap.info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
-
-(* A class's front-end capacity: [fe] blocks, or as many as fill
-   [fe * 16] bytes when that is more. Blocks under 16 B then move as many
-   bytes per heap-lock trip as 16 B blocks do, instead of a cache line's
-   worth, and every class of 16 B or more keeps exactly [fe]. Fills move
-   [cap/2 + 1] blocks, flushes [cap/2]. *)
-let class_cap ~fe ~block_size = if fe = 0 then 0 else max fe (fe * 16 / block_size)
-
-let create ?(config = Hoard_config.default) ?obs pf =
-  Hoard_config.validate config;
-  if config.sb_size < pf.Platform.page_size then
-    invalid_arg "Hoard.create: sb_size must be at least the platform page size";
-  let n =
-    match config.nheaps with
-    | Some n -> n
-    | None -> pf.Platform.nprocs
-  in
-  (* b = 1.2: the paper's size-class growth factor. *)
-  let classes = Size_class.create ~growth:1.2 ~max_small:(Hoard_config.max_small config) () in
-  (* Stats shards mirror the lock domains: shard [id] for heap [id]
-     (0 = global), one extra shard for the large path. Event rings, when
-     tracing is on, mirror the same domains. Thread caches add their own
-     shard (and ring) as they appear. *)
-  let stats = Alloc_stats.create ~shards:(n + 2) () in
-  (* Every lock-free structure gets its own labelled retry hook, so the
-     unified alloc.cas_retries total breaks down per structure in exports. *)
-  let retry label = Alloc_stats.retry_hook stats ~label in
-  let owner = Alloc_intf.next_owner () in
-  let lcache =
-    if config.large_cache > 0 then
-      Some
-        (Large_cache.create pf ~name:"hoard.lcache" ~cap:config.large_cache
-           ~aba_tag:(config.mutant <> "large-cache-no-aba")
-           ~on_retry:(retry "large-cache") ())
-    else None
-  in
-  (* Rings in the order large, heap1.., global. *)
-  let large =
-    Locked_large.create pf ~owner ~stats ~shard:(n + 1) ?ring:(Heap.ring obs "large") ?cache:lcache
-      ~threshold:(Hoard_config.max_small config)
-  in
-  let heaps = Array.init n (fun i -> Heap.create pf config ~classes ~stats ?obs (i + 1)) in
-  let reg = Sb_registry.create pf ~sb_size:config.sb_size in
-  let t =
-    {
-      pf;
-      cfg = config;
-      classes;
-      reg;
-      stats;
-      owner;
-      heaps;
-      global = Global_heap.create pf config ~classes ~stats ~reg ?obs ~heaps ();
-      large;
-      obs;
-      fe = config.front_end;
-      fe_cap =
-        Array.map (fun block_size -> class_cap ~fe:config.front_end ~block_size) (Size_class.sizes classes);
-      tcaches = Atomic.make IntMap.empty;
-      tc_mu = Mutex.create ();
-      creator_did = (Domain.self () :> int);
-      trim_slack = (config.slack + if config.mutant = "emptiness-off-by-one" then 1 else 0);
-      skip_owner_recheck = config.mutant = "skip-owner-recheck";
-      orphan_lost = config.mutant = "orphan-lost-superblock";
-    }
-  in
-  (match obs with
-   | Some o -> Alloc_stats.publish stats (Obs.metrics o)
-   | None -> ());
-  t
 
 let config t = t.cfg
 
@@ -124,11 +31,12 @@ let heap_by_id t id = Heap.find t.heaps ~zero:(Global_heap.heap0 t.global) id
 (* Fibonacci hash so consecutive thread ids spread across heaps. *)
 let hash_tid tid = (tid * 2654435761) land max_int
 
-let my_heap t =
-  let slot =
-    if t.cfg.assign_by_tid then hash_tid (t.pf.Platform.self_tid ()) else t.pf.Platform.self_proc ()
-  in
-  t.heaps.(slot mod Array.length t.heaps)
+(* The calling thread's heap. *)
+let pick_heap pf (cfg : Hoard_config.t) heaps =
+  let slot = if cfg.assign_by_tid then hash_tid (pf.Platform.self_tid ()) else pf.Platform.self_proc () in
+  heaps.(slot mod Array.length heaps)
+
+let my_heap t = pick_heap t.pf t.cfg t.heaps
 
 (* Emptiness threshold crossed: both clauses of the invariant fail. The
    comparison uses usable bytes (excluding header and carving waste) so
@@ -142,14 +50,6 @@ let too_empty ?slack t core =
   in
   let u = Heap_core.u core and a = Heap_core.usable_a core in
   u < a - (k * t.cfg.sb_size) && float_of_int u < (1.0 -. t.cfg.empty_fraction) *. float_of_int a
-
-(* Record into the calling thread's cache ring (its own lock domain). *)
-let event_tc t tc kind ~sclass ~arg =
-  match tc.tc_ring with
-  | None -> ()
-  | Some r ->
-    Event_ring.record r ~at:(t.pf.Platform.now ()) ~kind ~who:(t.pf.Platform.self_proc ())
-      ~heap:(Heap_core.id (my_heap t).core) ~sclass ~arg
 
 (* Return every pending remote free [detach]ed before the lock to [h]'s
    core. A forward into a global superblock with no heap-0 record to go
@@ -287,14 +187,14 @@ let with_drained t h f =
    between two reads, and consing onto one owner's group while storing
    under the other's index copies a whole group — every block in it
    queued twice, a double free at the second drain. *)
-let surrender_many t tc pairs =
+let surrender_many t c pairs =
   let groups = Array.make (Array.length t.heaps + 1) [] in
   List.iter
     (fun (addr, sb) ->
       let id = Superblock.owner sb in
       groups.(id) <- (sb, addr) :: groups.(id))
     pairs;
-  let sh = tc.tc_sh and record = event_tc t tc in
+  let sh = Thread_cache.shard c and record = Thread_cache.record c in
   let overflow = ref [] and own_id = Heap.id (my_heap t) in
   Array.iteri
     (fun id group ->
@@ -307,107 +207,84 @@ let surrender_many t tc pairs =
     groups;
   if !overflow <> [] then dispose_batch t !overflow
 
-(* Evict the oldest half of an overflowing class so the next [cap/2]
-   frees stay lock-free. *)
-let flush_class t tc ~sclass =
-  let keep = t.fe_cap.(sclass) / 2 in
-  let rec split n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: tl -> split (n - 1) (x :: acc) tl
+let create ?(config = Hoard_config.default) ?obs pf =
+  Hoard_config.validate config;
+  if config.sb_size < pf.Platform.page_size then
+    invalid_arg "Hoard.create: sb_size must be at least the platform page size";
+  let n =
+    match config.nheaps with
+    | Some n -> n
+    | None -> pf.Platform.nprocs
   in
-  let kept, excess = split keep [] tc.tc_slots.(sclass) in
-  let n_excess = tc.tc_count.(sclass) - keep in
-  tc.tc_slots.(sclass) <- kept;
-  tc.tc_count.(sclass) <- keep;
-  Alloc_stats.on_cache_flush tc.tc_sh ~blocks:n_excess;
-  event_tc t tc Event_ring.Cache_flush ~sclass ~arg:n_excess;
-  surrender_many t tc excess
-
-(* Empty the calling thread's cache entirely (thread exit, explicit
-   flush). *)
-let flush_tcache t tc =
-  let all = ref [] in
-  Array.iteri
-    (fun sclass stack ->
-      match stack with
-      | [] -> ()
-      | _ ->
-        Alloc_stats.on_cache_flush tc.tc_sh ~blocks:tc.tc_count.(sclass);
-        event_tc t tc Event_ring.Cache_flush ~sclass ~arg:tc.tc_count.(sclass);
-        tc.tc_slots.(sclass) <- [];
-        tc.tc_count.(sclass) <- 0;
-        all := List.rev_append stack !all)
-    tc.tc_slots;
-  if !all <> [] then surrender_many t tc !all
-
-let new_tcache t tid =
-  Mutex.lock t.tc_mu;
-  let tc =
-    match IntMap.find_opt tid (Atomic.get t.tcaches) with
-    | Some tc -> tc
-    | None ->
-      let ring =
-        match t.obs with
-        | None -> None
-        | Some o ->
-          let name = Printf.sprintf "tcache%d" tid in
-          (* Thread ids can be recycled across sequential domains; the
-             successor inherits the name's ring. *)
-          (match Obs.find_ring o name with
-           | Some r -> Some r
-           | None -> Some (Obs.new_ring o name))
-      in
-      let tc =
-        {
-          tc_slots = Array.make (Size_class.count t.classes) [];
-          tc_count = Array.make (Size_class.count t.classes) 0;
-          tc_sh = Alloc_stats.add_shard t.stats;
-          tc_ring = ring;
-          tc_domain = (Domain.self () :> int);
-        }
-      in
-      Atomic.set t.tcaches (IntMap.add tid tc (Atomic.get t.tcaches));
-      (* Real worker domains flush their cache when they exit, so nothing
-         leaks into a dead thread. Simulated threads share the creator
-         domain and are flushed by [flush_caches] at quiescence instead. *)
-      if tc.tc_domain <> t.creator_did then Domain.at_exit (fun () -> flush_tcache t tc);
-      tc
+  (* b = 1.2: the paper's size-class growth factor. *)
+  let classes = Size_class.create ~growth:1.2 ~max_small:(Hoard_config.max_small config) () in
+  (* Stats shards mirror the lock domains: shard [id] for heap [id]
+     (0 = global), one extra shard for the large path. Event rings, when
+     tracing is on, mirror the same domains. Thread caches add their own
+     shard (and ring) as they appear. *)
+  let stats = Alloc_stats.create ~shards:(n + 2) () in
+  (* Every lock-free structure gets its own labelled retry hook, so the
+     unified alloc.cas_retries total breaks down per structure in exports. *)
+  let retry label = Alloc_stats.retry_hook stats ~label in
+  let owner = Alloc_intf.next_owner () in
+  let lcache =
+    if config.large_cache > 0 then
+      Some
+        (Large_cache.create pf ~name:"hoard.lcache" ~cap:config.large_cache
+           ~aba_tag:(config.mutant <> "large-cache-no-aba")
+           ~on_retry:(retry "large-cache") ())
+    else None
   in
-  Mutex.unlock t.tc_mu;
-  tc
-
-(* [Domain.at_exit] hooks belong to the registering domain, so a cache
-   surviving its domain (recycled thread id: domain A exits, domain B is
-   assigned the same tid) must re-arm the exit flush ON the adopting
-   domain — registering only at creation silently dropped every later
-   domain's flush, leaking its cached blocks. *)
-let adopt_tcache t tc =
-  let did = (Domain.self () :> int) in
-  if tc.tc_domain <> did then begin
-    Mutex.lock t.tc_mu;
-    if tc.tc_domain <> did then begin
-      tc.tc_domain <- did;
-      if did <> t.creator_did then Domain.at_exit (fun () -> flush_tcache t tc)
-    end;
-    Mutex.unlock t.tc_mu
-  end
-
-let tcache t =
-  let tid = t.pf.Platform.self_tid () in
-  match IntMap.find_opt tid (Atomic.get t.tcaches) with
-  | Some tc ->
-    adopt_tcache t tc;
-    tc
-  | None -> new_tcache t tid
+  (* Rings in the order large, heap1.., global. *)
+  let large =
+    Locked_large.create pf ~owner ~stats ~shard:(n + 1) ?ring:(Heap.ring obs "large") ?cache:lcache
+      ~threshold:(Hoard_config.max_small config)
+  in
+  let heaps = Array.init n (fun i -> Heap.create pf config ~classes ~stats ?obs (i + 1)) in
+  let reg = Sb_registry.create pf ~sb_size:config.sb_size in
+  (* The front end hands what it evicts to [surrender_many], which needs
+     the [t] it belongs to. *)
+  let surrender = ref (fun _ _ -> ()) in
+  let fe =
+    if config.front_end = 0 then None
+    else
+      Some
+        (Thread_cache.create pf ~front_end:config.front_end ~classes ~stats ?obs
+           ~home:(fun () -> Heap.id (pick_heap pf config heaps))
+           ~surrender:(fun c pairs -> !surrender c pairs)
+           ())
+  in
+  let t =
+    {
+      pf;
+      cfg = config;
+      classes;
+      reg;
+      stats;
+      owner;
+      heaps;
+      global = Global_heap.create pf config ~classes ~stats ~reg ?obs ~heaps ();
+      large;
+      obs;
+      fe;
+      trim_slack = (config.slack + if config.mutant = "emptiness-off-by-one" then 1 else 0);
+      skip_owner_recheck = config.mutant = "skip-owner-recheck";
+      orphan_lost = config.mutant = "orphan-lost-superblock";
+    }
+  in
+  (match obs with
+   | Some o -> Alloc_stats.publish stats (Obs.metrics o)
+   | None -> ());
+  surrender := surrender_many t;
+  t
 
 (* The slow half of a front-end malloc: the remote-free channel is
    detached first, then one lock acquisition frees it and pulls
    [cap/2 + 1] blocks — one to return, the rest into the cache. *)
-let malloc_fill t tc ~size ~sclass ~block_size =
+let malloc_fill t c ~size ~sclass ~block_size =
   let h = my_heap t in
   with_drained t h (fun ~drained ~spill ->
-    let want = (t.fe_cap.(sclass) / 2) + 1 in
+    let want = Thread_cache.fill_size c ~sclass in
     let blocks = ref [] and got = ref 0 in
     while !got < want do
       match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(want - !got) with
@@ -424,14 +301,9 @@ let malloc_fill t tc ~size ~sclass ~block_size =
         Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
         let n_cached = List.length cached in
         if n_cached > 0 then begin
-          (* Fill surplus enters front-end custody: mark it, so a wild free
-             of a cached address is caught as a double free, not recycled. *)
-          List.iter
-            (fun (a, sb) ->
-              Superblock.mark_cached sb a;
-              tc.tc_slots.(sclass) <- (a, sb) :: tc.tc_slots.(sclass))
-            cached;
-          tc.tc_count.(sclass) <- tc.tc_count.(sclass) + n_cached;
+          (* Fill surplus enters front-end custody, so a wild free of a
+             cached address is caught as a double free, not recycled. *)
+          List.iter (fun (a, sb) -> Thread_cache.push c ~sclass sb a) cached;
           Alloc_stats.on_cache_fill h.sh ~blocks:n_cached ~bytes:(n_cached * block_size)
         end;
         addr
@@ -440,21 +312,6 @@ let malloc_fill t tc ~size ~sclass ~block_size =
     t.pf.Platform.write ~addr ~len:8;
     addr)
 
-(* A front-end hit: pop the class's newest cached block, lock-free. *)
-let pop_cached t tc ~size ~sclass =
-  match tc.tc_slots.(sclass) with
-  | [] -> None
-  | (addr, sb) :: rest ->
-    tc.tc_slots.(sclass) <- rest;
-    tc.tc_count.(sclass) <- tc.tc_count.(sclass) - 1;
-    (* Custody ends: the block is the program's again, and a free of it
-       must be accepted. *)
-    Superblock.clear_cached sb addr;
-    Alloc_stats.on_cache_hit tc.tc_sh ~requested:size;
-    event_tc t tc Event_ring.Cache_hit ~sclass ~arg:addr;
-    t.pf.Platform.write ~addr ~len:8;
-    Some addr
-
 let malloc t size =
   if size <= 0 then invalid_arg "Hoard.malloc: size must be positive";
   t.pf.Platform.work t.cfg.path_work;
@@ -462,36 +319,31 @@ let malloc t size =
   else begin
     let sclass = Size_class.class_of_size t.classes size in
     let block_size = Size_class.size_of_class t.classes sclass in
-    if t.fe > 0 then begin
-      let tc = tcache t in
-      match pop_cached t tc ~size ~sclass with
-      | Some addr -> addr
-      | None -> malloc_fill t tc ~size ~sclass ~block_size
-    end
-    else begin
+    match t.fe with
+    | Some fe ->
+      let c = Thread_cache.mine fe in
+      (match Thread_cache.pop c ~size ~sclass with
+       | Some addr -> addr
+       | None -> malloc_fill t c ~size ~sclass ~block_size)
+    | None ->
       let h = my_heap t in
       let spill = ref [] in
       h.lock.acquire ();
-      let addr =
+      let addr, sb =
         match Heap_core.malloc h.core ~sclass ~block_size with
-        | Some (addr, sb) ->
-          Superblock.touch_header t.pf sb;
-          addr
+        | Some block -> block
         | None ->
           refill t h ~sclass ~block_size ~spill;
-          (match Heap_core.malloc h.core ~sclass ~block_size with
-           | Some (addr, sb) ->
-             Superblock.touch_header t.pf sb;
-             addr
-           | None -> assert false (* refill installed an allocatable superblock *))
+          (* refill installed an allocatable superblock *)
+          Option.get (Heap_core.malloc h.core ~sclass ~block_size)
       in
+      Superblock.touch_header t.pf sb;
       Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
       (* The allocator links free blocks through their first word. *)
       t.pf.Platform.write ~addr ~len:8;
       h.lock.release ();
       if !spill <> [] then dispose_batch t !spill;
       addr
-    end
   end
 
 (* Batched allocation: one [path_work] for the whole request. With a
@@ -509,11 +361,13 @@ let malloc_many t n size =
       let sclass = Size_class.class_of_size t.classes size in
       let block_size = Size_class.size_of_class t.classes sclass in
       let out = Array.make n 0 and got = ref 0 in
-      (if t.fe > 0 then
-         let tc = tcache t in
+      (match t.fe with
+       | None -> ()
+       | Some fe ->
+         let c = Thread_cache.mine fe in
          let rec pop () =
            if !got < n then
-             match pop_cached t tc ~size ~sclass with
+             match Thread_cache.pop c ~size ~sclass with
              | Some addr ->
                out.(!got) <- addr;
                incr got;
@@ -548,10 +402,10 @@ let malloc_many t n size =
    block, [free_many] once per batch. *)
 let free_block t addr =
   match Sb_registry.lookup t.reg ~addr with
-  | Some sb ->
-    if t.fe > 0 then begin
-      let tc = tcache t in
-      let sclass = Superblock.sclass sb in
+  | Some sb -> (
+    match t.fe with
+    | Some fe ->
+      let c = Thread_cache.mine fe in
       (* A block absorbed by ANY thread's cache (or parked on a remote
          queue) stays bitmap-live, so liveness alone cannot catch a second
          free — and scanning only the caller's own cache missed the
@@ -560,14 +414,10 @@ let free_block t addr =
          it. *)
       if (not (Superblock.is_block_live sb addr)) || Superblock.is_block_cached sb addr then
         failwith "Hoard.free: double free (cached)";
-      if tc.tc_count.(sclass) >= t.fe_cap.(sclass) then flush_class t tc ~sclass;
-      Superblock.mark_cached sb addr;
-      tc.tc_slots.(sclass) <- (addr, sb) :: tc.tc_slots.(sclass);
-      tc.tc_count.(sclass) <- tc.tc_count.(sclass) + 1;
-      Alloc_stats.on_cached_free tc.tc_sh;
+      Thread_cache.push c ~sclass:(Superblock.sclass sb) sb addr;
+      Alloc_stats.on_cached_free (Thread_cache.shard c);
       t.pf.Platform.write ~addr ~len:8
-    end
-    else begin
+    | None -> (
       (* Take the block's line and the header's before locking, so
          neither read-for-ownership sits inside the owner heap's critical
          section. Each is usually a coherence miss: the block was last
@@ -610,8 +460,7 @@ let free_block t addr =
         Alloc_stats.on_deferred_enqueue h.sh;
         Heap.event h Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr;
         h.lock.release ();
-        if !spill <> [] then dispose_batch t !spill
-    end
+        if !spill <> [] then dispose_batch t !spill))
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
 
 let free t addr =
@@ -623,7 +472,7 @@ let free t addr =
    push, its flush on overflow). Without one, the loop of single frees:
    the paper's algorithm has no batch free. *)
 let free_many t addrs =
-  if t.fe = 0 then Array.iter (free t) addrs
+  if Option.is_none t.fe then Array.iter (free t) addrs
   else if Array.length addrs > 0 then begin
     t.pf.Platform.work t.cfg.path_work;
     Array.iter (free_block t) addrs
@@ -658,11 +507,8 @@ let heap_ring t id =
    (where frees into global superblocks park when heap 0 has no record) —
    all without the heap-0 lock. *)
 let flush t =
-  (if t.fe > 0 then
-     match IntMap.find_opt (t.pf.Platform.self_tid ()) (Atomic.get t.tcaches) with
-     | Some tc -> flush_tcache t tc
-     | None -> ());
-  if t.fe > 0 || Option.is_none (heap_by_id t 0) then begin
+  Option.iter Thread_cache.flush t.fe;
+  if Option.is_some t.fe || Option.is_none (heap_by_id t 0) then begin
     let h = my_heap t in
     with_drained t h (fun ~drained ~spill ->
       if drained > 0 then trim_heap ~deep:true t h ~sclass:0;
@@ -683,16 +529,7 @@ let flush t =
 
    Idempotent: a second call finds no cache and an empty heap. *)
 let on_thread_exit t =
-  let tid = t.pf.Platform.self_tid () in
-  if t.fe > 0 then begin
-    match IntMap.find_opt tid (Atomic.get t.tcaches) with
-    | Some tc ->
-      flush_tcache t tc;
-      Mutex.lock t.tc_mu;
-      Atomic.set t.tcaches (IntMap.remove tid (Atomic.get t.tcaches));
-      Mutex.unlock t.tc_mu
-    | None -> ()
-  end;
+  Option.iter Thread_cache.retire t.fe;
   let h = my_heap t in
   with_drained t h (fun ~drained:_ ~spill:_ ->
     let orphans = ref [] in
@@ -739,19 +576,7 @@ let flush_caches t =
     Superblock.clear_cached sb addr;
     Alloc_stats.on_drain (q_free t sb addr) ~usable:(Superblock.block_size sb)
   in
-  IntMap.iter
-    (fun _ tc ->
-      Array.iteri
-        (fun sclass stack ->
-          match stack with
-          | [] -> ()
-          | _ ->
-            Alloc_stats.on_cache_flush tc.tc_sh ~blocks:tc.tc_count.(sclass);
-            tc.tc_slots.(sclass) <- [];
-            tc.tc_count.(sclass) <- 0;
-            List.iter (fun (addr, sb) -> dispose (sb, addr)) stack)
-        tc.tc_slots)
-    (Atomic.get t.tcaches);
+  Option.iter (fun fe -> Thread_cache.drain_quiescent fe (fun sb addr -> dispose (sb, addr))) t.fe;
   (* [h]'s channel and its shard of the global heap. The quiescent drains
      use charge-free peek/poke, so they are cost- and schedule-invisible. *)
   let take h = List.rev_append (Global_heap.q_take t.global h) (Heap.take_quiescent h) in
@@ -787,8 +612,7 @@ let fullness_profile t =
 
 let heap_info t id = if id = 0 then Global_heap.info t.global else Heap.info t.heaps.(id - 1)
 
-let cache_counts t =
-  List.rev (IntMap.fold (fun tid tc acc -> (tid, Array.copy tc.tc_count) :: acc) (Atomic.get t.tcaches) [])
+let cache_counts t = Option.fold ~none:[] ~some:Thread_cache.counts t.fe
 
 let iter_global_free t f = Array.iter (fun h -> Global_heap.iter_parked t.global h (f ~heap:(Heap.id h))) t.heaps
 
@@ -818,6 +642,7 @@ let invariant_holds t ~heap_id =
 let check t =
   Array.iter Heap.check t.heaps;
   Global_heap.check t.global;
+  Option.iter Thread_cache.check t.fe;
   let s = Alloc_stats.snapshot t.stats in
   let total_u =
     Array.fold_left (fun acc (h : Heap.t) -> acc + Heap_core.u h.core) (Global_heap.info t.global).u_bytes t.heaps

@@ -32,13 +32,14 @@
     channel.
 
     {b Front end} (off by default): with [config.front_end = K > 0], each
-    thread keeps a cache of up to [cap = max K (K * 16 / block)] block
-    addresses per size class: [K] for every class of 16 B or more, [2K]
-    for 8 B blocks, so no class moves less than [K * 8] bytes per trip.
+    thread keeps a {!Thread_cache} of up to [cap = max K (K * 16 / block)]
+    blocks per size class: [K] for every class of 16 B or more, [2K] for
+    8 B blocks, so no class moves less than [K * 8] bytes per trip.
     malloc pops and free pushes with no lock at all; misses and overflows
-    move [cap/2] blocks per heap-lock acquisition, and blocks evicted from a
-    cache are batched onto the owning heap's remote-free channel for the
-    owner to drain on its next slow path. The channel follows
+    move [cap/2] blocks per heap-lock acquisition. That module alone
+    stores the caches; this one fills them from the heap and decides
+    where the blocks a cache gives up go: batched onto the owning heap's
+    remote-free channel for the owner to drain on its next slow path. The channel follows
     [config.global]. Under the locked global heap it is a bounded queue
     (one innermost queue lock; overflow takes the locked free path), at
     a cost of up to [2K * P * classes + remote_queue_cap * (P+1)] blocks
@@ -116,9 +117,10 @@ val invariant_holds : t -> heap_id:int -> bool
     it (the paper's algorithm enforces the invariant only on frees). *)
 
 val check : t -> unit
-(** Deep structural validation of every heap. Exact even while front-end
-    caches and remote-free queues hold blocks (they stay charged to their
-    owning heaps). *)
+(** Deep structural validation of every heap, every remote-free channel
+    and every thread cache ({!Thread_cache.check}). Exact even while
+    front-end caches and remote-free channels hold blocks (they stay
+    charged to their owning heaps). *)
 
 val on_thread_exit : t -> unit
 (** The calling (simulated) thread is retiring: flushes and retires its

@@ -1,0 +1,186 @@
+module IntMap = Map.Make (Int)
+
+type cache = {
+  front : t;
+  slots : (int * Superblock.t) list array; (* per class, newest first *)
+  count : int array;
+  sh : Alloc_stats.shard; (* single writer: the owning thread *)
+  record : Event_ring.kind -> sclass:int -> arg:int -> unit;
+  mutable domain : int; (* the domain driving the cache, -1 until [mine] arms it *)
+}
+
+and t = {
+  pf : Platform.t;
+  caps : int array; (* per class, see [class_cap] *)
+  stats : Alloc_stats.t;
+  obs : Obs.t option;
+  home : unit -> int;
+  surrender : cache -> (int * Superblock.t) list -> unit;
+  caches : cache IntMap.t Atomic.t; (* tid -> cache; replaced under [mu] *)
+  mu : Mutex.t; (* host mutex: serialises cache creation, zero simulated cost *)
+  creator : int; (* domain that built [t]; its threads skip at-exit hooks *)
+}
+
+let class_cap ~fe ~block_size = max fe (fe * 16 / block_size)
+
+let create pf ~front_end ~classes ~stats ?obs ~home ~surrender () =
+  {
+    pf;
+    caps = Array.map (fun block_size -> class_cap ~fe:front_end ~block_size) (Size_class.sizes classes);
+    stats;
+    obs;
+    home;
+    surrender;
+    caches = Atomic.make IntMap.empty;
+    mu = Mutex.create ();
+    creator = (Domain.self () :> int);
+  }
+
+(* The one loop that takes blocks out of a cache in bulk: cut class
+   [sclass] down to its newest [keep] blocks and return the rest, newest
+   first, counted as a flush. Quiescent callers pass [~trace:false]: an
+   event reads the clock, a platform effect. *)
+let cut ?(trace = true) c ~sclass ~keep =
+  let n = c.count.(sclass) - keep in
+  if n <= 0 then []
+  else begin
+    let rec split k acc = function
+      | rest when k = 0 -> (List.rev acc, rest)
+      | [] -> (List.rev acc, [])
+      | x :: tl -> split (k - 1) (x :: acc) tl
+    in
+    let kept, out = split keep [] c.slots.(sclass) in
+    c.slots.(sclass) <- kept;
+    c.count.(sclass) <- keep;
+    Alloc_stats.on_cache_flush c.sh ~blocks:n;
+    if trace then c.record Event_ring.Cache_flush ~sclass ~arg:n;
+    out
+  end
+
+(* Every class cut to nothing: the last class's blocks first, each class
+   oldest first. *)
+let take_all ?trace c =
+  let all = ref [] in
+  for sclass = 0 to Array.length c.slots - 1 do
+    all := List.rev_append (cut ?trace c ~sclass ~keep:0) !all
+  done;
+  !all
+
+(* Empty a whole cache into [surrender] (thread exit, explicit flush). *)
+let empty c =
+  match take_all c with
+  | [] -> ()
+  | all -> c.front.surrender c all
+
+let find t tid = IntMap.find_opt tid (Atomic.get t.caches)
+
+(* A new cache for [tid], with no domain yet: [mine] arms it. *)
+let fresh t tid =
+  let record =
+    match t.obs with
+    | None -> fun _ ~sclass:_ ~arg:_ -> ()
+    | Some o ->
+      let name = Printf.sprintf "tcache%d" tid in
+      (* Thread ids can be recycled across sequential domains; the
+         successor inherits the name's ring. *)
+      let r = match Obs.find_ring o name with Some r -> r | None -> Obs.new_ring o name in
+      fun kind ~sclass ~arg ->
+        Event_ring.record r ~at:(t.pf.Platform.now ()) ~kind ~who:(t.pf.Platform.self_proc ()) ~heap:(t.home ())
+          ~sclass ~arg
+  in
+  let nclasses = Array.length t.caps in
+  {
+    front = t;
+    slots = Array.make nclasses [];
+    count = Array.make nclasses 0;
+    sh = Alloc_stats.add_shard t.stats;
+    record;
+    domain = -1;
+  }
+
+(* The fast path is one map read. The first call of a tid, and the first
+   from each new domain driving it, take [mu]: the cache is created, or
+   adopted. [Domain.at_exit] hooks belong to the registering domain, so
+   a cache surviving its domain (recycled thread id: domain A exits,
+   domain B is assigned the same tid) must re-arm the exit flush ON the
+   adopting domain — registering only at creation silently dropped every
+   later domain's flush, leaking its cached blocks. Simulated threads
+   share the creator domain and are drained at quiescence instead. *)
+let mine t =
+  let tid = t.pf.Platform.self_tid () and did = (Domain.self () :> int) in
+  match find t tid with
+  | Some c when c.domain = did -> c
+  | _ ->
+    Mutex.lock t.mu;
+    let c =
+      match find t tid with
+      | Some c -> c
+      | None ->
+        let c = fresh t tid in
+        Atomic.set t.caches (IntMap.add tid c (Atomic.get t.caches));
+        c
+    in
+    if c.domain <> did then begin
+      c.domain <- did;
+      if did <> t.creator then Domain.at_exit (fun () -> empty c)
+    end;
+    Mutex.unlock t.mu;
+    c
+
+let pop c ~size ~sclass =
+  match c.slots.(sclass) with
+  | [] -> None
+  | (addr, sb) :: rest ->
+    c.slots.(sclass) <- rest;
+    c.count.(sclass) <- c.count.(sclass) - 1;
+    Superblock.clear_cached sb addr;
+    Alloc_stats.on_cache_hit c.sh ~requested:size;
+    c.record Event_ring.Cache_hit ~sclass ~arg:addr;
+    c.front.pf.Platform.write ~addr ~len:8;
+    Some addr
+
+let push c ~sclass sb addr =
+  let t = c.front in
+  if c.count.(sclass) >= t.caps.(sclass) then t.surrender c (cut c ~sclass ~keep:(t.caps.(sclass) / 2));
+  Superblock.mark_cached sb addr;
+  c.slots.(sclass) <- (addr, sb) :: c.slots.(sclass);
+  c.count.(sclass) <- c.count.(sclass) + 1
+
+let fill_size c ~sclass = (c.front.caps.(sclass) / 2) + 1
+
+let shard c = c.sh
+
+let record c = c.record
+
+let flush t = Option.iter empty (find t (t.pf.Platform.self_tid ()))
+
+let retire t =
+  let tid = t.pf.Platform.self_tid () in
+  match find t tid with
+  | Some c ->
+    empty c;
+    Mutex.lock t.mu;
+    Atomic.set t.caches (IntMap.remove tid (Atomic.get t.caches));
+    Mutex.unlock t.mu
+  | None -> ()
+
+let drain_quiescent t f =
+  IntMap.iter
+    (fun _ c -> List.iter (fun (addr, sb) -> f sb addr) (List.rev (take_all ~trace:false c)))
+    (Atomic.get t.caches)
+
+let counts t = List.rev (IntMap.fold (fun tid c acc -> (tid, Array.copy c.count) :: acc) (Atomic.get t.caches) [])
+
+let check t =
+  IntMap.iter
+    (fun tid c ->
+      Array.iteri
+        (fun sclass blocks ->
+          let n = List.length blocks in
+          if n <> c.count.(sclass) || n > t.caps.(sclass) then
+            failwith
+              (Printf.sprintf "Hoard.check: thread %d caches %d blocks of class %d (count %d, cap %d)" tid n sclass
+                 c.count.(sclass) t.caps.(sclass));
+          List.iter (fun (addr, sb) -> Superblock.check_in_custody ~what:"cached" sb addr) blocks)
+        c.slots)
+    (Atomic.get t.caches)

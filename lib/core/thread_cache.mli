@@ -1,0 +1,103 @@
+(** {!Hoard}'s front end: one lock-free cache of freed blocks per
+    thread and size class, and the only module that knows how a cache
+    is stored.
+
+    A cache holds up to [cap = max K (K * 16 / block)] blocks of a class
+    ([K = config.front_end]): [K] for every class of 16 B or more, [2K]
+    for 8 B blocks, so no class moves less than [K * 8] bytes per
+    heap-lock trip. A fill brings [cap/2 + 1] blocks (one to return, the
+    rest cached); a push into a class at its cap first evicts the class's
+    oldest half, keeping the newest [cap/2], so the next [cap/2] frees
+    stay lock-free.
+
+    Cached blocks stay bitmap-live in their superblocks and charged to
+    the heap that owns them, so the emptiness invariant and the blowup
+    bound reason about them exactly as if the program still held them.
+    Each carries its superblock's custody mark ({!Superblock.mark_cached})
+    from its push until its pop, whichever thread caches it, so a second
+    free of a cached block is caught in O(1).
+
+    Blocks leave a cache in bulk only one way: the class is cut down to
+    its newest blocks, counted as a flush on the cache's stats shard,
+    and the rest handed to the [surrender] function given at {!create},
+    which decides where they go — an eviction keeps [cap/2], {!flush}
+    and {!retire} keep none. The quiescent {!drain_quiescent} cuts the
+    same way, with no events.
+
+    Caches are found by thread id. Thread ids recycle across sequential
+    domains: a domain that adopts a live cache re-registers the
+    [Domain.at_exit] flush, so a real worker domain empties its cache
+    into [surrender] when it exits. Simulated threads share the creating
+    domain and register nothing; {!drain_quiescent} empties their caches
+    after the run. *)
+
+type t
+(** Every cache of one allocator instance, its per-class caps and where
+    evicted blocks go. *)
+
+type cache
+(** One thread's cache: per class, the blocks newest first and their
+    count, with its own stats shard (single writer: the owning thread)
+    and, when tracing, its own event ring ["tcache<tid>"]. *)
+
+val create :
+  Platform.t ->
+  front_end:int ->
+  classes:Size_class.t ->
+  stats:Alloc_stats.t ->
+  ?obs:Obs.t ->
+  home:(unit -> int) ->
+  surrender:(cache -> (int * Superblock.t) list -> unit) ->
+  unit ->
+  t
+(** [front_end] is [K > 0]. [home ()] is the calling thread's heap id,
+    which the cache's events record. [surrender c blocks] takes blocks cut
+    from [c], as [(addr, superblock)] pairs, freed and still
+    custody-marked; it is called holding no heap lock. Creates no cache,
+    shard or ring: caches appear on their thread's first call. *)
+
+val mine : t -> cache
+(** The calling thread's cache, created on its first call. *)
+
+val pop : cache -> size:int -> sclass:int -> int option
+(** A hit: the class's newest block, out of custody, counted as a cache
+    hit of [size] bytes and written once. [None] when the class is
+    empty. *)
+
+val push : cache -> sclass:int -> Superblock.t -> int -> unit
+(** Take a freed block into custody as the class's newest. A class at
+    its cap first has its oldest half cut and surrendered; a fill, which
+    pushes at most [cap/2] blocks into a class it found empty, never
+    evicts. *)
+
+val fill_size : cache -> sclass:int -> int
+(** Blocks a miss takes from the heap: [cap/2 + 1]. *)
+
+val shard : cache -> Alloc_stats.shard
+(** The cache's stats shard, for counts made on its behalf. *)
+
+val record : cache -> Event_ring.kind -> sclass:int -> arg:int -> unit
+(** Record into the cache's ring; free when tracing is off. *)
+
+val flush : t -> unit
+(** Empty the calling thread's cache, if it has one, into [surrender]. *)
+
+val retire : t -> unit
+(** {!flush}, then forget the calling thread's cache: a later thread
+    recycling the tid starts from a fresh one. *)
+
+(** {2 Quiescent — no platform locks, costs or events} *)
+
+val drain_quiescent : t -> (Superblock.t -> int -> unit) -> unit
+(** Cut every class of every cache to nothing, counting each as a
+    flush, and pass each block, still custody-marked, to the function:
+    caches in ascending thread id, classes ascending, blocks newest
+    first. *)
+
+val counts : t -> (int * int array) list
+(** Per thread id (ascending), the per-class number of cached blocks. *)
+
+val check : t -> unit
+(** Every class of every cache: its count equals its list's length and
+    stays within its cap, and each block is bitmap-live and
+    custody-marked. Raises [Failure]. *)

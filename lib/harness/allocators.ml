@@ -73,10 +73,14 @@ let hoard_family =
 
 let base_config label = List.find_map (fun (l, cfg, _) -> if l = label then Some cfg else None) hoard_family
 
-let with_overrides f label =
+let resolve f label =
   match (find label, List.find_opt (fun (l, _, _) -> l = label) hoard_family) with
-  | Some fac, Some (_, cfg, build) -> Some { fac with Alloc_intf.instantiate = (build (f cfg)).Alloc_intf.instantiate }
+  | Some fac, Some (_, cfg, build) ->
+    let cfg = f cfg in
+    Some ({ fac with Alloc_intf.instantiate = (build cfg).Alloc_intf.instantiate }, cfg.Hoard_config.vmem_backend)
   | _, _ -> None
+
+let with_overrides f label = Option.map fst (resolve f label)
 
 let help () =
   String.concat "\n"

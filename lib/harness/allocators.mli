@@ -33,6 +33,13 @@ val with_overrides :
     [--allocator] choice. [None] when the label
     is unknown or has no config ({!base_config}). *)
 
+val resolve :
+  (Hoard_config.t -> Hoard_config.t) -> string -> (Alloc_intf.factory * Vmem_backend.kind) option
+(** {!with_overrides}, with the overridden config's [vmem_backend]. The
+    backend belongs to the machine, not to the allocator: a caller that
+    builds its own simulator must pass it to [Sim.create], or a
+    [--set vmem=] override has no effect. *)
+
 val help : unit -> string
 (** One "label  description" line per factory, for [--allocator help]. *)
 

@@ -78,8 +78,9 @@ type server_run = {
   sv_stats : Alloc_stats.snapshot;
 }
 
-let run_server ?(params = Server_mix.default_params) ?(every = 16) (factory : Alloc_intf.factory) ~nprocs =
-  let sim = Sim.create ~nprocs () in
+let run_server ?(params = Server_mix.default_params) ?(every = 16) ?vmem_backend (factory : Alloc_intf.factory)
+    ~nprocs =
+  let sim = Sim.create ?vmem_backend ~nprocs () in
   let pf = Sim.platform sim in
   let probe, a = Latency_probe.wrap (factory.Alloc_intf.instantiate pf) in
   let timeline, a = Timeline.wrap ~every a in

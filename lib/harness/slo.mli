@@ -53,9 +53,16 @@ type server_run = {
 }
 
 val run_server :
-  ?params:Server_mix.params -> ?every:int -> Alloc_intf.factory -> nprocs:int -> server_run
-(** Runs the workload to completion on a fresh simulator; [every] is the
-    timeline sampling period in allocator operations (default 16). The
+  ?params:Server_mix.params ->
+  ?every:int ->
+  ?vmem_backend:Vmem_backend.kind ->
+  Alloc_intf.factory ->
+  nprocs:int ->
+  server_run
+(** Runs the workload to completion on a fresh simulator whose address
+    space uses [vmem_backend] (the simulator's default when absent);
+    [every] is the timeline sampling period in allocator operations
+    (default 16). The
     recorder's sink records [Req_arrival]/[Req_done] into the run's
     ["server"] ring, so ring totals cross-check recorder counts. *)
 

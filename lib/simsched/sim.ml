@@ -205,8 +205,6 @@ let vmem t = t.vm
 
 let total_cycles t = Array.fold_left max 0 t.clocks
 
-let proc_cycles t p = t.clocks.(p)
-
 let fresh_meta_addr t =
   let a = t.next_meta in
   t.next_meta <- a + Cache.line_size t.cch;

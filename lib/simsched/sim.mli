@@ -143,8 +143,6 @@ val run : ?max_steps:int -> t -> unit
 val total_cycles : t -> int
 (** Completion time: the maximum processor clock. *)
 
-val proc_cycles : t -> int -> int
-
 (** {2 Primitives — call only from inside a simulated thread} *)
 
 val work : int -> unit

@@ -34,10 +34,6 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -33,9 +33,6 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Fair coin flip. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniformly pick an element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

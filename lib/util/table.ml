@@ -17,8 +17,6 @@ let add_row t cells =
          (List.length t.columns));
   t.rows <- Cells cells :: t.rows
 
-let add_int_row t label xs = add_row t (label :: List.map string_of_int xs)
-
 let add_separator t = t.rows <- Separator :: t.rows
 
 let rows t = List.rev t.rows

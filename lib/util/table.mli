@@ -11,10 +11,6 @@ val create : title:string -> columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** Appends a row; must have exactly one cell per column. *)
 
-val add_int_row : t -> string -> int list -> unit
-(** [add_int_row t label xs] is a convenience for a label cell followed by
-    integer cells. *)
-
 val add_separator : t -> unit
 (** Inserts a horizontal rule between row groups. *)
 

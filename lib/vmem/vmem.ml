@@ -169,8 +169,6 @@ let decommit_count t = t.decommits
 
 let commit_count t = t.commits
 
-let iter_regions t f = Imap.iter (fun addr r -> f ~addr ~bytes:r.r_bytes ~owner:r.r_owner) t.regions
-
 let check t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let live = ref 0 and res = ref 0 and prev_end = ref min_int in

@@ -102,9 +102,6 @@ val commit_count : t -> int
 (** Commits that re-populated a decommitted region ({!map}'s initial
     population is not counted). *)
 
-val iter_regions : t -> (addr:int -> bytes:int -> owner:int -> unit) -> unit
-(** Iterates over live regions in ascending address order. *)
-
 val check : t -> unit
 (** Deep validation: page alignment and disjointness of regions,
     mapped/resident/owner totals against the region set, backend

@@ -195,6 +195,30 @@ let test_timeline_resident () =
 let small_server_params profile =
   { Server_mix.default_params with Server_mix.profile; requests = 200 }
 
+(* A [--set vmem=] override reaches the simulator of a server run: the
+   override resolves to the backend, and the three backends lay the
+   address space out differently, so the run's cycles or resident peak
+   differ from the exact backend's. *)
+let test_server_vmem_backend () =
+  let run vmem =
+    match Allocators.resolve (fun c -> Config_cli.apply c [ "vmem=" ^ vmem ]) "hoard" with
+    | None -> Alcotest.fail "hoard has a config"
+    | Some (f, backend) ->
+      Alcotest.(check string) "resolved backend" vmem (Vmem_backend.kind_name backend);
+      let r = Slo.run_server ~params:(small_server_params Server_mix.Bursty) ~vmem_backend:backend f ~nprocs:4 in
+      (r.Slo.sv_cycles, r.Slo.sv_stats.Alloc_stats.peak_resident_bytes)
+  in
+  let exact = run "exact" in
+  List.iter
+    (fun vmem ->
+      let cycles, resident = run vmem in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s differs from exact (%d vs %d cycles, %d vs %d B resident)" vmem cycles (fst exact) resident
+           (snd exact))
+        true
+        ((cycles, resident) <> exact))
+    [ "first-fit"; "buddy" ]
+
 let test_slo_spec_roundtrip () =
   let src =
     {|{"name":"front","rules":[{"metric":"request","quantile":"p99","ceiling":50000},
@@ -520,5 +544,6 @@ let () =
           Alcotest.test_case "server counts + determinism" `Quick test_server_run_counts_and_determinism;
           Alcotest.test_case "gate metrics shape" `Quick test_server_metrics_json_gate_shape;
           Alcotest.test_case "perfetto export" `Quick test_server_perfetto_export;
+          Alcotest.test_case "vmem override reaches the simulator" `Quick test_server_vmem_backend;
         ] );
     ]

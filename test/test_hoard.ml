@@ -1084,6 +1084,28 @@ let test_check_walks_queue () =
     Alcotest.(check bool) ("names the custody mark: " ^ msg) true
       (Astring.String.is_infix ~affix:"without custody mark" msg)
 
+(* [Hoard.check] walks every thread cache as it walks the channels: the
+   test caches 10 freed blocks, the check passes, and it fails once one
+   of them loses its custody mark. *)
+let test_check_walks_thread_caches () =
+  List.iter
+    (fun (label, config) ->
+      let h = Hoard.create ~config (Platform.host ()) in
+      let a = Hoard.allocator h in
+      let ps = Array.init 10 (fun _ -> a.Alloc_intf.malloc 64) in
+      Array.iter a.Alloc_intf.free ps;
+      Alcotest.(check int) (label ^ ": 10 blocks cached") 10
+        (List.fold_left (fun n (_, counts) -> n + Array.fold_left ( + ) 0 counts) 0 (Hoard.cache_counts h));
+      Hoard.check h;
+      let addr = ps.(3) in
+      Superblock.clear_cached (Option.get (Hoard.lookup h addr)) addr;
+      match Hoard.check h with
+      | () -> Alcotest.failf "%s: Hoard.check must reject a cached block without its custody mark" label
+      | exception Failure msg ->
+        Alcotest.(check bool) (label ^ ": names the custody mark: " ^ msg) true
+          (Astring.String.is_infix ~affix:"without custody mark" msg))
+    batch_configs
+
 (* --- the lock-free global heap (Global_index) --- *)
 
 let test_global_locked_by_default () =
@@ -2042,6 +2064,7 @@ let () =
           Alcotest.test_case "batch free keeps the free contract" `Quick test_free_batch_keeps_free_contract;
           Alcotest.test_case "class capacity in bytes" `Quick test_class_capacity_in_bytes;
           Alcotest.test_case "check walks the bounded queue" `Quick test_check_walks_queue;
+          Alcotest.test_case "check walks the thread caches" `Quick test_check_walks_thread_caches;
         ] );
       ( "global heap",
         [
