@@ -10,10 +10,6 @@ open Cmdliner
 
 let scale_of_flag full = if full then Experiments.Full else Experiments.Quick
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 let print_output ~csv (out : Experiments.output) =
   List.iter
     (fun tbl ->
@@ -55,12 +51,15 @@ let procs_opt =
     & opt (some Config_cli.procs) None
     & info [ "procs" ] ~docv:"P1,P2,.." ~doc:"Processor counts to sweep (default depends on scale).")
 
-(* The hoard configuration run and inspect instrument: the default
-   with [--set] overrides on top. *)
+(* The hoard configuration inspect instruments: the default with [--set]
+   overrides on top. *)
 let config_term = Config_cli.config Hoard_config.default Config_cli.set_opt
 
 let run_cmd =
-  let doc = "Run one experiment by id." in
+  let doc =
+    "Run one experiment by id. Its tables use the registered allocators; $(b,--set) configures only the \
+     instrumented hoard pass, so it needs $(b,--metrics) or $(b,--trace)."
+  in
   let id_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id (see list).") in
   let metrics_opt =
     Arg.(
@@ -96,10 +95,12 @@ let run_cmd =
       print_output ~csv out;
       (match json with
        | Some f ->
-         write_file f
-           (Printf.sprintf "{\"experiment\":\"%s\",\"scale\":\"%s\",\"tables\":[%s]}" id
-              (if full && not quick then "full" else "quick")
-              (String.concat "," (List.map Table.to_json out.Experiments.tables)));
+         Config_cli.(
+           or_exit
+             (write_file f
+                (Printf.sprintf "{\"experiment\":\"%s\",\"scale\":\"%s\",\"tables\":[%s]}" id
+                   (if full && not quick then "full" else "quick")
+                   (String.concat "," (List.map Table.to_json out.Experiments.tables)))));
          Printf.printf "wrote JSON report to %s\n" f
        | None -> ());
       if metrics <> None || trace <> None then begin
@@ -115,20 +116,29 @@ let run_cmd =
           (Obs.total_dropped b.Obs_run.b_obs);
         (match metrics with
          | Some f ->
-           write_file f (Obs_run.metrics_json b);
+           Config_cli.(or_exit (write_file f (Obs_run.metrics_json b)));
            Printf.printf "wrote metrics to %s\n" f
          | None -> ());
         match trace with
         | Some f ->
-          write_file f b.Obs_run.b_perfetto;
+          Config_cli.(or_exit (write_file f b.Obs_run.b_perfetto));
           Printf.printf "wrote Perfetto trace to %s\n" f
         | None -> ()
       end
   in
+  (* The experiment's tables build their allocators from the registry;
+     only the instrumented pass reads the config, so an override without
+     it would be silently ignored. *)
+  let checked id full quick csv procs metrics trace json sets =
+    if sets <> [] && metrics = None && trace = None then
+      `Error (false, "--set configures only the instrumented hoard pass: add --metrics FILE or --trace FILE")
+    else `Ok (run id full quick csv procs metrics trace json (Config_cli.apply Hoard_config.default sets))
+  in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ id_arg $ full_flag $ quick_flag $ csv_flag $ procs_opt $ metrics_opt $ trace_opt
-      $ json_opt $ config_term)
+      ret
+        (const checked $ id_arg $ full_flag $ quick_flag $ csv_flag $ procs_opt $ metrics_opt $ trace_opt
+        $ json_opt $ Config_cli.set_opt))
 
 let all_cmd =
   let doc = "Run every experiment in order." in
@@ -161,29 +171,37 @@ let inspect_cmd =
   let doc = "Run a benchmark under Hoard, then dump the allocator's heap state." in
   let run name full nprocs config =
     let w = get_workload name full in
-    let sim = Sim.create ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs () in
-    let pf = Sim.platform sim in
-    let h = Hoard.create ~config pf in
-    let a = Hoard.allocator h in
-    w.Workload_intf.spawn sim pf a ~nthreads:nprocs;
-    Sim.run sim;
-    a.Alloc_intf.check ();
-    Printf.printf "pending remote frees: [%s]\n"
-      (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.remote_queue_lengths h))));
-    if config.Hoard_config.front_end > 0 then begin
-      List.iter
-        (fun (tid, counts) ->
-          Printf.printf "tcache tid=%d: %d blocks cached\n" tid (Array.fold_left ( + ) 0 counts))
-        (Hoard.cache_counts h);
-      Hoard.flush_caches h;
-      a.Alloc_intf.check ()
-    end;
-    if config.Hoard_config.large_cache > 0 then
-      Printf.printf "large cache: %d regions parked\n" (Hoard.large_cache_length h);
-    let s = a.Alloc_intf.stats () in
-    Printf.printf "%s on %d processors: %d cycles\n%s\n\n" name nprocs (Sim.total_cycles sim)
-      (Format.asprintf "%a" Alloc_stats.pp_snapshot s);
-    Format.printf "%a@." Hoard.pp_heaps h
+    let hoard = ref None in
+    let factory =
+      {
+        (Hoard.factory ~config ()) with
+        Alloc_intf.instantiate =
+          (fun pf ->
+            let h = Hoard.create ~config pf in
+            hoard := Some h;
+            Hoard.allocator h);
+      }
+    in
+    (* Dumped once the run has passed [check], before the final figures. *)
+    let post () (a : Alloc_intf.t) =
+      let h = Option.get !hoard in
+      Printf.printf "pending remote frees: [%s]\n"
+        (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.remote_queue_lengths h))));
+      if config.Hoard_config.front_end > 0 then begin
+        List.iter
+          (fun (tid, counts) ->
+            Printf.printf "tcache tid=%d: %d blocks cached\n" tid (Array.fold_left ( + ) 0 counts))
+          (Hoard.cache_counts h);
+        Hoard.flush_caches h;
+        a.Alloc_intf.check ()
+      end;
+      if config.Hoard_config.large_cache > 0 then
+        Printf.printf "large cache: %d regions parked\n" (Hoard.large_cache_length h)
+    in
+    let (), r = Runner.run_with ~post ~wrap_allocator:(fun _ a -> ((), a)) (Runner.spec w factory ~nprocs) in
+    Printf.printf "%s on %d processors: %d cycles\n%s\n\n" name nprocs r.Runner.r_cycles
+      (Format.asprintf "%a" Alloc_stats.pp_snapshot r.Runner.r_stats);
+    Format.printf "%a@." Hoard.pp_heaps (Option.get !hoard)
   in
   Cmd.v
     (Cmd.info "inspect" ~doc)
@@ -204,11 +222,7 @@ let sweep_cmd =
   in
   let run name full nprocs config =
     let w = get_workload name full in
-    let r =
-      Runner.run
-        (Runner.spec ~vmem_backend:config.Hoard_config.vmem_backend w (Hoard.factory ~config ())
-           ~nprocs)
-    in
+    let r = Runner.run (Runner.spec w (Hoard.factory ~config ()) ~nprocs) in
     Printf.printf "%s P=%d %s: %d cycles, %.1f ops/Mcycle, frag %.2f, transfers %d/%d, %d invalidations\n"
       name nprocs
       (Format.asprintf "%a" Hoard_config.pp config)
@@ -292,22 +306,34 @@ let serve_cmd =
         Printf.eprintf "unknown allocator %S; known:\n%s\n" alloc_label (Allocators.help ());
         exit 1
     in
-    let factory, vmem_backend =
-      if sets = [] then (factory, None)
+    let factory =
+      if sets = [] then factory
       else
-        match Allocators.resolve (fun cfg -> Config_cli.apply cfg sets) alloc_label with
-        | Some (f, vmem) -> (f, Some vmem)
+        match Allocators.with_overrides (fun cfg -> Config_cli.apply cfg sets) alloc_label with
+        | Some f -> f
         | None ->
           Printf.eprintf "allocator %S has no config knobs (--set applies to the hoard family)\n"
             alloc_label;
           exit 1
+    in
+    (* The spec is read and parsed before the run, so a bad path or spec
+       costs no simulation. *)
+    let slo =
+      Option.map
+        (fun spec_file ->
+          match Slo.spec_of_string Config_cli.(or_exit (read_file spec_file)) with
+          | Ok spec -> spec
+          | Error msg ->
+            Printf.eprintf "%s: %s\n" spec_file msg;
+            exit 1)
+        slo
     in
     let scale = scale_of_flag (full && not quick) in
     let params =
       let p = Experiments.server_params profile scale in
       if requests > 0 then { p with Server_mix.requests } else p
     in
-    let r = Slo.run_server ~params ?vmem_backend factory ~nprocs in
+    let r = Slo.run_server ~params factory ~nprocs in
     let h = Server_mix.request_latencies r.Slo.sv_recorder in
     Printf.printf
       "server mix (%s) under %s on %d procs: %d requests in %d cycles\n\
@@ -318,31 +344,20 @@ let serve_cmd =
       ((r.Slo.sv_stats.Alloc_stats.peak_resident_bytes + 1023) / 1024);
     (match report with
      | Some f ->
-       write_file f (Slo.metrics_json r);
+       Config_cli.(or_exit (write_file f (Slo.metrics_json r)));
        Printf.printf "wrote metrics report to %s\n" f
      | None -> ());
     (match trace with
      | Some f ->
-       write_file f (Slo.perfetto_json r);
+       Config_cli.(or_exit (write_file f (Slo.perfetto_json r)));
        Printf.printf "wrote Perfetto trace to %s\n" f
      | None -> ());
     match slo with
     | None -> ()
-    | Some spec_file ->
-      let contents =
-        let ic = open_in_bin spec_file in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (match Slo.spec_of_string contents with
-       | Error msg ->
-         Printf.eprintf "%s: %s\n" spec_file msg;
-         exit 1
-       | Ok spec ->
-         let rep = Slo.evaluate spec r in
-         Table.print (Slo.report_table rep);
-         if not rep.Slo.rp_ok then exit 2)
+    | Some spec ->
+      let rep = Slo.evaluate spec r in
+      Table.print (Slo.report_table rep);
+      if not rep.Slo.rp_ok then exit 2
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(

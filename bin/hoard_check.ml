@@ -15,10 +15,6 @@ let strategy_of_string = function
   | "sleep" -> Explorer.Sleep_dfs
   | s -> failwith (Printf.sprintf "unknown strategy %S (chess|sleep)" s)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 let get_scenario name =
   match Scenarios.find name with
   | Some sc -> sc
@@ -92,9 +88,11 @@ let explore_cmd =
         (if seed = "" then "\"\"" else seed);
       (match out with
        | Some file ->
-         write_file file
-           (Printf.sprintf "scenario: %s\nschedule: %s\nmessage: %s\n" sc.Explorer.sc_name seed
-              f.Explorer.f_message);
+         Config_cli.(
+           or_exit
+             (write_file file
+                (Printf.sprintf "scenario: %s\nschedule: %s\nmessage: %s\n" sc.Explorer.sc_name seed
+                   f.Explorer.f_message)));
          Printf.printf "wrote %s\n" file
        | None -> ());
       exit (if expect_fail then 0 else 1)

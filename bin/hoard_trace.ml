@@ -10,26 +10,15 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 let load path =
-  match Trace.of_string (read_file path) with
+  match Trace.of_string Config_cli.(or_exit (read_file path)) with
   | Ok t -> t
   | Error m ->
     Printf.eprintf "%s: %s\n" path m;
     exit 1
 
-(* The factory [name] labels, with [sets] applied, and the vmem backend
-   its simulator must use ([None]: the simulator's default). *)
-let factory_of ?(sets = []) name =
+(* The factory [name] labels, with [sets] applied. *)
+let factory_of ~sets name =
   if name = "help" then begin
     print_endline "allocators:";
     print_endline (Allocators.help ());
@@ -39,21 +28,15 @@ let factory_of ?(sets = []) name =
   | None ->
     Printf.eprintf "unknown allocator %S; known: %s\n" name (String.concat ", " (Allocators.labels ()));
     exit 1
-  | Some f when sets = [] -> (f, None)
+  | Some f when sets = [] -> f
   | Some _ ->
-    (match Allocators.resolve (fun cfg -> Config_cli.apply cfg sets) name with
-     | Some (f, vmem) -> (f, Some vmem)
+    (match Allocators.with_overrides (fun cfg -> Config_cli.apply cfg sets) name with
+     | Some f -> f
      | None ->
        Printf.eprintf "--set: allocator %S has no config knobs\n" name;
        exit 1)
 
-let replay_trace ?vmem_backend trace factory ~procs =
-  let sim = Sim.create ?vmem_backend ~nprocs:procs () in
-  let a = factory.Alloc_intf.instantiate (Sim.platform sim) in
-  Trace.replay_sim trace sim a ~nthreads:procs;
-  Sim.run sim;
-  a.Alloc_intf.check ();
-  (Sim.total_cycles sim, a.Alloc_intf.stats (), Cache.total_invalidations (Sim.cache sim))
+let replay trace factory ~procs = Runner.run (Runner.spec (Trace.workload trace) factory ~nprocs:procs)
 
 let generate_cmd =
   let doc = "Generate a synthetic allocation trace." in
@@ -73,7 +56,7 @@ let generate_cmd =
       `Error (true, Printf.sprintf "--min-size %d exceeds --max-size %d" min_size max_size)
     else begin
       let t = Trace.generate ~seed ~ops ~threads ~live_target:live ~size_dist:(Trace.Uniform (min_size, max_size)) () in
-      write_file out (Trace.to_string t);
+      Config_cli.(or_exit (write_file out (Trace.to_string t)));
       Printf.printf "wrote %d ops (peak live %d bytes) to %s\n" (Trace.length t) (Trace.max_live_bytes t) out;
       `Ok ()
     end
@@ -105,11 +88,10 @@ let replay_cmd =
   let alloc = Arg.(value & opt string "hoard" & info [ "allocator"; "a" ] ~doc:"Allocator to drive.") in
   let run path alloc procs sets =
     let t = load path in
-    let factory, vmem_backend = factory_of ~sets alloc in
-    let cycles, stats, invals = replay_trace ?vmem_backend t factory ~procs in
-    Printf.printf "%s on %d procs: %d cycles, frag %.2f, %d invalidations\n" alloc procs cycles
-      (Alloc_stats.fragmentation stats) invals;
-    Format.printf "stats: %a@." Alloc_stats.pp_snapshot stats
+    let r = replay t (factory_of ~sets alloc) ~procs in
+    Printf.printf "%s on %d procs: %d cycles, frag %.2f, %d invalidations\n" alloc procs r.Runner.r_cycles
+      (Runner.fragmentation r) r.Runner.r_invalidations;
+    Format.printf "stats: %a@." Alloc_stats.pp_snapshot r.Runner.r_stats
   in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ alloc $ procs_arg $ Config_cli.set_opt)
 
@@ -124,10 +106,8 @@ let profile_cmd =
   let run path procs perfetto metrics sets =
     let t = load path in
     let config = Config_cli.apply (Hoard_config.make ()) sets in
-    let b =
-      Obs_run.run_spawned ~config ~name:(Filename.basename path) ~nprocs:procs (fun sim _pf a ->
-          Trace.replay_sim t sim a ~nthreads:procs)
-    in
+    let w = { (Trace.workload t) with Workload_intf.w_name = Filename.basename path } in
+    let b = Obs_run.run_workload ~config w ~nprocs:procs in
     Printf.printf "%s on %d procs: %d cycles, %d events recorded (%d dropped)\n" path procs b.Obs_run.b_cycles
       (Obs.total_recorded b.Obs_run.b_obs) (Obs.total_dropped b.Obs_run.b_obs);
     Format.printf "stats: %a@." Alloc_stats.pp_snapshot b.Obs_run.b_stats;
@@ -135,12 +115,12 @@ let profile_cmd =
     print_string b.Obs_run.b_heatmap;
     (match perfetto with
      | Some f ->
-       write_file f b.Obs_run.b_perfetto;
+       Config_cli.(or_exit (write_file f b.Obs_run.b_perfetto));
        Printf.printf "wrote Perfetto trace to %s (open at https://ui.perfetto.dev)\n" f
      | None -> ());
     match metrics with
     | Some f ->
-      write_file f (Obs_run.metrics_json b);
+      Config_cli.(or_exit (write_file f (Obs_run.metrics_json b)));
       Printf.printf "wrote metrics to %s\n" f
     | None -> ()
   in
@@ -227,7 +207,7 @@ let check_json_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"JSON file.") in
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s\n" m; exit 1) fmt in
   let run path expect baseline sum_prefix label_contains max_ratio =
-    match Json_lite.parse (read_file path) with
+    match Json_lite.parse Config_cli.(or_exit (read_file path)) with
     | Error m -> fail "%s: invalid JSON: %s" path m
     | Ok j ->
       (match expect with
@@ -262,7 +242,7 @@ let check_json_cmd =
        | Some _, None -> fail "--baseline needs --sum-prefix"
        | Some bpath, Some prefix ->
          let base_j =
-           match Json_lite.parse (read_file bpath) with
+           match Json_lite.parse Config_cli.(or_exit (read_file bpath)) with
            | Ok j -> j
            | Error m -> fail "%s: invalid JSON: %s" bpath m
          in
@@ -305,21 +285,18 @@ let bench_cmd =
     in
     List.iter
       (fun f ->
-        let f, vmem_backend =
-          if sets = [] then (f, None)
-          else
-            match Allocators.resolve (fun cfg -> Config_cli.apply cfg sets) f.Alloc_intf.label with
-            | Some (f, vmem) -> (f, Some vmem)
-            | None -> (f, None)
+        let f =
+          if sets = [] then f
+          else Option.value ~default:f (Allocators.with_overrides (fun cfg -> Config_cli.apply cfg sets) f.Alloc_intf.label)
         in
-        let cycles, stats, invals = replay_trace ?vmem_backend t f ~procs in
+        let r = replay t f ~procs in
         Table.add_row tbl
           [
             f.Alloc_intf.label;
-            string_of_int cycles;
-            Table.cell_float (Alloc_stats.fragmentation stats);
-            string_of_int invals;
-            string_of_int stats.Alloc_stats.os_maps;
+            string_of_int r.Runner.r_cycles;
+            Table.cell_float (Runner.fragmentation r);
+            string_of_int r.Runner.r_invalidations;
+            string_of_int r.Runner.r_stats.Alloc_stats.os_maps;
           ])
       (Allocators.all ());
     Table.print tbl

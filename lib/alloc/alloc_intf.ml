@@ -20,6 +20,7 @@ type factory = {
   label : string;
   description : string;
   instantiate : Platform.t -> t;
+  vmem_backend : Vmem_backend.kind;
 }
 
 let owner_counter = Atomic.make 1

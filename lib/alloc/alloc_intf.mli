@@ -59,6 +59,10 @@ type factory = {
   label : string;
   description : string;
   instantiate : Platform.t -> t;
+  vmem_backend : Vmem_backend.kind;
+      (** address-space reuse policy of the simulated OS the allocator
+          runs on; the harness builds every machine with it, so a run
+          always uses the backend its configuration names *)
 }
 (** How the harness creates a fresh allocator per experiment run. *)
 

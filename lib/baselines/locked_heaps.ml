@@ -150,7 +150,8 @@ let allocator t =
     ()
 
 let factory p =
-  { Alloc_intf.label = p.label; description = p.description; instantiate = (fun pf -> allocator (create p pf)) }
+  { Alloc_intf.label = p.label; description = p.description; instantiate = (fun pf -> allocator (create p pf));
+    vmem_backend = Vmem_backend.Exact }
 
 let serial () =
   factory

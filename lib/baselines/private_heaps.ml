@@ -271,7 +271,8 @@ let create row pf =
   of_policy (match row with `Pure_private -> pure_private_policy | `Private_threshold -> threshold_policy) pf
 
 let factory p =
-  { Alloc_intf.label = p.label; description = p.description; instantiate = (fun pf -> allocator (of_policy p pf)) }
+  { Alloc_intf.label = p.label; description = p.description; instantiate = (fun pf -> allocator (of_policy p pf));
+    vmem_backend = Vmem_backend.Exact }
 
 let pure_private () = factory pure_private_policy
 

@@ -110,6 +110,7 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
     | None -> Option.get (Allocators.find s.s_label)
     | Some config ->
       {
+        (Hoard.factory ~config ()) with
         Alloc_intf.label = s.s_label;
         description = s.s_describe;
         instantiate =
@@ -121,12 +122,6 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
             | Some sn -> Sanitizer.allocator sn
             | None -> Hoard.allocator h);
       }
-  in
-  let oracle = ref None in
-  let wrap_allocator pf a =
-    let o, checked = Oracle.wrap pf a in
-    oracle := Some o;
-    checked
   in
   let wrap_platform pf =
     match !handle with
@@ -145,8 +140,7 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
     | _ -> pf
   in
   let quarantine_peak = ref 0 in
-  let post (a : Alloc_intf.t) =
-    let o = Option.get !oracle in
+  let post o (a : Alloc_intf.t) =
     (match !handle with
      | None -> Oracle.final_check o ~stats:(a.Alloc_intf.stats ())
      | Some (h, san) ->
@@ -166,14 +160,8 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
            (sprintf "oracle[%s]: %d cache line(s) actively shared between threads" s.s_label
               (Oracle.active_shared_lines o)))
   in
-  let vmem_backend =
-    match s.s_config with
-    | Some cfg -> cfg.Hoard_config.vmem_backend
-    | None -> Vmem_backend.Exact
-  in
-  let spec = Runner.spec ?nthreads ~vmem_backend workload factory ~nprocs in
-  let r = Runner.run_with ?fuzz ~wrap_allocator ~wrap_platform ~post spec in
-  let o = Option.get !oracle in
+  let spec = Runner.spec ?nthreads workload factory ~nprocs in
+  let o, r = Runner.run_with ?fuzz ~wrap_allocator:Oracle.wrap ~wrap_platform ~post spec in
   (* Blowup is checked after the run, when the simulator can report the
      peak LIVE thread population — the P of the O(U + P) bound. Under
      churn workloads this is far below the total thread count; exited

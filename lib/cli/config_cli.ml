@@ -71,3 +71,24 @@ let apply base overrides =
   | Error msg ->
     Printf.eprintf "%s: %s\n" Filename.(remove_extension (basename Sys.executable_name)) msg;
     exit Cmd.Exit.cli_error
+
+(* File I/O for the CLIs' reports, traces and specs. A bad path is an
+   [Error "path: reason"] the caller prints before exiting 1, never an
+   uncaught [Sys_error]. *)
+let io_error path msg = Error (if String.starts_with ~prefix:(path ^ ": ") msg then msg else path ^ ": " ^ msg)
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error msg -> io_error path msg
+
+let write_file path contents =
+  match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents) with
+  | () -> Ok ()
+  | exception Sys_error msg -> io_error path msg
+
+let or_exit = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline msg;
+    exit 1

@@ -36,3 +36,12 @@ val config : Hoard_config.t -> string list Cmdliner.Term.t -> Hoard_config.t Cmd
 val apply : Hoard_config.t -> string list -> Hoard_config.t
 (** {!resolve} for a base known only at run time (an allocator's
     registered config): prints the message and exits 124 on [Error]. *)
+
+val read_file : string -> (string, string) result
+(** The whole file, or [Error "path: reason"] (missing, a directory, no permission). *)
+
+val write_file : string -> string -> (unit, string) result
+(** Creates or truncates the file with the given contents, or [Error "path: reason"]. *)
+
+val or_exit : ('a, string) result -> 'a
+(** The [Ok] value; on [Error msg], prints [msg] to stderr and exits 1. *)

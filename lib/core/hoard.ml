@@ -674,6 +674,7 @@ let factory ?(config = Hoard_config.default) ?obs () =
     Alloc_intf.label = "hoard";
     description = "per-processor heaps + global heap, emptiness invariant (the paper's allocator)";
     instantiate = (fun pf -> allocator (create ~config ?obs pf));
+    vmem_backend = config.Hoard_config.vmem_backend;
   }
 
 let pp_heaps fmt t =

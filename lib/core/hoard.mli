@@ -80,6 +80,8 @@ val allocator : t -> Alloc_intf.t
 (** The public allocator interface backed by this instance. *)
 
 val factory : ?config:Hoard_config.t -> ?obs:Obs.t -> unit -> Alloc_intf.factory
+(** Its [vmem_backend] is [config]'s, so the machine a harness builds for
+    it uses the backend the configuration names. *)
 
 val config : t -> Hoard_config.t
 

@@ -20,6 +20,7 @@ let hoard_fe ?front_end () = hoard_fe_of (fe_config ?front_end ())
 
 let hoard_san_of ?(quarantine = Sanitizer.default_quarantine) config =
   {
+    (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-san";
     description = Printf.sprintf "hoard with the heap sanitizer (poison-on-free, %d-block quarantine)" quarantine;
     instantiate = (fun pf -> Sanitizer.allocator (Sanitizer.create ~quarantine pf (Hoard.create ~config pf)));
@@ -73,14 +74,10 @@ let hoard_family =
 
 let base_config label = List.find_map (fun (l, cfg, _) -> if l = label then Some cfg else None) hoard_family
 
-let resolve f label =
+let with_overrides f label =
   match (find label, List.find_opt (fun (l, _, _) -> l = label) hoard_family) with
-  | Some fac, Some (_, cfg, build) ->
-    let cfg = f cfg in
-    Some ({ fac with Alloc_intf.instantiate = (build cfg).Alloc_intf.instantiate }, cfg.Hoard_config.vmem_backend)
+  | Some fac, Some (_, cfg, build) -> Some { (build (f cfg)) with Alloc_intf.description = fac.Alloc_intf.description }
   | _, _ -> None
-
-let with_overrides f label = Option.map fst (resolve f label)
 
 let help () =
   String.concat "\n"

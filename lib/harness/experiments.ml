@@ -834,11 +834,8 @@ let timeline_exp =
     let timelines =
       List.map
         (fun alloc ->
-          let sim = Sim.create ~nprocs:2 () in
-          let pf = Sim.platform sim in
-          let tl, a = Timeline.wrap (alloc.Alloc_intf.instantiate pf) in
-          (producer_consumer ~rounds ~batch:200).Workload_intf.spawn sim pf a ~nthreads:2;
-          Sim.run sim;
+          let w = producer_consumer ~rounds ~batch:200 in
+          let tl, _ = Runner.run_with ~wrap_allocator:(fun _ a -> Timeline.wrap a) (Runner.spec w alloc ~nprocs:2) in
           (alloc.Alloc_intf.label, tl))
         allocs
     in
@@ -937,11 +934,8 @@ let latency_exp =
     in
     List.iter
       (fun alloc ->
-        let sim = Sim.create ~nprocs:p () in
-        let pf = Sim.platform sim in
-        let probe, a = Latency_probe.wrap (alloc.Alloc_intf.instantiate pf) in
-        (shbench scale).Workload_intf.spawn sim pf a ~nthreads:p;
-        Sim.run sim;
+        let spec = Runner.spec (shbench scale) alloc ~nprocs:p in
+        let probe, _ = Runner.run_with ~wrap_allocator:(fun _ a -> Latency_probe.wrap a) spec in
         let h = Latency_probe.malloc_latencies probe in
         Table.add_row tbl
           [
@@ -1203,8 +1197,8 @@ let frag_exp =
       | _ -> 4
     in
     let run_config w backend ~nprocs =
-      let cfg = Hoard_config.make ~vmem_backend:backend () in
-      let r = Runner.run (Runner.spec ~vmem_backend:backend w (Hoard.factory ~config:cfg ()) ~nprocs) in
+      let factory = Hoard.factory ~config:(Hoard_config.make ~vmem_backend:backend ()) () in
+      let r = Runner.run (Runner.spec w factory ~nprocs) in
       (* The memory-lifecycle invariant, enforced (not just reported):
          the CI fragmentation smoke runs this experiment and must exit
          non-zero if a region left the held set with its pages still

@@ -64,64 +64,65 @@ let perfetto_of ~name ~nprocs ~cycles obs spans =
   Perfetto.counter p ~name:"run" ~ts:cycles ~pid:0 ~series:[ ("cycles", cycles) ];
   Perfetto.to_json p
 
-let run_spawned ?(config = Hoard_config.default) ?obs_config ?(cost = Cost_model.default)
-    ?(lock_kind = Sim.Spin) ~name ~nprocs spawn =
-  (* The platform must be built with the backend the config names — any
-     config on the exact-reuse backend would still be correct, just not
-     the run the caller asked to instrument. *)
-  let sim = Sim.create ~cost ~lock_kind ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs () in
-  let pf = Sim.platform sim in
-  let obs = Obs.create ?config:obs_config () in
-  let hoard = Hoard.create ~config ~obs pf in
-  let lock_ring = Obs.new_ring obs "locks" in
+let run_workload ?(config = Hoard_config.default) workload ~nprocs =
+  let obs = Obs.create () in
+  let hoard = ref None in
+  let factory =
+    {
+      (Hoard.factory ~config ()) with
+      Alloc_intf.instantiate =
+        (fun pf ->
+          let h = Hoard.create ~config ~obs pf in
+          hoard := Some h;
+          Hoard.allocator h);
+    }
+  in
   let cont = Contention.create () in
   let spans = ref [] and nspans = ref 0 in
-  Sim.set_lock_hooks sim
-    ~on_acquire:(fun ~name ~proc ~spins ~at ->
-      Contention.on_acquire cont ~name ~spins;
-      if spins > 0 then
-        Event_ring.record lock_ring ~at ~kind:Event_ring.Lock_acquire ~who:proc ~heap:(-1) ~sclass:(-1)
-          ~arg:spins)
-    ~on_release:(fun ~name ~proc ~acquired_at ~at ->
-      if !nspans < max_spans then begin
-        incr nspans;
-        spans := (name, proc, acquired_at, at) :: !spans
-      end)
-    ();
-  let probe, a = Latency_probe.wrap (Hoard.allocator hoard) in
-  Latency_probe.publish probe (Obs.metrics obs);
-  spawn sim pf a;
-  Sim.run sim;
-  a.Alloc_intf.check ();
+  let on_sim sim =
+    let lock_ring = Obs.new_ring obs "locks" in
+    Sim.set_lock_hooks sim
+      ~on_acquire:(fun ~name ~proc ~spins ~at ->
+        Contention.on_acquire cont ~name ~spins;
+        if spins > 0 then
+          Event_ring.record lock_ring ~at ~kind:Event_ring.Lock_acquire ~who:proc ~heap:(-1) ~sclass:(-1)
+            ~arg:spins)
+      ~on_release:(fun ~name ~proc ~acquired_at ~at ->
+        if !nspans < max_spans then begin
+          incr nspans;
+          spans := (name, proc, acquired_at, at) :: !spans
+        end)
+      ()
+  in
+  let wrap_allocator _pf a =
+    let probe, a = Latency_probe.wrap a in
+    Latency_probe.publish probe (Obs.metrics obs);
+    (probe, a)
+  in
   (* Return any front-end-cached blocks before reading the final figures;
      [check] is exact on both sides of the flush. *)
-  Hoard.flush_caches hoard;
-  a.Alloc_intf.check ();
-  let lock_stats = Sim.lock_stats sim in
-  let contention = Contention.finalize cont ~lock_stats ~spin_cost:cost.Cost_model.lock_spin in
+  let post _ (a : Alloc_intf.t) =
+    Hoard.flush_caches (Option.get !hoard);
+    a.Alloc_intf.check ()
+  in
+  let probe, r = Runner.run_with ~on_sim ~wrap_allocator ~post (Runner.spec workload factory ~nprocs) in
+  let name = workload.Workload_intf.w_name in
+  let lock_stats = r.Runner.r_lock_stats in
+  let contention = Contention.finalize cont ~lock_stats ~spin_cost:Cost_model.default.Cost_model.lock_spin in
   Contention.publish contention (Obs.metrics obs);
-  let cycles = Sim.total_cycles sim in
+  let cycles = r.Runner.r_cycles in
   {
     b_name = name;
     b_nprocs = nprocs;
     b_cycles = cycles;
-    b_stats = a.Alloc_intf.stats ();
+    b_stats = r.Runner.r_stats;
     b_obs = obs;
     b_latency = probe;
     b_lock_stats = lock_stats;
     b_contention = contention;
     b_perfetto = perfetto_of ~name ~nprocs ~cycles obs (List.rev !spans);
-    b_heatmap = heatmap_of hoard;
+    b_heatmap = heatmap_of (Option.get !hoard);
   }
-
-let run_workload ?config ?obs_config ?cost ?lock_kind ?nthreads workload ~nprocs =
-  let nthreads =
-    match nthreads with
-    | Some n -> n
-    | None -> nprocs
-  in
-  run_spawned ?config ?obs_config ?cost ?lock_kind ~name:workload.Workload_intf.w_name ~nprocs
-    (fun sim pf a -> workload.Workload_intf.spawn sim pf a ~nthreads)
 
 let metrics_json b =
   Printf.sprintf

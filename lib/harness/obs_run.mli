@@ -2,7 +2,8 @@
     built with an {!Obs.t} (event rings + metrics), wrapped in a
     {!Latency_probe}, and the simulator's lock hooks feed the contention
     profiler, a ["locks"] event ring and Perfetto lock-hold spans. This is
-    what [hoard_trace profile] and [hoard_bench run --metrics] execute.
+    what [hoard_trace profile] and [hoard_bench run --metrics] execute
+    (a trace replays as a workload, {!Trace.workload}).
 
     Instrumentation never changes the run: event recording and the lock
     hooks charge no simulated cycles, so an instrumented run's cycle count
@@ -21,30 +22,13 @@ type bundle = {
   b_heatmap : string;  (** ASCII fullness heatmap, heap x size class *)
 }
 
-val run_spawned :
-  ?config:Hoard_config.t ->
-  ?obs_config:Obs.config ->
-  ?cost:Cost_model.t ->
-  ?lock_kind:Sim.lock_kind ->
-  name:string ->
-  nprocs:int ->
-  (Sim.t -> Platform.t -> Alloc_intf.t -> unit) ->
-  bundle
-(** Builds the instrumented stack, hands the wrapped allocator to the
-    spawn callback (which must spawn its threads, e.g. via
-    [Trace.replay_sim] or a workload), then runs the simulation to
-    completion and collects the bundle. *)
-
-val run_workload :
-  ?config:Hoard_config.t ->
-  ?obs_config:Obs.config ->
-  ?cost:Cost_model.t ->
-  ?lock_kind:Sim.lock_kind ->
-  ?nthreads:int ->
-  Workload_intf.t ->
-  nprocs:int ->
-  bundle
-(** [nthreads] defaults to [nprocs]. *)
+val run_workload : ?config:Hoard_config.t -> Workload_intf.t -> nprocs:int -> bundle
+(** Runs [workload] with one thread per processor through
+    {!Runner.run_with}, on a machine with [config]'s vmem backend
+    (default {!Hoard_config.default}); the lock hooks go in once the
+    allocator exists, and the front-end caches are flushed and
+    re-checked before the final figures are read. The bundle is named
+    after the workload. *)
 
 val metrics_json : bundle -> string
 (** A JSON object [{"run": {...}, "metrics": [...]}]: run header

@@ -5,13 +5,11 @@ type spec = {
   nthreads : int option;
   cost : Cost_model.t;
   lock_kind : Sim.lock_kind;
-  vmem_backend : Vmem_backend.kind;
   topology : (int * int) option;
 }
 
-let spec ?nthreads ?(cost = Cost_model.default) ?(lock_kind = Sim.Spin)
-    ?(vmem_backend = Vmem_backend.Exact) ?topology workload allocator ~nprocs =
-  { workload; allocator; nprocs; nthreads; cost; lock_kind; vmem_backend; topology }
+let spec ?nthreads ?(cost = Cost_model.default) ?(lock_kind = Sim.Spin) ?topology workload allocator ~nprocs =
+  { workload; allocator; nprocs; nthreads; cost; lock_kind; topology }
 
 type result = {
   r_workload : string;
@@ -34,23 +32,25 @@ type result = {
   r_peak_live_threads : int;
 }
 
-let run_with ?fuzz ?wrap_platform ?wrap_allocator ?post
-    { workload; allocator; nprocs; nthreads; cost; lock_kind; vmem_backend; topology } =
+let run_with ?fuzz ?on_sim ?wrap_platform ?post ~wrap_allocator
+    { workload; allocator; nprocs; nthreads; cost; lock_kind; topology } =
   let nthreads =
     match nthreads with
     | Some n -> n
     | None -> nprocs
   in
-  let sim = Sim.create ~cost ~lock_kind ?fuzz_schedule:fuzz ~vmem_backend ?topology ~nprocs () in
+  let sim =
+    Sim.create ~cost ~lock_kind ?fuzz_schedule:fuzz ~vmem_backend:allocator.Alloc_intf.vmem_backend ?topology
+      ~nprocs ()
+  in
   let pf = Sim.platform sim in
   (* The allocator always sees the raw platform; only the workload's view
      is wrapped (e.g. with the sanitizer's access checker). *)
   let a = allocator.Alloc_intf.instantiate pf in
-  let a =
-    match wrap_allocator with
-    | Some w -> w pf a
-    | None -> a
-  in
+  (match on_sim with
+   | Some f -> f sim
+   | None -> ());
+  let w, a = wrap_allocator pf a in
   let wpf =
     match wrap_platform with
     | Some w -> w pf
@@ -60,7 +60,7 @@ let run_with ?fuzz ?wrap_platform ?wrap_allocator ?post
   Sim.run sim;
   a.Alloc_intf.check ();
   (match post with
-   | Some f -> f a
+   | Some f -> f w a
    | None -> ());
   let lock_stats = Sim.lock_stats sim in
   let acqs, spins =
@@ -68,28 +68,29 @@ let run_with ?fuzz ?wrap_platform ?wrap_allocator ?post
   in
   let vm = Sim.vmem sim in
   Vmem.check vm;
-  {
-    r_workload = workload.Workload_intf.w_name;
-    r_allocator = allocator.Alloc_intf.label;
-    r_nprocs = nprocs;
-    r_nthreads = nthreads;
-    r_cycles = Sim.total_cycles sim;
-    r_ops = workload.Workload_intf.total_ops ~nthreads;
-    r_stats = a.Alloc_intf.stats ();
-    r_invalidations = Cache.total_invalidations (Sim.cache sim);
-    r_coherence_misses = Cache.total_coherence_misses (Sim.cache sim);
-    r_lock_acquisitions = acqs;
-    r_lock_spins = spins;
-    r_lock_stats = lock_stats;
-    r_vm_peak_mapped = Vmem.peak_bytes vm;
-    r_vm_address_space = Vmem.address_space_bytes vm;
-    r_vm_resident = Vmem.resident_bytes vm;
-    r_cross_node_events = Cache.total_cross_node_events (Sim.cache sim);
-    r_cross_socket_events = Cache.total_cross_socket_events (Sim.cache sim);
-    r_peak_live_threads = Sim.peak_live_threads sim;
-  }
+  ( w,
+    {
+      r_workload = workload.Workload_intf.w_name;
+      r_allocator = allocator.Alloc_intf.label;
+      r_nprocs = nprocs;
+      r_nthreads = nthreads;
+      r_cycles = Sim.total_cycles sim;
+      r_ops = workload.Workload_intf.total_ops ~nthreads;
+      r_stats = a.Alloc_intf.stats ();
+      r_invalidations = Cache.total_invalidations (Sim.cache sim);
+      r_coherence_misses = Cache.total_coherence_misses (Sim.cache sim);
+      r_lock_acquisitions = acqs;
+      r_lock_spins = spins;
+      r_lock_stats = lock_stats;
+      r_vm_peak_mapped = Vmem.peak_bytes vm;
+      r_vm_address_space = Vmem.address_space_bytes vm;
+      r_vm_resident = Vmem.resident_bytes vm;
+      r_cross_node_events = Cache.total_cross_node_events (Sim.cache sim);
+      r_cross_socket_events = Cache.total_cross_socket_events (Sim.cache sim);
+      r_peak_live_threads = Sim.peak_live_threads sim;
+    } )
 
-let run spec = run_with spec
+let run spec = snd (run_with ~wrap_allocator:(fun _ a -> ((), a)) spec)
 
 let speedup ~base r = float_of_int base.r_cycles /. float_of_int r.r_cycles
 

@@ -1,6 +1,8 @@
 (** Executes one (workload, allocator, machine-size) combination on a fresh
     simulated machine and collects every metric the paper's tables and
-    figures are built from. *)
+    figures are built from. Every simulated machine the harness and the
+    CLIs run is built here, so every run ends the same way: the
+    allocator's [check], then {!Vmem.check}. *)
 
 type spec = {
   workload : Workload_intf.t;
@@ -9,9 +11,6 @@ type spec = {
   nthreads : int option;  (** defaults to [nprocs] *)
   cost : Cost_model.t;
   lock_kind : Sim.lock_kind;  (** defaults to {!Sim.Spin} *)
-  vmem_backend : Vmem_backend.kind;
-      (** address-space reuse policy of the simulated OS (defaults to
-          {!Vmem_backend.Exact}, the seed behaviour) *)
   topology : (int * int) option;
       (** two-tier machine shape [(sockets, cores_per_socket)] handed to
           {!Sim.create}; [None] (the default) builds the flat machine *)
@@ -21,12 +20,12 @@ val spec :
   ?nthreads:int ->
   ?cost:Cost_model.t ->
   ?lock_kind:Sim.lock_kind ->
-  ?vmem_backend:Vmem_backend.kind ->
   ?topology:int * int ->
   Workload_intf.t ->
   Alloc_intf.factory ->
   nprocs:int ->
   spec
+(** The machine's address space uses the factory's [vmem_backend]. *)
 
 type result = {
   r_workload : string;
@@ -66,15 +65,19 @@ val run : spec -> result
 
 val run_with :
   ?fuzz:int ->
+  ?on_sim:(Sim.t -> unit) ->
   ?wrap_platform:(Platform.t -> Platform.t) ->
-  ?wrap_allocator:(Platform.t -> Alloc_intf.t -> Alloc_intf.t) ->
-  ?post:(Alloc_intf.t -> unit) ->
+  ?post:('w -> Alloc_intf.t -> unit) ->
+  wrap_allocator:(Platform.t -> Alloc_intf.t -> 'w * Alloc_intf.t) ->
   spec ->
-  result
-(** {!run} with checking hooks, used by [lib/check]. [fuzz] seeds
-    {!Sim.create}'s schedule fuzzer. [wrap_allocator] interposes on the
-    allocator the workload sees (e.g. the differential oracle);
-    [wrap_platform] wraps the workload's view of the platform (e.g. the
+  'w * result
+(** {!run} with checking and instrumentation hooks. [fuzz] seeds
+    {!Sim.create}'s schedule fuzzer. [on_sim] sees the machine once the
+    allocator exists and before it is wrapped (e.g. to install lock
+    hooks). [wrap_allocator] interposes on the allocator the workload
+    sees and returns what it recorded with (e.g. the differential
+    oracle, a latency probe); [wrap_platform] wraps the workload's view
+    of the platform (e.g. the
     sanitizer's access checker) — the allocator itself always runs on the
     raw platform. [post] runs after the post-run [check], for quiescent
     assertions. Still deterministic: same arguments, same result. *)

@@ -78,12 +78,7 @@ type server_run = {
   sv_stats : Alloc_stats.snapshot;
 }
 
-let run_server ?(params = Server_mix.default_params) ?(every = 16) ?vmem_backend (factory : Alloc_intf.factory)
-    ~nprocs =
-  let sim = Sim.create ?vmem_backend ~nprocs () in
-  let pf = Sim.platform sim in
-  let probe, a = Latency_probe.wrap (factory.Alloc_intf.instantiate pf) in
-  let timeline, a = Timeline.wrap ~every a in
+let run_server ?(params = Server_mix.default_params) ?(every = 16) (factory : Alloc_intf.factory) ~nprocs =
   let recorder = Server_mix.new_recorder () in
   let obs = Obs.create () in
   let ring = Obs.new_ring obs "server" in
@@ -91,20 +86,23 @@ let run_server ?(params = Server_mix.default_params) ?(every = 16) ?vmem_backend
       Event_ring.record ring ~at:arrival ~kind:Event_ring.Req_arrival ~who ~heap:(-1) ~sclass:(-1) ~arg:0;
       Event_ring.record ring ~at:(arrival + latency) ~kind:Event_ring.Req_done ~who ~heap:(-1)
         ~sclass:(-1) ~arg:latency);
+  let wrap_allocator _pf a =
+    let probe, a = Latency_probe.wrap a in
+    let timeline, a = Timeline.wrap ~every a in
+    ((probe, timeline), a)
+  in
   let w = Server_mix.make ~params ~recorder () in
-  w.Workload_intf.spawn sim pf a ~nthreads:nprocs;
-  Sim.run sim;
-  a.Alloc_intf.check ();
+  let (probe, timeline), r = Runner.run_with ~wrap_allocator (Runner.spec w factory ~nprocs) in
   {
     sv_profile = params.Server_mix.profile;
     sv_allocator = factory.Alloc_intf.label;
     sv_nprocs = nprocs;
-    sv_cycles = Sim.total_cycles sim;
+    sv_cycles = r.Runner.r_cycles;
     sv_recorder = recorder;
     sv_probe = probe;
     sv_timeline = timeline;
     sv_obs = obs;
-    sv_stats = a.Alloc_intf.stats ();
+    sv_stats = r.Runner.r_stats;
   }
 
 let metric_histogram run metric =
@@ -116,8 +114,6 @@ let metric_histogram run metric =
   | "batch.free" -> Some (Latency_probe.batch_free_latencies run.sv_probe)
   | "realloc" -> Some (Latency_probe.realloc_latencies run.sv_probe)
   | _ -> None
-
-let metric_names = [ "request"; "malloc"; "free"; "batch.malloc"; "batch.free"; "realloc" ]
 
 (* --- evaluation --- *)
 

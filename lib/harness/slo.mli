@@ -26,8 +26,6 @@ type spec = {
 val quantile_name : float -> string
 (** 0.5 -> ["p50"], 0.999 -> ["p999"], otherwise ["q<value>"]. *)
 
-val metric_names : string list
-
 val spec_of_json : Json_lite.t -> (spec, string) result
 (** Expected shape:
     [{"name":"front-tier","rules":[{"metric":"request","quantile":"p99",
@@ -55,14 +53,13 @@ type server_run = {
 val run_server :
   ?params:Server_mix.params ->
   ?every:int ->
-  ?vmem_backend:Vmem_backend.kind ->
   Alloc_intf.factory ->
   nprocs:int ->
   server_run
-(** Runs the workload to completion on a fresh simulator whose address
-    space uses [vmem_backend] (the simulator's default when absent);
-    [every] is the timeline sampling period in allocator operations
-    (default 16). The
+(** Runs the workload to completion through {!Runner.run_with}, on a
+    machine with the factory's vmem backend, ending in the allocator's
+    [check] and {!Vmem.check}; [every] is the timeline sampling period
+    in allocator operations (default 16). The
     recorder's sink records [Req_arrival]/[Req_done] into the run's
     ["server"] ring, so ring totals cross-check recorder counts. *)
 

@@ -136,25 +136,17 @@ type _ Effect.t +=
   | E_atomic : (atom * atomic_op) -> int Effect.t
 
 let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?control ?(line_size = 64)
-    ?cache_capacity_lines ?node_of ?topology ?(page_size = 4096) ?(vmem_backend = Vmem_backend.Exact)
+    ?cache_capacity_lines ?topology ?(page_size = 4096) ?(vmem_backend = Vmem_backend.Exact)
     ~nprocs () =
   if nprocs < 1 then invalid_arg "Sim.create: nprocs must be >= 1";
   if fuzz_schedule <> None && control <> None then
     invalid_arg "Sim.create: fuzz_schedule and control are mutually exclusive";
-  if node_of <> None && topology <> None then
-    invalid_arg "Sim.create: node_of and topology are mutually exclusive";
   let topology = Option.map Topology.of_pair topology in
   (match topology with Some topo -> Topology.check ~nprocs topo | None -> ());
   (* Under the two-tier topology the socket is also the memory node, so
      cross-socket traffic pays both surcharges (cross_node + the steeper
      cross_socket) while intra-socket coherence pays neither. *)
-  let node_of, socket_of =
-    match topology with
-    | Some topo ->
-      let f p = Topology.socket_of topo p in
-      (Some f, Some f)
-    | None -> (node_of, None)
-  in
+  let socket_of = Option.map Topology.socket_of topology in
   {
     nprocs;
     topology;
@@ -166,7 +158,7 @@ let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?cont
        | None, Some f -> Controlled f
        | Some _, Some _ -> assert false);
     cost;
-    cch = Cache.create ~line_size ?capacity_lines:cache_capacity_lines ?node_of ?socket_of ~nprocs ();
+    cch = Cache.create ~line_size ?capacity_lines:cache_capacity_lines ?node_of:socket_of ?socket_of ~nprocs ();
     vm = Vmem.create ~page_size ~backend:vmem_backend ();
     clocks = Array.make nprocs 0;
     runq = Array.init nprocs (fun _ -> Queue.create ());
@@ -227,8 +219,6 @@ let new_lock t l_name =
   l
 
 let lock_acquisitions l = l.acqs
-
-let lock_spins l = l.spins
 
 let lock_stats t = List.rev_map (fun l -> (l.l_name, l.acqs, l.spins)) t.locks_rev
 

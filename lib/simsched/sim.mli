@@ -66,7 +66,6 @@ val create :
   ?control:(choice -> int) ->
   ?line_size:int ->
   ?cache_capacity_lines:int ->
-  ?node_of:(int -> int) ->
   ?topology:int * int ->
   ?page_size:int ->
   ?vmem_backend:Vmem_backend.kind ->
@@ -76,18 +75,14 @@ val create :
 (** [cache_capacity_lines] bounds each processor's cache (LRU); by default
     caches are infinite (see {!Cache.create}).
 
-    [node_of] assigns processors to NUMA nodes; coherence events crossing
-    nodes pay the cost model's [cross_node] surcharge. The map is
-    validated at creation (ids in range and contiguous — see
-    {!Cache.create}).
-
     [topology (sockets, cores_per_socket)] builds the two-tier machine:
     processor [p] sits on socket [p / cores_per_socket], which is also
     its memory node, so remote-socket miss service and cross-socket
     invalidations pay [cross_node] {e plus} the distinctly larger
     [cross_socket] surcharge while intra-socket coherence pays neither.
-    [sockets * cores_per_socket] must equal [nprocs]; mutually exclusive
-    with [node_of].
+    [sockets * cores_per_socket] must equal [nprocs]. Without it the
+    machine is flat: one node, no [cross_node] or [cross_socket]
+    surcharge.
 
     [fuzz_schedule seed] replaces min-clock scheduling with a seeded
     random choice among runnable processors: a schedule *fuzzer* for
@@ -167,9 +162,6 @@ val release : lock -> unit
 (** Raises [Invalid_argument] if the calling thread does not hold it. *)
 
 val lock_acquisitions : lock -> int
-
-val lock_spins : lock -> int
-(** Number of failed (spinning) acquisition attempts. *)
 
 val lock_stats : t -> (string * int * int) list
 (** [(name, acquisitions, spins)] for every lock, in creation order. *)

@@ -237,3 +237,11 @@ let replay_sim t sim (a : Alloc_intf.t) ~nthreads =
            done;
            if !pending <> [] then failwith "Trace.replay_sim: unresolvable frees (invalid trace?)"))
   done
+
+let workload t =
+  {
+    Workload_intf.w_name = "trace";
+    w_describe = Printf.sprintf "replay of a %d-op allocation trace" t.len;
+    spawn = (fun sim _pf a ~nthreads -> replay_sim t sim a ~nthreads);
+    total_ops = (fun ~nthreads:_ -> t.len);
+  }

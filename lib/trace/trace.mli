@@ -82,3 +82,7 @@ val replay_sim : t -> Sim.t -> Alloc_intf.t -> nthreads:int -> unit
     thread recorded in the trace. Threads synchronise per 1024-op window
     so that frees never run ahead of their mallocs. Call [Sim.run]
     afterwards. *)
+
+val workload : t -> Workload_intf.t
+(** The trace as a workload named ["trace"]: {!replay_sim} with one
+    simulated thread per [nthreads]; [total_ops] is {!length}. *)

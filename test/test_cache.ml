@@ -158,7 +158,7 @@ let test_numa_costs_charged_in_sim () =
     let sim =
       match topo with
       | false -> Sim.create ~nprocs:2 ()
-      | true -> Sim.create ~node_of:(fun p -> p) ~nprocs:2 ()
+      | true -> Sim.create ~topology:(2, 1) ~nprocs:2 ()
     in
     for _ = 0 to 1 do
       ignore

@@ -689,7 +689,8 @@ let ring_signature obs =
 let run_traced ~fuzz factory_of_obs =
   let obs = Obs.create () in
   let w = Threadtest.make ~params:{ Threadtest.default_params with Threadtest.iterations = 3; objects = 1200 } () in
-  let r = Runner.run_with ~fuzz (Runner.spec w (factory_of_obs obs) ~nprocs:4) in
+  let spec = Runner.spec w (factory_of_obs obs) ~nprocs:4 in
+  let (), r = Runner.run_with ~fuzz ~wrap_allocator:(fun _ a -> ((), a)) spec in
   (ring_signature obs, r.Runner.r_stats, r.Runner.r_cycles)
 
 let test_fuzz_determinism () =

@@ -195,29 +195,31 @@ let test_timeline_resident () =
 let small_server_params profile =
   { Server_mix.default_params with Server_mix.profile; requests = 200 }
 
-(* A [--set vmem=] override reaches the simulator of a server run: the
-   override resolves to the backend, and the three backends lay the
-   address space out differently, so the run's cycles or resident peak
-   differ from the exact backend's. *)
+(* A [--set vmem=] override reaches the simulator on every run path: the
+   overridden factory names the backend, and the three backends lay the
+   address space out differently, so each gives its own cycle count —
+   the same one through the server harness, the plain runner and the
+   instrumented pass, which build their machines from the factory. *)
 let test_server_vmem_backend () =
-  let run vmem =
-    match Allocators.resolve (fun c -> Config_cli.apply c [ "vmem=" ^ vmem ]) "hoard" with
-    | None -> Alcotest.fail "hoard has a config"
-    | Some (f, backend) ->
-      Alcotest.(check string) "resolved backend" vmem (Vmem_backend.kind_name backend);
-      let r = Slo.run_server ~params:(small_server_params Server_mix.Bursty) ~vmem_backend:backend f ~nprocs:4 in
-      (r.Slo.sv_cycles, r.Slo.sv_stats.Alloc_stats.peak_resident_bytes)
-  in
-  let exact = run "exact" in
+  let params = { Server_mix.default_params with Server_mix.profile = Server_mix.Bursty; requests = 600 } in
   List.iter
-    (fun vmem ->
-      let cycles, resident = run vmem in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s differs from exact (%d vs %d cycles, %d vs %d B resident)" vmem cycles (fst exact) resident
-           (snd exact))
-        true
-        ((cycles, resident) <> exact))
-    [ "first-fit"; "buddy" ]
+    (fun (vmem, expected) ->
+      let config = Config_cli.apply Hoard_config.default [ "vmem=" ^ vmem ] in
+      let f =
+        match Allocators.with_overrides (fun c -> Config_cli.apply c [ "vmem=" ^ vmem ]) "hoard" with
+        | None -> Alcotest.fail "hoard has a config"
+        | Some f -> f
+      in
+      Alcotest.(check string) "factory backend" vmem (Vmem_backend.kind_name f.Alloc_intf.vmem_backend);
+      let server = (Slo.run_server ~params f ~nprocs:4).Slo.sv_cycles in
+      let runner =
+        (Runner.run (Runner.spec (Server_mix.make ~params ()) (Hoard.factory ~config ()) ~nprocs:4)).Runner.r_cycles
+      in
+      let obs = (Obs_run.run_workload ~config (Server_mix.make ~params ()) ~nprocs:4).Obs_run.b_cycles in
+      List.iter
+        (fun (path, cycles) -> Alcotest.(check int) (Printf.sprintf "%s cycles, vmem=%s" path vmem) expected cycles)
+        [ ("Slo.run_server", server); ("Runner.run", runner); ("Obs_run.run_workload", obs) ])
+    [ ("exact", 1_255_131); ("first-fit", 1_279_711); ("buddy", 1_246_704) ]
 
 let test_slo_spec_roundtrip () =
   let src =
@@ -500,6 +502,27 @@ let test_config_errors_are_usage_errors () =
       ([ "bogus=1" ], "unknown knob");
     ]
 
+(* The CLIs' file helpers: a bad path is an [Error "path: reason"],
+   never an exception, and a good one round-trips. *)
+let test_file_errors_are_values () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "hoard-no-such-dir/x.json" in
+  let expect_error what path = function
+    | Ok _ -> Alcotest.failf "%s %s must fail" what path
+    | Error m ->
+      Alcotest.(check bool) (Printf.sprintf "%s error %S names the path" what m) true
+        (String.starts_with ~prefix:(path ^ ": ") m)
+  in
+  expect_error "read" missing (Config_cli.read_file missing);
+  expect_error "write" missing (Config_cli.write_file missing "{}");
+  let dir = Filename.get_temp_dir_name () in
+  expect_error "read of a directory" dir (Config_cli.read_file dir);
+  let tmp = Filename.temp_file "hoard-cli" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Alcotest.(check bool) "write ok" true (Config_cli.write_file tmp "{\"a\":1}" = Ok ());
+      Alcotest.(check bool) "read back" true (Config_cli.read_file tmp = Ok "{\"a\":1}"))
+
 let () =
   Alcotest.run "harness"
     [
@@ -508,6 +531,7 @@ let () =
           Alcotest.test_case "procs converter" `Quick test_procs_converter;
           Alcotest.test_case "bounded int converters" `Quick test_bounded_int_converters;
           Alcotest.test_case "config errors are usage errors" `Quick test_config_errors_are_usage_errors;
+          Alcotest.test_case "file errors are values" `Quick test_file_errors_are_values;
         ] );
       ( "runner",
         [

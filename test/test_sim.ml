@@ -354,9 +354,6 @@ let test_topology_validated () =
   (* Shape must cover the machine exactly. *)
   expect_invalid "sockets*cores <> nprocs" (fun () -> Sim.create ~topology:(2, 3) ~nprocs:4 ());
   expect_invalid "zero sockets" (fun () -> Sim.create ~topology:(0, 4) ~nprocs:4 ());
-  (* topology derives node_of; giving both is ambiguous. *)
-  expect_invalid "node_of with topology" (fun () ->
-      Sim.create ~node_of:(fun p -> p) ~topology:(2, 2) ~nprocs:4 ());
   (* A well-formed topology is queryable after creation. *)
   let sim = Sim.create ~topology:(2, 2) ~nprocs:4 () in
   Alcotest.(check bool) "topology retained" true (Sim.topology sim <> None);
