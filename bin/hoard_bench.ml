@@ -91,6 +91,7 @@ let run_cmd =
       Printf.eprintf "unknown experiment %S; try: %s\n" id (String.concat " " (Experiments.ids ()));
       exit 1
     | Some e ->
+      Config_cli.check_writable [ json; metrics; trace ];
       let out = e.Experiments.run scale ~procs in
       print_output ~csv out;
       (match json with
@@ -316,8 +317,8 @@ let serve_cmd =
             alloc_label;
           exit 1
     in
-    (* The spec is read and parsed before the run, so a bad path or spec
-       costs no simulation. *)
+    (* The spec is read and parsed, and the output paths checked, before
+       the run, so a bad path or spec costs no simulation. *)
     let slo =
       Option.map
         (fun spec_file ->
@@ -328,6 +329,7 @@ let serve_cmd =
             exit 1)
         slo
     in
+    Config_cli.check_writable [ report; trace ];
     let scale = scale_of_flag (full && not quick) in
     let params =
       let p = Experiments.server_params profile scale in

@@ -106,6 +106,7 @@ let profile_cmd =
   let run path procs perfetto metrics sets =
     let t = load path in
     let config = Config_cli.apply (Hoard_config.make ()) sets in
+    Config_cli.check_writable [ perfetto; metrics ];
     let w = { (Trace.workload t) with Workload_intf.w_name = Filename.basename path } in
     let b = Obs_run.run_workload ~config w ~nprocs:procs in
     Printf.printf "%s on %d procs: %d cycles, %d events recorded (%d dropped)\n" path procs b.Obs_run.b_cycles

@@ -106,13 +106,16 @@ let create pf ~name ~nclasses ~ngroups ?(aba_tag = true) ?(skip_revalidate = fal
   if ngroups < 1 then invalid_arg "Global_index.create: ngroups must be >= 1";
   if nclasses < 1 then invalid_arg "Global_index.create: nclasses must be >= 1";
   (* Line addresses follow creation order: the empties head, the (class,
-     bin) heads, then the pool's free word. *)
+     bin) heads "c<class>b<bin>", then the pool's free word. The names are
+     joined from per-class and per-bin parts: formatting two integers per
+     head was a third of building the index. *)
   let per_class = ngroups + 1 in
+  let bins = Array.init per_class (fun b -> "b" ^ string_of_int b) in
   let entries =
     Lockfree.pool pf ~name
       ~stacks:
-        (Array.append [| "empties" |]
-           (Array.init (nclasses * per_class) (fun k -> Printf.sprintf "c%db%d" (k / per_class) (k mod per_class))))
+        (Array.concat
+           ([| "empties" |] :: List.init nclasses (fun c -> Array.map (( ^ ) ("c" ^ string_of_int c)) bins)))
       ~aba_tag ~on_retry ()
   in
   let stacks = Lockfree.stacks entries in

@@ -3,7 +3,10 @@ type t = {
   classes : Size_class.t;
   ngroups : int;
   sbsz : int;
-  groups : Superblock.t Dlist.t array array; (* [class].[bin]; bin ngroups = full *)
+  (* [class].[bin]; bin ngroups = full. A class's bins are made on its
+     first insert: until then its entry is [||], and every scan treats it
+     as a class with no superblocks. *)
+  groups : Superblock.t Dlist.t array array;
   empties : Superblock.t Dlist.t; (* completely empty, any class *)
   mutable in_use : int;
   mutable held : int;
@@ -35,7 +38,7 @@ let create ~id ~classes ?(ngroups = 8) ~sb_size () =
     classes;
     ngroups;
     sbsz = sb_size;
-    groups = Array.init (Size_class.count classes) (fun _ -> Array.init (ngroups + 1) (fun _ -> Dlist.create ()));
+    groups = Array.make (Size_class.count classes) [||];
     empties = Dlist.create ();
     in_use = 0;
     held = 0;
@@ -58,7 +61,11 @@ let usable_a t = t.usable
 let bin_of t sb =
   bin_index ~ngroups:t.ngroups ~used:(Superblock.used sb) ~cap:(Superblock.n_blocks sb)
 
-let list_for t sb bin = if bin = empties_bin t then t.empties else t.groups.(Superblock.sclass sb).(bin)
+let class_bins t sclass =
+  if Array.length t.groups.(sclass) = 0 then t.groups.(sclass) <- Array.init (t.ngroups + 1) (fun _ -> Dlist.create ());
+  t.groups.(sclass)
+
+let list_for t sb bin = if bin = empties_bin t then t.empties else (class_bins t (Superblock.sclass sb)).(bin)
 
 let unlink t sb =
   match Superblock.group_node sb with
@@ -105,14 +112,15 @@ let empty_superblock_count t = Dlist.length t.empties
 
 (* Fullest-first search among the partial bins of a class. *)
 let find_partial t sclass =
+  let bins = t.groups.(sclass) in
   let rec scan bin =
     if bin < 0 then None
     else
-      match Dlist.peek_front t.groups.(sclass).(bin) with
+      match Dlist.peek_front bins.(bin) with
       | Some sb -> Some sb
       | None -> scan (bin - 1)
   in
-  scan (t.ngroups - 1)
+  if Array.length bins = 0 then None else scan (t.ngroups - 1)
 
 let malloc t ~sclass ~block_size =
   let sb =
@@ -185,15 +193,13 @@ let find_victim t ~max_fullness ~protect_last =
       else if float_of_int bin /. float_of_int t.ngroups > max_fullness then None
       else
         let found = ref None in
-        let each_class sclass =
-          if !found = None then
-            match Dlist.find eligible t.groups.(sclass).(bin) with
+        let each_class bins =
+          if !found = None && Array.length bins > 0 then
+            match Dlist.find eligible bins.(bin) with
             | Some sb -> found := Some sb
             | None -> ()
         in
-        for sclass = 0 to Size_class.count t.classes - 1 do
-          each_class sclass
-        done;
+        Array.iter each_class t.groups;
         (match !found with
          | Some sb -> Some sb
          | None -> scan (bin + 1))

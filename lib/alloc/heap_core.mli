@@ -15,7 +15,9 @@
 type t
 
 val create : id:int -> classes:Size_class.t -> ?ngroups:int -> sb_size:int -> unit -> t
-(** [ngroups] (default 8) is the number of partial-fullness bins. *)
+(** [ngroups] (default 8) is the number of partial-fullness bins. A
+    class's lists are made on its first insert, so a class the run never
+    uses costs the heap one array slot. *)
 
 val id : t -> int
 

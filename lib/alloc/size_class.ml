@@ -2,8 +2,8 @@ type t = { table : int array; max_small : int; lut : int array (* size -> class,
 
 let round_up x align = (x + align - 1) / align * align
 
-(* Smallest class with table.(c) >= size; the builder for the lookup
-   table and the reference the equivalence test checks against. *)
+(* Smallest class with table.(c) >= size: the reference the lookup
+   table is tested against. *)
 let search table size =
   let lo = ref 0 and hi = ref (Array.length table - 1) in
   while !lo < !hi do
@@ -26,7 +26,11 @@ let create ?(min_block = 8) ?(growth = 1.2) ~max_small () =
       build (size :: acc) (min next max_small)
   in
   let table = Array.of_list (build [] min_block) in
-  { table; max_small; lut = Array.init (max_small + 1) (fun s -> search table (max s 1)) }
+  (* One pass over the classes: sizes (table.(c-1), table.(c)] map to c,
+     and 0 is treated as 1. *)
+  let lut = Array.make (max_small + 1) 0 in
+  Array.iteri (fun c hi -> if c > 0 then Array.fill lut (table.(c - 1) + 1) (hi - table.(c - 1)) c) table;
+  { table; max_small; lut }
 
 let count t = Array.length t.table
 

@@ -28,8 +28,9 @@ val class_of_size : t -> int -> int
     being on every malloc's path. *)
 
 val class_of_size_search : t -> int -> int
-(** The binary-search reference {!class_of_size}'s lookup table is built
-    from. Exposed so tests can assert the two agree on every size. *)
+(** A binary search over the class sizes: the reference for
+    {!class_of_size}'s lookup table, which is filled in one pass over the
+    classes. Exposed so tests can assert the two agree on every size. *)
 
 val sizes : t -> int array
 (** All block sizes, ascending (a copy). *)

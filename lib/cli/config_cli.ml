@@ -92,3 +92,12 @@ let or_exit = function
   | Error msg ->
     prerr_endline msg;
     exit 1
+
+(* Appending writes nothing, so an existing file keeps its contents
+   until the run's [write_file] replaces them. *)
+let writable path =
+  match Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_append ] 0o666 path ignore with
+  | () -> Ok ()
+  | exception Sys_error msg -> io_error path msg
+
+let check_writable paths = List.iter (Option.iter (fun path -> or_exit (writable path))) paths

@@ -45,3 +45,13 @@ val write_file : string -> string -> (unit, string) result
 
 val or_exit : ('a, string) result -> 'a
 (** The [Ok] value; on [Error msg], prints [msg] to stderr and exits 1. *)
+
+val writable : string -> (unit, string) result
+(** Opens the file for appending and closes it: creates it empty if
+    absent and leaves an existing file as it is; [Error "path: reason"]
+    when it cannot be opened. *)
+
+val check_writable : string option list -> unit
+(** {!writable} on each given output path; at the first [Error], prints
+    it and exits 1. The CLIs call it before a run, so a bad output path
+    costs no simulation. *)

@@ -74,6 +74,14 @@ type choice = {
 
 type schedule = Exact | Fuzzed of Rng.t | Controlled of (choice -> int)
 
+(* Deferred spawns keyed by (start time, tid): the earliest start first,
+   and among equal starts the older thread. *)
+module Spawns = Map.Make (struct
+  type t = int * int
+
+  let compare (a, i) (b, j) = if a <> b then Int.compare a b else Int.compare i j
+end)
+
 type t = {
   nprocs : int;
   topology : Topology.t option;
@@ -90,9 +98,10 @@ type t = {
      total number of threads ever created. *)
   mutable cur_active : int;
   mutable peak_active : int;
-  (* Deferred thread creations, sorted by (start time, tid): activated by
-     the engine once the machine's next event reaches their start time. *)
-  mutable pending_spawns : (int * thread) list;
+  (* Deferred thread creations, ordered by (start time, tid): activated by
+     the engine once the machine's next event reaches their start time.
+     O(log n) to add or take one. *)
+  mutable pending_spawns : thread Spawns.t;
   mutable next_tid : int;
   mutable next_meta : int; (* addresses for lock/barrier words *)
   mutable locks_rev : lock list;
@@ -165,7 +174,7 @@ let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?cont
     live = 0;
     cur_active = 0;
     peak_active = 0;
-    pending_spawns = [];
+    pending_spawns = Spawns.empty;
     next_tid = 0;
     next_meta = 0x0800_0000; (* below the Vmem base: never collides with heap data *)
     locks_rev = [];
@@ -454,12 +463,7 @@ let spawn t ?proc body =
 let spawn_at t ~at ?proc body =
   if at < 0 then invalid_arg "Sim.spawn_at: at must be >= 0";
   let th = fresh_thread t ?proc body in
-  let rec insert = function
-    | [] -> [ (at, th) ]
-    | (at', th') :: rest when at' < at || (at' = at && th'.tid < th.tid) -> (at', th') :: insert rest
-    | later -> (at, th) :: later
-  in
-  t.pending_spawns <- insert t.pending_spawns;
+  t.pending_spawns <- Spawns.add (at, th.tid) th t.pending_spawns;
   th.tid
 
 (* Move every deferred spawn whose start time has come onto its run queue.
@@ -467,9 +471,7 @@ let spawn_at t ~at ?proc body =
    clock over runnable processors); when the machine is idle the earliest
    pending spawn defines the next event and time jumps forward to it. *)
 let activate_due_spawns t =
-  match t.pending_spawns with
-  | [] -> ()
-  | _ ->
+  if not (Spawns.is_empty t.pending_spawns) then begin
     let next_event () =
       let m = ref max_int in
       for p = 0 to t.nprocs - 1 do
@@ -478,9 +480,9 @@ let activate_due_spawns t =
       !m
     in
     let rec loop () =
-      match t.pending_spawns with
-      | (at, th) :: rest when at <= next_event () ->
-        t.pending_spawns <- rest;
+      match Spawns.min_binding_opt t.pending_spawns with
+      | Some (((at, _) as key), th) when at <= next_event () ->
+        t.pending_spawns <- Spawns.remove key t.pending_spawns;
         if Queue.is_empty t.runq.(th.proc) && t.clocks.(th.proc) < at then t.clocks.(th.proc) <- at;
         Queue.push th t.runq.(th.proc);
         mark_active t;
@@ -488,6 +490,7 @@ let activate_due_spawns t =
       | _ -> ()
     in
     loop ()
+  end
 
 (* Whether the thread could advance its pending acquisition right now: a
    spinner on a held lock (or a non-head ticket waiter) only burns a retry. *)

@@ -31,14 +31,24 @@ let test_size_class_growth_bounded =
       float_of_int bs <= (1.2 *. float_of_int size) +. 8.0)
 
 let test_size_class_lut_matches_search () =
-  (* The O(1) lookup table must agree with the binary-search builder on
-     every representable request size. *)
-  for size = 1 to 4096 do
-    Alcotest.(check int)
-      (Printf.sprintf "class_of_size %d" size)
-      (Size_class.class_of_size_search classes size)
-      (Size_class.class_of_size classes size)
-  done
+  (* The O(1) lookup table must agree with the binary search on every
+     representable request size: for the default table, a coarse one, a
+     [max_small] that is not a class boundary of the geometric series,
+     and a fine growth factor with many classes. *)
+  let agree label t =
+    for size = 0 to Size_class.max_small t do
+      Alcotest.(check int)
+        (Printf.sprintf "%s: class_of_size %d" label size)
+        (Size_class.class_of_size_search t size)
+        (Size_class.class_of_size t size)
+    done
+  in
+  agree "default" classes;
+  agree "min_block 16, growth 1.5, max_small 2048" (Size_class.create ~min_block:16 ~growth:1.5 ~max_small:2048 ());
+  agree "max_small 1000" (Size_class.create ~max_small:1000 ());
+  let fine = Size_class.create ~growth:1.05 ~max_small:4096 () in
+  Alcotest.(check bool) "growth 1.05 gives many classes" true (Size_class.count fine > 2 * Size_class.count classes);
+  agree "growth 1.05" fine
 
 let test_size_class_zero_and_overflow () =
   Alcotest.(check int) "0 treated as 1" 0 (Size_class.class_of_size classes 0);
@@ -413,6 +423,59 @@ let test_heap_pick_victim_second_sb_eligible () =
   | Some _ -> Heap_core.check heap
   | None -> Alcotest.fail "victim expected with two superblocks in class"
 
+(* Host words a thunk allocates on the minor heap: deterministic, unlike
+   timings, so a construction-cost guard can be exact. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_heap_create_cost_per_class () =
+  (* A heap makes a class's fullness lists on the class's first insert,
+     so an unused class costs a heap a couple of words, not its lists. *)
+  let fine = Size_class.create ~growth:1.05 ~max_small:4096 () in
+  let extra = Size_class.count fine - Size_class.count classes in
+  let words classes = minor_words (fun () -> Heap_core.create ~id:1 ~classes ~sb_size:8192 ()) in
+  let per_class = (words fine -. words classes) /. float_of_int extra in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per extra class (%d extra classes)" per_class extra)
+    true (per_class <= 4.0)
+
+let test_heap_one_class_in_use () =
+  (* Only class 5 ever gets superblocks: every scan must treat the other
+     classes as empty. *)
+  let heap = mk_heap () in
+  let sbs = List.init 3 (fun i -> new_sb_for heap 5 (i + 1)) in
+  List.iteri
+    (fun i sb ->
+      Heap_core.remove heap sb;
+      for _ = 1 to (i + 1) * Superblock.n_blocks sb / 4 do
+        ignore (Superblock.alloc_block sb)
+      done;
+      Heap_core.insert heap sb)
+    sbs;
+  Heap_core.check heap;
+  let seen = ref 0 in
+  Heap_core.iter heap (fun _ -> incr seen);
+  Alcotest.(check int) "iter visits every superblock" 3 !seen;
+  Alcotest.(check bool) "nothing for an unused class" true
+    (Heap_core.malloc heap ~sclass:2 ~block_size:(Size_class.size_of_class classes 2) = None);
+  let profile = Heap_core.class_profile ~nclasses:(Size_class.count classes) (Heap_core.iter heap) in
+  Array.iteri
+    (fun c (n, _) -> Alcotest.(check int) (Printf.sprintf "class %d superblocks" c) (if c = 5 then 3 else 0) n)
+    profile;
+  (match Heap_core.pick_victim heap ~max_fullness:0.5 with
+   | Some sb -> Alcotest.(check bool) "emptiest is the victim" true (sb == List.hd sbs)
+   | None -> Alcotest.fail "expected a victim");
+  Heap_core.check heap;
+  (* An empty superblock recycled for an unused class makes that class's
+     lists on the way. *)
+  let sb = new_sb_for heap 5 4 in
+  (match Heap_core.malloc heap ~sclass:7 ~block_size:(Size_class.size_of_class classes 7) with
+   | Some (_, sb') -> Alcotest.(check bool) "recycled the empty superblock" true (sb' == sb)
+   | None -> Alcotest.fail "expected recycling");
+  Heap_core.check heap
+
 let test_heap_usable_accounting () =
   let heap = mk_heap () in
   let sb = new_sb_for heap 0 1 in
@@ -676,6 +739,8 @@ let () =
           Alcotest.test_case "protect-last empties" `Quick test_heap_pick_victim_protect_last_allows_empties;
           Alcotest.test_case "second sb eligible" `Quick test_heap_pick_victim_second_sb_eligible;
           Alcotest.test_case "usable accounting" `Quick test_heap_usable_accounting;
+          Alcotest.test_case "create cost per class" `Quick test_heap_create_cost_per_class;
+          Alcotest.test_case "one class in use" `Quick test_heap_one_class_in_use;
           QCheck_alcotest.to_alcotest test_heap_accounting_model;
         ] );
       ( "registry",

@@ -514,6 +514,7 @@ let test_file_errors_are_values () =
   in
   expect_error "read" missing (Config_cli.read_file missing);
   expect_error "write" missing (Config_cli.write_file missing "{}");
+  expect_error "writable" missing (Config_cli.writable missing);
   let dir = Filename.get_temp_dir_name () in
   expect_error "read of a directory" dir (Config_cli.read_file dir);
   let tmp = Filename.temp_file "hoard-cli" ".json" in
@@ -521,7 +522,8 @@ let test_file_errors_are_values () =
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
       Alcotest.(check bool) "write ok" true (Config_cli.write_file tmp "{\"a\":1}" = Ok ());
-      Alcotest.(check bool) "read back" true (Config_cli.read_file tmp = Ok "{\"a\":1}"))
+      Alcotest.(check bool) "writable" true (Config_cli.writable tmp = Ok ());
+      Alcotest.(check bool) "writable leaves the contents" true (Config_cli.read_file tmp = Ok "{\"a\":1}"))
 
 let () =
   Alcotest.run "harness"

@@ -187,6 +187,66 @@ let test_blowup_bounded_producer_consumer () =
   Alcotest.(check int) "all freed" 0 s.Alloc_stats.live_bytes;
   a.Alloc_intf.check ()
 
+(* A run that touches a single size class: the other classes have no
+   fullness lists, and the heap dump, pinned byte for byte, lists only
+   the class in use. *)
+let test_pp_heaps_one_class () =
+  let sim = Sim.create ~nprocs:2 () in
+  let h = Hoard.create (Sim.platform sim) in
+  let a = Hoard.allocator h in
+  let shared = ref [] in
+  let b = Sim.new_barrier sim ~parties:2 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         let ps = List.init 3000 (fun _ -> a.Alloc_intf.malloc 24) in
+         List.iteri (fun i p -> if i mod 10 <> 0 then a.Alloc_intf.free p else shared := p :: !shared) ps;
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         List.iteri (fun i p -> if i mod 2 = 0 then a.Alloc_intf.free p) !shared;
+         ignore (List.init 40 (fun _ -> a.Alloc_intf.malloc 20))));
+  Sim.run sim;
+  a.Alloc_intf.check ();
+  Alcotest.(check string) "pp_heaps"
+    "global: 4 superblocks, u=1632B a=32768B (0 empty)\n\
+    \  class   24B:  4 sb,   68/1352 blocks (5%)\n\
+    \  \n\
+     heap 1: 4 superblocks, u=1560B a=32768B (0 empty)\n\
+    \  class   24B:  4 sb,   65/1352 blocks (5%)\n\
+    \  \n\
+     heap 2: 1 superblocks, u=1368B a=8192B (0 empty)\n\
+    \  class   24B:  1 sb,   57/ 338 blocks (17%)\n\
+    \  \n"
+    (Format.asprintf "%a" Hoard.pp_heaps h)
+
+(* Every simulated lock and atomic takes its cache line from creation
+   order, so the names an allocator creates, in order, are part of every
+   cycle count. Pinned as a count and a digest of the name list per
+   factory (4 processors); print [names] to see it. *)
+let test_creation_order_pinned () =
+  let created label =
+    let pf = Sim.platform (Sim.create ~nprocs:4 ()) in
+    let names = ref [] in
+    let pf =
+      {
+        pf with
+        Platform.new_lock = (fun n -> names := ("lock " ^ n) :: !names; pf.Platform.new_lock n);
+        new_atomic = (fun n v -> names := ("atomic " ^ n) :: !names; pf.Platform.new_atomic n v);
+      }
+    in
+    ignore ((Option.get (Allocators.find label)).Alloc_intf.instantiate pf);
+    let names = List.rev !names in
+    (List.length names, Digest.to_hex (Digest.string (String.concat "\n" names)))
+  in
+  List.iter
+    (fun (label, expected) -> Alcotest.(check (pair int string)) label expected (created label))
+    [
+      ("hoard", (70, "e5a401b147cf1b0bfccb53d6dec351d0"));
+      ("hoard-fe", (75, "e15394710b2c79c04f14bad183983353"));
+      ("hoard-gl", (445, "0bc501aca62d1bb05a42e90ac1d5618e"));
+    ]
+
 let test_remote_free_returns_to_owner () =
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
@@ -2035,6 +2095,8 @@ let () =
           Alcotest.test_case "tid-hash heap assignment" `Quick test_assign_by_tid_spreads_heaps;
           Alcotest.test_case "heap info reconciles" `Quick test_heap_info_reconciles_with_stats;
           Alcotest.test_case "usable matches class" `Quick test_usable_size_matches_class;
+          Alcotest.test_case "pp_heaps with one class in use" `Quick test_pp_heaps_one_class;
+          Alcotest.test_case "simulated objects in creation order" `Quick test_creation_order_pinned;
           QCheck_alcotest.to_alcotest test_random_ops_sound;
           QCheck_alcotest.to_alcotest test_sim_random_stress;
           QCheck_alcotest.to_alcotest test_fuzzed_schedules_sound;

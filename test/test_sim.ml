@@ -401,6 +401,46 @@ let test_spawn_at_activates_later () =
       let sim = Sim.create ~nprocs:1 () in
       ignore (Sim.spawn_at sim ~at:(-1) (fun () -> ())))
 
+let test_spawn_at_order () =
+  (* Deferred threads start in (at, tid) order: out-of-order start times
+     are sorted, and equal ones start oldest first. All share processor 1
+     while processor 0 keeps the clock moving. *)
+  let sim = Sim.create ~cost:um ~nprocs:2 () in
+  let started = ref [] in
+  ignore (Sim.spawn sim ~proc:0 (fun () -> Sim.work 5000));
+  let spawn at =
+    let tid = ref (-1) in
+    tid := Sim.spawn_at sim ~at ~proc:1 (fun () -> started := !tid :: !started);
+    (at, !tid)
+  in
+  let spawned = List.map spawn [ 300; 100; 200; 100; 0; 300; 200; 100 ] in
+  Sim.run sim;
+  Alcotest.(check (list int))
+    "start order"
+    (List.map snd (List.sort compare spawned))
+    (List.rev !started)
+
+(* Host words a thunk allocates on the minor heap: deterministic, unlike
+   timings, so a cost guard can be exact. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_spawn_at_cost_grows_gently () =
+  (* Spawns in increasing start time, as churn waves make them. Doubling
+     their number may little more than double the host allocation; a
+     sorted list copied on every insert would quadruple it. *)
+  let words n =
+    let sim = Sim.create ~nprocs:4 () in
+    minor_words (fun () ->
+        for i = 1 to n do
+          ignore (Sim.spawn_at sim ~at:(10 * i) (fun () -> ()))
+        done)
+  in
+  let ratio = words 512 /. words 256 in
+  Alcotest.(check bool) (Printf.sprintf "512 spawns cost %.2fx 256" ratio) true (ratio < 2.5)
+
 let test_peak_live_threads_tracks_churn () =
   (* Overlapping waves: the second wave starts while the first is still
      working, so the peak sees both. *)
@@ -470,5 +510,7 @@ let () =
           Alcotest.test_case "cross-socket charged" `Quick test_topology_charges_cross_socket;
           Alcotest.test_case "spawn_at activates later" `Quick test_spawn_at_activates_later;
           Alcotest.test_case "peak live threads" `Quick test_peak_live_threads_tracks_churn;
+          Alcotest.test_case "spawn_at order" `Quick test_spawn_at_order;
+          Alcotest.test_case "spawn_at cost" `Quick test_spawn_at_cost_grows_gently;
         ] );
     ]
