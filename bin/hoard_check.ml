@@ -63,12 +63,15 @@ let out_opt =
     value
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE"
-        ~doc:"Write the minimized failing schedule (replayable seed) to $(docv) — the CI artifact.")
+        ~doc:
+          "Write the minimized failing schedule (replayable seed) to $(docv) — the CI artifact. The path is \
+           opened (created empty if absent) before exploring; a bad one exits 1 without a run.")
 
 let explore_cmd =
   let doc = "Enumerate admissible interleavings of a scenario up to a preemption bound." in
   let run name strategy bound max_runs expect_fail out =
     let sc = get_scenario name in
+    Config_cli.check_writable [ out ];
     let o = Explorer.explore ~strategy:(strategy_of_string strategy) ~bound ~max_runs sc in
     Printf.printf "%s: %d run(s)%s\n" sc.Explorer.sc_name o.Explorer.o_runs
       (if Option.is_some o.Explorer.o_failure then " (stopped at first violation)"

@@ -32,30 +32,27 @@ type snapshot = {
   global_pops : int;
 }
 
+(* A shard's event ring and the stamps its events carry: the platform's
+   clock and processor, and the heap id of the domain ([-1] when not
+   heap-scoped; a thread cache's follows its thread). *)
+type tracer = { ring : Event_ring.t; pf : Platform.t; heap : unit -> int }
+
 (* One shard per lock domain (a heap, a size class, the large allocator, a
    thread's front-end cache): plain mutable counters, every write made
    under that domain's lock (or by the domain's single owning thread), so
-   the malloc/free hot path touches no cross-heap state. *)
+   the malloc/free hot path touches no cross-heap state. The counted
+   events are one int per [Event_ring.kind], written by [note] together
+   with the domain's ring, when it has one. *)
 type shard = {
   mutable mallocs : int;
   mutable frees : int;
   mutable bytes_requested : int;
   mutable live_bytes : int;
   mutable peak_live_bytes : int; (* this shard's own high-water mark *)
-  mutable sb_to_global : int;
-  mutable sb_from_global : int;
-  mutable remote_frees : int;
-  mutable cache_hits : int;
   mutable cache_fills : int;
-  mutable cache_flushes : int;
-  mutable remote_enqueues : int;
   mutable remote_drains : int;
-  mutable remote_forwards : int;
-  mutable large_maps : int;
-  mutable large_cache_hits : int;
-  mutable deferred_enqueues : int;
-  mutable deferred_reclaims : int;
-  mutable orphan_adoptions : int;
+  events : int array; (* per [Event_ring.kind_index] *)
+  mutable tracer : tracer option;
   mutable peers : shard array; (* every shard of the owning [t], for peak merging *)
   merged_peak : int Atomic.t; (* shared with the owning [t] *)
 }
@@ -79,8 +76,6 @@ type t = {
   retry_by : (string * int Atomic.t) list Atomic.t;
       (* per-structure breakdown of [cas_retries], in registration order;
          appended under [grow_mu], read lock-free *)
-  global_pushes : int Atomic.t; (* superblocks published to the lock-free global index *)
-  global_pops : int Atomic.t; (* superblocks acquired from it *)
   peak_live : int Atomic.t; (* merged high-water, refreshed on map/unmap/snapshot *)
 }
 
@@ -91,20 +86,10 @@ let new_shard merged_peak =
     bytes_requested = 0;
     live_bytes = 0;
     peak_live_bytes = 0;
-    sb_to_global = 0;
-    sb_from_global = 0;
-    remote_frees = 0;
-    cache_hits = 0;
     cache_fills = 0;
-    cache_flushes = 0;
-    remote_enqueues = 0;
     remote_drains = 0;
-    remote_forwards = 0;
-    large_maps = 0;
-    large_cache_hits = 0;
-    deferred_enqueues = 0;
-    deferred_reclaims = 0;
-    orphan_adoptions = 0;
+    events = Array.make Event_ring.nkinds 0;
+    tracer = None;
     peers = [||];
     merged_peak;
   }
@@ -127,8 +112,6 @@ let create ?(shards = 1) () =
     recommits = Atomic.make 0;
     cas_retries = Atomic.make 0;
     retry_by = Atomic.make [];
-    global_pushes = Atomic.make 0;
-    global_pops = Atomic.make 0;
     peak_live;
   }
 
@@ -151,6 +134,24 @@ let add_shard t =
       Array.iter (fun s -> s.peers <- arr) arr;
       Atomic.set t.shards arr;
       sh)
+
+let attach_ring sh ring pf ~heap = sh.tracer <- Some { ring; pf; heap }
+
+let ring sh = Option.map (fun tr -> tr.ring) sh.tracer
+
+(* The clock is read only with a ring attached: on the simulator it is a
+   platform effect, which an untraced run never performs. *)
+let record sh kind ~sclass ~arg =
+  match sh.tracer with
+  | None -> ()
+  | Some { ring; pf; heap } ->
+    Event_ring.record ring ~at:(pf.Platform.now ()) ~kind ~who:(pf.Platform.self_proc ()) ~heap:(heap ()) ~sclass
+      ~arg
+
+let note ?(n = 1) ?(trace = true) sh kind ~sclass ~arg =
+  let i = Event_ring.kind_index kind in
+  sh.events.(i) <- sh.events.(i) + n;
+  if trace then record sh kind ~sclass ~arg
 
 let rec store_max a v =
   let cur = Atomic.get a in
@@ -178,12 +179,6 @@ let on_free sh ~usable =
   sh.frees <- sh.frees + 1;
   sh.live_bytes <- sh.live_bytes - usable
 
-let on_transfer_to_global sh = sh.sb_to_global <- sh.sb_to_global + 1
-
-let on_transfer_from_global sh = sh.sb_from_global <- sh.sb_from_global + 1
-
-let on_remote_free sh = sh.remote_frees <- sh.remote_frees + 1
-
 (* Front-end events. A cached block stays charged to its superblock's heap
    ([u]) until the drain returns it, so live_bytes moves only when blocks
    cross the heap boundary: + at fill (blocks leave the heap core for a
@@ -191,8 +186,7 @@ let on_remote_free sh = sh.remote_frees <- sh.remote_frees + 1
    mallocs and cached frees leave live_bytes alone. *)
 let on_cache_hit sh ~requested =
   sh.mallocs <- sh.mallocs + 1;
-  sh.bytes_requested <- sh.bytes_requested + requested;
-  sh.cache_hits <- sh.cache_hits + 1
+  sh.bytes_requested <- sh.bytes_requested + requested
 
 let on_cached_free sh = sh.frees <- sh.frees + 1
 
@@ -200,34 +194,9 @@ let on_cache_fill sh ~blocks ~bytes =
   sh.cache_fills <- sh.cache_fills + blocks;
   bump_live sh bytes
 
-let on_cache_flush sh ~blocks = sh.cache_flushes <- sh.cache_flushes + blocks
-
-let on_remote_enqueue sh ~blocks = sh.remote_enqueues <- sh.remote_enqueues + blocks
-
 let on_drain sh ~usable =
   sh.remote_drains <- sh.remote_drains + 1;
   sh.live_bytes <- sh.live_bytes - usable
-
-let on_remote_forward sh ~blocks = sh.remote_forwards <- sh.remote_forwards + blocks
-
-(* Large path. [on_large_map] marks a large allocation that paid a real
-   OS map; [on_large_cache_hit] one served by the MPSC cache's
-   take -> commit (both fire under the large lock, next to on_malloc). *)
-let on_large_map sh = sh.large_maps <- sh.large_maps + 1
-
-let on_large_cache_hit sh = sh.large_cache_hits <- sh.large_cache_hits + 1
-
-(* Deferred free list: enqueues count blocks pushed (fired on the
-   producer's own shard — the push itself takes no lock); reclaims count
-   owner-side exchange operations, so enqueues/reclaims is the observed
-   batching factor. *)
-let on_deferred_enqueue sh = sh.deferred_enqueues <- sh.deferred_enqueues + 1
-
-let on_deferred_reclaim sh = sh.deferred_reclaims <- sh.deferred_reclaims + 1
-
-(* One orphaned superblock adopted (reassigned or trimmed to the global
-   heap) on a thread's exit path; fired under the adopting heap's lock. *)
-let on_orphan_adopt sh = sh.orphan_adoptions <- sh.orphan_adoptions + 1
 
 (* Labelled retry accounting: every lock-free structure obtains its hook
    once at construction (under [grow_mu], so concurrent allocators sharing
@@ -251,12 +220,6 @@ let retry_hook t ~label =
   fun () ->
     Atomic.incr t.cas_retries;
     Atomic.incr counter
-
-(* Global-index traffic: pushes/pops happen with no lock held (that is the
-   point of the index), so they live on [t]-level atomics, not a shard. *)
-let on_global_push t = Atomic.incr t.global_pushes
-
-let on_global_pop t = Atomic.incr t.global_pops
 
 (* Cross-shard reads are unsynchronised (possibly stale, never torn); the
    sum is exact on the deterministic simulator and at quiescent points on
@@ -297,41 +260,20 @@ let snapshot t =
   and frees = ref 0
   and bytes_requested = ref 0
   and live = ref 0
-  and to_global = ref 0
-  and from_global = ref 0
-  and remote = ref 0
-  and hits = ref 0
   and fills = ref 0
-  and flushes = ref 0
-  and enqueues = ref 0
   and drains = ref 0
-  and forwards = ref 0
-  and large_maps = ref 0
-  and large_cache_hits = ref 0
-  and deferred_enqueues = ref 0
-  and deferred_reclaims = ref 0
-  and orphan_adoptions = ref 0 in
+  and events = Array.make Event_ring.nkinds 0 in
   Array.iter
     (fun sh ->
       mallocs := !mallocs + sh.mallocs;
       frees := !frees + sh.frees;
       bytes_requested := !bytes_requested + sh.bytes_requested;
       live := !live + sh.live_bytes;
-      to_global := !to_global + sh.sb_to_global;
-      from_global := !from_global + sh.sb_from_global;
-      remote := !remote + sh.remote_frees;
-      hits := !hits + sh.cache_hits;
       fills := !fills + sh.cache_fills;
-      flushes := !flushes + sh.cache_flushes;
-      enqueues := !enqueues + sh.remote_enqueues;
       drains := !drains + sh.remote_drains;
-      forwards := !forwards + sh.remote_forwards;
-      large_maps := !large_maps + sh.large_maps;
-      large_cache_hits := !large_cache_hits + sh.large_cache_hits;
-      deferred_enqueues := !deferred_enqueues + sh.deferred_enqueues;
-      deferred_reclaims := !deferred_reclaims + sh.deferred_reclaims;
-      orphan_adoptions := !orphan_adoptions + sh.orphan_adoptions)
+      Array.iteri (fun i n -> events.(i) <- events.(i) + n) sh.events)
     (Atomic.get t.shards);
+  let count kind = events.(Event_ring.kind_index kind) in
   (* Per-shard peaks are NOT summed here: a block malloc'd under one heap
      may be freed under another after its superblock migrates, so the sum
      of local peaks ratchets above any live total ever reached. The merged
@@ -352,24 +294,24 @@ let snapshot t =
     peak_resident_bytes = Atomic.get t.peak_resident;
     decommits = Atomic.get t.decommits;
     recommits = Atomic.get t.recommits;
-    sb_to_global = !to_global;
-    sb_from_global = !from_global;
-    remote_frees = !remote;
-    cache_hits = !hits;
+    sb_to_global = count Event_ring.Sb_to_global;
+    sb_from_global = count Event_ring.Sb_from_global;
+    remote_frees = count Event_ring.Remote_free;
+    cache_hits = count Event_ring.Cache_hit;
     cache_fills = !fills;
-    cache_flushes = !flushes;
-    remote_enqueues = !enqueues;
+    cache_flushes = count Event_ring.Cache_flush;
+    remote_enqueues = count Event_ring.Remote_enqueue;
     remote_drains = !drains;
-    remote_forwards = !forwards;
-    large_maps = !large_maps;
-    large_cache_hits = !large_cache_hits;
-    deferred_enqueues = !deferred_enqueues;
-    deferred_reclaims = !deferred_reclaims;
-    orphan_adoptions = !orphan_adoptions;
+    remote_forwards = count Event_ring.Remote_forward;
+    large_maps = count Event_ring.Large_map;
+    large_cache_hits = count Event_ring.Large_cache_hit;
+    deferred_enqueues = count Event_ring.Deferred_enqueue;
+    deferred_reclaims = count Event_ring.Deferred_reclaim;
+    orphan_adoptions = count Event_ring.Orphan_adopt;
     cas_retries = Atomic.get t.cas_retries;
     cas_retries_by = List.map (fun (l, c) -> (l, Atomic.get c)) (Atomic.get t.retry_by);
-    global_pushes = Atomic.get t.global_pushes;
-    global_pops = Atomic.get t.global_pops;
+    global_pushes = count Event_ring.Global_push;
+    global_pops = count Event_ring.Global_pop;
   }
 
 let fragmentation (s : snapshot) =

@@ -12,8 +12,8 @@
 
     Concurrency contract: a {!t} is split into [shards], one per lock
     domain of the allocator (per heap, per size class, one for the large
-    path). The per-operation counters ({!on_malloc}, {!on_free}, the
-    transfer and remote-free events) must only be called while holding the
+    path). The per-operation counters ({!on_malloc}, {!on_free}, {!note}
+    and the front-end events) must only be called while holding the
     lock of the shard's domain — they are plain mutable updates with no
     internal synchronisation. The OS-map path ({!on_map}, {!on_unmap}) and
     {!snapshot} are atomic/lock-free and may be called from any domain.
@@ -56,7 +56,9 @@ type snapshot = {
   cache_fills : int;  (** blocks moved heap -> front-end cache *)
   cache_flushes : int;  (** blocks flushed out of front-end caches *)
   remote_enqueues : int;  (** blocks pushed onto remote-free queues *)
-  remote_drains : int;  (** blocks returned to a heap core by the front end *)
+  remote_drains : int;
+      (** blocks returned to a heap core after waiting in a cache, a
+          channel or a global-free shard: every {!on_drain} *)
   remote_forwards : int;
       (** migrated blocks re-forwarded by a drain to the new owner's queue *)
   large_maps : int;  (** large allocations that paid an OS map *)
@@ -73,8 +75,10 @@ type snapshot = {
       (** per-structure breakdown of [cas_retries] by hook label (e.g.
           ["deferred"], ["large-cache"], ["global"]), in hook-registration
           order; the labels sum to [cas_retries] at quiescent points *)
-  global_pushes : int;  (** superblocks published to the lock-free global index *)
-  global_pops : int;  (** superblocks acquired from the lock-free global index *)
+  global_pushes : int;
+      (** superblocks published to the lock-free global index, counted
+          under the publishing heap's lock *)
+  global_pops : int;  (** superblocks claimed from it, under the claiming heap's lock *)
 }
 
 val create : ?shards:int -> unit -> t
@@ -96,11 +100,37 @@ val on_malloc : shard -> requested:int -> usable:int -> unit
 
 val on_free : shard -> usable:int -> unit
 
-val on_transfer_to_global : shard -> unit
+(** {2 Counted events and the shard's ring}
 
-val on_transfer_from_global : shard -> unit
+    A shard counts every {!Event_ring.kind} noted on it, and the snapshot
+    fields [sb_to_global], [sb_from_global], [remote_frees],
+    [cache_hits], [cache_flushes], [remote_enqueues], [remote_forwards],
+    [large_maps], [large_cache_hits], [deferred_enqueues],
+    [deferred_reclaims], [orphan_adoptions], [global_pushes] and
+    [global_pops] are the sums of their kinds over all shards. With a
+    ring attached, the same call records the event into the domain's
+    ring, so the ring's per-kind totals and the counts agree by
+    construction. *)
 
-val on_remote_free : shard -> unit
+val attach_ring : shard -> Event_ring.t -> Platform.t -> heap:(unit -> int) -> unit
+(** Record the shard's events into [ring], stamped with the platform's
+    clock and processor and with [heap ()] (the domain's heap id, [-1]
+    when not heap-scoped). The ring joins the shard's lock domain. *)
+
+val ring : shard -> Event_ring.t option
+
+val note : ?n:int -> ?trace:bool -> shard -> Event_ring.kind -> sclass:int -> arg:int -> unit
+(** [note sh kind ~sclass ~arg] adds [n] (default 1) to the shard's count
+    of [kind] and, when a ring is attached, records one event with
+    [sclass] and [arg]. Call under the shard's lock. [~trace:false]
+    counts without recording: quiescent callers, outside any simulated
+    thread, where reading the clock is not allowed. An untraced shard
+    performs no platform effect. *)
+
+val record : shard -> Event_ring.kind -> sclass:int -> arg:int -> unit
+(** Record one event into the attached ring, if any, without counting:
+    for events whose totals live in the atomics of {!t} ([decommits],
+    [os_unmaps]). Call under the ring's lock. *)
 
 (** {2 Front-end events — call under the shard's domain discipline}
 
@@ -115,7 +145,8 @@ val on_remote_free : shard -> unit
 
 val on_cache_hit : shard -> requested:int -> unit
 (** A malloc served from the thread's cache: counts the malloc and the
-    requested bytes; live bytes are unchanged (charged since the fill). *)
+    requested bytes; live bytes are unchanged (charged since the fill).
+    The hit itself is a noted [Cache_hit]. *)
 
 val on_cached_free : shard -> unit
 (** A free absorbed by the thread's cache: counts the free; live bytes
@@ -124,38 +155,11 @@ val on_cached_free : shard -> unit
 val on_cache_fill : shard -> blocks:int -> bytes:int -> unit
 (** Blocks moved from a heap core into a cache, under that heap's lock. *)
 
-val on_cache_flush : shard -> blocks:int -> unit
-
-val on_remote_enqueue : shard -> blocks:int -> unit
-
 val on_drain : shard -> usable:int -> unit
-(** One block returned to a heap core (queue drain or direct fallback),
-    under that heap's lock: live bytes drop by [usable]; the free itself
-    was already counted by {!on_cached_free}. *)
-
-val on_remote_forward : shard -> blocks:int -> unit
-(** Migrated blocks a drain re-forwarded to their new owner's queue
-    instead of freeing inline, under the draining heap's lock. *)
-
-val on_large_map : shard -> unit
-(** A large allocation that mapped fresh pages, under the large lock. *)
-
-val on_large_cache_hit : shard -> unit
-(** A large allocation served by the cache's take -> commit, under the
-    large lock (the take itself is lock-free; the table insert that
-    follows is where this fires). *)
-
-val on_deferred_enqueue : shard -> unit
-(** A block pushed onto a deferred free list — fired on the producer's
-    own (single-writer) shard, since the push takes no lock. *)
-
-val on_deferred_reclaim : shard -> unit
-(** A non-empty owner-side deferred-list exchange, under the owner's
-    heap lock. *)
-
-val on_orphan_adopt : shard -> unit
-(** One orphaned superblock adopted on a thread's exit path, under the
-    lock of the heap giving the superblock up. *)
+(** One block returned to a heap core under that heap's lock, on every
+    path: a queue drain, a deferred or global-free reclaim, the locked
+    disposal of a batch, or the quiescent flush. Live bytes drop by
+    [usable]; the free itself was already counted by {!on_cached_free}. *)
 
 val retry_hook : t -> label:string -> unit -> unit
 (** [retry_hook t ~label] returns the retry callback for one lock-free
@@ -164,14 +168,6 @@ val retry_hook : t -> label:string -> unit -> unit
     Obtain hooks at allocator construction — {!publish} registers one
     [<prefix>.cas_retries.<label>] gauge per label known at publish time.
     Atomic — callable with no lock held, from any domain. *)
-
-val on_global_push : t -> unit
-(** A superblock published to the lock-free global index (transfer
-    heap -> global without the heap-0 lock). Atomic, no lock held. *)
-
-val on_global_pop : t -> unit
-(** A superblock acquired from the lock-free global index (transfer
-    global -> heap without the heap-0 lock). Atomic, no lock held. *)
 
 (** {2 OS-map events — atomic, callable from any domain} *)
 

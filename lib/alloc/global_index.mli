@@ -21,10 +21,11 @@
     {!publish} additionally requires the superblock to be private to
     the caller (unlinked from any heap core, owner already 0).
     {!iter_members} and {!check} are quiescent-only peek walks. The
-    [?record] callbacks fire event-ring records ({!Event_ring.Global_push}
-    / [Global_pop] / [Global_revalidate]) and must respect the ring's
-    own lock-domain discipline — pass one only while holding the
-    calling heap's lock, or omit it. *)
+    [?record] callbacks report {!Event_ring.Global_push} (once per
+    publish), [Global_pop] (once per claim) and [Global_revalidate];
+    the allocator passes one that notes them on the calling heap's
+    stats shard ({!Alloc_stats.note}), so it must hold that heap's lock,
+    or omit the callback. *)
 
 type t
 

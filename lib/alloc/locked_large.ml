@@ -1,7 +1,8 @@
 (* The large-object path shared by every allocator implementation:
    requests above the size threshold bypass the superblock machinery and
    are served directly from the OS, page-rounded, as in the paper. One
-   lock guards the object table, its stats shard and its event ring. *)
+   lock guards the object table and its stats shard, with the shard's
+   event ring. *)
 
 type entry = { usable : int; mapped : int }
 
@@ -9,8 +10,7 @@ type t = {
   pf : Platform.t;
   owner : int;
   stats : Alloc_stats.t;
-  sh : Alloc_stats.shard; (* lock domain: [lock] *)
-  ring : Event_ring.t option; (* written under [lock], like [sh] *)
+  sh : Alloc_stats.shard; (* lock domain: [lock], its ring's too *)
   table : (int, entry) Hashtbl.t;
   mutable live_b : int;
   lock : Platform.lock;
@@ -24,12 +24,13 @@ let create ?shard ?ring ?cache pf ~owner ~stats ~threshold =
     | Some i -> i
     | None -> Alloc_stats.nshards stats - 1
   in
+  let sh = Alloc_stats.shard stats shard_idx in
+  Option.iter (fun r -> Alloc_stats.attach_ring sh r pf ~heap:(fun () -> -1)) ring;
   {
     pf;
     owner;
     stats;
-    sh = Alloc_stats.shard stats shard_idx;
-    ring;
+    sh;
     table = Hashtbl.create 64;
     live_b = 0;
     lock = pf.Platform.new_lock "large";
@@ -41,22 +42,18 @@ let is_large t size = size > t.threshold
 
 let round_up x align = (x + align - 1) / align * align
 
-(* Record an event into the ring (no-op without one); caller holds the lock. *)
-let event t kind arg =
-  match t.ring with
-  | None -> ()
-  | Some r ->
-    Event_ring.record r ~at:(t.pf.Platform.now ()) ~kind ~who:(t.pf.Platform.self_proc ()) ~heap:(-1)
-      ~sclass:(-1) ~arg
+(* Note an event on the shard; caller holds the lock. *)
+let note t kind arg = Alloc_stats.note t.sh kind ~sclass:(-1) ~arg
 
 (* Ring writes share the table lock's domain, but the cache protocol runs
    outside it — so a park's Decommit / Large_unmap trace entries are
    recorded in a tiny dedicated critical section, and only when a ring
-   exists at all. *)
-let with_ring_lock t f =
-  if t.ring <> None then begin
+   exists at all. They are recorded, not counted: their totals are the
+   [decommits] and [os_unmaps] atomics. *)
+let record_locked t kinds arg =
+  if Option.is_some (Alloc_stats.ring t.sh) then begin
     t.lock.acquire ();
-    f ();
+    List.iter (fun kind -> Alloc_stats.record t.sh kind ~sclass:(-1) ~arg) kinds;
     t.lock.release ()
   end
 
@@ -70,8 +67,7 @@ let from_os t size =
   Hashtbl.replace t.table addr { usable; mapped };
   Alloc_stats.on_map t.stats ~bytes:mapped;
   Alloc_stats.on_malloc t.sh ~requested:size ~usable;
-  Alloc_stats.on_large_map t.sh;
-  event t Event_ring.Large_map mapped;
+  note t Event_ring.Large_map mapped;
   t.live_b <- t.live_b + usable;
   t.lock.release ();
   addr
@@ -96,9 +92,8 @@ let malloc t size =
         let usable = round_up size 8 in
         Hashtbl.replace t.table addr { usable; mapped };
         Alloc_stats.on_malloc t.sh ~requested:size ~usable;
-        Alloc_stats.on_large_cache_hit t.sh;
-        event t Event_ring.Recommit mapped;
-        event t Event_ring.Large_cache_hit mapped;
+        note t Event_ring.Recommit mapped;
+        note t Event_ring.Large_cache_hit mapped;
         t.live_b <- t.live_b + usable;
         t.lock.release ();
         addr
@@ -132,7 +127,7 @@ let try_free t ~addr =
   | None, Some { mapped; _ } ->
     t.pf.Platform.page_unmap ~addr;
     Alloc_stats.on_unmap t.stats ~bytes:mapped;
-    event t Event_ring.Large_unmap mapped;
+    note t Event_ring.Large_unmap mapped;
     t.lock.release ();
     true
   | Some c, Some { mapped; _ } ->
@@ -140,7 +135,7 @@ let try_free t ~addr =
     (match Large_cache.park c ~addr ~mapped with
      | `Parked ->
        Alloc_stats.on_decommit t.stats ~bytes:mapped;
-       with_ring_lock t (fun () -> event t Event_ring.Decommit mapped)
+       record_locked t [ Event_ring.Decommit ] mapped
      | `Bounced ->
        (* The push lost to a full bucket: the region is ours again,
           already decommitted — return it to the OS without debiting
@@ -148,13 +143,11 @@ let try_free t ~addr =
        t.pf.Platform.page_unmap ~addr;
        Alloc_stats.on_decommit t.stats ~bytes:mapped;
        Alloc_stats.on_unmap ~resident:false t.stats ~bytes:mapped;
-       with_ring_lock t (fun () ->
-           event t Event_ring.Decommit mapped;
-           event t Event_ring.Large_unmap mapped)
+       record_locked t [ Event_ring.Decommit; Event_ring.Large_unmap ] mapped
      | `Uncacheable ->
        t.pf.Platform.page_unmap ~addr;
        Alloc_stats.on_unmap t.stats ~bytes:mapped;
-       with_ring_lock t (fun () -> event t Event_ring.Large_unmap mapped));
+       record_locked t [ Event_ring.Large_unmap ] mapped);
     true
 
 let usable_size t ~addr =

@@ -20,9 +20,11 @@ val create :
 (** [shard] is the index of the stats shard charged for large
     malloc/free events (the shard's lock domain is this module's internal
     lock); defaults to the last shard of [stats]. Map/unmap accounting
-    goes through [stats]'s atomic OS-map path. [ring], when given,
-    records a [Large_map]/[Large_unmap] event per OS transaction under
-    the same lock.
+    goes through [stats]'s atomic OS-map path. [ring], when given, is
+    attached to the shard and records a [Large_map]/[Large_unmap] event
+    per OS transaction under the same lock; a park's [Decommit] and
+    [Large_unmap], which happen outside the lock, take it briefly to be
+    recorded, and only when a ring is attached.
 
     [cache], when given, fronts the OS with a lock-free {!Large_cache}:
     a free of a cacheable region parks it (decommit, then one CAS)

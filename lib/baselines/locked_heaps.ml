@@ -114,7 +114,8 @@ let free t addr =
     t.pf.Platform.write ~addr ~len:8;
     Superblock.touch_header t.pf sb;
     h.lock.acquire ();
-    if home t ~sclass:(Superblock.sclass sb) <> owner then Alloc_stats.on_remote_free h.sh;
+    if home t ~sclass:(Superblock.sclass sb) <> owner then
+      Alloc_stats.note h.sh Event_ring.Remote_free ~sclass:(Superblock.sclass sb) ~arg:addr;
     t.pf.Platform.write ~addr ~len:8;
     Heap_core.free h.core sb addr;
     Superblock.touch_header t.pf sb;

@@ -32,7 +32,7 @@ let drop env h sb =
   let bytes = Superblock.sb_size sb in
   env.pf.page_unmap ~addr:(Superblock.base sb);
   Alloc_stats.on_unmap env.stats ~bytes;
-  Heap.event h Event_ring.Sb_unmap ~sclass:(Superblock.sclass sb) ~arg:bytes
+  Alloc_stats.note h.Heap.sh Event_ring.Sb_unmap ~sclass:(Superblock.sclass sb) ~arg:bytes
 
 (* The paper's heap 0: a heap record like the per-processor ones, its
    Dlist fullness groups behind its lock, its remote-free channel drained
@@ -77,8 +77,7 @@ module Locked = struct
         (fun sb ->
           Heap_core.insert g.h0.core sb;
           Superblock.touch_header g.env.pf sb;
-          Alloc_stats.on_transfer_to_global g.h0.sh;
-          Heap.event g.h0 Event_ring.Sb_to_global ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
+          Alloc_stats.note g.h0.sh Event_ring.Sb_to_global ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
         sbs;
       release_surplus g;
       g.h0.lock.release ()
@@ -125,16 +124,14 @@ module Lockfree = struct
      stale and another releaser may be racing us; a later trim finishes
      the job), which also keeps the loop explorable. Caller holds [h]'s
      lock (for the disposal events). *)
-  let release g h =
+  let release g (h : Heap.t) =
     let budget = ref 8 in
     (* Uncharged read of a gauge every heap updates: to be charged as a plain load once atomic loads are. *)
     while !budget > 0 && Global_index.empties g.gi > g.env.cfg.release_threshold do
       decr budget;
-      match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Heap.event h kind ~sclass:(-1) ~arg) with
+      match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Alloc_stats.note h.sh kind ~sclass:(-1) ~arg) with
       | None -> budget := 0
-      | Some sb ->
-        Alloc_stats.on_global_pop g.env.stats;
-        drop g.env h sb
+      | Some sb -> drop g.env h sb
     done
 
   (* Reclaim [h]'s shard through the index: one exchange detaches it,
@@ -152,7 +149,7 @@ module Lockfree = struct
     match Deferred_list.reclaim gfl with
     | [] -> ()
     | items ->
-      let mine = ref 0 and forwarded = ref 0 and back = ref [] in
+      let mine = ref 0 and back = ref [] in
       (* Both groupings list the superblocks in first-seen order. *)
       List.iter2
         (fun (sb, addrs) (_, ends) ->
@@ -175,31 +172,25 @@ module Lockfree = struct
           | Global_index.Not_member { owner = _ } ->
             List.iter
               (fun addr ->
-                incr forwarded;
-                Heap.event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
+                Alloc_stats.note h.Heap.sh Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr;
                 spill := (sb, addr) :: !spill)
               addrs)
         (Heap.by_superblock items)
         (Heap.by_superblock (Heap.run_ends items));
       if !back <> [] then ignore (Deferred_list.push_many gfl !back);
-      if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
-      if !mine > 0 then begin
-        Alloc_stats.on_deferred_reclaim h.sh;
-        Heap.event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine
-      end
+      if !mine > 0 then Alloc_stats.note h.Heap.sh Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine
 
   let take g h ~sclass ~spill =
     (* Pending frees may hand the index exactly the superblock we are
        about to ask for — and the reclaim is lock-free too. *)
     reclaim g h ~spill;
-    match Global_index.acquire g.gi ~sclass ~record:(fun kind ~arg -> Heap.event h kind ~sclass ~arg) with
+    match Global_index.acquire g.gi ~sclass ~record:(fun kind ~arg -> Alloc_stats.note h.Heap.sh kind ~sclass ~arg) with
     | None -> None
     | Some sb ->
       (* The claim CAS made the superblock private; a free racing the
          owner flip sees owner 0 + word Absent and parks the block on its
          heap's shard, whose next reclaim forwards it to us. *)
       Superblock.set_owner sb (Heap.id h);
-      Alloc_stats.on_global_pop g.env.stats;
       Some sb
 
   (* The non-blocking transfer: per privately held superblock, flip the
@@ -213,10 +204,8 @@ module Lockfree = struct
         let sclass = Superblock.sclass sb in
         Superblock.set_owner sb 0;
         Superblock.touch_header g.env.pf sb;
-        Global_index.publish g.gi sb ~record:(fun kind ~arg -> Heap.event h kind ~sclass ~arg);
-        Alloc_stats.on_global_push g.env.stats;
-        Alloc_stats.on_transfer_to_global h.sh;
-        Heap.event h Event_ring.Sb_to_global ~sclass ~arg:(Superblock.base sb))
+        Global_index.publish g.gi sb ~record:(fun kind ~arg -> Alloc_stats.note h.Heap.sh kind ~sclass ~arg);
+        Alloc_stats.note h.Heap.sh Event_ring.Sb_to_global ~sclass ~arg:(Superblock.base sb))
       sbs;
     if sbs <> [] then release g h
 

@@ -22,14 +22,11 @@ type t = {
   pf : Platform.t;
   core : Heap_core.t;
   lock : Platform.lock;
-  sh : Alloc_stats.shard;
-  ring : Event_ring.t option; (* same lock domain as [sh]; None when tracing is off *)
+  sh : Alloc_stats.shard; (* with the ring of the same lock domain, when tracing *)
   channel : channel;
 }
 
 type info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
-
-let ring obs name = Option.map (fun o -> Obs.new_ring o name) obs
 
 let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
   let channel =
@@ -55,16 +52,14 @@ let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
             own_cap = cfg.remote_queue_cap;
           }
   in
-  let ring = ring obs (if id = 0 then "global" else Printf.sprintf "heap%d" id) in
+  let sh = Alloc_stats.shard stats id in
+  Option.iter
+    (fun o ->
+      let ring = Obs.new_ring o (if id = 0 then "global" else Printf.sprintf "heap%d" id) in
+      Alloc_stats.attach_ring sh ring pf ~heap:(fun () -> id))
+    obs;
   let lock = pf.Platform.new_lock (Printf.sprintf "hoard.heap%d" id) in
-  {
-    pf;
-    core = Heap_core.create ~id ~classes ~ngroups:cfg.ngroups ~sb_size:cfg.sb_size ();
-    lock;
-    sh = Alloc_stats.shard stats id;
-    ring;
-    channel;
-  }
+  { pf; core = Heap_core.create ~id ~classes ~ngroups:cfg.ngroups ~sb_size:cfg.sb_size (); lock; sh; channel }
 
 let id h = Heap_core.id h.core
 
@@ -80,15 +75,6 @@ let info h =
     superblocks = Heap_core.superblock_count h.core;
     empty_superblocks = Heap_core.empty_superblock_count h.core;
   }
-
-(* Record into [h]'s ring; the caller must hold [h]'s lock (the ring
-   shares the stats shard's domain). Free when tracing is off. *)
-let event h kind ~sclass ~arg =
-  match h.ring with
-  | None -> ()
-  | Some r ->
-    Event_ring.record r ~at:(h.pf.Platform.now ()) ~kind ~who:(h.pf.Platform.self_proc ()) ~heap:(id h) ~sclass
-      ~arg
 
 (* Group a batch by its first components (compared physically), in
    first-seen order; each group keeps its items in batch order. Every
@@ -164,26 +150,23 @@ let offer ?(forward = false) h ~own items =
   | Queue q -> enqueue q ~cap:(if forward then 2 * q.q_cap else q.q_cap) items
   | List { l; own_cap } -> if Deferred_list.push_many ?cap:(if own then Some own_cap else None) l items then [] else items
 
-let note_deferred ~sh ~record items =
+let note_deferred sh items =
   List.iter
-    (fun (sb, addr) ->
-      Alloc_stats.on_deferred_enqueue sh;
-      record Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
+    (fun (sb, addr) -> Alloc_stats.note sh Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
     items
 
-(* A front-end eviction's [offer], counted on the evicting thread's
-   shard [sh] and recorded through [record]: a queue counts its accepted
-   blocks once, a list each block it took. *)
-let push h ~own ~sh ~record items =
+(* A front-end eviction's [offer], noted on the evicting thread's shard
+   [sh]: a queue's accepted blocks as one event, a list's as one each. *)
+let push h ~own ~sh items =
   let rejects = offer h ~own items in
   (match (h.channel, rejects) with
    | Queue _, _ ->
      let accepted = List.length items - List.length rejects in
-     if accepted > 0 then begin
-       Alloc_stats.on_remote_enqueue sh ~blocks:accepted;
-       record Event_ring.Remote_enqueue ~sclass:(Superblock.sclass (fst (List.hd items))) ~arg:accepted
-     end
-   | List _, [] -> note_deferred ~sh ~record items
+     if accepted > 0 then
+       Alloc_stats.note sh Event_ring.Remote_enqueue ~n:accepted
+         ~sclass:(Superblock.sclass (fst (List.hd items)))
+         ~arg:accepted
+   | List _, [] -> note_deferred sh items
    | (List _ | No_channel), _ -> ());
   rejects
 
@@ -323,22 +306,17 @@ let drain_queued h items ~peer ~spill =
   match items with
   | [] -> 0
   | _ ->
-    let forwarded = ref 0 in
     let forward owner_id sb addr =
       let accepted =
         match peer owner_id with
         | Some p -> offer ~forward:true p ~own:false [ (sb, addr) ] = []
         | None -> false
       in
-      if accepted then begin
-        incr forwarded;
-        event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-      end
+      if accepted then Alloc_stats.note h.sh Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
       else spill := (sb, addr) :: !spill
     in
     let mine = splice h items ~stale:List.hd ~forward in
-    if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
-    if mine > 0 then event h Event_ring.Remote_drain ~sclass:0 ~arg:mine;
+    if mine > 0 then Alloc_stats.note h.sh Event_ring.Remote_drain ~sclass:0 ~arg:mine;
     mine
 
 (* Owner side, second half: splice a detached chain into [h]'s core. The
@@ -355,19 +333,16 @@ let free_reclaimed h items ~peer =
   match items with
   | [] -> (0, [])
   | _ ->
-    let forwarded = ref 0 and moved = ref [] and to_global = ref [] in
+    let moved = ref [] and to_global = ref [] in
     let forward owner_id sb addr =
       (match peer owner_id with
        | Some p -> moved := (p, (sb, addr)) :: !moved
        | None -> to_global := (sb, addr) :: !to_global);
-      incr forwarded;
-      event h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
+      Alloc_stats.note h.sh Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
     let mine = splice h items ~stale:last ~forward in
     List.iter (fun (p, batch) -> ignore (offer p ~own:false batch)) (group_by_first (List.rev !moved));
-    if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
-    Alloc_stats.on_deferred_reclaim h.sh;
-    event h Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
+    Alloc_stats.note h.sh Event_ring.Deferred_reclaim ~sclass:0 ~arg:mine;
     (mine, List.rev !to_global)
 
 let drain h detached ~peer ~spill =

@@ -3,8 +3,9 @@
     0.
 
     A heap is its {!Heap_core} (fullness groups and the [u]/[a]
-    accounting) behind its lock, with the stats shard and event ring of
-    the same lock domain, and its remote-free channel. Producers
+    accounting) behind its lock, with the stats shard of the same lock
+    domain (which carries the domain's event ring when tracing), and its
+    remote-free channel. Producers
     {!push} blocks of the heap's superblocks onto the channel; the owner
     {!detach}es the whole channel before taking the lock and {!drain}s
     it under the lock. How the channel stores a pending free is decided
@@ -21,19 +22,16 @@ type t = {
   pf : Platform.t;
   core : Heap_core.t;
   lock : Platform.lock;
-  sh : Alloc_stats.shard;
-  ring : Event_ring.t option;  (** same lock domain as [sh]; [None] when tracing is off *)
+  sh : Alloc_stats.shard;  (** with ring ["global"] or ["heap<id>"] attached when tracing *)
   channel : channel;
 }
 
 val create : Platform.t -> Hoard_config.t -> classes:Size_class.t -> stats:Alloc_stats.t -> ?obs:Obs.t -> int -> t
 (** [create pf cfg ~classes ~stats ?obs id]: heap [id] (0 = global), with
-    lock ["hoard.heap<id>"], stats shard [id], ring ["global"] or
-    ["heap<id>"], and with a front end the queue lock ["hoard.rfq<id>"]
-    (locked global heap) or the list ["hoard.dfl<id>"] (lock-free). *)
-
-val ring : Obs.t option -> string -> Event_ring.t option
-(** A new ring named [name] in [obs], if tracing. *)
+    lock ["hoard.heap<id>"], stats shard [id] and, with [obs], a new ring
+    ["global"] or ["heap<id>"] attached to it; with a front end, the
+    queue lock ["hoard.rfq<id>"] (locked global heap) or the list
+    ["hoard.dfl<id>"] (lock-free). *)
 
 val id : t -> int
 
@@ -44,10 +42,6 @@ val find : t array -> zero:t option -> int -> t option
 type info = { heap_id : int; u_bytes : int; a_bytes : int; superblocks : int; empty_superblocks : int }
 
 val info : t -> info
-
-val event : t -> Event_ring.kind -> sclass:int -> arg:int -> unit
-(** Record into the heap's ring; the caller holds its lock. Free when
-    tracing is off. *)
 
 val by_superblock : (Superblock.t * 'a) list -> (Superblock.t * 'a list) list
 (** Group a batch by superblock, in first-seen order, each group in batch
@@ -61,13 +55,7 @@ val free_owned : t -> Superblock.t -> int -> unit
     heap's core: host-side bookkeeping only, the caller holds the lock and
     issues the simulated writes. *)
 
-val push :
-  t ->
-  own:bool ->
-  sh:Alloc_stats.shard ->
-  record:(Event_ring.kind -> sclass:int -> arg:int -> unit) ->
-  (Superblock.t * int) list ->
-  (Superblock.t * int) list
+val push : t -> own:bool -> sh:Alloc_stats.shard -> (Superblock.t * int) list -> (Superblock.t * int) list
 (** Producer side, holding no heap lock: offer a front-end eviction's
     blocks of [h]'s superblocks (freed, custody-marked, still charged) to
     [h]'s channel, [own] when the evicting thread's heap is [h]. Returns
@@ -75,14 +63,13 @@ val push :
     without a channel; past its cap, under its innermost lock, for a
     queue; the whole batch when it would take an own-heap push past
     [remote_queue_cap], for a deferred list (one CAS, other pushes
-    uncapped). Accepted blocks are counted on [sh] and recorded through
-    [record]: [Remote_enqueue] once per queue push, [Deferred_enqueue]
-    per listed block. *)
+    uncapped). Accepted blocks are noted on the evicting thread's [sh]:
+    one [Remote_enqueue] per queue push, counting its blocks, one
+    [Deferred_enqueue] per listed block. *)
 
-val note_deferred :
-  sh:Alloc_stats.shard -> record:(Event_ring.kind -> sclass:int -> arg:int -> unit) -> (Superblock.t * int) list -> unit
-(** Count and record each block as a deferred enqueue, the way {!push}
-    does for a deferred list. *)
+val note_deferred : Alloc_stats.shard -> (Superblock.t * int) list -> unit
+(** Note each block as a [Deferred_enqueue], the way {!push} does for a
+    deferred list. *)
 
 val pending : t -> int
 (** Blocks waiting on [h]'s channel. Exact at quiescence. *)
@@ -126,7 +113,10 @@ val drain :
     with one [push_many] per destination list. Returns the number of
     blocks freed into the heap and, in batch order, the chain's blocks
     whose owner has no record ([peer owner = None]: heap 0 of the
-    lock-free global heap), which the caller parks. *)
+    lock-free global heap), which the caller parks. Noted on [h]'s
+    shard: each forward as a [Remote_forward], a queue drain that freed
+    blocks as one [Remote_drain] and a chain as one [Deferred_reclaim],
+    each with the freed count in [arg]. *)
 
 val take_quiescent : t -> (Superblock.t * int) list
 (** Empty the channel without platform effects: quiescent teardown only. *)

@@ -68,15 +68,14 @@ let refill t h ~sclass ~block_size ~spill =
     | Some sb ->
       if Superblock.is_empty sb && (Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size)
       then Superblock.reinit sb ~sclass ~block_size;
-      Alloc_stats.on_transfer_from_global h.sh;
-      Heap.event h Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
+      Alloc_stats.note h.sh Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
       sb
     | None ->
       let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
       let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
       Sb_registry.register t.reg sb;
       Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
-      Heap.event h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
+      Alloc_stats.note h.sh Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
       sb
   in
   Heap_core.insert h.core sb;
@@ -115,7 +114,7 @@ let trim_heap ?(deep = false) t h ~sclass =
   else begin
     let continue_ = ref true in
     while !continue_ && too_empty ~slack:t.trim_slack t h.core do
-      Heap.event h Event_ring.Emptiness_cross ~sclass ~arg:(Heap_core.u h.core);
+      Alloc_stats.note h.sh Event_ring.Emptiness_cross ~sclass ~arg:(Heap_core.u h.core);
       (match Heap_core.pick_victim ~protect_last:true h.core ~max_fullness:(1.0 -. t.cfg.empty_fraction) with
        | None -> continue_ := false
        | Some victim -> Global_heap.put t.global h [ victim ]);
@@ -194,7 +193,7 @@ let surrender_many t c pairs =
       let id = Superblock.owner sb in
       groups.(id) <- (sb, addr) :: groups.(id))
     pairs;
-  let sh = Thread_cache.shard c and record = Thread_cache.record c in
+  let sh = Thread_cache.shard c in
   let overflow = ref [] and own_id = Heap.id (my_heap t) in
   Array.iteri
     (fun id group ->
@@ -202,8 +201,8 @@ let surrender_many t c pairs =
         match heap_by_id t id with
         | None ->
           overflow := park_global t group @ !overflow;
-          Heap.note_deferred ~sh ~record group
-        | Some h -> overflow := List.rev_append (Heap.push h ~own:(id = own_id) ~sh ~record group) !overflow)
+          Heap.note_deferred sh group
+        | Some h -> overflow := List.rev_append (Heap.push h ~own:(id = own_id) ~sh group) !overflow)
     groups;
   if !overflow <> [] then dispose_batch t !overflow
 
@@ -237,7 +236,9 @@ let create ?(config = Hoard_config.default) ?obs pf =
   in
   (* Rings in the order large, heap1.., global. *)
   let large =
-    Locked_large.create pf ~owner ~stats ~shard:(n + 1) ?ring:(Heap.ring obs "large") ?cache:lcache
+    Locked_large.create pf ~owner ~stats ~shard:(n + 1)
+      ?ring:(Option.map (fun o -> Obs.new_ring o "large") obs)
+      ?cache:lcache
       ~threshold:(Hoard_config.max_small config)
   in
   let heaps = Array.init n (fun i -> Heap.create pf config ~classes ~stats ?obs (i + 1)) in
@@ -431,10 +432,8 @@ let free_block t addr =
       match lock_owner t sb with
       | Some h ->
         let my = my_heap t in
-        if h != my && Heap.id h <> 0 then begin
-          Alloc_stats.on_remote_free h.sh;
-          Heap.event h Event_ring.Remote_free ~sclass:(Superblock.sclass sb) ~arg:addr
-        end;
+        if h != my && Heap.id h <> 0 then
+          Alloc_stats.note h.sh Event_ring.Remote_free ~sclass:(Superblock.sclass sb) ~arg:addr;
         t.pf.Platform.write ~addr ~len:8;
         Heap_core.free h.core sb addr;
         Superblock.touch_header t.pf sb;
@@ -457,8 +456,7 @@ let free_block t addr =
         Superblock.mark_cached sb addr;
         Global_heap.park t.global h [ (sb, addr) ] ~spill ~locked:true;
         Alloc_stats.on_cached_free h.sh;
-        Alloc_stats.on_deferred_enqueue h.sh;
-        Heap.event h Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr;
+        Alloc_stats.note h.sh Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr;
         h.lock.release ();
         if !spill <> [] then dispose_batch t !spill))
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
@@ -500,7 +498,8 @@ let realloc t ~addr ~size =
 let lookup t addr = Sb_registry.lookup t.reg ~addr
 
 let heap_ring t id =
-  if id < 0 || id > Array.length t.heaps then None else Option.bind (heap_by_id t id) (fun h -> h.ring)
+  if id < 0 || id > Array.length t.heaps then None
+  else Option.bind (heap_by_id t id) (fun h -> Alloc_stats.ring h.sh)
 
 (* In-thread flush: cache out to the owners' queues, then drain and trim
    the calling thread's own heap, plus its shard of the global heap
@@ -537,8 +536,7 @@ let on_thread_exit t =
     List.iter
       (fun sb ->
         Heap_core.remove h.core sb;
-        Alloc_stats.on_orphan_adopt h.sh;
-        Heap.event h Event_ring.Orphan_adopt ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
+        Alloc_stats.note h.sh Event_ring.Orphan_adopt ~sclass:(Superblock.sclass sb) ~arg:(Superblock.base sb))
       !orphans;
     (if t.orphan_lost then
        (* MUTANT: the superblocks were unhooked from the exiting heap but
@@ -592,7 +590,8 @@ let flush_caches t =
         | None -> continue_ := false
         | Some victim ->
           Global_heap.q_put t.global victim;
-          Alloc_stats.on_transfer_to_global (Alloc_stats.shard t.stats 0)
+          Alloc_stats.note ~trace:false (Alloc_stats.shard t.stats 0) Event_ring.Sb_to_global
+            ~sclass:(Superblock.sclass victim) ~arg:(Superblock.base victim)
       done)
     t.heaps
 

@@ -28,8 +28,8 @@
     own lock, core and remote-free channel), or the lock-free
     {!Global_index} with per-heap global-free shards, under which heap 0
     has no record and no lock at all. Each per-processor heap is a
-    {!Heap.t}: its core, lock, stats shard, ring and remote-free
-    channel.
+    {!Heap.t}: its core, lock, stats shard (carrying its ring when
+    tracing) and remote-free channel.
 
     {b Front end} (off by default): with [config.front_end = K > 0], each
     thread keeps a {!Thread_cache} of up to [cap = max K (K * 16 / block)]
@@ -71,10 +71,11 @@ type t
 val create : ?config:Hoard_config.t -> ?obs:Obs.t -> Platform.t -> t
 (** With [obs], the instance traces into one {!Event_ring} per lock
     domain (["heap1"].., ["large"], plus ["global"] for the locked global
-    heap, the only one with a lock domain of its own) and publishes its
-    {!Alloc_stats} into the registry; without it, tracing costs nothing
-    (the fast paths carry no event sites, slow-path sites are a single
-    branch on an immutable [option]). *)
+    heap, the only one with a lock domain of its own, and ["tcache<tid>"]
+    per front-end cache), each attached to the domain's stats shard, and
+    publishes its {!Alloc_stats} into the registry; without it, tracing
+    costs nothing: each {!Alloc_stats.note} counts, then branches once on
+    the shard's absent ring. *)
 
 val allocator : t -> Alloc_intf.t
 (** The public allocator interface backed by this instance. *)
@@ -178,8 +179,8 @@ val lookup : t -> int -> Superblock.t option
     registry read: no simulated cost, no scheduling point. *)
 
 val heap_ring : t -> int -> Event_ring.t option
-(** Heap [id]'s event ring ([0] = global), when tracing is on and the
-    heap has a record; [None] for any other id. *)
+(** The ring attached to heap [id]'s stats shard ([0] = global), when
+    tracing is on and the heap has a record; [None] for any other id. *)
 
 val free_quiescent : t -> int -> unit
 (** Quiescent-only, like {!flush_caches}: completes the free of a

@@ -4,8 +4,7 @@ type cache = {
   front : t;
   slots : (int * Superblock.t) list array; (* per class, newest first *)
   count : int array;
-  sh : Alloc_stats.shard; (* single writer: the owning thread *)
-  record : Event_ring.kind -> sclass:int -> arg:int -> unit;
+  sh : Alloc_stats.shard; (* single writer: the owning thread; carries its ring when tracing *)
   mutable domain : int; (* the domain driving the cache, -1 until [mine] arms it *)
 }
 
@@ -38,7 +37,7 @@ let create pf ~front_end ~classes ~stats ?obs ~home ~surrender () =
 
 (* The one loop that takes blocks out of a cache in bulk: cut class
    [sclass] down to its newest [keep] blocks and return the rest, newest
-   first, counted as a flush. Quiescent callers pass [~trace:false]: an
+   first, noted as one flush. Quiescent callers pass [~trace:false]: an
    event reads the clock, a platform effect. *)
 let cut ?(trace = true) c ~sclass ~keep =
   let n = c.count.(sclass) - keep in
@@ -52,8 +51,7 @@ let cut ?(trace = true) c ~sclass ~keep =
     let kept, out = split keep [] c.slots.(sclass) in
     c.slots.(sclass) <- kept;
     c.count.(sclass) <- keep;
-    Alloc_stats.on_cache_flush c.sh ~blocks:n;
-    if trace then c.record Event_ring.Cache_flush ~sclass ~arg:n;
+    Alloc_stats.note c.sh Event_ring.Cache_flush ~n ~trace ~sclass ~arg:n;
     out
   end
 
@@ -76,27 +74,17 @@ let find t tid = IntMap.find_opt tid (Atomic.get t.caches)
 
 (* A new cache for [tid], with no domain yet: [mine] arms it. *)
 let fresh t tid =
-  let record =
-    match t.obs with
-    | None -> fun _ ~sclass:_ ~arg:_ -> ()
-    | Some o ->
+  let sh = Alloc_stats.add_shard t.stats in
+  Option.iter
+    (fun o ->
       let name = Printf.sprintf "tcache%d" tid in
       (* Thread ids can be recycled across sequential domains; the
          successor inherits the name's ring. *)
-      let r = match Obs.find_ring o name with Some r -> r | None -> Obs.new_ring o name in
-      fun kind ~sclass ~arg ->
-        Event_ring.record r ~at:(t.pf.Platform.now ()) ~kind ~who:(t.pf.Platform.self_proc ()) ~heap:(t.home ())
-          ~sclass ~arg
-  in
+      let ring = match Obs.find_ring o name with Some r -> r | None -> Obs.new_ring o name in
+      Alloc_stats.attach_ring sh ring t.pf ~heap:t.home)
+    t.obs;
   let nclasses = Array.length t.caps in
-  {
-    front = t;
-    slots = Array.make nclasses [];
-    count = Array.make nclasses 0;
-    sh = Alloc_stats.add_shard t.stats;
-    record;
-    domain = -1;
-  }
+  { front = t; slots = Array.make nclasses []; count = Array.make nclasses 0; sh; domain = -1 }
 
 (* The fast path is one map read. The first call of a tid, and the first
    from each new domain driving it, take [mu]: the cache is created, or
@@ -135,7 +123,7 @@ let pop c ~size ~sclass =
     c.count.(sclass) <- c.count.(sclass) - 1;
     Superblock.clear_cached sb addr;
     Alloc_stats.on_cache_hit c.sh ~requested:size;
-    c.record Event_ring.Cache_hit ~sclass ~arg:addr;
+    Alloc_stats.note c.sh Event_ring.Cache_hit ~sclass ~arg:addr;
     c.front.pf.Platform.write ~addr ~len:8;
     Some addr
 
@@ -149,8 +137,6 @@ let push c ~sclass sb addr =
 let fill_size c ~sclass = (c.front.caps.(sclass) / 2) + 1
 
 let shard c = c.sh
-
-let record c = c.record
 
 let flush t = Option.iter empty (find t (t.pf.Platform.self_tid ()))
 

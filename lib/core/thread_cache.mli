@@ -18,11 +18,12 @@
     free of a cached block is caught in O(1).
 
     Blocks leave a cache in bulk only one way: the class is cut down to
-    its newest blocks, counted as a flush on the cache's stats shard,
+    its newest blocks, noted as one [Cache_flush] of that many blocks on
+    the cache's stats shard,
     and the rest handed to the [surrender] function given at {!create},
     which decides where they go — an eviction keeps [cap/2], {!flush}
     and {!retire} keep none. The quiescent {!drain_quiescent} cuts the
-    same way, with no events.
+    same way, counting the flushes but recording no events.
 
     Caches are found by thread id. Thread ids recycle across sequential
     domains: a domain that adopts a live cache re-registers the
@@ -37,8 +38,8 @@ type t
 
 type cache
 (** One thread's cache: per class, the blocks newest first and their
-    count, with its own stats shard (single writer: the owning thread)
-    and, when tracing, its own event ring ["tcache<tid>"]. *)
+    count, with its own stats shard (single writer: the owning thread),
+    which carries, when tracing, its own event ring ["tcache<tid>"]. *)
 
 val create :
   Platform.t ->
@@ -60,9 +61,9 @@ val mine : t -> cache
 (** The calling thread's cache, created on its first call. *)
 
 val pop : cache -> size:int -> sclass:int -> int option
-(** A hit: the class's newest block, out of custody, counted as a cache
-    hit of [size] bytes and written once. [None] when the class is
-    empty. *)
+(** A hit: the class's newest block, out of custody, counted as a
+    malloc of [size] bytes, noted as a [Cache_hit] and written once.
+    [None] when the class is empty. *)
 
 val push : cache -> sclass:int -> Superblock.t -> int -> unit
 (** Take a freed block into custody as the class's newest. A class at
@@ -74,10 +75,8 @@ val fill_size : cache -> sclass:int -> int
 (** Blocks a miss takes from the heap: [cap/2 + 1]. *)
 
 val shard : cache -> Alloc_stats.shard
-(** The cache's stats shard, for counts made on its behalf. *)
-
-val record : cache -> Event_ring.kind -> sclass:int -> arg:int -> unit
-(** Record into the cache's ring; free when tracing is off. *)
+(** The cache's stats shard, for counts and events noted on its
+    behalf. *)
 
 val flush : t -> unit
 (** Empty the calling thread's cache, if it has one, into [surrender]. *)
@@ -90,7 +89,7 @@ val retire : t -> unit
 
 val drain_quiescent : t -> (Superblock.t -> int -> unit) -> unit
 (** Cut every class of every cache to nothing, counting each as a
-    flush, and pass each block, still custody-marked, to the function:
+    flush without recording it, and pass each block, still custody-marked, to the function:
     caches in ascending thread id, classes ascending, blocks newest
     first. *)
 

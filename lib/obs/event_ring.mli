@@ -12,7 +12,9 @@
     Rings have fixed capacity; when full they wrap, overwriting the oldest
     events. Per-kind totals ({!recorded_kind}) are maintained separately
     and stay exact even after wrap-around, which is what the event-count
-    invariants (ring totals == stats counter deltas) are checked against. *)
+    invariants (ring totals == stats counters) are checked against. An
+    allocator's rings are written only through [Alloc_stats.note] and
+    [Alloc_stats.record], which count and record in one call. *)
 
 (** The event taxonomy (see docs/observability.md). *)
 type kind =
@@ -48,6 +50,12 @@ val all_kinds : kind list
 
 val kind_name : kind -> string
 (** Stable snake_case name used in exports. *)
+
+val nkinds : int
+
+val kind_index : kind -> int
+(** A kind's position in {!all_kinds}, in [\[0, nkinds)]: the index of
+    its slot in a per-kind count array. *)
 
 type event = {
   at : int;  (** timestamp: simulated cycles or host logical time *)

@@ -212,18 +212,85 @@ let test_obs_rings_registry () =
 
 (* --- ring/stats invariants on the simulator --- *)
 
+(* The event-count invariants, in the order docs/observability.md lists
+   them: the ring side is the [count] of some kinds (exact after
+   wrap-around) or the sum of one kind's retained [args] (one event per
+   batch, its block count in [arg]); the other side is a snapshot field.
+   Exact on any traced run whose quiescent flush finds nothing to count
+   (it counts without recording). *)
+type ring_side = Count of Event_ring.kind list | Args of Event_ring.kind
+
+let invariants : (ring_side * string * (Alloc_stats.snapshot -> int)) list =
+  let open Event_ring in
+  [
+    (Count [ Sb_to_global ], "sb_to_global", fun s -> s.sb_to_global);
+    (Count [ Sb_from_global ], "sb_from_global", fun s -> s.sb_from_global);
+    (Count [ Remote_free ], "remote_frees", fun s -> s.remote_frees);
+    (Count [ Cache_hit ], "cache_hits", fun s -> s.cache_hits);
+    (Count [ Remote_forward ], "remote_forwards", fun s -> s.remote_forwards);
+    (Count [ Large_map ], "large_maps", fun s -> s.large_maps);
+    (Count [ Large_cache_hit ], "large_cache_hits", fun s -> s.large_cache_hits);
+    (Count [ Deferred_enqueue ], "deferred_enqueues", fun s -> s.deferred_enqueues);
+    (Count [ Deferred_reclaim ], "deferred_reclaims", fun s -> s.deferred_reclaims);
+    (Count [ Orphan_adopt ], "orphan_adoptions", fun s -> s.orphan_adoptions);
+    (Count [ Global_push ], "global_pushes", fun s -> s.global_pushes);
+    (Count [ Global_pop ], "global_pops", fun s -> s.global_pops);
+    (Args Cache_flush, "cache_flushes", fun s -> s.cache_flushes);
+    (Args Remote_enqueue, "remote_enqueues", fun s -> s.remote_enqueues);
+    (Count [ Sb_map; Large_map ], "os_maps", fun s -> s.os_maps);
+    (Count [ Sb_unmap; Large_unmap ], "os_unmaps", fun s -> s.os_unmaps);
+    (Count [ Decommit ], "decommits", fun s -> s.decommits);
+    (Count [ Recommit ], "recommits", fun s -> s.recommits);
+  ]
+
+(* One invariant as the doc writes it, single-spaced. *)
+let invariant_line (side, field, _) =
+  let lhs =
+    match side with
+    | Count kinds -> "count " ^ String.concat " + " (List.map Event_ring.kind_name kinds)
+    | Args kind -> "args " ^ Event_ring.kind_name kind
+  in
+  Printf.sprintf "%s == stats.%s" lhs field
+
 let check_ring_stats_invariants ~msg obs (s : Alloc_stats.snapshot) =
-  let k = Obs.count_kind obs in
-  Alcotest.(check int) (msg ^ ": to_global events = counter") s.Alloc_stats.sb_to_global
-    (k Event_ring.Sb_to_global);
-  Alcotest.(check int) (msg ^ ": from_global events = counter") s.Alloc_stats.sb_from_global
-    (k Event_ring.Sb_from_global);
-  Alcotest.(check int) (msg ^ ": remote_free events = counter") s.Alloc_stats.remote_frees
-    (k Event_ring.Remote_free);
-  Alcotest.(check int) (msg ^ ": map events = os_maps") s.Alloc_stats.os_maps
-    (k Event_ring.Sb_map + k Event_ring.Large_map);
-  Alcotest.(check int) (msg ^ ": unmap events = os_unmaps") s.Alloc_stats.os_unmaps
-    (k Event_ring.Sb_unmap + k Event_ring.Large_unmap)
+  Alcotest.(check int) (msg ^ ": no ring dropped an event") 0 (Obs.total_dropped obs);
+  let args kind =
+    let n = ref 0 in
+    List.iter
+      (fun (_, r) -> Event_ring.iter r (fun e -> if e.Event_ring.kind = kind then n := !n + e.Event_ring.arg))
+      (Obs.rings obs);
+    !n
+  in
+  List.iter
+    (fun ((side, _, field) as inv) ->
+      let ring =
+        match side with
+        | Count kinds -> List.fold_left (fun acc kind -> acc + Obs.count_kind obs kind) 0 kinds
+        | Args kind -> args kind
+      in
+      Alcotest.(check int) (msg ^ ": " ^ invariant_line inv) (field s) ring)
+    invariants
+
+(* The "Event-count invariants" block of docs/observability.md is the
+   list [check_ring_stats_invariants] checks, line for line. *)
+let test_invariants_documented () =
+  let lines =
+    In_channel.with_open_text "../docs/observability.md" In_channel.input_all |> String.split_on_char '\n'
+  in
+  let single l = String.concat " " (List.filter (( <> ) "") (String.split_on_char ' ' l)) in
+  let rec section = function
+    | [] -> Alcotest.fail "observability.md: event-count invariants not found"
+    | "## Event-count invariants" :: rest -> block rest
+    | _ :: rest -> section rest
+  and block = function
+    | [] -> Alcotest.fail "observability.md: no invariant block"
+    | "```" :: rest -> body rest
+    | _ :: rest -> block rest
+  and body = function
+    | [] | "```" :: _ -> []
+    | l :: rest -> single l :: body rest
+  in
+  Alcotest.(check (list string)) "documented invariants" (List.map invariant_line invariants) (section lines)
 
 (* Latency probe + timeline + event rings composed on one simulated run,
    with traffic crafted to produce remote frees and large objects. *)
@@ -321,6 +388,69 @@ let test_obs_run_deterministic () =
   Alcotest.(check int) "events" (Obs.total_recorded a.Obs_run.b_obs) (Obs.total_recorded b.Obs_run.b_obs);
   Alcotest.(check string) "perfetto byte-identical" a.Obs_run.b_perfetto b.Obs_run.b_perfetto
 
+(* Each thread mallocs small blocks of two classes and one large object,
+   twice over; frees the large object (the second malloc can take it
+   back from a large cache) and, after a barrier, its neighbour's blocks
+   (cache evictions onto the owners' channels); then retires through
+   [thread_exit], which flushes its cache and hands its heap's
+   superblocks to the global heap. No cache survives to the quiescent
+   flush, and no ring wraps. *)
+let exit_mix =
+  let per_thread = 200 in
+  let spawn sim (_ : Platform.t) (a : Alloc_intf.t) ~nthreads =
+    let slots = Array.init nthreads (fun _ -> Array.make per_thread 0) in
+    let b = Sim.new_barrier sim ~parties:nthreads in
+    for d = 0 to nthreads - 1 do
+      ignore
+        (Sim.spawn sim (fun () ->
+             for _ = 1 to 2 do
+               let big = a.Alloc_intf.malloc 40_000 in
+               for i = 0 to per_thread - 1 do
+                 slots.(d).(i) <- a.Alloc_intf.malloc (if i mod 2 = 0 then 16 else 96)
+               done;
+               a.Alloc_intf.free big;
+               Sim.barrier_wait b;
+               Array.iter a.Alloc_intf.free slots.((d + 1) mod nthreads);
+               Sim.barrier_wait b
+             done;
+             a.Alloc_intf.thread_exit ()))
+    done
+  in
+  {
+    Workload_intf.w_name = "exit-mix";
+    w_describe = "small and large objects freed by a neighbour, then thread_exit";
+    spawn;
+    total_ops = (fun ~nthreads -> 2 * nthreads * ((2 * per_thread) + 2));
+  }
+
+let test_front_end_invariants () =
+  List.iter
+    (fun (name, config) ->
+      let b = Obs_run.run_workload ~config exit_mix ~nprocs:4 in
+      let s = b.Obs_run.b_stats in
+      check_ring_stats_invariants ~msg:name b.Obs_run.b_obs s;
+      List.iter
+        (fun (what, n) -> Alcotest.(check bool) (Printf.sprintf "%s: %s happened" name what) true (n > 0))
+        [
+          ("cache hits", s.Alloc_stats.cache_hits);
+          ("cache flushes", s.Alloc_stats.cache_flushes);
+          ("channel pushes", s.Alloc_stats.remote_enqueues + s.Alloc_stats.deferred_enqueues);
+          ("orphan adoptions", s.Alloc_stats.orphan_adoptions);
+          ("large maps", s.Alloc_stats.large_maps);
+        ];
+      if config.Hoard_config.global = Hoard_config.Lockfree then
+        List.iter
+          (fun (what, n) -> Alcotest.(check bool) (Printf.sprintf "%s: %s happened" name what) true (n > 0))
+          [
+            ("global pushes", s.Alloc_stats.global_pushes);
+            ("global pops", s.Alloc_stats.global_pops);
+            ("large cache hits", s.Alloc_stats.large_cache_hits);
+          ])
+    [
+      ("hoard-fe", Hoard_config.make ~front_end:16 ());
+      ("hoard-gl", Hoard_config.make ~front_end:16 ~large_cache:4 ~global:Hoard_config.Lockfree ());
+    ]
+
 (* --- 4-domain host stress: invariants under real parallelism --- *)
 
 let make_barrier parties =
@@ -384,6 +514,7 @@ let () =
           Alcotest.test_case "wrap keeps exact counts" `Quick test_ring_wrap_exact_counts;
           Alcotest.test_case "kind names distinct" `Quick test_kind_names_distinct;
           Alcotest.test_case "kind table documented" `Quick test_kind_table_documented;
+          Alcotest.test_case "invariants documented" `Quick test_invariants_documented;
         ] );
       ( "metrics",
         [
@@ -409,6 +540,7 @@ let () =
           Alcotest.test_case "tracing is timing-free" `Quick test_instrumentation_free;
           Alcotest.test_case "bundle invariants" `Quick test_obs_run_bundle;
           Alcotest.test_case "deterministic" `Quick test_obs_run_deterministic;
+          Alcotest.test_case "front-end invariants" `Quick test_front_end_invariants;
         ] );
       ( "host-stress", [ Alcotest.test_case "4-domain counts" `Quick test_host_stress_counts ] );
     ]
