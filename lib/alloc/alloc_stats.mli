@@ -54,7 +54,7 @@ type snapshot = {
   remote_frees : int;  (** frees whose block belongs to another heap *)
   cache_hits : int;  (** mallocs served by a front-end cache, no lock taken *)
   cache_fills : int;  (** blocks moved heap -> front-end cache *)
-  cache_flushes : int;  (** blocks flushed out of front-end caches *)
+  cache_flushes : int;  (** blocks flushed out of front-end caches by running threads *)
   remote_enqueues : int;  (** blocks pushed onto remote-free queues *)
   remote_drains : int;
       (** blocks returned to a heap core after waiting in a cache, a

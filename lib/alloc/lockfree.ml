@@ -98,11 +98,23 @@ let make_pool pf ~name ~cap ~grows ~aba_tag ~on_retry =
 
 let new_stack pool head = { pool; head; len = Atomic.make 0; pushes = Atomic.make 0 }
 
+(* [Array.map] in index order without a young-initialised array of more
+   than 256 words: the runtime promotes such an array's young first
+   element with a minor collection, while [Array.concat] allocates a long
+   result in the major heap directly. A global index has hundreds of
+   stacks. *)
+let map_chunked f a =
+  let chunk = 256 in
+  let n = Array.length a in
+  Array.concat
+    (List.init ((n + chunk - 1) / chunk) (fun i ->
+         Array.map f (Array.sub a (i * chunk) (min chunk (n - (i * chunk))))))
+
 (* The heads come before the free word in line order. *)
 let pool pf ~name ~stacks ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
-  let heads = Array.map (fun suffix -> pf.Platform.new_atomic (name ^ "." ^ suffix) empty) stacks in
+  let heads = map_chunked (fun suffix -> pf.Platform.new_atomic (name ^ "." ^ suffix) empty) stacks in
   let p = make_pool pf ~name ~cap:0 ~grows:true ~aba_tag ~on_retry in
-  p.stacks <- Array.map (new_stack p) heads;
+  p.stacks <- map_chunked (new_stack p) heads;
   p
 
 let stacks p = p.stacks

@@ -126,7 +126,7 @@ module Lockfree = struct
      lock (for the disposal events). *)
   let release g (h : Heap.t) =
     let budget = ref 8 in
-    (* Uncharged read of a gauge every heap updates: to be charged as a plain load once atomic loads are. *)
+    (* Uncharged host read of a gauge every heap updates; charging it needs a simulated word and a costed read. *)
     while !budget > 0 && Global_index.empties g.gi > g.env.cfg.release_threshold do
       decr budget;
       match Global_index.take_empty g.gi ~record:(fun kind ~arg -> Alloc_stats.note h.sh kind ~sclass:(-1) ~arg) with
@@ -237,7 +237,7 @@ module Lockfree = struct
      completion takes [h]'s lock and re-checks the cap under it. *)
   let rec park g h items ~spill ~locked =
     if items <> [] then ignore (Deferred_list.push_many (shard g h) items);
-    (* Free after a push (the total its CAS step set); with no push, uncharged until atomic loads are charged. *)
+    (* Free after a push (the total its CAS step set); with no push, an uncharged host read. *)
     if Deferred_list.bytes (shard g h) > cap g then
       if locked then complete g h ~spill
       else begin

@@ -275,7 +275,7 @@ let detach h =
   match h.channel with
   | No_channel -> Queued []
   | Queue q ->
-    (* Uncharged host read of a count producers write: to be charged as a plain load once atomic loads are. *)
+    (* Uncharged host read of a count producers write; charging it needs a simulated word and a costed read. *)
     if q.q_len = 0 then Queued []
     else begin
       q.q_lock.acquire ();

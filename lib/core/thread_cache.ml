@@ -37,9 +37,10 @@ let create pf ~front_end ~classes ~stats ?obs ~home ~surrender () =
 
 (* The one loop that takes blocks out of a cache in bulk: cut class
    [sclass] down to its newest [keep] blocks and return the rest, newest
-   first, noted as one flush. Quiescent callers pass [~trace:false]: an
-   event reads the clock, a platform effect. *)
-let cut ?(trace = true) c ~sclass ~keep =
+   first, noted as one flush. The quiescent drain passes [~note:false]:
+   it is no flush by a running thread, and an event reads the clock, a
+   platform effect. *)
+let cut ?(note = true) c ~sclass ~keep =
   let n = c.count.(sclass) - keep in
   if n <= 0 then []
   else begin
@@ -51,16 +52,16 @@ let cut ?(trace = true) c ~sclass ~keep =
     let kept, out = split keep [] c.slots.(sclass) in
     c.slots.(sclass) <- kept;
     c.count.(sclass) <- keep;
-    Alloc_stats.note c.sh Event_ring.Cache_flush ~n ~trace ~sclass ~arg:n;
+    if note then Alloc_stats.note c.sh Event_ring.Cache_flush ~n ~sclass ~arg:n;
     out
   end
 
 (* Every class cut to nothing: the last class's blocks first, each class
    oldest first. *)
-let take_all ?trace c =
+let take_all ?note c =
   let all = ref [] in
   for sclass = 0 to Array.length c.slots - 1 do
-    all := List.rev_append (cut ?trace c ~sclass ~keep:0) !all
+    all := List.rev_append (cut ?note c ~sclass ~keep:0) !all
   done;
   !all
 
@@ -152,7 +153,7 @@ let retire t =
 
 let drain_quiescent t f =
   IntMap.iter
-    (fun _ c -> List.iter (fun (addr, sb) -> f sb addr) (List.rev (take_all ~trace:false c)))
+    (fun _ c -> List.iter (fun (addr, sb) -> f sb addr) (List.rev (take_all ~note:false c)))
     (Atomic.get t.caches)
 
 let counts t = List.rev (IntMap.fold (fun tid c acc -> (tid, Array.copy c.count) :: acc) (Atomic.get t.caches) [])

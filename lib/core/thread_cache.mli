@@ -23,7 +23,8 @@
     and the rest handed to the [surrender] function given at {!create},
     which decides where they go — an eviction keeps [cap/2], {!flush}
     and {!retire} keep none. The quiescent {!drain_quiescent} cuts the
-    same way, counting the flushes but recording no events.
+    same way but notes nothing, so [alloc.cache_flushes] counts only the
+    flushes of running threads, each one recorded.
 
     Caches are found by thread id. Thread ids recycle across sequential
     domains: a domain that adopts a live cache re-registers the
@@ -88,8 +89,8 @@ val retire : t -> unit
 (** {2 Quiescent — no platform locks, costs or events} *)
 
 val drain_quiescent : t -> (Superblock.t -> int -> unit) -> unit
-(** Cut every class of every cache to nothing, counting each as a
-    flush without recording it, and pass each block, still custody-marked, to the function:
+(** Cut every class of every cache to nothing, noting no flush, and
+    pass each block, still custody-marked, to the function:
     caches in ascending thread id, classes ascending, blocks newest
     first. *)
 

@@ -24,8 +24,10 @@ type lock = {
     Each operation is one hardware atomic: linearizable on the host (a
     real [Atomic.t]) and step-atomic on the simulator (the whole
     operation happens inside one scheduler step, with a preemption point
-    before and after, its cost charged per {!Cost_model.t.atomic_op} and
-    coherence traffic on the word's private cache line). [cas] is a
+    before and after, charged the coherence traffic on the word's private
+    cache line plus, for an operation that writes ([store], [cas] whether
+    or not it succeeds, [faa]), {!Cost_model.t.atomic_op}; a [load] costs
+    what a plain [read] of the word costs). [cas] is a
     single compare-and-swap — true iff the word held [expected] and was
     replaced by [desired]; [faa] is fetch-and-add, returning the value
     before the addition. [peek] is an inspection hook, not a machine

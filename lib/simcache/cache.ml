@@ -47,7 +47,7 @@ type t = {
   sockets : int array; (* processor -> socket, validated at creation *)
   directory : (int, line_state) Hashtbl.t; (* line index -> state *)
   counters : counters array;
-  lrus : lru array; (* used only when capacity_lines is set *)
+  lrus : lru array; (* built and used only when capacity_lines is set *)
   mutable cross_node_total : int;
   mutable cross_socket_total : int;
 }
@@ -99,7 +99,12 @@ let create ?(line_size = 64) ?capacity_lines ?(node_of = fun _ -> 0) ?(socket_of
     directory = Hashtbl.create 4096;
     counters =
       Array.init nprocs (fun _ -> { hits = 0; cold = 0; coher = 0; inval_sent = 0; inval_recv = 0; evictions = 0 });
-    lrus = Array.init nprocs (fun _ -> { order = Dlist.create (); nodes = Hashtbl.create 256 });
+    (* Only a bounded cache evicts; at 64P the LRU tables would be most
+       of what building the machine allocates. *)
+    lrus =
+      (match capacity_lines with
+       | None -> [||]
+       | Some _ -> Array.init nprocs (fun _ -> { order = Dlist.create (); nodes = Hashtbl.create 256 }));
     cross_node_total = 0;
     cross_socket_total = 0;
   }

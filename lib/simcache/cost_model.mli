@@ -29,9 +29,12 @@ type t = {
           this is charged on top of [cross_node] and is distinctly
           larger; 0 on single-socket machines. *)
   atomic_op : int;
-      (** one hardware atomic (CAS, fetch-and-add, atomic load/store):
-          the RMW round-trip beyond the cache traffic on the operand's
-          line, same order as an uncontended lock acquisition. *)
+      (** one hardware atomic that writes (CAS, successful or not,
+          fetch-and-add, atomic store): the read-modify-write round-trip
+          beyond the cache traffic on the operand's line, same order as an
+          uncontended lock acquisition. An atomic load pays no
+          [atomic_op]: it costs the cache access alone, like a plain
+          load. *)
 }
 
 val default : t

@@ -405,17 +405,21 @@ let handler t th =
         | E_atomic (a, op) ->
           Some
             (fun k ->
-              (* The whole RMW happens inside this step: step-atomic, a
-                 sync point the explorer can preempt around, with the
-                 word's cache line in the step footprint so concurrent
-                 operations on the same atomic conflict. *)
+              (* The whole operation happens inside this step:
+                 step-atomic, a sync point the explorer can preempt
+                 around, with the word's cache line in the step footprint
+                 so concurrent operations on the same atomic conflict.
+                 Only an atomic that writes pays [atomic_op]: a load is a
+                 plain coherent read on hardware ([mov] on x86-64, [ldar]
+                 on ARMv8), priced like [E_read]. *)
               note_sync t a.a_name;
               let wr = match op with A_load -> false | A_store _ | A_cas _ | A_faa _ -> true in
               note_lines t ~addr:a.a_addr ~len:8 ~wr;
-              charge_access t th.proc
-                (if wr then Cache.write t.cch th.proc ~addr:a.a_addr ~len:8
-                 else Cache.read t.cch th.proc ~addr:a.a_addr ~len:8);
-              charge t th.proc t.cost.atomic_op;
+              if wr then begin
+                charge_access t th.proc (Cache.write t.cch th.proc ~addr:a.a_addr ~len:8);
+                charge t th.proc t.cost.atomic_op
+              end
+              else charge_access t th.proc (Cache.read t.cch th.proc ~addr:a.a_addr ~len:8);
               let r =
                 match op with
                 | A_load -> Atomic.get a.a_cell

@@ -190,11 +190,14 @@ val barrier_wait : barrier -> unit
 (** {2 Atomics}
 
     A simulated atomic machine word for lock-free protocols. Each
-    operation is step-atomic — the whole read-modify-write happens inside
-    one scheduler step, with preemption points before and after — charges
-    {!Cost_model.t.atomic_op} plus the coherence traffic of touching the
-    word's private cache line, and is visible to a controlling strategy
-    as a sync point carrying the atomic's name (like a lock). *)
+    operation is step-atomic — the whole operation happens inside one
+    scheduler step, with preemption points before and after — pays the
+    coherence traffic of touching the word's private cache line, and is
+    visible to a controlling strategy as a sync point carrying the
+    atomic's name (like a lock). An operation that writes (store, CAS
+    whether or not it succeeds, fetch-and-add) also pays
+    {!Cost_model.t.atomic_op}; a load pays only its cache read, like
+    {!read}. *)
 
 type atom
 

@@ -441,6 +441,20 @@ let test_heap_create_cost_per_class () =
     (Printf.sprintf "%.1f words per extra class (%d extra classes)" per_class extra)
     true (per_class <= 4.0)
 
+let test_global_index_create_no_minor_gc () =
+  (* The index of a default hoard-gl heap set (30 classes, 8 groups: 271
+     entry stacks) fits the minor heap, so building it from an emptied
+     minor heap must not force a collection. *)
+  let pf = Platform.host () in
+  let forced =
+    List.init 20 (fun _ ->
+        Gc.minor ();
+        let before = (Gc.quick_stat ()).minor_collections in
+        ignore (Sys.opaque_identity (Global_index.create pf ~name:"gidx" ~nclasses:30 ~ngroups:8 ()));
+        (Gc.quick_stat ()).minor_collections - before)
+  in
+  Alcotest.(check (list int)) "minor collections per build" (List.init 20 (fun _ -> 0)) forced
+
 let test_heap_one_class_in_use () =
   (* Only class 5 ever gets superblocks: every scan must treat the other
      classes as empty. *)
@@ -754,6 +768,7 @@ let () =
           Alcotest.test_case "free_run empties once" `Quick test_free_run_empties_once;
           Alcotest.test_case "free_run requeues on Busy" `Quick test_free_run_busy_requeues;
           Alcotest.test_case "free_run refuses an Absent word" `Quick test_free_run_absent_not_member;
+          Alcotest.test_case "create forces no minor collection" `Quick test_global_index_create_no_minor_gc;
         ] );
       ( "lockfree",
         [

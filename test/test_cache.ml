@@ -128,6 +128,13 @@ let test_infinite_cache_never_evicts () =
   let s = Cache.read c 0 ~addr:0 ~len:8 in
   Alcotest.(check int) "first line still cached" 1 s.Cache.hits
 
+let test_infinite_cache_builds_no_lru () =
+  (* Host words on the minor heap: exact, unlike a timing. *)
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Cache.create ~line_size:64 ~nprocs:64 ()));
+  let w = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "64P unbounded cache: %.0f words" w) true (w < 2000.)
+
 (* --- NUMA topology --- *)
 
 let test_cross_node_counted () =
@@ -268,5 +275,6 @@ let () =
           Alcotest.test_case "LRU order" `Quick test_capacity_lru_order_updated;
           Alcotest.test_case "per processor" `Quick test_capacity_per_processor;
           Alcotest.test_case "infinite never evicts" `Quick test_infinite_cache_never_evicts;
+          Alcotest.test_case "infinite builds no LRU" `Quick test_infinite_cache_builds_no_lru;
         ] );
     ]

@@ -216,8 +216,8 @@ let test_obs_rings_registry () =
    them: the ring side is the [count] of some kinds (exact after
    wrap-around) or the sum of one kind's retained [args] (one event per
    batch, its block count in [arg]); the other side is a snapshot field.
-   Exact on any traced run whose quiescent flush finds nothing to count
-   (it counts without recording). *)
+   Exact on any traced run whose quiescent flush finds no heap to trim
+   (its trim counts [sb_to_global] without recording). *)
 type ring_side = Count of Event_ring.kind list | Args of Event_ring.kind
 
 let invariants : (ring_side * string * (Alloc_stats.snapshot -> int)) list =
@@ -380,6 +380,21 @@ let test_obs_run_bundle () =
     (List.length b.Obs_run.b_contention);
   Alcotest.(check bool) "heatmap rendered" true (String.length b.Obs_run.b_heatmap > 0)
 
+(* Threadtest's threads never retire, so the quiescent drain after the
+   run finds full caches: it must not add them to [cache_flushes], which
+   counts only the flushes running threads made and recorded. *)
+let test_teardown_not_a_flush () =
+  let w = Experiments.obs_workload "fig_threadtest" Experiments.Quick in
+  let b = Obs_run.run_workload ~config:(Hoard_config.make ~front_end:16 ()) w ~nprocs:4 in
+  let recorded = ref 0 in
+  List.iter
+    (fun (_, r) ->
+      Event_ring.iter r (fun e -> if e.Event_ring.kind = Event_ring.Cache_flush then recorded := !recorded + e.arg))
+    (Obs.rings b.Obs_run.b_obs);
+  Alcotest.(check int) "no ring dropped an event" 0 (Obs.total_dropped b.Obs_run.b_obs);
+  Alcotest.(check bool) "caches flushed during the run" true (!recorded > 0);
+  Alcotest.(check int) "args cache_flush == stats.cache_flushes" !recorded b.Obs_run.b_stats.Alloc_stats.cache_flushes
+
 let test_obs_run_deterministic () =
   let w = Experiments.obs_workload "fig_threadtest" Experiments.Quick in
   let a = Obs_run.run_workload w ~nprocs:4 in
@@ -541,6 +556,7 @@ let () =
           Alcotest.test_case "bundle invariants" `Quick test_obs_run_bundle;
           Alcotest.test_case "deterministic" `Quick test_obs_run_deterministic;
           Alcotest.test_case "front-end invariants" `Quick test_front_end_invariants;
+          Alcotest.test_case "teardown is not a cache flush" `Quick test_teardown_not_a_flush;
         ] );
       ( "host-stress", [ Alcotest.test_case "4-domain counts" `Quick test_host_stress_counts ] );
     ]

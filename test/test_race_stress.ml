@@ -313,8 +313,8 @@ let test_churn_waves label () =
      remote-free queues the exits legitimately left behind (an exiting
      thread's evictions can land on a heap whose own thread is already
      gone) — but it must find ZERO blocks still sitting in any front-end
-     cache: [cache_flushes] may not move during it. That is the leaked-
-     tcache probe; conservation after the settle is exact. *)
+     cache. That is the leaked-tcache probe; conservation after the
+     settle is exact. *)
   let waves = 5 and batch = 48 in
   let pf = Platform.host ~nprocs:ndomains () in
   let h = Hoard.create ~config:(front_end_config label ~front_end:8) pf in
@@ -348,14 +348,14 @@ let test_churn_waves label () =
            adoptions on the global heap. *)
         a.Alloc_intf.thread_exit ();
         a.Alloc_intf.thread_exit ());
-    (* Every domain retired: no cache may still hold blocks, so the
-       settling flush must not flush a single one. *)
-    let before = (a.Alloc_intf.stats ()).Alloc_stats.cache_flushes in
-    Hoard.flush_caches h;
-    let s = a.Alloc_intf.stats () in
+    (* Every domain retired: no cache may still hold blocks for the
+       settling flush to find. *)
     Alcotest.(check int)
       (Printf.sprintf "wave %d no leaked tcache blocks" wave)
-      before s.Alloc_stats.cache_flushes;
+      0
+      (List.fold_left (fun n (_, counts) -> n + Array.fold_left ( + ) 0 counts) 0 (Hoard.cache_counts h));
+    Hoard.flush_caches h;
+    let s = a.Alloc_intf.stats () in
     let expected = wave * ndomains * batch in
     Alcotest.(check int) (Printf.sprintf "wave %d exact mallocs" wave) expected s.Alloc_stats.mallocs;
     Alcotest.(check int) (Printf.sprintf "wave %d exact frees" wave) expected s.Alloc_stats.frees;

@@ -240,6 +240,53 @@ let test_memory_costs_charged () =
   let c = Cost_model.default in
   Alcotest.(check int) "cold miss + hit" (c.cold_miss + c.cache_hit) (Sim.total_cycles sim)
 
+(* What each atomic charges under the default costs: a load is a plain
+   coherent read, and only an operation that writes adds [atomic_op]. *)
+let cycles_of f =
+  let t0 = Sim.now () in
+  f ();
+  Sim.now () - t0
+
+let test_atomic_load_costs_a_read () =
+  let c = Cost_model.default in
+  let sim = Sim.create ~nprocs:2 () in
+  let a = Sim.new_atomic sim "a" 0 in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let held = ref (-1) and remote = ref (-1) in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         ignore (Sim.atomic_load a);
+         held := cycles_of (fun () -> ignore (Sim.atomic_load a));
+         Sim.barrier_wait b;
+         Sim.atomic_store a 1;
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         Sim.barrier_wait b;
+         remote := cycles_of (fun () -> ignore (Sim.atomic_load a))));
+  Sim.run sim;
+  Alcotest.(check int) "load of a held line: a hit" c.cache_hit !held;
+  Alcotest.(check int) "load of a line just written elsewhere: the coherence miss" c.coherence_miss !remote
+
+let test_atomic_writes_pay_atomic_op () =
+  let c = Cost_model.default in
+  let sim = Sim.create ~nprocs:1 () in
+  let a = Sim.new_atomic sim "a" 0 in
+  let costs = ref [] in
+  ignore
+    (Sim.spawn sim (fun () ->
+         Sim.atomic_store a 0;
+         let m f = cycles_of (fun () -> ignore (f ())) in
+         let store = m (fun () -> Sim.atomic_store a 1) in
+         let cas_ok = m (fun () -> assert (Sim.atomic_cas a ~expected:1 ~desired:2)) in
+         let cas_fail = m (fun () -> assert (not (Sim.atomic_cas a ~expected:1 ~desired:3))) in
+         let faa = m (fun () -> Sim.atomic_faa a 5) in
+         costs := [ store; cas_ok; cas_fail; faa ]));
+  Sim.run sim;
+  let w = c.cache_hit + c.atomic_op in
+  Alcotest.(check (list int)) "store, CAS ok, CAS failed, faa: hit + atomic_op" [ w; w; w; w ] !costs
+
 let test_false_sharing_visible () =
   (* Two processors writing the same line ping-pong invalidations; writing
      different lines does not. *)
@@ -496,6 +543,8 @@ let () =
       ( "memory",
         [
           Alcotest.test_case "costs charged" `Quick test_memory_costs_charged;
+          Alcotest.test_case "atomic load costs a read" `Quick test_atomic_load_costs_a_read;
+          Alcotest.test_case "atomic writes pay atomic_op" `Quick test_atomic_writes_pay_atomic_op;
           Alcotest.test_case "false sharing visible" `Quick test_false_sharing_visible;
           Alcotest.test_case "page map via platform" `Quick test_page_map_via_platform;
           Alcotest.test_case "page unmap via platform" `Quick test_page_unmap_via_platform;
