@@ -28,8 +28,9 @@ type t = {
       (** [malloc_batch n size]: [n] blocks of at least [size] bytes.
           Default: [n] repeated mallocs; batching allocators amortise
           their per-call path and lock traffic instead (Hoard: one path
-          cost per call, its front-end cache first, one heap lock for
-          the rest). *)
+          cost per call, its front-end cache first, then one heap lock
+          for the rest that also refills the cache, as a single
+          malloc's miss does). *)
   free_batch : int array -> unit;
       (** frees every address, with [free]'s errors for each; default is
           repeated [free]. A batching allocator pays its per-call path

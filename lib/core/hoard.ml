@@ -279,39 +279,43 @@ let create ?(config = Hoard_config.default) ?obs pf =
   surrender := surrender_many t;
   t
 
-(* The slow half of a front-end malloc: the remote-free channel is
-   detached first, then one lock acquisition frees it and pulls
-   [cap/2 + 1] blocks — one to return, the rest into the cache. *)
-let malloc_fill t c ~size ~sclass ~block_size =
+(* Take [n] blocks of [sclass] from [h], whose lock the caller holds,
+   refilling it from the global heap or the OS whenever it runs dry; [f]
+   sees each batch as the heap core carves it. *)
+let take_blocks t (h : Heap.t) ~sclass ~block_size ~n ~spill f =
+  let got = ref 0 in
+  while !got < n do
+    match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
+    | [] -> refill t h ~sclass ~block_size ~spill
+    | batch ->
+      got := !got + List.length batch;
+      f batch
+  done
+
+(* The one front-end miss, for [malloc] ([~n:1]) and for the part of a
+   batch malloc the cache could not cover: the remote-free channel is
+   detached first, then one lock acquisition drains it and takes
+   [n + cap/2] blocks, [n] to return and the rest into the class's
+   cache, which the caller found empty. A drain that freed anything is
+   a free into [h], so the invariant is restored before the release. *)
+let malloc_fill t c ~size ~sclass ~block_size ~n =
   let h = my_heap t in
   with_drained t h (fun ~drained ~spill ->
-    let want = Thread_cache.fill_size c ~sclass in
-    let blocks = ref [] and got = ref 0 in
-    while !got < want do
-      match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(want - !got) with
-      | [] -> refill t h ~sclass ~block_size ~spill
-      | batch ->
-        blocks := List.rev_append batch !blocks;
-        got := !got + List.length batch
-    done;
+    let n_cached = Thread_cache.fill_size c ~sclass in
+    let blocks = ref [] in
+    take_blocks t h ~sclass ~block_size ~n:(n + n_cached) ~spill (fun batch -> blocks := List.rev_append batch !blocks);
     Heap.touch_headers t.pf (List.rev_map (fun (addr, sb) -> (sb, addr)) !blocks);
-    let addr =
-      match !blocks with
-      | [] -> assert false (* want >= 1 *)
-      | (addr, _) :: cached ->
-        Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
-        let n_cached = List.length cached in
-        if n_cached > 0 then begin
-          (* Fill surplus enters front-end custody, so a wild free of a
-             cached address is caught as a double free, not recycled. *)
-          List.iter (fun (a, sb) -> Thread_cache.push c ~sclass sb a) cached;
-          Alloc_stats.on_cache_fill h.sh ~blocks:n_cached ~bytes:(n_cached * block_size)
-        end;
-        addr
-    in
+    let out = List.filteri (fun i _ -> i < n) !blocks and cached = List.filteri (fun i _ -> i >= n) !blocks in
+    List.iter (fun _ -> Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size) out;
+    if n_cached > 0 then begin
+      (* Fill surplus enters front-end custody, so a wild free of a
+         cached address is caught as a double free, not recycled. *)
+      List.iter (fun (a, sb) -> Thread_cache.push c ~sclass sb a) cached;
+      Alloc_stats.on_cache_fill h.sh ~blocks:n_cached ~bytes:(n_cached * block_size)
+    end;
     if drained > 0 then trim_heap ~deep:true t h ~sclass;
-    t.pf.Platform.write ~addr ~len:8;
-    addr)
+    List.iter (fun (addr, _) -> t.pf.Platform.write ~addr ~len:8) out;
+    List.map fst out)
 
 let malloc t size =
   if size <= 0 then invalid_arg "Hoard.malloc: size must be positive";
@@ -325,7 +329,7 @@ let malloc t size =
       let c = Thread_cache.mine fe in
       (match Thread_cache.pop c ~size ~sclass with
        | Some addr -> addr
-       | None -> malloc_fill t c ~size ~sclass ~block_size)
+       | None -> List.hd (malloc_fill t c ~size ~sclass ~block_size ~n:1))
     | None ->
       let h = my_heap t in
       let spill = ref [] in
@@ -349,9 +353,9 @@ let malloc t size =
 
 (* Batched allocation: one [path_work] for the whole request. With a
    front end, the calling thread's cache serves first, block by block as
-   a single cache-hit malloc would; whatever it cannot cover takes one
-   heap-lock acquisition, as the whole request does without a front end.
-   The remainder does not refill the cache. *)
+   a single cache-hit malloc would, and whatever it cannot cover is one
+   [malloc_fill], the single malloc's miss. Without one, the whole
+   request takes one heap-lock acquisition. *)
 let malloc_many t n size =
   if n <= 0 then [||]
   else if size <= 0 then invalid_arg "Hoard.malloc: size must be positive"
@@ -362,39 +366,33 @@ let malloc_many t n size =
       let sclass = Size_class.class_of_size t.classes size in
       let block_size = Size_class.size_of_class t.classes sclass in
       let out = Array.make n 0 and got = ref 0 in
+      let put addr =
+        out.(!got) <- addr;
+        incr got
+      in
       (match t.fe with
-       | None -> ()
        | Some fe ->
          let c = Thread_cache.mine fe in
          let rec pop () =
            if !got < n then
              match Thread_cache.pop c ~size ~sclass with
              | Some addr ->
-               out.(!got) <- addr;
-               incr got;
+               put addr;
                pop ()
-             | None -> ()
+             | None -> List.iter put (malloc_fill t c ~size ~sclass ~block_size ~n:(n - !got))
          in
-         pop ());
-      if !got < n then begin
-        let h = my_heap t in
-        with_drained t h (fun ~drained:_ ~spill ->
-          let from = ref [] in
-          while !got < n do
-            match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
-            | [] -> refill t h ~sclass ~block_size ~spill
-            | batch ->
-              List.iter
-                (fun (addr, sb) ->
-                  out.(!got) <- addr;
-                  Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
-                  t.pf.Platform.write ~addr ~len:8;
-                  from := (sb, addr) :: !from;
-                  incr got)
-                batch
-          done;
-          Heap.touch_headers t.pf (List.rev !from))
-      end;
+         pop ()
+       | None ->
+         let h = my_heap t in
+         with_drained t h (fun ~drained:_ ~spill ->
+           let from = ref [] in
+           take_blocks t h ~sclass ~block_size ~n ~spill
+             (List.iter (fun (addr, sb) ->
+                put addr;
+                Alloc_stats.on_malloc h.sh ~requested:size ~usable:block_size;
+                t.pf.Platform.write ~addr ~len:8;
+                from := (sb, addr) :: !from));
+           Heap.touch_headers t.pf (List.rev !from)));
       out
     end
   end

@@ -50,9 +50,12 @@
     uncapped; an eviction onto the evicting thread's own heap's list
     that would take it past [remote_queue_cap] takes the locked free path
     instead, so at most [remote_queue_cap] own blocks per heap wait
-    there. The batch calls go through the cache as well:
-    [malloc_batch] pops the class's cached blocks first and takes one
-    heap-lock acquisition only for the remainder, and [free_batch] pays
+    there. A miss has one path: [malloc] and [malloc_batch] pop the
+    class's cached blocks first, and what the cache cannot cover,
+    [n] blocks, takes one heap-lock acquisition that drains the heap's
+    channel, takes [n + cap/2] blocks, returns [n], caches the rest and
+    restores the emptiness invariant if the drain freed anything.
+    [free_batch] pays
     the per-call path cost once, then frees each block exactly as
     [free] does. Cached and pending blocks stay charged to the heap
     that owns their superblock, so the emptiness invariant, the blowup
@@ -115,9 +118,17 @@ val fullness_profile : t -> (string * (int * float) array) array
 
 val invariant_holds : t -> heap_id:int -> bool
 (** The emptiness invariant [u >= a - K*S || u >= (1-f)*a] for a
-    per-processor heap. Guaranteed immediately after any [free] into that
-    heap; a malloc that installs a fresh superblock may transiently exceed
-    it (the paper's algorithm enforces the invariant only on frees). *)
+    per-processor heap. Guaranteed immediately after every call that
+    frees into that heap: a free that reaches the heap itself (not a
+    push into a thread cache), and every call that drains the heap's remote-free channel — a
+    front-end [malloc] or [malloc_batch] that misses the cache, a
+    [flush] — each of which trims the heap before it returns. A malloc
+    that installs a fresh superblock may transiently exceed it (the
+    paper's algorithm enforces the invariant only on frees). Heap 0 is
+    not covered: {!Global_heap} drains heap 0's channel before each
+    refill from the locked global heap and trims nothing there, since
+    heap 0 keeps no emptiness invariant, only the bound on its surplus
+    empty superblocks that its next put releases. *)
 
 val check : t -> unit
 (** Deep structural validation of every heap, every remote-free channel

@@ -135,7 +135,7 @@ let push c ~sclass sb addr =
   c.slots.(sclass) <- (addr, sb) :: c.slots.(sclass);
   c.count.(sclass) <- c.count.(sclass) + 1
 
-let fill_size c ~sclass = (c.front.caps.(sclass) / 2) + 1
+let fill_size c ~sclass = c.front.caps.(sclass) / 2
 
 let shard c = c.sh
 

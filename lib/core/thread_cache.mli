@@ -5,10 +5,13 @@
     A cache holds up to [cap = max K (K * 16 / block)] blocks of a class
     ([K = config.front_end]): [K] for every class of 16 B or more, [2K]
     for 8 B blocks, so no class moves less than [K * 8] bytes per
-    heap-lock trip. A fill brings [cap/2 + 1] blocks (one to return, the
-    rest cached); a push into a class at its cap first evicts the class's
-    oldest half, keeping the newest [cap/2], so the next [cap/2] frees
-    stay lock-free.
+    heap-lock trip. A miss for [n] blocks, a single malloc's ([n = 1])
+    or the part of a batch the cache could not cover, brings
+    [n + cap/2] blocks from the heap in one trip: [n] to return, [cap/2]
+    cached, so the next [cap/2] mallocs of the class stay lock-free. A
+    push into a class at its cap first evicts the class's oldest half,
+    keeping the newest [cap/2], so the next [cap/2] frees stay
+    lock-free.
 
     Cached blocks stay bitmap-live in their superblocks and charged to
     the heap that owns them, so the emptiness invariant and the blowup
@@ -73,7 +76,8 @@ val push : cache -> sclass:int -> Superblock.t -> int -> unit
     evicts. *)
 
 val fill_size : cache -> sclass:int -> int
-(** Blocks a miss takes from the heap: [cap/2 + 1]. *)
+(** Blocks a miss caches for [sclass] beyond the ones it returns:
+    [cap/2]. *)
 
 val shard : cache -> Alloc_stats.shard
 (** The cache's stats shard, for counts and events noted on its

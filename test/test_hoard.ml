@@ -982,24 +982,25 @@ let test_remote_forward_deferred () =
 (* --- batch calls through the front end --- *)
 
 (* Runs [body] on processor 0 of a one-processor [Sim] over a fresh
-   instance of [config]; [heap_locks ()] inside [body] returns the
-   hoard.heapN acquisitions since the previous call. Ends in [check]. *)
+   instance [h] of [config]; [heap_locks ()] inside [body] returns the
+   names of the hoard.heapN locks acquired since the previous call, in
+   order. Ends in [check]. *)
 let batch_run config body =
   let sim = Sim.create ~nprocs:1 () in
   let pf = Sim.platform sim in
-  let acqs = ref 0 in
+  let acqs = ref [] in
   Sim.set_lock_hooks sim
     ~on_acquire:(fun ~name ~proc:_ ~spins:_ ~at:_ ->
-      if String.starts_with ~prefix:"hoard.heap" name then incr acqs)
+      if String.starts_with ~prefix:"hoard.heap" name then acqs := name :: !acqs)
     ();
   let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
   let heap_locks () =
-    let n = !acqs in
-    acqs := 0;
-    n
+    let names = List.rev !acqs in
+    acqs := [];
+    names
   in
-  ignore (Sim.spawn sim ~proc:0 (fun () -> body pf a heap_locks));
+  ignore (Sim.spawn sim ~proc:0 (fun () -> body pf h a heap_locks));
   Sim.run sim;
   Hoard.check h
 
@@ -1010,31 +1011,94 @@ let batch_configs = List.map (fun label -> (label, Option.get (Allocators.base_c
 
 (* Blocks a batch free leaves in the thread cache serve the next batch
    malloc of their class with no heap lock; only the part of a batch the
-   cache cannot cover takes the heap, in one acquisition. *)
+   cache cannot cover takes the calling thread's heap, in one
+   acquisition that also leaves [cap/2] blocks cached, as a single
+   malloc's miss does. A heap-0 lock taken to refill the heap is not
+   counted. *)
 let test_malloc_batch_serves_from_cache () =
-  let k = 8 in
   List.iter
     (fun (label, config) ->
-      batch_run config (fun _ a heap_locks ->
+      let fe = config.Hoard_config.front_end in
+      let cap = max fe (fe * 16 / 64) in
+      let k = cap / 2 in
+      batch_run config (fun _ h a heap_locks ->
+          let sclass = Size_class.class_of_size (Hoard.size_classes h) 64 in
+          let cached () = List.fold_left (fun n (_, counts) -> n + counts.(sclass)) 0 (Hoard.cache_counts h) in
           let ps = a.Alloc_intf.malloc_batch k 64 in
           a.Alloc_intf.free_batch ps;
           ignore (heap_locks ());
           let qs = a.Alloc_intf.malloc_batch k 64 in
-          Alcotest.(check int) (label ^ ": cached batch takes no heap lock") 0 (heap_locks ());
+          Alcotest.(check (list string)) (label ^ ": cached batch takes no heap lock") [] (heap_locks ());
           Alcotest.(check (list int)) (label ^ ": the cached blocks come back") (sorted ps) (sorted qs);
           a.Alloc_intf.free_batch qs;
+          Alcotest.(check int) (label ^ ": the cache is full") cap (cached ());
           ignore (heap_locks ());
-          let rs = a.Alloc_intf.malloc_batch (k + 5) 64 in
-          Alcotest.(check int) (label ^ ": the remainder takes one heap lock") 1 (heap_locks ());
-          Alcotest.(check int) (label ^ ": distinct blocks") (k + 5) (List.length (List.sort_uniq compare (sorted rs)));
-          a.Alloc_intf.free_batch rs))
+          let rs = a.Alloc_intf.malloc_batch (cap + 5) 64 in
+          Alcotest.(check int)
+            (label ^ ": the remainder takes the thread's heap lock once")
+            1
+            (List.length (List.filter (String.equal "hoard.heap1") (heap_locks ())));
+          Alcotest.(check int) (label ^ ": distinct blocks") (cap + 5) (List.length (List.sort_uniq compare (sorted rs)));
+          Alcotest.(check int) (label ^ ": the miss leaves cap/2 cached") k (cached ());
+          let ss = a.Alloc_intf.malloc_batch k 64 in
+          Alcotest.(check (list string)) (label ^ ": the next cap/2 take no heap lock") [] (heap_locks ());
+          a.Alloc_intf.free_batch rs;
+          a.Alloc_intf.free_batch ss))
     batch_configs;
-  batch_run cfg (fun _ a heap_locks ->
-      let ps = a.Alloc_intf.malloc_batch k 64 in
+  batch_run cfg (fun _ _ a heap_locks ->
+      let ps = a.Alloc_intf.malloc_batch 8 64 in
       a.Alloc_intf.free_batch ps;
       ignore (heap_locks ());
-      ignore (a.Alloc_intf.malloc_batch k 64);
-      Alcotest.(check int) "no front end: one heap lock per batch" 1 (heap_locks ()))
+      ignore (a.Alloc_intf.malloc_batch 8 64);
+      Alcotest.(check int) "no front end: one heap lock per batch" 1 (List.length (heap_locks ())))
+
+(* Every call that takes in a heap's remote frees is a free into that
+   heap, so it must leave the emptiness invariant holding. Thread A
+   mallocs 2,000 blocks of 64 B from heap 1; thread B frees them all and
+   flushes, which leaves them on heap 1's remote-free channel; then A
+   makes one call that drains the channel, allocating in another class
+   if it allocates at all. *)
+let test_invariant_at_every_drain () =
+  let entries =
+    [
+      ("malloc", fun a -> ignore (a.Alloc_intf.malloc 2048));
+      ("malloc_batch", fun a -> ignore (a.Alloc_intf.malloc_batch 1 2048));
+      ("flush", fun a -> a.Alloc_intf.flush ());
+    ]
+  in
+  List.iter
+    (fun (label, config) ->
+      List.iter
+        (fun (entry, call) ->
+          let what = Printf.sprintf "%s, %s" label entry in
+          let sim = Sim.create ~nprocs:2 () in
+          let b = Sim.new_barrier sim ~parties:2 in
+          let h = Hoard.create ~config (Sim.platform sim) in
+          let a = Hoard.allocator h in
+          let blocks = ref [||] and queued = ref 0 and before = ref false and after = ref false in
+          ignore
+            (Sim.spawn sim ~proc:0 (fun () ->
+                 blocks := Array.init 2000 (fun _ -> a.Alloc_intf.malloc 64);
+                 Sim.barrier_wait b;
+                 Sim.barrier_wait b;
+                 queued := (Hoard.remote_queue_lengths h).(1);
+                 before := Hoard.invariant_holds h ~heap_id:1;
+                 call a;
+                 after := Hoard.invariant_holds h ~heap_id:1));
+          ignore
+            (Sim.spawn sim ~proc:1 (fun () ->
+                 Sim.barrier_wait b;
+                 Array.iter a.Alloc_intf.free !blocks;
+                 a.Alloc_intf.flush ();
+                 Sim.barrier_wait b));
+          Sim.run sim;
+          Alcotest.(check bool) (what ^ ": heap 1's channel holds the frees") true (!queued > 0);
+          Alcotest.(check bool) (what ^ ": the invariant holds before") true !before;
+          Alcotest.(check bool) (what ^ ": the invariant holds after the drain") true !after;
+          Alcotest.(check int) (what ^ ": the channel is drained") 0 (Hoard.remote_queue_lengths h).(1);
+          Hoard.check h)
+        entries)
+    batch_configs
 
 (* A batch free is the single free per block: the same double-free and
    foreign-pointer errors, and, while the cache absorbs every block, the
@@ -1051,7 +1115,7 @@ let test_free_batch_keeps_free_contract () =
       let n = 8 in
       let free_cycles free =
         let spent = ref 0 in
-        batch_run config (fun pf a _ ->
+        batch_run config (fun pf _ a _ ->
             let ps = a.Alloc_intf.malloc_batch n 64 in
             let t0 = pf.Platform.now () in
             free a ps;
@@ -2123,6 +2187,7 @@ let () =
           Alcotest.test_case "remote forwards bounded" `Quick test_remote_forward_bounded;
           Alcotest.test_case "remote forwards batched (deferred)" `Quick test_remote_forward_deferred;
           Alcotest.test_case "batch malloc serves from the thread cache" `Quick test_malloc_batch_serves_from_cache;
+          Alcotest.test_case "invariant holds after every drain" `Quick test_invariant_at_every_drain;
           Alcotest.test_case "batch free keeps the free contract" `Quick test_free_batch_keeps_free_contract;
           Alcotest.test_case "class capacity in bytes" `Quick test_class_capacity_in_bytes;
           Alcotest.test_case "check walks the bounded queue" `Quick test_check_walks_queue;
