@@ -98,8 +98,8 @@ let by_superblock = group_by_first
    first-seen order. A batch updates a header's free-list head and counts
    for every block it moves, but they all sit on one line: dirtying it once
    per superblock per batch is the cost, not once per block — and every
-   simulated write inside a critical section is a point where co-located
-   lock waiters run. *)
+   simulated write inside a critical section lengthens the hold that the
+   lock's waiters spin through. *)
 let touch_headers pf items = List.iter (fun (sb, _) -> Superblock.touch_header pf sb) (by_superblock items)
 
 (* Return one block the program already freed (it sat in a cache, a
@@ -235,11 +235,10 @@ let rec last = function
    at the head — and one header write. Every block of a superblock gets
    the same verdict under [h]'s lock (migration away from [h] needs that
    lock), so the freed blocks form whole superblock groups and the
-   picked block is the one the pre-lock writes left unlinked. Every
-   simulated write inside a critical section is a point where co-located
-   lock waiters run: the lock is held for O(superblocks) effects, not
-   O(blocks). Caller holds [h]'s lock. Returns the number of blocks freed
-   into [h]. *)
+   picked block is the one the pre-lock writes left unlinked. Waiters spin
+   for as long as the lock is held, so it is held for O(superblocks)
+   effects, not O(blocks). Caller holds [h]'s lock. Returns the number of
+   blocks freed into [h]. *)
 let splice h items ~stale ~forward =
   let freed =
     List.filter
@@ -263,7 +262,7 @@ let splice h items ~stale ~forward =
   List.length freed
 
 (* Owner side of the remote-free channel, first half, run WITHOUT [h]'s
-   lock so co-located lock waiters never spin through it: one swap under
+   lock so the lock's waiters never spin through it: one swap under
    the innermost queue lock takes [h]'s bounded queue, or one exchange
    takes its whole deferred list (plus the chain walk), and every link
    that does not depend on a free-list head is written. For the queue

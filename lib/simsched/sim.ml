@@ -74,6 +74,17 @@ type choice = {
 
 type schedule = Exact | Fuzzed of Rng.t | Controlled of (choice -> int)
 
+(* Under [Exact] a thread keeps its processor until it finishes, blocks on
+   a barrier, fails a lock acquisition (one spin, then yield, like a
+   spin-then-yield lock) or has run this many cycles since it was picked:
+   Linux's 0.75 ms base slice at 3 GHz. Co-located threads thus run one
+   after another, as under an OS, instead of interleaving at every memory
+   access; the slice bounds a thread that polls for what only a
+   co-located thread can do. A slice much shorter than a thread's life
+   would make a call that straddles its end wait for every other
+   co-located thread's slice. *)
+let time_slice = 2_250_000
+
 (* Deferred spawns keyed by (start time, tid): the earliest start first,
    and among equal starts the older thread. *)
 module Spawns = Map.Make (struct
@@ -92,6 +103,9 @@ type t = {
   vm : Vmem.t;
   clocks : int array;
   runq : thread Queue.t array;
+  (* Per processor: the clock at which its run queue's head was picked, or
+     -1 before the head's first step. Measures the head's time slice. *)
+  slice_from : int array;
   mutable live : int;
   (* Threads that have started (or were spawned for time 0) and not yet
      finished: the churn envelope's P is the peak of this gauge, not the
@@ -171,6 +185,7 @@ let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?cont
     vm = Vmem.create ~page_size ~backend:vmem_backend ();
     clocks = Array.make nprocs 0;
     runq = Array.init nprocs (fun _ -> Queue.create ());
+    slice_from = Array.make nprocs (-1);
     live = 0;
     cur_active = 0;
     peak_active = 0;
@@ -542,14 +557,18 @@ let deadlock_message t =
   Printf.sprintf "%d thread(s) cannot progress: %s" (List.length live)
     (String.concat "; " (List.map describe live))
 
+(* Runs one step of [th]; true exactly when it was a failed acquisition
+   (a spin retry). *)
 let step t th =
   match th.pending with
   | Start body ->
     t.spin_streak <- 0;
-    match_with body () (handler t th)
+    match_with body () (handler t th);
+    false
   | Resume f ->
     t.spin_streak <- 0;
-    f ()
+    f ();
+    false
   | Try_acquire (l, resume) ->
     let may_enter =
       match l.l_kind with
@@ -578,7 +597,8 @@ let step t th =
        | Some f -> f ~name:l.l_name ~proc:th.proc ~spins:th.cur_spins ~at:t.clocks.(th.proc)
        | None -> ());
       th.cur_spins <- 0;
-      resume ()
+      resume ();
+      false
     end
     else begin
       (* Spin: re-read the lock word and burn a retry quantum. *)
@@ -588,7 +608,8 @@ let step t th =
       note_sync t l.l_name;
       if t.observing then t.rep_spin <- true;
       charge_access t th.proc (Cache.read t.cch th.proc ~addr:l.l_addr ~len:8);
-      charge t th.proc t.cost.lock_spin
+      charge t th.proc t.cost.lock_spin;
+      true
     end
   | Blocked | Done -> assert false
 
@@ -653,14 +674,16 @@ let run ?(max_steps = 2_000_000_000) t =
     activate_due_spawns t;
     let p = pick_proc t in
     if p < 0 then raise (Deadlock (deadlock_message t));
-    let th = Queue.pop t.runq.(p) in
+    let q = t.runq.(p) in
+    let th = Queue.peek q in
+    if t.slice_from.(p) < 0 then t.slice_from.(p) <- t.clocks.(p);
     if t.observing then begin
       t.rep_sync <- None;
       t.rep_spin <- false;
       t.rep_reads <- [];
       t.rep_writes <- []
     end;
-    step t th;
+    let spun = step t th in
     if t.observing then begin
       t.last_report <-
         Some
@@ -683,9 +706,24 @@ let run ?(max_steps = 2_000_000_000) t =
       if progress_possible t then t.spin_streak <- 0
       else raise (Deadlock (deadlock_message t))
     end;
+    (* The step leaves [th] at the head of its queue (barrier releases and
+       spawns join at the back). Under [Exact] it stays there for its next
+       step unless it spun or its slice is up; the other schedules rotate
+       the queue after every step. *)
+    let keeps_proc =
+      match t.schedule with
+      | Exact -> (not spun) && t.clocks.(p) - t.slice_from.(p) < time_slice
+      | Fuzzed _ | Controlled _ -> false
+    in
     (match th.pending with
-     | Done | Blocked -> ()
-     | Start _ | Resume _ | Try_acquire _ -> Queue.push th t.runq.(p))
+     | Done | Blocked ->
+       ignore (Queue.pop q);
+       t.slice_from.(p) <- -1
+     | Start _ | Resume _ | Try_acquire _ ->
+       if not keeps_proc then begin
+         Queue.push (Queue.pop q) q;
+         t.slice_from.(p) <- -1
+       end)
   done
 
 let platform t =

@@ -2,17 +2,22 @@
 
     Threads are ordinary OCaml closures that interact with the machine
     through effects ({!work}, {!read}, {!write}, lock operations, …). A
-    scheduler resumes, at every step, one thread of the processor with the
-    smallest virtual clock (ties broken by processor id), so a run is a
-    pure function of its inputs — speedup curves are bit-reproducible on
-    any host.
+    scheduler resumes, at every step, the thread at the head of the run
+    queue of the processor with the smallest virtual clock (ties broken by
+    processor id), so a run is a pure function of its inputs — speedup
+    curves are bit-reproducible on any host. Threads sharing a processor
+    take turns as under an OS: the head thread keeps the processor until
+    it finishes, blocks, fails a lock acquisition or ends its
+    {!time_slice}.
 
     Costs: each primitive advances the executing processor's clock
     according to {!Cost_model.t}; loads and stores are classified by the
     directory-based {!Cache} simulator (hit / cold miss / coherence miss /
-    invalidations) and charged accordingly. Locks are spin locks: a failed
-    acquisition re-reads the lock word and charges a spin-retry, so lock
-    contention appears as both cycles and coherence traffic.
+    invalidations) and charged accordingly. Locks are spin-then-yield
+    locks: a failed acquisition re-reads the lock word, charges a
+    spin-retry and yields the processor to the next thread of its run
+    queue, so lock contention appears as both cycles and coherence
+    traffic.
 
     This is the substrate substituting for the paper's 14-processor Sun
     Enterprise: scalability is measured in simulated cycles rather than
@@ -85,8 +90,10 @@ val create :
     surcharge.
 
     [fuzz_schedule seed] replaces min-clock scheduling with a seeded
-    random choice among runnable processors: a schedule *fuzzer* for
-    exploring interleavings in correctness tests. Runs remain
+    random choice among runnable processors, and rotates the chosen
+    processor's run queue after every step, so co-located threads
+    interleave at every effect: a schedule *fuzzer* for exploring
+    interleavings in correctness tests. Runs remain
     deterministic per seed, but reported cycles are not meaningful
     timing.
 
@@ -134,6 +141,13 @@ val run : ?max_steps:int -> t -> unit
 (** Executes all spawned threads to completion. [max_steps] (default
     [2_000_000_000]) bounds scheduler steps as a livelock backstop.
     Raises {!Deadlock} if every remaining thread is blocked. *)
+
+val time_slice : int
+(** Cycles a thread may run, from the step at which it was picked,
+    before it yields its processor to the next thread of its run queue:
+    2,250,000, Linux's 0.75 ms base slice at 3 GHz. Applies to the
+    default min-clock schedule only; fuzzed and controlled runs rotate
+    the run queue after every step. *)
 
 val total_cycles : t -> int
 (** Completion time: the maximum processor clock. *)

@@ -23,6 +23,91 @@ let test_two_threads_one_proc_serialise () =
   Sim.run sim;
   Alcotest.(check int) "serialised" 1000 (Sim.total_cycles sim)
 
+(* Under the timing schedule a thread keeps its processor until it
+   finishes, blocks, fails an acquisition or exhausts its time slice. *)
+let log_steps sim log ~proc c =
+  ignore
+    (Sim.spawn sim ~proc (fun () ->
+         for _ = 1 to 10 do
+           Buffer.add_char log c;
+           Sim.work 1
+         done))
+
+let test_colocated_threads_run_to_completion () =
+  let sim = Sim.create ~cost:um ~nprocs:1 () in
+  let log = Buffer.create 20 in
+  log_steps sim log ~proc:0 'a';
+  log_steps sim log ~proc:0 'b';
+  Sim.run sim;
+  Alcotest.(check string) "first thread finishes first" "aaaaaaaaaabbbbbbbbbb" (Buffer.contents log)
+
+let test_fuzzed_interleaves_colocated_threads () =
+  let sim = Sim.create ~cost:um ~fuzz_schedule:5 ~nprocs:1 () in
+  let log = Buffer.create 20 in
+  log_steps sim log ~proc:0 'a';
+  log_steps sim log ~proc:0 'b';
+  Sim.run sim;
+  Alcotest.(check string) "one step per turn" "abababababababababab" (Buffer.contents log)
+
+let test_colocated_waiter_spins_once_per_turn () =
+  (* A holds [outer] while it spins on [inner], which C holds on the other
+     processor; B, on A's processor, spins on [outer]. Each failed attempt
+     yields, so A and B alternate one spin each. Once A enters [inner] it
+     keeps the processor: its critical section advances the processor's
+     clock by its own work alone, and B spins no more. *)
+  let sim = Sim.create ~cost:um ~nprocs:2 () in
+  let outer = Sim.new_lock sim "outer" and inner = Sim.new_lock sim "inner" in
+  let spins = Hashtbl.create 4 in
+  Sim.set_lock_hooks sim ~on_acquire:(fun ~name ~proc:_ ~spins:n ~at:_ -> Hashtbl.replace spins name n) ();
+  let section = ref (-1) in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         Sim.acquire outer;
+         Sim.work 100;
+         Sim.acquire inner;
+         let t0 = Sim.now () in
+         for _ = 1 to 10 do
+           Sim.work 5
+         done;
+         section := Sim.now () - t0;
+         Sim.release inner;
+         Sim.release outer));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.acquire inner;
+         Sim.work 1000;
+         Sim.release inner));
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         Sim.acquire outer;
+         Sim.release outer));
+  Sim.run sim;
+  let a = Hashtbl.find spins "inner" and b = Hashtbl.find spins "outer" in
+  Alcotest.(check bool) (Printf.sprintf "holder spun (%d)" a) true (a > 10);
+  Alcotest.(check bool) (Printf.sprintf "waiter spins %d, holder %d" b a) true (abs (a - b) <= 1);
+  Alcotest.(check int) "critical section not interleaved" 50 !section
+
+let test_polling_thread_yields_at_slice_end () =
+  (* Only the co-located B sets the flag A polls, so A's loop ends only
+     because its slice does. *)
+  let sim = Sim.create ~cost:um ~nprocs:1 () in
+  let flag = Sim.new_atomic sim "flag" 0 in
+  let set_at = ref (-1) in
+  ignore
+    (Sim.spawn sim (fun () ->
+         while Sim.atomic_load flag = 0 do
+           Sim.work 1000
+         done));
+  ignore
+    (Sim.spawn sim (fun () ->
+         set_at := Sim.now ();
+         Sim.atomic_store flag 1));
+  Sim.run sim;
+  Alcotest.(check bool)
+    (Printf.sprintf "flag set after one slice (%d)" !set_at)
+    true
+    (!set_at >= Sim.time_slice && !set_at < 2 * Sim.time_slice)
+
 let test_self_ids () =
   let sim = Sim.create ~cost:um ~nprocs:3 () in
   let seen = Array.make 3 (-1) in
@@ -524,6 +609,10 @@ let () =
           Alcotest.test_case "self ids" `Quick test_self_ids;
           Alcotest.test_case "pinned spawn" `Quick test_spawn_pinned;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "co-located threads run to completion" `Quick test_colocated_threads_run_to_completion;
+          Alcotest.test_case "fuzz interleaves co-located threads" `Quick test_fuzzed_interleaves_colocated_threads;
+          Alcotest.test_case "co-located waiter spins once per turn" `Quick test_colocated_waiter_spins_once_per_turn;
+          Alcotest.test_case "polling thread yields at slice end" `Quick test_polling_thread_yields_at_slice_end;
         ] );
       ( "locks",
         [
