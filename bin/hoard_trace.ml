@@ -105,7 +105,7 @@ let profile_cmd =
   in
   let run path procs perfetto metrics sets =
     let t = load path in
-    let config = Config_cli.apply (Hoard_config.make ()) sets in
+    let config = Config_cli.apply Hoard_config.default sets in
     Config_cli.check_writable [ perfetto; metrics ];
     let w = { (Trace.workload t) with Workload_intf.w_name = Filename.basename path } in
     let b = Obs_run.run_workload ~config w ~nprocs:procs in

@@ -317,8 +317,8 @@ let snapshot t =
 let fragmentation (s : snapshot) =
   if s.peak_live_bytes = 0 then nan else float_of_int s.peak_held_bytes /. float_of_int s.peak_live_bytes
 
-let publish t ?(prefix = "alloc") metrics =
-  let reg name f = Metrics.register metrics ~name:(prefix ^ "." ^ name) (fun () -> Metrics.Int (f (snapshot t))) in
+let publish t metrics =
+  let reg name f = Metrics.register metrics ~name:("alloc." ^ name) (fun () -> Metrics.Int (f (snapshot t))) in
   reg "mallocs" (fun s -> s.mallocs);
   reg "frees" (fun s -> s.frees);
   reg "bytes_requested" (fun s -> s.bytes_requested);
@@ -363,7 +363,7 @@ let publish t ?(prefix = "alloc") metrics =
         match List.assoc_opt "global" s.cas_retries_by with
         | Some n -> n
         | None -> 0);
-  Metrics.register metrics ~name:(prefix ^ ".fragmentation") (fun () ->
+  Metrics.register metrics ~name:"alloc.fragmentation" (fun () ->
       Metrics.Float (fragmentation (snapshot t)))
 
 let pp_snapshot fmt (s : snapshot) =

@@ -198,9 +198,9 @@ val snapshot : t -> snapshot
 val fragmentation : snapshot -> float
 (** [peak_held / peak_live]; [nan] before any allocation. *)
 
-val publish : t -> ?prefix:string -> Metrics.t -> unit
-(** Registers one gauge per snapshot field (plus [<prefix>.fragmentation])
-    under names [<prefix>.<field>]; [prefix] defaults to ["alloc"]. Each
+val publish : t -> Metrics.t -> unit
+(** Registers one gauge per snapshot field (plus [alloc.fragmentation])
+    under names [alloc.<field>]. Each
     gauge takes a fresh {!snapshot} when read, so exporting the registry
     at quiescence yields exact figures. *)
 

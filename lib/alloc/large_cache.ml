@@ -18,18 +18,17 @@
 type t = {
   pf : Platform.t;
   page_size : int;
-  nbuckets : int; (* bucket i holds regions of exactly (i+1) pages *)
   bucket_cap : int; (* >= 1 *)
-  buckets : int Lockfree.t array; (* payload: region base address *)
+  buckets : int Lockfree.t array; (* bucket i holds regions of exactly (i+1) pages *)
 }
 
-let create (pf : Platform.t) ~name ~cap ?(nbuckets = 16) ?(aba_tag = true) ?on_retry () =
+let nbuckets = 16
+
+let create (pf : Platform.t) ~name ~cap ?(aba_tag = true) ?on_retry () =
   if cap < 1 then invalid_arg "Large_cache.create: cap must be >= 1";
-  if nbuckets < 1 then invalid_arg "Large_cache.create: nbuckets must be >= 1";
   {
     pf;
     page_size = pf.Platform.page_size;
-    nbuckets;
     bucket_cap = cap;
     buckets =
       Array.init nbuckets (fun i ->
@@ -40,7 +39,7 @@ let bucket_of t ~mapped =
   if mapped <= 0 || mapped mod t.page_size <> 0 then None
   else
     let pages = mapped / t.page_size in
-    if pages <= t.nbuckets then Some (pages - 1) else None
+    if pages <= nbuckets then Some (pages - 1) else None
 
 (* Park a privately-owned mapped region: decommit first, publish second.
    [`Bounced] means the bucket was full — the region is still the

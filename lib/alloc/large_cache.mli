@@ -12,13 +12,12 @@ val create :
   Platform.t ->
   name:string ->
   cap:int ->
-  ?nbuckets:int ->
   ?aba_tag:bool ->
   ?on_retry:(unit -> unit) ->
   unit ->
   t
-(** [cap >= 1] bounds each bucket. [nbuckets] (default 16) buckets
-    cache regions of 1..nbuckets pages; larger regions are uncacheable.
+(** [cap >= 1] bounds each bucket. 16 buckets cache regions of 1..16
+    pages; larger regions are uncacheable.
     [aba_tag:false] plants the ["large-cache-no-aba"] mutant (frozen
     Treiber tags on every bucket); [on_retry] fires on each failed
     CAS. *)

@@ -11,13 +11,11 @@ type stripe = { lock : Platform.lock; map : Superblock.t Slot_map.t Atomic.t }
 
 type t = { size : int; mask : int; stripes : stripe array }
 
-let default_stripes = 64
+let stripes = 64
 
-let create ?(stripes = default_stripes) pf ~sb_size =
+let create pf ~sb_size =
   if sb_size <= 0 || sb_size land (sb_size - 1) <> 0 then
     invalid_arg "Sb_registry.create: sb_size must be a positive power of two";
-  if stripes <= 0 || stripes land (stripes - 1) <> 0 then
-    invalid_arg "Sb_registry.create: stripes must be a positive power of two";
   {
     size = sb_size;
     mask = stripes - 1;

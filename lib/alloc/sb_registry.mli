@@ -14,9 +14,9 @@
 
 type t
 
-val create : ?stripes:int -> Platform.t -> sb_size:int -> t
-(** [stripes] (default 64) must be a positive power of two, as must
-    [sb_size]. The platform provides the per-stripe locks. *)
+val create : Platform.t -> sb_size:int -> t
+(** 64 stripes; [sb_size] must be a positive power of two. The platform
+    provides the per-stripe locks. *)
 
 val sb_size : t -> int
 

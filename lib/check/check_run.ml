@@ -31,7 +31,7 @@ let hoard_subjects =
     subject ~san:true "hoard-san" "sanitizer on (poison, quarantine, access checks)" (base "hoard-san");
     subject ~san:true "hoard-fe-san" "front end and sanitizer together" (base "hoard-fe");
     subject ~san:true "hoard-ff-san" "first-fit vmem backend (address reuse across sizes), sanitizer on"
-      (Hoard_config.make ~vmem_backend:Vmem_backend.First_fit ());
+      { Hoard_config.default with vmem_backend = Vmem_backend.First_fit };
   ]
 
 let find_subject label =
@@ -48,42 +48,6 @@ let subject_help () =
   in
   own ^ "\n(plus any registry allocator: " ^ String.concat ", " (Allocators.labels ()) ^ ")"
 
-(* The O(P) term of the paper's blowup bound, from the configuration: per
-   heap, K superblocks of slack, one being installed (the invariant is
-   only enforced on frees), one in transit to the global heap, and one
-   pinned per size class by the trim's protect-last rule; the global
-   heap's retained empties; front-end caches and remote queues park whole
-   blocks; the quarantine holds back frees; threads keep one allocation
-   in flight. All counted at superblock granularity where a superblock
-   could be pinned, so the envelope is generous but still O(U + P).
-
-   P here is the PEAK LIVE thread population (Sim.peak_live_threads),
-   not the total ever spawned: a retiring thread's exit path flushes its
-   caches and hands its heap's superblocks to the global heap, so under
-   churn the threads that have come and gone must not widen the
-   envelope. Holding the bound to peak-live P is precisely what tests
-   that orphaned-superblock adoption works. *)
-let blowup_slop ?(quarantine = 0) cfg ~nprocs ~peak_live_threads =
-  let s = cfg.Hoard_config.sb_size in
-  let p = peak_live_threads in
-  let heaps = (match cfg.Hoard_config.nheaps with Some n -> n | None -> nprocs) + 1 in
-  let per_heap = (cfg.Hoard_config.slack + 4) * s * heaps in
-  let retained = (Hoard_config.retained_superblocks cfg + 1) * s in
-  let in_flight = p * s in
-  let fe = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
-  let quarantine = quarantine * Hoard_config.max_small cfg in
-  (* Deferred lists are unbounded, but a block only floats between a
-     producer's eviction (at most a cache's worth per flush) and the
-     owner's next fill — the same per-thread granularity as the caches,
-     counted once more per heap since reclaims happen heap by heap. *)
-  let deferred =
-    if cfg.Hoard_config.global = Hoard_config.Lockfree && cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0
-  in
-  (* The large cache keeps up to cap regions per bucket mapped (1..16
-     pages each, 4 KiB pages on every platform we build). *)
-  let large_cache = cfg.Hoard_config.large_cache * (16 * 17 / 2) * 4096 in
-  per_heap + retained + in_flight + fe + quarantine + deferred + large_cache
-
 type report = {
   c_workload : string;
   c_subject : string;
@@ -92,6 +56,7 @@ type report = {
   c_peak_usable : int;  (** the oracle's ideal-allocator peak U *)
   c_shared_lines : int;  (** actively-induced false sharing (oracle) *)
   c_quarantine_peak : int;  (** sanitizer quarantine length before flush *)
+  c_envelope : int option;  (** the blowup bound asserted; [None] when not checked *)
 }
 
 (* Run [workload] on [subject] with every operation oracle-checked.
@@ -168,13 +133,17 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
      threads must not leave memory stranded (that is the adoption
      path's contract). The stats snapshot is quiescent: [post] flushed
      every cache before it was taken. *)
-  (match !handle with
-   | Some (h, _) when check_blowup ->
-     let cfg = Hoard.config h in
-     Oracle.check_blowup o ~stats:r.Runner.r_stats
-       ~empty_fraction:cfg.Hoard_config.empty_fraction
-       ~slop:(blowup_slop ?quarantine:s.s_quarantine cfg ~nprocs ~peak_live_threads:r.Runner.r_peak_live_threads)
-   | _ -> ());
+  let envelope =
+    match !handle with
+    | Some (h, _) when check_blowup ->
+      let bound =
+        Hoard_config.blowup_envelope ?quarantine:s.s_quarantine (Hoard.config h) ~nprocs
+          ~peak_live_threads:r.Runner.r_peak_live_threads ~peak_live_bytes:(Oracle.peak_usable_bytes o)
+      in
+      Oracle.check_blowup o ~stats:r.Runner.r_stats ~bound;
+      Some bound
+    | _ -> None
+  in
   {
     c_workload = r.Runner.r_workload;
     c_subject = s.s_label;
@@ -183,6 +152,7 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
     c_peak_usable = Oracle.peak_usable_bytes o;
     c_shared_lines = Oracle.active_shared_lines o;
     c_quarantine_peak = !quarantine_peak;
+    c_envelope = envelope;
   }
 
 (* Quick-scale variants of the paper workloads, the set the deep-check

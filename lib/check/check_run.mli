@@ -27,15 +27,6 @@ val find_subject : string -> subject option
 
 val subject_help : unit -> string
 
-val blowup_slop : ?quarantine:int -> Hoard_config.t -> nprocs:int -> peak_live_threads:int -> int
-(** The configuration's O(P) term for {!Oracle.check_blowup} — plus
-    [quarantine] (default 0) blocks held back by a sanitizer — with
-    P = the peak concurrently-live thread population
-    ({!Runner.result.r_peak_live_threads}) — never the total number of
-    threads ever spawned. Exited threads must not widen the envelope:
-    their caches are flushed and their superblocks adopted on
-    {!Hoard.on_thread_exit}. *)
-
 type report = {
   c_workload : string;
   c_subject : string;
@@ -44,6 +35,10 @@ type report = {
   c_peak_usable : int;
   c_shared_lines : int;
   c_quarantine_peak : int;
+  c_envelope : int option;
+      (** the {!Hoard_config.blowup_envelope} the run was held to, with U =
+          the oracle's peak usable bytes; [None] when blowup is not
+          checked *)
 }
 
 val run_oracle :

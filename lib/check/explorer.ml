@@ -74,10 +74,13 @@ type run_result = {
   rr_failed : string option;
 }
 
+(* A run longer than this many steps fails as a livelock. *)
+let max_steps = 500_000
+
 (* Execute the scenario once: follow [prefix] at decision points, then
    the default policy. [sleep0] seeds the sleep set (Sleep_dfs); entries
    wake when a dependent step executes. *)
-let run_once ?(max_steps = 500_000) sc ~prefix ~sleep0 =
+let run_once sc ~prefix ~sleep0 =
   let decisions = ref [] in
   let reports = Hashtbl.create 256 in
   let sleep = ref sleep0 in
@@ -158,22 +161,24 @@ let schedule_of_string str =
   | "" -> []
   | str -> List.map (fun tok -> int_of_string (String.trim tok)) (String.split_on_char ',' str)
 
-let replay ?max_steps sc ~schedule =
-  let r = run_once ?max_steps sc ~prefix:schedule ~sleep0:[] in
+let replay sc ~schedule =
+  let r = run_once sc ~prefix:schedule ~sleep0:[] in
   match r.rr_failed with
   | None -> Ok ()
   | Some msg -> Error msg
 
+let minimize_budget = 300
+
 (* Shrink a failing schedule: first truncate to the shortest failing
    prefix, then greedily drop single decisions. Every trial is one run;
-   [budget] bounds them. *)
-let minimize ?max_steps sc ~schedule ~budget =
+   [minimize_budget] bounds them. *)
+let minimize sc ~schedule =
   let trials = ref 0 in
   let fails s =
-    if !trials >= budget then false
+    if !trials >= minimize_budget then false
     else begin
       incr trials;
-      match replay ?max_steps sc ~schedule:s with
+      match replay sc ~schedule:s with
       | Ok () -> false
       | Error _ -> true
     end
@@ -191,7 +196,7 @@ let minimize ?max_steps sc ~schedule ~budget =
      done
    with Exit -> ());
   let changed = ref true in
-  while !changed && !trials < budget do
+  while !changed && !trials < minimize_budget do
     changed := false;
     let cur = Array.of_list !best in
     let m = Array.length cur in
@@ -210,7 +215,7 @@ let minimize ?max_steps sc ~schedule ~budget =
 
 type job = { j_prefix : int list; j_expand_from : int; j_sleep0 : (int * fp) list }
 
-let explore ?(strategy = Chess) ?(bound = 2) ?(max_runs = 10_000) ?max_steps ?(minimize_budget = 300) sc =
+let explore ?(strategy = Chess) ?(bound = 2) ?(max_runs = 10_000) sc =
   let runs = ref 0 in
   let truncated = ref false in
   let failure = ref None in
@@ -223,11 +228,11 @@ let explore ?(strategy = Chess) ?(bound = 2) ?(max_runs = 10_000) ?max_steps ?(m
       if !runs >= max_runs then truncated := true
       else begin
         incr runs;
-        let r = run_once ?max_steps sc ~prefix:job.j_prefix ~sleep0:job.j_sleep0 in
+        let r = run_once sc ~prefix:job.j_prefix ~sleep0:job.j_sleep0 in
         match r.rr_failed with
         | Some msg ->
           let full = List.map (fun d -> d.d_chosen) r.rr_decisions in
-          let shrunk, trials = minimize ?max_steps sc ~schedule:full ~budget:minimize_budget in
+          let shrunk, trials = minimize sc ~schedule:full in
           failure := Some { f_schedule = shrunk; f_message = msg; f_minimize_runs = trials }
         | None ->
           (* Expand alternatives at decisions past the inherited prefix

@@ -46,16 +46,15 @@ val explore :
   ?strategy:strategy ->
   ?bound:int ->
   ?max_runs:int ->
-  ?max_steps:int ->
-  ?minimize_budget:int ->
   scenario ->
   outcome
 (** Enumerates admissible interleavings of the scenario up to [bound]
     preemptions (default 2), stopping at the first violation (returned
-    minimized) or after [max_runs] runs (default 10_000; sets
-    [o_truncated]). Deterministic. *)
+    minimized, in at most 300 replays) or after [max_runs] runs (default
+    10_000; sets [o_truncated]). Each run may take up to 500,000 steps.
+    Deterministic. *)
 
-val replay : ?max_steps:int -> scenario -> schedule:int list -> (unit, string) result
+val replay : scenario -> schedule:int list -> (unit, string) result
 (** One run under the given schedule (default policy past its end);
     [Error message] if it violates. *)
 

@@ -26,7 +26,6 @@ type info = {
 
 type t = {
   a_name : string;
-  line_size : int;
   mu : Mutex.t;
   mutable live : info IntMap.t; (* block start -> info *)
   ever : (int, unit) Hashtbl.t; (* every address ever handed out *)
@@ -45,10 +44,9 @@ type t = {
 
 let fail t fmt = Printf.ksprintf (fun s -> raise (Oracle_violation (Printf.sprintf "oracle[%s]: %s" t.a_name s))) fmt
 
-let create ?(name = "alloc") ?(line_size = 64) () =
+let create ~name =
   {
     a_name = name;
-    line_size;
     mu = Mutex.create ();
     live = IntMap.empty;
     ever = Hashtbl.create 1024;
@@ -65,8 +63,8 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let lines_of t ~addr ~len =
-  let first = addr / t.line_size and last = (addr + max 1 len - 1) / t.line_size in
+let lines_of ~addr ~len =
+  let first = addr / Cache.line_size and last = (addr + max 1 len - 1) / Cache.line_size in
   List.init (last - first + 1) (fun i -> first + i)
 
 (* Caller holds [mu]. *)
@@ -95,7 +93,7 @@ let note_insert t ~addr ~req ~usable ~tid =
           if tids <> [] then Hashtbl.replace t.shared_lines line ();
           Hashtbl.replace t.line_tids line (tid :: tids)
         end)
-      (lines_of t ~addr ~len:usable)
+      (lines_of ~addr ~len:usable)
 
 (* Caller holds [mu]. *)
 let note_remove t ~addr ~what =
@@ -123,8 +121,8 @@ let peak_usable_bytes t = locked t (fun () -> t.peak_usable)
 
 let active_shared_lines t = locked t (fun () -> Hashtbl.length t.shared_lines)
 
-let wrap ?name ?(line_size = 64) (pf : Platform.t) (a : Alloc_intf.t) =
-  let t = create ?name:(Some (Option.value name ~default:a.Alloc_intf.name)) ~line_size () in
+let wrap (pf : Platform.t) (a : Alloc_intf.t) =
+  let t = create ~name:a.Alloc_intf.name in
   let tid () = pf.Platform.self_tid () in
   let insert ~addr ~req =
     let usable = a.Alloc_intf.usable_size addr in
@@ -187,18 +185,10 @@ let wrap ?name ?(line_size = 64) (pf : Platform.t) (a : Alloc_intf.t) =
   in
   (t, wrapped)
 
-(* The quiescent envelope for the paper's blowup bound. [slop] is the
-   caller-computed P-term: superblock slack, release threshold, cache and
-   queue capacities — everything the configuration permits beyond
-   O(U). The factor 2/(1-f) over peak usable U is the superblock
-   worst case: at most half a superblock is lost to header + carving
-   waste (the S/2 size class), and a heap may be up to f empty. *)
-let check_blowup t ~(stats : Alloc_stats.snapshot) ~empty_fraction ~slop =
-  let u = peak_usable_bytes t in
-  let bound = int_of_float (2.0 *. float_of_int u /. (1.0 -. empty_fraction)) + slop in
+let check_blowup t ~(stats : Alloc_stats.snapshot) ~bound =
   if stats.Alloc_stats.peak_held_bytes > bound then
-    fail t "blowup: peak held %d bytes exceeds bound %d (U_usable=%d, slop=%d)"
-      stats.Alloc_stats.peak_held_bytes bound u slop
+    fail t "blowup: peak held %d bytes exceeds bound %d (U_usable=%d)" stats.Alloc_stats.peak_held_bytes bound
+      (peak_usable_bytes t)
 
 (* The memory-lifecycle invariant: resident (committed) bytes never
    exceed what is held from the OS — a region unmapped without its

@@ -27,7 +27,7 @@ exception Oracle_violation of string
 
 type t
 
-val wrap : ?name:string -> ?line_size:int -> Platform.t -> Alloc_intf.t -> t * Alloc_intf.t
+val wrap : Platform.t -> Alloc_intf.t -> t * Alloc_intf.t
 (** [wrap pf a] returns the oracle and the checked view of [a]. Hand the
     checked view to the workload; keep [t] for {!final_check}. All
     traffic must go through the wrapped view or the live set drifts. *)
@@ -40,11 +40,10 @@ val active_shared_lines : t -> int
     for an allocator that avoids actively-induced false sharing (fresh
     lines are never split across threads). *)
 
-val check_blowup : t -> stats:Alloc_stats.snapshot -> empty_fraction:float -> slop:int -> unit
-(** Asserts the paper's bound against the run's peaks:
-    [peak_held <= 2 * peak_usable / (1 - f) + slop], where [slop] is the
-    caller-computed O(P)-term for the configuration (superblock slack,
-    release threshold, cache capacities, quarantine). *)
+val check_blowup : t -> stats:Alloc_stats.snapshot -> bound:int -> unit
+(** Asserts [peak_held <= bound], where [bound] is the paper's envelope
+    computed from this oracle's {!peak_usable_bytes} as U
+    ({!Hoard_config.blowup_envelope}). *)
 
 val check_residency : t -> stats:Alloc_stats.snapshot -> unit
 (** Asserts the memory-lifecycle invariant

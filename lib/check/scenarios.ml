@@ -68,8 +68,17 @@ let locked_update =
    on a 4 KiB superblock so a handful of allocations spans exactly two
    superblocks of one size class. *)
 let race_config ~mutant =
-  Hoard_config.make ~sb_size:4096 ~nheaps:(Some 1) ~slack:0 ~empty_fraction:0.5 ~path_work:0
-    ~release_threshold:max_int ~front_end:0 ~mutant ()
+  {
+    Hoard_config.default with
+    sb_size = 4096;
+    nheaps = Some 1;
+    slack = 0;
+    empty_fraction = 0.5;
+    path_work = 0;
+    release_threshold = max_int;
+    front_end = 0;
+    mutant;
+  }
 
 (* Pick the largest size class whose superblock capacity is at least
    [min_cap] blocks — big blocks keep the setup short, enough capacity

@@ -8,7 +8,6 @@ type t = {
   heaps : Heap.t array; (* per-processor heaps, ids 1..N *)
   global : Global_heap.t; (* heap 0, locked or lock-free per cfg.global *)
   large : Locked_large.t; (* with the large cache in front when cfg.large_cache > 0 *)
-  obs : Obs.t option;
   fe : Thread_cache.t option; (* [None] = the paper's exact algorithm *)
   (* Test-mutant plumbing (cfg.mutant): the real allocator always runs
      with trim_slack = cfg.slack and the ownership re-check on. *)
@@ -266,7 +265,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
       heaps;
       global = Global_heap.create pf config ~classes ~stats ~reg ?obs ~heaps ();
       large;
-      obs;
       fe;
       trim_slack = (config.slack + if config.mutant = "emptiness-off-by-one" then 1 else 0);
       skip_owner_recheck = config.mutant = "skip-owner-recheck";
@@ -592,8 +590,6 @@ let flush_caches t =
             ~sclass:(Superblock.sclass victim) ~arg:(Superblock.base victim)
       done)
     t.heaps
-
-let obs t = t.obs
 
 let size_classes t = t.classes
 

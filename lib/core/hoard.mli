@@ -89,8 +89,6 @@ val factory : ?config:Hoard_config.t -> ?obs:Obs.t -> unit -> Alloc_intf.factory
 
 val config : t -> Hoard_config.t
 
-val obs : t -> Obs.t option
-
 val size_classes : t -> Size_class.t
 
 val nheaps : t -> int

@@ -215,18 +215,6 @@ let knobs =
           | None -> bad "global" "unknown mode %S (locked, lockfree)" s);
       k_check = (fun _ -> None);
     };
-    {
-      k_name = "mutant";
-      k_doc = "Hidden test hook: plant a known concurrency bug (never set outside tests).";
-      k_get = (fun t -> t.mutant);
-      k_parse = (fun t s -> { t with mutant = String.trim s });
-      k_check =
-        (fun t ->
-          if t.mutant <> "" && not (List.mem t.mutant known_mutants) then
-            Some
-              (Printf.sprintf "unknown mutant %S (known: %s)" t.mutant (String.concat ", " known_mutants))
-          else None);
-    };
   ]
 
 let normalize_name s =
@@ -247,7 +235,11 @@ let validate t =
       match k.k_check t with
       | Some msg -> invalid_arg ("Hoard_config: " ^ msg)
       | None -> ())
-    knobs
+    knobs;
+  if t.mutant <> "" && not (List.mem t.mutant known_mutants) then
+    invalid_arg
+      (Printf.sprintf "Hoard_config: unknown mutant %S (known: %s)" t.mutant
+         (String.concat ", " known_mutants))
 
 let set t spec =
   match String.index_opt spec '=' with
@@ -266,34 +258,48 @@ let set t spec =
 
 let set_all t specs = List.fold_left set t specs
 
-let make ?(base = default) ?sb_size ?empty_fraction ?slack ?ngroups ?nheaps ?assign_by_tid
-    ?release_threshold ?vmem_backend ?path_work ?front_end
-    ?remote_queue_cap ?large_cache ?global ?mutant () =
-  let v field = function Some x -> x | None -> field in
-  let t =
-    {
-      sb_size = v base.sb_size sb_size;
-      empty_fraction = v base.empty_fraction empty_fraction;
-      slack = v base.slack slack;
-      ngroups = v base.ngroups ngroups;
-      nheaps = v base.nheaps nheaps;
-      assign_by_tid = v base.assign_by_tid assign_by_tid;
-      release_threshold = v base.release_threshold release_threshold;
-      vmem_backend = v base.vmem_backend vmem_backend;
-      path_work = v base.path_work path_work;
-      front_end = v base.front_end front_end;
-      remote_queue_cap = v base.remote_queue_cap remote_queue_cap;
-      large_cache = v base.large_cache large_cache;
-      global = v base.global global;
-      mutant = v base.mutant mutant;
-    }
-  in
-  validate t;
-  t
-
 let max_small t = t.sb_size / 2
 
-let retained_superblocks t = min t.release_threshold (max_int / 16 / t.sb_size)
+(* The paper's blowup envelope, 2U/(1-f) + O(P). The factor 2/(1-f)
+   over peak usable U is the superblock worst case: at most half a
+   superblock is lost to header + carving waste (the S/2 size class),
+   and a heap may be up to f empty. The O(P) term, from the
+   configuration: per heap, K superblocks of slack, one being installed
+   (the invariant is only enforced on frees), one in transit to the
+   global heap, and one pinned per size class by the trim's protect-last
+   rule; the global heap's retained empties; front-end caches and remote
+   queues park whole blocks; the quarantine holds back frees; threads
+   keep one allocation in flight. All counted at superblock granularity
+   where a superblock could be pinned, so the envelope is generous but
+   still O(U + P).
+
+   P here is the PEAK LIVE thread population (Sim.peak_live_threads),
+   not the total ever spawned: a retiring thread's exit path flushes its
+   caches and hands its heap's superblocks to the global heap, so under
+   churn the threads that have come and gone must not widen the
+   envelope. Holding the bound to peak-live P is precisely what tests
+   that orphaned-superblock adoption works. *)
+let blowup_envelope ?(quarantine = 0) t ~nprocs ~peak_live_threads ~peak_live_bytes =
+  let s = t.sb_size in
+  let p = peak_live_threads in
+  let heaps = (match t.nheaps with Some n -> n | None -> nprocs) + 1 in
+  let per_heap = (t.slack + 4) * s * heaps in
+  (* The release threshold clamped so that even [max_int] (never
+     release) cannot overflow the sum. *)
+  let retained = (min t.release_threshold (max_int / 16 / s) + 1) * s in
+  let in_flight = p * s in
+  let fe = if t.front_end > 0 then (p + heaps) * s else 0 in
+  let quarantine = quarantine * max_small t in
+  (* Deferred lists are unbounded, but a block only floats between a
+     producer's eviction (at most a cache's worth per flush) and the
+     owner's next fill — the same per-thread granularity as the caches,
+     counted once more per heap since reclaims happen heap by heap. *)
+  let deferred = if t.global = Lockfree && t.front_end > 0 then (p + heaps) * s else 0 in
+  (* The large cache keeps up to cap regions per bucket mapped (1..16
+     pages each, of Vmem.page_size = 4 KiB). *)
+  let large_cache = t.large_cache * (16 * 17 / 2) * 4096 in
+  int_of_float (2.0 *. float_of_int peak_live_bytes /. (1.0 -. t.empty_fraction))
+  + per_heap + retained + in_flight + fe + quarantine + deferred + large_cache
 
 (* Registry-driven printer: the core shape parameters always print (in
    registry order), every other knob only when it differs from the
@@ -309,7 +315,7 @@ let pp fmt t =
       if List.mem k.k_name always_shown || cur <> k.k_get default then begin
         if not !first then Format.pp_print_string fmt " ";
         first := false;
-        if k.k_name = "mutant" then Format.fprintf fmt "MUTANT=%s" cur
-        else Format.fprintf fmt "%s=%s" k.k_name cur
+        Format.fprintf fmt "%s=%s" k.k_name cur
       end)
-    knobs
+    knobs;
+  if t.mutant <> "" then Format.fprintf fmt " MUTANT=%s" t.mutant

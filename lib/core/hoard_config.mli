@@ -1,12 +1,14 @@
 (** Tunables of the Hoard algorithm, with the paper's defaults.
 
-    Construction goes through {!make} (a labelled builder over the
-    defaults) or {!set}/{!set_all} (textual ["knob=value"] overrides,
-    the engine behind the shared [--set] CLI option). Both are backed by
-    the same knob registry, which also drives {!validate}, {!pp} and the
-    CLI help — adding a knob is one registry entry, not an edit to every
-    record literal and flag parser. Checking tools are not knobs: the
-    heap sanitizer wraps an instance from outside ({!Sanitizer}). *)
+    Code builds a configuration as a record update of {!default}
+    ([{ Hoard_config.default with slack = 0 }]), which {!Hoard.create}
+    validates; text goes through {!set}/{!set_all} (["knob=value"]
+    overrides, the engine behind the shared [--set] CLI option). A knob
+    registry drives {!set}, {!validate}, {!pp} and the CLI help — adding
+    a knob is one registry entry, not an edit to every flag parser.
+    Checking tools are not knobs: the heap sanitizer wraps an instance
+    from outside ({!Sanitizer}), and a mutant is planted through the
+    [mutant] field, never through {!set}. *)
 
 (** Structure of the global heap (heap 0). [Locked]: the classic Dlist
     fullness groups behind the heap-0 lock (the paper's presentation).
@@ -89,10 +91,11 @@ type t = {
       (** how the global heap is structured; see {!global_mode}. Default
           [Locked] (the seed structure). *)
   mutant : string;
-      (** hidden test hook: "" (default) is the real allocator; a known
-          mutant name plants a specific concurrency bug for the schedule
-          explorer to find (see {!known_mutants}). Never set outside
-          tests. *)
+      (** test hook, not a knob: "" (default) is the real allocator; a
+          known mutant name plants a specific concurrency bug for the
+          schedule explorer to find (see {!known_mutants}). Set only by
+          record update, never by {!set}; {!validate} rejects unknown
+          names. *)
 }
 
 val known_mutants : string list
@@ -115,28 +118,6 @@ val known_mutants : string list
 
 val default : t
 
-val make :
-  ?base:t ->
-  ?sb_size:int ->
-  ?empty_fraction:float ->
-  ?slack:int ->
-  ?ngroups:int ->
-  ?nheaps:int option ->
-  ?assign_by_tid:bool ->
-  ?release_threshold:int ->
-  ?vmem_backend:Vmem_backend.kind ->
-  ?path_work:int ->
-  ?front_end:int ->
-  ?remote_queue_cap:int ->
-  ?large_cache:int ->
-  ?global:global_mode ->
-  ?mutant:string ->
-  unit ->
-  t
-(** Labelled builder: every omitted knob takes its value from [?base]
-    (default {!default}). The result is {!validate}d — out-of-range
-    knobs raise [Invalid_argument] at construction, not at first use. *)
-
 val set : t -> string -> t
 (** [set t "knob=value"] parses and applies one textual override, range-
     checking the result. Knob names accept both ['-'] and ['_'] word
@@ -153,17 +134,25 @@ val knob_doc : unit -> string
 (** One line per knob, ["  name  doc"], for CLI [--set] help text. *)
 
 val validate : t -> unit
-(** Raises [Invalid_argument] on out-of-range parameters. Driven by the
-    same per-knob range checks as {!set}. *)
+(** Raises [Invalid_argument] on out-of-range parameters or an unknown
+    [mutant]. Driven by the same per-knob range checks as {!set}. *)
 
 val max_small : t -> int
 (** Largest request served from superblocks: S/2, as in the paper. *)
 
-val retained_superblocks : t -> int
-(** [release_threshold] clamped for byte envelopes: multiplied by
-    [sb_size] and added to an envelope's other terms, even [max_int]
-    (never release) cannot overflow. *)
+val blowup_envelope :
+  ?quarantine:int -> t -> nprocs:int -> peak_live_threads:int -> peak_live_bytes:int -> int
+(** The paper's blowup bound for this configuration on [nprocs]
+    processors: [2U/(1-f)] with U = [peak_live_bytes], plus the O(P)
+    term the configuration permits (superblock slack, release threshold,
+    cache and channel capacities, and [quarantine] (default 0) blocks
+    held back by a sanitizer) with P = the peak concurrently-live thread
+    population — never the total number of threads ever spawned. Exited
+    threads must not widen the envelope: their caches are flushed and
+    their superblocks adopted on {!Hoard.on_thread_exit}. The oracle
+    ({!Check_run}) and [exp_scale] both assert it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Registry-driven: the core shape knobs always print; every other knob
-    prints only when it differs from {!default}. *)
+    prints only when it differs from {!default}; a planted mutant prints
+    last as [MUTANT=name]. *)

@@ -1,11 +1,6 @@
-let front_end_default = 16
+let fe_config = { Hoard_config.default with front_end = 16 }
 
-let large_cache_default = 4
-
-let fe_config ?(front_end = front_end_default) () = Hoard_config.make ~front_end ()
-
-let gl_config ?(front_end = front_end_default) ?(large_cache = large_cache_default) () =
-  Hoard_config.make ~front_end ~large_cache ~global:Hoard_config.Lockfree ()
+let gl_config = { fe_config with Hoard_config.large_cache = 4; global = Lockfree }
 
 let hoard_fe_of config =
   {
@@ -16,9 +11,10 @@ let hoard_fe_of config =
         config.Hoard_config.front_end;
   }
 
-let hoard_fe ?front_end () = hoard_fe_of (fe_config ?front_end ())
+let hoard_fe () = hoard_fe_of fe_config
 
-let hoard_san_of ?(quarantine = Sanitizer.default_quarantine) config =
+let hoard_san_of config =
+  let quarantine = Sanitizer.default_quarantine in
   {
     (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-san";
@@ -26,7 +22,7 @@ let hoard_san_of ?(quarantine = Sanitizer.default_quarantine) config =
     instantiate = (fun pf -> Sanitizer.allocator (Sanitizer.create ~quarantine pf (Hoard.create ~config pf)));
   }
 
-let hoard_san ?quarantine () = hoard_san_of ?quarantine Hoard_config.default
+let hoard_san () = hoard_san_of Hoard_config.default
 
 let hoard_gl_of config =
   {
@@ -39,7 +35,7 @@ let hoard_gl_of config =
         config.Hoard_config.large_cache;
   }
 
-let hoard_gl ?front_end ?large_cache () = hoard_gl_of (gl_config ?front_end ?large_cache ())
+let hoard_gl () = hoard_gl_of gl_config
 
 let all () =
   [
@@ -67,9 +63,9 @@ let find label = List.find_opt (fun f -> f.Alloc_intf.label = label) (all () @ e
 let hoard_family =
   [
     ("hoard", Hoard_config.default, fun config -> Hoard.factory ~config ());
-    ("hoard-fe", fe_config (), hoard_fe_of);
+    ("hoard-fe", fe_config, hoard_fe_of);
     ("hoard-san", Hoard_config.default, fun config -> hoard_san_of config);
-    ("hoard-gl", gl_config (), hoard_gl_of);
+    ("hoard-gl", gl_config, hoard_gl_of);
   ]
 
 let base_config label = List.find_map (fun (l, cfg, _) -> if l = label then Some cfg else None) hoard_family

@@ -38,20 +38,15 @@ val with_overrides :
 val help : unit -> string
 (** One "label  description" line per factory, for [--allocator help]. *)
 
-val front_end_default : int
-(** Cache capacity [hoard-fe] registers with. *)
+val hoard_fe : unit -> Alloc_intf.factory
+(** [hoard] with the front end on: 16 cached blocks per class per
+    thread. *)
 
-val large_cache_default : int
-(** Per-bucket large-cache capacity [hoard-gl] registers with. *)
+val hoard_san : unit -> Alloc_intf.factory
+(** [hoard] wrapped in the heap {!Sanitizer} with a
+    {!Sanitizer.default_quarantine}-block ring. *)
 
-val hoard_fe : ?front_end:int -> unit -> Alloc_intf.factory
-(** A front-end-enabled hoard factory with an explicit capacity. *)
-
-val hoard_san : ?quarantine:int -> unit -> Alloc_intf.factory
-(** [hoard] wrapped in the heap {!Sanitizer} with a [quarantine]-block
-    ring (default {!Sanitizer.default_quarantine}). *)
-
-val hoard_gl : ?front_end:int -> ?large_cache:int -> unit -> Alloc_intf.factory
+val hoard_gl : unit -> Alloc_intf.factory
 (** [hoard-fe] on the lock-free global heap (see
     {!Hoard_config.t.global} = [Lockfree]): heap 0's Dlist fullness
     groups replaced by the CAS-published {!Global_index}, so superblock

@@ -555,21 +555,21 @@ let ablation ~id ~title ~describe ~values ~label =
   { id; title; paper_ref = "design ablation"; describe; run }
 
 let abl_f =
-  let cfg f = Hoard_config.make ~empty_fraction:f () in
+  let cfg f = { Hoard_config.default with empty_fraction = f } in
   ablation ~id:"abl_f" ~title:"Ablation: emptiness fraction f"
     ~describe:"sensitivity of throughput, fragmentation and blowup to the emptiness fraction"
     ~values:[ ("f=1/8", cfg 0.125); ("f=1/4", cfg 0.25); ("f=1/2", cfg 0.5) ]
     ~label:"f"
 
 let abl_k =
-  let cfg k = Hoard_config.make ~slack:k () in
+  let cfg k = { Hoard_config.default with slack = k } in
   ablation ~id:"abl_k" ~title:"Ablation: slack K"
     ~describe:"sensitivity to the number of superblocks a heap may hold beyond the emptiness fraction"
     ~values:[ ("K=0", cfg 0); ("K=1", cfg 1); ("K=4", cfg 4); ("K=16", cfg 16) ]
     ~label:"K"
 
 let abl_sbsize =
-  let cfg s = Hoard_config.make ~sb_size:s () in
+  let cfg s = { Hoard_config.default with sb_size = s } in
   ablation ~id:"abl_sbsize" ~title:"Ablation: superblock size S"
     ~describe:"trade-off between transfer granularity and fragmentation"
     ~values:[ ("S=4K", cfg 4096); ("S=8K", cfg 8192); ("S=16K", cfg 16384); ("S=64K", cfg 65536) ]
@@ -644,31 +644,6 @@ let scale_topologies p =
          else None)
        [ 2; 4 ]
 
-(* The O(U + P) envelope with P = peak LIVE threads: 2U/(1-f) for the
-   superblock worst case, plus what the configuration legitimately
-   retains per heap and in flight (slack superblocks per heap, the
-   release threshold, front-end caches and queues, one superblock per
-   size class per heap for protect_last). Mirrors Check_run's oracle
-   slop; churn workloads must fit it because exiting threads' heaps are
-   adopted rather than stranded. *)
-let scale_envelope (cfg : Hoard_config.t) ~nprocs ~peak_live_threads ~peak_live_bytes =
-  let nheaps =
-    match cfg.Hoard_config.nheaps with
-    | Some n -> n
-    | None -> nprocs
-  in
-  let heaps = min nheaps (peak_live_threads + 1) + 1 in
-  let classes = 16 in
-  let per_heap = (cfg.Hoard_config.slack + classes) * cfg.Hoard_config.sb_size in
-  let fe_blocks = cfg.Hoard_config.front_end * classes * peak_live_threads in
-  let slop =
-    (heaps * per_heap)
-    + (Hoard_config.retained_superblocks cfg * cfg.Hoard_config.sb_size)
-    + (fe_blocks * cfg.Hoard_config.sb_size / 8)
-    + (4 * cfg.Hoard_config.sb_size)
-  in
-  int_of_float (2.0 *. float_of_int peak_live_bytes /. (1.0 -. cfg.Hoard_config.empty_fraction)) + slop
-
 let scale_exp =
   let run scale ~procs =
     let procs =
@@ -736,8 +711,13 @@ let scale_exp =
                            "exp_scale: lock-free global heap took %d heap-0 lock acquisitions on \
                             %s at %dP (%s)"
                            heap0_locks wname p tname);
+                    (* The oracle's envelope, with U = the run's peak
+                       live bytes and P = its peak LIVE threads: churn
+                       must fit it because exiting threads' heaps are
+                       adopted rather than stranded. *)
                     let env =
-                      scale_envelope cfg ~nprocs:p ~peak_live_threads:r.Runner.r_peak_live_threads
+                      Hoard_config.blowup_envelope cfg ~nprocs:p
+                        ~peak_live_threads:r.Runner.r_peak_live_threads
                         ~peak_live_bytes:s.Alloc_stats.peak_live_bytes
                     in
                     let ratio =
@@ -1127,7 +1107,7 @@ let abl_nheaps =
     in
     List.iter
       (fun mult ->
-        let cfg = Hoard_config.make ~nheaps:(Some (mult * p)) ~assign_by_tid:true () in
+        let cfg = { Hoard_config.default with nheaps = Some (mult * p); assign_by_tid = true } in
         let alloc = hoard_with cfg in
         (* Oversubscribed: two threads per processor, so heap sharing is
            real and extra heaps can pay off. *)
@@ -1217,7 +1197,7 @@ let frag_exp =
       | _ -> 4
     in
     let run_config w backend ~nprocs =
-      let factory = Hoard.factory ~config:(Hoard_config.make ~vmem_backend:backend ()) () in
+      let factory = Hoard.factory ~config:({ Hoard_config.default with vmem_backend = backend }) () in
       let r = Runner.run (Runner.spec w factory ~nprocs) in
       (* The memory-lifecycle invariant, enforced (not just reported):
          the CI fragmentation smoke runs this experiment and must exit

@@ -44,8 +44,8 @@ let host_vmems_mu = Mutex.create ()
 
 let host_vmems : (t * Vmem.t) list ref = ref []
 
-let host ?(page_size = 4096) ?(nprocs = 1) ?(vmem_backend = Vmem_backend.Exact) () =
-  let vmem = Vmem.create ~page_size ~backend:vmem_backend () in
+let host ?(nprocs = 1) () =
+  let vmem = Vmem.create () in
   let vmem_lock = Mutex.create () in
   let locked f =
     Mutex.lock vmem_lock;
@@ -59,7 +59,7 @@ let host ?(page_size = 4096) ?(nprocs = 1) ?(vmem_backend = Vmem_backend.Exact) 
   let t =
     {
       nprocs;
-      page_size;
+      page_size = Vmem.page_size;
       self_proc = (fun () -> self_tid () mod nprocs);
       self_tid;
       work = (fun _ -> ());

@@ -85,10 +85,11 @@ type t = {
   peak_mapped_bytes : owner:int -> int;
 }
 
-val host : ?page_size:int -> ?nprocs:int -> ?vmem_backend:Vmem_backend.kind -> unit -> t
-(** A direct-execution platform ([nprocs] defaults to 1). Thread ids come
-    from the calling domain, so it is safe under real [Domain]-based
-    parallelism; locks are real mutexes. *)
+val host : ?nprocs:int -> unit -> t
+(** A direct-execution platform ([nprocs] defaults to 1) over a fresh
+    {!Vmem} with its default 4 KiB pages and exact-reuse backend. Thread
+    ids come from the calling domain, so it is safe under real
+    [Domain]-based parallelism; locks are real mutexes. *)
 
 val host_vmem : t -> Vmem.t option
 (** The address space behind a {!host} platform ([None] for other

@@ -17,7 +17,6 @@ type proc_stats = {
   p_coherence_misses : int;
   p_invalidations_sent : int;
   p_invalidations_received : int;
-  p_evictions : int;
 }
 
 (* Directory entry: which processors hold the line, and whether one of them
@@ -31,28 +30,23 @@ type counters = {
   mutable coher : int;
   mutable inval_sent : int;
   mutable inval_recv : int;
-  mutable evictions : int;
 }
 
-(* Per-processor LRU tracking for finite caches: a doubly-linked list in
-   recency order plus a line -> node index. *)
-type lru = { order : int Dlist.t; nodes : (int, int Dlist.node) Hashtbl.t }
-
 type t = {
-  line_size : int;
-  line_shift : int;
   nprocs : int;
-  capacity_lines : int option;
   nodes : int array; (* processor -> NUMA node, validated at creation *)
   sockets : int array; (* processor -> socket, validated at creation *)
   directory : (int, line_state) Hashtbl.t; (* line index -> state *)
   counters : counters array;
-  lrus : lru array; (* built and used only when capacity_lines is set *)
   mutable cross_node_total : int;
   mutable cross_socket_total : int;
 }
 
 let max_procs = 1024
+
+let line_size = 64
+
+let line_shift = 6
 
 (* Materialise and validate a processor -> domain-id map. Out-of-range or
    non-contiguous ids would silently miscount [cross_node_events] (a
@@ -79,37 +73,18 @@ let validated_domain_map ~what ~nprocs f =
     seen;
   a
 
-let create ?(line_size = 64) ?capacity_lines ?(node_of = fun _ -> 0) ?(socket_of = fun _ -> 0)
-    ~nprocs () =
-  if line_size <= 0 || line_size land (line_size - 1) <> 0 then
-    invalid_arg "Cache.create: line_size must be a positive power of two";
+let create ?(node_of = fun _ -> 0) ?(socket_of = fun _ -> 0) ~nprocs () =
   if nprocs < 1 || nprocs > max_procs then
     invalid_arg (Printf.sprintf "Cache.create: nprocs must be in [1, %d]" max_procs);
-  (match capacity_lines with
-   | Some c when c < 1 -> invalid_arg "Cache.create: capacity_lines must be >= 1"
-   | _ -> ());
-  let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2) in
   {
-    line_size;
-    line_shift = log2 line_size;
     nprocs;
-    capacity_lines;
     nodes = validated_domain_map ~what:"node_of" ~nprocs node_of;
     sockets = validated_domain_map ~what:"socket_of" ~nprocs socket_of;
     directory = Hashtbl.create 4096;
-    counters =
-      Array.init nprocs (fun _ -> { hits = 0; cold = 0; coher = 0; inval_sent = 0; inval_recv = 0; evictions = 0 });
-    (* Only a bounded cache evicts; at 64P the LRU tables would be most
-       of what building the machine allocates. *)
-    lrus =
-      (match capacity_lines with
-       | None -> [||]
-       | Some _ -> Array.init nprocs (fun _ -> { order = Dlist.create (); nodes = Hashtbl.create 256 }));
+    counters = Array.init nprocs (fun _ -> { hits = 0; cold = 0; coher = 0; inval_sent = 0; inval_recv = 0 });
     cross_node_total = 0;
     cross_socket_total = 0;
   }
-
-let line_size t = t.line_size
 
 let nprocs t = t.nprocs
 
@@ -117,7 +92,7 @@ let node_of t p = t.nodes.(p)
 
 let socket_of t p = t.sockets.(p)
 
-let line_of_addr t addr = addr lsr t.line_shift
+let line_of_addr addr = addr lsr line_shift
 
 let credit_invalidations t p remote =
   let n = Procset.count remote in
@@ -194,33 +169,6 @@ let access_line t p line ~is_write =
     (Cold_miss, 0)
   end
 
-(* Record that processor [p] now caches [line]; evict its least recently
-   used line when over capacity (the victim silently drops out of the
-   directory — writebacks are modelled as free/asynchronous). *)
-let lru_touch t p line =
-  match t.capacity_lines with
-  | None -> ()
-  | Some capacity ->
-    let lru = t.lrus.(p) in
-    (match Hashtbl.find_opt lru.nodes line with
-     | Some node -> Dlist.remove lru.order node
-     | None -> ());
-    Hashtbl.replace lru.nodes line (Dlist.push_front lru.order line);
-    if Dlist.length lru.order > capacity then
-      match Dlist.peek_back lru.order with
-      | None -> ()
-      | Some victim ->
-        (match Hashtbl.find_opt lru.nodes victim with
-         | Some node -> Dlist.remove lru.order node
-         | None -> ());
-        Hashtbl.remove lru.nodes victim;
-        (match Hashtbl.find_opt t.directory victim with
-         | Some st ->
-           Procset.remove st.mask p;
-           if Procset.is_empty st.mask then st.exclusive <- false
-         | None -> ());
-        t.counters.(p).evictions <- t.counters.(p).evictions + 1
-
 let access t p ~addr ~len ~is_write =
   if len <= 0 then invalid_arg "Cache.access: len must be positive";
   if p < 0 || p >= t.nprocs then invalid_arg "Cache.access: bad processor id";
@@ -235,7 +183,7 @@ let access t p ~addr ~len ~is_write =
         cross_socket_events = 0;
       }
   in
-  let first = line_of_addr t addr and last = line_of_addr t (addr + len - 1) in
+  let first = line_of_addr addr and last = line_of_addr (addr + len - 1) in
   for line = first to last do
     (* Snapshot the holder set before the transition to attribute
        cross-node traffic. *)
@@ -248,7 +196,6 @@ let access t p ~addr ~len ~is_write =
       | None -> Procset.make ~width:t.nprocs
     in
     let outcome, invals = access_line t p line ~is_write in
-    lru_touch t p line;
     let cross_counts domains =
       if is_write && invals > 0 then cross_of_mask domains p pre_mask
       else if outcome = Coherence_miss then min 1 (cross_of_mask domains p pre_mask)
@@ -283,7 +230,6 @@ let stats t p =
     p_coherence_misses = c.coher;
     p_invalidations_sent = c.inval_sent;
     p_invalidations_received = c.inval_recv;
-    p_evictions = c.evictions;
   }
 
 let total_cross_node_events t = t.cross_node_total
@@ -306,6 +252,5 @@ let reset_stats t =
       c.cold <- 0;
       c.coher <- 0;
       c.inval_sent <- 0;
-      c.inval_recv <- 0;
-      c.evictions <- 0)
+      c.inval_recv <- 0)
     t.counters

@@ -10,11 +10,11 @@
     counted on both sides, which is the direct measurement behind the
     paper's active/passive false-sharing experiments.
 
-    Caches are infinite by default (no capacity evictions): the
-    experiments target coherence traffic, not working-set effects, and an
-    infinite cache gives a *lower bound* on misses that still exposes
-    false sharing exactly. Pass [capacity_lines] for a finite LRU cache
-    per processor. *)
+    Caches are infinite (no capacity evictions) and lines are
+    {!line_size} = 64 bytes; neither is an option. The experiments target
+    coherence traffic, not working-set effects, and an infinite cache
+    gives a *lower bound* on misses that still exposes false sharing
+    exactly. *)
 
 type t
 
@@ -46,19 +46,13 @@ type proc_stats = {
   p_coherence_misses : int;
   p_invalidations_sent : int;
   p_invalidations_received : int;
-  p_evictions : int;  (** capacity evictions (finite caches only) *)
 }
 
-val create :
-  ?line_size:int ->
-  ?capacity_lines:int ->
-  ?node_of:(proc -> int) ->
-  ?socket_of:(proc -> int) ->
-  nprocs:int ->
-  unit ->
-  t
-(** [line_size] defaults to 64 bytes and must be a power of two. [nprocs]
-    must be in [\[1, 1024\]] (processor sets are multi-word bit sets).
+val line_size : int
+(** Bytes per cache line: 64. *)
+
+val create : ?node_of:(proc -> int) -> ?socket_of:(proc -> int) -> nprocs:int -> unit -> t
+(** [nprocs] must be in [\[1, 1024\]] (processor sets are multi-word bit sets).
     [node_of], when given, assigns each processor to a NUMA node;
     coherence events between processors on different nodes are counted in
     [cross_node_events] (the simulator charges them extra). [socket_of]
@@ -69,14 +63,7 @@ val create :
     and validated at creation: ids must lie in [\[0, nprocs)] and be
     contiguous (every id up to the maximum used), otherwise
     [Invalid_argument] is raised — a silently out-of-range id would
-    miscount cross-domain events.
-    [capacity_lines], when given, bounds each processor's cache to that
-    many lines with LRU replacement; a line evicted for capacity must be
-    fetched again on the next access (classified as a cold miss when no
-    remote copy exists, a coherence miss otherwise). By default caches are
-    infinite: the false-sharing experiments want pure coherence traffic. *)
-
-val line_size : t -> int
+    miscount cross-domain events. *)
 
 val nprocs : t -> int
 
@@ -100,9 +87,6 @@ val total_invalidations : t -> int
 (** Sum over processors of invalidations received. *)
 
 val total_coherence_misses : t -> int
-
-val line_of_addr : t -> int -> int
-(** Line index containing an address (for tests). *)
 
 val sharers : t -> line:int -> proc list
 (** Processors currently holding the line (empty if uncached). *)

@@ -158,9 +158,8 @@ type _ Effect.t +=
   | E_page_commit : int -> unit Effect.t
   | E_atomic : (atom * atomic_op) -> int Effect.t
 
-let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?control ?(line_size = 64)
-    ?cache_capacity_lines ?topology ?(page_size = 4096) ?(vmem_backend = Vmem_backend.Exact)
-    ~nprocs () =
+let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?control ?topology
+    ?(vmem_backend = Vmem_backend.Exact) ~nprocs () =
   if nprocs < 1 then invalid_arg "Sim.create: nprocs must be >= 1";
   if fuzz_schedule <> None && control <> None then
     invalid_arg "Sim.create: fuzz_schedule and control are mutually exclusive";
@@ -181,8 +180,8 @@ let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?cont
        | None, Some f -> Controlled f
        | Some _, Some _ -> assert false);
     cost;
-    cch = Cache.create ~line_size ?capacity_lines:cache_capacity_lines ?node_of:socket_of ?socket_of ~nprocs ();
-    vm = Vmem.create ~page_size ~backend:vmem_backend ();
+    cch = Cache.create ?node_of:socket_of ?socket_of ~nprocs ();
+    vm = Vmem.create ~backend:vmem_backend ();
     clocks = Array.make nprocs 0;
     runq = Array.init nprocs (fun _ -> Queue.create ());
     slice_from = Array.make nprocs (-1);
@@ -223,7 +222,7 @@ let total_cycles t = Array.fold_left max 0 t.clocks
 
 let fresh_meta_addr t =
   let a = t.next_meta in
-  t.next_meta <- a + Cache.line_size t.cch;
+  t.next_meta <- a + Cache.line_size;
   a
 
 let new_lock t l_name =
@@ -300,7 +299,7 @@ let charge t p n = t.clocks.(p) <- t.clocks.(p) + n
    current step touched, and whether it interacted with a lock/barrier. *)
 let note_lines t ~addr ~len ~wr =
   if t.observing then begin
-    let ls = Cache.line_size t.cch in
+    let ls = Cache.line_size in
     let first = addr / ls and last = (addr + max 1 len - 1) / ls in
     for line = first to last do
       if wr then begin
@@ -729,7 +728,7 @@ let run ?(max_steps = 2_000_000_000) t =
 let platform t =
   {
     Platform.nprocs = t.nprocs;
-    page_size = Vmem.page_size t.vm;
+    page_size = Vmem.page_size;
     self_proc;
     self_tid;
     work;

@@ -69,16 +69,13 @@ val create :
   ?lock_kind:lock_kind ->
   ?fuzz_schedule:int ->
   ?control:(choice -> int) ->
-  ?line_size:int ->
-  ?cache_capacity_lines:int ->
   ?topology:int * int ->
-  ?page_size:int ->
   ?vmem_backend:Vmem_backend.kind ->
   nprocs:int ->
   unit ->
   t
-(** [cache_capacity_lines] bounds each processor's cache (LRU); by default
-    caches are infinite (see {!Cache.create}).
+(** The machine's caches are infinite with 64 B lines ({!Cache}) and its
+    address space has 4 KiB pages ({!Vmem}); neither is an option.
 
     [topology (sockets, cores_per_socket)] builds the two-tier machine:
     processor [p] sits on socket [p / cores_per_socket], which is also

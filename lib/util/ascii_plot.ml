@@ -1,6 +1,11 @@
 let markers = [| '*'; '+'; 'o'; 'x'; '#'; '@' |]
 
-let render ~title ?(width = 60) ?(height = 16) ?(x_label = "x") ?(y_label = "y") ~series () =
+(* Interior cells of the plot grid. *)
+let width = 60
+
+let height = 16
+
+let render ~title ?(x_label = "x") ?(y_label = "y") ~series () =
   let points = List.concat_map snd series in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf ("== " ^ title ^ " ==\n");

@@ -7,15 +7,13 @@
 
 val render :
   title:string ->
-  ?width:int ->
-  ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
   series:(string * (float * float) list) list ->
   unit ->
   string
 (** [render ~title ~series ()] plots every series on shared axes
-    ([width] x [height] interior cells, defaults 60 x 16). Series get the
+    (60 x 16 interior cells). Series get the
     markers ['*'; '+'; 'o'; 'x'; '#'; '@'] in order; coincident points
     show the later series' marker. Empty series are skipped; an entirely
     empty plot renders the frame only. *)

@@ -17,8 +17,6 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
-let value n = n.v
-
 let push_front t v =
   let n = { v; prev = None; next = t.first; home = Some t } in
   (match t.first with

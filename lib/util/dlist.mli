@@ -21,8 +21,6 @@ val push_front : 'a t -> 'a -> 'a node
 
 val push_back : 'a t -> 'a -> 'a node
 
-val value : 'a node -> 'a
-
 val remove : 'a t -> 'a node -> unit
 (** [remove t n] unlinks [n] from [t]. Raises [Invalid_argument] if [n] is
     not currently linked in [t]. *)

@@ -107,13 +107,3 @@ let buckets t =
       let hi = if i = Array.length t.bounds then max_int else t.bounds.(i) in
       (lo, hi, c))
     t.counts
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun (lo, hi, c) ->
-      if c > 0 then
-        if hi = max_int then Format.fprintf fmt "[%d, inf): %d@," lo c
-        else Format.fprintf fmt "[%d, %d): %d@," lo hi c)
-    (buckets t);
-  Format.fprintf fmt "n=%d mean=%.1f@]" t.n (mean t)

@@ -47,5 +47,3 @@ val percentile : t -> float -> int
 val buckets : t -> (int * int * int) array
 (** [(lo, hi_exclusive, count)] per bucket; the overflow bucket reports
     [hi_exclusive = max_int]. *)
-
-val pp : Format.formatter -> t -> unit

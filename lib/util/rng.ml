@@ -15,10 +15,6 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = next_int64 t in
-  { state = Int64.mul seed 0xDA942042E4DD58B5L }
-
 let int t bound =
   assert (bound > 0);
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in

@@ -13,10 +13,6 @@ val create : int -> t
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
 
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t]. The derived
-    stream is decorrelated from the parent's subsequent output. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

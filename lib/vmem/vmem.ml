@@ -7,8 +7,6 @@ type residency = Resident | Decommitted | Unmapped
 module Imap = Map.Make (Int)
 
 type t = {
-  page_size : int;
-  base : int;
   backend : Vmem_backend.t;
   mutable next_addr : int;
   mutable regions : region Imap.t; (* base addr -> region: the interval index *)
@@ -23,13 +21,13 @@ type t = {
   mutable commits : int;
 }
 
-let create ?(page_size = 4096) ?(base = 0x1000_0000) ?(backend = Vmem_backend.Exact) () =
-  if page_size <= 0 || page_size land (page_size - 1) <> 0 then
-    invalid_arg "Vmem.create: page_size must be a positive power of two";
-  if base land (page_size - 1) <> 0 then invalid_arg "Vmem.create: base must be page-aligned";
+let page_size = 4096
+
+(* The first address handed out, page-aligned. *)
+let base = 0x1000_0000
+
+let create ?(backend = Vmem_backend.Exact) () =
   {
-    page_size;
-    base;
     backend = Vmem_backend.create backend ~page_size;
     next_addr = base;
     regions = Imap.empty;
@@ -43,8 +41,6 @@ let create ?(page_size = 4096) ?(base = 0x1000_0000) ?(backend = Vmem_backend.Ex
     decommits = 0;
     commits = 0;
   }
-
-let page_size t = t.page_size
 
 let backend_kind t = t.backend.Vmem_backend.be_kind
 
@@ -60,9 +56,9 @@ let owner_acct t owner =
 
 let map t ?(owner = 0) ~bytes ~align () =
   if bytes <= 0 then invalid_arg "Vmem.map: bytes must be positive";
-  if align < t.page_size || align land (align - 1) <> 0 then
+  if align < page_size || align land (align - 1) <> 0 then
     invalid_arg "Vmem.map: align must be a power of two >= page_size";
-  let bytes = round_up bytes t.page_size in
+  let bytes = round_up bytes page_size in
   let addr =
     match t.backend.Vmem_backend.take ~bytes ~align with
     | Some addr -> addr
@@ -149,7 +145,7 @@ let resident_bytes t = t.resident
 
 let peak_resident_bytes t = t.peak_resident
 
-let address_space_bytes t = t.next_addr - t.base
+let address_space_bytes t = t.next_addr - base
 
 let mapped_bytes_of_owner t owner =
   match Hashtbl.find_opt t.owners owner with
@@ -175,8 +171,8 @@ let check t =
   let by_owner = Hashtbl.create 16 in
   Imap.iter
     (fun addr r ->
-      if addr land (t.page_size - 1) <> 0 then fail "Vmem.check: region %#x not page-aligned" addr;
-      if r.r_bytes <= 0 || r.r_bytes land (t.page_size - 1) <> 0 then
+      if addr land (page_size - 1) <> 0 then fail "Vmem.check: region %#x not page-aligned" addr;
+      if r.r_bytes <= 0 || r.r_bytes land (page_size - 1) <> 0 then
         fail "Vmem.check: region %#x has bad size %d" addr r.r_bytes;
       if addr < !prev_end then fail "Vmem.check: overlapping regions at %#x" addr;
       prev_end := addr + r.r_bytes;
@@ -195,6 +191,6 @@ let check t =
     t.owners;
   t.backend.Vmem_backend.check ();
   let free = t.backend.Vmem_backend.free_bytes () in
-  if free + !live <> t.next_addr - t.base then
+  if free + !live <> t.next_addr - base then
     fail "Vmem.check: free %d + live %d <> address space %d (leaked or double-counted bytes)" free !live
-      (t.next_addr - t.base)
+      (t.next_addr - base)

@@ -27,12 +27,13 @@ type t
 
 type residency = Resident | Decommitted | Unmapped
 
-val create : ?page_size:int -> ?base:int -> ?backend:Vmem_backend.kind -> unit -> t
-(** [create ()] makes an empty address space. [page_size] defaults to 4096;
-    [base] (default [0x1000_0000], page-aligned) is the first address
-    handed out; [backend] (default [Exact]) selects the reuse policy. *)
+val page_size : int
+(** Bytes per page: 4096. *)
 
-val page_size : t -> int
+val create : ?backend:Vmem_backend.kind -> unit -> t
+(** [create ()] makes an empty address space whose first address is
+    [0x1000_0000]; [backend] (default [Exact]) selects the reuse
+    policy. *)
 
 val backend_kind : t -> Vmem_backend.kind
 

@@ -1,7 +1,7 @@
 (* Coherence simulator semantics: MESI-ish transitions and the counters the
    false-sharing experiments are built on. *)
 
-let mk () = Cache.create ~line_size:64 ~nprocs:4 ()
+let mk () = Cache.create ~nprocs:4 ()
 
 let test_first_touch_is_cold () =
   let c = mk () in
@@ -80,58 +80,12 @@ let test_bad_args () =
   Alcotest.check_raises "bad proc" (Invalid_argument "Cache.access: bad processor id") (fun () ->
       ignore (Cache.read c 9 ~addr:0 ~len:8))
 
-(* --- finite capacity --- *)
-
-let test_capacity_evicts_lru () =
-  let c = Cache.create ~line_size:64 ~capacity_lines:2 ~nprocs:1 () in
-  ignore (Cache.read c 0 ~addr:0 ~len:8);
-  (* line 0 *)
-  ignore (Cache.read c 0 ~addr:64 ~len:8);
-  (* line 1 *)
-  ignore (Cache.read c 0 ~addr:128 ~len:8);
-  (* line 2: evicts line 0 *)
-  Alcotest.(check int) "one eviction" 1 (Cache.stats c 0).Cache.p_evictions;
-  let s = Cache.read c 0 ~addr:0 ~len:8 in
-  Alcotest.(check int) "line 0 misses again" 1 s.Cache.cold_misses;
-  let s = Cache.read c 0 ~addr:128 ~len:8 in
-  Alcotest.(check int) "line 2 still hits" 1 s.Cache.hits
-
-let test_capacity_lru_order_updated () =
-  let c = Cache.create ~line_size:64 ~capacity_lines:2 ~nprocs:1 () in
-  ignore (Cache.read c 0 ~addr:0 ~len:8);
-  ignore (Cache.read c 0 ~addr:64 ~len:8);
-  ignore (Cache.read c 0 ~addr:0 ~len:8);
-  (* touch line 0: line 1 becomes LRU *)
-  ignore (Cache.read c 0 ~addr:128 ~len:8);
-  (* evicts line 1, not line 0 *)
-  let s = Cache.read c 0 ~addr:0 ~len:8 in
-  Alcotest.(check int) "line 0 survived" 1 s.Cache.hits;
-  let s = Cache.read c 0 ~addr:64 ~len:8 in
-  Alcotest.(check int) "line 1 evicted" 1 s.Cache.cold_misses
-
-let test_capacity_per_processor () =
-  (* Evictions on one processor must not disturb another's cache. *)
-  let c = Cache.create ~line_size:64 ~capacity_lines:1 ~nprocs:2 () in
-  ignore (Cache.read c 0 ~addr:0 ~len:8);
-  ignore (Cache.read c 1 ~addr:0 ~len:8);
-  ignore (Cache.read c 0 ~addr:64 ~len:8);
-  (* proc 0 evicts line 0 *)
-  let s = Cache.read c 1 ~addr:0 ~len:8 in
-  Alcotest.(check int) "proc 1 still hits line 0" 1 s.Cache.hits
-
-let test_infinite_cache_never_evicts () =
-  let c = Cache.create ~line_size:64 ~nprocs:1 () in
-  for i = 0 to 9999 do
-    ignore (Cache.read c 0 ~addr:(i * 64) ~len:8)
-  done;
-  Alcotest.(check int) "no evictions" 0 (Cache.stats c 0).Cache.p_evictions;
-  let s = Cache.read c 0 ~addr:0 ~len:8 in
-  Alcotest.(check int) "first line still cached" 1 s.Cache.hits
+(* --- construction --- *)
 
 let test_infinite_cache_builds_no_lru () =
   (* Host words on the minor heap: exact, unlike a timing. *)
   let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Cache.create ~line_size:64 ~nprocs:64 ()));
+  ignore (Sys.opaque_identity (Cache.create ~nprocs:64 ()));
   let w = Gc.minor_words () -. before in
   Alcotest.(check bool) (Printf.sprintf "64P unbounded cache: %.0f words" w) true (w < 2000.)
 
@@ -139,7 +93,7 @@ let test_infinite_cache_builds_no_lru () =
 
 let test_cross_node_counted () =
   (* Procs 0,1 on node 0; procs 2,3 on node 1. *)
-  let c = Cache.create ~line_size:64 ~node_of:(fun p -> p / 2) ~nprocs:4 () in
+  let c = Cache.create ~node_of:(fun p -> p / 2) ~nprocs:4 () in
   ignore (Cache.write c 0 ~addr:0 ~len:8);
   (* Same-node write ping-pong: no cross-node events. *)
   let s = Cache.write c 1 ~addr:0 ~len:8 in
@@ -271,10 +225,6 @@ let () =
         ] );
       ( "capacity",
         [
-          Alcotest.test_case "evicts LRU" `Quick test_capacity_evicts_lru;
-          Alcotest.test_case "LRU order" `Quick test_capacity_lru_order_updated;
-          Alcotest.test_case "per processor" `Quick test_capacity_per_processor;
-          Alcotest.test_case "infinite never evicts" `Quick test_infinite_cache_never_evicts;
           Alcotest.test_case "infinite builds no LRU" `Quick test_infinite_cache_builds_no_lru;
         ] );
     ]

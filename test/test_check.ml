@@ -493,6 +493,40 @@ let test_oracle_server_mix_batches () =
   | exception Oracle.Oracle_violation msg ->
     Alcotest.(check bool) ("hoard-fe breaks the envelope: " ^ msg) true (Astring.String.is_infix ~affix:"blowup:" msg)
 
+(* exp_scale and the oracle hold a run to one envelope. exp_scale runs
+   the configuration unwrapped and takes U from the allocator's peak live
+   bytes; the oracle takes U from its own peak usable bytes. On the same
+   configuration and run, the oracle's bound is the envelope of its U
+   with exp_scale's P, and the two U differ only by blocks in flight: the
+   allocator counts a block live from inside [malloc] to inside [free],
+   the oracle from [malloc]'s return to [free]'s call. *)
+let test_scale_and_oracle_share_envelope () =
+  let nprocs = 8 in
+  List.iter
+    (fun (wname, global) ->
+      let w () = Option.get (Check_run.find_workload wname) in
+      let cfg = { Hoard_config.default with global } in
+      let r = Runner.run (Runner.spec (w ()) (Hoard.factory ~config:cfg ()) ~nprocs) in
+      let p = r.Runner.r_peak_live_threads in
+      let scale_u = r.Runner.r_stats.Alloc_stats.peak_live_bytes in
+      let c = Check_run.run_oracle ~nprocs ~workload:(w ()) ~subject:"hoard" ~overrides:(fun _ -> cfg) () in
+      let oracle_u = c.Check_run.c_peak_usable in
+      let name = sprintf "%s, %s global heap" wname (Hoard_config.global_mode_name global) in
+      Alcotest.(check (option int))
+        (name ^ ": the oracle's bound is the envelope at exp_scale's P")
+        (Some (Hoard_config.blowup_envelope cfg ~nprocs ~peak_live_threads:p ~peak_live_bytes:oracle_u))
+        c.Check_run.c_envelope;
+      Alcotest.(check bool)
+        (sprintf "%s: U %d (exp_scale) - %d (oracle) is at most one block per live thread" name scale_u oracle_u)
+        true
+        (scale_u >= oracle_u && scale_u - oracle_u <= p * Hoard_config.max_small cfg))
+    [
+      ("threadtest", Hoard_config.Locked);
+      ("threadtest", Hoard_config.Lockfree);
+      ("churn-wave-threadtest", Hoard_config.Locked);
+      ("churn-wave-threadtest", Hoard_config.Lockfree);
+    ]
+
 let test_oracle_false_sharing_verdicts () =
   let fs = Check_run.find_workload "active-false" |> Option.get in
   (* Hoard never hands blocks of one cache line to different threads. *)
@@ -879,6 +913,7 @@ let () =
           Alcotest.test_case "false sharing verdicts" `Quick test_oracle_false_sharing_verdicts;
           Alcotest.test_case "oracle catches misbehavior" `Quick test_oracle_catches_misbehavior;
           Alcotest.test_case "server mix batch calls" `Quick test_oracle_server_mix_batches;
+          Alcotest.test_case "exp_scale and oracle share the envelope" `Quick test_scale_and_oracle_share_envelope;
         ] );
       ( "sanitizer",
         [

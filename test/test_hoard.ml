@@ -1385,7 +1385,7 @@ let test_config_validation () =
    is a take -> commit instead of a second OS map. *)
 let test_large_cache_roundtrip () =
   let pf = Platform.host () in
-  let h = Hoard.create ~config:(Hoard_config.make ~large_cache:4 ()) pf in
+  let h = Hoard.create ~config:{ Hoard_config.default with large_cache = 4 } pf in
   let a = Hoard.allocator h in
   let size = Hoard_config.max_small cfg + 1 in
   let p = a.Alloc_intf.malloc size in
@@ -1413,7 +1413,7 @@ let test_large_cache_roundtrip () =
    take hands back a region that size. *)
 let test_large_cache_buckets_by_size () =
   let pf = Platform.host () in
-  let h = Hoard.create ~config:(Hoard_config.make ~large_cache:4 ()) pf in
+  let h = Hoard.create ~config:{ Hoard_config.default with large_cache = 4 } pf in
   let a = Hoard.allocator h in
   let page = pf.Platform.page_size in
   let sizes = List.init 15 (fun i -> ((i + 1) * page) + 1) in
@@ -1455,7 +1455,7 @@ let test_deferred_lists_reclaim () =
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
   let h =
-    Hoard.create ~config:(Hoard_config.make ~front_end:4 ~global:Hoard_config.Lockfree ()) pf
+    Hoard.create ~config:{ Hoard_config.default with front_end = 4; global = Lockfree } pf
   in
   let a = Hoard.allocator h in
   let barrier = Sim.new_barrier sim ~parties:2 in
@@ -1909,12 +1909,7 @@ let test_gl_reclaim_links_per_run () =
 let free_only_run ~front_end ~rounds ~n =
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
-  let config =
-    {
-      (Hoard_config.make ~front_end ~global:Hoard_config.Lockfree ()) with
-      Hoard_config.nheaps = Some 2;
-    }
-  in
+  let config = { Hoard_config.default with front_end; global = Lockfree; nheaps = Some 2 } in
   let h = Hoard.create ~config pf in
   let a = Hoard.allocator h in
   let b = Sim.new_barrier sim ~parties:2 in
@@ -2009,14 +2004,12 @@ let test_shard_cap_in_bytes ~size ~expect () =
     Alcotest.(check int) "heap 0 holds nothing live" 0 (Hoard.heap_info h 0).Hoard.u_bytes
   | _ -> Alcotest.fail "two frees at least"
 
-(* The knob registry: make, textual set/set_all, name normalization,
+(* The knob registry: textual set/set_all, name normalization,
    registry-driven help and printing. *)
 let test_knob_registry () =
-  (* make with no overrides is the default config. *)
-  Alcotest.(check bool) "make () = default" true (Hoard_config.make () = Hoard_config.default);
-  (* A labelled make equals the textual set of the same knob. *)
-  Alcotest.(check bool) "make ~global = set global=lockfree" true
-    (Hoard_config.make ~global:Hoard_config.Lockfree ~front_end:4 ()
+  (* A textual set equals the record update of the same knobs. *)
+  Alcotest.(check bool) "set global=lockfree = record update" true
+    ({ Hoard_config.default with global = Lockfree; front_end = 4 }
     = Hoard_config.set_all Hoard_config.default [ "global=lockfree"; "front-end=4" ]);
   (* One representative knob per value shape. *)
   let c = Hoard_config.set Hoard_config.default "sb-size=4096" in
@@ -2032,10 +2025,6 @@ let test_knob_registry () =
   (* Underscores normalize to dashes. *)
   let c = Hoard_config.set Hoard_config.default "front_end=9" in
   Alcotest.(check int) "underscore alias" 9 c.Hoard_config.front_end;
-  (* The seeded mutants round-trip through the registry; unknown mutant
-     names are rejected by validation. *)
-  let c = Hoard_config.set Hoard_config.default "mutant=orphan-lost-superblock" in
-  Alcotest.(check string) "mutant knob" "orphan-lost-superblock" c.Hoard_config.mutant;
   (* Unknown knobs and malformed or out-of-range values are rejected. *)
   let rejects s =
     match Hoard_config.set Hoard_config.default s with
@@ -2045,38 +2034,48 @@ let test_knob_registry () =
   rejects "bogus=1";
   rejects "front-end";
   (* Deleted knobs are unknown: the channel follows the global heap, b
-     is the paper's constant, and the sanitizer wraps an instance
-     instead of configuring one. *)
+     is the paper's constant, the sanitizer wraps an instance instead of
+     configuring one, and a mutant is a record field, not a knob. *)
   rejects "sanitize=true";
   rejects "quarantine=8";
   rejects "deferred=true";
   rejects "growth=1.5";
+  rejects "mutant=orphan-lost-superblock";
   rejects "sb-size=5000";
   rejects "empty-fraction=2.0";
   (* The registry drives the CLI help and the printer. *)
   let names = Hoard_config.knob_names () in
+  Alcotest.(check int) "13 knobs" 13 (List.length names);
+  Alcotest.(check bool) "mutant is not a knob" false (List.mem "mutant" names);
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (List.mem n names);
       Alcotest.(check bool) (n ^ " documented") true
         (Astring.String.is_infix ~affix:n (Hoard_config.knob_doc ())))
-    [ "sb-size"; "empty-fraction"; "global"; "large-cache"; "front-end"; "mutant" ];
+    [ "sb-size"; "empty-fraction"; "global"; "large-cache"; "front-end" ];
   let printed =
     Format.asprintf "%a" Hoard_config.pp
-      (Hoard_config.make ~global:Hoard_config.Lockfree ~front_end:4 ~large_cache:2 ())
+      { Hoard_config.default with global = Lockfree; front_end = 4; large_cache = 2; mutant = "global-no-aba" }
   in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " printed") true (Astring.String.is_infix ~affix:n printed))
-    [ "global"; "large-cache"; "front-end" ]
+    [ "global"; "large-cache"; "front-end"; "MUTANT=global-no-aba" ]
 
-(* Fuzz: a textual [set_all] over a random subset of knobs must land on
-   exactly the config the labelled builder produces for the same subset —
-   the two front doors of the registry can never diverge. The mutant knob
-   draws from [known_mutants], covering the newly seeded ones. *)
-let test_set_all_matches_labelled_make =
-  QCheck.Test.make ~name:"set_all = labelled make on random knob subsets" ~count:300
-    QCheck.(pair (int_bound 0x3FF) (int_bound 1000))
+(* A mutant is planted by record update; creation validates the name. *)
+let test_unknown_mutant_rejected () =
+  let config = { Hoard_config.default with mutant = "no-such-mutant" } in
+  match Hoard.create ~config (Platform.host ()) with
+  | _ -> Alcotest.fail "an unknown mutant name must be rejected"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("names the mutant: " ^ msg) true (Astring.String.is_infix ~affix:"no-such-mutant" msg)
+
+(* Fuzz: a textual [set_all] over a random subset of the 13 knobs must
+   land on exactly the record update of the same subset, so every knob's
+   text form round-trips through the registry. *)
+let test_set_all_matches_record_update =
+  QCheck.Test.make ~name:"set_all = record update on random knob subsets" ~count:300
+    QCheck.(pair (int_bound 0x1FFF) (int_bound 1000))
     (fun (mask, vseed) ->
       let bit i = mask land (1 lsl i) <> 0 in
       let pick i l = List.nth l ((vseed + i) mod List.length l) in
@@ -2088,13 +2087,31 @@ let test_set_all_matches_labelled_make =
       let release_threshold = opt 4 [ 0; 2; 8; max_int ] in
       let front_end = opt 5 [ 0; 4; 16 ] in
       let large_cache = opt 6 [ 0; 2; 8 ] in
-      let mutant = opt 7 Hoard_config.known_mutants in
+      let path_work = opt 7 [ 0; 30; 100 ] in
       let assign_by_tid = opt 8 [ true; false ] in
       let global = opt 9 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
-      let labelled =
-        Hoard_config.make ?sb_size ?empty_fraction ?slack ?nheaps ?release_threshold ?front_end
-          ?large_cache ?mutant ?assign_by_tid
-          ?global ()
+      let ngroups = opt 10 [ 1; 4; 8 ] in
+      let vmem_backend = opt 11 [ Vmem_backend.Exact; Vmem_backend.First_fit; Vmem_backend.Buddy ] in
+      let remote_queue_cap = opt 12 [ 1; 64; 256 ] in
+      let d = Hoard_config.default in
+      let v field = Option.value ~default:field in
+      let updated =
+        {
+          d with
+          sb_size = v d.sb_size sb_size;
+          empty_fraction = v d.empty_fraction empty_fraction;
+          slack = v d.slack slack;
+          nheaps = v d.nheaps nheaps;
+          release_threshold = v d.release_threshold release_threshold;
+          front_end = v d.front_end front_end;
+          large_cache = v d.large_cache large_cache;
+          path_work = v d.path_work path_work;
+          assign_by_tid = v d.assign_by_tid assign_by_tid;
+          global = v d.global global;
+          ngroups = v d.ngroups ngroups;
+          vmem_backend = v d.vmem_backend vmem_backend;
+          remote_queue_cap = v d.remote_queue_cap remote_queue_cap;
+        }
       in
       let textual =
         List.filter_map
@@ -2109,14 +2126,17 @@ let test_set_all_matches_labelled_make =
             Option.map (Printf.sprintf "release-threshold=%d") release_threshold;
             Option.map (Printf.sprintf "front-end=%d") front_end;
             Option.map (Printf.sprintf "large-cache=%d") large_cache;
-            Option.map (Printf.sprintf "mutant=%s") mutant;
+            Option.map (Printf.sprintf "path-work=%d") path_work;
             Option.map (Printf.sprintf "assign-by-tid=%b") assign_by_tid;
             Option.map
               (fun g -> Printf.sprintf "global=%s" (Hoard_config.global_mode_name g))
               global;
+            Option.map (Printf.sprintf "ngroups=%d") ngroups;
+            Option.map (fun k -> "vmem=" ^ Vmem_backend.kind_name k) vmem_backend;
+            Option.map (Printf.sprintf "remote-queue-cap=%d") remote_queue_cap;
           ]
       in
-      labelled = Hoard_config.set_all Hoard_config.default textual)
+      updated = Hoard_config.set_all Hoard_config.default textual)
 
 let () =
   Alcotest.run "hoard"
@@ -2134,7 +2154,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_requested_bytes;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "knob registry" `Quick test_knob_registry;
-          QCheck_alcotest.to_alcotest test_set_all_matches_labelled_make;
+          Alcotest.test_case "unknown mutant rejected" `Quick test_unknown_mutant_rejected;
+          QCheck_alcotest.to_alcotest test_set_all_matches_record_update;
           Alcotest.test_case "large cache roundtrip" `Quick test_large_cache_roundtrip;
           Alcotest.test_case "large cache buckets by size" `Quick test_large_cache_buckets_by_size;
           Alcotest.test_case "remote-free channel follows the global heap" `Quick test_channel_follows_global;

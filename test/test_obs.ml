@@ -385,7 +385,7 @@ let test_obs_run_bundle () =
    counts only the flushes running threads made and recorded. *)
 let test_teardown_not_a_flush () =
   let w = Experiments.obs_workload "fig_threadtest" Experiments.Quick in
-  let b = Obs_run.run_workload ~config:(Hoard_config.make ~front_end:16 ()) w ~nprocs:4 in
+  let b = Obs_run.run_workload ~config:({ Hoard_config.default with front_end = 16 }) w ~nprocs:4 in
   let recorded = ref 0 in
   List.iter
     (fun (_, r) ->
@@ -462,8 +462,8 @@ let test_front_end_invariants () =
             ("large cache hits", s.Alloc_stats.large_cache_hits);
           ])
     [
-      ("hoard-fe", Hoard_config.make ~front_end:16 ());
-      ("hoard-gl", Hoard_config.make ~front_end:16 ~large_cache:4 ~global:Hoard_config.Lockfree ());
+      ("hoard-fe", { Hoard_config.default with front_end = 16 });
+      ("hoard-gl", { Hoard_config.default with front_end = 16; large_cache = 4; global = Lockfree });
     ]
 
 (* --- 4-domain host stress: invariants under real parallelism --- *)
