@@ -74,18 +74,30 @@ let block_bytes items = List.fold_left (fun acc (sb, _) -> acc + Superblock.bloc
 
    With [cap], the push bails (returns [false], nothing published) when
    the batch would take the list past [cap] blocks. It tests the host
-   count right after its head load, in the same simulated step, so the
+   count right after a head load, in the same simulated step, so the
    count stands for one packed beside the head word and costs no access
    of its own; the byte total beside it (the blocks' sizes, summed) is
    the same kind of word. A push raises both in its CAS's step; a
    reclaim lowers them only after its walk, so a push landing mid-walk
-   still counts the detached chain and can only bail early. The interior
-   links are written before the load either way, so an uncapped push's
-   schedule does not depend on [cap]; a bail wastes them and drops
+   still counts the detached chain and can only bail early. A capped
+   push loads the head once before it writes any link, so a batch that
+   cannot fit bails having written nothing; one that fits then writes
+   its interior links and loads and tests again before the tail link
+   and CAS, as an uncapped push does, so the load the CAS depends on
+   still follows the link writes and an uncapped push's schedule does
+   not depend on [cap]. A bail at the second test (a concurrent push
+   filled the list in between) wastes the interior links and drops
    their host entries. *)
 let push_many ?cap t items =
+  let n = List.length items in
+  (* Load the head; the batch fits when the count beside it leaves room. *)
+  let load_head () =
+    let next = t.head.Platform.load () in
+    (next, match cap with None -> true | Some cap -> locked t (fun () -> t.n_len) + n <= cap)
+  in
   match items with
   | [] -> true
+  | _ when cap <> None && not (snd (load_head ())) -> false
   | (_, first_addr) :: _ ->
     let rec interior = function
       | (sb, addr) :: ((_, next_addr) :: _ as rest) ->
@@ -96,16 +108,14 @@ let push_many ?cap t items =
       | [] -> assert false
     in
     let last_sb, last_addr = interior items in
-    let n = List.length items in
     let bytes = block_bytes items in
     let unlink () = locked t (fun () -> List.iter (fun (_, addr) -> Hashtbl.remove t.links addr) items) in
     let rec attempt () =
-      let next = t.head.Platform.load () in
-      match cap with
-      | Some cap when locked t (fun () -> t.n_len) + n > cap ->
+      match load_head () with
+      | _, false ->
         unlink ();
         false
-      | _ ->
+      | next, true ->
         (* Store the tail link into the (still private) block body. *)
         t.pf.Platform.write ~addr:last_addr ~len:8;
         locked t (fun () -> Hashtbl.replace t.links last_addr { dn_next = next; dn_sb = last_sb });

@@ -28,8 +28,10 @@ val push_many : ?cap:int -> t -> (Superblock.t * int) list -> bool
 
     With [cap], returns [false] and publishes nothing when the batch
     would take the list past [cap] blocks, judged by the length that
-    goes with the head the push loaded (no extra access); the blocks
-    stay the caller's. Without [cap] the list is unbounded. *)
+    goes with a head the push loaded; the blocks stay the caller's. A
+    capped push loads the head once before it writes any link, so a
+    batch that cannot fit costs that one load and nothing else. Without
+    [cap] the list is unbounded. *)
 
 val reclaim : t -> (Superblock.t * int) list
 (** Detach the entire list with one exchange and return its blocks,

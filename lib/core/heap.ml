@@ -140,7 +140,9 @@ let enqueue q ~cap items =
    lock, or none of it when [own] (a push by [h]'s own threads) would
    take it past its own-heap cap: those blocks would otherwise wait,
    charged, for [h]'s next fill, and the cap keeps that backlog as short
-   as a queue's. Other pushes are uncapped. A block whose superblock
+   as a queue's. A push that meets a full list rejects the batch after
+   one head load, having linked nothing, so the locked path writes its
+   links only once. Other pushes are uncapped. A block whose superblock
    migrated since the caller read its owner just lands on the stale
    owner's channel, whose drain forwards it. No channel rejects
    everything. *)

@@ -7,31 +7,19 @@ type 'a node = {
 
 and 'a t = {
   mutable first : 'a node option;
-  mutable last : 'a node option;
   mutable len : int;
 }
 
-let create () = { first = None; last = None; len = 0 }
+let create () = { first = None; len = 0 }
 
 let length t = t.len
-
-let is_empty t = t.len = 0
 
 let push_front t v =
   let n = { v; prev = None; next = t.first; home = Some t } in
   (match t.first with
-   | None -> t.last <- Some n
+   | None -> ()
    | Some f -> f.prev <- Some n);
   t.first <- Some n;
-  t.len <- t.len + 1;
-  n
-
-let push_back t v =
-  let n = { v; prev = t.last; next = None; home = Some t } in
-  (match t.last with
-   | None -> t.first <- Some n
-   | Some l -> l.next <- Some n);
-  t.last <- Some n;
   t.len <- t.len + 1;
   n
 
@@ -43,27 +31,15 @@ let remove t n =
    | None -> t.first <- n.next
    | Some p -> p.next <- n.next);
   (match n.next with
-   | None -> t.last <- n.prev
+   | None -> ()
    | Some s -> s.prev <- n.prev);
   n.prev <- None;
   n.next <- None;
   n.home <- None;
   t.len <- t.len - 1
 
-let pop_front t =
-  match t.first with
-  | None -> None
-  | Some n ->
-    remove t n;
-    Some n.v
-
 let peek_front t =
   match t.first with
-  | None -> None
-  | Some n -> Some n.v
-
-let peek_back t =
-  match t.last with
   | None -> None
   | Some n -> Some n.v
 
@@ -83,10 +59,3 @@ let find p t =
     | Some n -> if p n.v then Some n.v else loop n.next
   in
   loop t.first
-
-let to_list t =
-  let rec loop acc = function
-    | None -> List.rev acc
-    | Some n -> loop (n.v :: acc) n.next
-  in
-  loop [] t.first

@@ -15,27 +15,16 @@ val create : unit -> 'a t
 val length : 'a t -> int
 (** O(1). *)
 
-val is_empty : 'a t -> bool
-
 val push_front : 'a t -> 'a -> 'a node
-
-val push_back : 'a t -> 'a -> 'a node
 
 val remove : 'a t -> 'a node -> unit
 (** [remove t n] unlinks [n] from [t]. Raises [Invalid_argument] if [n] is
     not currently linked in [t]. *)
 
-val pop_front : 'a t -> 'a option
-
 val peek_front : 'a t -> 'a option
-
-val peek_back : 'a t -> 'a option
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front-to-back iteration. *)
 
 val find : ('a -> bool) -> 'a t -> 'a option
 (** First element (front-to-back) satisfying the predicate. *)
-
-val to_list : 'a t -> 'a list
-(** Front-to-back snapshot. *)

@@ -28,7 +28,7 @@ let base = 0x1000_0000
 
 let create ?(backend = Vmem_backend.Exact) () =
   {
-    backend = Vmem_backend.create backend ~page_size;
+    backend = Vmem_backend.create backend;
     next_addr = base;
     regions = Imap.empty;
     owners = Hashtbl.create 16;

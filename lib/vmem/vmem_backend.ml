@@ -161,8 +161,7 @@ let make_first_fit () =
    internally grabs a chunk of order >= the request and immediately
    re-releases the tail. *)
 
-let make_buddy ~page_size () =
-  ignore page_size;
+let make_buddy () =
   let max_order = 48 in
   let lists = Array.make (max_order + 1) [] in
   let order_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -256,8 +255,8 @@ let make_buddy ~page_size () =
   in
   { be_kind = Buddy; take; give; free_bytes = (fun () -> !free); check }
 
-let create kind ~page_size =
+let create kind =
   match kind with
   | Exact -> make_exact ()
   | First_fit -> make_first_fit ()
-  | Buddy -> make_buddy ~page_size ()
+  | Buddy -> make_buddy ()

@@ -38,4 +38,4 @@ type t = {
           invariants, pool-total agreement); raises [Failure] *)
 }
 
-val create : kind -> page_size:int -> t
+val create : kind -> t

@@ -708,6 +708,86 @@ let test_free_run_absent_not_member () =
   Alcotest.(check int) "no members" 0 (Global_index.members gi);
   Global_index.check gi
 
+(* --- Deferred_list capped push --- *)
+
+(* A host platform that logs each memory access and atomic operation,
+   in order: ["write"], ["read"], ["load <name>"], ["cas <name>"]. *)
+let effect_log () =
+  let pf = Platform.host () in
+  let log = ref [] in
+  let note e = log := e :: !log in
+  let new_atomic name init =
+    let a = pf.Platform.new_atomic name init in
+    {
+      a with
+      Platform.load =
+        (fun () ->
+          note ("load " ^ name);
+          a.Platform.load ());
+      cas =
+        (fun ~expected ~desired ->
+          note ("cas " ^ name);
+          a.Platform.cas ~expected ~desired);
+      store =
+        (fun v ->
+          note ("store " ^ name);
+          a.Platform.store v);
+      faa =
+        (fun d ->
+          note ("faa " ^ name);
+          a.Platform.faa d);
+    }
+  in
+  let read ~addr ~len =
+    note "read";
+    pf.Platform.read ~addr ~len
+  in
+  let write ~addr ~len =
+    note "write";
+    pf.Platform.write ~addr ~len
+  in
+  let taken () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  ({ pf with Platform.new_atomic; read; write }, taken)
+
+(* [n] freed, custody-marked 512 B blocks of one superblock at [base]. *)
+let freed_blocks ~base n =
+  let sb = Superblock.create ~base ~sb_size:4096 ~sclass:0 ~block_size:512 in
+  List.init n (fun _ ->
+      let a = Superblock.alloc_block sb in
+      Superblock.mark_cached sb a;
+      (sb, a))
+
+let test_capped_push_bails_before_linking () =
+  let pf, taken = effect_log () in
+  let l = Deferred_list.create pf ~name:"dl" () in
+  Alcotest.(check bool) "fills to the cap" true (Deferred_list.push_many ~cap:4 l (freed_blocks ~base:4096 4));
+  ignore (taken ());
+  Alcotest.(check bool) "over the cap: rejected" false
+    (Deferred_list.push_many ~cap:4 l (freed_blocks ~base:8192 3));
+  Alcotest.(check (list string)) "one head load, no link written" [ "load dl.head" ] (taken ());
+  Alcotest.(check int) "length unchanged" 4 (Deferred_list.length l);
+  Alcotest.(check int) "bytes unchanged" (4 * 512) (Deferred_list.bytes l);
+  Deferred_list.check l
+
+let test_capped_push_that_fits () =
+  let push ?cap () =
+    let pf, taken = effect_log () in
+    let l = Deferred_list.create pf ~name:"dl" () in
+    Alcotest.(check bool) "published" true (Deferred_list.push_many ?cap l (freed_blocks ~base:4096 3));
+    Alcotest.(check int) "length" 3 (Deferred_list.length l);
+    Deferred_list.check l;
+    taken ()
+  in
+  let uncapped = push () in
+  Alcotest.(check (list string)) "uncapped: links, head load, tail link, CAS"
+    [ "write"; "write"; "load dl.head"; "write"; "cas dl.head" ]
+    uncapped;
+  Alcotest.(check (list string)) "capped: one more head load, first" ("load dl.head" :: uncapped) (push ~cap:3 ())
+
 let () =
   Alcotest.run "alloc-substrate"
     [
@@ -769,6 +849,11 @@ let () =
           Alcotest.test_case "free_run requeues on Busy" `Quick test_free_run_busy_requeues;
           Alcotest.test_case "free_run refuses an Absent word" `Quick test_free_run_absent_not_member;
           Alcotest.test_case "create forces no minor collection" `Quick test_global_index_create_no_minor_gc;
+        ] );
+      ( "deferred-list",
+        [
+          Alcotest.test_case "capped push bails before linking" `Quick test_capped_push_bails_before_linking;
+          Alcotest.test_case "capped push that fits" `Quick test_capped_push_that_fits;
         ] );
       ( "lockfree",
         [

@@ -54,99 +54,89 @@ let test_rng_exponential_positive () =
 
 (* --- Dlist --- *)
 
+(* Front-to-back contents, read through [iter]. *)
+let dlist_contents l =
+  let acc = ref [] in
+  Dlist.iter (fun v -> acc := v :: !acc) l;
+  List.rev !acc
+
+let dlist_last l = List.fold_left (fun _ v -> Some v) None (dlist_contents l)
+
+(* Build [xs] front to back with [push_front]; returns their nodes in
+   the same order. *)
+let dlist_of l xs = List.rev_map (Dlist.push_front l) (List.rev xs)
+
 let test_dlist_push_pop () =
   let l = Dlist.create () in
-  ignore (Dlist.push_back l 1);
-  ignore (Dlist.push_back l 2);
-  ignore (Dlist.push_front l 0);
-  Alcotest.(check (list int)) "order" [ 0; 1; 2 ] (Dlist.to_list l);
+  let n0 = List.hd (dlist_of l [ 0; 1; 2 ]) in
+  Alcotest.(check (list int)) "order" [ 0; 1; 2 ] (dlist_contents l);
   Alcotest.(check int) "length" 3 (Dlist.length l);
-  Alcotest.(check (option int)) "pop front" (Some 0) (Dlist.pop_front l);
+  Dlist.remove l n0;
+  Alcotest.(check int) "length after pop" 2 (Dlist.length l);
   Alcotest.(check (option int)) "peek front" (Some 1) (Dlist.peek_front l);
-  Alcotest.(check (option int)) "peek back" (Some 2) (Dlist.peek_back l)
+  Alcotest.(check (option int)) "back" (Some 2) (dlist_last l)
 
 let test_dlist_remove_middle () =
   let l = Dlist.create () in
-  let _a = Dlist.push_back l 'a' in
-  let b = Dlist.push_back l 'b' in
-  let _c = Dlist.push_back l 'c' in
+  let b = List.nth (dlist_of l [ 'a'; 'b'; 'c' ]) 1 in
   Dlist.remove l b;
-  Alcotest.(check (list char)) "middle removed" [ 'a'; 'c' ] (Dlist.to_list l)
+  Alcotest.(check (list char)) "middle removed" [ 'a'; 'c' ] (dlist_contents l)
 
 let test_dlist_remove_foreign_rejected () =
   let l1 = Dlist.create () and l2 = Dlist.create () in
-  let n = Dlist.push_back l1 1 in
-  ignore (Dlist.push_back l2 2);
+  let n = Dlist.push_front l1 1 in
+  ignore (Dlist.push_front l2 2);
   Alcotest.check_raises "foreign node" (Invalid_argument "Dlist.remove: node not in this list") (fun () ->
       Dlist.remove l2 n)
 
 let test_dlist_double_remove_rejected () =
   let l = Dlist.create () in
-  let n = Dlist.push_back l 1 in
+  let n = Dlist.push_front l 1 in
   Dlist.remove l n;
   Alcotest.check_raises "double remove" (Invalid_argument "Dlist.remove: node not in this list") (fun () ->
       Dlist.remove l n)
 
 let test_dlist_find () =
   let l = Dlist.create () in
-  List.iter (fun x -> ignore (Dlist.push_back l x)) [ 1; 3; 5; 6; 7 ];
+  ignore (dlist_of l [ 1; 3; 5; 6; 7 ]);
   Alcotest.(check (option int)) "first even" (Some 6) (Dlist.find (fun x -> x mod 2 = 0) l);
   Alcotest.(check (option int)) "none" None (Dlist.find (fun x -> x > 100) l)
 
-(* Model-based property: a Dlist driven by random push/pop/remove agrees
-   with a plain list model. *)
+(* Model-based property: a Dlist driven by random pushes and removals
+   (of the node at a random position) agrees with a plain list model. *)
 let test_dlist_model =
   QCheck.Test.make ~name:"Dlist matches list model" ~count:200
-    QCheck.(list (int_range 0 3))
+    QCheck.(list (pair bool small_nat))
     (fun ops ->
       let l = Dlist.create () in
-      let nodes = ref [] in
+      (* (node, value) pairs, front to back. *)
       let model = ref [] in
       List.iteri
-        (fun i op ->
-          match op with
-          | 0 ->
-            nodes := !nodes @ [ Dlist.push_back l i ];
-            model := !model @ [ i ]
-          | 1 ->
-            nodes := Dlist.push_front l i :: !nodes;
-            model := i :: !model
-          | 2 ->
-            (match (!nodes, !model) with
-             | n :: rest, _ :: mrest ->
-               Dlist.remove l n;
-               nodes := rest;
-               model := mrest
-             | [], [] -> ()
-             | _ -> assert false)
-          | _ ->
-            (match (Dlist.pop_front l, !model) with
-             | Some x, m :: mrest when x = m ->
-               model := mrest;
-               nodes := List.tl !nodes
-             | None, [] -> ()
-             | _ -> failwith "pop mismatch"))
+        (fun i (push, k) ->
+          if push then model := (Dlist.push_front l i, i) :: !model
+          else if !model <> [] then begin
+            let j = k mod List.length !model in
+            Dlist.remove l (fst (List.nth !model j));
+            model := List.filteri (fun p _ -> p <> j) !model
+          end)
         ops;
-      Dlist.to_list l = !model && Dlist.length l = List.length !model)
+      dlist_contents l = List.map snd !model && Dlist.length l = List.length !model)
 
 let test_dlist_empty_edges () =
   let l = Dlist.create () in
-  Alcotest.(check bool) "is_empty" true (Dlist.is_empty l);
   Alcotest.(check int) "length" 0 (Dlist.length l);
-  Alcotest.(check (option int)) "pop_front" None (Dlist.pop_front l);
   Alcotest.(check (option int)) "peek_front" None (Dlist.peek_front l);
-  Alcotest.(check (option int)) "peek_back" None (Dlist.peek_back l);
+  Alcotest.(check (option int)) "find" None (Dlist.find (fun _ -> true) l);
   let visited = ref 0 in
   Dlist.iter (fun _ -> incr visited) l;
-  Alcotest.(check int) "iter no-op" 0 !visited;
-  Alcotest.(check (list int)) "to_list" [] (Dlist.to_list l)
+  Alcotest.(check int) "iter no-op" 0 !visited
 
 (* Removing the node currently being visited must not derail the walk:
    [iter] captures the successor before calling [f]. This is exactly the
    reposition-while-scanning pattern of Heap_core's fullness groups. *)
 let test_dlist_remove_current_while_iterating () =
   let l = Dlist.create () in
-  let nodes = List.map (fun x -> (x, Dlist.push_back l x)) [ 1; 2; 3; 4 ] in
+  let nodes = List.combine [ 1; 2; 3; 4 ] (dlist_of l [ 1; 2; 3; 4 ]) in
   let visited = ref [] in
   Dlist.iter
     (fun v ->
@@ -154,7 +144,7 @@ let test_dlist_remove_current_while_iterating () =
       if v mod 2 = 0 then Dlist.remove l (List.assoc v nodes))
     l;
   Alcotest.(check (list int)) "all visited" [ 1; 2; 3; 4 ] (List.rev !visited);
-  Alcotest.(check (list int)) "evens removed" [ 1; 3 ] (Dlist.to_list l);
+  Alcotest.(check (list int)) "evens removed" [ 1; 3 ] (dlist_contents l);
   Alcotest.(check int) "length tracks" 2 (Dlist.length l)
 
 (* Remove-and-relink mid-iteration: the moved node is pushed to the front
@@ -162,45 +152,42 @@ let test_dlist_remove_current_while_iterating () =
    twice — the walk follows captured successors, not the mutated head. *)
 let test_dlist_reposition_while_iterating () =
   let l = Dlist.create () in
-  let n2 = ref None in
-  ignore (Dlist.push_back l 1);
-  n2 := Some (Dlist.push_back l 2);
-  ignore (Dlist.push_back l 3);
+  let n2 = List.nth (dlist_of l [ 1; 2; 3 ]) 1 in
   let visited = ref [] in
   Dlist.iter
     (fun v ->
       visited := v :: !visited;
       if v = 2 then begin
-        (match !n2 with
-         | Some n -> Dlist.remove l n
-         | None -> assert false);
+        Dlist.remove l n2;
         ignore (Dlist.push_front l 2)
       end)
     l;
   Alcotest.(check (list int)) "each visited once" [ 1; 2; 3 ] (List.rev !visited);
-  Alcotest.(check (list int)) "repositioned to front" [ 2; 1; 3 ] (Dlist.to_list l)
+  Alcotest.(check (list int)) "repositioned to front" [ 2; 1; 3 ] (dlist_contents l)
 
 let test_dlist_remove_head_and_tail_edges () =
   let l = Dlist.create () in
-  let a = Dlist.push_back l 'a' in
-  let b = Dlist.push_back l 'b' in
-  let c = Dlist.push_back l 'c' in
+  let a, b, c =
+    match dlist_of l [ 'a'; 'b'; 'c' ] with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
   Dlist.remove l a;
   Alcotest.(check (option char)) "new head" (Some 'b') (Dlist.peek_front l);
   Dlist.remove l c;
-  Alcotest.(check (option char)) "new tail" (Some 'b') (Dlist.peek_back l);
+  Alcotest.(check (option char)) "new tail" (Some 'b') (dlist_last l);
   Dlist.remove l b;
-  Alcotest.(check bool) "empty after removing singleton" true (Dlist.is_empty l);
+  Alcotest.(check int) "empty after removing singleton" 0 (Dlist.length l);
   Alcotest.(check (option char)) "no head" None (Dlist.peek_front l);
-  Alcotest.(check (option char)) "no tail" None (Dlist.peek_back l);
+  Alcotest.(check (option char)) "no tail" None (dlist_last l);
   (* The emptied list is immediately reusable (the empty-bin edge: a
      fullness group drained by transfers keeps serving). *)
-  ignore (Dlist.push_back l 'z');
-  Alcotest.(check (list char)) "reusable" [ 'z' ] (Dlist.to_list l)
+  ignore (Dlist.push_front l 'z');
+  Alcotest.(check (list char)) "reusable" [ 'z' ] (dlist_contents l)
 
 let test_dlist_node_reuse_across_lists_rejected () =
   let l1 = Dlist.create () and l2 = Dlist.create () in
-  let n = Dlist.push_back l1 1 in
+  let n = Dlist.push_front l1 1 in
   Dlist.remove l1 n;
   (* A detached node is homeless; only the list that created it via push
      may ever hold it, and a remove through a stale handle must fail even
