@@ -12,6 +12,22 @@
    per (class, bin) plus a class-agnostic stack of empties, all sharing
    one growing {!Lockfree} pool whose free list recycles nodes on pop.
 
+   Construction and line addresses. Every simulated atomic takes the next
+   cache line when it is created, so creation order decides which line
+   each atomic gets. [create] makes two: the pool's free word
+   "<name>.free", then the empties head "<name>.empties". Everything else
+   is made at first use, in the order the run reaches it: a slot word "<name>.w<id>" when a superblock
+   is first published, pool nodes "<name>.n<i>" as the table grows, and a
+   class's heads "<name>.c<class>b0" .. "b<ngroups>" when the class is
+   first used ([publish], [acquire], [free_run]'s re-bin push, [q_publish]
+   or [q_free]). A head is built under [mu] and published through the
+   class's host atomic, like the slot table. Its first simulated access is
+   the same costed load or CAS it would have been on a head built up
+   front, on a line no processor has touched either way, so building late
+   changes no simulated cost; it only spares the set-up the ngroups + 1
+   heads of each class a run never uses (of 30 classes by default).
+   [check] looks the heads up without building any.
+
    The word is the ground truth; the stacks are a lazily-maintained index:
 
      Absent        not a member (owned by some heap, or in transit)
@@ -67,7 +83,9 @@ type t = {
   n_slots : int Atomic.t;
   mu : Mutex.t;
   entries : int Lockfree.pool; (* payload: slot id *)
-  heads : int Lockfree.t array array; (* heads.(class).(bin), bin <= ngroups (full) *)
+  (* heads.(class).(bin), bin <= ngroups (full); [||] until the class's
+     first use, built under [mu] (see [class_heads]). *)
+  heads : int Lockfree.t array Atomic.t array;
   empties_head : int Lockfree.t; (* class-agnostic: any empty can take any class *)
   (* Gauges: host atomics, exact at quiescence. *)
   members : int Atomic.t;
@@ -105,20 +123,7 @@ let create pf ~name ~nclasses ~ngroups ?(aba_tag = true) ?(skip_revalidate = fal
     ?(on_retry = fun () -> ()) () =
   if ngroups < 1 then invalid_arg "Global_index.create: ngroups must be >= 1";
   if nclasses < 1 then invalid_arg "Global_index.create: nclasses must be >= 1";
-  (* Line addresses follow creation order: the empties head, the (class,
-     bin) heads "c<class>b<bin>", then the pool's free word. The names are
-     joined from per-class and per-bin parts: formatting two integers per
-     head was a third of building the index. *)
-  let per_class = ngroups + 1 in
-  let bins = Array.init per_class (fun b -> "b" ^ string_of_int b) in
-  let entries =
-    Lockfree.pool pf ~name
-      ~stacks:
-        (Array.concat
-           ([| "empties" |] :: List.init nclasses (fun c -> Array.map (( ^ ) ("c" ^ string_of_int c)) bins)))
-      ~aba_tag ~on_retry ()
-  in
-  let stacks = Lockfree.stacks entries in
+  let entries = Lockfree.pool pf ~name ~aba_tag ~on_retry () in
   {
     pf;
     name;
@@ -130,8 +135,8 @@ let create pf ~name ~nclasses ~ngroups ?(aba_tag = true) ?(skip_revalidate = fal
     n_slots = Atomic.make 0;
     mu = Mutex.create ();
     entries;
-    heads = Array.init nclasses (fun c -> Array.sub stacks (1 + (c * per_class)) per_class);
-    empties_head = stacks.(0);
+    heads = Array.init nclasses (fun _ -> Atomic.make [||]);
+    empties_head = (Lockfree.add_stacks entries [| "empties" |]).(0);
     members = Atomic.make 0;
     empties = Atomic.make 0;
     u_bytes = Atomic.make 0;
@@ -141,7 +146,35 @@ let retry t = t.on_retry ()
 
 let slot_at t i = (Atomic.get t.slots).(i)
 
-let head_for t ~sclass ~bin = if bin = empties_bin t then t.empties_head else t.heads.(sclass).(bin)
+(* Class [sclass]'s heads, by bin, built on the class's first use. *)
+let class_heads t sclass =
+  let heads = t.heads.(sclass) in
+  let hs = Atomic.get heads in
+  if Array.length hs > 0 then hs
+  else begin
+    Mutex.lock t.mu;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.mu)
+      (fun () ->
+        let hs = Atomic.get heads in
+        if Array.length hs > 0 then hs
+        else begin
+          let hs =
+            Lockfree.add_stacks t.entries (Array.init (t.ngroups + 1) (fun b -> Printf.sprintf "c%db%d" sclass b))
+          in
+          Atomic.set heads hs;
+          hs
+        end)
+  end
+
+let head_for t ~sclass ~bin = if bin = empties_bin t then t.empties_head else (class_heads t sclass).(bin)
+
+(* [head_for] without building: [None] for a class never used. *)
+let built_head t ~sclass ~bin =
+  if bin = empties_bin t then Some t.empties_head
+  else
+    let hs = Atomic.get t.heads.(sclass) in
+    if Array.length hs > 0 then Some hs.(bin) else None
 
 (* Push one membership entry for [slot] onto stack (sclass, bin); the
    growing pool never refuses. *)
@@ -282,10 +315,11 @@ let rec scan t ~record ~want head =
    empties. Never scans the full stack — nothing there is allocatable. *)
 let acquire ?(record = fun _ ~arg:_ -> ()) t ~sclass =
   let want = want_for_class sclass in
+  let heads = class_heads t sclass in
   let rec bins b =
     if b < 0 then scan t ~record ~want t.empties_head
     else
-      match scan t ~record ~want t.heads.(sclass).(b) with
+      match scan t ~record ~want heads.(b) with
       | Some sb -> Some sb
       | None -> bins (b - 1)
   in
@@ -411,12 +445,13 @@ let fail t fmt = Printf.ksprintf (fun m -> failwith (t.name ^ ": " ^ m)) fmt
 
 (* Exhaustive structural check, quiescent-only.
 
-   The pool walk covers the free list and every entry stack with one
-   node-seen set: a node reached twice, a cycle, or a node reachable from
-   no head at all ("global-no-aba"'s stale-splice strand) fails there.
-   Then validates every slot: no Busy words, recorded bin = recomputed
-   bin, and every Idle member reachable in its own bin's stack (the
-   lazy-deletion invariant). Gauges must equal recomputed sums. *)
+   The pool walk covers the free list and every entry stack built so far
+   with one node-seen set: a node reached twice, a cycle, or a node
+   reachable from no head at all ("global-no-aba"'s stale-splice strand)
+   fails there. Then validates every slot: no Busy words, recorded bin =
+   recomputed bin, and every Idle member reachable in its own bin's stack
+   (the lazy-deletion invariant), which must have been built. Builds no
+   stack itself. Gauges must equal recomputed sums. *)
 let check t =
   let n_slots = Atomic.get t.n_slots in
   (* slot id -> the stacks holding an entry for it *)
@@ -438,9 +473,13 @@ let check t =
         if b <> want then fail t "slot %d: recorded bin %d but fullness says %d" i b want;
         if b = empties_bin t then incr empties;
         u := !u + (Superblock.used s.sb * Superblock.block_size s.sb);
-        let stack = head_for t ~sclass:(Superblock.sclass s.sb) ~bin:b in
-        if not (List.memq stack (Hashtbl.find_all reach i)) then
-          fail t "slot %d: Idle(%d) member unreachable in stack %s" i b (Lockfree.name stack);
+        (match built_head t ~sclass:(Superblock.sclass s.sb) ~bin:b with
+         | None ->
+           fail t "slot %d: Idle(%d) member of class %d, whose stacks were never built" i b
+             (Superblock.sclass s.sb)
+         | Some stack ->
+           if not (List.memq stack (Hashtbl.find_all reach i)) then
+             fail t "slot %d: Idle(%d) member unreachable in stack %s" i b (Lockfree.name stack));
         Superblock.check s.sb
   done;
   if Atomic.get t.members <> !members then

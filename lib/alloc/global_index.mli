@@ -8,7 +8,10 @@
     atomic word — Absent / Idle(bin) / Busy(bin) — is the ground truth
     of membership. Findability comes from ABA-tagged Treiber stacks of
     entry nodes, one per (size class, fullness bin) plus one
-    class-agnostic empties stack, maintained lazily: entries can be
+    class-agnostic empties stack. {!create} builds only the empties
+    stack; a class's stacks are built on its first use (any call below
+    that names the class or one of its superblocks), at no simulated
+    cost. The stacks are maintained lazily: entries can be
     stale, pops discard or relocate them against the word, and the
     invariant is only that every quiescent Idle(b) member is reachable
     in stack b. Claims are a single CAS Idle -> Absent; frees run one
@@ -42,7 +45,11 @@ val create :
 (** [aba_tag:false] freezes the stack tags (the "global-no-aba" mutant);
     [skip_revalidate:true] turns the claim CAS into a blind store (the
     "global-skip-revalidate" mutant); [on_retry] fires on every failed
-    CAS (wire it to [Alloc_stats.retry_hook ~label:"global"]). *)
+    CAS (wire it to [Alloc_stats.retry_hook ~label:"global"]). Makes
+    two atomics, "<name>.free" and "<name>.empties"; the rest are made
+    as the run reaches them: slot words "<name>.w<id>", pool nodes
+    "<name>.n<i>", and a class's heads "<name>.c<class>b0" ..
+    "<name>.c<class>b<ngroups>" on the class's first use. *)
 
 val publish : ?record:(Event_ring.kind -> arg:int -> unit) -> t -> Superblock.t -> unit
 (** Make a privately-held superblock a member: word to Idle(bin), one
@@ -111,5 +118,6 @@ val check : t -> unit
     one head (unreachable nodes are the lost-ABA strand), no Busy
     words, recorded bins match recomputed fullness, every member
     reachable in its own bin's stack, gauges equal recomputed sums,
-    and [Superblock.check] on every member. Raises [Failure] with a
-    diagnostic otherwise. *)
+    and [Superblock.check] on every member. Walks only the stacks built
+    so far and builds none. Raises [Failure] with a diagnostic
+    otherwise. *)

@@ -8,6 +8,15 @@
    (bucket full) and oversized regions fall back to the seed unmap/map
    path.
 
+   A bucket's pool is built on the bucket's first park or take, so a run
+   pays only for the page counts it uses. Its atomics ("<name>.b<pages>"
+   then ".next<i>", ".free", ".head") take the next cache lines when
+   they are built; the first costed access to each is the one it would
+   have been on a pool built up front, on a line no processor has
+   touched either way, so no simulated cost moves. Building runs under a
+   host mutex and publishes through the bucket's host atomic, so racing
+   first users build one pool between them.
+
    Residency discipline: the region is decommitted *before* the push publishes it (while still private), so
    no interleaving can observe a parked-but-resident region; a take
    commits *after* the pop made the region private again. Parked
@@ -17,9 +26,13 @@
 
 type t = {
   pf : Platform.t;
+  name : string;
   page_size : int;
   bucket_cap : int; (* >= 1 *)
-  buckets : int Lockfree.t array; (* bucket i holds regions of exactly (i+1) pages *)
+  aba_tag : bool;
+  on_retry : (unit -> unit) option;
+  mu : Mutex.t; (* host mutex: serialises bucket builds, zero simulated cost *)
+  buckets : int Lockfree.t option Atomic.t array; (* bucket i holds regions of exactly (i+1) pages *)
 }
 
 let nbuckets = 16
@@ -28,12 +41,36 @@ let create (pf : Platform.t) ~name ~cap ?(aba_tag = true) ?on_retry () =
   if cap < 1 then invalid_arg "Large_cache.create: cap must be >= 1";
   {
     pf;
+    name;
     page_size = pf.Platform.page_size;
     bucket_cap = cap;
-    buckets =
-      Array.init nbuckets (fun i ->
-          Lockfree.create pf ~name:(Printf.sprintf "%s.b%d" name (i + 1)) ~cap ~aba_tag ?on_retry ());
+    aba_tag;
+    on_retry;
+    mu = Mutex.create ();
+    buckets = Array.init nbuckets (fun _ -> Atomic.make None);
   }
+
+(* Bucket [i], built on first use. *)
+let bucket t i =
+  match Atomic.get t.buckets.(i) with
+  | Some b -> b
+  | None ->
+    Mutex.lock t.mu;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.mu)
+      (fun () ->
+        match Atomic.get t.buckets.(i) with
+        | Some b -> b
+        | None ->
+          let b =
+            Lockfree.create t.pf ~name:(Printf.sprintf "%s.b%d" t.name (i + 1)) ~cap:t.bucket_cap
+              ~aba_tag:t.aba_tag ?on_retry:t.on_retry ()
+          in
+          Atomic.set t.buckets.(i) (Some b);
+          b)
+
+(* The buckets built so far, with their indices. *)
+let iter_built t f = Array.iteri (fun i b -> Option.iter (f i) (Atomic.get b)) t.buckets
 
 let bucket_of t ~mapped =
   if mapped <= 0 || mapped mod t.page_size <> 0 then None
@@ -49,7 +86,7 @@ let park t ~addr ~mapped =
   | None -> `Uncacheable
   | Some i ->
     t.pf.Platform.page_decommit ~addr;
-    if Lockfree.push t.buckets.(i) addr then `Parked else `Bounced
+    if Lockfree.push (bucket t i) addr then `Parked else `Bounced
 
 (* Take a region of exactly [mapped] bytes: the pop privatises it, the
    commit brings its pages back. *)
@@ -57,18 +94,19 @@ let take t ~mapped =
   match bucket_of t ~mapped with
   | None -> None
   | Some i ->
-    (match Lockfree.pop t.buckets.(i) with
+    (match Lockfree.pop (bucket t i) with
      | None -> None
      | Some addr ->
        t.pf.Platform.page_commit ~addr;
        Some addr)
 
-let length t = Array.fold_left (fun acc b -> acc + Lockfree.length b) 0 t.buckets
+let sum_built t f = Array.fold_left (fun acc b -> acc + Option.fold ~none:0 ~some:f (Atomic.get b)) 0 t.buckets
 
-let parks t = Array.fold_left (fun acc b -> acc + Lockfree.pushes b) 0 t.buckets
+let length t = sum_built t Lockfree.length
 
-let iter t f =
-  Array.iteri (fun i b -> Lockfree.iter b (fun addr -> f ~addr ~mapped:((i + 1) * t.page_size))) t.buckets
+let parks t = sum_built t Lockfree.pushes
+
+let iter t f = iter_built t (fun i b -> Lockfree.iter b (fun addr -> f ~addr ~mapped:((i + 1) * t.page_size)))
 
 (* Quiescent structural + residency check: every parked region must be
    a mapped region of exactly its bucket's size (a take hands it out for
@@ -76,7 +114,7 @@ let iter t f =
    park-ordering bug), buckets within capacity, stacks uncorrupted
    (Lockfree.iter fails on the ABA-loss signatures). *)
 let check t =
-  Array.iteri
+  iter_built t
     (fun i b ->
       if Lockfree.length b > t.bucket_cap then
         failwith (Printf.sprintf "Large_cache: bucket %d over capacity (%d > %d)" (i + 1) (Lockfree.length b) t.bucket_cap);
@@ -88,4 +126,3 @@ let check t =
           | Some _ ->
             if t.pf.Platform.page_residency ~addr <> Vmem.Decommitted then
               failwith (Printf.sprintf "Large_cache: parked region %#x still resident" addr)))
-    t.buckets

@@ -4,7 +4,8 @@
     same page count takes one back with pop → commit instead of a map.
     Decommit happens before the publishing push and commit after the
     privatising pop, so no schedule can observe a parked resident
-    region. *)
+    region. A bucket's pool is built on the bucket's first {!park} or
+    {!take}, at no simulated cost; racing first users build one pool. *)
 
 type t
 
@@ -17,7 +18,10 @@ val create :
   unit ->
   t
 (** [cap >= 1] bounds each bucket. 16 buckets cache regions of 1..16
-    pages; larger regions are uncacheable.
+    pages; larger regions are uncacheable. Creates no simulated object:
+    bucket [k]'s atomics ("<name>.b<k>.next<i>", ".free", ".head", as
+    {!Lockfree.create} names them) are made when the bucket is first
+    used.
     [aba_tag:false] plants the ["large-cache-no-aba"] mutant (frozen
     Treiber tags on every bucket); [on_retry] fires on each failed
     CAS. *)
@@ -44,4 +48,7 @@ val iter : t -> (addr:int -> mapped:int -> unit) -> unit
 val check : t -> unit
 (** Quiescent structural + residency check: buckets within capacity,
     stacks uncorrupted, every parked region a mapped region of exactly
-    its bucket's page count, and decommitted. *)
+    its bucket's page count, and decommitted.
+
+    [length], [parks], [iter] and [check] visit only the buckets built
+    so far and build none. *)

@@ -2,10 +2,10 @@
 
    This is the non-blocking substrate under both lock-free extensions:
    each large-cache bucket is a stack alone in a bounded pool, and the
-   lock-free global heap's entry stacks (one per (class, bin) plus the
-   empties) share one growing pool. Push and pop complete with CAS only,
-   no lock, so a thread preempted (or crashed, on real hardware) mid-way
-   never blocks the others.
+   lock-free global heap's entry stacks (the empties, then one per
+   (class, bin) for each class in use) share one growing pool. Push and
+   pop complete with CAS only, no lock, so a thread preempted (or
+   crashed, on real hardware) mid-way never blocks the others.
 
    Structure: a table of nodes. Each node holds one payload (host state,
    owned exclusively by whichever thread currently owns the node) and one
@@ -50,7 +50,7 @@ type 'a pool = {
   handed : int Atomic.t; (* node ids below this have been handed out at least once *)
   mu : Mutex.t;
   free : Platform.atomic_int;
-  mutable stacks : 'a t array; (* in creation order; set once at construction *)
+  stacks : 'a t array Atomic.t; (* in creation order; appended to under [mu] *)
   in_flight : int Atomic.t; (* operations started and not yet finished *)
 }
 
@@ -92,38 +92,33 @@ let make_pool pf ~name ~cap ~grows ~aba_tag ~on_retry =
     handed = Atomic.make cap;
     mu = Mutex.create ();
     free;
-    stacks = [||];
+    stacks = Atomic.make [||];
     in_flight = Atomic.make 0;
   }
 
 let new_stack pool head = { pool; head; len = Atomic.make 0; pushes = Atomic.make 0 }
 
-(* [Array.map] in index order without a young-initialised array of more
-   than 256 words: the runtime promotes such an array's young first
-   element with a minor collection, while [Array.concat] allocates a long
-   result in the major heap directly. A global index has hundreds of
-   stacks. *)
-let map_chunked f a =
-  let chunk = 256 in
-  let n = Array.length a in
-  Array.concat
-    (List.init ((n + chunk - 1) / chunk) (fun i ->
-         Array.map f (Array.sub a (i * chunk) (min chunk (n - (i * chunk))))))
+let pool pf ~name ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
+  make_pool pf ~name ~cap:0 ~grows:true ~aba_tag ~on_retry
 
-(* The heads come before the free word in line order. *)
-let pool pf ~name ~stacks ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
-  let heads = map_chunked (fun suffix -> pf.Platform.new_atomic (name ^ "." ^ suffix) empty) stacks in
-  let p = make_pool pf ~name ~cap:0 ~grows:true ~aba_tag ~on_retry in
-  p.stacks <- map_chunked (new_stack p) heads;
-  p
-
-let stacks p = p.stacks
+(* Each head takes the next line, wherever the run has got to; the table
+   is republished before the stacks are returned. *)
+let add_stacks p suffixes =
+  Mutex.lock p.mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock p.mu)
+    (fun () ->
+      let added =
+        Array.map (fun suffix -> new_stack p (p.pf.Platform.new_atomic (p.name ^ "." ^ suffix) empty)) suffixes
+      in
+      Atomic.set p.stacks (Array.append (Atomic.get p.stacks) added);
+      added)
 
 let create pf ~name ~cap ?(aba_tag = true) ?(on_retry = fun () -> ()) () =
   if cap < 1 then invalid_arg "Lockfree.create: cap must be >= 1";
   let p = make_pool pf ~name ~cap ~grows:false ~aba_tag ~on_retry in
   let s = new_stack p (pf.Platform.new_atomic (name ^ ".head") empty) in
-  p.stacks <- [| s |];
+  Atomic.set p.stacks [| s |];
   s
 
 let node_at p i = (Atomic.get p.nodes).(i)
@@ -277,10 +272,10 @@ let length s = Atomic.get s.len
 let pushes s = Atomic.get s.pushes
 
 (* Quiescent-only walk: the free list, then every stack in creation
-   order, top first, with one seen-set across all of them. A node
-   reached twice (a cycle, or the stale splice of a lost ABA tag), a
-   payload-less live node, or a handed-out node reachable from no head
-   raises instead of being silently iterated past. Uses [peek]:
+   order, top first, with one seen-set across all of them. A node reached twice (a cycle, or the
+   stale splice of a lost ABA tag), a payload-less live node, or a
+   handed-out node reachable from no head raises instead of being
+   silently iterated past. Uses [peek]:
    charge-free, callable from outside any simulated thread. *)
 let walk p f =
   let fail fmt = Printf.ksprintf (fun m -> failwith (Printf.sprintf "Lockfree: %s: %s" p.name m)) fmt in
@@ -308,7 +303,7 @@ let walk p f =
     from (snd (unpack (head.Platform.peek ())))
   in
   go p.free None;
-  Array.iter (fun s -> go s.head (Some s)) p.stacks;
+  Array.iter (fun s -> go s.head (Some s)) (Atomic.get p.stacks);
   if !walked <> handed then
     fail "%d of %d handed-out nodes unreachable from any head (stale splice?)" (handed - !walked) handed
 

@@ -3,11 +3,13 @@
 
     The non-blocking substrate of both lock-free extensions: the large
     cache's buckets (one bounded pool and one stack per bucket) and the
-    lock-free global heap's entry stacks (one growing pool under every
-    (class, bin) stack of a {!Global_index}). [push]/[pop] complete with
-    CAS only — no lock, so they are safe at any interleaving and
-    explorable by [Check.Explorer] (link words are platform atomics on
-    distinct cache lines, every operation a schedule-visible step).
+    lock-free global heap's entry stacks (one growing pool under the
+    empties stack and every (class, bin) stack of a {!Global_index},
+    the latter added by {!add_stacks} as classes come into use).
+    [push]/[pop] complete with CAS only — no lock, so they are safe at
+    any interleaving and explorable by [Check.Explorer] (link words are
+    platform atomics on distinct cache lines, every operation a
+    schedule-visible step).
 
     A push takes a node off the pool's free list and links it on its
     stack; a pop unlinks the top node and returns it to the free list.
@@ -20,21 +22,26 @@ type 'a pool
 type 'a t
 (** One stack; its nodes come from its pool. *)
 
-val pool :
-  Platform.t -> name:string -> stacks:string array -> ?aba_tag:bool -> ?on_retry:(unit -> unit) -> unit -> 'a pool
-(** A growing pool under one stack per element of [stacks]: its node
-    table starts empty and grows under a host mutex whenever the free
-    list is empty, so a push never refuses. Atomics, in creation order:
-    "<name>.<suffix>" for each of [stacks], "<name>.free", then
-    "<name>.n<i>" as nodes are first handed out. [aba_tag] (default
+val pool : Platform.t -> name:string -> ?aba_tag:bool -> ?on_retry:(unit -> unit) -> unit -> 'a pool
+(** A growing pool, with no stack until {!add_stacks} adds some: its
+    node table starts empty and grows under a host mutex whenever the
+    free list is empty, so a push never refuses. Atomics, in creation
+    order: "<name>.free", then "<name>.n<i>" as nodes are first handed
+    out, interleaved with the heads {!add_stacks} makes. [aba_tag] (default
     true) must only be disabled by tests: [false] freezes every head's
     tag at zero, planting the classic Treiber pop bug for the explorer
     to catch. [on_retry] fires on every failed CAS, for the caller's
     contention counters; it runs on the operating thread and must be
     cheap and lock-free itself. *)
 
-val stacks : 'a pool -> 'a t array
-(** The pool's stacks, in the order their names were given. *)
+val add_stacks : 'a pool -> string array -> 'a t array
+(** [add_stacks p suffixes] appends one stack per suffix to [p] and
+    returns them, in order: each head is a fresh atomic
+    "<name>.<suffix>", created when the call runs, so its line follows
+    every simulated object created before it. Safe from any thread (the
+    append runs under the pool's host mutex and republishes the stack
+    table through a host atomic) and at no simulated cost; {!walk}
+    covers the new stacks. *)
 
 val create :
   Platform.t -> name:string -> cap:int -> ?aba_tag:bool -> ?on_retry:(unit -> unit) -> unit -> 'a t
@@ -72,8 +79,9 @@ val pushes : 'a t -> int
 
 val walk : 'a pool -> ('a t -> 'a -> unit) -> unit
 (** Quiescent-only walk of the free list and then every stack in
-    creation order, top first, via charge-free peeks (callable from
-    outside any simulated thread), calling [f] on each live payload.
+    creation order, top first, via
+    charge-free peeks (callable from outside any simulated thread),
+    calling [f] on each live payload.
     One seen-set spans all of them, so it raises [Failure] on a node
     reachable twice (within one stack: a cycle), a node beyond the
     table, a live node without a payload, a node handed out but

@@ -442,9 +442,9 @@ let test_heap_create_cost_per_class () =
     true (per_class <= 4.0)
 
 let test_global_index_create_no_minor_gc () =
-  (* The index of a default hoard-gl heap set (30 classes, 8 groups: 271
-     entry stacks) fits the minor heap, so building it from an emptied
-     minor heap must not force a collection. *)
+  (* The index of a default hoard-gl heap set (30 classes, 8 groups; only
+     the empties stack is built up front) fits the minor heap, so building
+     it from an emptied minor heap must not force a collection. *)
   let pf = Platform.host () in
   let forced =
     List.init 20 (fun _ ->
@@ -565,8 +565,8 @@ let test_bounded_pool_refuses_when_full () =
 
 let test_growing_pool_lifo_past_first_table () =
   (* The table starts at 8 nodes; 20 pushes make it grow twice. *)
-  let p = Lockfree.pool (Platform.host ()) ~name:"g" ~stacks:[| "s" |] () in
-  let s = (Lockfree.stacks p).(0) in
+  let p = Lockfree.pool (Platform.host ()) ~name:"g" () in
+  let s = (Lockfree.add_stacks p [| "s" |]).(0) in
   for v = 1 to 20 do
     Alcotest.(check bool) "growing pool never refuses" true (Lockfree.push s v)
   done;
@@ -588,8 +588,8 @@ let test_walk_rejects_node_on_two_stacks () =
     Hashtbl.replace atomics name a;
     a
   in
-  let p = Lockfree.pool { pf with Platform.new_atomic } ~name:"w" ~stacks:[| "a"; "b" |] () in
-  ignore (Lockfree.push (Lockfree.stacks p).(0) 7);
+  let p = Lockfree.pool { pf with Platform.new_atomic } ~name:"w" () in
+  ignore (Lockfree.push (Lockfree.add_stacks p [| "a"; "b" |]).(0) 7);
   Lockfree.walk p (fun _ _ -> ());
   (Hashtbl.find atomics "w.b").Platform.poke ((Hashtbl.find atomics "w.a").Platform.peek ());
   match Lockfree.walk p (fun _ _ -> ()) with
@@ -707,6 +707,134 @@ let test_free_run_absent_not_member () =
   check_untouched "absent" sb run;
   Alcotest.(check int) "no members" 0 (Global_index.members gi);
   Global_index.check gi
+
+(* --- Global_index and Large_cache: stacks built on first use --- *)
+
+(* A platform that keeps every atomic it creates, by name, and lists
+   their names in creation order. *)
+let naming pf =
+  let made = ref [] in
+  let new_atomic name init =
+    let a = pf.Platform.new_atomic name init in
+    made := (name, a) :: !made;
+    a
+  in
+  ({ pf with Platform.new_atomic }, ((fun () -> List.rev_map fst !made), fun name -> List.assoc name !made))
+
+let class_heads c = List.init 9 (fun b -> Printf.sprintf "gidx.c%db%d" c b)
+
+let heads_made names = List.filter (Astring.String.is_prefix ~affix:"gidx.c") names
+
+(* A member of class [sclass] with [used] blocks live (all of them, if
+   it has fewer). *)
+let publish_member gi ~base ~sclass ~used =
+  let sb = Superblock.create ~base ~sb_size:4096 ~sclass ~block_size:512 in
+  for _ = 1 to min used (Superblock.n_blocks sb) do
+    ignore (Superblock.alloc_block sb)
+  done;
+  Global_index.publish gi sb;
+  sb
+
+let test_fresh_index_holds_empties_only () =
+  let pf, (names, _) = naming (Platform.host ()) in
+  let gi = Global_index.create pf ~name:"gidx" ~nclasses:30 ~ngroups:8 () in
+  Alcotest.(check (list string)) "the free word and the empties head" [ "gidx.free"; "gidx.empties" ] (names ());
+  (* An empty member lives on the empties stack: no class is used. *)
+  ignore (publish_member gi ~base:4096 ~sclass:4 ~used:0);
+  Global_index.check gi;
+  Alcotest.(check (list string)) "an empty publish builds no class" [] (heads_made (names ()))
+
+let test_publish_builds_its_class () =
+  let pf, (names, _) = naming (Platform.host ()) in
+  let gi = Global_index.create pf ~name:"gidx" ~nclasses:30 ~ngroups:8 () in
+  let sb = publish_member gi ~base:4096 ~sclass:7 ~used:3 in
+  Alcotest.(check (list string)) "class 7's nine heads, in bin order" (class_heads 7) (heads_made (names ()));
+  ignore (publish_member gi ~base:8192 ~sclass:7 ~used:max_int);
+  Alcotest.(check bool) "acquire claims the partial member" true
+    (match Global_index.acquire gi ~sclass:7 with Some s -> s == sb | None -> false);
+  Alcotest.(check (list string)) "class 7's heads are built once" (class_heads 7) (heads_made (names ()));
+  Global_index.check gi
+
+let test_index_walks_built_stacks () =
+  let pf, (names, atomic) = naming (Platform.host ()) in
+  let gi = Global_index.create pf ~name:"gidx" ~nclasses:30 ~ngroups:8 () in
+  ignore (publish_member gi ~base:4096 ~sclass:3 ~used:max_int);
+  ignore (publish_member gi ~base:8192 ~sclass:7 ~used:1);
+  Global_index.check gi;
+  let seen = ref 0 in
+  Global_index.iter_members gi (fun _ -> incr seen);
+  Alcotest.(check (pair int int)) "iter_members and members: both members" (2, 2) (!seen, Global_index.members gi);
+  Alcotest.(check (list string)) "introspection builds nothing" (class_heads 3 @ class_heads 7)
+    (heads_made (names ()));
+  (* Class 3's member is full, so its bin-0 head is empty; copying class
+     7's one non-empty head into it links one node from two heads, which
+     the walk of the built stacks must find. *)
+  let live = List.find (fun n -> (atomic n).Platform.peek () <> 0) (class_heads 7) in
+  (atomic "gidx.c3b0").Platform.poke ((atomic live).Platform.peek ());
+  match Global_index.check gi with
+  | () -> Alcotest.fail "check accepted a node on two of the built stacks"
+  | exception Failure m ->
+    Alcotest.(check bool) ("names the duplicate: " ^ m) true (Astring.String.is_infix ~affix:"reachable twice" m)
+
+(* The first acquire of a class on a fresh index, inside a simulated run:
+   processor 1 loads each of the class's 8 partial-bin heads, then pops
+   the one empty member that processor 0 published and claims it. A head
+   built at first use is a line no processor has touched, as a head built
+   up front would be, so the cost is pinned as measured with all 271
+   heads built at creation. *)
+let test_first_acquire_cost () =
+  let sim = Sim.create ~nprocs:2 () in
+  let gi = Global_index.create (Sim.platform sim) ~name:"gidx" ~nclasses:30 ~ngroups:8 () in
+  let sb = Superblock.create ~base:8192 ~sb_size:8192 ~sclass:0 ~block_size:8 in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let claimed = ref None and cycles = ref 0 in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         Global_index.publish gi sb;
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         let t0 = Sim.now () in
+         claimed := Global_index.acquire gi ~sclass:5;
+         cycles := Sim.now () - t0));
+  Sim.run sim;
+  Alcotest.(check bool) "claimed the empty" true (match !claimed with Some s -> s == sb | None -> false);
+  Alcotest.(check int) "cycles of the first acquire" 1024 !cycles;
+  Global_index.check gi
+
+(* A 4-node bucket's atomics, as Lockfree.create makes them. *)
+let bucket_atomics ~pages =
+  List.map (Printf.sprintf "lc.b%d.%s" pages) [ "next0"; "next1"; "next2"; "next3"; "free"; "head" ]
+
+let test_large_cache_builds_used_buckets () =
+  let host = Platform.host () in
+  let page = host.Platform.page_size in
+  let pf, (names, _) = naming host in
+  let lc = Large_cache.create pf ~name:"lc" ~cap:4 () in
+  Large_cache.check lc;
+  Alcotest.(check (pair int int)) "length and parks" (0, 0) (Large_cache.length lc, Large_cache.parks lc);
+  Large_cache.iter lc (fun ~addr:_ ~mapped:_ -> Alcotest.fail "a fresh cache parks nothing");
+  Alcotest.(check (list string)) "a fresh cache builds no bucket" [] (names ());
+  let addr = pf.Platform.page_map ~bytes:(2 * page) ~align:page ~owner:0 in
+  Alcotest.(check bool) "parked" true (Large_cache.park lc ~addr ~mapped:(2 * page) = `Parked);
+  Alcotest.(check (list string)) "one park builds its bucket" (bucket_atomics ~pages:2) (names ());
+  Alcotest.(check (option int)) "uncacheable take" None (Large_cache.take lc ~mapped:(17 * page));
+  Alcotest.(check (option int)) "a take of an empty bucket" None (Large_cache.take lc ~mapped:(3 * page));
+  Alcotest.(check (list string)) "the take builds its bucket too" (bucket_atomics ~pages:2 @ bucket_atomics ~pages:3)
+    (names ());
+  Large_cache.check lc;
+  let parked = ref [] in
+  Large_cache.iter lc (fun ~addr ~mapped -> parked := (addr, mapped) :: !parked);
+  Alcotest.(check (list (pair int int))) "iter" [ (addr, 2 * page) ] !parked;
+  Alcotest.(check (pair int int)) "length and parks" (1, 1) (Large_cache.length lc, Large_cache.parks lc);
+  Alcotest.(check int) "introspection builds nothing" 12 (List.length (names ()));
+  (* A resident parked region in the one bucket holding anything. *)
+  pf.Platform.page_commit ~addr;
+  match Large_cache.check lc with
+  | () -> Alcotest.fail "check missed a resident region in a built bucket"
+  | exception Failure m ->
+    Alcotest.(check bool) ("names the region: " ^ m) true (Astring.String.is_infix ~affix:"still resident" m)
 
 (* --- Deferred_list capped push --- *)
 
@@ -849,6 +977,10 @@ let () =
           Alcotest.test_case "free_run requeues on Busy" `Quick test_free_run_busy_requeues;
           Alcotest.test_case "free_run refuses an Absent word" `Quick test_free_run_absent_not_member;
           Alcotest.test_case "create forces no minor collection" `Quick test_global_index_create_no_minor_gc;
+          Alcotest.test_case "a fresh index holds only the empties stack" `Quick test_fresh_index_holds_empties_only;
+          Alcotest.test_case "publish builds its class's stacks once" `Quick test_publish_builds_its_class;
+          Alcotest.test_case "check and iter walk the built stacks" `Quick test_index_walks_built_stacks;
+          Alcotest.test_case "first acquire of a class costs as before" `Quick test_first_acquire_cost;
         ] );
       ( "deferred-list",
         [
@@ -865,5 +997,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_large_roundtrip;
           Alcotest.test_case "locked threshold" `Quick test_locked_large_threshold;
+          Alcotest.test_case "cache builds the buckets it uses" `Quick test_large_cache_builds_used_buckets;
         ] );
     ]

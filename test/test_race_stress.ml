@@ -263,6 +263,50 @@ let test_large_cache_storm () =
   Alcotest.(check bool) "large cache exercised" true (s.Alloc_stats.large_cache_hits > 0);
   Platform.host_release pf
 
+(* --- first use of a class and of a large size, racing --- *)
+
+let test_first_use_race () =
+  (* hoard-gl builds a class's global-index stacks and a page count's
+     large-cache bucket when they are first used. Here every domain,
+     released together, makes its first allocation of one small size
+     (each heap misses and asks the global index for the class) and of
+     one 3-page size (each asks the cache's 3-page bucket) on a fresh
+     instance, so the builds race. Each must happen exactly once: one set
+     of 9 heads for the class, one pool for the bucket. Repeated on fresh
+     instances to vary the schedule. *)
+  for round = 1 to 10 do
+    let host = Platform.host ~nprocs:ndomains () in
+    let mu = Mutex.create () and made = ref [] in
+    let pf =
+      {
+        host with
+        Platform.new_atomic =
+          (fun name init ->
+            Mutex.protect mu (fun () -> made := name :: !made);
+            host.Platform.new_atomic name init);
+      }
+    in
+    let h = Hoard.create ~config:(front_end_config "hoard-gl" ~front_end:16) pf in
+    let a = Hoard.allocator h in
+    let barrier = make_barrier ndomains in
+    spawn_domains ndomains (fun _ ->
+        barrier ();
+        let small = a.Alloc_intf.malloc 24 and large = a.Alloc_intf.malloc 10_000 in
+        barrier ();
+        a.Alloc_intf.free small;
+        a.Alloc_intf.free large);
+    Hoard.flush_caches h;
+    Hoard.check h;
+    let with_prefix affix = List.filter (Astring.String.is_prefix ~affix) !made in
+    let label what = Printf.sprintf "round %d: %s" round what in
+    Alcotest.(check int) (label "one set of class heads") 9 (List.length (with_prefix "hoard.gindex.c"));
+    Alcotest.(check (list string)) (label "one bucket pool")
+      [ "hoard.lcache.b3.next0"; "hoard.lcache.b3.next1"; "hoard.lcache.b3.next2"; "hoard.lcache.b3.next3";
+        "hoard.lcache.b3.free"; "hoard.lcache.b3.head" ]
+      (List.rev (with_prefix "hoard.lcache."));
+    Platform.host_release host
+  done
+
 (* --- stats exactness across domains, small and large paths --- *)
 
 let test_stats_exact () =
@@ -462,6 +506,7 @@ let () =
           Alcotest.test_case "front-end free storm" `Quick (test_front_end_storm "hoard-fe");
           Alcotest.test_case "front-end free storm (hoard-gl)" `Quick (test_front_end_storm "hoard-gl");
           Alcotest.test_case "large-object storm (hoard-gl)" `Quick test_large_cache_storm;
+          Alcotest.test_case "first use of a class and a large size (hoard-gl)" `Quick test_first_use_race;
           Alcotest.test_case "producer-consumer ring" `Quick test_producer_consumer;
           Alcotest.test_case "stats exact across domains" `Quick test_stats_exact;
           Alcotest.test_case "churn waves create/serve/exit" `Quick (test_churn_waves "hoard-fe");
