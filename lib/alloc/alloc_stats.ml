@@ -30,6 +30,7 @@ type snapshot = {
   cas_retries_by : (string * int) list;
   global_pushes : int;
   global_pops : int;
+  global_busy_misses : int;
 }
 
 (* A shard's event ring and the stamps its events carry: the platform's
@@ -312,6 +313,7 @@ let snapshot t =
     cas_retries_by = List.map (fun (l, c) -> (l, Atomic.get c)) (Atomic.get t.retry_by);
     global_pushes = count Event_ring.Global_push;
     global_pops = count Event_ring.Global_pop;
+    global_busy_misses = count Event_ring.Global_busy_miss;
   }
 
 let fragmentation (s : snapshot) =
@@ -349,6 +351,7 @@ let publish t metrics =
   reg "cas_retries" (fun s -> s.cas_retries);
   reg "global_pushes" (fun s -> s.global_pushes);
   reg "global_pops" (fun s -> s.global_pops);
+  reg "global_busy_misses" (fun s -> s.global_busy_misses);
   (* One gauge per retry label registered so far (structures obtain their
      hooks at allocator construction, before publish). *)
   List.iter
@@ -390,4 +393,5 @@ let pp_snapshot fmt (s : snapshot) =
     Format.fprintf fmt " deferred_enq=%d deferred_reclaims=%d" s.deferred_enqueues s.deferred_reclaims;
   if s.orphan_adoptions > 0 then Format.fprintf fmt " orphan_adoptions=%d" s.orphan_adoptions;
   if s.global_pushes + s.global_pops > 0 then
-    Format.fprintf fmt " global_pushes=%d global_pops=%d" s.global_pushes s.global_pops
+    Format.fprintf fmt " global_pushes=%d global_pops=%d global_busy_misses=%d" s.global_pushes s.global_pops
+      s.global_busy_misses

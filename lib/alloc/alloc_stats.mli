@@ -79,6 +79,9 @@ type snapshot = {
       (** superblocks published to the lock-free global index, counted
           under the publishing heap's lock *)
   global_pops : int;  (** superblocks claimed from it, under the claiming heap's lock *)
+  global_busy_misses : int;
+      (** claims that met a Busy entry and fell through to the empties or
+          the OS, under the claiming heap's lock *)
 }
 
 val create : ?shards:int -> unit -> t
@@ -106,8 +109,8 @@ val on_free : shard -> usable:int -> unit
     fields [sb_to_global], [sb_from_global], [remote_frees],
     [cache_hits], [cache_flushes], [remote_enqueues], [remote_forwards],
     [large_maps], [large_cache_hits], [deferred_enqueues],
-    [deferred_reclaims], [orphan_adoptions], [global_pushes] and
-    [global_pops] are the sums of their kinds over all shards. With a
+    [deferred_reclaims], [orphan_adoptions], [global_pushes],
+    [global_pops] and [global_busy_misses] are the sums of their kinds over all shards. With a
     ring attached, the same call records the event into the domain's
     ring, so the ring's per-kind totals and the counts agree by
     construction. *)

@@ -1,5 +1,5 @@
-(* The lock-free global heap: a per-(size-class, fullness-group) index of
-   the superblocks heap 0 holds, built so that every transfer to or from
+(* The lock-free global heap: a per-(size-class, fullness) index of the
+   superblocks heap 0 holds, built so that every transfer to or from
    the global heap — and every free into a global superblock — completes
    with CAS only, never acquiring the heap-0 lock.
 
@@ -8,9 +8,18 @@
    are allocated once per superblock (the id is cached in
    [Superblock.gslot]) and live forever in an append-only table, so a
    stale reader can always dereference a slot id it popped. Membership is
-   advertised through ABA-tagged Treiber stacks of ENTRY NODES, one stack
-   per (class, bin) plus a class-agnostic stack of empties, all sharing
-   one growing {!Lockfree} pool whose free list recycles nodes on pop.
+   advertised through ABA-tagged Treiber stacks of ENTRY NODES, one
+   partial and one full stack per class plus a class-agnostic stack of
+   empties, all sharing one growing {!Lockfree} pool whose per-processor
+   free lists recycle nodes on pop.
+
+   Three bins, not the heaps' fullness groups. The paper's nearly-full-
+   first policy orders the superblocks within a per-processor heap, where
+   malloc picks among them; the global heap only hands whole superblocks
+   to heaps, which then allocate from them fullest-first. With one
+   partial stack per class an acquire loads one head before the empties,
+   and a free re-pushes only when the superblock moves between partial,
+   full and empty.
 
    Construction and line addresses. Every simulated atomic takes the next
    cache line when it is created, so creation order decides which line
@@ -18,15 +27,17 @@
    "<name>.free", then the empties head "<name>.empties". Everything else
    is made at first use, in the order the run reaches it: a slot word "<name>.w<id>" when a superblock
    is first published, pool nodes "<name>.n<i>" as the table grows, and a
-   class's heads "<name>.c<class>b0" .. "b<ngroups>" when the class is
-   first used ([publish], [acquire], [free_run]'s re-bin push, [q_publish]
-   or [q_free]). A head is built under [mu] and published through the
-   class's host atomic, like the slot table. Its first simulated access is
-   the same costed load or CAS it would have been on a head built up
-   front, on a line no processor has touched either way, so building late
-   changes no simulated cost; it only spares the set-up the ngroups + 1
-   heads of each class a run never uses (of 30 classes by default).
-   [check] looks the heads up without building any.
+   class's heads "<name>.c<class>b0" (partial) and "b1" (full) when the
+   class is first used ([publish], [acquire], [free_run]'s re-bin push,
+   [q_publish] or [q_free]). A head is built under [mu] and published
+   through the class's host atomic, like the slot table. Its first
+   simulated access is the same costed load or CAS it would have been on
+   a head built up front, on a line no processor has touched either way,
+   so building late changes no simulated cost; it only spares the set-up
+   the two heads of each class a run never uses (of 30 classes by
+   default). The pool's per-processor free lists "<name>.free.p<proc>"
+   are built the same way, at a processor's first push or pop. [check]
+   looks the heads up without building any.
 
    The word is the ground truth; the stacks are a lazily-maintained index:
 
@@ -54,9 +65,8 @@
    finite.
 
    Fullness only decreases while a superblock is a member (allocation
-   happens only after a claim), so a stale entry always points at an
-   emptier-or-equal superblock — misplacement makes acquire's
-   fullest-first scan slightly pessimistic, never unsound.
+   happens only after a claim), so a member moves from the full stack to
+   the partial one and from there to the empties, never back.
 
    Mutants: [aba_tag:false] freezes every stack tag ("global-no-aba",
    the pool's own flag) — a pop over a concurrently recycled head splices
@@ -73,7 +83,6 @@ type slot = {
 type t = {
   pf : Platform.t;
   name : string;
-  ngroups : int;
   nclasses : int;
   skip_revalidate : bool;
   on_retry : unit -> unit;
@@ -83,7 +92,7 @@ type t = {
   n_slots : int Atomic.t;
   mu : Mutex.t;
   entries : int Lockfree.pool; (* payload: slot id *)
-  (* heads.(class).(bin), bin <= ngroups (full); [||] until the class's
+  (* heads.(class).(bin), bin partial or full; [||] until the class's
      first use, built under [mu] (see [class_heads]). *)
   heads : int Lockfree.t array Atomic.t array;
   empties_head : int Lockfree.t; (* class-agnostic: any empty can take any class *)
@@ -95,39 +104,39 @@ type t = {
 
 (* ---- word encoding: state * nbins + bin ---- *)
 
-let nbins t = t.ngroups + 2 (* partial bins, full, empties *)
+(* [Heap_core]'s bins with one fullness group: partial, full, empty. *)
+let partial_bin = 0
 
-let full_bin t = t.ngroups
+let full_bin = Heap_core.full_bin_index ~ngroups:1
 
-let empties_bin t = t.ngroups + 1
+let empties_bin = Heap_core.empties_bin_index ~ngroups:1
+
+let nbins = empties_bin + 1
 
 let word_absent = 0
 
-let word_idle t b = nbins t + b
+let word_idle b = nbins + b
 
-let word_busy t b = (2 * nbins t) + b
+let word_busy b = (2 * nbins) + b
 
 type state =
   | Absent
   | Idle of int
   | Busy of int
 
-let decode t w =
-  match w / nbins t with
+let decode w =
+  match w / nbins with
   | 0 -> Absent
-  | 1 -> Idle (w mod nbins t)
-  | 2 -> Busy (w mod nbins t)
+  | 1 -> Idle (w mod nbins)
+  | 2 -> Busy (w mod nbins)
   | _ -> failwith "Global_index: corrupt state word"
 
-let create pf ~name ~nclasses ~ngroups ?(aba_tag = true) ?(skip_revalidate = false)
-    ?(on_retry = fun () -> ()) () =
-  if ngroups < 1 then invalid_arg "Global_index.create: ngroups must be >= 1";
+let create pf ~name ~nclasses ?(aba_tag = true) ?(skip_revalidate = false) ?(on_retry = fun () -> ()) () =
   if nclasses < 1 then invalid_arg "Global_index.create: nclasses must be >= 1";
   let entries = Lockfree.pool pf ~name ~aba_tag ~on_retry () in
   {
     pf;
     name;
-    ngroups;
     nclasses;
     skip_revalidate;
     on_retry;
@@ -160,18 +169,18 @@ let class_heads t sclass =
         if Array.length hs > 0 then hs
         else begin
           let hs =
-            Lockfree.add_stacks t.entries (Array.init (t.ngroups + 1) (fun b -> Printf.sprintf "c%db%d" sclass b))
+            Lockfree.add_stacks t.entries (Array.init (full_bin + 1) (fun b -> Printf.sprintf "c%db%d" sclass b))
           in
           Atomic.set heads hs;
           hs
         end)
   end
 
-let head_for t ~sclass ~bin = if bin = empties_bin t then t.empties_head else (class_heads t sclass).(bin)
+let head_for t ~sclass ~bin = if bin = empties_bin then t.empties_head else (class_heads t sclass).(bin)
 
 (* [head_for] without building: [None] for a class never used. *)
 let built_head t ~sclass ~bin =
-  if bin = empties_bin t then Some t.empties_head
+  if bin = empties_bin then Some t.empties_head
   else
     let hs = Atomic.get t.heads.(sclass) in
     if Array.length hs > 0 then Some hs.(bin) else None
@@ -198,8 +207,7 @@ let assign_slot t sb =
       Superblock.set_gslot sb id;
       id)
 
-let bin_of t sb =
-  Heap_core.bin_index ~ngroups:t.ngroups ~used:(Superblock.used sb) ~cap:(Superblock.n_blocks sb)
+let bin_of sb = Heap_core.bin_index ~ngroups:1 ~used:(Superblock.used sb) ~cap:(Superblock.n_blocks sb)
 
 (* ---- publish: heap -> global transfer ---- *)
 
@@ -214,12 +222,12 @@ let publish ?(record = fun _ ~arg:_ -> ()) t sb =
     if g >= 0 then g else assign_slot t sb
   in
   let slot = slot_at t id in
-  let bin = bin_of t sb in
+  let bin = bin_of sb in
   let used_bytes = Superblock.used sb * Superblock.block_size sb in
   Atomic.incr t.members;
-  if bin = empties_bin t then Atomic.incr t.empties;
+  if bin = empties_bin then Atomic.incr t.empties;
   ignore (Atomic.fetch_and_add t.u_bytes used_bytes);
-  slot.word.Platform.store (word_idle t bin);
+  slot.word.Platform.store (word_idle bin);
   push_entry t ~sclass:(Superblock.sclass sb) ~bin id;
   record Event_ring.Global_push ~arg:(Superblock.base sb)
 
@@ -252,8 +260,8 @@ let repush t ~record slot_id bin =
 (* Resolve one popped entry against its slot's word. [`Claimed sb] when
    the claim succeeded and the entry satisfied [want]; [`Drop] when the
    entry was stale (discarded, or repushed to a DIFFERENT stack) — the
-   caller keeps scanning; [`Busy] when a reclaimer holds the superblock
-   — the entry went back onto the SAME stack, so the caller must stop
+   caller keeps scanning; [`Busy sb] when a reclaimer holds [sb]
+   — the entry went back onto the stack of its bin, so the caller must stop
    scanning it (popping again would just meet the same entry: a scanner
    could otherwise spin pop/repush forever while the reclaimer is
    descheduled, a livelock the explorer's finiteness rule forbids).
@@ -262,16 +270,16 @@ let repush t ~record slot_id bin =
 let rec resolve t ~record ~want slot_id =
   let slot = slot_at t slot_id in
   let w = slot.word.Platform.load () in
-  match decode t w with
+  match decode w with
   | Absent -> `Drop (* claimed away since the entry was pushed *)
   | Busy b ->
       (* A reclaimer is mutating it; put the entry back for later. *)
       repush t ~record slot_id b;
-      `Busy
+      `Busy slot.sb
   | Idle b ->
-      if want t slot.sb b then begin
+      if want slot.sb b then begin
         if claim t slot ~expected:w then begin
-          claimed t ~record slot.sb ~was_empty:(b = empties_bin t);
+          claimed t ~record slot.sb ~was_empty:(b = empties_bin);
           `Claimed slot.sb
         end
         else begin
@@ -293,10 +301,9 @@ let rec resolve t ~record ~want slot_id =
    live member of another class (possible through a stale entry left in
    an old class's stack across a reinit cycle) is repushed to where it
    belongs. *)
-let want_for_class sclass t sb b =
-  b <> full_bin t && (b = empties_bin t || Superblock.sclass sb = sclass)
+let want_for_class sclass sb b = b <> full_bin && (b = empties_bin || Superblock.sclass sb = sclass)
 
-let want_empty t _sb b = b = empties_bin t
+let want_empty _sb b = b = empties_bin
 
 (* Drain a stack until a claim lands, it runs dry, or a Busy member
    turns up. Terminates: every [`Drop] iteration consumes an entry this
@@ -304,28 +311,33 @@ let want_empty t _sb b = b = empties_bin t
    [`Busy] stops immediately. *)
 let rec scan t ~record ~want head =
   match Lockfree.pop head with
-  | None -> None
+  | None -> `Dry
   | Some slot_id -> (
       match resolve t ~record ~want slot_id with
-      | `Claimed sb -> Some sb
       | `Drop -> scan t ~record ~want head
-      | `Busy -> None)
+      | (`Claimed _ | `Busy _) as r -> r)
 
-(* Fullest-first acquire: partial bins from fullest to emptiest, then the
-   empties. Never scans the full stack — nothing there is allocatable. *)
+let found = function
+  | `Claimed sb -> Some sb
+  | `Dry | `Busy _ -> None
+
+(* The class's partial stack, then the empties. Never scans the full
+   stack — nothing there is allocatable. A Busy entry on top of the
+   partial stack hides every partial superblock below it, so the acquire
+   falls through to the empties and perhaps to the OS; an acquire that
+   met a Busy entry in either scan records one [Global_busy_miss]. *)
 let acquire ?(record = fun _ ~arg:_ -> ()) t ~sclass =
   let want = want_for_class sclass in
-  let heads = class_heads t sclass in
-  let rec bins b =
-    if b < 0 then scan t ~record ~want t.empties_head
-    else
-      match scan t ~record ~want heads.(b) with
-      | Some sb -> Some sb
-      | None -> bins (b - 1)
-  in
-  bins (t.ngroups - 1)
+  match scan t ~record ~want (class_heads t sclass).(partial_bin) with
+  | `Claimed sb -> Some sb
+  | partial ->
+    let empties = scan t ~record ~want t.empties_head in
+    (match (partial, empties) with
+     | `Busy sb, _ | _, `Busy sb -> record Event_ring.Global_busy_miss ~arg:(Superblock.base sb)
+     | _ -> ());
+    found empties
 
-let take_empty ?(record = fun _ ~arg:_ -> ()) t = scan t ~record ~want:want_empty t.empties_head
+let take_empty ?(record = fun _ ~arg:_ -> ()) t = found (scan t ~record ~want:want_empty t.empties_head)
 
 (* ---- freeing a run of blocks into a member superblock ---- *)
 
@@ -351,22 +363,22 @@ let free_run ?(inside = fun () -> ()) t sb ~addrs =
     let slot = slot_at t g in
     let rec claim_busy () =
       let w = slot.word.Platform.load () in
-      match decode t w with
+      match decode w with
       | Absent -> Not_member { owner = Superblock.owner sb }
       | Busy _ -> Requeue
       | Idle b ->
-          if slot.word.Platform.cas ~expected:w ~desired:(word_busy t b) then begin
+          if slot.word.Platform.cas ~expected:w ~desired:(word_busy b) then begin
             List.iter
               (fun addr ->
                 Superblock.clear_cached sb addr;
                 Superblock.free_block sb addr)
               addrs;
             inside ();
-            let b' = bin_of t sb in
-            let now_empty = b' = empties_bin t in
+            let b' = bin_of sb in
+            let now_empty = b' = empties_bin in
             ignore (Atomic.fetch_and_add t.u_bytes (-(List.length addrs * Superblock.block_size sb)));
             if now_empty then Atomic.incr t.empties;
-            slot.word.Platform.store (word_idle t b');
+            slot.word.Platform.store (word_idle b');
             if b' <> b then push_entry t ~sclass:(Superblock.sclass sb) ~bin:b' g;
             Freed { now_empty }
           end
@@ -386,6 +398,10 @@ let empties t = Atomic.get t.empties
 
 let u_bytes t = Atomic.get t.u_bytes
 
+let nodes t = Lockfree.nodes t.entries
+
+let entries t = Lockfree.live t.entries
+
 (* ---- quiescent mutation (peek/poke, charge-free) ----
 
    Teardown-time counterparts of [publish] and [free_run] for
@@ -401,11 +417,11 @@ let q_publish t sb =
     if g >= 0 then g else assign_slot t sb
   in
   let slot = slot_at t id in
-  let bin = bin_of t sb in
+  let bin = bin_of sb in
   Atomic.incr t.members;
-  if bin = empties_bin t then Atomic.incr t.empties;
+  if bin = empties_bin then Atomic.incr t.empties;
   ignore (Atomic.fetch_and_add t.u_bytes (Superblock.used sb * Superblock.block_size sb));
-  slot.word.Platform.poke (word_idle t bin);
+  slot.word.Platform.poke (word_idle bin);
   q_push_entry t ~sclass:(Superblock.sclass sb) ~bin id
 
 let q_free t sb ~addr =
@@ -413,16 +429,16 @@ let q_free t sb ~addr =
   if g < 0 then failwith (t.name ^ ": q_free on a superblock that was never a member");
   let slot = slot_at t g in
   let b =
-    match decode t (slot.word.Platform.peek ()) with
+    match decode (slot.word.Platform.peek ()) with
     | Idle b -> b
     | Absent -> failwith (t.name ^ ": q_free on a non-member superblock")
     | Busy _ -> failwith (t.name ^ ": q_free found a Busy word at quiescence")
   in
   Superblock.free_block sb addr;
-  let b' = bin_of t sb in
+  let b' = bin_of sb in
   ignore (Atomic.fetch_and_add t.u_bytes (-(Superblock.block_size sb)));
-  if b' = empties_bin t then Atomic.incr t.empties;
-  slot.word.Platform.poke (word_idle t b');
+  if b' = empties_bin then Atomic.incr t.empties;
+  slot.word.Platform.poke (word_idle b');
   if b' <> b then q_push_entry t ~sclass:(Superblock.sclass sb) ~bin:b' g
 
 (* ---- quiescent introspection (peek-only, charge-free) ---- *)
@@ -435,7 +451,7 @@ let iter_members t f =
   let n = Atomic.get t.n_slots in
   for i = 0 to n - 1 do
     let s = slots.(i) in
-    match decode t (s.word.Platform.peek ()) with
+    match decode (s.word.Platform.peek ()) with
     | Absent -> ()
     | Idle _ -> f s.sb
     | Busy _ -> failwith (Printf.sprintf "%s: superblock Busy at quiescence" t.name)
@@ -464,14 +480,14 @@ let check t =
   for i = 0 to n_slots - 1 do
     let s = slots.(i) in
     if Superblock.gslot s.sb <> i then fail t "slot %d: superblock's gslot diverged" i;
-    match decode t (s.word.Platform.peek ()) with
+    match decode (s.word.Platform.peek ()) with
     | Absent -> ()
     | Busy b -> fail t "slot %d: Busy(%d) at quiescence" i b
     | Idle b ->
         incr members;
-        let want = bin_of t s.sb in
+        let want = bin_of s.sb in
         if b <> want then fail t "slot %d: recorded bin %d but fullness says %d" i b want;
-        if b = empties_bin t then incr empties;
+        if b = empties_bin then incr empties;
         u := !u + (Superblock.used s.sb * Superblock.block_size s.sb);
         (match built_head t ~sclass:(Superblock.sclass s.sb) ~bin:b with
          | None ->

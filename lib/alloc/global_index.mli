@@ -5,10 +5,15 @@
 
     Each member superblock owns one slot (id cached in
     [Superblock.gslot], assigned once, stable for its lifetime) whose
-    atomic word — Absent / Idle(bin) / Busy(bin) — is the ground truth
-    of membership. Findability comes from ABA-tagged Treiber stacks of
-    entry nodes, one per (size class, fullness bin) plus one
-    class-agnostic empties stack. {!create} builds only the empties
+    atomic word — Absent / Idle(bin) / Busy(bin), with three bins:
+    partial, full, empty — is the ground truth of membership.
+    Findability comes from ABA-tagged Treiber stacks of entry nodes, one
+    partial and one full stack per size class plus one class-agnostic
+    empties stack, sharing one growing {!Lockfree} pool whose
+    per-processor free lists recycle the nodes. The heaps keep their
+    fullness groups; the index needs none, since it hands out whole
+    superblocks and the heap that takes one allocates from its own
+    groups fullest-first. {!create} builds only the empties
     stack; a class's stacks are built on its first use (any call below
     that names the class or one of its superblocks), at no simulated
     cost. The stacks are maintained lazily: entries can be
@@ -25,8 +30,9 @@
     the caller (unlinked from any heap core, owner already 0).
     {!iter_members} and {!check} are quiescent-only peek walks. The
     [?record] callbacks report {!Event_ring.Global_push} (once per
-    publish), [Global_pop] (once per claim) and [Global_revalidate];
-    the allocator passes one that notes them on the calling heap's
+    publish), [Global_pop] (once per claim) and [Global_revalidate],
+    and {!acquire} reports [Global_busy_miss]; the allocator passes one
+    that notes them on the calling heap's
     stats shard ({!Alloc_stats.note}), so it must hold that heap's lock,
     or omit the callback. *)
 
@@ -36,7 +42,6 @@ val create :
   Platform.t ->
   name:string ->
   nclasses:int ->
-  ngroups:int ->
   ?aba_tag:bool ->
   ?skip_revalidate:bool ->
   ?on_retry:(unit -> unit) ->
@@ -48,21 +53,24 @@ val create :
     CAS (wire it to [Alloc_stats.retry_hook ~label:"global"]). Makes
     two atomics, "<name>.free" and "<name>.empties"; the rest are made
     as the run reaches them: slot words "<name>.w<id>", pool nodes
-    "<name>.n<i>", and a class's heads "<name>.c<class>b0" ..
-    "<name>.c<class>b<ngroups>" on the class's first use. *)
+    "<name>.n<i>", a processor's free list "<name>.free.p<proc>", and a
+    class's partial and full heads "<name>.c<class>b0" and
+    "<name>.c<class>b1" on the class's first use. *)
 
 val publish : ?record:(Event_ring.kind -> arg:int -> unit) -> t -> Superblock.t -> unit
 (** Make a privately-held superblock a member: word to Idle(bin), one
-    entry pushed to its (class, bin) stack. Works for any fullness,
-    including full and empty. *)
+    entry pushed to its class's partial or full stack, or to the
+    empties. Works for any fullness, including full and empty. *)
 
 val acquire : ?record:(Event_ring.kind -> arg:int -> unit) -> t -> sclass:int -> Superblock.t option
-(** Claim the fullest allocatable member of [sclass] — partial bins
-    scanned fullest-first, then the empties (which the caller may need
-    to {!Superblock.reinit} to [sclass]). [None] when nothing is
-    claimable, or when a Busy member paused a stack's scan (a transient
-    miss: scanning past it could livelock against a descheduled
-    reclaimer). The returned superblock is private to the caller. *)
+(** Claim an allocatable member of [sclass] — the most recently
+    published or re-binned partial one, else an empty (which the caller
+    may need to {!Superblock.reinit} to [sclass]). A Busy member ends a
+    stack's scan (scanning past it could livelock against a descheduled
+    reclaimer), so it hides the members below it: a transient miss. An
+    acquire that met one, in either scan, reports one [Global_busy_miss].
+    [None] when nothing claimable was found. The returned superblock is
+    private to the caller. *)
 
 val take_empty : ?record:(Event_ring.kind -> arg:int -> unit) -> t -> Superblock.t option
 (** Claim one empty member (any class) — the release-to-OS path. *)
@@ -78,7 +86,8 @@ val free_run : ?inside:(unit -> unit) -> t -> Superblock.t -> addrs:int list -> 
 (** Free a run of distinct blocks of one member superblock with a single
     Busy handshake: one CAS Idle(b) -> Busy(b), every block freed (its
     custody mark cleared), [inside] run, one store Idle(b'), and at most
-    one entry pushed when the run moved the superblock to another bin.
+    one entry pushed when the run moved the superblock between full,
+    partial and empty.
     [inside] is where the caller issues the run's simulated writes (free-
     list links, the header): they land while the word is Busy, so no
     claimer can own the superblock underneath them. On {!Requeue} and
@@ -93,6 +102,12 @@ val empties : t -> int
 
 val u_bytes : t -> int
 (** Usable live bytes inside member superblocks. *)
+
+val nodes : t -> int
+(** Entry nodes handed out: the used length of the pool's table. *)
+
+val entries : t -> int
+(** Entries on the stacks, stale ones included. *)
 
 (** {2 Quiescent mutation — peek/poke, no simulated cost}
 
@@ -115,7 +130,8 @@ val iter_members : t -> (Superblock.t -> unit) -> unit
 
 val check : t -> unit
 (** Exhaustive structural validation: every node reachable from exactly
-    one head (unreachable nodes are the lost-ABA strand), no Busy
+    one head (unreachable nodes are the lost-ABA strand), every
+    per-processor free list within its cap, no Busy
     words, recorded bins match recomputed fullness, every member
     reachable in its own bin's stack, gauges equal recomputed sums,
     and [Superblock.check] on every member. Walks only the stacks built

@@ -4,18 +4,27 @@
     The non-blocking substrate of both lock-free extensions: the large
     cache's buckets (one bounded pool and one stack per bucket) and the
     lock-free global heap's entry stacks (one growing pool under the
-    empties stack and every (class, bin) stack of a {!Global_index},
-    the latter added by {!add_stacks} as classes come into use).
+    empties stack and the partial and full stacks of each class of a
+    {!Global_index}, the latter added by {!add_stacks} as classes come
+    into use).
     [push]/[pop] complete with CAS only — no lock, so they are safe at
     any interleaving and explorable by [Check.Explorer] (link words are
     platform atomics on distinct cache lines, every operation a
     schedule-visible step).
 
-    A push takes a node off the pool's free list and links it on its
-    stack; a pop unlinks the top node and returns it to the free list.
-    Head words carry an ABA tag incremented by every successful CAS, so a
-    pop whose top node was recycled mid-window fails its CAS instead of
-    installing a stale link. *)
+    A push takes a node off a free list and links it on its stack; a pop
+    unlinks the top node and returns it to a free list. A bounded pool
+    has one free list. A growing pool has a shared one plus one per
+    processor ([Platform.self_proc]), each built on its processor's first
+    use and capped at {!own_cap} nodes: a pop returns its node to the
+    caller's list, or to the shared one once the caller's is full, and a
+    push takes from the caller's list, then the shared one, then a fresh
+    id, so a processor whose pushes and pops balance never touches the
+    shared word. Head words carry an ABA tag incremented by every
+    successful CAS, so a pop whose top node was recycled mid-window fails
+    its CAS instead of installing a stale link; a per-processor list's
+    head also carries its length, so testing the cap costs only the head
+    load. *)
 
 type 'a pool
 
@@ -25,9 +34,13 @@ type 'a t
 val pool : Platform.t -> name:string -> ?aba_tag:bool -> ?on_retry:(unit -> unit) -> unit -> 'a pool
 (** A growing pool, with no stack until {!add_stacks} adds some: its
     node table starts empty and grows under a host mutex whenever the
-    free list is empty, so a push never refuses. Atomics, in creation
-    order: "<name>.free", then "<name>.n<i>" as nodes are first handed
-    out, interleaved with the heads {!add_stacks} makes. [aba_tag] (default
+    caller's and the shared free lists are empty, so a push never
+    refuses, and it stays within the live entries plus {!own_cap} nodes
+    per processor plus one per thread in the middle of a push or pop.
+    Atomics, in creation order: the
+    shared list "<name>.free", then, as the run reaches them, "<name>.n<i>"
+    as nodes are first handed out, "<name>.free.p<proc>" at a processor's
+    first push or pop, and the heads {!add_stacks} makes. [aba_tag] (default
     true) must only be disabled by tests: [false] freezes every head's
     tag at zero, planting the classic Treiber pop bug for the explorer
     to catch. [on_retry] fires on every failed CAS, for the caller's
@@ -49,6 +62,9 @@ val create :
     creation order: "<name>.next<i>" for each node, "<name>.free",
     "<name>.head". [aba_tag] and [on_retry] as for {!pool}. *)
 
+val own_cap : int
+(** The most nodes a per-processor free list holds: 8. *)
+
 val push : 'a t -> 'a -> bool
 (** [false]: a bounded pool is exhausted (stack full); the stack is left
     untouched. The payload write is host state on a privately-owned
@@ -60,7 +76,8 @@ val pop : 'a t -> 'a option
 (** {2 Quiescent mutation — peek/poke, no simulated cost}
 
     The same transitions with no schedule visibility, for teardown after
-    every worker has joined. *)
+    every worker has joined. They run outside any simulated thread, so
+    they use the shared free list only. *)
 
 val q_push : 'a t -> 'a -> bool
 
@@ -78,15 +95,22 @@ val pushes : 'a t -> int
 (** Successful pushes ever. *)
 
 val walk : 'a pool -> ('a t -> 'a -> unit) -> unit
-(** Quiescent-only walk of the free list and then every stack in
-    creation order, top first, via
+(** Quiescent-only walk of the shared free list, the per-processor lists
+    built so far and then every stack in creation order, top first, via
     charge-free peeks (callable from outside any simulated thread),
     calling [f] on each live payload.
     One seen-set spans all of them, so it raises [Failure] on a node
     reachable twice (within one stack: a cycle), a node beyond the
     table, a live node without a payload, a node handed out but
-    reachable from no head (the strand a lost ABA tag leaves), or an
-    operation still in flight. *)
+    reachable from no head (the strand a lost ABA tag leaves), a
+    per-processor list over {!own_cap} or unequal to its head's count,
+    or an operation still in flight. *)
+
+val nodes : 'a pool -> int
+(** Node ids handed out so far: the used length of the table. *)
+
+val live : 'a pool -> int
+(** Payloads on the pool's stacks; host counters, exact at quiescence. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** {!walk} of the stack's pool, calling [f] on this stack's payloads

@@ -680,7 +680,7 @@ let global_index_churn ~mutant =
     sc_build =
       (fun sim pf ->
         let gi =
-          Global_index.create pf ~name:"gidx" ~nclasses:1 ~ngroups:2
+          Global_index.create pf ~name:"gidx" ~nclasses:1
             ~aba_tag:(mutant <> "global-no-aba") ()
         in
         let sbs =
@@ -741,7 +741,7 @@ let global_index_free ~mutant =
     sc_build =
       (fun sim pf ->
         let gi =
-          Global_index.create pf ~name:"gidx" ~nclasses:1 ~ngroups:2
+          Global_index.create pf ~name:"gidx" ~nclasses:1
             ~skip_revalidate:(mutant = "global-skip-revalidate") ()
         in
         let sb = Superblock.create ~base:4096 ~sb_size:4096 ~sclass:0 ~block_size:512 in

@@ -306,7 +306,7 @@ let create pf (cfg : Hoard_config.t) ~classes ~stats ~reg ?obs ~heaps () =
         heaps
     in
     let gi =
-      Global_index.create pf ~name:"hoard.gindex" ~nclasses:(Size_class.count classes) ~ngroups:cfg.ngroups
+      Global_index.create pf ~name:"hoard.gindex" ~nclasses:(Size_class.count classes)
         ~aba_tag:(cfg.mutant <> "global-no-aba")
         ~skip_revalidate:(cfg.mutant = "global-skip-revalidate")
         ~on_retry:(Alloc_stats.retry_hook stats ~label:"global")

@@ -24,6 +24,7 @@ type kind =
   | Global_push
   | Global_pop
   | Global_revalidate
+  | Global_busy_miss
 
 (* The one table of kinds: a kind's position is the index a ring stores,
    its string the export name. Every other view of the kinds derives
@@ -55,6 +56,7 @@ let table =
     (Global_push, "global_push");
     (Global_pop, "global_pop");
     (Global_revalidate, "global_revalidate");
+    (Global_busy_miss, "global_busy_miss");
   |]
 
 let all_kinds = Array.to_list (Array.map fst table)

@@ -45,6 +45,10 @@ type kind =
   | Global_revalidate
       (** a popped membership entry failed revalidation and was repushed;
           [arg] = base *)
+  | Global_busy_miss
+      (** an acquire from the lock-free global index met a Busy entry and
+          fell through to the empties or the OS; [arg] = the Busy
+          superblock's base *)
 
 val all_kinds : kind list
 

@@ -270,7 +270,7 @@ let test_global_no_aba_mutant_caught () =
 
 let test_global_index_free_clean () =
   (* Two-block runs' Busy handshakes, writes inside Busy, racing a claim
-     CAS: the full bound-2 sleep tree is ~4.7k interleavings. *)
+     CAS: the full bound-2 sleep tree is ~3.1k interleavings. *)
   let o =
     Explorer.explore ~strategy:Explorer.Sleep_dfs ~bound:2 ~max_runs:200_000
       (Scenarios.global_index_free ~mutant:"")

@@ -287,6 +287,20 @@ let test_server_run_counts_and_determinism () =
   Alcotest.(check bool) "queueing shows in the tail" true
     (Histogram.percentile h 0.99 > Histogram.percentile h 0.5)
 
+(* The default bursty server mix (16-2,048 B requests, default seed) at
+   64 processors, 4,096 requests, as `hoard_bench serve --profile bursty
+   -p 64 --requests 4096` runs it: the lock-free global heap's median
+   request must be no slower than the locked global heap's. Its index
+   once put every entry push and pop of every class through one shared
+   free-list word and read 73,728 cycles against hoard-fe's 30,720. *)
+let test_server_mix_64p_gl_median () =
+  let params = { Server_mix.default_params with Server_mix.profile = Server_mix.Bursty; requests = 4096 } in
+  let p50 f =
+    Histogram.percentile (Server_mix.request_latencies (Slo.run_server ~params f ~nprocs:64).Slo.sv_recorder) 0.5
+  in
+  let gl = p50 (Allocators.hoard_gl ()) and fe = p50 (Allocators.hoard_fe ()) in
+  Alcotest.(check bool) (Printf.sprintf "hoard-gl p50 %d <= hoard-fe p50 %d" gl fe) true (gl <= fe)
+
 let test_server_metrics_json_gate_shape () =
   let r = Slo.run_server ~params:(small_server_params Server_mix.Flash) (Allocators.hoard_fe ()) ~nprocs:4 in
   match Json_lite.parse (Slo.metrics_json r) with
@@ -569,6 +583,8 @@ let () =
           Alcotest.test_case "evaluate pass/fail" `Quick test_slo_evaluate_pass_and_fail;
           Alcotest.test_case "server counts + determinism" `Quick test_server_run_counts_and_determinism;
           Alcotest.test_case "gate metrics shape" `Quick test_server_metrics_json_gate_shape;
+          Alcotest.test_case "default mix at 64P: hoard-gl median within hoard-fe's" `Quick
+            test_server_mix_64p_gl_median;
           Alcotest.test_case "perfetto export" `Quick test_server_perfetto_export;
           Alcotest.test_case "vmem override reaches the simulator" `Quick test_server_vmem_backend;
         ] );

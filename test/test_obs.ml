@@ -235,6 +235,7 @@ let invariants : (ring_side * string * (Alloc_stats.snapshot -> int)) list =
     (Count [ Orphan_adopt ], "orphan_adoptions", fun s -> s.orphan_adoptions);
     (Count [ Global_push ], "global_pushes", fun s -> s.global_pushes);
     (Count [ Global_pop ], "global_pops", fun s -> s.global_pops);
+    (Count [ Global_busy_miss ], "global_busy_misses", fun s -> s.global_busy_misses);
     (Args Cache_flush, "cache_flushes", fun s -> s.cache_flushes);
     (Args Remote_enqueue, "remote_enqueues", fun s -> s.remote_enqueues);
     (Count [ Sb_map; Large_map ], "os_maps", fun s -> s.os_maps);

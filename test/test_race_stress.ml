@@ -272,7 +272,8 @@ let test_first_use_race () =
      (each heap misses and asks the global index for the class) and of
      one 3-page size (each asks the cache's 3-page bucket) on a fresh
      instance, so the builds race. Each must happen exactly once: one set
-     of 9 heads for the class, one pool for the bucket. Repeated on fresh
+     of 2 heads (partial and full) for the class, one pool for the bucket,
+     and at most one index free list per processor. Repeated on fresh
      instances to vary the schedule. *)
   for round = 1 to 10 do
     let host = Platform.host ~nprocs:ndomains () in
@@ -299,7 +300,10 @@ let test_first_use_race () =
     Hoard.check h;
     let with_prefix affix = List.filter (Astring.String.is_prefix ~affix) !made in
     let label what = Printf.sprintf "round %d: %s" round what in
-    Alcotest.(check int) (label "one set of class heads") 9 (List.length (with_prefix "hoard.gindex.c"));
+    Alcotest.(check int) (label "one set of class heads") 2 (List.length (with_prefix "hoard.gindex.c"));
+    let own_lists = with_prefix "hoard.gindex.free.p" in
+    Alcotest.(check int) (label "one free list per processor at most")
+      (List.length (List.sort_uniq compare own_lists)) (List.length own_lists);
     Alcotest.(check (list string)) (label "one bucket pool")
       [ "hoard.lcache.b3.next0"; "hoard.lcache.b3.next1"; "hoard.lcache.b3.next2"; "hoard.lcache.b3.next3";
         "hoard.lcache.b3.free"; "hoard.lcache.b3.head" ]
