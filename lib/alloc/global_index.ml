@@ -9,17 +9,18 @@
    [Superblock.gslot]) and live forever in an append-only table, so a
    stale reader can always dereference a slot id it popped. Membership is
    advertised through ABA-tagged Treiber stacks of ENTRY NODES, one
-   partial and one full stack per class plus a class-agnostic stack of
-   empties, all sharing one growing {!Lockfree} pool whose per-processor
-   free lists recycle nodes on pop.
+   partial stack per class plus a class-agnostic stack of empties, all
+   sharing one growing {!Lockfree} pool whose per-processor free lists
+   recycle nodes on pop. A full member has no entry anywhere: no acquire
+   can use it, and the free that takes it out of full pushes its entry.
 
    Three bins, not the heaps' fullness groups. The paper's nearly-full-
    first policy orders the superblocks within a per-processor heap, where
    malloc picks among them; the global heap only hands whole superblocks
    to heaps, which then allocate from them fullest-first. With one
    partial stack per class an acquire loads one head before the empties,
-   and a free re-pushes only when the superblock moves between partial,
-   full and empty.
+   and a free pushes only when the superblock moves between full, partial
+   and empty.
 
    Construction and line addresses. Every simulated atomic takes the next
    cache line when it is created, so creation order decides which line
@@ -27,15 +28,15 @@
    "<name>.free", then the empties head "<name>.empties". Everything else
    is made at first use, in the order the run reaches it: a slot word "<name>.w<id>" when a superblock
    is first published, pool nodes "<name>.n<i>" as the table grows, and a
-   class's heads "<name>.c<class>b0" (partial) and "b1" (full) when the
-   class is first used ([publish], [acquire], [free_run]'s re-bin push,
-   [q_publish] or [q_free]). A head is built under [mu] and published
-   through the class's host atomic, like the slot table. Its first
-   simulated access is the same costed load or CAS it would have been on
-   a head built up front, on a line no processor has touched either way,
-   so building late changes no simulated cost; it only spares the set-up
-   the two heads of each class a run never uses (of 30 classes by
-   default). The pool's per-processor free lists "<name>.free.p<proc>"
+   class's partial head "<name>.c<class>b0" when the class first needs it
+   ([acquire], or an entry pushed for one of its partial members). A head
+   is built under [mu] and published through the class's host atomic,
+   like the slot table. Its first simulated access is the same costed
+   load or CAS it would have been on a head built up front, on a line no
+   processor has touched either way, so building late changes no
+   simulated cost; it only spares the set-up the head of each class a run
+   never uses (of 30 classes by default). The pool's per-processor free
+   lists "<name>.free.p<proc>"
    are built the same way, at a processor's first push or pop. [check]
    looks the heads up without building any.
 
@@ -47,11 +48,13 @@
 
    Entries may be stale — a superblock that moved bins (or left the index
    and came back) leaves old entries behind. The maintained invariant is
-   one-sided: at quiescence, every Idle(b) member has at least one entry
-   in stack b (publish pushes one; a bin-changing free pushes one to the
-   new bin; an acquirer that pops an entry it cannot claim pushes it
-   back). Pops simply discard entries whose word no longer matches, so
-   staleness costs retries, never correctness.
+   one-sided: at quiescence, every Idle(b) member that is not full has at
+   least one entry in its (class, b) stack. Whoever stores a word's bin
+   pushes that member's own entry there: publish, and a free's closing
+   store when it changes the bin. An acquirer that pops an entry for a
+   Busy member pushes it back, since the holder may leave the bin as it
+   was. Any other entry a scanner cannot claim is a duplicate and is
+   dropped, so staleness costs retries, never correctness.
 
    Claiming (acquire / take_empty) is a CAS Idle(b) -> Absent on the word
    — the linearization point of a global -> heap transfer. After it the
@@ -65,8 +68,8 @@
    finite.
 
    Fullness only decreases while a superblock is a member (allocation
-   happens only after a claim), so a member moves from the full stack to
-   the partial one and from there to the empties, never back.
+   happens only after a claim), so a member moves from full to partial
+   and from there to empty, never back.
 
    Mutants: [aba_tag:false] freezes every stack tag ("global-no-aba",
    the pool's own flag) — a pop over a concurrently recycled head splices
@@ -92,9 +95,9 @@ type t = {
   n_slots : int Atomic.t;
   mu : Mutex.t;
   entries : int Lockfree.pool; (* payload: slot id *)
-  (* heads.(class).(bin), bin partial or full; [||] until the class's
-     first use, built under [mu] (see [class_heads]). *)
-  heads : int Lockfree.t array Atomic.t array;
+  (* heads.(class): the class's partial stack; [None] until the class's
+     first use, built under [mu] (see [class_head]). *)
+  heads : int Lockfree.t option Atomic.t array;
   empties_head : int Lockfree.t; (* class-agnostic: any empty can take any class *)
   (* Gauges: host atomics, exact at quiescence. *)
   members : int Atomic.t;
@@ -144,7 +147,7 @@ let create pf ~name ~nclasses ?(aba_tag = true) ?(skip_revalidate = false) ?(on_
     n_slots = Atomic.make 0;
     mu = Mutex.create ();
     entries;
-    heads = Array.init nclasses (fun _ -> Atomic.make [||]);
+    heads = Array.init nclasses (fun _ -> Atomic.make None);
     empties_head = (Lockfree.add_stacks entries [| "empties" |]).(0);
     members = Atomic.make 0;
     empties = Atomic.make 0;
@@ -155,39 +158,34 @@ let retry t = t.on_retry ()
 
 let slot_at t i = (Atomic.get t.slots).(i)
 
-(* Class [sclass]'s heads, by bin, built on the class's first use. *)
-let class_heads t sclass =
-  let heads = t.heads.(sclass) in
-  let hs = Atomic.get heads in
-  if Array.length hs > 0 then hs
-  else begin
+(* Class [sclass]'s partial stack, built on the class's first use. *)
+let class_head t sclass =
+  let cell = t.heads.(sclass) in
+  match Atomic.get cell with
+  | Some h -> h
+  | None ->
     Mutex.lock t.mu;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.mu)
       (fun () ->
-        let hs = Atomic.get heads in
-        if Array.length hs > 0 then hs
-        else begin
-          let hs =
-            Lockfree.add_stacks t.entries (Array.init (full_bin + 1) (fun b -> Printf.sprintf "c%db%d" sclass b))
-          in
-          Atomic.set heads hs;
-          hs
-        end)
-  end
+        match Atomic.get cell with
+        | Some h -> h
+        | None ->
+          let h = (Lockfree.add_stacks t.entries [| Printf.sprintf "c%db%d" sclass partial_bin |]).(0) in
+          Atomic.set cell (Some h);
+          h)
 
-let head_for t ~sclass ~bin = if bin = empties_bin then t.empties_head else (class_heads t sclass).(bin)
+(* The stack for a member in (sclass, bin), partial or empty. *)
+let head_for t ~sclass ~bin = if bin = empties_bin then t.empties_head else class_head t sclass
 
 (* [head_for] without building: [None] for a class never used. *)
-let built_head t ~sclass ~bin =
-  if bin = empties_bin then Some t.empties_head
-  else
-    let hs = Atomic.get t.heads.(sclass) in
-    if Array.length hs > 0 then Some hs.(bin) else None
+let built_head t ~sclass ~bin = if bin = empties_bin then Some t.empties_head else Atomic.get t.heads.(sclass)
 
-(* Push one membership entry for [slot] onto stack (sclass, bin); the
-   growing pool never refuses. *)
-let push_entry t ~sclass ~bin slot = ignore (Lockfree.push (head_for t ~sclass ~bin) slot)
+(* Push one membership entry for [slot] onto stack (sclass, bin), costed
+   or ([push] = [Lockfree.q_push]) quiescent; the growing pool never
+   refuses. A full member gets none. *)
+let push_entry ?(push = Lockfree.push) t ~sclass ~bin slot =
+  if bin <> full_bin then ignore (push (head_for t ~sclass ~bin) slot)
 
 (* ---- slot allocation ---- *)
 
@@ -213,9 +211,10 @@ let bin_of sb = Heap_core.bin_index ~ngroups:1 ~used:(Superblock.used sb) ~cap:(
 
 (* Caller owns [sb] privately (already unlinked from its heap core, owner
    set to 0). The word store publishes membership; the entry push makes
-   it findable. Order matters: an acquirer popping a stale entry for this
-   slot between the two sees Idle and may claim — which is correct, the
-   superblock IS a quiescent member from the store on. *)
+   it findable (a full member gets no entry: the free that takes it out
+   of full pushes one). Order matters: an acquirer popping a stale entry
+   for this slot between the two sees Idle and may claim — which is
+   correct, the superblock IS a quiescent member from the store on. *)
 let publish ?(record = fun _ ~arg:_ -> ()) t sb =
   let id =
     let g = Superblock.gslot sb in
@@ -250,31 +249,29 @@ let claimed t ~record sb ~was_empty =
   ignore (Atomic.fetch_and_add t.u_bytes (-(Superblock.used sb * Superblock.block_size sb)));
   record Event_ring.Global_pop ~arg:(Superblock.base sb)
 
-(* Put a popped-but-unclaimable entry back where its word says it lives,
-   keeping the one-entry-per-member invariant. *)
-let repush t ~record slot_id bin =
-  let sb = (slot_at t slot_id).sb in
-  push_entry t ~sclass:(Superblock.sclass sb) ~bin slot_id;
-  record Event_ring.Global_revalidate ~arg:(Superblock.base sb)
-
 (* Resolve one popped entry against its slot's word. [`Claimed sb] when
    the claim succeeded and the entry satisfied [want]; [`Drop] when the
-   entry was stale (discarded, or repushed to a DIFFERENT stack) — the
-   caller keeps scanning; [`Busy sb] when a reclaimer holds [sb]
-   — the entry went back onto the stack of its bin, so the caller must stop
-   scanning it (popping again would just meet the same entry: a scanner
-   could otherwise spin pop/repush forever while the reclaimer is
-   descheduled, a livelock the explorer's finiteness rule forbids).
-   [want] decides claimability from the Idle bin: acquire wants
-   allocatable superblocks of its class, take_empty wants empties. *)
+   entry was stale and is discarded — the caller keeps scanning; [`Busy
+   sb] when a reclaimer holds [sb] — the entry went back onto the stack
+   of its bin, so the caller must stop scanning it (popping again would
+   just meet the same entry: a scanner could otherwise spin pop/repush
+   forever while the reclaimer is descheduled, a livelock the explorer's
+   finiteness rule forbids). [want] decides claimability from the Idle
+   bin: acquire wants allocatable superblocks of its class, take_empty
+   wants empties. *)
 let rec resolve t ~record ~want slot_id =
   let slot = slot_at t slot_id in
   let w = slot.word.Platform.load () in
   match decode w with
   | Absent -> `Drop (* claimed away since the entry was pushed *)
   | Busy b ->
-      (* A reclaimer is mutating it; put the entry back for later. *)
-      repush t ~record slot_id b;
+      (* A reclaimer is mutating it and may leave the bin as it was: put
+         the entry back for later. Not from full: the reclaimer's closing
+         store always leaves full and pushes the new entry itself. *)
+      if b <> full_bin then begin
+        push_entry t ~sclass:(Superblock.sclass slot.sb) ~bin:b slot_id;
+        record Event_ring.Global_revalidate ~arg:(Superblock.base slot.sb)
+      end;
       `Busy slot.sb
   | Idle b ->
       if want slot.sb b then begin
@@ -289,18 +286,16 @@ let rec resolve t ~record ~want slot_id =
           resolve t ~record ~want slot_id
         end
       end
-      else begin
-        (* Misplaced entry: its word names another class's stack or
-           another bin — the repush lands there, never back here. *)
-        repush t ~record slot_id b;
+      else
+        (* Full, another class's, or another bin's: a duplicate, since
+           whoever stored this word pushed the member's own entry where
+           it belongs. *)
         `Drop
-      end
 
 (* An acquire for class [c] may claim any member of class [c] with a free
    block, or any empty (reinitialised by the caller). A full member or a
    live member of another class (possible through a stale entry left in
-   an old class's stack across a reinit cycle) is repushed to where it
-   belongs. *)
+   an old class's stack across a reinit cycle) is passed over. *)
 let want_for_class sclass sb b = b <> full_bin && (b = empties_bin || Superblock.sclass sb = sclass)
 
 let want_empty _sb b = b = empties_bin
@@ -321,14 +316,13 @@ let found = function
   | `Claimed sb -> Some sb
   | `Dry | `Busy _ -> None
 
-(* The class's partial stack, then the empties. Never scans the full
-   stack — nothing there is allocatable. A Busy entry on top of the
+(* The class's partial stack, then the empties. A Busy entry on top of the
    partial stack hides every partial superblock below it, so the acquire
    falls through to the empties and perhaps to the OS; an acquire that
    met a Busy entry in either scan records one [Global_busy_miss]. *)
 let acquire ?(record = fun _ ~arg:_ -> ()) t ~sclass =
   let want = want_for_class sclass in
-  match scan t ~record ~want (class_heads t sclass).(partial_bin) with
+  match scan t ~record ~want (class_head t sclass) with
   | `Claimed sb -> Some sb
   | partial ->
     let empties = scan t ~record ~want t.empties_head in
@@ -353,9 +347,9 @@ type free_result =
    republishes. A concurrent claimer cannot interleave: claims CAS against
    Idle and the word is Busy throughout, so the writes never land on a
    superblock some heap already owns. A bin change pushes one fresh entry
-   to the new bin (the old bin's entry — still present, or being repushed
-   by an acquirer that saw Busy — goes stale). On [Requeue] and
-   [Not_member] nothing is touched. *)
+   to the new bin, which is never full (the old bin's entry — still
+   present, or being repushed by an acquirer that saw Busy — goes
+   stale). On [Requeue] and [Not_member] nothing is touched. *)
 let free_run ?(inside = fun () -> ()) t sb ~addrs =
   let g = Superblock.gslot sb in
   if g < 0 then Not_member { owner = Superblock.owner sb }
@@ -409,8 +403,6 @@ let entries t = Lockfree.live t.entries
    same state transitions with no simulated cost and no schedule
    visibility, so draining caches at exit does not perturb replay. *)
 
-let q_push_entry t ~sclass ~bin slot = ignore (Lockfree.q_push (head_for t ~sclass ~bin) slot)
-
 let q_publish t sb =
   let id =
     let g = Superblock.gslot sb in
@@ -422,7 +414,7 @@ let q_publish t sb =
   if bin = empties_bin then Atomic.incr t.empties;
   ignore (Atomic.fetch_and_add t.u_bytes (Superblock.used sb * Superblock.block_size sb));
   slot.word.Platform.poke (word_idle bin);
-  q_push_entry t ~sclass:(Superblock.sclass sb) ~bin id
+  push_entry ~push:Lockfree.q_push t ~sclass:(Superblock.sclass sb) ~bin id
 
 let q_free t sb ~addr =
   let g = Superblock.gslot sb in
@@ -439,7 +431,7 @@ let q_free t sb ~addr =
   ignore (Atomic.fetch_and_add t.u_bytes (-(Superblock.block_size sb)));
   if b' = empties_bin then Atomic.incr t.empties;
   slot.word.Platform.poke (word_idle b');
-  if b' <> b then q_push_entry t ~sclass:(Superblock.sclass sb) ~bin:b' g
+  if b' <> b then push_entry ~push:Lockfree.q_push t ~sclass:(Superblock.sclass sb) ~bin:b' g
 
 (* ---- quiescent introspection (peek-only, charge-free) ---- *)
 
@@ -465,9 +457,10 @@ let fail t fmt = Printf.ksprintf (fun m -> failwith (t.name ^ ": " ^ m)) fmt
    with one node-seen set: a node reached twice, a cycle, or a node
    reachable from no head at all ("global-no-aba"'s stale-splice strand)
    fails there. Then validates every slot: no Busy words, recorded bin =
-   recomputed bin, and every Idle member reachable in its own bin's stack
-   (the lazy-deletion invariant), which must have been built. Builds no
-   stack itself. Gauges must equal recomputed sums. *)
+   recomputed bin, and every Idle member that is not full reachable in
+   its (class, bin) stack (the lazy-deletion invariant), which must have
+   been built. Builds no stack itself. Gauges must equal recomputed
+   sums. *)
 let check t =
   let n_slots = Atomic.get t.n_slots in
   (* slot id -> the stacks holding an entry for it *)
@@ -490,8 +483,9 @@ let check t =
         if b = empties_bin then incr empties;
         u := !u + (Superblock.used s.sb * Superblock.block_size s.sb);
         (match built_head t ~sclass:(Superblock.sclass s.sb) ~bin:b with
+         | _ when b = full_bin -> () (* indexed nowhere *)
          | None ->
-           fail t "slot %d: Idle(%d) member of class %d, whose stacks were never built" i b
+           fail t "slot %d: Idle(%d) member of class %d, whose stack was never built" i b
              (Superblock.sclass s.sb)
          | Some stack ->
            if not (List.memq stack (Hashtbl.find_all reach i)) then

@@ -8,18 +8,20 @@
     atomic word — Absent / Idle(bin) / Busy(bin), with three bins:
     partial, full, empty — is the ground truth of membership.
     Findability comes from ABA-tagged Treiber stacks of entry nodes, one
-    partial and one full stack per size class plus one class-agnostic
-    empties stack, sharing one growing {!Lockfree} pool whose
-    per-processor free lists recycle the nodes. The heaps keep their
+    partial stack per size class plus one class-agnostic empties stack,
+    sharing one growing {!Lockfree} pool whose per-processor free lists
+    recycle the nodes. A full member has no entry: no acquire can use it,
+    and the free that takes it out of full pushes one. The heaps keep their
     fullness groups; the index needs none, since it hands out whole
     superblocks and the heap that takes one allocates from its own
     groups fullest-first. {!create} builds only the empties
-    stack; a class's stacks are built on its first use (any call below
-    that names the class or one of its superblocks), at no simulated
-    cost. The stacks are maintained lazily: entries can be
-    stale, pops discard or relocate them against the word, and the
-    invariant is only that every quiescent Idle(b) member is reachable
-    in stack b. Claims are a single CAS Idle -> Absent; frees run one
+    stack; a class's stack is built on its first use (an {!acquire} for
+    the class, or an entry pushed for one of its partial members), at no
+    simulated cost. The stacks are maintained lazily: entries can be
+    stale, a pop drops any entry it cannot claim (repushing only one
+    whose member a reclaimer holds Busy), and the invariant is only that
+    every quiescent Idle(b) member that is not full is reachable in its
+    (class, b) stack. Claims are a single CAS Idle -> Absent; frees run one
     Busy handshake per run of blocks. Every retry loop is bounded by
     other threads' progress, keeping the protocol explorable by
     lib/check.
@@ -30,8 +32,9 @@
     the caller (unlinked from any heap core, owner already 0).
     {!iter_members} and {!check} are quiescent-only peek walks. The
     [?record] callbacks report {!Event_ring.Global_push} (once per
-    publish), [Global_pop] (once per claim) and [Global_revalidate],
-    and {!acquire} reports [Global_busy_miss]; the allocator passes one
+    publish), [Global_pop] (once per claim) and [Global_revalidate]
+    (once per entry repushed after meeting a Busy member), and
+    {!acquire} reports [Global_busy_miss]; the allocator passes one
     that notes them on the calling heap's
     stats shard ({!Alloc_stats.note}), so it must hold that heap's lock,
     or omit the callback. *)
@@ -54,13 +57,12 @@ val create :
     two atomics, "<name>.free" and "<name>.empties"; the rest are made
     as the run reaches them: slot words "<name>.w<id>", pool nodes
     "<name>.n<i>", a processor's free list "<name>.free.p<proc>", and a
-    class's partial and full heads "<name>.c<class>b0" and
-    "<name>.c<class>b1" on the class's first use. *)
+    class's partial head "<name>.c<class>b0" on the class's first use. *)
 
 val publish : ?record:(Event_ring.kind -> arg:int -> unit) -> t -> Superblock.t -> unit
 (** Make a privately-held superblock a member: word to Idle(bin), one
-    entry pushed to its class's partial or full stack, or to the
-    empties. Works for any fullness, including full and empty. *)
+    entry pushed to its class's partial stack or to the empties. Works
+    for any fullness; a full member gets its word and no entry. *)
 
 val acquire : ?record:(Event_ring.kind -> arg:int -> unit) -> t -> sclass:int -> Superblock.t option
 (** Claim an allocatable member of [sclass] — the most recently
@@ -86,8 +88,8 @@ val free_run : ?inside:(unit -> unit) -> t -> Superblock.t -> addrs:int list -> 
 (** Free a run of distinct blocks of one member superblock with a single
     Busy handshake: one CAS Idle(b) -> Busy(b), every block freed (its
     custody mark cleared), [inside] run, one store Idle(b'), and at most
-    one entry pushed when the run moved the superblock between full,
-    partial and empty.
+    one entry pushed, to the partial or empties stack, when the run moved
+    the superblock out of its bin.
     [inside] is where the caller issues the run's simulated writes (free-
     list links, the header): they land while the word is Busy, so no
     claimer can own the superblock underneath them. On {!Requeue} and
@@ -132,8 +134,8 @@ val check : t -> unit
 (** Exhaustive structural validation: every node reachable from exactly
     one head (unreachable nodes are the lost-ABA strand), every
     per-processor free list within its cap, no Busy
-    words, recorded bins match recomputed fullness, every member
-    reachable in its own bin's stack, gauges equal recomputed sums,
+    words, recorded bins match recomputed fullness, every member that is
+    not full reachable in its (class, bin) stack, gauges equal recomputed sums,
     and [Superblock.check] on every member. Walks only the stacks built
     so far and builds none. Raises [Failure] with a diagnostic
     otherwise. *)

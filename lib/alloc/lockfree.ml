@@ -2,8 +2,8 @@
 
    This is the non-blocking substrate under both lock-free extensions:
    each large-cache bucket is a stack alone in a bounded pool, and the
-   lock-free global heap's entry stacks (the empties, then a partial and
-   a full stack for each class in use) share one growing pool. Push and
+   lock-free global heap's entry stacks (the empties, then a partial
+   stack for each class in use) share one growing pool. Push and
    pop complete with CAS only, no lock, so a thread preempted (or
    crashed, on real hardware) mid-way never blocks the others.
 
@@ -334,8 +334,6 @@ let push s v = tracked s.pool (fun () -> push_with costed s v)
 let pop s = tracked s.pool (fun () -> pop_with costed s)
 
 let q_push s v = push_with quiescent s v
-
-let q_pop s = pop_with quiescent s
 
 let name s = s.head.Platform.atomic_name
 

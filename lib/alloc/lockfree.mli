@@ -4,7 +4,7 @@
     The non-blocking substrate of both lock-free extensions: the large
     cache's buckets (one bounded pool and one stack per bucket) and the
     lock-free global heap's entry stacks (one growing pool under the
-    empties stack and the partial and full stacks of each class of a
+    empties stack and the partial stack of each class of a
     {!Global_index}, the latter added by {!add_stacks} as classes come
     into use).
     [push]/[pop] complete with CAS only — no lock, so they are safe at
@@ -73,15 +73,12 @@ val push : 'a t -> 'a -> bool
 val pop : 'a t -> 'a option
 (** Most recently pushed first. *)
 
-(** {2 Quiescent mutation — peek/poke, no simulated cost}
-
-    The same transitions with no schedule visibility, for teardown after
-    every worker has joined. They run outside any simulated thread, so
-    they use the shared free list only. *)
+(** {2 Quiescent mutation — peek/poke, no simulated cost} *)
 
 val q_push : 'a t -> 'a -> bool
-
-val q_pop : 'a t -> 'a option
+(** {!push} with no schedule visibility, for teardown after every worker
+    has joined. It runs outside any simulated thread, so it takes its
+    node from the shared free list only. *)
 
 (** {2 Introspection} *)
 

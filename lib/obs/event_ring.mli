@@ -43,7 +43,7 @@ type kind =
   | Global_push  (** superblock published to the lock-free global index; [arg] = base *)
   | Global_pop  (** superblock acquired from the lock-free global index; [arg] = base *)
   | Global_revalidate
-      (** a popped membership entry failed revalidation and was repushed;
+      (** a popped membership entry met a Busy member and was repushed;
           [arg] = base *)
   | Global_busy_miss
       (** an acquire from the lock-free global index met a Busy entry and

@@ -572,9 +572,8 @@ let test_growing_pool_lifo_past_first_table () =
   done;
   Alcotest.(check bool) "q_push" true (Lockfree.q_push s 21);
   Lockfree.walk p (fun _ _ -> ());
-  Alcotest.(check (option int)) "q_pop: the last push" (Some 21) (Lockfree.q_pop s);
-  Alcotest.(check (list (option int))) "LIFO" (List.init 20 (fun i -> Some (20 - i)))
-    (List.init 20 (fun _ -> Lockfree.pop s));
+  Alcotest.(check (list (option int))) "LIFO" (List.init 21 (fun i -> Some (21 - i)))
+    (List.init 21 (fun _ -> Lockfree.pop s));
   Alcotest.(check (option int)) "empty" None (Lockfree.pop s);
   Lockfree.walk p (fun _ _ -> Alcotest.fail "no live payload left")
 
@@ -721,7 +720,7 @@ let naming pf =
   in
   ({ pf with Platform.new_atomic }, ((fun () -> List.rev_map fst !made), fun name -> List.assoc name !made))
 
-let class_heads c = List.init 2 (fun b -> Printf.sprintf "gidx.c%db%d" c b)
+let class_head c = Printf.sprintf "gidx.c%db0" c
 
 let heads_made names = List.filter (Astring.String.is_prefix ~affix:"gidx.c") names
 
@@ -748,29 +747,32 @@ let test_publish_builds_its_class () =
   let pf, (names, _) = naming (Platform.host ()) in
   let gi = Global_index.create pf ~name:"gidx" ~nclasses:30 () in
   let sb = publish_member gi ~base:4096 ~sclass:7 ~used:3 in
-  Alcotest.(check (list string)) "class 7's partial and full heads" (class_heads 7) (heads_made (names ()));
+  Alcotest.(check (list string)) "class 7's partial head" [ class_head 7 ] (heads_made (names ()));
   ignore (publish_member gi ~base:8192 ~sclass:7 ~used:max_int);
   Alcotest.(check bool) "acquire claims the partial member" true
     (match Global_index.acquire gi ~sclass:7 with Some s -> s == sb | None -> false);
-  Alcotest.(check (list string)) "class 7's heads are built once" (class_heads 7) (heads_made (names ()));
+  Alcotest.(check (list string)) "class 7's head is built once" [ class_head 7 ] (heads_made (names ()));
+  (* A full member is indexed nowhere, so it builds no head. *)
+  ignore (publish_member gi ~base:12288 ~sclass:9 ~used:max_int);
+  Alcotest.(check (list string)) "a full publish builds no head" [ class_head 7 ] (heads_made (names ()));
   Global_index.check gi
 
 let test_index_walks_built_stacks () =
   let pf, (names, atomic) = naming (Platform.host ()) in
   let gi = Global_index.create pf ~name:"gidx" ~nclasses:30 () in
-  ignore (publish_member gi ~base:4096 ~sclass:3 ~used:max_int);
+  ignore (publish_member gi ~base:4096 ~sclass:3 ~used:1);
   ignore (publish_member gi ~base:8192 ~sclass:7 ~used:1);
+  (* A full member of a class never used: check needs no stack for it. *)
+  ignore (publish_member gi ~base:12288 ~sclass:5 ~used:max_int);
   Global_index.check gi;
   let seen = ref 0 in
   Global_index.iter_members gi (fun _ -> incr seen);
-  Alcotest.(check (pair int int)) "iter_members and members: both members" (2, 2) (!seen, Global_index.members gi);
-  Alcotest.(check (list string)) "introspection builds nothing" (class_heads 3 @ class_heads 7)
+  Alcotest.(check (pair int int)) "iter_members and members: all three" (3, 3) (!seen, Global_index.members gi);
+  Alcotest.(check (list string)) "introspection builds nothing" [ class_head 3; class_head 7 ]
     (heads_made (names ()));
-  (* Class 3's member is full, so its bin-0 head is empty; copying class
-     7's one non-empty head into it links one node from two heads, which
-     the walk of the built stacks must find. *)
-  let live = List.find (fun n -> (atomic n).Platform.peek () <> 0) (class_heads 7) in
-  (atomic "gidx.c3b0").Platform.poke ((atomic live).Platform.peek ());
+  (* Copying class 7's head into class 3's links class 7's one node from
+     two heads, which the walk of the built stacks must find. *)
+  (atomic (class_head 3)).Platform.poke ((atomic (class_head 7)).Platform.peek ());
   match Global_index.check gi with
   | () -> Alcotest.fail "check accepted a node on two of the built stacks"
   | exception Failure m ->
@@ -804,6 +806,32 @@ let test_first_acquire_cost () =
   Alcotest.(check bool) "claimed the empty" true (match !claimed with Some s -> s == sb | None -> false);
   Alcotest.(check int) "cycles of the first acquire" 559 !cycles;
   Global_index.check gi
+
+(* A superblock published partial in class 0 and freed empty leaves a
+   stale entry on class 0's stack. Class 1 takes it from the empties,
+   reinitialises it and publishes it partial, which pushes its own entry
+   on class 1's stack. A class-0 acquire that pops the stale entry drops
+   it, and records nothing. *)
+let test_stale_entry_dropped () =
+  let gi = Global_index.create (Platform.host ()) ~name:"gidx" ~nclasses:2 () in
+  let events = ref [] in
+  let record k ~arg:_ = events := k :: !events in
+  let sb = Superblock.create ~base:4096 ~sb_size:4096 ~sclass:0 ~block_size:512 in
+  let a = Superblock.alloc_block sb in
+  Global_index.publish gi sb;
+  Alcotest.(check (option bool)) "freed empty" (Some true) (freed (Global_index.free_run gi sb ~addrs:[ a ]));
+  Alcotest.(check bool) "class 1 takes the empty" true
+    (match Global_index.acquire gi ~sclass:1 with Some s -> s == sb | None -> false);
+  Superblock.reinit sb ~sclass:1 ~block_size:256;
+  ignore (Superblock.alloc_block sb);
+  Global_index.publish gi sb;
+  events := [];
+  Alcotest.(check bool) "class 0 finds nothing" true (Global_index.acquire ~record gi ~sclass:0 = None);
+  Alcotest.(check int) "one entry: class 1's own" 1 (Global_index.entries gi);
+  Alcotest.(check int) "no event" 0 (List.length !events);
+  Global_index.check gi;
+  Alcotest.(check bool) "class 1 claims it" true
+    (match Global_index.acquire gi ~sclass:1 with Some s -> s == sb | None -> false)
 
 (* --- Global_index: per-processor node lists --- *)
 
@@ -840,23 +868,41 @@ let partial_sb ~base =
   ignore (Superblock.alloc_block sb);
   sb
 
+(* Rounds of publish / acquire of one partial member, or of publish full /
+   free one block / acquire / allocate it again. A full member is pushed
+   nowhere, so the one entry of a round is the free's. *)
 let test_own_list_spares_shared_word () =
-  let pf, _, accesses = proc_counting ~nprocs:1 in
-  let gi = Global_index.create pf ~name:"gidx" ~nclasses:1 () in
-  let sb = partial_sb ~base:4096 in
-  let round () =
-    Global_index.publish gi sb;
-    Alcotest.(check bool) "acquire claims the member" true
-      (match Global_index.acquire gi ~sclass:0 with Some s -> s == sb | None -> false)
-  in
-  round ();
-  let before = accesses "gidx.free" in
-  for _ = 1 to 100 do
-    round ()
-  done;
-  Alcotest.(check int) "costed accesses to the shared free list" 0 (accesses "gidx.free" - before);
-  Alcotest.(check int) "one node serves every round" 1 (Global_index.nodes gi);
-  Global_index.check gi
+  List.iter
+    (fun full ->
+      let label what = Printf.sprintf "%s member: %s" (if full then "full" else "partial") what in
+      let pf, _, accesses = proc_counting ~nprocs:1 in
+      let gi = Global_index.create pf ~name:"gidx" ~nclasses:1 () in
+      let sb = partial_sb ~base:4096 in
+      let last = ref (-1) in
+      let fill () =
+        while not (Superblock.is_full sb) do
+          last := Superblock.alloc_block sb
+        done
+      in
+      if full then fill ();
+      let round () =
+        Global_index.publish gi sb;
+        if full then
+          Alcotest.(check (option bool)) (label "one block freed") (Some false)
+            (freed (Global_index.free_run gi sb ~addrs:[ !last ]));
+        Alcotest.(check bool) (label "acquire claims the member") true
+          (match Global_index.acquire gi ~sclass:0 with Some s -> s == sb | None -> false);
+        if full then fill ()
+      in
+      round ();
+      let before = accesses "gidx.free" in
+      for _ = 1 to 100 do
+        round ()
+      done;
+      Alcotest.(check int) (label "one node serves every round") 1 (Global_index.nodes gi);
+      Alcotest.(check int) (label "costed accesses to the shared free list") 0 (accesses "gidx.free" - before);
+      Global_index.check gi)
+    [ false; true ]
 
 let test_own_lists_bound_the_table () =
   let nprocs = 2 in
@@ -1073,6 +1119,7 @@ let () =
           Alcotest.test_case "publish builds its class's stacks once" `Quick test_publish_builds_its_class;
           Alcotest.test_case "check and iter walk the built stacks" `Quick test_index_walks_built_stacks;
           Alcotest.test_case "first acquire of a class costs as pinned" `Quick test_first_acquire_cost;
+          Alcotest.test_case "a stale entry for a reused superblock is dropped" `Quick test_stale_entry_dropped;
           Alcotest.test_case "one processor's loop never touches the shared free list" `Quick
             test_own_list_spares_shared_word;
           Alcotest.test_case "asymmetric processors keep the node table bounded" `Quick
