@@ -1,7 +1,6 @@
 type t = {
   heap_id : int;
   classes : Size_class.t;
-  ngroups : int;
   sbsz : int;
   (* [class].[bin]; bin ngroups = full. A class's bins are made on its
      first insert: until then its entry is [||], and every scan treats it
@@ -14,12 +13,14 @@ type t = {
   class_counts : int array; (* linked superblocks per size class *)
 }
 
+(* Partial-fullness groups per size class, as in the paper. *)
+let ngroups = 8
+
 (* Group encoding stored in each superblock: bins 0..ngroups-1 are partial
    fullness ranges, bin ngroups is "full", bin ngroups+1 means "in the
-   empties pool", -1 means unlinked. The pure bin math is exported so the
-   lock-free global index (which has no Heap_core.t) bins identically —
-   a superblock migrating between a per-thread heap and the global index
-   must land in the same fullness group either side. *)
+   empties pool", -1 means unlinked. The heaps bin with [ngroups] groups;
+   the lock-free global index (which has no Heap_core.t) calls the same
+   pure math with one group, so it knows only empty, partial and full. *)
 let empties_bin_index ~ngroups = ngroups + 1
 
 let full_bin_index ~ngroups = ngroups
@@ -29,14 +30,12 @@ let bin_index ~ngroups ~used ~cap =
   else if used = cap then full_bin_index ~ngroups
   else used * ngroups / cap
 
-let empties_bin t = empties_bin_index ~ngroups:t.ngroups
+let empties_bin = empties_bin_index ~ngroups
 
-let create ~id ~classes ?(ngroups = 8) ~sb_size () =
-  if ngroups < 1 then invalid_arg "Heap_core.create: ngroups must be >= 1";
+let create ~id ~classes ~sb_size () =
   {
     heap_id = id;
     classes;
-    ngroups;
     sbsz = sb_size;
     groups = Array.make (Size_class.count classes) [||];
     empties = Dlist.create ();
@@ -50,22 +49,20 @@ let id t = t.heap_id
 
 let sb_size t = t.sbsz
 
-let ngroups t = t.ngroups
-
 let u t = t.in_use
 
 let a t = t.held
 
 let usable_a t = t.usable
 
-let bin_of t sb =
-  bin_index ~ngroups:t.ngroups ~used:(Superblock.used sb) ~cap:(Superblock.n_blocks sb)
+let bin_of sb =
+  bin_index ~ngroups ~used:(Superblock.used sb) ~cap:(Superblock.n_blocks sb)
 
 let class_bins t sclass =
-  if Array.length t.groups.(sclass) = 0 then t.groups.(sclass) <- Array.init (t.ngroups + 1) (fun _ -> Dlist.create ());
+  if Array.length t.groups.(sclass) = 0 then t.groups.(sclass) <- Array.init (ngroups + 1) (fun _ -> Dlist.create ());
   t.groups.(sclass)
 
-let list_for t sb bin = if bin = empties_bin t then t.empties else (class_bins t (Superblock.sclass sb)).(bin)
+let list_for t sb bin = if bin = empties_bin then t.empties else (class_bins t (Superblock.sclass sb)).(bin)
 
 let unlink t sb =
   match Superblock.group_node sb with
@@ -75,13 +72,13 @@ let unlink t sb =
     Superblock.set_group sb (-1) None
 
 let link t sb =
-  let bin = bin_of t sb in
+  let bin = bin_of sb in
   let node = Dlist.push_front (list_for t sb bin) sb in
   Superblock.set_group sb bin (Some node)
 
 (* Move a superblock to its correct group after a fullness change. *)
 let reposition t sb =
-  let bin = bin_of t sb in
+  let bin = bin_of sb in
   if bin <> Superblock.group_index sb then begin
     unlink t sb;
     link t sb
@@ -120,7 +117,7 @@ let find_partial t sclass =
       | Some sb -> Some sb
       | None -> scan (bin - 1)
   in
-  if Array.length bins = 0 then None else scan (t.ngroups - 1)
+  if Array.length bins = 0 then None else scan (ngroups - 1)
 
 let malloc t ~sclass ~block_size =
   let sb =
@@ -189,8 +186,8 @@ let find_victim t ~max_fullness ~protect_last =
       && ((not protect_last) || t.class_counts.(Superblock.sclass sb) > 1)
     in
     let rec scan bin =
-      if bin >= t.ngroups then None
-      else if float_of_int bin /. float_of_int t.ngroups > max_fullness then None
+      if bin >= ngroups then None
+      else if float_of_int bin /. float_of_int ngroups > max_fullness then None
       else
         let found = ref None in
         let each_class bins =
@@ -239,7 +236,7 @@ let check t =
     Superblock.check sb;
     if Superblock.owner sb <> t.heap_id then failwith "Heap_core.check: wrong owner";
     if Superblock.group_index sb <> expected_bin then failwith "Heap_core.check: group index mismatch";
-    if bin_of t sb <> expected_bin then failwith "Heap_core.check: superblock in wrong group";
+    if bin_of sb <> expected_bin then failwith "Heap_core.check: superblock in wrong group";
     if Superblock.sb_size sb <> t.sbsz then failwith "Heap_core.check: wrong superblock size";
     held := !held + Superblock.sb_size sb;
     in_use := !in_use + contribution sb;
@@ -259,7 +256,7 @@ let check t =
   Dlist.iter
     (fun sb ->
       if not (Superblock.is_empty sb) then failwith "Heap_core.check: non-empty superblock in empties pool";
-      visit (empties_bin t) sb)
+      visit empties_bin sb)
     t.empties;
   if !held <> t.held then failwith "Heap_core.check: held bytes mismatch";
   if !in_use <> t.in_use then failwith "Heap_core.check: in-use bytes mismatch";

@@ -14,8 +14,8 @@
 
 type t
 
-val create : id:int -> classes:Size_class.t -> ?ngroups:int -> sb_size:int -> unit -> t
-(** [ngroups] (default 8) is the number of partial-fullness bins. A
+val create : id:int -> classes:Size_class.t -> sb_size:int -> unit -> t
+(** A heap sorts each class into {!ngroups} partial-fullness bins. A
     class's lists are made on its first insert, so a class the run never
     uses costs the heap one array slot. *)
 
@@ -23,14 +23,16 @@ val id : t -> int
 
 val sb_size : t -> int
 
-val ngroups : t -> int
+val ngroups : int
+(** Partial-fullness groups per size class in every heap: 8. *)
 
 val bin_index : ngroups:int -> used:int -> cap:int -> int
 (** The fullness-group bin for a superblock with [used] of [cap] blocks
     allocated: bins [0 .. ngroups-1] partition the partial fullness range
     ([used * ngroups / cap]), bin [ngroups] is "completely full" and bin
-    [ngroups + 1] "completely empty". Pure — shared with the lock-free
-    global index so both sides of a superblock transfer bin identically. *)
+    [ngroups + 1] "completely empty". Pure — the heaps call it with
+    {!ngroups} groups, the lock-free global index with one (empty,
+    partial or full). *)
 
 val full_bin_index : ngroups:int -> int
 

@@ -62,7 +62,7 @@ type report = {
 (* Run [workload] on [subject] with every operation oracle-checked.
    Raises Oracle.Oracle_violation / Sanitizer.Violation (or the
    allocator's own check failure) on any discrepancy. *)
-let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_false_sharing = false)
+let run_oracle ?fuzz ?(nprocs = 4) ?(check_blowup = true) ?(expect_no_false_sharing = false)
     ?(overrides = fun cfg -> cfg) ~workload ~subject () =
   let s =
     match find_subject subject with
@@ -125,7 +125,7 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
            (sprintf "oracle[%s]: %d cache line(s) actively shared between threads" s.s_label
               (Oracle.active_shared_lines o)))
   in
-  let spec = Runner.spec ?nthreads workload factory ~nprocs in
+  let spec = Runner.spec workload factory ~nprocs in
   let o, r = Runner.run_with ?fuzz ~wrap_allocator:Oracle.wrap ~wrap_platform ~post spec in
   (* Blowup is checked after the run, when the simulator can report the
      peak LIVE thread population — the P of the O(U + P) bound. Under

@@ -44,7 +44,6 @@ type report = {
 val run_oracle :
   ?fuzz:int ->
   ?nprocs:int ->
-  ?nthreads:int ->
   ?check_blowup:bool ->
   ?expect_no_false_sharing:bool ->
   ?overrides:(Hoard_config.t -> Hoard_config.t) ->

@@ -74,7 +74,6 @@ let race_config ~mutant =
     nheaps = Some 1;
     slack = 0;
     empty_fraction = 0.5;
-    path_work = 0;
     release_threshold = max_int;
     front_end = 0;
     mutant;
@@ -598,12 +597,7 @@ let global_transfer =
     sc_build =
       (fun sim pf ->
         let config =
-          {
-            (race_config ~mutant:"") with
-            Hoard_config.nheaps = Some 3;
-            ngroups = 2;
-            global = Hoard_config.Lockfree;
-          }
+          { (race_config ~mutant:"") with Hoard_config.nheaps = Some 3; global = Hoard_config.Lockfree }
         in
         let h = Hoard.create ~config pf in
         let a = Hoard.allocator h in
@@ -812,12 +806,7 @@ let global_free_shards =
     sc_build =
       (fun sim pf ->
         let config =
-          {
-            (race_config ~mutant:"") with
-            Hoard_config.nheaps = Some 3;
-            ngroups = 2;
-            global = Hoard_config.Lockfree;
-          }
+          { (race_config ~mutant:"") with Hoard_config.nheaps = Some 3; global = Hoard_config.Lockfree }
         in
         let h = Hoard.create ~config pf in
         let a = Hoard.allocator h in

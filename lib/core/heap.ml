@@ -59,7 +59,7 @@ let create pf (cfg : Hoard_config.t) ~classes ~stats ?obs id =
       Alloc_stats.attach_ring sh ring pf ~heap:(fun () -> id))
     obs;
   let lock = pf.Platform.new_lock (Printf.sprintf "hoard.heap%d" id) in
-  { pf; core = Heap_core.create ~id ~classes ~ngroups:cfg.ngroups ~sb_size:cfg.sb_size (); lock; sh; channel }
+  { pf; core = Heap_core.create ~id ~classes ~sb_size:cfg.sb_size (); lock; sh; channel }
 
 let id h = Heap_core.id h.core
 

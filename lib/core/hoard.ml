@@ -22,6 +22,8 @@ let config t = t.cfg
 
 let nheaps t = Array.length t.heaps
 
+let path_work = 30
+
 (* Heap [id]'s record; [None] for heap 0 under a global heap that keeps
    none (the lock-free one): its blocks have no lock to take and park on
    the freeing heap's shard instead. *)
@@ -30,9 +32,10 @@ let heap_by_id t id = Heap.find t.heaps ~zero:(Global_heap.heap0 t.global) id
 (* Fibonacci hash so consecutive thread ids spread across heaps. *)
 let hash_tid tid = (tid * 2654435761) land max_int
 
-(* The calling thread's heap. *)
+(* The calling thread's heap: its processor's when there is one heap per
+   processor, else its thread id's hash over the explicit heap count. *)
 let pick_heap pf (cfg : Hoard_config.t) heaps =
-  let slot = if cfg.assign_by_tid then hash_tid (pf.Platform.self_tid ()) else pf.Platform.self_proc () in
+  let slot = if cfg.nheaps = None then pf.Platform.self_proc () else hash_tid (pf.Platform.self_tid ()) in
   heaps.(slot mod Array.length heaps)
 
 let my_heap t = pick_heap t.pf t.cfg t.heaps
@@ -317,7 +320,7 @@ let malloc_fill t c ~size ~sclass ~block_size ~n =
 
 let malloc t size =
   if size <= 0 then invalid_arg "Hoard.malloc: size must be positive";
-  t.pf.Platform.work t.cfg.path_work;
+  t.pf.Platform.work path_work;
   if Locked_large.is_large t.large size then Locked_large.malloc t.large size
   else begin
     let sclass = Size_class.class_of_size t.classes size in
@@ -358,7 +361,7 @@ let malloc_many t n size =
   if n <= 0 then [||]
   else if size <= 0 then invalid_arg "Hoard.malloc: size must be positive"
   else begin
-    t.pf.Platform.work t.cfg.path_work;
+    t.pf.Platform.work path_work;
     if Locked_large.is_large t.large size then Array.init n (fun _ -> Locked_large.malloc t.large size)
     else begin
       let sclass = Size_class.class_of_size t.classes size in
@@ -458,7 +461,7 @@ let free_block t addr =
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
 
 let free t addr =
-  t.pf.Platform.work t.cfg.path_work;
+  t.pf.Platform.work path_work;
   free_block t addr
 
 (* Batched free: with a front end, one [path_work] for the whole batch,
@@ -468,7 +471,7 @@ let free t addr =
 let free_many t addrs =
   if Option.is_none t.fe then Array.iter (free t) addrs
   else if Array.length addrs > 0 then begin
-    t.pf.Platform.work t.cfg.path_work;
+    t.pf.Platform.work path_work;
     Array.iter (free_block t) addrs
   end
 

@@ -1,7 +1,9 @@
 (** The Hoard allocator (the paper's contribution).
 
     Structure: one global heap (heap 0) plus N per-processor heaps. A
-    thread running on processor p allocates from heap [1 + p mod N]. Small
+    thread running on processor p allocates from heap [1 + p mod N]; with
+    an explicit [config.nheaps], thread t allocates from heap
+    [1 + hash t mod N] instead. Small
     requests (<= S/2) are served from superblocks; each heap keeps its
     superblocks segregated by size class and sorted into fullness groups,
     and allocation takes the fullest superblock with space (keeping memory
@@ -93,6 +95,10 @@ val size_classes : t -> Size_class.t
 
 val nheaps : t -> int
 (** Number of per-processor heaps (excluding the global heap). *)
+
+val path_work : int
+(** Instruction cycles charged per malloc/free call beyond its memory
+    operations: 30. *)
 
 (** {2 Introspection (tests, experiments)} *)
 

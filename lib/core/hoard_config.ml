@@ -20,12 +20,9 @@ type t = {
   sb_size : int;
   empty_fraction : float;
   slack : int;
-  ngroups : int;
   nheaps : int option;
-  assign_by_tid : bool;
   release_threshold : int;
   vmem_backend : Vmem_backend.kind;
-  path_work : int;
   front_end : int;
   remote_queue_cap : int;
   large_cache : int;
@@ -49,12 +46,9 @@ let default =
     sb_size = 8192;
     empty_fraction = 0.25;
     slack = 4;
-    ngroups = 8;
     nheaps = None;
-    assign_by_tid = false;
     release_threshold = 4;
     vmem_backend = Vmem_backend.Exact;
-    path_work = 30;
     front_end = 0;
     remote_queue_cap = 256;
     large_cache = 0;
@@ -89,12 +83,6 @@ let parse_float name s =
   | Some v -> v
   | None -> bad name "expected a number, got %S" s
 
-let parse_bool name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "true" | "on" | "1" | "yes" -> true
-  | "false" | "off" | "0" | "no" -> false
-  | _ -> bad name "expected a boolean (true/false/on/off/1/0), got %S" s
-
 let int_knob name doc ~get ~store ~check =
   {
     k_name = name;
@@ -102,15 +90,6 @@ let int_knob name doc ~get ~store ~check =
     k_get = (fun t -> string_of_int (get t));
     k_parse = (fun t s -> store t (parse_int name s));
     k_check = (fun t -> check (get t));
-  }
-
-let bool_knob name doc ~get ~store =
-  {
-    k_name = name;
-    k_doc = doc;
-    k_get = (fun t -> string_of_bool (get t));
-    k_parse = (fun t s -> store t (parse_bool name s));
-    k_check = (fun _ -> None);
   }
 
 let non_negative name v = if v < 0 then Some (Printf.sprintf "%s must be non-negative" name) else None
@@ -142,13 +121,9 @@ let knobs =
       ~get:(fun t -> t.slack)
       ~store:(fun t v -> { t with slack = v })
       ~check:(non_negative "slack");
-    int_knob "ngroups" "Fullness groups per size class, >= 1."
-      ~get:(fun t -> t.ngroups)
-      ~store:(fun t v -> { t with ngroups = v })
-      ~check:(fun v -> if v < 1 then Some "ngroups must be >= 1" else None);
     {
       k_name = "nheaps";
-      k_doc = "Per-processor heap count; 'auto' (or 'per-proc') means one per processor.";
+      k_doc = "Heap count: 'auto' (or 'per-proc'), one per processor picked by processor; or n heaps picked by tid hash.";
       k_get =
         (fun t ->
           match t.nheaps with
@@ -165,9 +140,6 @@ let knobs =
           | Some n when n < 1 -> Some "nheaps must be >= 1 (or auto)"
           | _ -> None);
     };
-    bool_knob "assign-by-tid" "Map threads to heaps by thread-id hash instead of by processor."
-      ~get:(fun t -> t.assign_by_tid)
-      ~store:(fun t v -> { t with assign_by_tid = v });
     int_knob "release-threshold"
       "Empty superblocks the global heap retains before returning the rest to the OS; max_int never releases."
       ~get:(fun t -> t.release_threshold)
@@ -184,10 +156,6 @@ let knobs =
           | None -> bad "vmem" "unknown backend %S (exact, first-fit, buddy)" s);
       k_check = (fun _ -> None);
     };
-    int_knob "path-work" "Instruction cycles charged per malloc/free beyond memory ops."
-      ~get:(fun t -> t.path_work)
-      ~store:(fun t v -> { t with path_work = v })
-      ~check:(non_negative "path-work");
     int_knob "front-end" "K: per-thread cache capacity per size class (2K for 8 B blocks); 0 disables, else >= 2."
       ~get:(fun t -> t.front_end)
       ~store:(fun t v -> { t with front_end = v })
@@ -305,7 +273,7 @@ let blowup_envelope ?(quarantine = 0) t ~nprocs ~peak_live_threads ~peak_live_by
    registry order), every other knob only when it differs from the
    default — so new knobs show up in [inspect] output automatically. *)
 let always_shown =
-  [ "sb-size"; "empty-fraction"; "slack"; "ngroups"; "nheaps"; "front-end" ]
+  [ "sb-size"; "empty-fraction"; "slack"; "nheaps"; "front-end" ]
 
 let pp fmt t =
   let first = ref true in

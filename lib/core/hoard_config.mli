@@ -38,14 +38,13 @@ type t = {
           implementation keeps a small positive K (default 4) so that
           batch-free workloads such as threadtest do not thrash
           superblocks through the global heap (see the abl_k ablation). *)
-  ngroups : int;  (** fullness groups per size class (paper: groups of f). *)
   nheaps : int option;
-      (** number of per-processor heaps; [None] means one per processor. *)
-  assign_by_tid : bool;
-      (** map threads to heaps by hashing the thread id (the released
+      (** number of per-processor heaps. [None] (the default) is one per
+          processor, and a thread uses its executing processor's heap
+          (the paper's presentation). [Some n] makes n heaps and maps
+          threads to them by hashing the thread id (the released
           implementation's policy, useful when threads outnumber
-          processors) instead of by executing processor (the paper's
-          presentation). Default false. *)
+          processors). *)
   release_threshold : int;
       (** empty superblocks the global heap retains before returning the
           rest to the OS; [max_int] never releases. *)
@@ -56,8 +55,6 @@ type t = {
           so they read this field when building the simulator; it cannot
           retroactively change a platform the caller already built.
           Default [Exact] (the seed policy). *)
-  path_work : int;
-      (** instruction cycles charged per malloc/free beyond memory ops. *)
   front_end : int;
       (** K: the per-thread front-end cache serving malloc/free without
           lock traffic holds [max K (K * 16 / block_size)] blocks of each

@@ -8,7 +8,6 @@ type t = {
   pf : Platform.t;
   hoard : Hoard.t;
   inner : Alloc_intf.t; (* Hoard's own, unchecked entry points *)
-  path_work : int;
   q : int Queue.t; (* quarantined block addresses, oldest first *)
   q_set : (int, unit) Hashtbl.t;
   q_cap : int;
@@ -19,9 +18,9 @@ let default_quarantine = 32
 
 let create ?(quarantine = default_quarantine) pf hoard =
   if quarantine < 0 then invalid_arg "Sanitizer.create: quarantine must be non-negative";
-  let inner = Hoard.allocator hoard and path_work = (Hoard.config hoard).Hoard_config.path_work in
+  let inner = Hoard.allocator hoard in
   let q_mu = Mutex.create () in
-  { pf; hoard; inner; path_work; q = Queue.create (); q_set = Hashtbl.create 64; q_cap = quarantine; q_mu }
+  { pf; hoard; inner; q = Queue.create (); q_set = Hashtbl.create 64; q_cap = quarantine; q_mu }
 
 let quarantined s addr = Mutex.protect s.q_mu (fun () -> Hashtbl.mem s.q_set addr)
 
@@ -66,7 +65,7 @@ let free s addr =
   | None -> (
     try s.inner.free addr with Invalid_argument _ -> report s ~what:"free of foreign pointer" ~addr None)
   | Some sb ->
-    s.pf.Platform.work s.path_work;
+    s.pf.Platform.work Hoard.path_work;
     if quarantined s addr then report s ~what:"double free (block still in quarantine)" ~addr (Some sb);
     (match Superblock.locate sb addr with
      | Superblock.Header -> report s ~what:"free of a superblock header address" ~addr (Some sb)

@@ -1107,7 +1107,7 @@ let abl_nheaps =
     in
     List.iter
       (fun mult ->
-        let cfg = { Hoard_config.default with nheaps = Some (mult * p); assign_by_tid = true } in
+        let cfg = { Hoard_config.default with nheaps = Some (mult * p) } in
         let alloc = hoard_with cfg in
         (* Oversubscribed: two threads per processor, so heap sharing is
            real and extra heaps can pay off. *)

@@ -131,7 +131,7 @@ let metrics_json b =
     (Perfetto.str b.b_name) b.b_nprocs b.b_cycles (Obs.total_recorded b.b_obs) (Obs.total_dropped b.b_obs)
     (Metrics.to_json (Obs.metrics b.b_obs))
 
-let contention_table ?(n = 10) b =
+let contention_table b =
   let tbl =
     Table.create ~title:"lock contention (spin cycles, worst first)"
       ~columns:
@@ -157,5 +157,5 @@ let contention_table ?(n = 10) b =
           string_of_int e.c_max_spin;
           string_of_int e.c_spin_cycles;
         ])
-    (Contention.top ~n b.b_contention);
+    (Contention.top ~n:10 b.b_contention);
   tbl

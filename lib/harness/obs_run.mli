@@ -34,5 +34,5 @@ val metrics_json : bundle -> string
 (** A JSON object [{"run": {...}, "metrics": [...]}]: run header
     (name, nprocs, cycles, event totals) plus the full registry export. *)
 
-val contention_table : ?n:int -> bundle -> Table.t
-(** The top-[n] (default 10) most-contended locks as a printable table. *)
+val contention_table : bundle -> Table.t
+(** The 10 most-contended locks as a printable table. *)

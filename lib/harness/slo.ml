@@ -78,7 +78,7 @@ type server_run = {
   sv_stats : Alloc_stats.snapshot;
 }
 
-let run_server ?(params = Server_mix.default_params) ?(every = 16) (factory : Alloc_intf.factory) ~nprocs =
+let run_server ?(params = Server_mix.default_params) (factory : Alloc_intf.factory) ~nprocs =
   let recorder = Server_mix.new_recorder () in
   let obs = Obs.create () in
   let ring = Obs.new_ring obs "server" in
@@ -88,7 +88,7 @@ let run_server ?(params = Server_mix.default_params) ?(every = 16) (factory : Al
         ~sclass:(-1) ~arg:latency);
   let wrap_allocator _pf a =
     let probe, a = Latency_probe.wrap a in
-    let timeline, a = Timeline.wrap ~every a in
+    let timeline, a = Timeline.wrap ~every:16 a in
     ((probe, timeline), a)
   in
   let w = Server_mix.make ~params ~recorder () in

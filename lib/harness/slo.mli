@@ -52,14 +52,13 @@ type server_run = {
 
 val run_server :
   ?params:Server_mix.params ->
-  ?every:int ->
   Alloc_intf.factory ->
   nprocs:int ->
   server_run
 (** Runs the workload to completion through {!Runner.run_with}, on a
     machine with the factory's vmem backend, ending in the allocator's
-    [check] and {!Vmem.check}; [every] is the timeline sampling period
-    in allocator operations (default 16). The
+    [check] and {!Vmem.check}; the timeline samples every 16th
+    allocator operation. The
     recorder's sink records [Req_arrival]/[Req_done] into the run's
     ["server"] ring, so ring totals cross-check recorder counts. *)
 

@@ -49,7 +49,7 @@ let finalize t ~lock_stats ~spin_cost =
   in
   List.stable_sort (fun a b -> compare (b.c_spin_cycles, b.c_acqs) (a.c_spin_cycles, a.c_acqs)) entries
 
-let of_lock_stats ?(spin_cost = 1) lock_stats = finalize (create ()) ~lock_stats ~spin_cost
+let of_lock_stats lock_stats = finalize (create ()) ~lock_stats ~spin_cost:1
 
 let spins_per_acq e = if e.c_acqs = 0 then 0.0 else float_of_int e.c_spins /. float_of_int e.c_acqs
 

@@ -26,8 +26,9 @@ val finalize : t -> lock_stats:(string * int * int) list -> spin_cost:int -> ent
 (** Merge with [(name, acquisitions, spins)] totals (the shape of
     [Sim.lock_stats]); entries sorted most-contended first. *)
 
-val of_lock_stats : ?spin_cost:int -> (string * int * int) list -> entry list
-(** Profile from end-of-run totals alone (no per-acquisition detail). *)
+val of_lock_stats : (string * int * int) list -> entry list
+(** Profile from end-of-run totals alone (no per-acquisition detail),
+    with a spin cost of 1: [c_spin_cycles] is the spin count. *)
 
 val spins_per_acq : entry -> float
 

@@ -217,7 +217,7 @@ let test_heap_core_binning_matches_bin_index () =
   let heap = Heap_core.create ~id:1 ~classes ~sb_size:8192 () in
   let sb = Superblock.create ~base:8192 ~sb_size:8192 ~sclass:5 ~block_size:512 in
   Heap_core.insert heap sb;
-  let ngroups = Heap_core.ngroups heap in
+  let ngroups = Heap_core.ngroups in
   let cap = Superblock.n_blocks sb in
   let addrs = ref [] in
   for used = 1 to cap do

@@ -301,8 +301,8 @@ let test_global_skip_revalidate_mutant_caught () =
 
 let test_global_transfer_explored () =
   (* End to end through the real allocator (trim publish vs refill claim
-     vs deferred-free reclaim). Bound 1 sleep is exhaustive at ~1.3k
-     runs; the bound-2 sleep tree (~44k runs, ~16s) is certified in
+     vs deferred-free reclaim). Bound 1 sleep is exhaustive at ~1.2k
+     runs; the bound-2 sleep tree (~37k runs) is certified in
      deep-check. *)
   let o =
     Explorer.explore ~strategy:Explorer.Sleep_dfs ~bound:1 ~max_runs:200_000
@@ -341,8 +341,8 @@ let test_exit_adoption_lockfree_mutant_caught () =
 
 let test_global_free_shards_explored () =
   (* Two heaps' shard reclaims racing each other and a refill's claim
-     through the real allocator. Bound 1 sleep is exhaustive at ~800
-     runs; the bound-2 sleep tree (~28k runs, ~13s) is certified in
+     through the real allocator. Bound 1 sleep is exhaustive at ~650
+     runs; the bound-2 sleep tree (~17k runs) is certified in
      deep-check. *)
   let o =
     Explorer.explore ~strategy:Explorer.Sleep_dfs ~bound:1 ~max_runs:200_000 Scenarios.global_free_shards

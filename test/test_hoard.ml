@@ -535,9 +535,10 @@ let test_fuzzed_schedules_sound =
       a.Alloc_intf.check ();
       (a.Alloc_intf.stats ()).Alloc_stats.live_bytes = 0)
 
-let test_assign_by_tid_spreads_heaps () =
-  (* 8 threads on 2 processors: by-proc mapping uses 2 heaps, tid hashing
-     with 8 heaps uses more of them. *)
+let test_explicit_nheaps_hashes_tids () =
+  (* 8 threads on 2 processors: one heap per processor (nheaps = auto)
+     picks by processor and uses 2 heaps; an explicit 8 heaps picks by
+     thread-id hash and uses more of them. *)
   let used_heaps config =
     let sim = Sim.create ~nprocs:2 () in
     let pf = Sim.platform sim in
@@ -560,8 +561,8 @@ let test_assign_by_tid_spreads_heaps () =
        residual superblocks, falling back to >= 1. *)
     max 1 !used
   in
-  let by_proc = used_heaps { cfg with Hoard_config.nheaps = Some 8 } in
-  let by_tid = used_heaps { cfg with Hoard_config.nheaps = Some 8; assign_by_tid = true } in
+  let by_proc = used_heaps { cfg with Hoard_config.nheaps = None } in
+  let by_tid = used_heaps { cfg with Hoard_config.nheaps = Some 8 } in
   Alcotest.(check bool)
     (Printf.sprintf "tid hashing uses more heaps (%d > %d)" by_tid by_proc)
     true (by_tid > by_proc)
@@ -1166,7 +1167,7 @@ let test_free_batch_keeps_free_contract () =
       let batch = free_cycles (fun a ps -> a.Alloc_intf.free_batch ps) in
       Alcotest.(check int)
         (Printf.sprintf "%s: batch free saves (n-1) path_work (%d vs %d cycles)" label batch singles)
-        ((n - 1) * config.Hoard_config.path_work)
+        ((n - 1) * Hoard.path_work)
         (singles - batch))
     batch_configs
 
@@ -2073,19 +2074,24 @@ let test_knob_registry () =
   in
   rejects "bogus=1";
   rejects "front-end";
-  (* Deleted knobs are unknown: the channel follows the global heap, b
-     is the paper's constant, the sanitizer wraps an instance instead of
-     configuring one, and a mutant is a record field, not a knob. *)
+  (* Deleted knobs are unknown: the channel follows the global heap, b,
+     the path work and the fullness-group count are constants, an
+     explicit nheaps picks heaps by tid hash, the sanitizer wraps an
+     instance instead of configuring one, and a mutant is a record
+     field, not a knob. *)
   rejects "sanitize=true";
   rejects "quarantine=8";
   rejects "deferred=true";
   rejects "growth=1.5";
   rejects "mutant=orphan-lost-superblock";
+  rejects "path-work=30";
+  rejects "ngroups=8";
+  rejects "assign-by-tid=true";
   rejects "sb-size=5000";
   rejects "empty-fraction=2.0";
   (* The registry drives the CLI help and the printer. *)
   let names = Hoard_config.knob_names () in
-  Alcotest.(check int) "13 knobs" 13 (List.length names);
+  Alcotest.(check int) "10 knobs" 10 (List.length names);
   Alcotest.(check bool) "mutant is not a knob" false (List.mem "mutant" names);
   List.iter
     (fun n ->
@@ -2110,12 +2116,12 @@ let test_unknown_mutant_rejected () =
   | exception Invalid_argument msg ->
     Alcotest.(check bool) ("names the mutant: " ^ msg) true (Astring.String.is_infix ~affix:"no-such-mutant" msg)
 
-(* Fuzz: a textual [set_all] over a random subset of the 13 knobs must
+(* Fuzz: a textual [set_all] over a random subset of the 10 knobs must
    land on exactly the record update of the same subset, so every knob's
    text form round-trips through the registry. *)
 let test_set_all_matches_record_update =
   QCheck.Test.make ~name:"set_all = record update on random knob subsets" ~count:300
-    QCheck.(pair (int_bound 0x1FFF) (int_bound 1000))
+    QCheck.(pair (int_bound 0x3FF) (int_bound 1000))
     (fun (mask, vseed) ->
       let bit i = mask land (1 lsl i) <> 0 in
       let pick i l = List.nth l ((vseed + i) mod List.length l) in
@@ -2127,12 +2133,9 @@ let test_set_all_matches_record_update =
       let release_threshold = opt 4 [ 0; 2; 8; max_int ] in
       let front_end = opt 5 [ 0; 4; 16 ] in
       let large_cache = opt 6 [ 0; 2; 8 ] in
-      let path_work = opt 7 [ 0; 30; 100 ] in
-      let assign_by_tid = opt 8 [ true; false ] in
-      let global = opt 9 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
-      let ngroups = opt 10 [ 1; 4; 8 ] in
-      let vmem_backend = opt 11 [ Vmem_backend.Exact; Vmem_backend.First_fit; Vmem_backend.Buddy ] in
-      let remote_queue_cap = opt 12 [ 1; 64; 256 ] in
+      let global = opt 7 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
+      let vmem_backend = opt 8 [ Vmem_backend.Exact; Vmem_backend.First_fit; Vmem_backend.Buddy ] in
+      let remote_queue_cap = opt 9 [ 1; 64; 256 ] in
       let d = Hoard_config.default in
       let v field = Option.value ~default:field in
       let updated =
@@ -2145,10 +2148,7 @@ let test_set_all_matches_record_update =
           release_threshold = v d.release_threshold release_threshold;
           front_end = v d.front_end front_end;
           large_cache = v d.large_cache large_cache;
-          path_work = v d.path_work path_work;
-          assign_by_tid = v d.assign_by_tid assign_by_tid;
           global = v d.global global;
-          ngroups = v d.ngroups ngroups;
           vmem_backend = v d.vmem_backend vmem_backend;
           remote_queue_cap = v d.remote_queue_cap remote_queue_cap;
         }
@@ -2166,12 +2166,9 @@ let test_set_all_matches_record_update =
             Option.map (Printf.sprintf "release-threshold=%d") release_threshold;
             Option.map (Printf.sprintf "front-end=%d") front_end;
             Option.map (Printf.sprintf "large-cache=%d") large_cache;
-            Option.map (Printf.sprintf "path-work=%d") path_work;
-            Option.map (Printf.sprintf "assign-by-tid=%b") assign_by_tid;
             Option.map
               (fun g -> Printf.sprintf "global=%s" (Hoard_config.global_mode_name g))
               global;
-            Option.map (Printf.sprintf "ngroups=%d") ngroups;
             Option.map (fun k -> "vmem=" ^ Vmem_backend.kind_name k) vmem_backend;
             Option.map (Printf.sprintf "remote-queue-cap=%d") remote_queue_cap;
           ]
@@ -2217,7 +2214,7 @@ let () =
           Alcotest.test_case "nheaps override" `Quick test_nheaps_override;
           Alcotest.test_case "tiny superblocks" `Quick test_tiny_superblocks;
           Alcotest.test_case "exact superblock fill" `Quick test_exact_superblock_fill;
-          Alcotest.test_case "tid-hash heap assignment" `Quick test_assign_by_tid_spreads_heaps;
+          Alcotest.test_case "tid-hash heap assignment" `Quick test_explicit_nheaps_hashes_tids;
           Alcotest.test_case "heap info reconciles" `Quick test_heap_info_reconciles_with_stats;
           Alcotest.test_case "usable matches class" `Quick test_usable_size_matches_class;
           Alcotest.test_case "pp_heaps with one class in use" `Quick test_pp_heaps_one_class;

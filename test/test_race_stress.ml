@@ -26,8 +26,8 @@ let spawn_domains n body =
   let doms = List.init n (fun i -> Domain.spawn (fun () -> body i)) in
   List.iter Domain.join doms
 
-(* Heap slot a domain's threads land on (assign_by_tid = false on a host
-   platform: executing processor = tid mod nprocs). Used to decide whether
+(* Heap slot a domain's threads land on (nheaps = auto picks by executing
+   processor, on a host platform tid mod nprocs). Used to decide whether
    the schedule could produce remote frees at all. *)
 let heap_slot ~nheaps tid = tid mod nheaps
 
