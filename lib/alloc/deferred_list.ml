@@ -65,12 +65,17 @@ let locked t f =
 let block_bytes items = List.fold_left (fun acc (sb, _) -> acc + Superblock.block_size sb) 0 items
 
 (* Producer side. Every [addr] must be a live block of its superblock
-   (never 0: block addresses sit past a superblock header). The whole
-   batch is linked into a private chain — one link store per block, on
-   the block's own line — and published with a single CAS on the head,
-   so an eviction batch costs one head-line transfer regardless of its
-   size. Only the tail link depends on the observed head, so a retry
-   re-patches one word, not the chain.
+   (never 0: block addresses sit past a superblock header), and its
+   [link] the value its first word already holds (0 when none is known).
+   The whole batch is linked into a private chain, on the blocks' own
+   lines, and published with a single CAS on the head, so an eviction
+   batch costs one head-line transfer regardless of its size. An
+   interior link is stored only where the word does not already hold the
+   next block of the batch: a front-end cache's frees link each block to
+   the one freed before it, so a batch in the cache's newest-first order
+   arrives linked, and a detached chain re-pushed in chain order keeps
+   its links. Only the tail link depends on the observed head, so it is
+   always stored, and a retry re-patches that one word, not the chain.
 
    With [cap], the push bails (returns [false], nothing published) when
    the batch would take the list past [cap] blocks. It tests the host
@@ -98,18 +103,18 @@ let push_many ?cap t items =
   match items with
   | [] -> true
   | _ when cap <> None && not (snd (load_head ())) -> false
-  | (_, first_addr) :: _ ->
+  | (_, first_addr, _) :: _ ->
     let rec interior = function
-      | (sb, addr) :: ((_, next_addr) :: _ as rest) ->
-        t.pf.Platform.write ~addr ~len:8;
+      | (sb, addr, link) :: ((_, next_addr, _) :: _ as rest) ->
+        if link <> next_addr then t.pf.Platform.write ~addr ~len:8;
         locked t (fun () -> Hashtbl.replace t.links addr { dn_next = next_addr; dn_sb = sb });
         interior rest
-      | [ last ] -> last
+      | [ (sb, addr, _) ] -> (sb, addr)
       | [] -> assert false
     in
     let last_sb, last_addr = interior items in
-    let bytes = block_bytes items in
-    let unlink () = locked t (fun () -> List.iter (fun (_, addr) -> Hashtbl.remove t.links addr) items) in
+    let bytes = List.fold_left (fun acc (sb, _, _) -> acc + Superblock.block_size sb) 0 items in
+    let unlink () = locked t (fun () -> List.iter (fun (_, addr, _) -> Hashtbl.remove t.links addr) items) in
     let rec attempt () =
       match load_head () with
       | _, false ->
@@ -195,6 +200,13 @@ let drain_quiescent t =
     uncount t items;
     items
   end
+
+(* A detached chain's blocks with the link each holds: the next block's
+   address, 0 for the last. *)
+let rec linked = function
+  | (sb, addr) :: ((_, next) :: _ as rest) -> (sb, addr, next) :: linked rest
+  | [ (sb, addr) ] -> [ (sb, addr, 0) ]
+  | [] -> []
 
 let length t = locked t (fun () -> t.n_len)
 

@@ -18,13 +18,18 @@ val create : Platform.t -> name:string -> ?lost_node:bool -> ?on_retry:(unit -> 
     observable under producer contention. [on_retry] runs after every
     failed CAS (explorer instrumentation). *)
 
-val push_many : ?cap:int -> t -> (Superblock.t * int) list -> bool
-(** Publish a whole batch of blocks, each [(sb, addr)] a block [addr] of
-    [sb] private to the caller (freed, custody-marked) at a nonzero
-    address, with a single CAS: the blocks are linked into a private
-    chain (one link store per block, on the block's own line) and the
-    head is swung once, so an eviction batch costs one head-line
-    transfer regardless of size. Returns [true] once published.
+val push_many : ?cap:int -> t -> (Superblock.t * int * int) list -> bool
+(** Publish a whole batch of blocks, each [(sb, addr, link)] a block
+    [addr] of [sb] private to the caller (freed, custody-marked) at a
+    nonzero address, whose first word already holds [link] (0 when no
+    block address is known to be there), with a single CAS: the blocks
+    are linked into a private chain and the head is swung once, so an
+    eviction batch costs one head-line transfer regardless of size.
+    The chain costs one link store, on the block's own line, per block
+    whose word does not already hold the next block of the batch, plus
+    the tail's, which depends on the head and is always stored: a batch
+    whose blocks already point at each other costs one store. Returns
+    [true] once published.
 
     With [cap], returns [false] and publishes nothing when the batch
     would take the list past [cap] blocks, judged by the length that
@@ -36,6 +41,10 @@ val push_many : ?cap:int -> t -> (Superblock.t * int) list -> bool
 val reclaim : t -> (Superblock.t * int) list
 (** Detach the entire list with one exchange and return its blocks,
     most-recently-pushed first. Empty list when there is nothing. *)
+
+val linked : (Superblock.t * int) list -> (Superblock.t * int * int) list
+(** A detached chain, as {!reclaim} returns it, with the link each block
+    holds: the address of the block after it, 0 for the last. *)
 
 val drain_quiescent : t -> (Superblock.t * int) list
 (** Same as {!reclaim} but charge-free and schedule-invisible, for

@@ -4,7 +4,7 @@ module type S = sig
   val take : t -> Heap.t -> sclass:int -> spill:(Superblock.t * int) list ref -> Superblock.t option
   val put : t -> Heap.t -> Superblock.t list -> unit
   val park :
-    t -> Heap.t -> (Superblock.t * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
+    t -> Heap.t -> (Superblock.t * int * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
   val complete : t -> Heap.t -> spill:(Superblock.t * int) list ref -> unit
   val parked : t -> Heap.t -> int
   val iter_parked : t -> Heap.t -> (Superblock.t -> int -> unit) -> unit
@@ -141,15 +141,16 @@ module Lockfree = struct
      Busy window. Runs whose superblock was claimed away since the push
      are re-routed: to [spill] (the locked path, run by the caller after
      releasing [h]'s lock) when a heap owns it now, back onto the shard —
-     all of them with one CAS — when it is still in transit or another
-     reclaimer holds it Busy. Caller holds [h]'s lock — stats and events
-     land there. *)
+     all of them with one CAS, in chain order and with the chain's
+     links, so the push writes only the links that change — when it is
+     still in transit or another reclaimer holds it Busy. Caller holds
+     [h]'s lock — stats and events land there. *)
   let reclaim g h ~spill =
     let pf = g.env.pf and gfl = shard g h in
     match Deferred_list.reclaim gfl with
     | [] -> ()
     | items ->
-      let mine = ref 0 and back = ref [] in
+      let mine = ref 0 and requeued = ref [] in
       (* Both groupings list the superblocks in first-seen order. *)
       List.iter2
         (fun (sb, addrs) (_, ends) ->
@@ -168,7 +169,7 @@ module Lockfree = struct
           | Global_index.Requeue | Global_index.Not_member { owner = 0 } ->
             (* Another reclaimer holds the superblock Busy, or a claim is
                in transit: hand the run back rather than spin against it. *)
-            back := List.map (fun addr -> (sb, addr)) addrs @ !back
+            requeued := sb :: !requeued
           | Global_index.Not_member { owner = _ } ->
             List.iter
               (fun addr ->
@@ -177,7 +178,10 @@ module Lockfree = struct
               addrs)
         (Heap.by_superblock items)
         (Heap.by_superblock (Heap.run_ends items));
-      if !back <> [] then ignore (Deferred_list.push_many gfl !back);
+      if !requeued <> [] then begin
+        let back = List.filter (fun (sb, _, _) -> List.memq sb !requeued) (Deferred_list.linked items) in
+        ignore (Deferred_list.push_many gfl back)
+      end;
       if !mine > 0 then Alloc_stats.note h.Heap.sh Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine
 
   let take g h ~sclass ~spill =

@@ -43,10 +43,12 @@ module type S = sig
       [h]'s lock; [put t h []] from a per-processor heap does nothing. *)
 
   val park :
-    t -> Heap.t -> (Superblock.t * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
+    t -> Heap.t -> (Superblock.t * int * int) list -> spill:(Superblock.t * int) list ref -> locked:bool -> unit
   (** Park frees of blocks in global superblocks (custody-marked, still
-      charged) on [h]'s shard, then complete the shard if its blocks
-      have passed [8 × sb_size] bytes — taking [h]'s lock for that
+      charged), each with the link its first word holds
+      ({!Deferred_list.push_many}), on [h]'s shard, then complete the
+      shard if its blocks have passed [8 × sb_size] bytes — taking [h]'s
+      lock for that
       unless [locked]. Only called when {!heap0} is [None], except with
       [[]] after a drain. *)
 

@@ -113,15 +113,16 @@ let free_owned h sb addr =
   Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb)
 
 (* Append [items] to [q], in order, under its innermost lock while it
-   holds fewer than [cap] blocks; returns the rejects, in order. *)
+   holds fewer than [cap] blocks; returns the rejects, in order. The
+   queue keeps no links: the owner's [prelink] writes them. *)
 let enqueue q ~cap items =
   q.q_lock.acquire ();
   let rejects =
     List.filter
-      (fun x ->
+      (fun (sb, addr, _) ->
         let accepted = q.q_len < cap in
         if accepted then begin
-          q.q_blocks <- x :: q.q_blocks;
+          q.q_blocks <- (sb, addr) :: q.q_blocks;
           q.q_len <- q.q_len + 1
         end;
         not accepted)
@@ -145,7 +146,8 @@ let enqueue q ~cap items =
    links only once. Other pushes are uncapped. A block whose superblock
    migrated since the caller read its owner just lands on the stale
    owner's channel, whose drain forwards it. No channel rejects
-   everything. *)
+   everything. Each block comes with the link its first word holds, which
+   a list's push keeps where it already is the next block. *)
 let offer ?(forward = false) h ~own items =
   match h.channel with
   | No_channel -> items
@@ -154,7 +156,7 @@ let offer ?(forward = false) h ~own items =
 
 let note_deferred sh items =
   List.iter
-    (fun (sb, addr) -> Alloc_stats.note sh Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
+    (fun (sb, addr, _) -> Alloc_stats.note sh Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
     items
 
 (* A front-end eviction's [offer], noted on the evicting thread's shard
@@ -164,10 +166,10 @@ let push h ~own ~sh items =
   (match (h.channel, rejects) with
    | Queue _, _ ->
      let accepted = List.length items - List.length rejects in
-     if accepted > 0 then
-       Alloc_stats.note sh Event_ring.Remote_enqueue ~n:accepted
-         ~sclass:(Superblock.sclass (fst (List.hd items)))
-         ~arg:accepted
+     if accepted > 0 then begin
+       let sb, _, _ = List.hd items in
+       Alloc_stats.note sh Event_ring.Remote_enqueue ~n:accepted ~sclass:(Superblock.sclass sb) ~arg:accepted
+     end
    | List _, [] -> note_deferred sh items
    | (List _ | No_channel), _ -> ());
   rejects
@@ -175,7 +177,7 @@ let push h ~own ~sh items =
 (* A drain's private batch, taken BEFORE the heap lock by [detach]. *)
 type detached =
   | Queued of (Superblock.t * int) list (* from the bounded queue, newest first *)
-  | Chain of (Superblock.t * int) list (* from the deferred list, most recent first *)
+  | Chain of (Superblock.t * int * int) list (* from the deferred list, most recent first, with links *)
 
 (* The run ends of a detached deferred chain, in chain order: the last
    block of each maximal stretch of consecutive chain blocks in one
@@ -193,13 +195,40 @@ let run_ends items =
   in
   go [] items
 
-(* The run ends that join a later run of their own superblock, in chain
-   order: every run end but each superblock's final one. *)
-let joins ends =
-  snd
-    (List.fold_left
-       (fun (seen, acc) ((sb, _) as e) -> if List.memq sb seen then (seen, e :: acc) else (sb :: seen, acc))
-       ([], []) (List.rev ends))
+(* A detached chain with the link each block holds once its joins are
+   written, and the joins, in chain order: the run ends that a later run
+   of their own superblock follows, each now linked to the first block
+   of that run. Every other block keeps its chain link. *)
+let relink chain =
+  (* From the tail: [starts] holds, per superblock, the first block of
+     its nearest later run. *)
+  let rec go starts after acc joins = function
+    | [] -> (acc, joins)
+    | ((sb, addr, _) as x) :: earlier ->
+      let x, joins =
+        match List.assq_opt sb starts with
+        | Some start when not (after == sb) -> ((sb, addr, start), addr :: joins)
+        | _ -> (x, joins)
+      in
+      go ((sb, addr) :: List.remove_assq sb starts) sb (x :: acc) joins earlier
+  in
+  match List.rev (Deferred_list.linked chain) with
+  | [] -> ([], [])
+  | ((sb, addr, _) as tail) :: earlier -> go [ (sb, addr) ] sb [ tail ] [] earlier
+
+(* The links a locked disposal writes: the batch's blocks become the
+   heads of their superblocks' free lists, each block linked to the next
+   block of its superblock in the batch, a superblock's last to its old
+   head. A block whose word already holds the next block of the batch,
+   of its own superblock, is not written, so a batch that arrives linked
+   (in a cache's newest-first order) costs one write per run end, as a
+   [splice] does. *)
+let rec link_runs (pf : Platform.t) = function
+  | (sb, addr, link) :: ((sb', next, _) :: _ as rest) ->
+    if not (sb == sb' && link = next) then pf.write ~addr ~len:8;
+    link_runs pf rest
+  | [ (_, addr, _) ] -> pf.write ~addr ~len:8
+  | [] -> ()
 
 (* Pre-link a bounded-queue batch, outside the heap lock: per
    superblock, the blocks after the first seen are linked to each other,
@@ -243,16 +272,16 @@ let rec last = function
    blocks freed into [h]. *)
 let splice h items ~stale ~forward =
   let freed =
-    List.filter
-      (fun (sb, addr) ->
+    List.filter_map
+      (fun ((sb, addr, _) as x) ->
         let owner_id = Superblock.owner sb in
         if owner_id = id h then begin
           free_owned h sb addr;
-          true
+          Some (sb, addr)
         end
         else begin
-          forward owner_id sb addr;
-          false
+          forward owner_id x;
+          None
         end)
       items
   in
@@ -288,8 +317,8 @@ let detach h =
       Queued items
     end
   | List { l; _ } ->
-    let chain = Deferred_list.reclaim l in
-    List.iter (fun (_, addr) -> h.pf.Platform.write ~addr ~len:8) (joins (run_ends chain));
+    let chain, joins = relink (Deferred_list.reclaim l) in
+    List.iter (fun addr -> h.pf.Platform.write ~addr ~len:8) joins;
     Chain chain
 
 (* Return a batch swapped off [h]'s bounded queue (by [detach], before
@@ -307,16 +336,16 @@ let drain_queued h items ~peer ~spill =
   match items with
   | [] -> 0
   | _ ->
-    let forward owner_id sb addr =
+    let forward owner_id ((sb, addr, _) as x) =
       let accepted =
         match peer owner_id with
-        | Some p -> offer ~forward:true p ~own:false [ (sb, addr) ] = []
+        | Some p -> offer ~forward:true p ~own:false [ x ] = []
         | None -> false
       in
       if accepted then Alloc_stats.note h.sh Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
       else spill := (sb, addr) :: !spill
     in
-    let mine = splice h items ~stale:List.hd ~forward in
+    let mine = splice h (List.map (fun (sb, addr) -> (sb, addr, 0)) items) ~stale:List.hd ~forward in
     if mine > 0 then Alloc_stats.note h.sh Event_ring.Remote_drain ~sclass:0 ~arg:mine;
     mine
 
@@ -325,7 +354,8 @@ let drain_queued h items ~peer ~spill =
    last block in chain order), the one [detach] left for the free-list
    head. Blocks whose superblock migrated since their push are re-pushed
    onto the CURRENT owner's list, all of one owner's with one
-   [push_many] in chain order, so their runs stay runs there; the push
+   [push_many] in chain order, so their runs stay runs there, and with
+   their links, so the push writes only the ones that change; the push
    is uncapped, so unlike the bounded queues, forwarding can neither
    cascade nor spill into the locked path. Lists come with the lock-free
    global heap, whose heap 0 has no record: its blocks are returned, in
@@ -335,10 +365,10 @@ let free_reclaimed h items ~peer =
   | [] -> (0, [])
   | _ ->
     let moved = ref [] and to_global = ref [] in
-    let forward owner_id sb addr =
+    let forward owner_id ((sb, addr, _) as x) =
       (match peer owner_id with
-       | Some p -> moved := (p, (sb, addr)) :: !moved
-       | None -> to_global := (sb, addr) :: !to_global);
+       | Some p -> moved := (p, x) :: !moved
+       | None -> to_global := x :: !to_global);
       Alloc_stats.note h.sh Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
     in
     let mine = splice h items ~stale:last ~forward in

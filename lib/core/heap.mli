@@ -55,11 +55,15 @@ val free_owned : t -> Superblock.t -> int -> unit
     heap's core: host-side bookkeeping only, the caller holds the lock and
     issues the simulated writes. *)
 
-val push : t -> own:bool -> sh:Alloc_stats.shard -> (Superblock.t * int) list -> (Superblock.t * int) list
+val push :
+  t -> own:bool -> sh:Alloc_stats.shard -> (Superblock.t * int * int) list -> (Superblock.t * int * int) list
 (** Producer side, holding no heap lock: offer a front-end eviction's
-    blocks of [h]'s superblocks (freed, custody-marked, still charged) to
-    [h]'s channel, [own] when the evicting thread's heap is [h]. Returns
-    the rejects in order, for the caller's locked path: everything
+    blocks of [h]'s superblocks (freed, custody-marked, still charged),
+    in the cache's newest-first order, each with the link its free
+    wrote, to [h]'s channel, [own] when the evicting thread's heap is
+    [h]. A deferred list's push stores only the links not already in
+    place ({!Deferred_list.push_many}). Returns the rejects in order, for
+    the caller's locked path: everything
     without a channel; past its cap, under its innermost lock, for a
     queue; the whole batch when it would take an own-heap push past
     [remote_queue_cap], for a deferred list (one CAS, other pushes
@@ -67,7 +71,7 @@ val push : t -> own:bool -> sh:Alloc_stats.shard -> (Superblock.t * int) list ->
     one [Remote_enqueue] per queue push, counting its blocks, one
     [Deferred_enqueue] per listed block. *)
 
-val note_deferred : Alloc_stats.shard -> (Superblock.t * int) list -> unit
+val note_deferred : Alloc_stats.shard -> (Superblock.t * int * int) list -> unit
 (** Note each block as a [Deferred_enqueue], the way {!push} does for a
     deferred list. *)
 
@@ -90,6 +94,14 @@ val run_ends : (Superblock.t * 'a) list -> (Superblock.t * 'a) list
     list; of a chain of R runs over S superblocks, R - S run ends join a
     later run of their superblock and S end its free list. *)
 
+val link_runs : Platform.t -> (Superblock.t * int * int) list -> unit
+(** The link writes of a locked disposal of a batch, [(sb, addr, link)]
+    in batch order, [link] what the block's first word holds: the
+    batch's blocks of a superblock become the head of its free list in
+    batch order, so a block is written unless its word already holds the
+    next block of the batch and that block is of its superblock. A batch
+    in a cache's newest-first order costs one write per run end. *)
+
 type detached
 
 val detach : t -> detached
@@ -97,23 +109,25 @@ val detach : t -> detached
     queue under the queue lock, or one exchange of the deferred list)
     and write every link that does not depend on a free-list head —
     every queued block but the first of its superblock, or one join per
-    deferred run that a later run of its superblock follows. *)
+    deferred run that a later run of its superblock follows. A chain's
+    blocks keep the links their words then hold, for any re-push. *)
 
 val drain :
   t ->
   detached ->
   peer:(int -> t option) ->
   spill:(Superblock.t * int) list ref ->
-  int * (Superblock.t * int) list
+  int * (Superblock.t * int * int) list
 (** Owner side, under the lock: splice the detached batch into the core,
     one link and one header write per superblock. A block whose
     superblock migrated is forwarded to [peer owner]'s channel: a queued
     block to its queue, up to twice the cap, the rejects to [spill] for
     the caller's locked path after releasing the lock; a chain's blocks
-    with one [push_many] per destination list. Returns the number of
-    blocks freed into the heap and, in batch order, the chain's blocks
-    whose owner has no record ([peer owner = None]: heap 0 of the
-    lock-free global heap), which the caller parks. Noted on [h]'s
+    with one [push_many] per destination list, with their links. Returns
+    the number of blocks freed into the heap and, in batch order with
+    their links, the chain's blocks whose owner has no record ([peer
+    owner = None]: heap 0 of the lock-free global heap), which the
+    caller parks. Noted on [h]'s
     shard: each forward as a [Remote_forward], a queue drain that freed
     blocks as one [Remote_drain] and a chain as one [Deferred_reclaim],
     each with the freed count in [arg]. *)

@@ -126,42 +126,43 @@ let trim_heap ?(deep = false) t h ~sclass =
 
 (* Park blocks of global superblocks that have no heap-0 record to lock
    on the calling thread's heap's shard, from a caller holding no lock:
-   one pre-linked CAS (custody marks stay on until the reclaim clears
-   them). Returns what completing an over-full shard spilled. *)
+   one pre-linked CAS, which writes only the links not already in place
+   (custody marks stay on until the reclaim clears them). Returns what
+   completing an over-full shard spilled. *)
 let park_global t items =
   let spill = ref [] in
   Global_heap.park t.global (my_heap t) items ~spill ~locked:false;
   !spill
 
+let unlinked blocks = List.map (fun (sb, addr) -> (sb, addr, 0)) blocks
+
 (* Classic locked disposal of blocks already counted as freed (they sat
    in a cache or overflowed a queue), batched: one heap-lock acquisition
    covers every block with the same current owner; blocks that migrate
-   mid-round are retried next round. The first block's owner is pinned by
-   [lock_owner], so every round frees at least one block. *)
-let rec dispose_batch t pairs =
-  let global, rest = List.partition (fun (sb, _) -> Option.is_none (heap_by_id t (Superblock.owner sb))) pairs in
-  let pairs = if global <> [] then List.rev_append (park_global t global) rest else rest in
-  match pairs with
+   mid-round are retried next round, in batch order. The first block's
+   owner is pinned by [lock_owner], so every round frees at least one
+   block. Each block comes with the link its first word holds, so under
+   the lock only the links that change are written ([Heap.link_runs]):
+   one per run end of a batch in a cache's newest-first order. *)
+let rec dispose_batch t blocks =
+  let global, rest = List.partition (fun (sb, _, _) -> Option.is_none (heap_by_id t (Superblock.owner sb))) blocks in
+  let blocks = if global <> [] then List.rev_append (unlinked (park_global t global)) rest else rest in
+  match blocks with
   | [] -> ()
-  | (sb0, _) :: _ ->
+  | (sb0, _, _) :: _ ->
     (match lock_owner t sb0 with
-     | None -> dispose_batch t pairs (* migrated to owner 0 since the partition: redo it *)
+     | None -> dispose_batch t blocks (* migrated to owner 0 since the partition: redo it *)
      | Some h ->
        let id = Heap.id h in
-       let later = ref [] and freed_into = ref [] in
-       List.iter
-         (fun (sb, addr) ->
-           if Superblock.owner sb = id then begin
-             t.pf.Platform.write ~addr ~len:8;
-             Heap.free_owned h sb addr;
-             freed_into := (sb, addr) :: !freed_into
-           end
-           else later := (sb, addr) :: !later)
-         pairs;
-       Heap.touch_headers t.pf (List.rev !freed_into);
-       if !freed_into <> [] then trim_heap ~deep:true t h ~sclass:(Superblock.sclass sb0);
+       let mine, later = List.partition (fun (sb, _, _) -> Superblock.owner sb = id) blocks in
+       Heap.link_runs t.pf mine;
+       List.iter (fun (sb, addr, _) -> Heap.free_owned h sb addr) mine;
+       Heap.touch_headers t.pf (List.map (fun (sb, addr, _) -> (sb, addr)) mine);
+       if mine <> [] then trim_heap ~deep:true t h ~sclass:(Superblock.sclass sb0);
        h.lock.release ();
-       dispose_batch t !later)
+       dispose_batch t later)
+
+let dispose_spill t spill = if spill <> [] then dispose_batch t (unlinked spill)
 
 (* Every locked operation on a heap that first takes in its pending
    remote frees: the channel is detached before the lock, drained under
@@ -175,26 +176,29 @@ let with_drained t h f =
   let drained = drain_pending t h ~detached ~spill in
   let r = f ~drained ~spill in
   h.lock.release ();
-  if !spill <> [] then dispose_batch t !spill;
+  dispose_spill t !spill;
   r
 
 (* Route cache-evicted blocks out, partitioned by the owner observed now.
-   Owner-0 blocks without a heap-0 record park on the calling heap's
-   shard of the global heap in one pre-linked CAS. Each other group goes
-   to its owner's remote-free channel ([Heap.push]: the calling heap's
-   own channel is pushed with [~own]), and whatever a channel rejects
-   goes to the classic locked path in one batch. Each block's owner must
-   be read ONCE: on real domains a concurrent transfer can change it
-   between two reads, and consing onto one owner's group while storing
-   under the other's index copies a whole group — every block in it
-   queued twice, a double free at the second drain. *)
-let surrender_many t c pairs =
+   They come newest first with the links their frees wrote, and every
+   group keeps that order, in which each block's link already points at
+   the next one of the cache. Owner-0 blocks without a heap-0 record park
+   on the calling heap's shard of the global heap in one pre-linked CAS.
+   Each other group goes to its owner's remote-free channel
+   ([Heap.push]: the calling heap's own channel is pushed with [~own]),
+   and whatever a channel rejects goes to the classic locked path in one
+   batch. Each block's owner must be read ONCE: on real domains a
+   concurrent transfer can change it between two reads, and consing onto
+   one owner's group while storing under the other's index copies a
+   whole group — every block in it queued twice, a double free at the
+   second drain. *)
+let surrender_many t c blocks =
   let groups = Array.make (Array.length t.heaps + 1) [] in
   List.iter
-    (fun (addr, sb) ->
+    (fun ((sb, _, _) as b) ->
       let id = Superblock.owner sb in
-      groups.(id) <- (sb, addr) :: groups.(id))
-    pairs;
+      groups.(id) <- b :: groups.(id))
+    (List.rev blocks);
   let sh = Thread_cache.shard c in
   let overflow = ref [] and own_id = Heap.id (my_heap t) in
   Array.iteri
@@ -202,9 +206,9 @@ let surrender_many t c pairs =
       if group <> [] then
         match heap_by_id t id with
         | None ->
-          overflow := park_global t group @ !overflow;
+          overflow := unlinked (park_global t group) @ !overflow;
           Heap.note_deferred sh group
-        | Some h -> overflow := List.rev_append (Heap.push h ~own:(id = own_id) ~sh group) !overflow)
+        | Some h -> overflow := Heap.push h ~own:(id = own_id) ~sh group @ !overflow)
     groups;
   if !overflow <> [] then dispose_batch t !overflow
 
@@ -311,7 +315,7 @@ let malloc_fill t c ~size ~sclass ~block_size ~n =
     if n_cached > 0 then begin
       (* Fill surplus enters front-end custody, so a wild free of a
          cached address is caught as a double free, not recycled. *)
-      List.iter (fun (a, sb) -> Thread_cache.push c ~sclass sb a) cached;
+      Thread_cache.fill c ~sclass cached;
       Alloc_stats.on_cache_fill h.sh ~blocks:n_cached ~bytes:(n_cached * block_size)
     end;
     if drained > 0 then trim_heap ~deep:true t h ~sclass;
@@ -348,7 +352,7 @@ let malloc t size =
       (* The allocator links free blocks through their first word. *)
       t.pf.Platform.write ~addr ~len:8;
       h.lock.release ();
-      if !spill <> [] then dispose_batch t !spill;
+      dispose_spill t !spill;
       addr
   end
 
@@ -453,11 +457,11 @@ let free_block t addr =
         h.lock.acquire ();
         t.pf.Platform.write ~addr ~len:8;
         Superblock.mark_cached sb addr;
-        Global_heap.park t.global h [ (sb, addr) ] ~spill ~locked:true;
+        Global_heap.park t.global h [ (sb, addr, 0) ] ~spill ~locked:true;
         Alloc_stats.on_cached_free h.sh;
         Alloc_stats.note h.sh Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr;
         h.lock.release ();
-        if !spill <> [] then dispose_batch t !spill))
+        dispose_spill t !spill))
   | None -> if not (Locked_large.try_free t.large ~addr) then invalid_arg "Hoard.free: foreign pointer"
 
 let free t addr =

@@ -2,7 +2,11 @@ module IntMap = Map.Make (Int)
 
 type cache = {
   front : t;
-  slots : (int * Superblock.t) list array; (* per class, newest first *)
+  (* Per class, newest first: each block with the link its free wrote
+     into its first word, the address of the class's top block at that
+     moment; 0 when the class was empty or a fill pushed the block
+     without writing it. *)
+  slots : (Superblock.t * int * int) list array;
   count : int array;
   sh : Alloc_stats.shard; (* single writer: the owning thread; carries its ring when tracing *)
   mutable domain : int; (* the domain driving the cache, -1 until [mine] arms it *)
@@ -14,7 +18,7 @@ and t = {
   stats : Alloc_stats.t;
   obs : Obs.t option;
   home : unit -> int;
-  surrender : cache -> (int * Superblock.t) list -> unit;
+  surrender : cache -> (Superblock.t * int * int) list -> unit;
   caches : cache IntMap.t Atomic.t; (* tid -> cache; replaced under [mu] *)
   mu : Mutex.t; (* host mutex: serialises cache creation, zero simulated cost *)
   creator : int; (* domain that built [t]; its threads skip at-exit hooks *)
@@ -37,9 +41,9 @@ let create pf ~front_end ~classes ~stats ?obs ~home ~surrender () =
 
 (* The one loop that takes blocks out of a cache in bulk: cut class
    [sclass] down to its newest [keep] blocks and return the rest, newest
-   first, noted as one flush. The quiescent drain passes [~note:false]:
-   it is no flush by a running thread, and an event reads the clock, a
-   platform effect. *)
+   first, each with its link, noted as one flush. The quiescent drain
+   passes [~note:false]: it is no flush by a running thread, and an
+   event reads the clock, a platform effect. *)
 let cut ?(note = true) c ~sclass ~keep =
   let n = c.count.(sclass) - keep in
   if n <= 0 then []
@@ -56,14 +60,8 @@ let cut ?(note = true) c ~sclass ~keep =
     out
   end
 
-(* Every class cut to nothing: the last class's blocks first, each class
-   oldest first. *)
-let take_all ?note c =
-  let all = ref [] in
-  for sclass = 0 to Array.length c.slots - 1 do
-    all := List.rev_append (cut ?note c ~sclass ~keep:0) !all
-  done;
-  !all
+(* Every class cut to nothing: classes ascending, each newest first. *)
+let take_all ?note c = List.concat (List.init (Array.length c.slots) (fun sclass -> cut ?note c ~sclass ~keep:0))
 
 (* Empty a whole cache into [surrender] (thread exit, explicit flush). *)
 let empty c =
@@ -119,7 +117,7 @@ let mine t =
 let pop c ~size ~sclass =
   match c.slots.(sclass) with
   | [] -> None
-  | (addr, sb) :: rest ->
+  | (sb, addr, _) :: rest ->
     c.slots.(sclass) <- rest;
     c.count.(sclass) <- c.count.(sclass) - 1;
     Superblock.clear_cached sb addr;
@@ -128,12 +126,19 @@ let pop c ~size ~sclass =
     c.front.pf.Platform.write ~addr ~len:8;
     Some addr
 
+let add c ~sclass sb addr ~link =
+  Superblock.mark_cached sb addr;
+  c.slots.(sclass) <- (sb, addr, link) :: c.slots.(sclass);
+  c.count.(sclass) <- c.count.(sclass) + 1
+
+(* The eviction keeps the newest half, so the top it links to is the top
+   the free's write stores after the cut (0 only when [keep] is 0). *)
 let push c ~sclass sb addr =
   let t = c.front in
   if c.count.(sclass) >= t.caps.(sclass) then t.surrender c (cut c ~sclass ~keep:(t.caps.(sclass) / 2));
-  Superblock.mark_cached sb addr;
-  c.slots.(sclass) <- (addr, sb) :: c.slots.(sclass);
-  c.count.(sclass) <- c.count.(sclass) + 1
+  add c ~sclass sb addr ~link:(match c.slots.(sclass) with (_, top, _) :: _ -> top | [] -> 0)
+
+let fill c ~sclass blocks = List.iter (fun (addr, sb) -> add c ~sclass sb addr ~link:0) blocks
 
 let fill_size c ~sclass = c.front.caps.(sclass) / 2
 
@@ -152,9 +157,7 @@ let retire t =
   | None -> ()
 
 let drain_quiescent t f =
-  IntMap.iter
-    (fun _ c -> List.iter (fun (addr, sb) -> f sb addr) (List.rev (take_all ~note:false c)))
-    (Atomic.get t.caches)
+  IntMap.iter (fun _ c -> List.iter (fun (sb, addr, _) -> f sb addr) (take_all ~note:false c)) (Atomic.get t.caches)
 
 let counts t = List.rev (IntMap.fold (fun tid c acc -> (tid, Array.copy c.count) :: acc) (Atomic.get t.caches) [])
 
@@ -168,6 +171,16 @@ let check t =
             failwith
               (Printf.sprintf "Hoard.check: thread %d caches %d blocks of class %d (count %d, cap %d)" tid n sclass
                  c.count.(sclass) t.caps.(sclass));
-          List.iter (fun (addr, sb) -> Superblock.check_in_custody ~what:"cached" sb addr) blocks)
+          List.iter (fun (sb, addr, _) -> Superblock.check_in_custody ~what:"cached" sb addr) blocks;
+          let rec links = function
+            | (_, addr, link) :: ((_, below, _) :: _ as rest) ->
+              if link <> 0 && link <> below then
+                failwith
+                  (Printf.sprintf "Hoard.check: thread %d caches %#x of class %d linked to %#x, not to %#x below it"
+                     tid addr sclass link below);
+              links rest
+            | [ _ ] | [] -> ()
+          in
+          links blocks)
         c.slots)
     (Atomic.get t.caches)

@@ -20,12 +20,20 @@
     from its push until its pop, whichever thread caches it, so a second
     free of a cached block is caught in O(1).
 
+    A slot keeps, beside its block, the link its free wrote into the
+    block's first word: the address of the class's top block at that
+    moment, or 0 when the class was empty. A fill's blocks are pushed
+    unwritten, so their slots keep no link (0). Newest first, a class's
+    slots therefore already form a chain: every slot with a link points
+    at the slot below it, but for the oldest, whose link target has
+    since been cut or popped.
+
     Blocks leave a cache in bulk only one way: the class is cut down to
     its newest blocks, noted as one [Cache_flush] of that many blocks on
     the cache's stats shard,
-    and the rest handed to the [surrender] function given at {!create},
-    which decides where they go — an eviction keeps [cap/2], {!flush}
-    and {!retire} keep none. The quiescent {!drain_quiescent} cuts the
+    and the rest handed, newest first with their links, to the
+    [surrender] function given at {!create}, which decides where they go
+    — an eviction keeps [cap/2], {!flush} and {!retire} keep none. The quiescent {!drain_quiescent} cuts the
     same way but notes nothing, so [alloc.cache_flushes] counts only the
     flushes of running threads, each one recorded.
 
@@ -41,7 +49,7 @@ type t
     evicted blocks go. *)
 
 type cache
-(** One thread's cache: per class, the blocks newest first and their
+(** One thread's cache: per class, the slots newest first and their
     count, with its own stats shard (single writer: the owning thread),
     which carries, when tracing, its own event ring ["tcache<tid>"]. *)
 
@@ -52,13 +60,16 @@ val create :
   stats:Alloc_stats.t ->
   ?obs:Obs.t ->
   home:(unit -> int) ->
-  surrender:(cache -> (int * Superblock.t) list -> unit) ->
+  surrender:(cache -> (Superblock.t * int * int) list -> unit) ->
   unit ->
   t
 (** [front_end] is [K > 0]. [home ()] is the calling thread's heap id,
     which the cache's events record. [surrender c blocks] takes blocks cut
-    from [c], as [(addr, superblock)] pairs, freed and still
-    custody-marked; it is called holding no heap lock. Creates no cache,
+    from [c], as [(superblock, addr, link)] triples, freed and still
+    custody-marked, classes ascending and each class newest first, so
+    that a block's [link] is the address of the next block of its class
+    in the list wherever the two were adjacent slots; it is called
+    holding no heap lock. Creates no cache,
     shard or ring: caches appear on their thread's first call. *)
 
 val mine : t -> cache
@@ -70,10 +81,16 @@ val pop : cache -> size:int -> sclass:int -> int option
     [None] when the class is empty. *)
 
 val push : cache -> sclass:int -> Superblock.t -> int -> unit
-(** Take a freed block into custody as the class's newest. A class at
-    its cap first has its oldest half cut and surrendered; a fill, which
-    pushes at most [cap/2] blocks into a class it found empty, never
-    evicts. *)
+(** A free: take the block into custody as the class's newest, keeping
+    the class's top block (after any eviction) as its link, the value
+    the caller's free writes into the block's first word. A class at its
+    cap first has its oldest half cut and surrendered. *)
+
+val fill : cache -> sclass:int -> (int * Superblock.t) list -> unit
+(** A miss's surplus, [(addr, superblock)] pairs pushed in order into a
+    class the miss found empty: at most [cap/2] blocks, so it never
+    evicts. The blocks are not written, so their slots keep no link and
+    each is written when it leaves the cache. *)
 
 val fill_size : cache -> sclass:int -> int
 (** Blocks a miss caches for [sclass] beyond the ones it returns:
@@ -103,5 +120,7 @@ val counts : t -> (int * int array) list
 
 val check : t -> unit
 (** Every class of every cache: its count equals its list's length and
-    stays within its cap, and each block is bitmap-live and
-    custody-marked. Raises [Failure]. *)
+    stays within its cap, each block is bitmap-live and custody-marked,
+    and each slot's link is 0 or the address of the slot below it (the
+    oldest slot's is not checked). Raises [Failure]. *)
+

@@ -1019,13 +1019,14 @@ let effect_log () =
   in
   ({ pf with Platform.new_atomic; read; write }, taken)
 
-(* [n] freed, custody-marked 512 B blocks of one superblock at [base]. *)
+(* [n] freed, custody-marked 512 B blocks of one superblock at [base],
+   their first words holding no known link. *)
 let freed_blocks ~base n =
   let sb = Superblock.create ~base ~sb_size:4096 ~sclass:0 ~block_size:512 in
   List.init n (fun _ ->
       let a = Superblock.alloc_block sb in
       Superblock.mark_cached sb a;
-      (sb, a))
+      (sb, a, 0))
 
 let test_capped_push_bails_before_linking () =
   let pf, taken = effect_log () in
@@ -1053,6 +1054,31 @@ let test_capped_push_that_fits () =
     [ "write"; "write"; "load dl.head"; "write"; "cas dl.head" ]
     uncapped;
   Alcotest.(check (list string)) "capped: one more head load, first" ("load dl.head" :: uncapped) (push ~cap:3 ())
+
+(* A batch whose words already link each block to the next one (a
+   cache's frees, newest first) stores only its tail link; a block whose
+   word holds anything else is stored. *)
+let test_push_keeps_links_in_place () =
+  let push items =
+    let pf, taken = effect_log () in
+    let l = Deferred_list.create pf ~name:"dl" () in
+    Alcotest.(check bool) "published" true (Deferred_list.push_many l items);
+    Deferred_list.check l;
+    let got = List.map (fun (_, a) -> a) (Deferred_list.reclaim l) in
+    Alcotest.(check (list int)) "chain in batch order" (List.map (fun (_, a, _) -> a) items) got;
+    List.filter (fun e -> e = "write") (taken ())
+  in
+  let rec chained = function
+    | (sb, a, _) :: ((_, next, _) :: _ as rest) -> (sb, a, next) :: chained rest
+    | last -> last
+  in
+  let linked = chained (freed_blocks ~base:4096 4) in
+  Alcotest.(check int) "linked: the tail link only" 1 (List.length (push linked));
+  Alcotest.(check int) "unlinked: one store per block" 4 (List.length (push (freed_blocks ~base:8192 4)));
+  let broken =
+    List.mapi (fun i ((sb, a, l) as x) -> if i = 1 then (sb, a, l + 8) else x) (chained (freed_blocks ~base:12288 4))
+  in
+  Alcotest.(check int) "one stale link: one more store" 2 (List.length (push broken))
 
 let () =
   Alcotest.run "alloc-substrate"
@@ -1130,6 +1156,7 @@ let () =
         [
           Alcotest.test_case "capped push bails before linking" `Quick test_capped_push_bails_before_linking;
           Alcotest.test_case "capped push that fits" `Quick test_capped_push_that_fits;
+          Alcotest.test_case "push keeps links in place" `Quick test_push_keeps_links_in_place;
         ] );
       ( "lockfree",
         [

@@ -1666,10 +1666,12 @@ let test_run_ends () =
    superblock's current head) and S headers are written while the heap
    lock is held. The channels differ before the lock. A bounded-queue
    batch carries no links: the drain writes the other N - S. A deferred
-   chain (hoard-gl) is linked by its push, one write per block,
-   and its consecutive blocks of one superblock already form that
-   superblock's free list: of R runs, the drain writes only the R - S
-   that join a later run of their superblock. The consumer frees the
+   chain (hoard-gl) arrives linked: each free wrote its block's link to
+   the block cached before it, so the flush's push writes only the tail
+   link, which depends on the list's head. Its consecutive blocks of
+   one superblock already form that superblock's free list: of R runs,
+   the drain writes only the R - S that join a later run of their
+   superblock. The consumer frees the
    blocks in superblock order but for the first block, freed last, so
    its superblock falls into two runs and the drain makes one join. *)
 let test_drain_splices_under_lock () =
@@ -1752,7 +1754,7 @@ let test_drain_splices_under_lock () =
       Alcotest.(check int) (label ^ ": the fill drained the channel") 0
         (Array.fold_left ( + ) 0 (Hoard.remote_queue_lengths h));
       if config.Hoard_config.global = Hoard_config.Lockfree then begin
-        Alcotest.(check int) (label ^ ": every link written once by the push") n !links_pushed;
+        Alcotest.(check int) (label ^ ": the push writes only the tail link") 1 !links_pushed;
         Alcotest.(check int) (label ^ ": one join per run end before the lock") (r - s) !links_before
       end
       else begin
@@ -1939,6 +1941,245 @@ let test_gl_reclaim_links_per_run () =
   Alcotest.(check int) "one link per run" 3 !links;
   Alcotest.(check int) "one header per superblock" 2 !headers;
   Hoard.check h
+
+(* A platform that counts, while [counting], the 8 B writes and the
+   pushes onto deferred lists (a CAS that swings a list head to a
+   block), and stops counting at the first reclaim (a CAS that empties a
+   head): what a flush's surrender writes, not its drain. *)
+let surrender_counter pf0 =
+  let counting = ref false and links = ref 0 and pushes = ref 0 in
+  let pf =
+    {
+      pf0 with
+      Platform.write =
+        (fun ~addr ~len ->
+          if !counting && len = 8 then incr links;
+          pf0.Platform.write ~addr ~len);
+      new_atomic =
+        (fun name init ->
+          let at = pf0.Platform.new_atomic name init in
+          if not (Astring.String.is_suffix ~affix:".head" name) then at
+          else
+            {
+              at with
+              Platform.cas =
+                (fun ~expected ~desired ->
+                  let ok = at.Platform.cas ~expected ~desired in
+                  if ok && !counting then if desired = 0 then counting := false else incr pushes;
+                  ok);
+            });
+    }
+  in
+  (pf, counting, links, pushes)
+
+(* The link writes of a flush's surrender. One thread of a one-processor
+   hoard-gl instance (K = 16) mallocs nine 1 KiB blocks, the first
+   miss's block and the eight its fill cached, so the class's cache ends
+   empty; the blocks span two superblocks (seven per 8 KiB superblock).
+   [body] then frees some of them back into the cache, and the flush
+   pushes them onto the heap's own list. With [remote_queue_cap] below
+   the batch that push bails and the flush takes the locked disposal.
+   Returns the 8 B writes and the list pushes of the surrender. *)
+let flush_link_writes ?remote_queue_cap body =
+  let config = Option.get (Allocators.base_config "hoard-gl") in
+  let config =
+    {
+      config with
+      Hoard_config.nheaps = None;
+      remote_queue_cap = Option.value remote_queue_cap ~default:config.Hoard_config.remote_queue_cap;
+    }
+  in
+  let sim = Sim.create ~nprocs:1 () in
+  let pf, counting, links, pushes = surrender_counter (Sim.platform sim) in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         let blocks = List.sort compare (List.init 9 (fun _ -> a.Alloc_intf.malloc 1024)) in
+         let base x = x - (x mod config.Hoard_config.sb_size) in
+         body a (List.partition (fun x -> base x = base (List.hd blocks)) blocks);
+         Hoard.check h;
+         counting := true;
+         a.Alloc_intf.flush ();
+         counting := false));
+  Sim.run sim;
+  Hoard.check h;
+  (!links, !pushes)
+
+(* A burst of frees from one superblock reaches the flush as a chain its
+   frees already linked, each block to the one freed before it: the
+   own-heap list push and the locked disposal each write one link, the
+   run's last, which depends on the head it joins. *)
+let test_flushed_burst_writes_one_link () =
+  let burst a (in_a, _) = List.iteri (fun i x -> if i < 4 then a.Alloc_intf.free x) in_a in
+  Alcotest.(check (pair int int)) "own-heap list: one link, one push" (1, 1) (flush_link_writes burst);
+  Alcotest.(check (pair int int)) "locked disposal: one link, no push" (1, 0)
+    (flush_link_writes ~remote_queue_cap:2 burst)
+
+(* Frees a1 a2 b1 a3 a4 over two superblocks: newest first, the chain is
+   a4 a3 b1 a2 a1, three runs. A list push keeps every link the frees
+   wrote, so it writes only the tail's; the locked disposal rebuilds
+   each superblock's free list, so it writes each run's end: a3, b1 and
+   a1. *)
+let test_flushed_runs_write_one_link_each () =
+  let interleaved a = function
+    | a1 :: a2 :: a3 :: a4 :: _, b1 :: _ -> List.iter a.Alloc_intf.free [ a1; a2; b1; a3; a4 ]
+    | _ -> Alcotest.fail "two superblocks of blocks expected"
+  in
+  Alcotest.(check (pair int int)) "own-heap list: the tail link only" (1, 1) (flush_link_writes interleaved);
+  Alcotest.(check (pair int int)) "locked disposal: one link per run" (3, 0)
+    (flush_link_writes ~remote_queue_cap:2 interleaved)
+
+(* A pop takes the class's top block, and the next free links to the
+   top left below it: frees a1 a2, a malloc that pops a2, then a free
+   of a3 leave the chain a3 a1, still linked. The popped block carries
+   no stale link into the flush. *)
+let test_pop_between_frees_keeps_chain_linked () =
+  let with_pop a (in_a, _) =
+    match in_a with
+    | a1 :: a2 :: a3 :: _ ->
+      a.Alloc_intf.free a1;
+      a.Alloc_intf.free a2;
+      Alcotest.(check int) "the pop returns the newest" a2 (a.Alloc_intf.malloc 1024);
+      a.Alloc_intf.free a3
+    | _ -> Alcotest.fail "three blocks of one superblock expected"
+  in
+  Alcotest.(check (pair int int)) "own-heap list: one link" (1, 1) (flush_link_writes with_pop);
+  Alcotest.(check (pair int int)) "locked disposal: one link" (1, 0) (flush_link_writes ~remote_queue_cap:1 with_pop)
+
+(* A fill caches blocks it never writes, so their words hold no link:
+   flushing a fill's surplus writes every block's link. The 64 B class
+   caches K = 16 blocks, so its first miss caches eight. *)
+let test_fill_blocks_always_written () =
+  let only_fill a _ = ignore (a.Alloc_intf.malloc 64) in
+  Alcotest.(check (pair int int)) "own-heap list: one link per block" (8, 1) (flush_link_writes only_fill);
+  Alcotest.(check (pair int int)) "locked disposal: one link per block" (8, 0)
+    (flush_link_writes ~remote_queue_cap:4 only_fill)
+
+(* Blocks of a global superblock, freed into a cache and flushed, park on
+   the freeing heap's shard of the global-free list in one push that
+   writes only the tail link. Thread 0 (heap 1) mallocs four 1 KiB
+   blocks and exits, so adoption publishes their superblock to the
+   lock-free index; thread 1 (heap 2) frees them and flushes. *)
+let test_flushed_park_writes_one_link () =
+  let config = { (Option.get (Allocators.base_config "hoard-gl")) with Hoard_config.nheaps = None } in
+  let sim = Sim.create ~nprocs:2 () in
+  let pf, counting, links, pushes = surrender_counter (Sim.platform sim) in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let b = Sim.new_barrier sim ~parties:2 in
+  let blocks = ref [] in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         blocks := List.init 4 (fun _ -> a.Alloc_intf.malloc 1024);
+         a.Alloc_intf.thread_exit ();
+         Sim.barrier_wait b));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.barrier_wait b;
+         Alcotest.(check bool) "a global superblock" true
+           (List.for_all (fun x -> Superblock.owner (Option.get (Hoard.lookup h x)) = 0) !blocks);
+         List.iter a.Alloc_intf.free !blocks;
+         counting := true;
+         a.Alloc_intf.flush ();
+         counting := false));
+  Sim.run sim;
+  Alcotest.(check (pair int int)) "one link, one push" (1, 1) (!links, !pushes);
+  Hoard.check h
+
+(* The front end's kept links under random frees, pops, fills and
+   flushes (evictions come from frees at the cap): after every step
+   [Thread_cache.check] holds, so each slot's link is 0 or the slot
+   below it, and every link a cut hands out is the value a free last
+   wrote into that block's word, or 0 — never a link a fill or a pop
+   left stale, so no surrendered write is skipped falsely. One class of
+   64 B blocks with K = 4 (cap 4, fill 2) over two superblocks. *)
+type cache_op = Free_fresh | Free_held | Pop | Fill | Flush
+
+let test_cache_links_hold =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 80)
+        (frequency
+           [ (4, return Free_fresh); (2, return Free_held); (3, return Pop); (1, return Fill); (1, return Flush) ]))
+  in
+  let print = function
+    | Free_fresh -> "free"
+    | Free_held -> "free-held"
+    | Pop -> "pop"
+    | Fill -> "fill"
+    | Flush -> "flush"
+  in
+  QCheck.Test.make ~name:"cache links hold under push, pop, cut and fill" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print) gen)
+    (fun ops ->
+      let pf = Platform.host () in
+      let classes = Size_class.create ~growth:1.2 ~max_small:1024 () in
+      let sclass = Size_class.class_of_size classes 64 in
+      let block_size = Size_class.size_of_class classes sclass in
+      let sbs = List.init 2 (fun i -> Superblock.create ~base:((i + 1) * 8192) ~sb_size:8192 ~sclass ~block_size) in
+      (* What each block's first word holds, as far as the model knows. *)
+      let word = Hashtbl.create 64 and stack = ref [] and held = ref [] in
+      let top () = match !stack with (a, _) :: _ -> a | [] -> 0 in
+      let surrender _ blocks =
+        List.iter
+          (fun (sb, addr, link) ->
+            if link <> 0 && Hashtbl.find_opt word addr <> Some link then
+              QCheck.Test.fail_reportf "%#x surrendered with link %#x, its word holds %s" addr link
+                (match Hashtbl.find_opt word addr with Some w -> Printf.sprintf "%#x" w | None -> "no link");
+            stack := List.filter (fun (a, _) -> a <> addr) !stack;
+            Superblock.clear_cached sb addr;
+            Superblock.free_block sb addr)
+          blocks
+      in
+      let fe =
+        Thread_cache.create pf ~front_end:4 ~classes ~stats:(Alloc_stats.create ~shards:1 ()) ~home:(fun () -> 1)
+          ~surrender ()
+      in
+      let c = Thread_cache.mine fe in
+      let fresh () =
+        match List.find_opt (fun sb -> not (Superblock.is_full sb)) sbs with
+        | Some sb -> Some (Superblock.alloc_block sb, sb)
+        | None -> None
+      in
+      let free (addr, sb) =
+        Thread_cache.push c ~sclass sb addr;
+        (* The free's write: the top after any eviction. *)
+        Hashtbl.replace word addr (top ());
+        stack := (addr, sb) :: !stack
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | Free_fresh -> Option.iter free (fresh ())
+           | Free_held -> (
+             match !held with
+             | b :: rest ->
+               held := rest;
+               free b
+             | [] -> ())
+           | Pop -> (
+             match Thread_cache.pop c ~size:64 ~sclass with
+             | Some addr ->
+               let b = List.find (fun (a, _) -> a = addr) !stack in
+               stack := List.tl !stack;
+               Hashtbl.remove word addr;
+               held := b :: !held
+             | None -> ())
+           | Fill ->
+             if !stack = [] then begin
+               let blocks = List.filter_map (fun _ -> fresh ()) [ (); () ] in
+               Thread_cache.fill c ~sclass blocks;
+               List.iter
+                 (fun (a, sb) ->
+                   Hashtbl.remove word a;
+                   stack := (a, sb) :: !stack)
+                 blocks
+             end
+           | Flush -> Thread_cache.flush fe);
+          Thread_cache.check fe)
+        ops;
+      true)
 
 (* Producer/consumer on the lock-free global heap: thread 0 (heap 1) only
    allocates, thread 1 (heap 2) only frees, [rounds] times over a batch
@@ -2200,6 +2441,12 @@ let () =
           Alcotest.test_case "reclaim writes each header once" `Quick test_reclaim_writes_header_once;
           Alcotest.test_case "drain splices under the lock" `Quick test_drain_splices_under_lock;
           Alcotest.test_case "gl reclaim writes one link per run" `Quick test_gl_reclaim_links_per_run;
+          Alcotest.test_case "flushed burst writes one link" `Quick test_flushed_burst_writes_one_link;
+          Alcotest.test_case "flushed runs write one link each" `Quick test_flushed_runs_write_one_link_each;
+          Alcotest.test_case "pop between frees keeps the chain linked" `Quick test_pop_between_frees_keeps_chain_linked;
+          Alcotest.test_case "fill blocks always written" `Quick test_fill_blocks_always_written;
+          Alcotest.test_case "flushed park writes one link" `Quick test_flushed_park_writes_one_link;
+          QCheck_alcotest.to_alcotest test_cache_links_hold;
           Alcotest.test_case "run ends of a deferred chain" `Quick test_run_ends;
           Alcotest.test_case "own-heap deferred backlog bounded" `Quick test_own_deferred_backlog_bounded;
           Alcotest.test_case "remote deferred backlog uncapped" `Quick test_remote_deferred_backlog_uncapped;

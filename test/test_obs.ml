@@ -521,6 +521,52 @@ let test_host_stress_counts () =
     (Obs.rings obs);
   Platform.host_release pf
 
+(* --- the committed trajectory --- *)
+
+(* ci/trajectory.jsonl has one row per PR, in order: the pinned seed-1
+   metrics of ci/perf-seed1.json as that PR left them, or a row saying
+   the PR left the pin unchanged. Its last row that holds metrics is the
+   pin itself, value for value, so a PR that regenerates the pin must
+   append its row. *)
+let test_trajectory_ends_at_pin () =
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  let parse what s =
+    match Json_lite.parse s with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let rows =
+    read "../ci/trajectory.jsonl" |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (parse "trajectory row")
+  in
+  let pr r =
+    match Option.bind (Json_lite.member "pr" r) Json_lite.to_float with
+    | Some n -> int_of_float n
+    | None -> Alcotest.fail "trajectory row without a PR number"
+  in
+  let prs = List.map pr rows in
+  Alcotest.(check (list int)) "one row per PR, in order" (List.init (List.length prs) (fun i -> List.hd prs + i)) prs;
+  List.iter
+    (fun r ->
+      if Json_lite.member "metrics" r = None && Json_lite.member "pin" r <> Some (Json_lite.Str "unchanged") then
+        Alcotest.failf "PR %d: a row holds metrics or says the pin is unchanged" (pr r))
+    rows;
+  let fields = function
+    | Some (Json_lite.Obj kvs) -> List.sort compare kvs
+    | _ -> Alcotest.fail "metrics object expected"
+  in
+  let last = List.find (fun r -> Json_lite.member "metrics" r <> None) (List.rev rows) in
+  let pin =
+    fields (Json_lite.member "metrics" (parse "ci/perf-seed1.json" (read "../ci/perf-seed1.json")))
+    |> List.map (fun (k, v) -> (k, Json_lite.member "value" v))
+  in
+  let row = fields (Json_lite.member "metrics" last) |> List.map (fun (k, v) -> (k, Some v)) in
+  Alcotest.(check (list string)) "the pin's keys" (List.map fst pin) (List.map fst row);
+  List.iter2
+    (fun (k, a) (_, b) -> if a <> b then Alcotest.failf "PR %d's row differs from the pin at %s" (pr last) k)
+    pin row
+
 let () =
   Alcotest.run "obs"
     [
@@ -560,4 +606,5 @@ let () =
           Alcotest.test_case "teardown is not a cache flush" `Quick test_teardown_not_a_flush;
         ] );
       ( "host-stress", [ Alcotest.test_case "4-domain counts" `Quick test_host_stress_counts ] );
+      ("trajectory", [ Alcotest.test_case "ends at the seed-1 pin" `Quick test_trajectory_ends_at_pin ]);
     ]
