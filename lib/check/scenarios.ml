@@ -369,11 +369,13 @@ let deferred_remote_free ~mutant =
    threads sharing one heap. Thread 0 frees four of its blocks through a
    2-block cache: the third free evicts one block onto the heap's own
    list, the fourth evicts another, which finds the list full and bails
-   to the locked [dispose_batch] — unless thread 1's fill, racing both,
-   detached the list in between. That fill detaches the list and walks
-   it before the heap lock and splices under it, so the bailed block's
-   locked free can land before the detach, between the detach and the
-   lock, or after the splice. Oracle: the own list within its cap,
+   to the locked [dispose_batch], taking the cache's kept block (the
+   third free's) along in the same heap-lock trip, so the fourth block
+   enters an empty class — unless thread 1's fill, racing both, detached
+   the list in between. That fill detaches the list and walks it before
+   the heap lock and splices under it, so the bailed blocks' locked
+   free can land before the detach, between the detach and the lock, or
+   after the splice. Oracle: the own list within its cap,
    [Hoard.check] before and after the quiescent flush, and only thread
    1's block live after it. *)
 let deferred_own_overflow =

@@ -187,29 +187,45 @@ let with_drained t h f =
    Each other group goes to its owner's remote-free channel
    ([Heap.push]: the calling heap's own channel is pushed with [~own]),
    and whatever a channel rejects goes to the classic locked path in one
-   batch. Each block's owner must be read ONCE: on real domains a
-   concurrent transfer can change it between two reads, and consing onto
-   one owner's group while storing under the other's index copies a
+   batch. When the calling heap's own channel rejects its group, the
+   rest of that class leaves the cache too ([Thread_cache.take_class]):
+   its own-heap blocks join the locked batch ahead of the rejects, which
+   keeps the batch in the cache's newest-first chain order, and its
+   other blocks are routed like any eviction's. So the heap-lock trip
+   carries the whole class, not a half the next frees would evict down
+   the same path. Each block's owner must be read ONCE: on real domains
+   a concurrent transfer can change it between two reads, and consing
+   onto one owner's group while storing under the other's index copies a
    whole group — every block in it queued twice, a double free at the
    second drain. *)
 let surrender_many t c blocks =
-  let groups = Array.make (Array.length t.heaps + 1) [] in
-  List.iter
-    (fun ((sb, _, _) as b) ->
-      let id = Superblock.owner sb in
-      groups.(id) <- b :: groups.(id))
-    (List.rev blocks);
   let sh = Thread_cache.shard c in
   let overflow = ref [] and own_id = Heap.id (my_heap t) in
-  Array.iteri
-    (fun id group ->
-      if group <> [] then
-        match heap_by_id t id with
-        | None ->
-          overflow := unlinked (park_global t group) @ !overflow;
-          Heap.note_deferred sh group
-        | Some h -> overflow := Heap.push h ~own:(id = own_id) ~sh group @ !overflow)
-    groups;
+  let rec route ~own_rejected blocks =
+    let groups = Array.make (Array.length t.heaps + 1) [] in
+    List.iter
+      (fun ((sb, _, _) as b) ->
+        let id = Superblock.owner sb in
+        groups.(id) <- b :: groups.(id))
+      (List.rev blocks);
+    Array.iteri
+      (fun id group ->
+        if group <> [] then
+          match heap_by_id t id with
+          | None ->
+            overflow := unlinked (park_global t group) @ !overflow;
+            Heap.note_deferred sh group
+          | Some _ when id = own_id && own_rejected -> overflow := group @ !overflow
+          | Some h ->
+            let rejects = Heap.push h ~own:(id = own_id) ~sh group in
+            overflow := rejects @ !overflow;
+            if id = own_id && rejects <> [] then begin
+              let sb, _, _ = List.hd group in
+              route ~own_rejected:true (Thread_cache.take_class c ~sclass:(Superblock.sclass sb))
+            end)
+      groups
+  in
+  route ~own_rejected:false blocks;
   if !overflow <> [] then dispose_batch t !overflow
 
 let create ?(config = Hoard_config.default) ?obs pf =

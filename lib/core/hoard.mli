@@ -38,7 +38,10 @@
     blocks per size class: [K] for every class of 16 B or more, [2K] for
     8 B blocks, so no class moves less than [K * 8] bytes per trip.
     malloc pops and free pushes with no lock at all; misses and overflows
-    move [cap/2] blocks per heap-lock acquisition. That module alone
+    move [cap/2] blocks per heap-lock acquisition, and an overflow whose
+    own-heap blocks must take the heap lock (its channel rejected them)
+    takes the class's whole cache along, up to [cap] blocks in that one
+    acquisition. That module alone
     stores the caches; this one fills them from the heap and decides
     where the blocks a cache gives up go: batched onto the owning heap's
     remote-free channel for the owner to drain on its next slow path. The channel follows
@@ -51,9 +54,10 @@
     detaches the whole list with a single exchange. Remote pushes are
     uncapped; an eviction onto the evicting thread's own heap's list
     that would take it past [remote_queue_cap] takes the locked free path
-    instead, so at most [remote_queue_cap] own blocks per heap wait
-    there. A miss has one path: [malloc] and [malloc_batch] pop the
-    class's cached blocks first, and what the cache cannot cover,
+    instead, with the rest of its class, so at most [remote_queue_cap]
+    own blocks per heap wait there. A miss has one path: [malloc] and
+    [malloc_batch] pop the class's cached blocks first, and what the
+    cache cannot cover,
     [n] blocks, takes one heap-lock acquisition that drains the heap's
     channel, takes [n + cap/2] blocks, returns [n], caches the rest and
     restores the emptiness invariant if the drain freed anything.

@@ -60,6 +60,8 @@ let cut ?(note = true) c ~sclass ~keep =
     out
   end
 
+let take_class c ~sclass = cut c ~sclass ~keep:0
+
 (* Every class cut to nothing: classes ascending, each newest first. *)
 let take_all ?note c = List.concat (List.init (Array.length c.slots) (fun sclass -> cut ?note c ~sclass ~keep:0))
 
@@ -131,8 +133,9 @@ let add c ~sclass sb addr ~link =
   c.slots.(sclass) <- (sb, addr, link) :: c.slots.(sclass);
   c.count.(sclass) <- c.count.(sclass) + 1
 
-(* The eviction keeps the newest half, so the top it links to is the top
-   the free's write stores after the cut (0 only when [keep] is 0). *)
+(* The eviction keeps the newest half, unless [surrender] takes it too
+   ([take_class]), so the top it links to is the top the free's write
+   stores after the surrender: 0 when the class is left empty. *)
 let push c ~sclass sb addr =
   let t = c.front in
   if c.count.(sclass) >= t.caps.(sclass) then t.surrender c (cut c ~sclass ~keep:(t.caps.(sclass) / 2));

@@ -11,7 +11,10 @@
     cached, so the next [cap/2] mallocs of the class stay lock-free. A
     push into a class at its cap first evicts the class's oldest half,
     keeping the newest [cap/2], so the next [cap/2] frees stay
-    lock-free.
+    lock-free. When the evicted half must take a heap lock anyway,
+    [surrender] takes the kept half along ({!take_class}), so that one
+    trip carries up to [cap] blocks, and the freeing block enters an
+    empty class.
 
     Cached blocks stay bitmap-live in their superblocks and charged to
     the heap that owns them, so the emptiness invariant and the blowup
@@ -33,9 +36,10 @@
     the cache's stats shard,
     and the rest handed, newest first with their links, to the
     [surrender] function given at {!create}, which decides where they go
-    — an eviction keeps [cap/2], {!flush} and {!retire} keep none. The quiescent {!drain_quiescent} cuts the
-    same way but notes nothing, so [alloc.cache_flushes] counts only the
-    flushes of running threads, each one recorded.
+    — an eviction keeps [cap/2], {!take_class}, {!flush} and {!retire}
+    keep none. The quiescent {!drain_quiescent} cuts the same way but
+    notes nothing, so [alloc.cache_flushes] counts only the flushes of
+    running threads, each one recorded.
 
     Caches are found by thread id. Thread ids recycle across sequential
     domains: a domain that adopts a live cache re-registers the
@@ -84,7 +88,15 @@ val push : cache -> sclass:int -> Superblock.t -> int -> unit
 (** A free: take the block into custody as the class's newest, keeping
     the class's top block (after any eviction) as its link, the value
     the caller's free writes into the block's first word. A class at its
-    cap first has its oldest half cut and surrendered. *)
+    cap first has its oldest half cut and surrendered; the link is 0
+    when [surrender] took the rest of the class too. *)
+
+val take_class : cache -> sclass:int -> (Superblock.t * int * int) list
+(** Cut class [sclass] to nothing, noted as one flush, and return its
+    blocks as [surrender] receives them: newest first, with their links,
+    still custody-marked. [surrender] calls it on its own cache when an
+    eviction's own-heap blocks must take the heap lock, so the newer
+    half shares that trip. [[]] when the class is empty. *)
 
 val fill : cache -> sclass:int -> (int * Superblock.t) list -> unit
 (** A miss's surplus, [(addr, superblock)] pairs pushed in order into a

@@ -2087,21 +2087,146 @@ let test_flushed_park_writes_one_link () =
   Alcotest.(check (pair int int)) "one link, one push" (1, 1) (!links, !pushes);
   Hoard.check h
 
-(* The front end's kept links under random frees, pops, fills and
-   flushes (evictions come from frees at the cap): after every step
+(* A free-only run of one class on one heap past a small own cap: K = 4,
+   so the 64 B class caches 4 blocks, and [remote_queue_cap] = 2. Once
+   the own channel is full, every eviction's own-heap push is rejected
+   and takes the locked disposal, and it takes the class's kept half
+   along: the thread's heap lock is taken once per [cap] frees, not once
+   per [cap/2], and after each such free the class holds only the
+   freeing block. *)
+let test_bailed_eviction_takes_the_class () =
+  List.iter
+    (fun (label, config) ->
+      let config = { config with Hoard_config.front_end = 4; remote_queue_cap = 2; nheaps = None } in
+      batch_run config (fun _ h a heap_locks ->
+          let sclass = Size_class.class_of_size (Hoard.size_classes h) 64 in
+          let cached () = List.fold_left (fun n (_, counts) -> n + counts.(sclass)) 0 (Hoard.cache_counts h) in
+          let ps = List.init 64 (fun _ -> a.Alloc_intf.malloc 64) in
+          ignore (heap_locks ());
+          let trips =
+            List.concat
+              (List.mapi
+                 (fun i p ->
+                   a.Alloc_intf.free p;
+                   if List.mem "hoard.heap1" (heap_locks ()) then begin
+                     Alcotest.(check int) (label ^ ": a bailed eviction leaves only the freeing block") 1 (cached ());
+                     Hoard.check h;
+                     [ i ]
+                   end
+                   else [])
+                 ps)
+          in
+          let rec gaps = function
+            | x :: (y :: _ as rest) -> (y - x) :: gaps rest
+            | [ _ ] | [] -> []
+          in
+          Alcotest.(check bool) (label ^ ": the own channel filled") true (List.length trips > 8);
+          Alcotest.(check (list int))
+            (label ^ ": one heap-lock trip per cap frees")
+            (List.init (List.length trips - 1) (fun _ -> 4))
+            (gaps trips)))
+    batch_configs
+
+(* The link writes of an eviction whose own-heap push bails. One thread
+   of a one-processor hoard-gl instance (K = 4, so the 1 KiB class caches
+   4 blocks; [remote_queue_cap] = 1, below any eviction) mallocs nine
+   1 KiB blocks, leaving the class's cache empty, over two superblocks.
+   [frees] fills the cache; freeing [last] then evicts the oldest two,
+   whose push is rejected, so the newer two join them in one locked
+   disposal. Returns the 8 B writes into the four cached blocks during
+   that free, and the class's cached blocks after it. *)
+let bailed_eviction_links body =
+  let config =
+    {
+      (Option.get (Allocators.base_config "hoard-gl")) with
+      Hoard_config.front_end = 4;
+      remote_queue_cap = 1;
+      nheaps = None;
+    }
+  in
+  let sim = Sim.create ~nprocs:1 () in
+  let pf0 = Sim.platform sim in
+  let counting = ref false and cached_blocks = ref [] and links = ref 0 in
+  let pf =
+    {
+      pf0 with
+      Platform.write =
+        (fun ~addr ~len ->
+          if !counting && len = 8 && List.mem addr !cached_blocks then incr links;
+          pf0.Platform.write ~addr ~len);
+    }
+  in
+  let h = Hoard.create ~config pf in
+  let a = Hoard.allocator h in
+  let after = ref (-1) in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         let blocks = List.sort compare (List.init 9 (fun _ -> a.Alloc_intf.malloc 1024)) in
+         let sclass = Size_class.class_of_size (Hoard.size_classes h) 1024 in
+         let cached () = List.fold_left (fun n (_, counts) -> n + counts.(sclass)) 0 (Hoard.cache_counts h) in
+         Alcotest.(check int) "the mallocs leave the class empty" 0 (cached ());
+         let base x = x - (x mod config.Hoard_config.sb_size) in
+         let frees, last = body (List.partition (fun x -> base x = base (List.hd blocks)) blocks) in
+         List.iter a.Alloc_intf.free frees;
+         cached_blocks := frees;
+         counting := true;
+         a.Alloc_intf.free last;
+         counting := false;
+         after := cached ();
+         Hoard.check h));
+  Sim.run sim;
+  Hoard.check h;
+  (!links, !after)
+
+(* Frees a1..a4 of one superblock link a chain a4 a3 a2 a1. The bail
+   disposes of the newer half ahead of the rejected one, in that chain
+   order, so the whole batch is one run and writes one link, a1's. The
+   rejected half first would write two: a1's, which a4 then follows,
+   and a3's. *)
+let test_bailed_burst_writes_one_link () =
+  let burst = function
+    | a1 :: a2 :: a3 :: a4 :: a5 :: _, _ -> ([ a1; a2; a3; a4 ], a5)
+    | _ -> Alcotest.fail "five blocks of one superblock expected"
+  in
+  Alcotest.(check (pair int int)) "one link, only the freeing block cached" (1, 1) (bailed_eviction_links burst)
+
+(* Frees a1 b1 a2 a3 link the chain a3 a2 b1 a1, three runs; the
+   combined batch writes each run's end: a2, b1 and a1. *)
+let test_bailed_runs_write_one_link_each () =
+  let interleaved = function
+    | a1 :: a2 :: a3 :: a4 :: _, b1 :: _ -> ([ a1; b1; a2; a3 ], a4)
+    | _ -> Alcotest.fail "two superblocks of blocks expected"
+  in
+  Alcotest.(check (pair int int)) "one link per run end" (3, 1) (bailed_eviction_links interleaved)
+
+(* The front end's kept links under random frees, pops, fills, flushes
+   and drains (evictions come from frees at the cap): after every step
    [Thread_cache.check] holds, so each slot's link is 0 or the slot
    below it, and every link a cut hands out is the value a free last
-   wrote into that block's word, or 0 — never a link a fill or a pop
-   left stale, so no surrendered write is skipped falsely. One class of
-   64 B blocks with K = 4 (cap 4, fill 2) over two superblocks. *)
-type cache_op = Free_fresh | Free_held | Pop | Fill | Flush
+   wrote into that block's word, or 0 — never a link a fill, a pop or a
+   class cut left stale, so no surrendered write is skipped falsely. One
+   class of 64 B blocks with K = 4 (cap 4, fill 2) over two superblocks.
+   The surrender models the heap's own channel with a cap of 1–2
+   blocks, emptied by a drain: a batch that does not fit is rejected,
+   and the surrender then takes the rest of the class
+   ([Thread_cache.take_class]), whose blocks and the rejected ones must
+   form one chain in that order. *)
+type cache_op = Free_fresh | Free_held | Pop | Fill | Flush | Drain
 
 let test_cache_links_hold =
   let gen =
     QCheck.Gen.(
-      list_size (int_range 1 80)
-        (frequency
-           [ (4, return Free_fresh); (2, return Free_held); (3, return Pop); (1, return Fill); (1, return Flush) ]))
+      pair (int_range 1 2)
+        (list_size (int_range 1 80)
+           (frequency
+              [
+                (4, return Free_fresh);
+                (2, return Free_held);
+                (3, return Pop);
+                (1, return Fill);
+                (1, return Flush);
+                (1, return Drain);
+              ])))
   in
   let print = function
     | Free_fresh -> "free"
@@ -2109,10 +2234,11 @@ let test_cache_links_hold =
     | Pop -> "pop"
     | Fill -> "fill"
     | Flush -> "flush"
+    | Drain -> "drain"
   in
   QCheck.Test.make ~name:"cache links hold under push, pop, cut and fill" ~count:300
-    (QCheck.make ~print:(QCheck.Print.list print) gen)
-    (fun ops ->
+    (QCheck.make ~print:QCheck.Print.(pair (Printf.sprintf "own cap %d") (list print)) gen)
+    (fun (own_cap, ops) ->
       let pf = Platform.host () in
       let classes = Size_class.create ~growth:1.2 ~max_small:1024 () in
       let sclass = Size_class.class_of_size classes 64 in
@@ -2121,7 +2247,8 @@ let test_cache_links_hold =
       (* What each block's first word holds, as far as the model knows. *)
       let word = Hashtbl.create 64 and stack = ref [] and held = ref [] in
       let top () = match !stack with (a, _) :: _ -> a | [] -> 0 in
-      let surrender _ blocks =
+      let listed = ref 0 in
+      let release blocks =
         List.iter
           (fun (sb, addr, link) ->
             if link <> 0 && Hashtbl.find_opt word addr <> Some link then
@@ -2131,6 +2258,23 @@ let test_cache_links_hold =
             Superblock.clear_cached sb addr;
             Superblock.free_block sb addr)
           blocks
+      in
+      let surrender c blocks =
+        let n = List.length blocks in
+        if !listed + n <= own_cap then listed := !listed + n
+        else begin
+          let newer = Thread_cache.take_class c ~sclass in
+          let rec chained = function
+            | (_, addr, link) :: ((_, below, _) :: _ as rest) ->
+              if link <> 0 && link <> below then
+                QCheck.Test.fail_reportf "class cut: %#x linked to %#x, not to %#x after it" addr link below;
+              chained rest
+            | [ _ ] | [] -> ()
+          in
+          chained (newer @ blocks);
+          release newer
+        end;
+        release blocks
       in
       let fe =
         Thread_cache.create pf ~front_end:4 ~classes ~stats:(Alloc_stats.create ~shards:1 ()) ~home:(fun () -> 1)
@@ -2176,7 +2320,8 @@ let test_cache_links_hold =
                    stack := (a, sb) :: !stack)
                  blocks
              end
-           | Flush -> Thread_cache.flush fe);
+           | Flush -> Thread_cache.flush fe
+           | Drain -> listed := 0);
           Thread_cache.check fe)
         ops;
       true)
@@ -2446,6 +2591,9 @@ let () =
           Alcotest.test_case "pop between frees keeps the chain linked" `Quick test_pop_between_frees_keeps_chain_linked;
           Alcotest.test_case "fill blocks always written" `Quick test_fill_blocks_always_written;
           Alcotest.test_case "flushed park writes one link" `Quick test_flushed_park_writes_one_link;
+          Alcotest.test_case "bailed eviction takes the class" `Quick test_bailed_eviction_takes_the_class;
+          Alcotest.test_case "bailed burst writes one link" `Quick test_bailed_burst_writes_one_link;
+          Alcotest.test_case "bailed runs write one link each" `Quick test_bailed_runs_write_one_link_each;
           QCheck_alcotest.to_alcotest test_cache_links_hold;
           Alcotest.test_case "run ends of a deferred chain" `Quick test_run_ends;
           Alcotest.test_case "own-heap deferred backlog bounded" `Quick test_own_deferred_backlog_bounded;
